@@ -4,10 +4,11 @@
     engines.
 
     Usage: [bench/main.exe [table1|table2|table3|table4|table5|table6|
-                            testability|translate|ablations|micro|fsim|
+                            testability|translate|generality|variance|
+                            scan|bridging|ablations|micro|fsim|
                             fsim_smoke|sat|sat_smoke|par|par_smoke|
-                            chaos_smoke|serve|serve_smoke|progress_smoke|
-                            all]
+                            chaos_smoke|fuzz_smoke|serve|serve_smoke|
+                            progress_smoke|all]
                            [-j N] [--seed S]]. *)
 
 module Flow = Factor.Flow
@@ -746,7 +747,10 @@ let micro () =
   let test_fsim =
     Test.make ~name:"fsim/63-faults-8-tests"
       (Staged.stage (fun () ->
-           let batch = List.filteri (fun i _ -> i < 63) faults in
+           let batch =
+             List.map Atpg.Fsim.stuck_at
+               (List.filteri (fun i _ -> i < 63) faults)
+           in
            List.iter
              (fun t ->
                ignore
@@ -872,10 +876,48 @@ let bench_fsim_on ~name c ~num_tests =
 let bench_fsim () =
   ignore (bench_fsim_on ~name:"arm" (Lazy.force full) ~num_tests:126)
 
+(* Packed and reference flags for the transition universe and a random
+   bridge population of [c], graded on random PIER sequences; exits 1 on
+   the first model where they differ. *)
+let check_fault_models ~name c =
+  let rng = Random.State.make [| !seed_ref |] in
+  let piers = Factor.Pier.identify c in
+  let observe = { Atpg.Fsim.ob_pos = true; ob_pier_ffs = piers } in
+  let tests =
+    List.init 63 (fun _ ->
+        Atpg.Pattern.random ~rng ~num_pis:(Netlist.num_pis c) ~frames:8
+          ~piers)
+  in
+  let models =
+    [ ("transition",
+       List.map Atpg.Transition.descriptor (Atpg.Transition.all c));
+      ("bridge",
+       List.map Atpg.Bridge.descriptor
+         (Atpg.Bridge.candidates ~rng ~count:252 c)) ]
+  in
+  List.iter
+    (fun (model, faults) ->
+      let flags engine =
+        Atpg.Fsim.run_descriptors ~engine c ~observe ~faults tests
+      in
+      let packed = flags Atpg.Fsim.Packed in
+      if packed <> flags Atpg.Fsim.Reference then begin
+        Printf.eprintf
+          "fsim smoke: packed and reference disagree on %s faults of %s \
+           (replay with --seed %d)\n"
+          model name !seed_ref;
+        exit 1
+      end;
+      Printf.printf "fsim smoke: %s, %d %s faults, %d detected, engines agree\n"
+        name (List.length faults) model
+        (Array.fold_left (fun n d -> if d then n + 1 else n) 0 packed))
+    models
+
 (* CI gate: on the stand-alone ALU, the three engines must agree bit for
-   bit, and the packed engine's eval reduction over the event-driven one
-   must not fall below a conservative floor (a regression here means the
-   packing or dropping logic degraded). *)
+   bit on stuck-at faults, packed and reference on transition and bridge
+   faults, and the packed engine's eval reduction over the event-driven
+   one must not fall below a conservative floor (a regression here means
+   the packing or dropping logic degraded). *)
 let bench_fsim_smoke () =
   let ed = Design.Elaborate.elaborate (Arm.Rtl.design ()) ~top:"arm_alu" in
   let c =
@@ -886,6 +928,7 @@ let bench_fsim_smoke () =
     bench_fsim_on ~name:"arm_alu" c ~num_tests:126
   in
   ignore speedup_wall;
+  check_fault_models ~name:"arm_alu" c;
   let floor = 6.0 in
   if speedup_evals < floor then begin
     Printf.eprintf

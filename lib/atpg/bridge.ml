@@ -5,9 +5,8 @@
     against a bridging fault population. *)
 
 module N = Netlist
-module L = Sim.Logic3
 
-type kind = Wired_and | Wired_or
+type kind = Fsim.wired = Wired_and | Wired_or
 
 type t = {
   b_net1 : int;
@@ -44,125 +43,12 @@ let candidates ?within ~rng ~count c =
           b_net2 = other ();
           b_kind = (if i mod 2 = 0 then Wired_and else Wired_or) })
 
-(* Simulate one test against up to 63 bridges (parallel-fault): after a
-   net's value is computed, columns carrying a bridge on it see the
-   wired combination with the partner's value.  Each frame is evaluated
-   twice so the topologically earlier net also sees its partner — two
-   relaxation passes settle exactly for pairs that do not feed back
-   through each other. *)
-let run_batch c ~order ~bridges ~observe (test : Pattern.test) =
-  let nb = List.length bridges in
-  assert (nb <= 63);
-  let values = Array.make (N.num_nets c) L.x in
-  let state = Array.make (N.num_ffs c) L.x in
-  List.iter
-    (fun (ff, v) -> state.(ff) <- (if v then L.one else L.zero))
-    test.Pattern.p_loads;
-  (* per net: list of (column, partner, kind) *)
-  let table = Hashtbl.create 64 in
-  List.iteri
-    (fun i b ->
-      let col = i + 1 in
-      Hashtbl.replace table b.b_net1
-        ((col, b.b_net2, b.b_kind)
-         :: Option.value (Hashtbl.find_opt table b.b_net1) ~default:[]);
-      Hashtbl.replace table b.b_net2
-        ((col, b.b_net1, b.b_kind)
-         :: Option.value (Hashtbl.find_opt table b.b_net2) ~default:[]))
-    bridges;
-  let detected = ref 0L in
-  let frames = Array.length test.Pattern.p_vectors in
-  for f = 0 to frames - 1 do
-    let pi_vec = test.Pattern.p_vectors.(f) in
-    for _pass = 1 to 2 do
-    Array.iter
-      (fun net ->
-        let v =
-          match c.N.drv.(net) with
-          | N.Pi i -> if pi_vec.(i) then L.one else L.zero
-          | N.Ff i -> state.(i)
-          | N.C0 -> L.zero
-          | N.C1 -> L.one
-          | N.G1 (N.Inv, a) -> L.v_not values.(a)
-          | N.G1 (N.Buff, a) -> values.(a)
-          | N.G2 (N.And, a, b) -> L.v_and values.(a) values.(b)
-          | N.G2 (N.Or, a, b) -> L.v_or values.(a) values.(b)
-          | N.G2 (N.Xor, a, b) -> L.v_xor values.(a) values.(b)
-          | N.G2 (N.Nand, a, b) -> L.v_not (L.v_and values.(a) values.(b))
-          | N.G2 (N.Nor, a, b) -> L.v_not (L.v_or values.(a) values.(b))
-          | N.G2 (N.Xnor, a, b) -> L.v_not (L.v_xor values.(a) values.(b))
-          | N.Mux (s, a, b) -> L.v_mux values.(s) values.(a) values.(b)
-        in
-        let v =
-          match Hashtbl.find_opt table net with
-          | None -> v
-          | Some overrides ->
-            List.fold_left
-              (fun v (col, partner, kind) ->
-                let pv = L.get values.(partner) col in
-                let own = L.get v col in
-                let bridged =
-                  match (kind, own, pv) with
-                  | (_, None, _) | (_, _, None) -> own
-                  | (Wired_and, Some a, Some b) -> Some (a && b)
-                  | (Wired_or, Some a, Some b) -> Some (a || b)
-                in
-                L.set v col bridged)
-              v overrides
-        in
-        values.(net) <- v)
-      order
-    done;
-    if observe.Fsim.ob_pos then
-      Array.iter
-        (fun po -> detected := Int64.logor !detected (Fsim.detected_mask values.(po)))
-        c.N.pos;
-    Array.iteri (fun i d -> state.(i) <- values.(d)) c.N.ff_d;
-    if f = frames - 1 then
-      List.iter
-        (fun ff ->
-          detected := Int64.logor !detected (Fsim.detected_mask state.(ff)))
-        observe.Fsim.ob_pier_ffs
-  done;
-  List.mapi
-    (fun i _ ->
-      Int64.logand (Int64.shift_right_logical !detected (i + 1)) 1L = 1L)
-    bridges
+(** The bridge as two [Wired] sites, each naming the other as partner. *)
+let descriptor b =
+  [ (b.b_net1, Fsim.Wired (b.b_net2, b.b_kind));
+    (b.b_net2, Fsim.Wired (b.b_net1, b.b_kind)) ]
 
 (** [coverage c ~observe ~bridges tests] = percentage of the bridging
     population detected by the test set. *)
 let coverage c ~observe ~bridges tests =
-  let order = (N.analysis c).N.Analysis.order in
-  let n = List.length bridges in
-  if n = 0 then 100.0
-  else begin
-    let detected = Array.make n false in
-    let indexed = List.mapi (fun i b -> (i, b)) bridges in
-    List.iter
-      (fun test ->
-        let remaining = List.filter (fun (i, _) -> not detected.(i)) indexed in
-        let rec batches = function
-          | [] -> ()
-          | l ->
-            let rec take k = function
-              | x :: rest when k > 0 ->
-                let (h, t) = take (k - 1) rest in
-                (x :: h, t)
-              | rest -> ([], rest)
-            in
-            let (batch, rest) = take 63 l in
-            let flags =
-              run_batch c ~order ~bridges:(List.map snd batch) ~observe test
-            in
-            List.iter2
-              (fun (i, _) hit -> if hit then detected.(i) <- true)
-              batch flags;
-            batches rest
-        in
-        batches remaining)
-      tests;
-    100.0
-    *. float_of_int
-         (Array.fold_left (fun a d -> if d then a + 1 else a) 0 detected)
-    /. float_of_int n
-  end
+  Fsim.coverage c ~observe ~faults:(List.map descriptor bridges) tests

@@ -2,7 +2,7 @@
     nets, used to measure how a stuck-at test set does against real
     short defects. *)
 
-type kind = Wired_and | Wired_or
+type kind = Fsim.wired = Wired_and | Wired_or
 
 type t = {
   b_net1 : int;
@@ -17,11 +17,9 @@ val to_string : Netlist.t -> t -> string
 val candidates :
   ?within:string -> rng:Random.State.t -> count:int -> Netlist.t -> t list
 
-(** [run_batch c ~order ~bridges ~observe test] simulates one test
-    against at most 63 bridges; flags align with [bridges]. *)
-val run_batch :
-  Netlist.t -> order:int array -> bridges:t list -> observe:Fsim.observe ->
-  Pattern.test -> bool list
+(** The bridge as a {!Fsim.descriptor}: two [Wired] sites, each naming
+    the other as partner. *)
+val descriptor : t -> Fsim.descriptor
 
 (** Percentage of the bridging population detected by a test set. *)
 val coverage :

@@ -6,10 +6,10 @@
       once per word — every gate evaluation settles a whole word of
       patterns in a handful of unboxed bit ops over dual-rail planes —
       and each fault is then event-driven through the word: injection is
-      a per-net stuck mask (two AND/OR ops), and only nets whose packed
-      value diverges from the good planes are re-evaluated, seeded at
-      the injection site and at flip-flops whose faulty state word
-      differs.
+      a pair of lane masks per site (two AND/OR ops), and only nets
+      whose packed value diverges from the good planes are
+      re-evaluated, seeded at the injection sites and at flip-flops
+      whose faulty state word differs.
     - {b Event}: the parallel-fault engine — bit column 0 of a
       {!Sim.Logic3} word carries the good circuit, columns 1..63 one
       faulty circuit each, one test at a time.  Still used for
@@ -18,6 +18,11 @@
     - {b Reference}: the straight-line oracle — every net re-evaluated
       on every frame of every 63-fault batch.  Kept as the differential
       oracle ({!run_batch_reference}) and benchmark baseline.
+
+    Faults reach the reference and packed engines as {!descriptor}s —
+    per-site injection rules for stuck-at, transition and bridging
+    faults — so every fault model runs on the same two engines; the
+    event engine is stuck-at only.
 
     All engines share the detection semantics: flip-flops start at X
     (except loaded PIER registers), so detection is conservative exactly
@@ -47,16 +52,10 @@ type engine_kind = Packed | Event | Reference
 let engine_kinds =
   [ ("packed", Packed); ("event", Event); ("reference", Reference) ]
 
-let engine_kind_name = function
-  | Packed -> "packed"
-  | Event -> "event"
-  | Reference -> "reference"
-
 (* Process-global default, overridable per call with [?engine]; the CLI
    [--fsim] flag sets this once at startup. *)
 let default_kind = ref Packed
 let set_engine k = default_kind := k
-let current_engine () = !default_kind
 let resolve engine = Option.value engine ~default:!default_kind
 
 (* ------------------------------------------------------------------ *)
@@ -94,6 +93,23 @@ let evals_for = function
   | Event -> eval_count ()
   | Reference -> ref_eval_count ()
 
+(* ------------------------------------------------------------------ *)
+(* Fault models: one injection interface.                              *)
+(* ------------------------------------------------------------------ *)
+
+type wired = Wired_and | Wired_or
+
+type rule =
+  | Stuck of bool
+  | Slow of bool
+  | Wired of int * wired
+
+type descriptor = (int * rule) list
+
+let stuck_at (f : Fault.t) = [ (f.Fault.f_net, Stuck f.Fault.f_stuck) ]
+
+let is_wired = function Wired _ -> true | Stuck _ | Slow _ -> false
+
 (* Columns (other than 0) whose value provably differs from column 0. *)
 let detected_mask (v : L.t) : int64 =
   match L.get v 0 with
@@ -101,69 +117,140 @@ let detected_mask (v : L.t) : int64 =
   | Some true -> Int64.logand v.L.lo (Int64.lognot 1L)
   | Some false -> Int64.logand v.L.hi (Int64.lognot 1L)
 
+(* Indices of the faults not detected yet, in fault order: the active
+   set every dropping loop simulates next. *)
+let undetected detected =
+  let idx = ref [] in
+  for i = Array.length detected - 1 downto 0 do
+    if not detected.(i) then idx := i :: !idx
+  done;
+  Array.of_list !idx
+
+(* One test against the faults selected by [active], in batches of 63:
+   [simulate idx] simulates the faults at indices [idx] and returns the
+   detection mask, bit k+1 for [idx.(k)].  Flags align with [active]. *)
+let in_batches ~budget ~(active : int array) simulate =
+  let len = Array.length active in
+  let flags = Array.make len false in
+  let pos = ref 0 in
+  while !pos < len && not (Engine.Budget.poll budget) do
+    let k = min 63 (len - !pos) in
+    let det = simulate (Array.sub active !pos k) in
+    for i = 0 to k - 1 do
+      if Int64.logand (Int64.shift_right_logical det (i + 1)) 1L = 1L then
+        flags.(!pos + i) <- true
+    done;
+    pos := !pos + k
+  done;
+  flags
+
+(* Multi-test grading with per-test fault dropping — the dropping
+   semantics every engine shares: [flags_of active test] grades one test
+   against the faults still undetected, flags aligned with [active]. *)
+let drop_per_test ~budget ~n tests flags_of =
+  let detected = Array.make n false in
+  if n > 0 then begin
+    let prog = Obs.Progress.start ~total:(List.length tests) "fsim.grade" in
+    List.iter
+      (fun test ->
+        Obs.Progress.step prog;
+        let active = undetected detected in
+        if Array.length active > 0 && not (Engine.Budget.poll budget) then
+          Array.iteri
+            (fun k hit -> if hit then detected.(active.(k)) <- true)
+            (flags_of active test))
+      tests;
+    Obs.Progress.finish prog
+  end;
+  detected
+
 (* ------------------------------------------------------------------ *)
 (* Reference engine: straight-line evaluation of every net.            *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-net fault injection overrides: (bit, stuck). *)
+(* Per-net injection rules of a batch: (column, rule) lists; the fault
+   in batch position i rides column i+1. *)
 let injection_table faults =
   let table = Hashtbl.create 64 in
   List.iteri
-    (fun i (f : Fault.t) ->
-      let bit = i + 1 in
-      let old = Option.value (Hashtbl.find_opt table f.f_net) ~default:[] in
-      Hashtbl.replace table f.f_net ((bit, f.f_stuck) :: old))
+    (fun i desc ->
+      List.iter
+        (fun (net, rule) ->
+          let old = Option.value (Hashtbl.find_opt table net) ~default:[] in
+          Hashtbl.replace table net ((i + 1, rule) :: old))
+        desc)
     faults;
   table
 
-let inject table net (v : L.t) : L.t =
-  match Hashtbl.find_opt table net with
-  | None -> v
-  | Some overrides ->
-    List.fold_left
-      (fun v (bit, stuck) -> L.set v bit (Some stuck))
-      v overrides
+(* The three-valued short: an X on either side leaves [own]. *)
+let wire kind own partner =
+  match (own, partner) with
+  | (None, _) | (_, None) -> own
+  | (Some a, Some b) ->
+    Some (match kind with Wired_and -> a && b | Wired_or -> a || b)
 
-(** [run_batch_reference c ~order ~faults ~observe test] simulates [test]
-    against at most 63 faults by evaluating every net on every frame;
-    returns a bool array aligned with [faults] marking the detected
-    ones.  The oracle the other engines are checked against. *)
-let run_batch_reference c ~order ~faults ~observe (test : Pattern.test) =
+(* Simulate [test] against at most 63 fault descriptors by evaluating
+   every net on every frame; returns the detection mask (bit i+1 for
+   the i-th descriptor).  A batch with a short settles each frame twice:
+   pass 1 without the [Wired] rules, pass 2 with them, every wired site
+   reading its partner's pass-1 value. *)
+let reference_mask c ~order ~faults ~observe (test : Pattern.test) =
   let nf = List.length faults in
   assert (nf <= 63);
   let table = injection_table faults in
-  let values = Array.make (N.num_nets c) L.x in
+  let shorted = List.exists (List.exists (fun (_, r) -> is_wired r)) faults in
+  let n = N.num_nets c in
+  let values = Array.make n L.x in
+  let unbridged = if shorted then Array.make n L.x else values in
   let state = Array.make (N.num_ffs c) L.x in
   List.iter
     (fun (ff, v) -> state.(ff) <- (if v then L.one else L.zero))
     test.Pattern.p_loads;
+  (* the good value (column 0) of every injection site last frame *)
+  let prev = Hashtbl.create 16 in
+  let inject ~wired net (v : L.t) =
+    match Hashtbl.find_opt table net with
+    | None -> v
+    | Some rules ->
+      List.fold_left
+        (fun v (col, rule) ->
+          match rule with
+          | Stuck b -> L.set v col (Some b)
+          | Slow rise ->
+            (match (Hashtbl.find_opt prev net, L.get v 0) with
+             | (Some (Some was), Some now) when was <> now && now = rise ->
+               (* the slow transition: this frame the site still shows
+                  the old value in the faulty machine *)
+               L.set v col (Some was)
+             | _ -> v)
+          | Wired (partner, kind) ->
+            if wired then
+              L.set v col
+                (wire kind (L.get v col) (L.get unbridged.(partner) col))
+            else v)
+        v rules
+  in
   let detected = ref 0L in
-  let eval pi_vec =
+  let eval ~wired pi_vec =
+    let pi i = if pi_vec.(i) then L.one else L.zero in
     Array.iter
       (fun net ->
-        let v =
-          match c.N.drv.(net) with
-          | N.Pi i -> if pi_vec.(i) then L.one else L.zero
-          | N.Ff i -> state.(i)
-          | N.C0 -> L.zero
-          | N.C1 -> L.one
-          | N.G1 (N.Inv, a) -> L.v_not values.(a)
-          | N.G1 (N.Buff, a) -> values.(a)
-          | N.G2 (N.And, a, b) -> L.v_and values.(a) values.(b)
-          | N.G2 (N.Or, a, b) -> L.v_or values.(a) values.(b)
-          | N.G2 (N.Xor, a, b) -> L.v_xor values.(a) values.(b)
-          | N.G2 (N.Nand, a, b) -> L.v_not (L.v_and values.(a) values.(b))
-          | N.G2 (N.Nor, a, b) -> L.v_not (L.v_or values.(a) values.(b))
-          | N.G2 (N.Xnor, a, b) -> L.v_not (L.v_xor values.(a) values.(b))
-          | N.Mux (s, a, b) -> L.v_mux values.(s) values.(a) values.(b)
-        in
-        values.(net) <- inject table net v)
+        values.(net) <-
+          inject ~wired net (Sim.Eval.drive c values ~pi ~state net))
       order;
     add_ref_evals (Array.length order)
   in
   let frames = Array.length test.Pattern.p_vectors in
   for f = 0 to frames - 1 do
-    eval test.Pattern.p_vectors.(f);
+    let pi_vec = test.Pattern.p_vectors.(f) in
+    if shorted then begin
+      eval ~wired:false pi_vec;
+      Array.blit values 0 unbridged 0 n
+    end;
+    eval ~wired:true pi_vec;
+    Hashtbl.iter
+      (fun net _ -> Hashtbl.replace prev net (L.get values.(net) 0))
+      table;
     if observe.ob_pos then
       Array.iter
         (fun po -> detected := Int64.logor !detected (detected_mask values.(po)))
@@ -176,53 +263,28 @@ let run_batch_reference c ~order ~faults ~observe (test : Pattern.test) =
           detected := Int64.logor !detected (detected_mask state.(ff)))
         observe.ob_pier_ffs
   done;
+  !detected
+
+(* The detected descriptors of a batch of at most 63, as a bool list
+   aligned with [faults]: the oracle the other engines are checked
+   against. *)
+let run_batch_reference c ~order ~faults ~observe test =
+  let det = reference_mask c ~order ~faults ~observe test in
   List.mapi
-    (fun i _ ->
-      Int64.logand (Int64.shift_right_logical !detected (i + 1)) 1L = 1L)
+    (fun i _ -> Int64.logand (Int64.shift_right_logical det (i + 1)) 1L = 1L)
     faults
 
-(* One test against the faults selected by [active], in 63-fault
-   reference batches; flags align with [active]. *)
 let run_test_reference ?(budget = Engine.Budget.none) c ~observe
-    ~(faults : Fault.t array) ~(active : int array) test =
+    ~(faults : descriptor array) ~active test =
   let order = (N.analysis c).A.order in
-  let len = Array.length active in
-  let flags = Array.make len false in
-  let pos = ref 0 in
-  while !pos < len && not (Engine.Budget.poll budget) do
-    let k = min 63 (len - !pos) in
-    let start = !pos in
-    let batch = List.init k (fun i -> faults.(active.(start + i))) in
-    let res = run_batch_reference c ~order ~faults:batch ~observe test in
-    List.iteri (fun i hit -> if hit then flags.(start + i) <- true) res;
-    pos := !pos + k
-  done;
-  flags
+  in_batches ~budget ~active (fun idx ->
+      let faults = Array.to_list (Array.map (fun i -> faults.(i)) idx) in
+      reference_mask c ~order ~faults ~observe test)
 
-(* Multi-test reference run with per-test fault dropping — the dropping
-   semantics every engine shares. *)
-let run_reference ?(budget = Engine.Budget.none) c ~observe ~faults
-    tests =
-  let fault_arr = Array.of_list faults in
-  let n = Array.length fault_arr in
-  let detected = Array.make n false in
-  List.iter
-    (fun test ->
-      let active =
-        if Engine.Budget.poll budget then [||]
-        else
-          Array.of_list
-            (List.filter (fun i -> not detected.(i)) (List.init n Fun.id))
-      in
-      if Array.length active > 0 then begin
-        let flags =
-          run_test_reference ~budget c ~observe ~faults:fault_arr ~active
-            test
-        in
-        Array.iteri (fun k i -> if flags.(k) then detected.(i) <- true) active
-      end)
-    tests;
-  detected
+let run_reference ?(budget = Engine.Budget.none) c ~observe
+    ~(faults : descriptor array) tests =
+  drop_per_test ~budget ~n:(Array.length faults) tests (fun active ->
+      run_test_reference ~budget c ~observe ~faults ~active)
 
 (* ------------------------------------------------------------------ *)
 (* Event-driven engine.                                                *)
@@ -301,23 +363,9 @@ let good_sim eng (test : Pattern.test) =
       Bytes.set_uint8 go_state.(f) i (byte_of state.(i))
     done;
     let pi_vec = test.Pattern.p_vectors.(f) in
+    let pi i = if pi_vec.(i) then L.one else L.zero in
     Array.iter
-      (fun net ->
-        v.(net) <-
-          (match c.N.drv.(net) with
-           | N.Pi i -> if pi_vec.(i) then L.one else L.zero
-           | N.Ff i -> state.(i)
-           | N.C0 -> L.zero
-           | N.C1 -> L.one
-           | N.G1 (N.Inv, a) -> L.v_not v.(a)
-           | N.G1 (N.Buff, a) -> v.(a)
-           | N.G2 (N.And, a, b) -> L.v_and v.(a) v.(b)
-           | N.G2 (N.Or, a, b) -> L.v_or v.(a) v.(b)
-           | N.G2 (N.Xor, a, b) -> L.v_xor v.(a) v.(b)
-           | N.G2 (N.Nand, a, b) -> L.v_not (L.v_and v.(a) v.(b))
-           | N.G2 (N.Nor, a, b) -> L.v_not (L.v_or v.(a) v.(b))
-           | N.G2 (N.Xnor, a, b) -> L.v_not (L.v_xor v.(a) v.(b))
-           | N.Mux (s, a, b) -> L.v_mux v.(s) v.(a) v.(b)))
+      (fun net -> v.(net) <- Sim.Eval.drive c v ~pi ~state net)
       eng.info.A.order;
     add_evals (Array.length eng.info.A.order);
     for net = 0 to n - 1 do
@@ -452,71 +500,20 @@ let simulate_batch eng good ~observe (batch : Fault.t array) test =
   add_evals !evals;
   !detected
 
-(* Run one test against the faults selected by [active], batching in
-   groups of 63 against a single shared good simulation. *)
-let run_active ?(budget = Engine.Budget.none) eng good ~observe
-    ~(faults : Fault.t array) ~(active : int array)
-    ~(flags : bool array) test =
-  let len = Array.length active in
-  let pos = ref 0 in
-  while !pos < len && not (Engine.Budget.poll budget) do
-    let k = min 63 (len - !pos) in
-    let batch = Array.init k (fun i -> faults.(active.(!pos + i))) in
-    let det = simulate_batch eng good ~observe batch test in
-    for i = 0 to k - 1 do
-      if Int64.logand (Int64.shift_right_logical det (i + 1)) 1L = 1L then
-        flags.(!pos + i) <- true
-    done;
-    pos := !pos + k
-  done
-
-let run_test_event ?(budget = Engine.Budget.none) c ~observe ~faults
-    ~active test =
-  let eng = make_engine c in
+(* One test against the faults selected by [active], every batch of 63
+   against a single shared good simulation. *)
+let run_active ?(budget = Engine.Budget.none) eng ~observe
+    ~(faults : Fault.t array) ~active test =
   let good = good_sim eng test in
-  let flags = Array.make (Array.length active) false in
-  run_active ~budget eng good ~observe ~faults ~active ~flags test;
-  flags
+  in_batches ~budget ~active (fun idx ->
+      simulate_batch eng good ~observe (Array.map (fun i -> faults.(i)) idx)
+        test)
 
-(* Multi-test event-driven run with per-test fault dropping. *)
 let run_event ?(budget = Engine.Budget.none) c ~observe ~faults tests =
-  let fault_arr = Array.of_list faults in
-  let n = Array.length fault_arr in
-  let detected = Array.make n false in
-  if n > 0 then begin
-    let eng = make_engine c in
-    let prog =
-      Obs.Progress.start ~total:(List.length tests) "fsim.grade"
-    in
-    List.iter
-      (fun test ->
-        Obs.Progress.step prog;
-        (* only the still-undetected faults are simulated *)
-        let remaining = ref 0 in
-        for i = 0 to n - 1 do
-          if not detected.(i) then incr remaining
-        done;
-        if !remaining > 0 && not (Engine.Budget.poll budget) then begin
-          let active = Array.make !remaining 0 in
-          let k = ref 0 in
-          for i = 0 to n - 1 do
-            if not detected.(i) then begin
-              active.(!k) <- i;
-              incr k
-            end
-          done;
-          let good = good_sim eng test in
-          let flags = Array.make !remaining false in
-          run_active ~budget eng good ~observe ~faults:fault_arr ~active
-            ~flags test;
-          Array.iteri
-            (fun j hit -> if hit then detected.(active.(j)) <- true)
-            flags
-        end)
-      tests;
-    Obs.Progress.finish prog
-  end;
-  detected
+  let faults = Array.of_list faults in
+  let eng = make_engine c in
+  drop_per_test ~budget ~n:(Array.length faults) tests (fun active ->
+      run_active ~budget eng ~observe ~faults ~active)
 
 (* ------------------------------------------------------------------ *)
 (* Packed engine (PPSFP): patterns in word lanes, one fault at a time.  *)
@@ -561,6 +558,10 @@ type pengine = {
   mutable xsdirty_n : int;
   xffd_off : int array;        (* net -> flip-flops it drives (CSR) *)
   xffd : int array;
+  xsite : int array;           (* net -> its site in the swept fault, or -1 *)
+  mutable xforce_hi : int array; (* per site, this frame: lanes forced to 1 *)
+  mutable xforce_lo : int array; (* ... and to 0 *)
+  mutable xknown : int array;  (* per site: 0 = force known lanes only, -1 = all *)
 }
 
 let make_pengine c =
@@ -598,7 +599,11 @@ let make_pengine c =
     xsdirty_list = Array.make nff 0;
     xsdirty_n = 0;
     xffd_off;
-    xffd }
+    xffd;
+    xsite = Array.make n (-1);
+    xforce_hi = [| 0 |];
+    xforce_lo = [| 0 |];
+    xknown = [| -1 |] }
 
 let batch_of_tests c (chunk : Pattern.test array) =
   P.make_batch ~num_pis:(N.num_pis c) ~num_ffs:(N.num_ffs c)
@@ -680,16 +685,6 @@ let packed_good_sim eng (b : P.batch) =
   Array.blit sl 0 pg_stl.(frames) 0 nff;
   { pg_hi; pg_lo; pg_sth; pg_stl }
 
-(* Event-drive one fault through the whole word: injection is two mask
-   ops at the fault net, and only nets whose packed value diverges from
-   the good planes are re-evaluated.  Returns the per-lane detection
-   mask, already restricted to the lanes still inside their own test
-   ([b_active]) and, for PIER observation, to each lane's own final
-   frame ([b_last]).  With [stop_on_detect] the sweep ends at the first
-   frame that detects the fault in any lane — sound whenever the caller
-   only fault-drops on the mask (the remaining frames could only set
-   more lane bits), and the dominant saving on dropping runs where most
-   faults fall in the first frames of the first word. *)
 (* PIER membership as a bitmap over flip-flop indices, built once per
    word (or run) so the sweep never walks the pier list. *)
 let pier_flags c observe =
@@ -697,13 +692,54 @@ let pier_flags c observe =
   List.iter (fun ff -> a.(ff) <- true) observe.ob_pier_ffs;
   a
 
+(* Event-drive one fault, given as its injection [sites], through the
+   whole word.  Each frame every site is re-evaluated and then forced on
+   the lanes its rule selects — two mask ops, the masks read off the
+   good planes ([Stuck], [Slow]) or off a first settle of the frame with
+   the shorts lifted ([Wired]) — and only nets whose packed value
+   diverges from the good planes are re-evaluated.  Returns the per-lane
+   detection mask, already restricted to the lanes still inside their
+   own test ([b_active]) and, for PIER observation, to each lane's own
+   final frame ([b_last]).  With [stop_on_detect] the sweep ends at the
+   first frame that detects the fault in any lane — sound whenever the
+   caller only fault-drops on the mask (the remaining frames could only
+   set more lane bits), and the dominant saving on dropping runs where
+   most faults fall in the first frames of the first word. *)
 let packed_sweep eng good (b : P.batch) ~observe ~piers ~stop_on_detect
-    (flt : Fault.t) =
+    (sites : (int * rule) array) =
   let c = eng.xc in
   let info = eng.xinfo in
-  let inj_net = flt.Fault.f_net in
-  let inj_hi = if flt.Fault.f_stuck then b.P.b_mask else 0 in
-  let inj_lo = if flt.Fault.f_stuck then 0 else b.P.b_mask in
+  let ns = Array.length sites in
+  if Array.length eng.xforce_hi < ns then begin
+    eng.xforce_hi <- Array.make ns 0;
+    eng.xforce_lo <- Array.make ns 0;
+    eng.xknown <- Array.make ns (-1)
+  end;
+  let force_hi = eng.xforce_hi and force_lo = eng.xforce_lo in
+  let known = eng.xknown in
+  (* a one-site fault is recognised by one compare; only multi-site
+     faults go through the net -> site map *)
+  let net0 = if ns > 0 then fst sites.(0) else -1 in
+  let multi = ns > 1 in
+  (* [Stuck] masks hold for the whole word; only [Slow] and [Wired]
+     masks are recomputed per frame *)
+  let per_frame = ref false and shorted = ref false in
+  for s = 0 to ns - 1 do
+    let (net, rule) = sites.(s) in
+    known.(s) <- -1;
+    (match rule with
+     | Stuck v ->
+       force_hi.(s) <- (if v then b.P.b_mask else 0);
+       force_lo.(s) <- (if v then 0 else b.P.b_mask)
+     | Slow _ -> per_frame := true
+     | Wired _ ->
+       (* a short forces only the lanes where the site's own value is
+          known *)
+       known.(s) <- 0;
+       per_frame := true;
+       shorted := true);
+    if multi then eng.xsite.(net) <- s
+  done;
   (* clear state divergence left over from an early-exited sweep *)
   for k = 0 to eng.xsdirty_n - 1 do
     eng.xsdirty.(eng.xsdirty_list.(k)) <- false
@@ -727,78 +763,118 @@ let packed_sweep eng good (b : P.batch) ~observe ~piers ~stop_on_detect
         eng.xbuckets.(lv) <- net :: eng.xbuckets.(lv)
       end
     in
-    schedule inj_net;
-    for k = 0 to eng.xsdirty_n - 1 do
-      schedule c.N.ff_q.(eng.xsdirty_list.(k))
-    done;
-    for lv = 0 to info.A.max_level do
-      let rec drain = function
-        | [] -> ()
-        | net :: rest ->
-          eng.xqueued.(net) <- false;
-          let nh = ref 0 and nl = ref 0 in
-          if net = inj_net then begin
-            nh := inj_hi;
-            nl := inj_lo
-          end
-          else begin
-            (match c.N.drv.(net) with
-             | N.Pi i -> nh := pih.(i); nl := pil.(i)
-             | N.Ff i ->
-               if eng.xsdirty.(i) then begin
-                 nh := eng.xfsh.(i);
-                 nl := eng.xfsl.(i)
-               end
-               else begin
-                 nh := gsh.(i);
-                 nl := gsl.(i)
-               end
-             | N.C0 -> nh := 0; nl := b.P.b_mask
-             | N.C1 -> nh := b.P.b_mask; nl := 0
-             | N.G1 (N.Inv, a) -> nh := vl a; nl := vh a
-             | N.G1 (N.Buff, a) -> nh := vh a; nl := vl a
-             | N.G2 (N.And, a, b) ->
-               nh := vh a land vh b;
-               nl := vl a lor vl b
-             | N.G2 (N.Or, a, b) ->
-               nh := vh a lor vh b;
-               nl := vl a land vl b
-             | N.G2 (N.Xor, a, b) ->
-               nh := (vh a land vl b) lor (vl a land vh b);
-               nl := (vh a land vh b) lor (vl a land vl b)
-             | N.G2 (N.Nand, a, b) ->
-               nh := vl a lor vl b;
-               nl := vh a land vh b
-             | N.G2 (N.Nor, a, b) ->
-               nh := vl a land vl b;
-               nl := vh a lor vh b
-             | N.G2 (N.Xnor, a, b) ->
-               nh := (vh a land vh b) lor (vl a land vl b);
-               nl := (vh a land vl b) lor (vl a land vh b)
-             | N.Mux (s, a, b) ->
-               nh :=
-                 (vh s land vh b) lor (vl s land vh a)
-                 lor (vh a land vh b);
-               nl :=
-                 (vh s land vl b) lor (vl s land vl a)
-                 lor (vl a land vl b))
-          end;
-          incr evals;
-          if !nh <> gh.(net) || !nl <> gl.(net) then begin
-            eng.xfh.(net) <- !nh;
-            eng.xfl.(net) <- !nl;
-            eng.xdirty.(net) <- true;
-            eng.xtouched.(eng.xtouched_n) <- net;
-            eng.xtouched_n <- eng.xtouched_n + 1;
-            for k = info.A.fanout_off.(net) to info.A.fanout_off.(net + 1) - 1 do
-              schedule info.A.fanout.(k)
-            done
-          end;
-          drain rest
-      in
-      let bk = eng.xbuckets.(lv) in
-      eng.xbuckets.(lv) <- [];
-      drain bk
+    if !per_frame then
+      for s = 0 to ns - 1 do
+        let (net, rule) = sites.(s) in
+        match rule with
+        | Stuck _ -> ()
+        | Slow rise when f > 0 ->
+          (* lanes whose good value makes the slow transition this frame
+             keep last frame's good value *)
+          let was_hi = good.pg_hi.(f - 1).(net) in
+          let was_lo = good.pg_lo.(f - 1).(net) in
+          force_hi.(s) <- (if rise then 0 else was_hi land gl.(net));
+          force_lo.(s) <- (if rise then was_lo land gh.(net) else 0)
+        | Slow _ | Wired _ ->
+          force_hi.(s) <- 0;
+          force_lo.(s) <- 0
+      done;
+    (* levelized event propagation; built once per frame, not per level *)
+    let rec drain = function
+      | [] -> ()
+      | net :: rest ->
+        eng.xqueued.(net) <- false;
+        let nh = ref 0 and nl = ref 0 in
+        (match c.N.drv.(net) with
+         | N.Pi i -> nh := pih.(i); nl := pil.(i)
+         | N.Ff i ->
+           if eng.xsdirty.(i) then begin
+             nh := eng.xfsh.(i);
+             nl := eng.xfsl.(i)
+           end
+           else begin
+             nh := gsh.(i);
+             nl := gsl.(i)
+           end
+         | N.C0 -> nh := 0; nl := b.P.b_mask
+         | N.C1 -> nh := b.P.b_mask; nl := 0
+         | N.G1 (N.Inv, a) -> nh := vl a; nl := vh a
+         | N.G1 (N.Buff, a) -> nh := vh a; nl := vl a
+         | N.G2 (N.And, a, b) ->
+           nh := vh a land vh b;
+           nl := vl a lor vl b
+         | N.G2 (N.Or, a, b) ->
+           nh := vh a lor vh b;
+           nl := vl a land vl b
+         | N.G2 (N.Xor, a, b) ->
+           nh := (vh a land vl b) lor (vl a land vh b);
+           nl := (vh a land vh b) lor (vl a land vl b)
+         | N.G2 (N.Nand, a, b) ->
+           nh := vl a lor vl b;
+           nl := vh a land vh b
+         | N.G2 (N.Nor, a, b) ->
+           nh := vl a land vl b;
+           nl := vh a lor vh b
+         | N.G2 (N.Xnor, a, b) ->
+           nh := (vh a land vh b) lor (vl a land vl b);
+           nl := (vh a land vl b) lor (vl a land vh b)
+         | N.Mux (s, a, b) ->
+           nh :=
+             (vh s land vh b) lor (vl s land vh a)
+             lor (vh a land vh b);
+           nl :=
+             (vh s land vl b) lor (vl s land vl a)
+             lor (vl a land vl b));
+        if net = net0 || (multi && eng.xsite.(net) >= 0) then begin
+          let s = if net = net0 then 0 else eng.xsite.(net) in
+          let k = !nh lor !nl lor known.(s) in
+          let fh = force_hi.(s) land k and fl = force_lo.(s) land k in
+          nh := (!nh land lnot fl) lor fh;
+          nl := (!nl land lnot fh) lor fl
+        end;
+        incr evals;
+        if !nh <> gh.(net) || !nl <> gl.(net) then begin
+          eng.xfh.(net) <- !nh;
+          eng.xfl.(net) <- !nl;
+          eng.xdirty.(net) <- true;
+          eng.xtouched.(eng.xtouched_n) <- net;
+          eng.xtouched_n <- eng.xtouched_n + 1;
+          let fo = info.A.fanout_off in
+          for k = fo.(net) to fo.(net + 1) - 1 do
+            schedule info.A.fanout.(k)
+          done
+        end;
+        drain rest
+    in
+    (* settle the faulty machine for this frame under the current masks,
+       seeded at the sites and at the diverged flip-flops; with a short,
+       pass 1 first settles the frame with the shorts lifted *)
+    for pass = (if !shorted then 1 else 2) to 2 do
+      for s = 0 to ns - 1 do
+        schedule (fst sites.(s))
+      done;
+      for k = 0 to eng.xsdirty_n - 1 do
+        schedule c.N.ff_q.(eng.xsdirty_list.(k))
+      done;
+      for lv = 0 to info.A.max_level do
+        let bk = eng.xbuckets.(lv) in
+        eng.xbuckets.(lv) <- [];
+        drain bk
+      done;
+      if pass = 1 then begin
+        (* each wired site's pass-1 partner value decides which lanes the
+           short pulls down (AND) or up (OR) in pass 2 *)
+        for s = 0 to ns - 1 do
+          match sites.(s) with
+          | (_, Wired (p, Wired_and)) -> force_lo.(s) <- vl p
+          | (_, Wired (p, Wired_or)) -> force_hi.(s) <- vh p
+          | (_, (Stuck _ | Slow _)) -> ()
+        done;
+        for k = 0 to eng.xtouched_n - 1 do
+          eng.xdirty.(eng.xtouched.(k)) <- false
+        done;
+        eng.xtouched_n <- 0
+      end
     done;
     if observe.ob_pos then begin
       let act = b.P.b_active.(f) in
@@ -855,15 +931,22 @@ let packed_sweep eng good (b : P.batch) ~observe ~piers ~stop_on_detect
     eng.xtouched_n <- 0;
     incr fr
   done;
+  if multi then
+    for s = 0 to ns - 1 do
+      eng.xsite.(fst sites.(s)) <- -1
+    done;
   add_packed_evals !evals;
   !detected land b.P.b_mask
 
 (* Sweep the active faults through one word, observing the per-word time
-   histogram and the packed-sweep span; [apply k det] receives the index
-   into [active] and its nonzero lane mask. *)
-let packed_word ?(budget = Engine.Budget.none) eng c ~observe
-    ~stop_on_detect ~(faults : Fault.t array) ~(active : int array)
-    (chunk : Pattern.test array) ~apply =
+   histogram and the packed-sweep span; [apply k det] receives, in
+   [active] order, the index into [active] and its nonzero lane mask.
+   With [jobs > 1] the active faults are sharded across the global pool,
+   every shard sweeping its slice against the one shared good
+   simulation. *)
+let packed_word ?(budget = Engine.Budget.none) ~jobs eng c ~observe
+    ~stop_on_detect ~(faults : (int * rule) array array)
+    ~(active : int array) (chunk : Pattern.test array) ~apply =
   let t0 = Engine.Clock.now () in
   Obs.Metrics.incr packed_batches_counter;
   let sweep () =
@@ -871,33 +954,40 @@ let packed_word ?(budget = Engine.Budget.none) eng c ~observe
     let good = packed_good_sim eng b in
     let piers = pier_flags c observe in
     (* one atomic load per fault; the word loops above poll the clock *)
-    Array.iteri
-      (fun k i ->
-        if not (Engine.Budget.check budget) then begin
-          let det =
-            packed_sweep eng good b ~observe ~piers ~stop_on_detect
-              faults.(i)
-          in
-          if det <> 0 then apply k det
-        end)
-      active
+    let det eng i =
+      if Engine.Budget.check budget then 0
+      else packed_sweep eng good b ~observe ~piers ~stop_on_detect faults.(i)
+    in
+    let dets =
+      if jobs <= 1 then Array.map (det eng) active
+      else
+        Array.concat
+          (Array.to_list
+             (Engine.Shard.map_chunks (Engine.Pool.global ()) ~shards:jobs
+                (fun sub -> Array.map (det (make_pengine c)) sub)
+                active))
+    in
+    Array.iteri (fun k d -> if d <> 0 then apply k d) dets
   in
   (if Obs.Span.enabled () then
      Obs.Span.with_ "fsim.packed"
        ~attrs:
-         [ ("tests", Obs.Json.Int (Array.length chunk));
-           ("faults", Obs.Json.Int (Array.length active)) ]
+         ([ ("tests", Obs.Json.Int (Array.length chunk));
+            ("faults", Obs.Json.Int (Array.length active)) ]
+          @ if jobs > 1 then [ ("shards", Obs.Json.Int jobs) ] else [])
        sweep
    else sweep ());
   Obs.Metrics.observe packed_batch_hist (Engine.Clock.now () -. t0)
 
 (* Multi-test packed run: word-sized chunks of tests in order, fault
-   dropping at word granularity.  Because detection of a fault by a test
-   never depends on other faults or tests, the flags are bit-identical
-   to the per-test-dropping reference. *)
-let run_packed ?(budget = Engine.Budget.none) c ~observe ~faults tests =
-  let fault_arr = Array.of_list faults in
-  let n = Array.length fault_arr in
+   dropping at word granularity.  The word loop stays sequential at
+   every [jobs], so dropping between words is preserved; only each
+   word's active faults are sharded.  Because detection of a fault by a
+   test never depends on other faults or tests, the flags are
+   bit-identical to the per-test-dropping reference. *)
+let run_packed ?(budget = Engine.Budget.none) ~jobs c ~observe
+    ~(faults : (int * rule) array array) tests =
+  let n = Array.length faults in
   let detected = Array.make n false in
   if n > 0 then begin
     let eng = make_pengine c in
@@ -913,97 +1003,12 @@ let run_packed ?(budget = Engine.Budget.none) c ~observe ~faults tests =
       let len = min P.width (nt - !pos) in
       let chunk = Array.sub tests_arr !pos len in
       pos := !pos + len;
-      let active = Array.make !remaining 0 in
-      let k = ref 0 in
-      for i = 0 to n - 1 do
-        if not detected.(i) then begin
-          active.(!k) <- i;
-          incr k
-        end
-      done;
-      packed_word ~budget eng c ~observe ~stop_on_detect:true
-        ~faults:fault_arr ~active chunk
+      let active = undetected detected in
+      packed_word ~budget ~jobs eng c ~observe ~stop_on_detect:true
+        ~faults ~active chunk
         ~apply:(fun k _det ->
           detected.(active.(k)) <- true;
           decr remaining);
-      Obs.Progress.step prog
-    done;
-    Obs.Progress.finish prog
-  end;
-  detected
-
-(* Sharded packed run: the outer word loop stays sequential (so fault
-   dropping between words is preserved), the active faults of each word
-   are sharded across the pool.  The good planes are computed once per
-   word and shared read-only by every shard. *)
-let run_sharded_packed ?(budget = Engine.Budget.none) ~jobs c ~observe
-    ~faults tests =
-  let fault_arr = Array.of_list faults in
-  let n = Array.length fault_arr in
-  let detected = Array.make n false in
-  if n > 0 then begin
-    let pool = Engine.Pool.global () in
-    let tests_arr = Array.of_list tests in
-    let nt = Array.length tests_arr in
-    let prog =
-      Obs.Progress.start ~total:((nt + P.width - 1) / P.width) "fsim.grade"
-    in
-    let pos = ref 0 in
-    let remaining = ref n in
-    while !pos < nt && !remaining > 0
-          && not (Engine.Budget.poll budget) do
-      let len = min P.width (nt - !pos) in
-      let chunk = Array.sub tests_arr !pos len in
-      pos := !pos + len;
-      let active = Array.make !remaining 0 in
-      let k = ref 0 in
-      for i = 0 to n - 1 do
-        if not detected.(i) then begin
-          active.(!k) <- i;
-          incr k
-        end
-      done;
-      let t0 = Engine.Clock.now () in
-      Obs.Metrics.incr packed_batches_counter;
-      let sweep () =
-        let b = batch_of_tests c chunk in
-        let good = packed_good_sim (make_pengine c) b in
-        let piers = pier_flags c observe in
-        let parts =
-          Engine.Shard.map_chunks pool ~shards:jobs
-            (fun sub ->
-              let eng = make_pengine c in
-              Array.map
-                (fun i ->
-                  (not (Engine.Budget.check budget))
-                  && packed_sweep eng good b ~observe ~piers
-                       ~stop_on_detect:true fault_arr.(i)
-                     <> 0)
-                sub)
-            active
-        in
-        let k = ref 0 in
-        Array.iter
-          (fun part ->
-            Array.iter
-              (fun hit ->
-                if hit then begin
-                  detected.(active.(!k)) <- true;
-                  decr remaining
-                end;
-                incr k)
-              part)
-          parts
-      in
-      (if Obs.Span.enabled () then
-         Obs.Span.with_ "fsim.packed"
-           ~attrs:
-             [ ("tests", Obs.Json.Int len);
-               ("faults", Obs.Json.Int (Array.length active));
-               ("shards", Obs.Json.Int jobs) ]
-           sweep
-       else sweep ());
-      Obs.Metrics.observe packed_batch_hist (Engine.Clock.now () -. t0);
       Obs.Progress.step prog
     done;
     Obs.Progress.finish prog
@@ -1014,87 +1019,85 @@ let run_sharded_packed ?(budget = Engine.Budget.none) ~jobs c ~observe
 (* Engine dispatch.                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(** [run_test c ~observe ~faults ~active test] simulates one test against
-    [faults.(i)] for each [i] in [active]; the result aligns with
-    [active].  A single test offers only one lane to pack, so the
-    packed default falls back to the event-driven parallel-fault engine
-    (which already words 63 faults per evaluation); [~engine:Reference]
-    forces the straight-line oracle. *)
-let run_test ?engine ?(budget = Engine.Budget.none) c ~observe ~faults
-    ~active test =
-  match resolve engine with
-  | Reference -> run_test_reference ~budget c ~observe ~faults ~active test
-  | Packed | Event -> run_test_event ~budget c ~observe ~faults ~active test
+let descriptors faults = Array.of_list (List.map stuck_at faults)
 
-(** [run_test_sharded ~jobs ...] is {!run_test} with the active faults
-    sharded across the global domain pool: each shard owns a disjoint
-    contiguous slice of [active] and its own injection state, the
-    immutable circuit and its [Netlist.Analysis] are shared.  Per-fault
-    flags are independent, so the ordered merge is bit-identical to the
-    serial run. *)
+(* Injection sites of every fault, as the packed sweep takes them. *)
+let packed_sites faults = Array.map Array.of_list faults
+
+(* One test, stuck-at faults.  A single test offers only one lane to
+   pack, so the packed default falls back to the event-driven
+   parallel-fault engine (already 63 faults per evaluation).  Sharding
+   splits [active] into disjoint contiguous slices, each with its own
+   injection state over the shared immutable circuit; per-fault flags
+   are independent, so the ordered merge is bit-identical to serial. *)
 let run_test_sharded ?engine ?(budget = Engine.Budget.none) ~jobs c
     ~observe ~faults ~active test =
-  let kind = resolve engine in
-  if kind = Reference || jobs <= 1 || Array.length active < 128 then
-    run_test ~engine:kind ~budget c ~observe ~faults ~active test
-  else
-    let pool = Engine.Pool.global () in
-    let parts =
-      Engine.Shard.map_chunks pool ~shards:jobs
-        (fun sub ->
-          run_test_event ~budget c ~observe ~faults ~active:sub test)
-        active
-    in
-    Array.concat (Array.to_list parts)
-
-(** [run c ~observe ~faults tests] fault-simulates every test with fault
-    dropping; returns per-fault detection flags aligned with [faults].
-    All three engines produce bit-identical flags. *)
-let run ?engine ?(budget = Engine.Budget.none) c ~observe ~faults tests =
   match resolve engine with
-  | Packed -> run_packed ~budget c ~observe ~faults tests
-  | Event -> run_event ~budget c ~observe ~faults tests
-  | Reference -> run_reference ~budget c ~observe ~faults tests
+  | Reference ->
+    run_test_reference ~budget c ~observe
+      ~faults:(Array.map stuck_at faults) ~active test
+  | Packed | Event when jobs <= 1 || Array.length active < 128 ->
+    run_active ~budget (make_engine c) ~observe ~faults ~active test
+  | Packed | Event ->
+    Array.concat
+      (Array.to_list
+         (Engine.Shard.map_chunks (Engine.Pool.global ()) ~shards:jobs
+            (fun sub ->
+              run_active ~budget (make_engine c) ~observe ~faults
+                ~active:sub test)
+            active))
 
-(** [run_sharded ~jobs ...] is {!run} parallelized over the global
-    domain pool.  Packed: the word-sized pattern chunks stay sequential
-    (preserving fault dropping between words) and each word's active
-    faults are sharded, every shard sweeping its slice against one
-    shared good simulation.  Event: the fault list is partitioned into
-    [jobs] contiguous shards with local fault dropping.  Detection of a
-    fault never depends on any other fault, so both are bit-identical
-    to the serial {!run} for every [jobs].  Falls back to the serial
-    engine for [jobs <= 1] or small fault lists; [~engine:Reference] is
-    always serial. *)
+let run_test ?engine ?budget c ~observe ~faults ~active test =
+  run_test_sharded ?engine ?budget ~jobs:1 c ~observe ~faults ~active test
+
+(* Multi-test stuck-at grading with fault dropping.  Packed shards each
+   word's active faults; Event partitions the fault list into [jobs]
+   contiguous shards with local dropping; Reference is always serial.
+   Small fault lists run serially. *)
 let run_sharded ?engine ?(budget = Engine.Budget.none) ~jobs c ~observe
     ~faults tests =
-  let kind = resolve engine in
-  let n = List.length faults in
-  if jobs <= 1 || n < 128 then
-    run ~engine:kind ~budget c ~observe ~faults tests
-  else
-    match kind with
-    | Packed -> run_sharded_packed ~budget ~jobs c ~observe ~faults tests
-    | Reference -> run_reference ~budget c ~observe ~faults tests
-    | Event ->
-      let pool = Engine.Pool.global () in
-      let fault_arr = Array.of_list faults in
-      let parts =
-        Engine.Shard.map_chunks pool ~shards:jobs
-          (fun shard ->
-            run_event ~budget c ~observe ~faults:(Array.to_list shard)
-              tests)
-          fault_arr
-      in
-      Array.concat (Array.to_list parts)
+  let jobs = if List.length faults < 128 then 1 else jobs in
+  match resolve engine with
+  | Packed ->
+    run_packed ~budget ~jobs c ~observe
+      ~faults:(packed_sites (descriptors faults)) tests
+  | Reference ->
+    run_reference ~budget c ~observe ~faults:(descriptors faults) tests
+  | Event when jobs <= 1 -> run_event ~budget c ~observe ~faults tests
+  | Event ->
+    Array.concat
+      (Array.to_list
+         (Engine.Shard.map_chunks (Engine.Pool.global ()) ~shards:jobs
+            (fun shard ->
+              run_event ~budget c ~observe ~faults:(Array.to_list shard)
+                tests)
+            (Array.of_list faults)))
 
-(** [run_matrix c ~observe ~faults ~active tests] computes the full
-    detection matrix without fault dropping: one signature per index in
-    [active], one byte per test ([1] = detected).  The packed engine
-    sweeps word-sized test chunks, so the whole matrix costs one good
-    simulation plus one event-driven sweep per fault per word —
-    Compact's reverse-order replay and Diagnose's dictionary both read
-    their answers straight out of this matrix. *)
+let run ?engine ?budget c ~observe ~faults tests =
+  run_sharded ?engine ?budget ~jobs:1 c ~observe ~faults tests
+
+(* Any fault model: the event engine is stuck-at only, so it selects
+   the packed engine here. *)
+let run_descriptors ?engine ?(budget = Engine.Budget.none) c ~observe
+    ~faults tests =
+  let faults = Array.of_list faults in
+  match resolve engine with
+  | Reference -> run_reference ~budget c ~observe ~faults tests
+  | Packed | Event ->
+    run_packed ~budget ~jobs:1 c ~observe ~faults:(packed_sites faults)
+      tests
+
+let coverage c ~observe ~faults tests =
+  match faults with
+  | [] -> 100.0
+  | _ ->
+    let flags = run_descriptors c ~observe ~faults tests in
+    let hits = Array.fold_left (fun n d -> if d then n + 1 else n) 0 flags in
+    100.0 *. float_of_int hits /. float_of_int (Array.length flags)
+
+(* The full detection matrix, no dropping: one signature per index in
+   [active], one byte per test.  The packed engine sweeps word-sized
+   test chunks without early exit. *)
 let run_matrix ?engine ?(budget = Engine.Budget.none) c ~observe
     ~(faults : Fault.t array) ~(active : int array)
     (tests : Pattern.test array) =
@@ -1104,44 +1107,35 @@ let run_matrix ?engine ?(budget = Engine.Budget.none) c ~observe
      match resolve engine with
      | Packed ->
        let eng = make_pengine c in
+       let faults = packed_sites (Array.map stuck_at faults) in
        let pos = ref 0 in
        while !pos < nt && not (Engine.Budget.poll budget) do
          let len = min P.width (nt - !pos) in
          let chunk = Array.sub tests !pos len in
          let off = !pos in
          pos := !pos + len;
-         packed_word ~budget eng c ~observe ~stop_on_detect:false ~faults
-           ~active chunk
+         packed_word ~budget ~jobs:1 eng c ~observe ~stop_on_detect:false
+           ~faults ~active chunk
            ~apply:(fun k det ->
              for l = 0 to len - 1 do
                if (det lsr l) land 1 = 1 then
                  Bytes.set sigs.(k) (off + l) '\001'
              done)
        done
-     | Event ->
-       let eng = make_engine c in
+     | (Event | Reference) as kind ->
+       (* one engine, or one descriptor table, for the whole matrix *)
+       let flags_of =
+         if kind = Event then
+           run_active ~budget (make_engine c) ~observe ~faults ~active
+         else
+           run_test_reference ~budget c ~observe
+             ~faults:(Array.map stuck_at faults) ~active
+       in
        Array.iteri
          (fun ti test ->
-           if not (Engine.Budget.poll budget) then begin
-             let good = good_sim eng test in
-             let flags = Array.make (Array.length active) false in
-             run_active ~budget eng good ~observe ~faults ~active ~flags
-               test;
+           if not (Engine.Budget.poll budget) then
              Array.iteri
                (fun k hit -> if hit then Bytes.set sigs.(k) ti '\001')
-               flags
-           end)
-         tests
-     | Reference ->
-       Array.iteri
-         (fun ti test ->
-           if not (Engine.Budget.poll budget) then begin
-             let flags =
-               run_test_reference ~budget c ~observe ~faults ~active test
-             in
-             Array.iteri
-               (fun k hit -> if hit then Bytes.set sigs.(k) ti '\001')
-               flags
-           end)
+               (flags_of test))
          tests);
   sigs

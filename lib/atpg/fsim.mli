@@ -4,13 +4,29 @@
     - [Packed] (default): PPSFP — up to [Sim.Packed.width] test patterns
       ride the lanes of a native word, the good circuit is simulated
       once per word, and each fault is event-driven through the word
-      with two-mask injection.
+      with two-mask injection at each of its sites.
     - [Event]: parallel-fault — bit column 0 of a {!Sim.Logic3} word
       carries the good circuit, columns 1..63 one faulty circuit each,
       one test at a time.
     - [Reference]: the straight-line oracle — every net re-evaluated on
       every frame ({!run_batch_reference}); differential-testing and
       benchmark baseline.
+
+    Faults are given to the engines as {!descriptor}s: per-site
+    injection rules for stuck-at, transition (slow-to-rise/fall) and
+    bridging (wired-AND/OR) faults.  Which engine accepts which model:
+
+    {v
+                   stuck-at   transition   bridge
+       Packed         yes         yes         yes
+       Reference      yes         yes         yes
+       Event          yes          -           -
+    v}
+
+    The stuck-at entry points ({!run}, {!run_test}, {!run_matrix}, ...)
+    take {!Fault.t} and reach every engine; {!run_descriptors} and
+    {!coverage} take descriptors of any model and run on the packed
+    engine or, under [~engine:Reference], the oracle.
 
     Flip-flops start at X except loaded PIER registers, so detection is
     exactly as conservative as chip-level pattern translation
@@ -36,24 +52,44 @@ type engine_kind = Packed | Event | Reference
 (** Name/constructor pairs, e.g. for a [Cmdliner.Arg.enum]. *)
 val engine_kinds : (string * engine_kind) list
 
-val engine_kind_name : engine_kind -> string
-
 (** Set the process-global default engine (the CLI [--fsim] flag);
     every entry point also takes a per-call [?engine] override. *)
 val set_engine : engine_kind -> unit
 
-val current_engine : unit -> engine_kind
+(** {1 Fault models}
 
-(** Columns (other than 0) whose value provably differs from the good
-    circuit in column 0 — exposed for other parallel-fault analyses. *)
-val detected_mask : Sim.Logic3.t -> int64
+    A fault is described by the nets it injects at and, per net, the
+    rule deriving the faulty machine's value there from the value the
+    net's driver computes in that machine. *)
+
+type wired = Wired_and | Wired_or
+
+type rule =
+  | Stuck of bool
+      (** the site holds the value in every frame *)
+  | Slow of bool
+      (** slow-to-rise ([true]) or slow-to-fall: in a frame where the
+          good value makes that transition, the site keeps the previous
+          frame's good value; a gross delay of one clock cycle *)
+  | Wired of int * wired
+      (** shorted to the partner net: the site takes
+          [wired(own, partner)], where [partner] is the partner's value
+          this frame in the same faulty machine with the [Wired] rules
+          lifted; an X on either side leaves [own] *)
+
+(** Injection sites [(net, rule)] on distinct nets: one for a stuck-at
+    or transition fault, two (each naming the other as partner) for a
+    bridge. *)
+type descriptor = (int * rule) list
+
+val stuck_at : Fault.t -> descriptor
 
 (** [run_batch_reference c ~order ~faults ~observe test] simulates one
-    test against at most 63 faults by straight-line evaluation of every
-    net on every frame; the result aligns with [faults]. *)
+    test against at most 63 descriptors by straight-line evaluation of
+    every net on every frame; the result aligns with [faults]. *)
 val run_batch_reference :
-  Netlist.t -> order:int array -> faults:Fault.t list -> observe:observe ->
-  Pattern.test -> bool list
+  Netlist.t -> order:int array -> faults:descriptor list ->
+  observe:observe -> Pattern.test -> bool list
 
 (** [run_test c ~observe ~faults ~active test] simulates one test against
     [faults.(i)] for each [i] in [active]; the result aligns with
@@ -97,6 +133,21 @@ val run_sharded :
   ?engine:engine_kind -> ?budget:Engine.Budget.t ->
   jobs:int -> Netlist.t -> observe:observe -> faults:Fault.t list ->
   Pattern.test list -> bool array
+
+(** [run_descriptors c ~observe ~faults tests] is {!run} for descriptors
+    of any fault model: the packed engine, or the oracle under
+    [~engine:Reference].  The event engine is stuck-at only, so [Event]
+    selects the packed engine here. *)
+val run_descriptors :
+  ?engine:engine_kind -> ?budget:Engine.Budget.t ->
+  Netlist.t -> observe:observe -> faults:descriptor list ->
+  Pattern.test list -> bool array
+
+(** Percentage of [faults] that {!run_descriptors} detects; 100 for an
+    empty list. *)
+val coverage :
+  Netlist.t -> observe:observe -> faults:descriptor list ->
+  Pattern.test list -> float
 
 (** [run_matrix c ~observe ~faults ~active tests] is the full detection
     matrix without fault dropping: one signature per index in [active],

@@ -4,10 +4,10 @@
     commercial sequential ATPG tool of the paper.
 
     The deterministic phases are fault-parallel: per-fault generation
-    depends only on the circuit, the configuration and the fault, so
-    with [g_deterministic = true] (the default) a parallel run applies
-    results in fault order and reproduces the serial run bit for bit
-    whenever the time budgets do not bind. *)
+    depends only on the circuit, the configuration and the fault, so a
+    parallel run generates candidates concurrently, applies the results
+    in fault order and reproduces the serial run bit for bit whenever
+    the time budgets do not bind. *)
 
 (** Deterministic-phase engine selection.  [Podem_only] is the
     pre-SAT behaviour; [Sat_only] replaces PODEM with {!Sat.Satgen}
@@ -35,12 +35,8 @@ type config = {
   g_seed : int;
   g_jobs : int;              (** 1 = serial (default); 0 = width of the
                                  global {!Engine.Pool}; [n > 1] = that
-                                 many domains *)
-  g_deterministic : bool;    (** [true] (default): candidates generate
-                                 concurrently but apply in fault order —
-                                 identical results at every job count.
-                                 [false]: first-come-first-served fault
-                                 claiming; faster, order-dependent *)
+                                 many domains; identical results at
+                                 every job count *)
 }
 
 val default_config : config

@@ -41,24 +41,10 @@ let fitness c order observe fault (test : Pattern.test) =
   let frames = Array.length test.Pattern.p_vectors in
   for f = 0 to frames - 1 do
     let pi_vec = test.Pattern.p_vectors.(f) in
+    let pi i = if pi_vec.(i) then L.one else L.zero in
     Array.iter
       (fun net ->
-        let v =
-          match c.N.drv.(net) with
-          | N.Pi i -> if pi_vec.(i) then L.one else L.zero
-          | N.Ff i -> state.(i)
-          | N.C0 -> L.zero
-          | N.C1 -> L.one
-          | N.G1 (N.Inv, a) -> L.v_not values.(a)
-          | N.G1 (N.Buff, a) -> values.(a)
-          | N.G2 (N.And, a, b) -> L.v_and values.(a) values.(b)
-          | N.G2 (N.Or, a, b) -> L.v_or values.(a) values.(b)
-          | N.G2 (N.Xor, a, b) -> L.v_xor values.(a) values.(b)
-          | N.G2 (N.Nand, a, b) -> L.v_not (L.v_and values.(a) values.(b))
-          | N.G2 (N.Nor, a, b) -> L.v_not (L.v_or values.(a) values.(b))
-          | N.G2 (N.Xnor, a, b) -> L.v_not (L.v_xor values.(a) values.(b))
-          | N.Mux (s, a, b) -> L.v_mux values.(s) values.(a) values.(b)
-        in
+        let v = Sim.Eval.drive c values ~pi ~state net in
         (* the faulty machine (pattern 1) sees the stuck value *)
         values.(net) <- (if net = site then L.set v 1 stuck else v))
       order;

@@ -7,7 +7,6 @@
     this, which is the paper's "delays" claim. *)
 
 module N = Netlist
-module L = Sim.Logic3
 
 type t = {
   t_net : int;
@@ -25,119 +24,10 @@ let all ?within c =
     (fun net -> [ { t_net = net; t_rise = true }; { t_net = net; t_rise = false } ])
     (Fault.sites ?within c)
 
-(* Parallel-fault simulation: column 0 is the good machine; column i
-   carries fault i, whose site outputs the previous cycle's good value
-   whenever the faulty transition direction occurred this cycle. *)
-let run_batch c ~order ~faults ~observe (test : Pattern.test) =
-  let nf = List.length faults in
-  assert (nf <= 63);
-  let values = Array.make (N.num_nets c) L.x in
-  let state = Array.make (N.num_ffs c) L.x in
-  List.iter
-    (fun (ff, v) -> state.(ff) <- (if v then L.one else L.zero))
-    test.Pattern.p_loads;
-  let table = Hashtbl.create 16 in
-  List.iteri
-    (fun i f ->
-      Hashtbl.replace table f.t_net
-        ((i + 1, f.t_rise)
-         :: Option.value (Hashtbl.find_opt table f.t_net) ~default:[]))
-    faults;
-  (* previous-cycle good value per fault site *)
-  let prev = Hashtbl.create 16 in
-  let detected = ref 0L in
-  let frames = Array.length test.Pattern.p_vectors in
-  for f = 0 to frames - 1 do
-    let pi_vec = test.Pattern.p_vectors.(f) in
-    Array.iter
-      (fun net ->
-        let v =
-          match c.N.drv.(net) with
-          | N.Pi i -> if pi_vec.(i) then L.one else L.zero
-          | N.Ff i -> state.(i)
-          | N.C0 -> L.zero
-          | N.C1 -> L.one
-          | N.G1 (N.Inv, a) -> L.v_not values.(a)
-          | N.G1 (N.Buff, a) -> values.(a)
-          | N.G2 (N.And, a, b) -> L.v_and values.(a) values.(b)
-          | N.G2 (N.Or, a, b) -> L.v_or values.(a) values.(b)
-          | N.G2 (N.Xor, a, b) -> L.v_xor values.(a) values.(b)
-          | N.G2 (N.Nand, a, b) -> L.v_not (L.v_and values.(a) values.(b))
-          | N.G2 (N.Nor, a, b) -> L.v_not (L.v_or values.(a) values.(b))
-          | N.G2 (N.Xnor, a, b) -> L.v_not (L.v_xor values.(a) values.(b))
-          | N.Mux (s, a, b) -> L.v_mux values.(s) values.(a) values.(b)
-        in
-        let v =
-          match Hashtbl.find_opt table net with
-          | None -> v
-          | Some overrides ->
-            let good_now = L.get v 0 in
-            let good_before = Hashtbl.find_opt prev net in
-            List.fold_left
-              (fun v (col, rise) ->
-                match (good_before, good_now) with
-                | (Some (Some was), Some now)
-                  when was <> now && now = rise ->
-                  (* the slow transition: this cycle the site still
-                     shows the old value in the faulty machine *)
-                  L.set v col (Some was)
-                | _ -> v)
-              v overrides
-        in
-        (if Hashtbl.mem table net then
-           Hashtbl.replace prev net (L.get v 0));
-        values.(net) <- v)
-      order;
-    if observe.Fsim.ob_pos then
-      Array.iter
-        (fun po -> detected := Int64.logor !detected (Fsim.detected_mask values.(po)))
-        c.N.pos;
-    Array.iteri (fun i d -> state.(i) <- values.(d)) c.N.ff_d;
-    if f = frames - 1 then
-      List.iter
-        (fun ff ->
-          detected := Int64.logor !detected (Fsim.detected_mask state.(ff)))
-        observe.Fsim.ob_pier_ffs
-  done;
-  List.mapi
-    (fun i _ ->
-      Int64.logand (Int64.shift_right_logical !detected (i + 1)) 1L = 1L)
-    faults
+(** The fault as its one injection site. *)
+let descriptor f = [ (f.t_net, Fsim.Slow f.t_rise) ]
 
 (** [coverage c ~observe ~faults tests] = percentage of the transition
     faults detected by the sequences. *)
 let coverage c ~observe ~faults tests =
-  let order = (N.analysis c).N.Analysis.order in
-  let n = List.length faults in
-  if n = 0 then 100.0
-  else begin
-    let detected = Array.make n false in
-    let indexed = List.mapi (fun i f -> (i, f)) faults in
-    List.iter
-      (fun test ->
-        let remaining = List.filter (fun (i, _) -> not detected.(i)) indexed in
-        let rec batches = function
-          | [] -> ()
-          | l ->
-            let rec take k = function
-              | x :: rest when k > 0 ->
-                let (h, t) = take (k - 1) rest in
-                (x :: h, t)
-              | rest -> ([], rest)
-            in
-            let (batch, rest) = take 63 l in
-            let flags =
-              run_batch c ~order ~faults:(List.map snd batch) ~observe test
-            in
-            List.iter2
-              (fun (i, _) hit -> if hit then detected.(i) <- true)
-              batch flags;
-            batches rest
-        in
-        batches remaining)
-      tests;
-    100.0
-    *. float_of_int
-         (Array.fold_left (fun a d -> if d then a + 1 else a) 0 detected)
-    /. float_of_int n
-  end
+  Fsim.coverage c ~observe ~faults:(List.map descriptor faults) tests

@@ -13,11 +13,8 @@ val to_string : Netlist.t -> t -> string
 (** Two faults per live site. *)
 val all : ?within:string -> Netlist.t -> t list
 
-(** [run_batch c ~order ~faults ~observe test]: at most 63 faults; flags
-    align with [faults]. *)
-val run_batch :
-  Netlist.t -> order:int array -> faults:t list -> observe:Fsim.observe ->
-  Pattern.test -> bool list
+(** The fault as a {!Fsim.descriptor}: one [Slow] site. *)
+val descriptor : t -> Fsim.descriptor
 
 (** Percentage of the transition faults detected by a test set. *)
 val coverage :

@@ -246,27 +246,51 @@ let check_fsim_engines cfg budget rng ast ~top =
         let frames = 1 + Random.State.int rng 4 in
         Atpg.Pattern.random ~rng ~num_pis ~frames ~piers)
   in
+  let transitions = Atpg.Transition.all c in
+  let bridges = Atpg.Bridge.candidates ~rng ~count:64 c in
   let flags engine = Atpg.Fsim.run ~engine ~budget c ~observe ~faults tests in
+  let model_flags engine descs =
+    Atpg.Fsim.run_descriptors ~engine ~budget c ~observe ~faults:descs tests
+  in
   let packed = flags Atpg.Fsim.Packed in
   let event = flags Atpg.Fsim.Event in
   let reference = flags Atpg.Fsim.Reference in
-  let mismatch label a b =
+  let mismatch label name a b =
     let n = ref None in
     Array.iteri
-      (fun i fa -> if !n = None && fa <> b.(i) then n := Some (label, i))
+      (fun i fa ->
+        if !n = None && fa <> b.(i) then n := Some (label, i, name i))
       a;
     !n
   in
-  match
-    (match mismatch "packed-vs-event" packed event with
-     | Some m -> Some m
-     | None -> mismatch "event-vs-reference" event reference)
-  with
+  (* packed vs reference on a non-stuck-at model (the event engine is
+     stuck-at only) *)
+  let model_mismatch label to_string descriptor population =
+    let descs = List.map descriptor population in
+    mismatch label
+      (fun i -> to_string c (List.nth population i))
+      (model_flags Atpg.Fsim.Packed descs)
+      (model_flags Atpg.Fsim.Reference descs)
+  in
+  let stuck_name i = Atpg.Fault.to_string c (List.nth faults i) in
+  let first_mismatch =
+    List.find_map
+      (fun check -> check ())
+      [ (fun () -> mismatch "packed-vs-event" stuck_name packed event);
+        (fun () -> mismatch "event-vs-reference" stuck_name event reference);
+        (fun () ->
+          model_mismatch "transition packed-vs-reference"
+            Atpg.Transition.to_string Atpg.Transition.descriptor transitions);
+        (fun () ->
+          model_mismatch "bridge packed-vs-reference" Atpg.Bridge.to_string
+            Atpg.Bridge.descriptor bridges) ]
+  in
+  match first_mismatch with
   | None -> None
-  | Some (label, i) ->
+  | Some (label, i, name) ->
     fail budget
       (Printf.sprintf "fsim engines disagree (%s) on fault %d (%s)" label i
-         (Atpg.Fault.to_string c (List.nth faults i)))
+         name)
 
 (* Instance paths of [d] below [top], dot-separated, leaves included. *)
 let instance_paths (d : Verilog.Ast.design) ~top =
@@ -387,8 +411,7 @@ let check_jobs cfg budget rng ast ~top =
       g_total_budget = 1e9;
       g_simgen_fallback = false;
       g_sat_conflicts = 2000;
-      g_seed = Random.State.int rng 10000;
-      g_deterministic = true }
+      g_seed = Random.State.int rng 10000 }
   in
   let run jobs =
     let r = Atpg.Gen.run ~budget c { gcfg with g_jobs = jobs } faults in

@@ -25,7 +25,8 @@
       is consistent — only an unsound claim (a non-detecting test or
       cube, or a detected-vs-untestable split) fails.
     - [Fsim_engines] — packed, event and reference fault simulation
-      return bit-identical detection flags.
+      return bit-identical stuck-at detection flags, and packed and
+      reference agree on transition and bridging faults.
     - [Extract_modes] — for level-1 MUTs conventional and compositional
       extraction agree pin-for-pin on inputs and the compositional view
       is never larger (it may observe fewer outputs and keep fewer
@@ -33,8 +34,8 @@
       equality is not required; when the interfaces do coincide the
       transformed circuits must be equivalent); for the deepest MUT two
       fresh compositional sessions reproduce each other exactly.
-    - [Jobs] — ATPG at [-j 1] and [-j N] is bit-identical
-      (deterministic mode), as is sharded fault simulation.
+    - [Jobs] — ATPG at [-j 1] and [-j N] is bit-identical, as is
+      sharded fault simulation.
 
     Campaigns fan seeds out on {!Engine.Pool} under {!Engine.Budget}:
     one wedged or crashing seed degrades only itself (reported as a

@@ -24,28 +24,33 @@ let reset_state sim = sim.state <- Array.make (N.num_ffs sim.circuit) L.x
 (** Force every flip-flop to zero (reference-model comparisons). *)
 let zero_state sim = sim.state <- Array.make (N.num_ffs sim.circuit) L.zero
 
+(** [drive c values ~pi ~state net] is the value [net]'s driver
+    computes: fanins read from [values], primary input [i] from [pi i],
+    flip-flop [i] from [state.(i)]. *)
+let drive (c : N.t) (values : L.t array) ~pi ~(state : L.t array) net =
+  match c.N.drv.(net) with
+  | N.Pi i -> pi i
+  | N.Ff i -> state.(i)
+  | N.C0 -> L.zero
+  | N.C1 -> L.one
+  | N.G1 (N.Inv, a) -> L.v_not values.(a)
+  | N.G1 (N.Buff, a) -> values.(a)
+  | N.G2 (N.And, a, b) -> L.v_and values.(a) values.(b)
+  | N.G2 (N.Or, a, b) -> L.v_or values.(a) values.(b)
+  | N.G2 (N.Xor, a, b) -> L.v_xor values.(a) values.(b)
+  | N.G2 (N.Nand, a, b) -> L.v_not (L.v_and values.(a) values.(b))
+  | N.G2 (N.Nor, a, b) -> L.v_not (L.v_or values.(a) values.(b))
+  | N.G2 (N.Xnor, a, b) -> L.v_not (L.v_xor values.(a) values.(b))
+  | N.Mux (s, a, b) -> L.v_mux values.(s) values.(a) values.(b)
+
 (** Evaluate combinational logic for the given PI values (one [L.t] per
     primary input, 64 patterns wide). *)
 let eval sim (pi_values : L.t array) =
-  let c = sim.circuit in
-  let v = sim.values in
+  let pi i = pi_values.(i) in
   Array.iter
     (fun net ->
-      v.(net) <-
-        (match c.drv.(net) with
-         | N.Pi i -> pi_values.(i)
-         | N.Ff i -> sim.state.(i)
-         | N.C0 -> L.zero
-         | N.C1 -> L.one
-         | N.G1 (N.Inv, a) -> L.v_not v.(a)
-         | N.G1 (N.Buff, a) -> v.(a)
-         | N.G2 (N.And, a, b) -> L.v_and v.(a) v.(b)
-         | N.G2 (N.Or, a, b) -> L.v_or v.(a) v.(b)
-         | N.G2 (N.Xor, a, b) -> L.v_xor v.(a) v.(b)
-         | N.G2 (N.Nand, a, b) -> L.v_not (L.v_and v.(a) v.(b))
-         | N.G2 (N.Nor, a, b) -> L.v_not (L.v_or v.(a) v.(b))
-         | N.G2 (N.Xnor, a, b) -> L.v_not (L.v_xor v.(a) v.(b))
-         | N.Mux (s, a, b) -> L.v_mux v.(s) v.(a) v.(b)))
+      sim.values.(net) <-
+        drive sim.circuit sim.values ~pi ~state:sim.state net)
     sim.order
 
 (** Current value of a net (after [eval]). *)

@@ -17,6 +17,14 @@ val reset_state : t -> unit
 (** Force every flip-flop to zero (reference-model comparisons). *)
 val zero_state : t -> unit
 
+(** [drive c values ~pi ~state net] is the value [net]'s driver
+    computes: fanins read from [values], primary input [i] from [pi i],
+    flip-flop [i] from [state.(i)] — the one three-valued gate evaluator
+    of the straight-line simulators. *)
+val drive :
+  Netlist.t -> Logic3.t array -> pi:(int -> Logic3.t) -> state:Logic3.t array ->
+  int -> Logic3.t
+
 (** Evaluate combinational logic for the given per-PI values. *)
 val eval : t -> Logic3.t array -> unit
 

@@ -650,6 +650,33 @@ let bridge_tests =
         check_bool "0,1 detects on y1" true
           (Atpg.Bridge.coverage c ~observe:Atpg.Fsim.default_observe
              ~bridges:[ bridge ] [ t01 ] = 100.0));
+    test "a short does not latch across frames" (fun () ->
+        (* the two nets are equal in every frame, so the short is
+           invisible: frame 0's wired value must not carry into frame 1 *)
+        let c =
+          circuit
+            "module top (input a, b, output y1, y2); assign y1 = a; assign y2 = b; endmodule"
+        in
+        List.iter
+          (fun (kind, v0, v1) ->
+            let bridge =
+              { Atpg.Bridge.b_net1 = c.N.pis.(0); b_net2 = c.N.pis.(1);
+                b_kind = kind }
+            in
+            let t =
+              { Atpg.Pattern.p_vectors = [| [| v0; v0 |]; [| v1; v1 |] |];
+                p_loads = [] }
+            in
+            check_bool
+              (Printf.sprintf "%s: (%b,%b) then (%b,%b) does not detect"
+                 (if kind = Atpg.Bridge.Wired_and then "wired-and"
+                  else "wired-or")
+                 v0 v0 v1 v1)
+              true
+              (Atpg.Bridge.coverage c ~observe:Atpg.Fsim.default_observe
+                 ~bridges:[ bridge ] [ t ] = 0.0))
+          [ (Atpg.Bridge.Wired_and, false, true);
+            (Atpg.Bridge.Wired_or, true, false) ]);
     test "candidate population is well formed" (fun () ->
         let c = circuit c17 in
         let rng = Random.State.make [| 4 |] in

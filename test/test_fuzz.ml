@@ -30,7 +30,8 @@ let gates_match_interpreter gm =
     (stimulus gm ~frames:6)
 
 (* Detection flags with per-test fault dropping via the straight-line
-   reference engine — the oracle both production engines must match. *)
+   reference engine — the oracle both production engines must match.
+   Takes fault descriptors of any model. *)
 let reference_flags circuit ~observe ~faults tests =
   let order = (Netlist.analysis circuit).Netlist.Analysis.order in
   let fault_arr = Array.of_list faults in
@@ -66,10 +67,17 @@ let reference_flags circuit ~observe ~faults tests =
     tests;
   ref_flags
 
+let stuck_reference_flags circuit ~observe ~faults tests =
+  reference_flags circuit ~observe ~faults:(List.map Atpg.Fsim.stuck_at faults)
+    tests
+
 (* A fault simulator engine against the straight-line reference:
    identical detection flags on random circuits, fault lists and test
    sequences (random PIER loads and observations; flip-flops outside
-   the loaded set start X, so X propagation is exercised throughout). *)
+   the loaded set start X, so X propagation is exercised throughout).
+   The engines that take every fault model are also checked on a random
+   transition population and a random bridge population (pairs drawn
+   at random, so feedback pairs occur too). *)
 let fsim_matches_reference ~engine gm =
   let (_, circuit) = build gm in
   let seed = Hashtbl.hash gm.gm_src + 3 in
@@ -90,8 +98,21 @@ let fsim_matches_reference ~engine gm =
         Atpg.Pattern.random ~rng ~num_pis:(Netlist.num_pis circuit)
           ~frames:(1 + Random.State.int rng 4) ~piers)
   in
+  let transitions =
+    List.filter
+      (fun _ -> Random.State.int rng 4 > 0)
+      (Atpg.Transition.all circuit)
+  in
+  let bridges = Atpg.Bridge.candidates ~rng ~count:40 circuit in
+  let models_match faults =
+    Atpg.Fsim.run_descriptors ~engine circuit ~observe ~faults tests
+    = reference_flags circuit ~observe ~faults tests
+  in
   Atpg.Fsim.run ~engine circuit ~observe ~faults tests
-  = reference_flags circuit ~observe ~faults tests
+  = stuck_reference_flags circuit ~observe ~faults tests
+  && (engine = Atpg.Fsim.Event
+      || models_match (List.map Atpg.Transition.descriptor transitions)
+         && models_match (List.map Atpg.Bridge.descriptor bridges))
 
 (* Word-boundary pattern counts for the packed engine: 1 (partial
    word), 63 (one lane short of full), 64 (word + 1), 65, 127 (two
@@ -120,7 +141,7 @@ let packed_word_boundaries gm =
       in
       Atpg.Fsim.run ~engine:Atpg.Fsim.Packed circuit ~observe ~faults
         tests
-      = reference_flags circuit ~observe ~faults tests)
+      = stuck_reference_flags circuit ~observe ~faults tests)
     [ 1; 63; 64; 65; 127 ]
 
 let fuzz_tests =
