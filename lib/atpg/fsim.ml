@@ -534,9 +534,9 @@ type pgood = {
 (* Per-domain scratch of the packed engine: structure-of-arrays planes
    indexed by net, reused across frames, faults and words.  The sweep is
    strictly activity-proportional — state divergence is tracked as a
-   list (fed by [xffd], a net -> flip-flop CSR), never by scanning all
-   flip-flops, so a fault with a five-net cone costs a handful of ops
-   per frame no matter how much state the circuit has. *)
+   list (fed by the analysis's d-net -> flip-flop CSR), never by
+   scanning all flip-flops, so a fault with a five-net cone costs a
+   handful of ops per frame no matter how much state the circuit has. *)
 type pengine = {
   xc : N.t;
   xinfo : A.info;
@@ -556,8 +556,6 @@ type pengine = {
   xsdirty : bool array;
   xsdirty_list : int array;    (* the flip-flops behind the xsdirty flags *)
   mutable xsdirty_n : int;
-  xffd_off : int array;        (* net -> flip-flops it drives (CSR) *)
-  xffd : int array;
   xsite : int array;           (* net -> its site in the swept fault, or -1 *)
   mutable xforce_hi : int array; (* per site, this frame: lanes forced to 1 *)
   mutable xforce_lo : int array; (* ... and to 0 *)
@@ -568,19 +566,6 @@ let make_pengine c =
   let info = N.analysis c in
   let n = N.num_nets c in
   let nff = max 1 (N.num_ffs c) in
-  (* CSR of d-input net -> flip-flop indices *)
-  let xffd_off = Array.make (n + 1) 0 in
-  Array.iter (fun d -> xffd_off.(d + 1) <- xffd_off.(d + 1) + 1) c.N.ff_d;
-  for i = 1 to n do
-    xffd_off.(i) <- xffd_off.(i) + xffd_off.(i - 1)
-  done;
-  let xffd = Array.make (max 1 (N.num_ffs c)) 0 in
-  let cursor = Array.copy xffd_off in
-  Array.iteri
-    (fun i d ->
-      xffd.(cursor.(d)) <- i;
-      cursor.(d) <- cursor.(d) + 1)
-    c.N.ff_d;
   { xc = c; xinfo = info;
     xgh = Array.make n 0;
     xgl = Array.make n 0;
@@ -598,8 +583,6 @@ let make_pengine c =
     xsdirty = Array.make nff false;
     xsdirty_list = Array.make nff 0;
     xsdirty_n = 0;
-    xffd_off;
-    xffd;
     xsite = Array.make n (-1);
     xforce_hi = [| 0 |];
     xforce_lo = [| 0 |];
@@ -896,10 +879,11 @@ let packed_sweep eng good (b : P.batch) ~observe ~piers ~stop_on_detect
       eng.xsdirty.(eng.xsdirty_list.(k)) <- false
     done;
     eng.xsdirty_n <- 0;
+    let ff_of_d = eng.xinfo.A.ff_of_d and ff_off = eng.xinfo.A.ff_of_d_off in
     for k = 0 to eng.xtouched_n - 1 do
       let d = eng.xtouched.(k) in
-      for j = eng.xffd_off.(d) to eng.xffd_off.(d + 1) - 1 do
-        let i = eng.xffd.(j) in
+      for j = ff_off.(d) to ff_off.(d + 1) - 1 do
+        let i = ff_of_d.(j) in
         eng.xfsh.(i) <- eng.xfh.(d);
         eng.xfsl.(i) <- eng.xfl.(d);
         if not eng.xsdirty.(i) then begin

@@ -5,6 +5,8 @@
     is observable (storable).  The fault is present in every frame. *)
 
 module N = Netlist
+module A = N.Analysis
+module Keys = Set.Make (Int)
 
 type v3 = V0 | V1 | VX
 
@@ -47,28 +49,34 @@ type config = {
 
 let default_config = { frames = 1; backtrack_limit = 100; piers = []; seed = 0 }
 
-(** Internal diagnostics hook: receives one line per search event. *)
-let debug_hook : (string -> unit) option ref = ref None
-let dbg fmt = Printf.ksprintf (fun s -> match !debug_hook with Some f -> f s | None -> ()) fmt
-
+(* Search state of one [run].  Per-(frame, net) planes are flat arrays
+   indexed by [idx].  The inputs are the frame-major PIs (input
+   [f * num_pis + i] is PI [i] at frame [f]) followed by the PIERs. *)
 type model = {
   c : N.t;
   cfg : config;
   nets : int;
-  order : int array;
+  info : A.info;
   pier_set : bool array;
+  pier_input : int array; (* per flip-flop: its PIER input, or -1 *)
   good : v3 array;        (* frames * nets *)
   faulty : v3 array;
   controllable : bool array;
   cost0 : int array;      (* frames * nets: SCOAP-like 0-controllability *)
   cost1 : int array;
   dist : int array;       (* per net, static distance to an observation *)
+  observe : int array;    (* plane indices of the observation points *)
   fault : Fault.t;
+  stuck : v3;
   inputs : input array;
-  input_index : (input, int) Hashtbl.t;
   assignment : v3 array;
+  mutable changed : int list;  (* inputs set since the last implication *)
+  queued : Bytes.t;            (* frames * nets: '1' when scheduled *)
+  buckets : int list array;    (* frames * (max_level + 1): pending nets *)
+  mutable frontier : Keys.t;   (* D-frontier members, as [frontier_key]s *)
   rng : Random.State.t;
   mutable backtracks : int;
+  mutable evals : int;
 }
 
 let idx m f net = (f * m.nets) + net
@@ -189,97 +197,165 @@ let compute_dist c order pier_set =
   dist
 
 (* ------------------------------------------------------------------ *)
-(* Five-valued simulation (good/faulty pair).                          *)
+(* Five-valued implication (good/faulty pair).                         *)
 (* ------------------------------------------------------------------ *)
 
-let simulate m =
-  let c = m.c in
-  for f = 0 to m.cfg.frames - 1 do
-    Array.iter
-      (fun net ->
-        let at arr i = arr.(idx m f i) in
-        let eval arr =
-          match c.N.drv.(net) with
-          | N.Pi i ->
-            (match Hashtbl.find_opt m.input_index (In_pi (f, i)) with
-             | Some k -> m.assignment.(k)
-             | None -> VX)
-          | N.Ff i ->
-            if f = 0 then
-              if m.pier_set.(i) then
-                (match Hashtbl.find_opt m.input_index (In_pier i) with
-                 | Some k -> m.assignment.(k)
-                 | None -> VX)
-              else VX
-            else arr.(idx m (f - 1) c.N.ff_d.(i))
-          | N.C0 -> V0
-          | N.C1 -> V1
-          | N.G1 (N.Inv, a) -> v_neg (at arr a)
-          | N.G1 (N.Buff, a) -> at arr a
-          | N.G2 (N.And, a, b) -> v_and (at arr a) (at arr b)
-          | N.G2 (N.Or, a, b) -> v_or (at arr a) (at arr b)
-          | N.G2 (N.Xor, a, b) -> v_xor (at arr a) (at arr b)
-          | N.G2 (N.Nand, a, b) -> v_neg (v_and (at arr a) (at arr b))
-          | N.G2 (N.Nor, a, b) -> v_neg (v_or (at arr a) (at arr b))
-          | N.G2 (N.Xnor, a, b) -> v_neg (v_xor (at arr a) (at arr b))
-          | N.Mux (s, a, b) -> v_mux (at arr s) (at arr a) (at arr b)
-        in
-        m.good.(idx m f net) <- eval m.good;
-        let fv = eval m.faulty in
-        m.faulty.(idx m f net) <-
-          (if net = m.fault.Fault.f_net then of_bool m.fault.Fault.f_stuck
-           else fv))
-      m.order
-  done
+(* Value of [net] at frame [f] in [plane], from its fanins' values. *)
+let eval m plane f net =
+  let b = f * m.nets in
+  match m.c.N.drv.(net) with
+  | N.Pi i -> m.assignment.((f * N.num_pis m.c) + i)
+  | N.Ff i ->
+    if f > 0 then plane.(b - m.nets + m.c.N.ff_d.(i))
+    else
+      let k = m.pier_input.(i) in
+      if k >= 0 then m.assignment.(k) else VX
+  | N.C0 -> V0
+  | N.C1 -> V1
+  | N.G1 (N.Inv, a) -> v_neg plane.(b + a)
+  | N.G1 (N.Buff, a) -> plane.(b + a)
+  | N.G2 (N.And, a, x) -> v_and plane.(b + a) plane.(b + x)
+  | N.G2 (N.Or, a, x) -> v_or plane.(b + a) plane.(b + x)
+  | N.G2 (N.Xor, a, x) -> v_xor plane.(b + a) plane.(b + x)
+  | N.G2 (N.Nand, a, x) -> v_neg (v_and plane.(b + a) plane.(b + x))
+  | N.G2 (N.Nor, a, x) -> v_neg (v_or plane.(b + a) plane.(b + x))
+  | N.G2 (N.Xnor, a, x) -> v_neg (v_xor plane.(b + a) plane.(b + x))
+  | N.Mux (s, a, x) -> v_mux plane.(b + s) plane.(b + a) plane.(b + x)
 
-let observation_points m =
-  let last = m.cfg.frames - 1 in
-  let pos =
-    List.concat_map
-      (fun f -> Array.to_list (Array.map (fun po -> (f, po)) m.c.N.pos))
-      (List.init m.cfg.frames Fun.id)
+(* Re-evaluate [net] at frame [f] in both planes; true when either value
+   changed.  The faulty plane holds the stuck value at the fault site. *)
+let update m f net =
+  let i = idx m f net in
+  let g = eval m m.good f net in
+  let fv =
+    if net = m.fault.Fault.f_net then m.stuck else eval m m.faulty f net
   in
-  let piers =
-    List.filter_map
-      (fun i -> if m.pier_set.(i) then Some (last, m.c.N.ff_d.(i)) else None)
-      (List.init (N.num_ffs m.c) Fun.id)
-  in
-  pos @ piers
+  let changed = g <> m.good.(i) || fv <> m.faulty.(i) in
+  m.good.(i) <- g;
+  m.faulty.(i) <- fv;
+  m.evals <- m.evals + 1;
+  changed
 
-let detected m =
-  List.exists
-    (fun (f, net) ->
-      let g = m.good.(idx m f net) and fa = m.faulty.(idx m f net) in
-      g <> VX && fa <> VX && g <> fa)
-    (observation_points m)
-
-(* ------------------------------------------------------------------ *)
-(* Objective selection.                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Is there a D (good/faulty binary and different) on this node? *)
-let has_d m f net =
-  let g = m.good.(idx m f net) and fa = m.faulty.(idx m f net) in
+(* Is there a D (good/faulty binary and different) at plane index [i]? *)
+let d_at m i =
+  let g = m.good.(i) and fa = m.faulty.(i) in
   g <> VX && fa <> VX && g <> fa
+
+let has_d m f net = d_at m (idx m f net)
 
 let composite_x m f net =
   m.good.(idx m f net) = VX || m.faulty.(idx m f net) = VX
 
-(* D-frontier: gates with an X output and at least one D input. *)
-let d_frontier m =
-  let result = ref [] in
+(* D-frontier membership: a gate with an X output and a D on an input. *)
+let on_frontier m f net =
+  composite_x m f net
+  &&
+  match m.c.N.drv.(net) with
+  | N.Pi _ | N.Ff _ | N.C0 | N.C1 -> false
+  | N.G1 (_, a) -> has_d m f a
+  | N.G2 (_, a, b) -> has_d m f a || has_d m f b
+  | N.Mux (s, a, b) -> has_d m f s || has_d m f a || has_d m f b
+
+(* Frontier members are ordered by distance to an observation point,
+   ties broken by descending (frame, topological position): the order a
+   reverse scan of the planes followed by a stable sort on distance
+   gives.  Finite distances are below [nets], so [nets] stands in for
+   unreachable. *)
+let frontier_key m f net =
+  let ranks = m.cfg.frames * m.nets in
+  (min m.dist.(net) m.nets * ranks)
+  + (ranks - 1 - idx m f m.info.A.position.(net))
+
+let frontier_site m key =
+  let ranks = m.cfg.frames * m.nets in
+  let rank = ranks - 1 - (key mod ranks) in
+  (rank / m.nets, m.info.A.order.(rank mod m.nets))
+
+let refresh_frontier m f net =
+  let key = frontier_key m f net in
+  let now = on_frontier m f net in
+  if now <> Keys.mem key m.frontier then
+    m.frontier <-
+      (if now then Keys.add key m.frontier else Keys.remove key m.frontier)
+
+(* From-scratch evaluation of every net of every frame: the initial
+   state of a search, and the reference the incremental path is tested
+   against. *)
+let simulate m =
   for f = 0 to m.cfg.frames - 1 do
     Array.iter
       (fun net ->
-        match m.c.N.drv.(net) with
-        | N.Pi _ | N.Ff _ | N.C0 | N.C1 -> ()
-        | d ->
-          if composite_x m f net
-             && List.exists (fun i -> has_d m f i) (N.fanins d)
-          then result := (f, net) :: !result)
-      m.order
-  done;
-  !result
+        ignore (update m f net);
+        refresh_frontier m f net)
+      m.info.A.order
+  done
+
+let set_input m k v =
+  m.assignment.(k) <- v;
+  m.changed <- k :: m.changed
+
+let schedule m f net =
+  let i = idx m f net in
+  if Bytes.get m.queued i = '0' then begin
+    Bytes.set m.queued i '1';
+    let b = (f * (m.info.A.max_level + 1)) + m.info.A.level.(net) in
+    m.buckets.(b) <- net :: m.buckets.(b)
+  end
+
+(* Event-driven implication of the inputs set since the last call.
+   Each changed input seeds its net; nets are re-evaluated in level
+   order within a frame and frames in order, so every net is evaluated
+   at most once, after all of its fanins have settled.  A net whose good
+   and faulty values both stay put schedules nothing; one that changes
+   schedules its gate fanouts in the same frame and, through the
+   analysis's d-net -> flip-flop CSR, the flip-flops it feeds in the
+   next.  Every re-evaluated net has its D-frontier membership
+   re-tested: a membership can only change when the net's own value or
+   a fanin's value does, and either schedules it. *)
+let imply m =
+  List.iter
+    (fun k ->
+      match m.inputs.(k) with
+      | In_pi (f, i) -> schedule m f m.c.N.pis.(i)
+      | In_pier i -> schedule m 0 m.c.N.ff_q.(i))
+    m.changed;
+  m.changed <- [];
+  let info = m.info in
+  let fanout = info.A.fanout and fanout_off = info.A.fanout_off in
+  let ff_of_d = info.A.ff_of_d and ff_off = info.A.ff_of_d_off in
+  let levels = info.A.max_level + 1 in
+  let last = m.cfg.frames - 1 in
+  for f = 0 to last do
+    for lv = 0 to info.A.max_level do
+      let b = (f * levels) + lv in
+      let pending = m.buckets.(b) in
+      if pending <> [] then begin
+        (* fanouts are strictly deeper, and next-state events land in
+           the next frame: this bucket is complete *)
+        m.buckets.(b) <- [];
+        List.iter
+          (fun net ->
+            Bytes.set m.queued (idx m f net) '0';
+            if update m f net then begin
+              for j = fanout_off.(net) to fanout_off.(net + 1) - 1 do
+                schedule m f fanout.(j)
+              done;
+              if f < last then
+                for j = ff_off.(net) to ff_off.(net + 1) - 1 do
+                  schedule m (f + 1) m.c.N.ff_q.(ff_of_d.(j))
+                done
+            end;
+            refresh_frontier m f net)
+          pending
+      end
+    done
+  done
+
+let detected m = Array.exists (d_at m) m.observe
+
+(* ------------------------------------------------------------------ *)
+(* Objective selection.                                                *)
+(* ------------------------------------------------------------------ *)
 
 (* For a frontier gate, the objective that helps the D through. *)
 let propagation_objective m (f, net) =
@@ -334,24 +410,17 @@ let activation_objective m =
 
 let choose_objective m =
   let site = m.fault.Fault.f_net in
-  let active =
-    List.exists (fun f -> has_d m f site) (List.init m.cfg.frames Fun.id)
-  in
-  if active then begin
-    let frontier = d_frontier m in
-    let sorted =
-      List.sort
-        (fun (_, a) (_, b) -> compare m.dist.(a) m.dist.(b))
-        frontier
-    in
-    let rec first = function
-      | [] -> activation_objective m
-      | g :: rest ->
-        (match propagation_objective m g with
+  let rec active f = f < m.cfg.frames && (has_d m f site || active (f + 1)) in
+  if active 0 then begin
+    let rec first members =
+      match members () with
+      | Seq.Nil -> activation_objective m
+      | Seq.Cons (key, rest) ->
+        (match propagation_objective m (frontier_site m key) with
          | Some o -> Some o
          | None -> first rest)
     in
-    first sorted
+    first (Keys.to_seq m.frontier)
   end
   else activation_objective m
 
@@ -440,27 +509,30 @@ type decision = {
   mutable d_flipped : bool;
 }
 
+let input_slot m = function
+  | In_pi (f, i) -> (f * N.num_pis m.c) + i
+  | In_pier i -> m.pier_input.(i)
+
 let extract_test m =
+  let npis = N.num_pis m.c in
   let vectors =
     Array.init m.cfg.frames (fun f ->
-        Array.init (N.num_pis m.c) (fun i ->
-            match Hashtbl.find_opt m.input_index (In_pi (f, i)) with
-            | Some k -> m.assignment.(k) = V1
-            | None -> false))
+        Array.init npis (fun i -> m.assignment.((f * npis) + i) = V1))
   in
   let loads =
     List.filter_map
       (fun i ->
-        match Hashtbl.find_opt m.input_index (In_pier i) with
-        | Some k when m.assignment.(k) <> VX -> Some (i, m.assignment.(k) = V1)
-        | _ -> None)
+        match m.assignment.(m.pier_input.(i)) with
+        | VX -> None
+        | v -> Some (i, v = V1))
       m.cfg.piers
   in
   { Pattern.p_vectors = vectors; p_loads = loads }
 
 let make_model c cfg fault =
   let nets = N.num_nets c in
-  let order = (N.analysis c).N.Analysis.order in
+  let info = N.analysis c in
+  let order = info.A.order in
   let pier_set = Array.make (max 1 (N.num_ffs c)) false in
   List.iter (fun i -> pier_set.(i) <- true) cfg.piers;
   let inputs =
@@ -470,23 +542,49 @@ let make_model c cfg fault =
          (List.init cfg.frames Fun.id)
        @ List.map (fun i -> In_pier i) cfg.piers)
   in
-  let input_index = Hashtbl.create 64 in
-  Array.iteri (fun k inp -> Hashtbl.replace input_index inp k) inputs;
+  (* a PIER listed twice resolves to its last input slot *)
+  let pier_input = Array.make (max 1 (N.num_ffs c)) (-1) in
+  Array.iteri
+    (fun k -> function In_pier i -> pier_input.(i) <- k | In_pi _ -> ())
+    inputs;
+  let last = cfg.frames - 1 in
+  (* every frame's POs, and the PIERs' next state at the last frame *)
+  let observe =
+    Array.of_list
+      (List.concat_map
+         (fun f -> List.map (fun po -> (f * nets) + po) (Array.to_list c.N.pos))
+         (List.init cfg.frames Fun.id)
+       @ List.filter_map
+           (fun i ->
+             if pier_set.(i) then Some ((last * nets) + c.N.ff_d.(i))
+             else None)
+           (List.init (N.num_ffs c) Fun.id))
+  in
   let (cost0, cost1) = compute_costs c cfg order pier_set in
-  { c; cfg; nets; order; pier_set;
-    good = Array.make (cfg.frames * nets) VX;
-    faulty = Array.make (cfg.frames * nets) VX;
+  let planes = cfg.frames * nets in
+  { c; cfg; nets; info; pier_set; pier_input;
+    good = Array.make planes VX;
+    faulty = Array.make planes VX;
     controllable = compute_controllable c cfg order pier_set;
     cost0; cost1;
     dist = compute_dist c order pier_set;
-    fault; inputs; input_index;
+    observe;
+    fault;
+    stuck = of_bool fault.Fault.f_stuck;
+    inputs;
     assignment = Array.make (Array.length inputs) VX;
+    changed = [];
+    queued = Bytes.make planes '0';
+    buckets = Array.make (cfg.frames * (info.A.max_level + 1)) [];
+    frontier = Keys.empty;
     rng = Random.State.make [| cfg.seed; fault.Fault.f_net |];
-    backtracks = 0 }
+    backtracks = 0;
+    evals = 0 }
 
 let m_runs = Obs.Metrics.counter "factor.podem.runs"
 let m_backtracks = Obs.Metrics.counter "factor.podem.backtracks"
 let m_decisions = Obs.Metrics.counter "factor.podem.decisions"
+let m_evals = Obs.Metrics.counter "factor.podem.evals"
 let m_detected = Obs.Metrics.counter "factor.podem.detected"
 let m_exhausted = Obs.Metrics.counter "factor.podem.exhausted"
 let m_aborted = Obs.Metrics.counter "factor.podem.aborted"
@@ -497,11 +595,6 @@ let run ?(budget = Engine.Budget.none) c cfg fault =
   let m = make_model c cfg fault in
   let stack = ref [] in
   simulate m;
-  let show_v = function V0 -> "0" | V1 -> "1" | VX -> "x" in
-  let show_input = function
-    | In_pi (f, i) -> Printf.sprintf "pi %s@f%d" m.c.N.pi_names.(i) f
-    | In_pier i -> Printf.sprintf "pier %s" m.c.N.ff_names.(i)
-  in
   let rec step () =
     (* the decision loop's budget check is one atomic load; the clock
        is consulted every 64 decisions *)
@@ -512,19 +605,16 @@ let run ?(budget = Engine.Budget.none) c cfg fault =
     else
       match choose_objective m with
       | Some (f, net, v) ->
-        dbg "objective net%d@f%d = %s" net f (show_v v);
         (match backtrace m f net v with
          | Some (input, v) when v <> VX ->
-           dbg "  assign %s := %s (stack %d)" (show_input input) (show_v v)
-             (List.length !stack);
-           let k = Hashtbl.find m.input_index input in
+           let k = input_slot m input in
            incr decisions;
-           m.assignment.(k) <- v;
+           set_input m k v;
            stack := { d_input = k; d_flipped = false } :: !stack;
-           simulate m;
+           imply m;
            step ()
-         | _ -> dbg "  backtrace failed"; backtrack ())
-      | None -> dbg "dead end"; backtrack ()
+         | _ -> backtrack ())
+      | None -> backtrack ()
   and backtrack () =
     m.backtracks <- m.backtracks + 1;
     if Engine.Budget.check budget then Aborted
@@ -535,14 +625,14 @@ let run ?(budget = Engine.Budget.none) c cfg fault =
         | [] -> Exhausted
         | d :: rest ->
           if d.d_flipped then begin
-            m.assignment.(d.d_input) <- VX;
+            set_input m d.d_input VX;
             stack := rest;
             pop ()
           end
           else begin
             d.d_flipped <- true;
-            m.assignment.(d.d_input) <- v_neg m.assignment.(d.d_input);
-            simulate m;
+            set_input m d.d_input (v_neg m.assignment.(d.d_input));
+            imply m;
             step ()
           end
       in
@@ -552,6 +642,7 @@ let run ?(budget = Engine.Budget.none) c cfg fault =
   Obs.Metrics.incr m_runs;
   Obs.Metrics.add m_backtracks m.backtracks;
   Obs.Metrics.add m_decisions !decisions;
+  Obs.Metrics.add m_evals m.evals;
   (match outcome with
    | Detected _ -> Obs.Metrics.incr m_detected
    | Exhausted -> Obs.Metrics.incr m_exhausted
@@ -563,3 +654,69 @@ let run ?(budget = Engine.Budget.none) c cfg fault =
            ("stuck", Obs.Json.Bool fault.Fault.f_stuck);
            ("backtracks", Obs.Json.Int m.backtracks) ]);
   outcome
+
+(* ------------------------------------------------------------------ *)
+(* Differential self-check of the incremental implication.             *)
+(* ------------------------------------------------------------------ *)
+
+(* The D-frontier as a full scan of the planes gives it: collected in
+   (frame, topological) order, reversed, then stably sorted by
+   distance. *)
+let scanned_frontier m =
+  let members = ref [] in
+  for f = 0 to m.cfg.frames - 1 do
+    Array.iter
+      (fun net -> if on_frontier m f net then members := (f, net) :: !members)
+      m.info.A.order
+  done;
+  List.stable_sort
+    (fun (_, a) (_, b) -> compare m.dist.(a) m.dist.(b))
+    !members
+
+let check_implication c cfg fault batches =
+  let m = make_model c cfg fault in
+  simulate m;
+  let n = Array.length m.inputs in
+  let value v = match v with 0 -> V0 | 1 -> V1 | _ -> VX in
+  let site i = Printf.sprintf "%d@f%d" (i mod m.nets) (i / m.nets) in
+  let show l =
+    String.concat " " (List.map (fun (f, net) -> site (idx m f net)) l)
+  in
+  let check step =
+    let r = make_model c cfg fault in
+    Array.blit m.assignment 0 r.assignment 0 n;
+    simulate r;
+    let first_diff a b =
+      let rec go i =
+        if i >= Array.length a then None
+        else if a.(i) <> b.(i) then Some i
+        else go (i + 1)
+      in
+      go 0
+    in
+    let frontier = List.map (frontier_site m) (Keys.elements m.frontier)
+    and scanned = scanned_frontier r in
+    match (first_diff m.good r.good, first_diff m.faulty r.faulty) with
+    | (Some i, _) -> Error (Printf.sprintf "step %d: good value of %s" step (site i))
+    | (None, Some i) ->
+      Error (Printf.sprintf "step %d: faulty value of %s" step (site i))
+    | (None, None) when frontier <> scanned ->
+      Error
+        (Printf.sprintf "step %d: D-frontier [%s], full scan [%s]" step
+           (show frontier) (show scanned))
+    | (None, None) -> Ok ()
+  in
+  let rec go step = function
+    | [] -> check step
+    | batch :: rest ->
+      (match check step with
+       | Error _ as e -> e
+       | Ok () ->
+         if n > 0 then
+           List.iter
+             (fun (k, v) -> set_input m (((k mod n) + n) mod n) (value v))
+             batch;
+         imply m;
+         go (step + 1) rest)
+  in
+  go 0 batches

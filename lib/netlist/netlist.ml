@@ -272,6 +272,10 @@ module Analysis = struct
     fanout : int array;      (** gate-read fanouts, flattened (CSR) *)
     fanout_off : int array;  (** per net: offset into [fanout]; length
                                  num_nets + 1 *)
+    position : int array;    (** per net: its index in [order] *)
+    ff_of_d : int array;     (** flip-flops grouped by d-input net (CSR) *)
+    ff_of_d_off : int array; (** per net: offset into [ff_of_d]; length
+                                 num_nets + 1 *)
   }
 end
 
@@ -316,7 +320,22 @@ let build_analysis c =
           fill.(a) <- fill.(a) + 1)
         (fanins d))
     c.drv;
-  { Analysis.order; level; max_level = !max_level; fanout; fanout_off = off }
+  let position = Array.make n 0 in
+  Array.iteri (fun k net -> position.(net) <- k) order;
+  let ff_off = Array.make (n + 1) 0 in
+  Array.iter (fun d -> ff_off.(d + 1) <- ff_off.(d + 1) + 1) c.ff_d;
+  for i = 1 to n do
+    ff_off.(i) <- ff_off.(i) + ff_off.(i - 1)
+  done;
+  let ff_of_d = Array.make (num_ffs c) 0 in
+  let cursor = Array.copy ff_off in
+  Array.iteri
+    (fun i d ->
+      ff_of_d.(cursor.(d)) <- i;
+      cursor.(d) <- cursor.(d) + 1)
+    c.ff_d;
+  { Analysis.order; level; max_level = !max_level; fanout; fanout_off = off;
+    position; ff_of_d; ff_of_d_off = ff_off }
 
 (** Memoized structural analysis of a circuit: computed once per netlist
     value, shared by every engine that needs an evaluation order.

@@ -116,6 +116,10 @@ module Analysis : sig
     fanout : int array;      (** gate-read fanouts, flattened (CSR) *)
     fanout_off : int array;  (** per net: offset into [fanout]; length
                                  num_nets + 1 *)
+    position : int array;    (** per net: its index in [order] *)
+    ff_of_d : int array;     (** flip-flops grouped by d-input net (CSR) *)
+    ff_of_d_off : int array; (** per net: offset into [ff_of_d]; length
+                                 num_nets + 1 *)
   }
 end
 

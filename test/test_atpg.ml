@@ -246,6 +246,117 @@ let fsim_tests =
 (* PODEM.                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Random assign/flip/unassign batches over random sequential RTL,
+   1-4 frames, random PIERs and fault: after every implication the
+   incremental planes and D-frontier must equal a full simulation and
+   scan.  Setting an input to a random value covers assigning it,
+   flipping it and unassigning it. *)
+let implication_matches_full gm =
+  let (_, c) = Fuzzgen.build gm in
+  let faults = Array.of_list (F.all c) in
+  let rng =
+    Random.State.make [| Hashtbl.hash gm.Fuzzgen.gm_src; fuzz_seed |]
+  in
+  Array.length faults = 0
+  || List.for_all
+       (fun frames ->
+         let piers =
+           List.filter
+             (fun _ -> Random.State.bool rng)
+             (List.init (N.num_ffs c) Fun.id)
+         in
+         let fault = faults.(Random.State.int rng (Array.length faults)) in
+         let batches =
+           List.init (1 + Random.State.int rng 40) (fun _ ->
+               List.init (1 + Random.State.int rng 3) (fun _ ->
+                   (Random.State.bits rng, Random.State.int rng 3)))
+         in
+         match
+           P.check_implication c
+             { P.default_config with frames; piers; seed = frames }
+             fault batches
+         with
+         | Ok () -> true
+         | Error e ->
+           QCheck.Test.fail_reportf "%s, %d frames, piers [%s]: %s"
+             (F.to_string c fault) frames
+             (String.concat ";" (List.map string_of_int piers))
+             e)
+       [ 1; 2; 3; 4 ]
+
+(* Every fault's outcome and test, digested, plus the summed decisions
+   and backtracks.  The pinned values were recorded when PODEM still
+   re-simulated every net after every decision; implication is a pure
+   function of the assignment, so they may only move with a deliberate
+   change to the search itself. *)
+let podem_trace c ~frames ~piers faults =
+  let dec = Obs.Metrics.counter "factor.podem.decisions"
+  and bt = Obs.Metrics.counter "factor.podem.backtracks" in
+  let d0 = Obs.Metrics.value dec and b0 = Obs.Metrics.value bt in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun f ->
+      Buffer.add_string buf (F.to_string c f);
+      (match P.run c { P.frames; backtrack_limit = 100; piers; seed = 7 } f with
+       | P.Detected t ->
+         Array.iter
+           (fun v ->
+             Buffer.add_char buf ' ';
+             Array.iter
+               (fun b -> Buffer.add_char buf (if b then '1' else '0'))
+               v)
+           t.Atpg.Pattern.p_vectors;
+         List.iter
+           (fun (i, b) -> Buffer.add_string buf (Printf.sprintf " L%d=%b" i b))
+           t.Atpg.Pattern.p_loads
+       | P.Exhausted -> Buffer.add_string buf " E"
+       | P.Aborted -> Buffer.add_string buf " A");
+      Buffer.add_char buf '\n')
+    faults;
+  Printf.sprintf "%s decisions=%d backtracks=%d"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+    (Obs.Metrics.value dec - d0)
+    (Obs.Metrics.value bt - b0)
+
+let pinned_podem_traces () =
+  let flat design top =
+    let ed = Design.Elaborate.elaborate design ~top in
+    (Synth.Lower.lower (Synth.Flatten.flatten ed top)).Synth.Lower.circuit
+  in
+  let c = circuit c17 in
+  check_string "c17" "630fd5410f117ac5621c5215d75850cb decisions=85 backtracks=0"
+    (podem_trace c ~frames:1 ~piers:[] (F.all c));
+  List.iter
+    (fun (name, expected) ->
+      let e = Circuits.Collection.find name in
+      let module C = Circuits.Collection in
+      let c = flat (parse e.C.e_source) e.C.e_top in
+      let mut = (List.hd e.C.e_muts).Factor.Flow.ms_path in
+      let piers =
+        List.filter (fun i -> i mod 2 = 0) (List.init (N.num_ffs c) Fun.id)
+      in
+      check_string name expected
+        (podem_trace c ~frames:2 ~piers (F.collapse c (F.all ~within:mut c))))
+    [ ("gcd",
+       "124d379d54568bfab8e282ecf90c8473 decisions=5673 backtracks=4021");
+      ("arbiter",
+       "1ae019941f26b737489ca82ee481472f decisions=199 backtracks=147") ];
+  let alu = flat (Arm.Rtl.design ()) "arm_alu" in
+  let faults = F.collapse alu (F.all alu) in
+  check_string "alu, 1 frame"
+    "fcab5ec6278b1bc9d1c934e4ac21bd80 decisions=4606 backtracks=355"
+    (podem_trace alu ~frames:1 ~piers:[] faults);
+  (* the implication must stay event-driven: well under one full
+     re-simulation per decision *)
+  let evals = Obs.Metrics.counter "factor.podem.evals" in
+  let e0 = Obs.Metrics.value evals in
+  check_string "alu, 2 frames"
+    "4e266b691256a43858c2803275829921 decisions=4539 backtracks=152"
+    (podem_trace alu ~frames:2 ~piers:[] faults);
+  let full = (List.length faults + 4539 + 152) * 2 * N.num_nets alu in
+  check_bool "evals below full re-simulation" true
+    (Obs.Metrics.value evals - e0 < full / 4)
+
 let podem_tests =
   [ test "all c17 faults detected combinationally" (fun () ->
         let c = circuit c17 in
@@ -334,7 +445,10 @@ let podem_tests =
         (match P.run c { P.default_config with frames = 8; backtrack_limit = 5000 } fault with
          | P.Detected t ->
            check_bool "long test" true (Atpg.Pattern.num_frames t >= 7)
-         | _ -> Alcotest.fail "eight frames should detect")) ]
+         | _ -> Alcotest.fail "eight frames should detect"));
+    qtest "random rtl: incremental implication matches full simulation"
+      ~count:60 Fuzzgen.gen_arbitrary implication_matches_full;
+    test "search traces pinned" pinned_podem_traces ]
 
 (* ------------------------------------------------------------------ *)
 (* Generation driver.                                                  *)
