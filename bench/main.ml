@@ -1107,7 +1107,7 @@ let bench_par () =
     timed (fun () -> Atpg.Fsim.run c ~observe ~faults tests)
   in
   let (par_flags, fsim_par) =
-    timed (fun () -> Atpg.Fsim.run_sharded ~jobs c ~observe ~faults tests)
+    timed (fun () -> Atpg.Fsim.run ~jobs c ~observe ~faults tests)
   in
   if serial_flags <> par_flags then begin
     Printf.eprintf
@@ -1170,8 +1170,10 @@ let bench_par () =
   close_out oc;
   print_endline "wrote BENCH_par.json"
 
-(* Fast CI smoke: on the stand-alone ALU, a 4-job ATPG run and a 4-way
-   sharded fault simulation must reproduce the serial results exactly. *)
+(* Fast CI smoke: on the stand-alone ALU, a 4-job ATPG run and 4-way
+   sharded fault simulation — a multi-test list on the packed engine and
+   one test on the event engine, the path Gen's confirm-and-drop takes
+   at -j N — must reproduce the serial results exactly. *)
 let bench_par_smoke () =
   let ed = Design.Elaborate.elaborate (Arm.Rtl.design ()) ~top:"arm_alu" in
   let c =
@@ -1206,14 +1208,16 @@ let bench_par_smoke () =
           ~piers:[])
   in
   let observe = Atpg.Fsim.default_observe in
-  let serial = Atpg.Fsim.run c ~observe ~faults tests in
-  let sharded = Atpg.Fsim.run_sharded ~jobs:4 c ~observe ~faults tests in
-  if serial <> sharded then begin
-    Printf.eprintf
-      "par smoke: sharded fsim differs from serial on arm_alu (seed %d)\n"
-      !seed_ref;
-    exit 1
-  end;
+  List.iter
+    (fun (what, tests) ->
+      let serial = Atpg.Fsim.run c ~observe ~faults tests in
+      if Atpg.Fsim.run ~jobs:4 c ~observe ~faults tests <> serial then begin
+        Printf.eprintf
+          "par smoke: sharded %s fsim differs from serial on arm_alu (seed %d)\n"
+          what !seed_ref;
+        exit 1
+      end)
+    [ ("multi-test", tests); ("single-test", [ List.hd tests ]) ];
   Printf.printf
     "par smoke: arm_alu identical at 1 and 4 jobs (%d faults, coverage %.2f%%)\n"
     r4.Atpg.Gen.r_total r4.Atpg.Gen.r_coverage

@@ -214,21 +214,6 @@ let apply_jobs j =
   Engine.Pool.set_jobs j;
   j
 
-(* --fsim: which fault-simulation engine backs grading, generation,
-   compaction and diagnosis.  Packed (PPSFP) is the default; the others
-   are escape hatches and differential baselines. *)
-let fsim_arg =
-  let doc =
-    "Fault-simulation engine: 'packed' (pattern-parallel PPSFP, the \
-     default), 'event' (parallel-fault event-driven) or 'reference' \
-     (straight-line oracle).  All three produce identical detection \
-     flags."
-  in
-  Arg.(value & opt (enum Atpg.Fsim.engine_kinds) Atpg.Fsim.Packed
-       & info [ "fsim" ] ~docv:"ENGINE" ~doc)
-
-let apply_fsim kind = Atpg.Fsim.set_engine kind
-
 (* the top module: explicit flag, the bundled benchmark's top, or the
    last module in the file *)
 let resolve_top design path top =
@@ -386,12 +371,11 @@ let atpg_cmd =
          & info [ "engine" ] ~docv:"ENGINE" ~doc)
   in
   let run () path top mut budget fault_budget frames use_piers engine jobs
-      fsim output progress =
+      output progress =
     handle_errors (fun () ->
         Obs.Span.with_ "cli.atpg" @@ fun () ->
         if progress then install_console_progress ();
         let jobs = apply_jobs jobs in
-        apply_fsim fsim;
         let design = read_design path in
         let top = resolve_top design path top in
         let ed = Design.Elaborate.elaborate design ~top in
@@ -440,7 +424,7 @@ let atpg_cmd =
   Cmd.v (Cmd.info "atpg" ~doc)
     Term.(const run $ obs_term $ design_arg $ top_arg $ mut_opt $ budget
           $ fault_budget $ frames $ piers_flag $ engine_arg $ jobs_arg
-          $ fsim_arg $ out_vectors $ progress_arg)
+          $ out_vectors $ progress_arg)
 
 (* ------------------------------ sat ------------------------------- *)
 
@@ -553,12 +537,11 @@ let grade_cmd =
     let doc = "Treat load/store-reachable registers as observable." in
     Arg.(value & flag & info [ "piers" ] ~doc)
   in
-  let run () path vec_file top mut use_piers jobs fsim progress =
+  let run () path vec_file top mut use_piers jobs progress =
     handle_errors (fun () ->
         Obs.Span.with_ "cli.grade" @@ fun () ->
         if progress then install_console_progress ();
         let jobs = apply_jobs jobs in
-        apply_fsim fsim;
         let design = read_design path in
         let top = resolve_top design path top in
         let ed = Design.Elaborate.elaborate design ~top in
@@ -575,7 +558,7 @@ let grade_cmd =
           { Atpg.Fsim.ob_pos = true;
             ob_pier_ffs = (if use_piers then Factor.Pier.identify c else []) }
         in
-        let flags = Atpg.Fsim.run_sharded ~jobs c ~observe ~faults tests in
+        let flags = Atpg.Fsim.run ~jobs c ~observe ~faults tests in
         let detected =
           Array.to_list flags |> List.filter Fun.id |> List.length
         in
@@ -586,7 +569,7 @@ let grade_cmd =
   let doc = "Fault-simulate a vector file against a design (grade tests)." in
   Cmd.v (Cmd.info "grade" ~doc)
     Term.(const run $ obs_term $ design_arg $ vec_arg $ top_arg $ mut_opt
-          $ piers_flag $ jobs_arg $ fsim_arg $ progress_arg)
+          $ piers_flag $ jobs_arg $ progress_arg)
 
 (* ------------------------------ demo ------------------------------ *)
 
@@ -599,11 +582,10 @@ let demo_cmd =
     Arg.(value & opt (some float) None
          & info [ "budget" ] ~docv:"SECONDS" ~doc)
   in
-  let run () jobs fsim budget =
+  let run () jobs budget =
     handle_errors (fun () ->
         Obs.Span.with_ "cli.demo" @@ fun () ->
         let jobs = apply_jobs jobs in
-        apply_fsim fsim;
         let env = Factor.Compose.make_env (Arm.Rtl.design ()) ~top:Arm.Rtl.top in
         let session = Factor.Compose.create_session () in
         (* extraction is sequential (it fills the shared constraint
@@ -668,7 +650,7 @@ let demo_cmd =
   in
   let doc = "FACTOR-ise the bundled ARM benchmark end to end." in
   Cmd.v (Cmd.info "demo" ~doc)
-    Term.(const run $ obs_term $ jobs_arg $ fsim_arg $ budget_opt)
+    Term.(const run $ obs_term $ jobs_arg $ budget_opt)
 
 (* ------------------------------ fuzz ------------------------------ *)
 

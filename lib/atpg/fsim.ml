@@ -1,20 +1,21 @@
-(** Sequential fault simulation behind three interchangeable engines.
+(** Sequential fault simulation behind three engines with bit-identical
+    detection flags.  {!run} picks the engine from the test count.
 
-    - {b Packed} (PPSFP, the default): test patterns are packed into the
-      lanes of a native machine word ({!Sim.Packed}, up to
-      [Sys.int_size] patterns per word).  The good circuit is simulated
-      once per word — every gate evaluation settles a whole word of
-      patterns in a handful of unboxed bit ops over dual-rail planes —
-      and each fault is then event-driven through the word: injection is
-      a pair of lane masks per site (two AND/OR ops), and only nets
-      whose packed value diverges from the good planes are
+    - {b Packed} (PPSFP, any test list longer than one): test patterns
+      are packed into the lanes of a native machine word ({!Sim.Packed},
+      up to [Sys.int_size] patterns per word).  The good circuit is
+      simulated once per word — every gate evaluation settles a whole
+      word of patterns in a handful of unboxed bit ops over dual-rail
+      planes — and each fault is then event-driven through the word:
+      injection is a pair of lane masks per site (two AND/OR ops), and
+      only nets whose packed value diverges from the good planes are
       re-evaluated, seeded at the injection sites and at flip-flops
       whose faulty state word differs.
-    - {b Event}: the parallel-fault engine — bit column 0 of a
-      {!Sim.Logic3} word carries the good circuit, columns 1..63 one
-      faulty circuit each, one test at a time.  Still used for
-      single-test grading ({!run_test}), where there is only one pattern
-      to pack.
+    - {b Event} (a one-test list): the parallel-fault engine — bit
+      column 0 of a {!Sim.Logic3} word carries the good circuit,
+      columns 1..63 one faulty circuit each.  With one pattern there is
+      nothing to pack, and 63 faults per evaluation beat one lane per
+      word by 2-4x on the ARM.
     - {b Reference}: the straight-line oracle — every net re-evaluated
       on every frame of every 63-fault batch.  Kept as the differential
       oracle ({!run_batch_reference}) and benchmark baseline.
@@ -48,15 +49,6 @@ let default_observe = { ob_pos = true; ob_pier_ffs = [] }
 (* ------------------------------------------------------------------ *)
 
 type engine_kind = Packed | Event | Reference
-
-let engine_kinds =
-  [ ("packed", Packed); ("event", Event); ("reference", Reference) ]
-
-(* Process-global default, overridable per call with [?engine]; the CLI
-   [--fsim] flag sets this once at startup. *)
-let default_kind = ref Packed
-let set_engine k = default_kind := k
-let resolve engine = Option.value engine ~default:!default_kind
 
 (* ------------------------------------------------------------------ *)
 (* Metrics: each engine owns its own eval counter so a registry dump    *)
@@ -126,16 +118,16 @@ let undetected detected =
   done;
   Array.of_list !idx
 
-(* One test against the faults selected by [active], in batches of 63:
-   [simulate idx] simulates the faults at indices [idx] and returns the
-   detection mask, bit k+1 for [idx.(k)].  Flags align with [active]. *)
-let in_batches ~budget ~(active : int array) simulate =
-  let len = Array.length active in
+(* One test against [faults] in batches of 63: [simulate batch]
+   simulates at most 63 faults and returns the detection mask, bit k+1
+   for [batch.(k)].  Flags align with [faults]. *)
+let in_batches ~budget faults simulate =
+  let len = Array.length faults in
   let flags = Array.make len false in
   let pos = ref 0 in
   while !pos < len && not (Engine.Budget.poll budget) do
     let k = min 63 (len - !pos) in
-    let det = simulate (Array.sub active !pos k) in
+    let det = simulate (Array.sub faults !pos k) in
     for i = 0 to k - 1 do
       if Int64.logand (Int64.shift_right_logical det (i + 1)) 1L = 1L then
         flags.(!pos + i) <- true
@@ -274,17 +266,11 @@ let run_batch_reference c ~order ~faults ~observe test =
     (fun i _ -> Int64.logand (Int64.shift_right_logical det (i + 1)) 1L = 1L)
     faults
 
-let run_test_reference ?(budget = Engine.Budget.none) c ~observe
-    ~(faults : descriptor array) ~active test =
+let run_reference ~budget c ~observe ~(faults : descriptor array) tests =
   let order = (N.analysis c).A.order in
-  in_batches ~budget ~active (fun idx ->
-      let faults = Array.to_list (Array.map (fun i -> faults.(i)) idx) in
-      reference_mask c ~order ~faults ~observe test)
-
-let run_reference ?(budget = Engine.Budget.none) c ~observe
-    ~(faults : descriptor array) tests =
-  drop_per_test ~budget ~n:(Array.length faults) tests (fun active ->
-      run_test_reference ~budget c ~observe ~faults ~active)
+  drop_per_test ~budget ~n:(Array.length faults) tests (fun active test ->
+      in_batches ~budget (Array.map (fun i -> faults.(i)) active) (fun batch ->
+          reference_mask c ~order ~faults:(Array.to_list batch) ~observe test))
 
 (* ------------------------------------------------------------------ *)
 (* Event-driven engine.                                                *)
@@ -419,49 +405,49 @@ let simulate_batch eng good ~observe (batch : Fault.t array) test =
     Array.iteri (fun i sd -> if sd then schedule c.N.ff_q.(i)) eng.state_dirty;
     (* levelized event propagation: fanouts are strictly deeper than
        their fanins, so each net is evaluated at most once per frame *)
+    let rec drain = function
+      | [] -> ()
+      | net :: rest ->
+        eng.queued.(net) <- false;
+        let v =
+          match c.N.drv.(net) with
+          | N.Pi i -> if pi_vec.(i) then L.one else L.zero
+          | N.Ff i ->
+            if eng.state_dirty.(i) then eng.fstate.(i)
+            else rep (Bytes.get_uint8 gs i)
+          | N.C0 -> L.zero
+          | N.C1 -> L.one
+          | N.G1 (N.Inv, a) -> L.v_not (value_of a)
+          | N.G1 (N.Buff, a) -> value_of a
+          | N.G2 (N.And, a, b) -> L.v_and (value_of a) (value_of b)
+          | N.G2 (N.Or, a, b) -> L.v_or (value_of a) (value_of b)
+          | N.G2 (N.Xor, a, b) -> L.v_xor (value_of a) (value_of b)
+          | N.G2 (N.Nand, a, b) -> L.v_not (L.v_and (value_of a) (value_of b))
+          | N.G2 (N.Nor, a, b) -> L.v_not (L.v_or (value_of a) (value_of b))
+          | N.G2 (N.Xnor, a, b) -> L.v_not (L.v_xor (value_of a) (value_of b))
+          | N.Mux (s, a, b) -> L.v_mux (value_of s) (value_of a) (value_of b)
+        in
+        let v =
+          let set_hi = eng.inj_hi.(net) and set_lo = eng.inj_lo.(net) in
+          let clear = Int64.logor set_hi set_lo in
+          if clear = 0L then v
+          else
+            { L.hi = Int64.logor (Int64.logand v.L.hi (Int64.lognot clear)) set_hi;
+              lo = Int64.logor (Int64.logand v.L.lo (Int64.lognot clear)) set_lo }
+        in
+        incr evals;
+        if not (L.equal v (rep (Bytes.get_uint8 gv net))) then begin
+          eng.fvals.(net) <- v;
+          eng.dirty.(net) <- true;
+          eng.touched.(eng.touched_n) <- net;
+          eng.touched_n <- eng.touched_n + 1;
+          for k = info.A.fanout_off.(net) to info.A.fanout_off.(net + 1) - 1 do
+            schedule info.A.fanout.(k)
+          done
+        end;
+        drain rest
+    in
     for lv = 0 to info.A.max_level do
-      let rec drain = function
-        | [] -> ()
-        | net :: rest ->
-          eng.queued.(net) <- false;
-          let v =
-            match c.N.drv.(net) with
-            | N.Pi i -> if pi_vec.(i) then L.one else L.zero
-            | N.Ff i ->
-              if eng.state_dirty.(i) then eng.fstate.(i)
-              else rep (Bytes.get_uint8 gs i)
-            | N.C0 -> L.zero
-            | N.C1 -> L.one
-            | N.G1 (N.Inv, a) -> L.v_not (value_of a)
-            | N.G1 (N.Buff, a) -> value_of a
-            | N.G2 (N.And, a, b) -> L.v_and (value_of a) (value_of b)
-            | N.G2 (N.Or, a, b) -> L.v_or (value_of a) (value_of b)
-            | N.G2 (N.Xor, a, b) -> L.v_xor (value_of a) (value_of b)
-            | N.G2 (N.Nand, a, b) -> L.v_not (L.v_and (value_of a) (value_of b))
-            | N.G2 (N.Nor, a, b) -> L.v_not (L.v_or (value_of a) (value_of b))
-            | N.G2 (N.Xnor, a, b) -> L.v_not (L.v_xor (value_of a) (value_of b))
-            | N.Mux (s, a, b) -> L.v_mux (value_of s) (value_of a) (value_of b)
-          in
-          let v =
-            let set_hi = eng.inj_hi.(net) and set_lo = eng.inj_lo.(net) in
-            let clear = Int64.logor set_hi set_lo in
-            if clear = 0L then v
-            else
-              { L.hi = Int64.logor (Int64.logand v.L.hi (Int64.lognot clear)) set_hi;
-                lo = Int64.logor (Int64.logand v.L.lo (Int64.lognot clear)) set_lo }
-          in
-          incr evals;
-          if not (L.equal v (rep (Bytes.get_uint8 gv net))) then begin
-            eng.fvals.(net) <- v;
-            eng.dirty.(net) <- true;
-            eng.touched.(eng.touched_n) <- net;
-            eng.touched_n <- eng.touched_n + 1;
-            for k = info.A.fanout_off.(net) to info.A.fanout_off.(net + 1) - 1 do
-              schedule info.A.fanout.(k)
-            done
-          end;
-          drain rest
-      in
       let b = eng.buckets.(lv) in
       eng.buckets.(lv) <- [];
       drain b
@@ -500,20 +486,18 @@ let simulate_batch eng good ~observe (batch : Fault.t array) test =
   add_evals !evals;
   !detected
 
-(* One test against the faults selected by [active], every batch of 63
-   against a single shared good simulation. *)
-let run_active ?(budget = Engine.Budget.none) eng ~observe
-    ~(faults : Fault.t array) ~active test =
+(* One test against [faults], every batch of 63 against a single shared
+   good simulation. *)
+let run_active ~budget eng ~observe faults test =
   let good = good_sim eng test in
-  in_batches ~budget ~active (fun idx ->
-      simulate_batch eng good ~observe (Array.map (fun i -> faults.(i)) idx)
-        test)
+  in_batches ~budget faults (fun batch ->
+      simulate_batch eng good ~observe batch test)
 
-let run_event ?(budget = Engine.Budget.none) c ~observe ~faults tests =
+let run_event ~budget c ~observe ~faults tests =
   let faults = Array.of_list faults in
   let eng = make_engine c in
   drop_per_test ~budget ~n:(Array.length faults) tests (fun active ->
-      run_active ~budget eng ~observe ~faults ~active)
+      run_active ~budget eng ~observe (Array.map (fun i -> faults.(i)) active))
 
 (* ------------------------------------------------------------------ *)
 (* Packed engine (PPSFP): patterns in word lanes, one fault at a time.  *)
@@ -969,7 +953,7 @@ let packed_word ?(budget = Engine.Budget.none) ~jobs eng c ~observe
    word's active faults are sharded.  Because detection of a fault by a
    test never depends on other faults or tests, the flags are
    bit-identical to the per-test-dropping reference. *)
-let run_packed ?(budget = Engine.Budget.none) ~jobs c ~observe
+let run_packed ~budget ~jobs c ~observe
     ~(faults : (int * rule) array array) tests =
   let n = Array.length faults in
   let detected = Array.make n false in
@@ -1008,66 +992,47 @@ let descriptors faults = Array.of_list (List.map stuck_at faults)
 (* Injection sites of every fault, as the packed sweep takes them. *)
 let packed_sites faults = Array.map Array.of_list faults
 
-(* One test, stuck-at faults.  A single test offers only one lane to
-   pack, so the packed default falls back to the event-driven
-   parallel-fault engine (already 63 faults per evaluation).  Sharding
-   splits [active] into disjoint contiguous slices, each with its own
-   injection state over the shared immutable circuit; per-fault flags
-   are independent, so the ordered merge is bit-identical to serial. *)
-let run_test_sharded ?engine ?(budget = Engine.Budget.none) ~jobs c
-    ~observe ~faults ~active test =
-  match resolve engine with
-  | Reference ->
-    run_test_reference ~budget c ~observe
-      ~faults:(Array.map stuck_at faults) ~active test
-  | Packed | Event when jobs <= 1 || Array.length active < 128 ->
-    run_active ~budget (make_engine c) ~observe ~faults ~active test
-  | Packed | Event ->
+(* One test on the event engine.  A single test offers only one lane to
+   pack, and the parallel-fault engine already evaluates 63 faults per
+   word.  At [jobs > 1] the faults are split into disjoint contiguous
+   slices, each with its own injection state over the shared immutable
+   circuit; per-fault flags are independent, so the ordered merge is
+   bit-identical to serial. *)
+let run_one_test ~budget ~jobs c ~observe faults test =
+  let sim faults = run_active ~budget (make_engine c) ~observe faults test in
+  if jobs <= 1 then sim faults
+  else
     Array.concat
       (Array.to_list
-         (Engine.Shard.map_chunks (Engine.Pool.global ()) ~shards:jobs
-            (fun sub ->
-              run_active ~budget (make_engine c) ~observe ~faults
-                ~active:sub test)
-            active))
+         (Engine.Shard.map_chunks (Engine.Pool.global ()) ~shards:jobs sim
+            faults))
 
-let run_test ?engine ?budget c ~observe ~faults ~active test =
-  run_test_sharded ?engine ?budget ~jobs:1 c ~observe ~faults ~active test
-
-(* Multi-test stuck-at grading with fault dropping.  Packed shards each
-   word's active faults; Event partitions the fault list into [jobs]
-   contiguous shards with local dropping; Reference is always serial.
-   Small fault lists run serially. *)
-let run_sharded ?engine ?(budget = Engine.Budget.none) ~jobs c ~observe
+(* Stuck-at grading with fault dropping.  Unforced, one test runs on the
+   event engine and a longer list on the packed engine; both shard over
+   the global pool at [jobs > 1] with at least 128 faults.  A forced
+   [Event] or [Reference] runs serially. *)
+let run ?engine ?(budget = Engine.Budget.none) ?(jobs = 1) c ~observe
     ~faults tests =
   let jobs = if List.length faults < 128 then 1 else jobs in
-  match resolve engine with
-  | Packed ->
+  match (engine, faults, tests) with
+  | (_, [], _) -> [||]
+  | (None, _, [ test ]) ->
+    run_one_test ~budget ~jobs c ~observe (Array.of_list faults) test
+  | ((None | Some Packed), _, _) ->
     run_packed ~budget ~jobs c ~observe
       ~faults:(packed_sites (descriptors faults)) tests
-  | Reference ->
+  | (Some Event, _, _) -> run_event ~budget c ~observe ~faults tests
+  | (Some Reference, _, _) ->
     run_reference ~budget c ~observe ~faults:(descriptors faults) tests
-  | Event when jobs <= 1 -> run_event ~budget c ~observe ~faults tests
-  | Event ->
-    Array.concat
-      (Array.to_list
-         (Engine.Shard.map_chunks (Engine.Pool.global ()) ~shards:jobs
-            (fun shard ->
-              run_event ~budget c ~observe ~faults:(Array.to_list shard)
-                tests)
-            (Array.of_list faults)))
-
-let run ?engine ?budget c ~observe ~faults tests =
-  run_sharded ?engine ?budget ~jobs:1 c ~observe ~faults tests
 
 (* Any fault model: the event engine is stuck-at only, so it selects
    the packed engine here. *)
 let run_descriptors ?engine ?(budget = Engine.Budget.none) c ~observe
     ~faults tests =
   let faults = Array.of_list faults in
-  match resolve engine with
-  | Reference -> run_reference ~budget c ~observe ~faults tests
-  | Packed | Event ->
+  match engine with
+  | Some Reference -> run_reference ~budget c ~observe ~faults tests
+  | None | Some (Packed | Event) ->
     run_packed ~budget ~jobs:1 c ~observe ~faults:(packed_sites faults)
       tests
 
@@ -1082,44 +1047,27 @@ let coverage c ~observe ~faults tests =
 (* The full detection matrix, no dropping: one signature per index in
    [active], one byte per test.  The packed engine sweeps word-sized
    test chunks without early exit. *)
-let run_matrix ?engine ?(budget = Engine.Budget.none) c ~observe
+let run_matrix ?(budget = Engine.Budget.none) c ~observe
     ~(faults : Fault.t array) ~(active : int array)
     (tests : Pattern.test array) =
   let nt = Array.length tests in
   let sigs = Array.init (Array.length active) (fun _ -> Bytes.make nt '\000') in
-  (if Array.length active > 0 && nt > 0 then
-     match resolve engine with
-     | Packed ->
-       let eng = make_pengine c in
-       let faults = packed_sites (Array.map stuck_at faults) in
-       let pos = ref 0 in
-       while !pos < nt && not (Engine.Budget.poll budget) do
-         let len = min P.width (nt - !pos) in
-         let chunk = Array.sub tests !pos len in
-         let off = !pos in
-         pos := !pos + len;
-         packed_word ~budget ~jobs:1 eng c ~observe ~stop_on_detect:false
-           ~faults ~active chunk
-           ~apply:(fun k det ->
-             for l = 0 to len - 1 do
-               if (det lsr l) land 1 = 1 then
-                 Bytes.set sigs.(k) (off + l) '\001'
-             done)
-       done
-     | (Event | Reference) as kind ->
-       (* one engine, or one descriptor table, for the whole matrix *)
-       let flags_of =
-         if kind = Event then
-           run_active ~budget (make_engine c) ~observe ~faults ~active
-         else
-           run_test_reference ~budget c ~observe
-             ~faults:(Array.map stuck_at faults) ~active
-       in
-       Array.iteri
-         (fun ti test ->
-           if not (Engine.Budget.poll budget) then
-             Array.iteri
-               (fun k hit -> if hit then Bytes.set sigs.(k) ti '\001')
-               (flags_of test))
-         tests);
+  if Array.length active > 0 && nt > 0 then begin
+    let eng = make_pengine c in
+    let faults = packed_sites (Array.map stuck_at faults) in
+    let pos = ref 0 in
+    while !pos < nt && not (Engine.Budget.poll budget) do
+      let len = min P.width (nt - !pos) in
+      let chunk = Array.sub tests !pos len in
+      let off = !pos in
+      pos := !pos + len;
+      packed_word ~budget ~jobs:1 eng c ~observe ~stop_on_detect:false
+        ~faults ~active chunk
+        ~apply:(fun k det ->
+          for l = 0 to len - 1 do
+            if (det lsr l) land 1 = 1 then
+              Bytes.set sigs.(k) (off + l) '\001'
+          done)
+    done
+  end;
   sigs

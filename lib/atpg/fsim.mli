@@ -1,30 +1,32 @@
-(** Sequential fault simulation behind three interchangeable engines
-    with bit-identical detection flags:
+(** Sequential fault simulation behind three engines with bit-identical
+    detection flags.  {!run} picks the engine from its input:
 
-    - [Packed] (default): PPSFP — up to [Sim.Packed.width] test patterns
-      ride the lanes of a native word, the good circuit is simulated
-      once per word, and each fault is event-driven through the word
-      with two-mask injection at each of its sites.
-    - [Event]: parallel-fault — bit column 0 of a {!Sim.Logic3} word
-      carries the good circuit, columns 1..63 one faulty circuit each,
-      one test at a time.
-    - [Reference]: the straight-line oracle — every net re-evaluated on
-      every frame ({!run_batch_reference}); differential-testing and
-      benchmark baseline.
+    - a one-test list runs on [Event]: parallel-fault — bit column 0 of
+      a {!Sim.Logic3} word carries the good circuit, columns 1..63 one
+      faulty circuit each.  A single test offers only one pattern lane,
+      and 63 faults per evaluation beat a one-lane packed word;
+    - a longer list runs on [Packed]: PPSFP — up to [Sim.Packed.width]
+      test patterns ride the lanes of a native word, the good circuit is
+      simulated once per word, and each fault is event-driven through
+      the word with two-mask injection at each of its sites.
+
+    [Reference] is the straight-line oracle — every net re-evaluated on
+    every frame ({!run_batch_reference}); differential-testing and
+    benchmark baseline.  Passing [~engine] forces an engine; only the
+    cross-checks do that.
 
     Faults are given to the engines as {!descriptor}s: per-site
     injection rules for stuck-at, transition (slow-to-rise/fall) and
-    bridging (wired-AND/OR) faults.  Which engine accepts which model:
+    bridging (wired-AND/OR) faults.  Which engine runs which model:
 
     {v
-                   stuck-at   transition   bridge
-       Packed         yes         yes         yes
-       Reference      yes         yes         yes
-       Event          yes          -           -
+                   stuck-at                  transition   bridge
+       Packed      run (> 1 test), matrix       yes         yes
+       Event       run (1 test)                  -           -
+       Reference   forced only                  yes         yes
     v}
 
-    The stuck-at entry points ({!run}, {!run_test}, {!run_matrix}, ...)
-    take {!Fault.t} and reach every engine; {!run_descriptors} and
+    {!run} and {!run_matrix} take {!Fault.t}; {!run_descriptors} and
     {!coverage} take descriptors of any model and run on the packed
     engine or, under [~engine:Reference], the oracle.
 
@@ -48,13 +50,6 @@ val default_observe : observe
 (** {1 Engine selection} *)
 
 type engine_kind = Packed | Event | Reference
-
-(** Name/constructor pairs, e.g. for a [Cmdliner.Arg.enum]. *)
-val engine_kinds : (string * engine_kind) list
-
-(** Set the process-global default engine (the CLI [--fsim] flag);
-    every entry point also takes a per-call [?engine] override. *)
-val set_engine : engine_kind -> unit
 
 (** {1 Fault models}
 
@@ -91,48 +86,25 @@ val run_batch_reference :
   Netlist.t -> order:int array -> faults:descriptor list ->
   observe:observe -> Pattern.test -> bool list
 
-(** [run_test c ~observe ~faults ~active test] simulates one test against
-    [faults.(i)] for each [i] in [active]; the result aligns with
-    [active].  A single test offers only one pattern lane, so [Packed]
-    falls back to the event-driven engine here (already 63 faults per
-    word); [~engine:Reference] forces the oracle. *)
-val run_test :
-  ?engine:engine_kind -> ?budget:Engine.Budget.t ->
-  Netlist.t -> observe:observe -> faults:Fault.t array -> active:int array ->
-  Pattern.test -> bool array
-
-(** [run_test_sharded ~jobs ...] is {!run_test} with the active faults
-    sharded across the global domain pool (disjoint contiguous slices,
-    one injection state per domain, shared immutable circuit and
-    analysis); bit-identical to {!run_test}.  Falls back to the serial
-    engine for [jobs <= 1], small active sets or [Reference]. *)
-val run_test_sharded :
-  ?engine:engine_kind -> ?budget:Engine.Budget.t ->
-  jobs:int -> Netlist.t -> observe:observe -> faults:Fault.t array ->
-  active:int array -> Pattern.test -> bool array
-
 (** [run c ~observe ~faults tests] fault-simulates every test with fault
-    dropping; per-fault detection flags align with [faults].  All three
-    engines return bit-identical flags: detection of a fault by a test
-    never depends on other faults or tests, so packing tests into word
-    lanes (and dropping at word granularity) changes evaluation counts
-    only. *)
+    dropping; per-fault detection flags align with [faults].  Without
+    [~engine], a one-test list runs on the event engine and any other
+    list on the packed engine.  All three engines return bit-identical
+    flags: detection of a fault by a test never depends on other faults
+    or tests, so packing tests into word lanes (and dropping at word
+    granularity) changes evaluation counts only.
+
+    [~jobs] (default 1) shards the work over the global domain pool
+    when there are at least 128 faults, bit-identically at every
+    [jobs]: one test splits the faults into contiguous slices; a longer
+    list keeps its word-sized pattern chunks sequential (fault dropping
+    between words is preserved) and shards each word's active faults
+    against one shared good simulation.  A forced [Event] or [Reference]
+    runs serially. *)
 val run :
-  ?engine:engine_kind -> ?budget:Engine.Budget.t ->
+  ?engine:engine_kind -> ?budget:Engine.Budget.t -> ?jobs:int ->
   Netlist.t -> observe:observe -> faults:Fault.t list -> Pattern.test list ->
   bool array
-
-(** [run_sharded ~jobs ...] is {!run} parallelized over the global
-    domain pool and bit-identical to it for every [jobs].  Packed: the
-    word-sized pattern chunks stay sequential (fault dropping between
-    words is preserved) and each word's active faults are sharded
-    against one shared good simulation.  Event: contiguous fault shards
-    with local dropping.  Falls back to the serial engine for
-    [jobs <= 1], small fault lists or [Reference]. *)
-val run_sharded :
-  ?engine:engine_kind -> ?budget:Engine.Budget.t ->
-  jobs:int -> Netlist.t -> observe:observe -> faults:Fault.t list ->
-  Pattern.test list -> bool array
 
 (** [run_descriptors c ~observe ~faults tests] is {!run} for descriptors
     of any fault model: the packed engine, or the oracle under
@@ -151,12 +123,12 @@ val coverage :
 
 (** [run_matrix c ~observe ~faults ~active tests] is the full detection
     matrix without fault dropping: one signature per index in [active],
-    one byte per test ([1] = detected).  Under the packed engine the
-    whole matrix costs one good simulation plus one sweep per fault per
-    word-sized test chunk; Compact and Diagnose read their answers
-    straight out of it. *)
+    one byte per test ([1] = detected).  It runs on the packed engine:
+    one good simulation plus one sweep per fault per word-sized test
+    chunk; Compact and Diagnose read their answers straight out of
+    it. *)
 val run_matrix :
-  ?engine:engine_kind -> ?budget:Engine.Budget.t ->
+  ?budget:Engine.Budget.t ->
   Netlist.t -> observe:observe -> faults:Fault.t array -> active:int array ->
   Pattern.test array -> Bytes.t array
 

@@ -144,17 +144,24 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
     done;
     idx
   in
-  (* simulate [test] against the faults at [active]; mark hits Detected *)
-  let confirm_and_drop active test =
-    if Array.length active > 0 then begin
-      let flags =
-        Fsim.run_test_sharded ~jobs ~budget:run_tok c ~observe
-          ~faults:fault_arr ~active test
-      in
-      Array.iteri
-        (fun k i -> if flags.(k) then outcome.(i) <- Some Detected)
-        active
-    end
+  (* simulate [tests] against the faults whose outcome satisfies [pred];
+     mark hits Detected *)
+  let grade pred tests =
+    let faults = ref [] in
+    for i = n - 1 downto 0 do
+      if pred outcome.(i) then faults := fault_arr.(i) :: !faults
+    done;
+    let flags =
+      Fsim.run ~jobs ~budget:run_tok c ~observe ~faults:!faults tests
+    in
+    let k = ref 0 in
+    Array.iteri
+      (fun i o ->
+        if pred o then begin
+          if flags.(!k) then outcome.(i) <- Some Detected;
+          incr k
+        end)
+      outcome
   in
   (* Sweep the fault list once, running [generate] on every fault that
      satisfies [eligible] when reached and feeding the result to [apply].
@@ -237,21 +244,7 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
            batch is kept or discarded as a unit, only the OR of the
            per-test detections matters — identical outcomes to the
            per-test loop. *)
-        let active = indices_where (fun o -> o = None) in
-        if Array.length active > 0 then begin
-          let sub = List.map (fun i -> fault_arr.(i)) (Array.to_list active) in
-          let flags =
-            match pool with
-            | Some _ ->
-              Fsim.run_sharded ~jobs ~budget:run_tok c ~observe
-                ~faults:sub random_tests
-            | None ->
-              Fsim.run ~budget:run_tok c ~observe ~faults:sub random_tests
-          in
-          Array.iteri
-            (fun k i -> if flags.(k) then outcome.(i) <- Some Detected)
-            active
-        end;
+        grade (fun o -> o = None) random_tests;
         let after =
           Array.fold_left
             (fun acc o -> if o = Some Detected then acc + 1 else acc)
@@ -344,7 +337,7 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
     | Podem.Detected test ->
       tests := test :: !tests;
       (* confirm and drop: simulate against all remaining faults *)
-      confirm_and_drop (indices_where (fun o -> o = None)) test;
+      grade (fun o -> o = None) [ test ];
       (* the targeted fault must at least be marked: PODEM guarantees
          detection under the same X-initial model the simulator uses *)
       if outcome.(i) = None then outcome.(i) <- Some Detected
@@ -357,7 +350,7 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
     | Sat.Satgen.Cube cube ->
       let test = cube_to_test cube in
       tests := test :: !tests;
-      confirm_and_drop (indices_where (fun o -> o = None)) test;
+      grade (fun o -> o = None) [ test ];
       (* the cube's encoding mirrors the simulator's three-valued
          semantics, so detection is guaranteed *)
       if outcome.(i) = None then outcome.(i) <- Some Detected;
@@ -421,10 +414,7 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
               | Sat.Satgen.Cube cube ->
                 let test = cube_to_test cube in
                 tests := test :: !tests;
-                confirm_and_drop
-                  (indices_where
-                     (fun o -> o = None || o = Some Aborted_fault))
-                  test;
+                grade (fun o -> o = None || o = Some Aborted_fault) [ test ];
                 if outcome.(i) <> Some Detected then
                   outcome.(i) <- Some Detected;
                 incr sat_detected;
@@ -469,10 +459,7 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
               match result with
               | Some test ->
                 tests := test :: !tests;
-                confirm_and_drop
-                  (indices_where
-                     (fun o -> o = None || o = Some Aborted_fault))
-                  test
+                grade (fun o -> o = None || o = Some Aborted_fault) [ test ]
               | None -> ()));
     Obs.Progress.finish prog_simgen
   end;

@@ -164,11 +164,7 @@ let cube_to_test (cube : Sat.Satgen.cube) =
 
 let test_detects budget c fault test =
   let observe = { Atpg.Fsim.ob_pos = true; ob_pier_ffs = [] } in
-  let flags =
-    Atpg.Fsim.run_test ~budget c ~observe ~faults:[| fault |] ~active:[| 0 |]
-      test
-  in
-  flags.(0)
+  (Atpg.Fsim.run ~budget c ~observe ~faults:[ fault ] [ test ]).(0)
 
 (* PODEM vs SAT verdict agreement at unrolling depth 1 (where both
    classifications are comparable), plus fault-simulator confirmation of
@@ -231,7 +227,9 @@ let check_podem_sat cfg budget ast ~top =
                 (name ()))
     | (Atpg.Podem.Aborted, _) -> None
   in
-  List.find_map disagreement faults
+  match List.find_map disagreement faults with
+  | None -> None
+  | Some msg -> fail budget msg
 
 let check_fsim_engines cfg budget rng ast ~top =
   let c = Gen.circuit_of ast ~top in
@@ -432,7 +430,7 @@ let check_jobs cfg budget rng ast ~top =
     let observe = Atpg.Fsim.default_observe in
     let serial = Atpg.Fsim.run ~budget c ~observe ~faults tests in
     let sharded =
-      Atpg.Fsim.run_sharded ~budget ~jobs:cfg.dc_jobs c ~observe ~faults tests
+      Atpg.Fsim.run ~budget ~jobs:cfg.dc_jobs c ~observe ~faults tests
     in
     if serial = sharded then None
     else

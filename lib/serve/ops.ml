@@ -169,7 +169,7 @@ let op_grade ctx budget params =
            Factor.Pier.identify c
          else []) }
   in
-  let flags = Atpg.Fsim.run_sharded ~jobs:1 c ~observe ~faults tests in
+  let flags = Atpg.Fsim.run c ~observe ~faults tests in
   let detected = Array.to_list flags |> List.filter Fun.id |> List.length in
   J.Obj
     [ ("line",

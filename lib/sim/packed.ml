@@ -7,54 +7,6 @@ let width = Sys.int_size
 
 let mask n = if n >= width then -1 else (1 lsl n) - 1
 
-type t = { p_hi : int; p_lo : int }
-
-let x = { p_hi = 0; p_lo = 0 }
-
-let const b ~lanes =
-  if b then { p_hi = lanes; p_lo = 0 } else { p_hi = 0; p_lo = lanes }
-
-let v_and a b = { p_hi = a.p_hi land b.p_hi; p_lo = a.p_lo lor b.p_lo }
-let v_or a b = { p_hi = a.p_hi lor b.p_hi; p_lo = a.p_lo land b.p_lo }
-let v_not a = { p_hi = a.p_lo; p_lo = a.p_hi }
-
-let v_xor a b =
-  { p_hi = (a.p_hi land b.p_lo) lor (a.p_lo land b.p_hi);
-    p_lo = (a.p_hi land b.p_hi) lor (a.p_lo land b.p_lo) }
-
-(* mux: select 1 chooses [b], select 0 chooses [a]; an X select is known
-   only where both branches agree — lane for lane the Logic3 rule. *)
-let v_mux s a b =
-  { p_hi = (s.p_hi land b.p_hi) lor (s.p_lo land a.p_hi)
-           lor (a.p_hi land b.p_hi);
-    p_lo = (s.p_hi land b.p_lo) lor (s.p_lo land a.p_lo)
-           lor (a.p_lo land b.p_lo) }
-
-let known a = a.p_hi lor a.p_lo
-
-let diff a b = (a.p_hi land b.p_lo) lor (a.p_lo land b.p_hi)
-
-let equal a b = a.p_hi = b.p_hi && a.p_lo = b.p_lo
-
-let get a i =
-  let bit m = (m lsr i) land 1 = 1 in
-  if bit a.p_hi then Some true else if bit a.p_lo then Some false else None
-
-let set a i value =
-  let m = 1 lsl i in
-  let clear v = v land lnot m in
-  match value with
-  | Some true -> { p_hi = a.p_hi lor m; p_lo = clear a.p_lo }
-  | Some false -> { p_hi = clear a.p_hi; p_lo = a.p_lo lor m }
-  | None -> { p_hi = clear a.p_hi; p_lo = clear a.p_lo }
-
-let to_string ?(n = 8) a =
-  String.init n (fun i ->
-      match get a (n - 1 - i) with
-      | Some true -> '1'
-      | Some false -> '0'
-      | None -> 'x')
-
 (* ------------------------------------------------------------------ *)
 (* Transpose: pattern rows -> per-frame bit planes.                    *)
 (* ------------------------------------------------------------------ *)

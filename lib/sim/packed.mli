@@ -1,8 +1,10 @@
 (** Bit-parallel packed-pattern words (PPSFP): one word carries the same
     signal across up to {!width} {e patterns}, dual-rail encoded exactly
-    like {!Logic3} — [p_hi] has a bit set in the lanes where the value is
-    known 1, [p_lo] where it is known 0, neither where it is X.  A lane
-    bit must never be set in both rails.
+    like {!Logic3} — a [hi] rail has a bit set in the lanes where the
+    value is known 1, a [lo] rail where it is known 0, neither where it
+    is X.  A lane bit must never be set in both rails.  The fault
+    simulator's packed kernels ([Atpg.Fsim]) evaluate gates on these
+    rails.
 
     Where {!Logic3} spreads one pattern across 64 {e fault columns}, this
     module spreads up to {!width} {e patterns} across the lanes of a
@@ -24,41 +26,6 @@
 (** Patterns per word: [Sys.int_size], i.e. 63 on 64-bit platforms. *)
 val width : int
 
-(** [mask n] has the low [n] lane bits set ([n = width] sets them all). *)
-val mask : int -> int
-
-type t = { p_hi : int; p_lo : int }
-
-val x : t
-
-(** [const b ~lanes] is the value [b] in every lane of [lanes], X
-    elsewhere. *)
-val const : bool -> lanes:int -> t
-
-val v_and : t -> t -> t
-val v_or : t -> t -> t
-val v_not : t -> t
-val v_xor : t -> t -> t
-
-(** [v_mux s a b]: select 1 chooses [b], select 0 chooses [a]; an X
-    select yields a known value only where both branches agree. *)
-val v_mux : t -> t -> t -> t
-
-(** Lanes where the value is binary (not X). *)
-val known : t -> int
-
-(** Lanes where [a] and [b] are both binary and differ — the packed
-    detection test. *)
-val diff : t -> t -> int
-
-val equal : t -> t -> bool
-
-(** Lane [i]'s value: [Some true], [Some false], or [None] for X. *)
-val get : t -> int -> bool option
-
-val set : t -> int -> bool option -> t
-
-val to_string : ?n:int -> t -> string
 
 (** {1 Pattern-to-plane transpose}
 

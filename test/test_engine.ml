@@ -149,35 +149,31 @@ let fsim_sharded_matches_serial () =
   in
   let observe = Atpg.Fsim.default_observe in
   Pool.set_jobs 4;
-  (* enough faults that run_sharded really shards instead of falling
+  (* enough faults that [run ~jobs] really shards instead of falling
      back to the serial path *)
   check_bool "fault list large enough to shard" true
     (List.length faults >= 128);
   let serial = Atpg.Fsim.run c ~observe ~faults tests in
   List.iter
     (fun (ename, engine) ->
-      let eserial = Atpg.Fsim.run ~engine c ~observe ~faults tests in
       check_bool (ename ^ " agrees with the default engine") true
-        (eserial = serial);
-      List.iter
-        (fun jobs ->
-          check_bool
-            (Printf.sprintf "%s run_sharded ~jobs:%d = run" ename jobs)
-            true
-            (Atpg.Fsim.run_sharded ~engine ~jobs c ~observe ~faults tests
-             = eserial))
-        [ 1; 2; 3; 4 ])
+        (Atpg.Fsim.run ~engine c ~observe ~faults tests = serial))
     [ ("packed", Atpg.Fsim.Packed);
       ("event", Atpg.Fsim.Event);
       ("reference", Atpg.Fsim.Reference) ];
-  (* per-test entry point, all faults active *)
-  let fault_arr = Array.of_list faults in
-  let active = Array.init (Array.length fault_arr) Fun.id in
-  let test = List.hd tests in
-  check_bool "run_test_sharded = run_test" true
-    (Atpg.Fsim.run_test_sharded ~jobs:4 c ~observe ~faults:fault_arr ~active
-       test
-     = Atpg.Fsim.run_test c ~observe ~faults:fault_arr ~active test)
+  (* a one-test list takes the event engine, sharded over fault slices *)
+  let one = [ List.hd tests ] in
+  let packed1 = Atpg.Fsim.run ~engine:Atpg.Fsim.Packed c ~observe ~faults one in
+  check_bool "one test: packed = reference" true
+    (packed1
+     = Atpg.Fsim.run ~engine:Atpg.Fsim.Reference c ~observe ~faults one);
+  List.iter
+    (fun jobs ->
+      check_bool (Printf.sprintf "run ~jobs:%d = run" jobs) true
+        (Atpg.Fsim.run ~jobs c ~observe ~faults tests = serial);
+      check_bool (Printf.sprintf "one test: run ~jobs:%d = packed" jobs) true
+        (Atpg.Fsim.run ~jobs c ~observe ~faults one = packed1))
+    [ 1; 2; 3; 4 ]
 
 (* Everything in a generation result except timings. *)
 let gen_key (r : Atpg.Gen.result) =

@@ -144,6 +144,48 @@ let packed_word_boundaries gm =
       = stuck_reference_flags circuit ~observe ~faults tests)
     [ 1; 63; 64; 65; 127 ]
 
+(* The full detection matrix against the reference engine, test by
+   test: 1-70 tests cross the 63-lane word boundary, ragged frame counts
+   stress the per-lane active/last masks, and a random subset of the
+   faults is active.  Every byte must equal the oracle's flag. *)
+let matrix_matches_reference gm =
+  let (_, circuit) = build gm in
+  let rng = Random.State.make [| Hashtbl.hash gm.gm_src + 17 |] in
+  let faults = Array.of_list (Atpg.Fault.all circuit) in
+  let active =
+    List.filter
+      (fun _ -> Random.State.int rng 3 > 0)
+      (List.init (Array.length faults) Fun.id)
+  in
+  let piers =
+    List.filter
+      (fun _ -> Random.State.bool rng)
+      (List.init (Netlist.num_ffs circuit) Fun.id)
+  in
+  let observe = { Atpg.Fsim.ob_pos = true; ob_pier_ffs = piers } in
+  let tests =
+    Array.init (1 + Random.State.int rng 70) (fun _ ->
+        Atpg.Pattern.random ~rng ~num_pis:(Netlist.num_pis circuit)
+          ~frames:(1 + Random.State.int rng 4) ~piers)
+  in
+  let sigs =
+    Atpg.Fsim.run_matrix circuit ~observe ~faults
+      ~active:(Array.of_list active) tests
+  in
+  let active_faults = List.map (fun i -> faults.(i)) active in
+  Array.for_all Fun.id
+    (Array.mapi
+       (fun ti test ->
+         let expected =
+           stuck_reference_flags circuit ~observe ~faults:active_faults
+             [ test ]
+         in
+         Array.for_all Fun.id
+           (Array.mapi
+              (fun k hit -> (Bytes.get sigs.(k) ti = '\001') = hit)
+              expected))
+       tests)
+
 let fuzz_tests =
   [ qtest "random rtl: printer round trip" ~count:60 gen_arbitrary
       (fun gm ->
@@ -159,6 +201,8 @@ let fuzz_tests =
       ~count:60 gen_arbitrary (fsim_matches_reference ~engine:Atpg.Fsim.Event);
     qtest "random rtl: packed fsim at word-boundary pattern counts"
       ~count:12 gen_arbitrary packed_word_boundaries;
+    qtest "random rtl: detection matrix matches the reference engine"
+      ~count:30 gen_arbitrary matrix_matches_reference;
     qtest "random rtl: optimizer preserves behaviour" ~count:40 gen_arbitrary
       (fun gm ->
         let (_, circuit) = build gm in

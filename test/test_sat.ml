@@ -192,11 +192,7 @@ let cube_to_test (cube : Sat.Satgen.cube) =
 
 let cube_detects c fault cube =
   let observe = { Atpg.Fsim.ob_pos = true; ob_pier_ffs = [] } in
-  let flags =
-    Atpg.Fsim.run_test c ~observe ~faults:[| fault |] ~active:[| 0 |]
-      (cube_to_test cube)
-  in
-  flags.(0)
+  (Atpg.Fsim.run c ~observe ~faults:[ fault ] [ cube_to_test cube ]).(0)
 
 (* Classification agreement per collapsed fault; SAT cubes must detect
    under the fault simulator.  A PODEM abort carries no verdict: the

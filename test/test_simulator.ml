@@ -221,53 +221,13 @@ let vcd_tests =
         check_int "single timestamp" 1 count_ts) ]
 
 (* ------------------------------------------------------------------ *)
-(* Packed pattern words: the PPSFP kernels must agree with the Logic3
-   reference operators in every lane, and the pattern-to-plane
-   transpose must place each test's bits in its own lane. *)
+(* Packed pattern words: the pattern-to-plane transpose must place each
+   test's bits in its own lane. *)
 
 module P = Sim.Packed
 
-let word_of vs =
-  fst
-    (List.fold_left (fun (w, i) v -> (P.set w i v, i + 1)) (P.x, 0) vs)
-
-let both_rails r = r.P.p_hi land r.P.p_lo
-
 let packed_tests =
-  [ qtest "packed kernels match the three-valued truth tables" ~count:300
-      QCheck.(list_of_size (Gen.int_bound P.width) (triple opt3 opt3 opt3))
-      (fun triples ->
-        let sw = word_of (List.map (fun (s, _, _) -> s) triples) in
-        let aw = word_of (List.map (fun (_, a, _) -> a) triples) in
-        let bw = word_of (List.map (fun (_, _, b) -> b) triples) in
-        let results =
-          [ (P.v_and aw bw); (P.v_or aw bw); (P.v_xor aw bw); (P.v_not aw);
-            (P.v_mux sw aw bw) ]
-        in
-        List.for_all (fun r -> both_rails r = 0) results
-        && List.for_all
-             (fun (i, (s, a, b)) ->
-               P.get (P.v_and aw bw) i = ref_and a b
-               && P.get (P.v_or aw bw) i = ref_or a b
-               && P.get (P.v_xor aw bw) i = ref_xor a b
-               && P.get (P.v_not aw) i = ref_not a
-               && P.get (P.v_mux sw aw bw) i = ref_mux s a b)
-             (List.mapi (fun i t -> (i, t)) triples));
-    qtest "packed diff/known flag exactly the binary lanes" ~count:300
-      QCheck.(list_of_size (Gen.int_bound P.width) (pair opt3 opt3))
-      (fun pairs ->
-        let aw = word_of (List.map fst pairs) in
-        let bw = word_of (List.map snd pairs) in
-        List.for_all
-          (fun (i, (a, b)) ->
-            let bit m = m land (1 lsl i) <> 0 in
-            bit (P.known aw) = Option.is_some a
-            && bit (P.diff aw bw)
-               = (match (a, b) with
-                  | (Some x, Some y) -> x <> y
-                  | _ -> false))
-          (List.mapi (fun i p -> (i, p)) pairs));
-    test "make_batch transposes ragged tests into lanes" (fun () ->
+  [ test "make_batch transposes ragged tests into lanes" (fun () ->
         (* test 0: one frame, PIs = 10; test 1: two frames, 01 then 11 *)
         let vectors =
           [| [| [| true; false |] |];
