@@ -1,15 +1,18 @@
-(** Benchmark harness: regenerates every table of the paper's evaluation
-    (Tables 1-6), the Section 4.2 testability report, the ablation studies
-    called out in DESIGN.md, and bechamel microbenchmarks of the core
-    engines.
+(** Paper reproduction and correctness gates: regenerates every table of
+    the paper's evaluation (Tables 1-6), the Section 4.2 testability
+    report and the ablation studies called out in DESIGN.md, and runs the
+    [*_smoke] gates CI relies on (each exits 1 when its property fails).
+    Every target prints to stdout; [--metrics FILE] dumps the process's
+    counters and [--trace FILE] a Chrome trace.  Performance is measured
+    by the repo benchmark in perfbench/, not here.
 
     Usage: [bench/main.exe [table1|table2|table3|table4|table5|table6|
                             testability|translate|generality|variance|
-                            scan|bridging|ablations|micro|fsim|
-                            fsim_smoke|sat|sat_smoke|par|par_smoke|
-                            chaos_smoke|fuzz_smoke|serve|serve_smoke|
-                            progress_smoke|all]
-                           [-j N] [--seed S]]. *)
+                            scan|bridging|ablations|fsim|fsim_smoke|
+                            sat|sat_smoke|par|par_smoke|chaos_smoke|
+                            fuzz_smoke|serve_smoke|progress_smoke|all]
+                           [-j N] [--seed S] [--trace FILE]
+                           [--metrics FILE]]. *)
 
 module Flow = Factor.Flow
 module T = Report.Table
@@ -26,14 +29,19 @@ let seed_ref = ref 42
 let env = lazy (Factor.Compose.make_env (Arm.Rtl.design ()) ~top:Arm.Rtl.top)
 let full = lazy (Flow.full_circuit (Lazy.force env))
 
-(* Snapshot of the process-wide metrics registry (pool telemetry
-   included), embedded in the BENCH_*.json artifacts so each benchmark
-   carries its own counters. *)
+(* Snapshot of the process-wide metrics registry, pool telemetry
+   included: what [--metrics FILE] writes. *)
 let metrics_json () =
   (match Engine.Pool.global_stats () with
    | Some _ -> Engine.Pool.publish_metrics (Engine.Pool.global ())
    | None -> ());
   Obs.Metrics.dump_string ()
+
+(* [f ()] and its wall time in seconds. *)
+let timed f =
+  let t0 = Engine.Clock.now () in
+  let r = f () in
+  (r, Engine.Clock.now () -. t0)
 
 (* ATPG configuration used on stand-alone and transformed modules. *)
 let module_cfg =
@@ -338,11 +346,7 @@ let ablation_granularity () =
 let ablation_cache () =
   (* constraint cache: shared session vs cold session per module *)
   let e = Lazy.force env in
-  let timed f =
-    let t0 = Engine.Clock.now () in
-    ignore (f ());
-    Engine.Clock.now () -. t0
-  in
+  let timed f = snd (timed f) in
   let shared_session = Factor.Compose.create_session () in
   let rows =
     List.map
@@ -709,98 +713,17 @@ let variance () =
        rows)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks.                                           *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  let open Bechamel in
-  let e = Lazy.force env in
-  let c = Lazy.force full in
-  let order = (Netlist.analysis c).Netlist.Analysis.order in
-  let faults =
-    Atpg.Fault.collapse c (Atpg.Fault.all ~within:"u_dpath.u_alu" c)
-  in
-  let rng = Random.State.make [| 7 |] in
-  let tests =
-    List.init 8 (fun _ ->
-        Atpg.Pattern.random ~rng ~num_pis:(Netlist.num_pis c) ~frames:4
-          ~piers:[])
-  in
-  let spec = List.nth Arm.Rtl.muts 0 in
-  let test_extract_conventional =
-    Test.make ~name:"extract/conventional"
-      (Staged.stage (fun () ->
-           ignore (Factor.Compose.conventional e ~mut_path:spec.Flow.ms_path)))
-  in
-  let test_extract_compositional =
-    Test.make ~name:"extract/compositional-cold"
-      (Staged.stage (fun () ->
-           ignore
-             (Factor.Compose.compositional
-                (Factor.Compose.create_session ())
-                e ~mut_path:spec.Flow.ms_path)))
-  in
-  let test_synthesis =
-    Test.make ~name:"synthesis/full-arm"
-      (Staged.stage (fun () -> ignore (Flow.full_circuit e)))
-  in
-  let test_fsim =
-    Test.make ~name:"fsim/63-faults-8-tests"
-      (Staged.stage (fun () ->
-           let batch =
-             List.map Atpg.Fsim.stuck_at
-               (List.filteri (fun i _ -> i < 63) faults)
-           in
-           List.iter
-             (fun t ->
-               ignore
-                 (Atpg.Fsim.run_batch_reference c ~order ~faults:batch
-                    ~observe:Atpg.Fsim.default_observe t))
-             tests))
-  in
-  let test_chains =
-    Test.make ~name:"chains/build-all"
-      (Staged.stage (fun () ->
-           ignore (Design.Chains.build_all e.Factor.Compose.ed)))
-  in
-  let benchmark test =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:200 ~quota:(Time.second 2.0) ~kde:(Some 100) ()
-    in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
-  List.iter
-    (fun test ->
-      let results = benchmark test in
-      let results = analyze results in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "%-32s %12.0f ns/run\n%!" name est
-          | _ -> Printf.printf "%-32s (no estimate)\n%!" name)
-        results)
-    [ test_extract_conventional; test_extract_compositional; test_synthesis;
-      test_fsim; test_chains ]
-
-(* ------------------------------------------------------------------ *)
 (* Fault-simulation engine benchmark.                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* All three engines on the same fault list and test set: identical
    detection flags required; per-engine wall clock and net-evaluation
    counts (each engine owns its registry counter, so the deltas are
-   attributable) written to BENCH_fsim.json.  The test count defaults to
-   two full packed words of patterns — grading workloads batch dozens of
-   patterns, which is exactly where pattern-packing pays; the word count
-   and per-word timing land in the metrics section.  Returns the
-   packed-vs-event speedups so the CI smoke gate can assert a floor. *)
+   attributable) printed to stdout.  The test count defaults to two full
+   packed words of patterns — grading workloads batch dozens of
+   patterns, which is exactly where pattern-packing pays.  Returns the
+   packed-vs-event eval reduction so the CI smoke gate can assert a
+   floor. *)
 let bench_fsim_on ~name c ~num_tests =
   let faults = Atpg.Fault.collapse c (Atpg.Fault.all c) in
   let rng = Random.State.make [| !seed_ref |] in
@@ -853,25 +776,7 @@ let bench_fsim_on ~name c ~num_tests =
     (ratio event_wall packed_wall) (fratio event_evals packed_evals);
   Printf.printf "  packed vs reference: %.1fx wall, %.1fx evals\n"
     (ratio ref_wall packed_wall) (fratio ref_evals packed_evals);
-  let oc = open_out "BENCH_fsim.json" in
-  Printf.fprintf oc
-    "{\n  \"circuit\": %S,\n  \"faults\": %d,\n  \"tests\": %d,\n  \
-     \"packed_wall_s\": %.4f,\n  \"packed_evals\": %d,\n  \
-     \"packed_words\": %d,\n  \"event_wall_s\": %.4f,\n  \
-     \"event_evals\": %d,\n  \"ref_wall_s\": %.4f,\n  \"ref_evals\": %d,\n  \
-     \"speedup_wall\": %.2f,\n  \"speedup_evals\": %.2f,\n  \
-     \"ref_speedup_wall\": %.2f,\n  \"ref_speedup_evals\": %.2f,\n  \
-     \"metrics\": %s\n}\n"
-    name (List.length faults) num_tests packed_wall packed_evals packed_words
-    event_wall event_evals ref_wall ref_evals
-    (ratio event_wall packed_wall)
-    (fratio event_evals packed_evals)
-    (ratio ref_wall packed_wall)
-    (fratio ref_evals packed_evals)
-    (metrics_json ());
-  close_out oc;
-  print_endline "wrote BENCH_fsim.json";
-  (ratio event_wall packed_wall, fratio event_evals packed_evals)
+  fratio event_evals packed_evals
 
 let bench_fsim () =
   ignore (bench_fsim_on ~name:"arm" (Lazy.force full) ~num_tests:126)
@@ -924,10 +829,7 @@ let bench_fsim_smoke () =
     (Synth.Lower.lower (Synth.Flatten.flatten ed "arm_alu"))
       .Synth.Lower.circuit
   in
-  let (speedup_wall, speedup_evals) =
-    bench_fsim_on ~name:"arm_alu" c ~num_tests:126
-  in
-  ignore speedup_wall;
+  let speedup_evals = bench_fsim_on ~name:"arm_alu" c ~num_tests:126 in
   check_fault_models ~name:"arm_alu" c;
   let floor = 6.0 in
   if speedup_evals < floor then begin
@@ -949,59 +851,32 @@ let bench_fsim_smoke () =
    Reports the SAT solve time, conflict counts, and how many aborted
    faults the rescue turned into detections or untestability proofs. *)
 let bench_sat () =
-  let txs = Lazy.force compositional in
-  let rows =
-    List.map
-      (fun (spec, (tr : Flow.transform_row)) ->
-        let c = tr.Flow.tr_transformed.Factor.Transform.tf_circuit in
-        let faults =
-          Atpg.Fault.collapse c
-            (Atpg.Fault.all
-               ~within:tr.Flow.tr_transformed.Factor.Transform.tf_mut_path c)
-        in
-        let piers = Factor.Pier.identify c in
-        let run engine =
-          Atpg.Gen.run c
-            { hybrid_cfg with Atpg.Gen.g_piers = piers; g_engine = engine }
-            faults
-        in
-        let podem = run Atpg.Gen.Podem_only in
-        let hybrid = run Atpg.Gen.Hybrid in
-        Printf.printf
-          "%-16s podem: %d aborted, eff %.1f%% | hybrid: %d aborted, eff \
-           %.1f%% (+%d detected, +%d proven untestable by SAT, %.2f s, %d \
-           conflicts)\n%!"
-          spec.Flow.ms_name podem.Atpg.Gen.r_aborted
-          podem.Atpg.Gen.r_effectiveness hybrid.Atpg.Gen.r_aborted
-          hybrid.Atpg.Gen.r_effectiveness hybrid.Atpg.Gen.r_sat_detected
-          hybrid.Atpg.Gen.r_sat_untestable hybrid.Atpg.Gen.r_sat_time
-          hybrid.Atpg.Gen.r_sat_stats.Sat.Solver.s_conflicts;
-        (spec, podem, hybrid))
-      txs
-  in
-  let oc = open_out "BENCH_sat.json" in
-  output_string oc "{\n  \"modules\": [\n";
-  List.iteri
-    (fun i (spec, (podem : Atpg.Gen.result), (hybrid : Atpg.Gen.result)) ->
-      Printf.fprintf oc
-        "    {\n      \"name\": %S,\n      \"faults\": %d,\n      \
-         \"podem_aborted\": %d,\n      \"podem_effectiveness\": %.2f,\n      \
-         \"hybrid_aborted\": %d,\n      \"hybrid_effectiveness\": %.2f,\n      \
-         \"sat_detected\": %d,\n      \"sat_untestable\": %d,\n      \
-         \"sat_time_s\": %.4f,\n      \"sat_conflicts\": %d,\n      \
-         \"sat_propagations\": %d,\n      \"sat_restarts\": %d\n    }%s\n"
-        spec.Flow.ms_name hybrid.Atpg.Gen.r_total podem.Atpg.Gen.r_aborted
+  List.iter
+    (fun (spec, (tr : Flow.transform_row)) ->
+      let c = tr.Flow.tr_transformed.Factor.Transform.tf_circuit in
+      let faults =
+        Atpg.Fault.collapse c
+          (Atpg.Fault.all
+             ~within:tr.Flow.tr_transformed.Factor.Transform.tf_mut_path c)
+      in
+      let piers = Factor.Pier.identify c in
+      let run engine =
+        Atpg.Gen.run c
+          { hybrid_cfg with Atpg.Gen.g_piers = piers; g_engine = engine }
+          faults
+      in
+      let podem = run Atpg.Gen.Podem_only in
+      let hybrid = run Atpg.Gen.Hybrid in
+      Printf.printf
+        "%-16s podem: %d aborted, eff %.1f%% | hybrid: %d aborted, eff \
+         %.1f%% (+%d detected, +%d proven untestable by SAT, %.2f s, %d \
+         conflicts)\n%!"
+        spec.Flow.ms_name podem.Atpg.Gen.r_aborted
         podem.Atpg.Gen.r_effectiveness hybrid.Atpg.Gen.r_aborted
         hybrid.Atpg.Gen.r_effectiveness hybrid.Atpg.Gen.r_sat_detected
         hybrid.Atpg.Gen.r_sat_untestable hybrid.Atpg.Gen.r_sat_time
-        hybrid.Atpg.Gen.r_sat_stats.Sat.Solver.s_conflicts
-        hybrid.Atpg.Gen.r_sat_stats.Sat.Solver.s_propagations
-        hybrid.Atpg.Gen.r_sat_stats.Sat.Solver.s_restarts
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n  \"metrics\": %s\n}\n" (metrics_json ());
-  close_out oc;
-  print_endline "wrote BENCH_sat.json"
+        hybrid.Atpg.Gen.r_sat_stats.Sat.Solver.s_conflicts)
+    (Lazy.force compositional)
 
 (* Fast CI smoke: miter every collapsed fault of the stand-alone ALU and
    require a cube for each (the ALU has no untestable faults), plus one
@@ -1050,16 +925,11 @@ let atpg_row_key (a : Flow.atpg_row) =
    (r.Atpg.Gen.r_sat_detected, r.Atpg.Gen.r_sat_untestable,
     r.Atpg.Gen.r_tests, r.Atpg.Gen.r_outcomes))
 
-let timed f =
-  let t0 = Engine.Clock.now () in
-  let r = f () in
-  (r, Engine.Clock.now () -. t0)
-
 (* Serial vs parallel on the two workloads the engine accelerates — the
    MUT-parallel Table 6 flow and the fault-sharded simulator on the full
    ARM.  The parallel results must be identical to the serial ones
-   (timings aside); walls, speedups and pool telemetry are written to
-   BENCH_par.json.  Budgets are effectively infinite so scheduling can
+   (timings aside); walls, speedups and pool telemetry are printed.
+   Budgets are effectively infinite so scheduling can
    never make a per-fault budget bind differently across job counts. *)
 let bench_par () =
   let jobs = max 1 !jobs_ref in
@@ -1133,42 +1003,7 @@ let bench_par () =
     "  pool: %d tasks, %d steals, %.3f s queued, %.3f s running, %.0f%% utilization\n"
     st.Engine.Pool.ps_tasks st.Engine.Pool.ps_steals
     st.Engine.Pool.ps_queue_wait st.Engine.Pool.ps_run_time
-    (100.0 *. utilization);
-  let oc = open_out "BENCH_par.json" in
-  Printf.fprintf oc "{\n  \"jobs\": %d,\n  \"seed\": %d,\n" jobs !seed_ref;
-  Printf.fprintf oc "  \"identical_to_serial\": true,\n";
-  Printf.fprintf oc "  \"modules\": [\n";
-  List.iteri
-    (fun i (a : Flow.atpg_row) ->
-      Printf.fprintf oc
-        "    {\"name\": %S, \"faults\": %d, \"vectors\": %d, \
-         \"coverage\": %.2f, \"effectiveness\": %.2f}%s\n"
-        a.Flow.ar_name a.Flow.ar_faults a.Flow.ar_vectors a.Flow.ar_coverage
-        a.Flow.ar_effectiveness
-        (if i = List.length par_rows - 1 then "" else ","))
-    par_rows;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc
-    "  \"flow_serial_s\": %.4f,\n  \"flow_parallel_s\": %.4f,\n  \
-     \"flow_speedup\": %.2f,\n"
-    flow_serial flow_par (ratio flow_serial flow_par);
-  Printf.fprintf oc
-    "  \"fsim_serial_s\": %.4f,\n  \"fsim_parallel_s\": %.4f,\n  \
-     \"fsim_speedup\": %.2f,\n"
-    fsim_serial fsim_par (ratio fsim_serial fsim_par);
-  Printf.fprintf oc
-    "  \"pool\": {\n    \"tasks\": %d,\n    \"steals\": %d,\n    \
-     \"queue_wait_s\": %.4f,\n    \"run_s\": %.4f,\n    \"busy_s\": [%s],\n    \
-     \"utilization\": %.3f\n  },\n  \"metrics\": %s\n}\n"
-    st.Engine.Pool.ps_tasks st.Engine.Pool.ps_steals
-    st.Engine.Pool.ps_queue_wait st.Engine.Pool.ps_run_time
-    (String.concat ", "
-       (Array.to_list
-          (Array.map (Printf.sprintf "%.4f") st.Engine.Pool.ps_busy)))
-    utilization
-    (metrics_json ());
-  close_out oc;
-  print_endline "wrote BENCH_par.json"
+    (100.0 *. utilization)
 
 (* Fast CI smoke: on the stand-alone ALU, a 4-job ATPG run and 4-way
    sharded fault simulation — a multi-test list on the packed engine and
@@ -1375,7 +1210,7 @@ let bench_fuzz_smoke () =
     jobs
 
 (* ------------------------------------------------------------------ *)
-(* serve: the persistent daemon, smoke-gated and latency-measured.     *)
+(* serve: the persistent daemon, smoke-gated.                          *)
 (* ------------------------------------------------------------------ *)
 
 let serve_tmpdir prefix =
@@ -1406,11 +1241,6 @@ let with_conn addr f =
 let jfield name j =
   Option.value ~default:""
     (Option.bind (Obs.Json.member name j) Obs.Json.to_string_opt)
-
-let timed f =
-  let t0 = Engine.Clock.now () in
-  let r = f () in
-  (r, Engine.Clock.now () -. t0)
 
 (* Direct (no daemon) canonical lines for a corpus design, serial: the
    reference every daemon response is compared against byte for byte. *)
@@ -1472,14 +1302,26 @@ let bench_serve_smoke () =
                        @ [ ("vectors", Obs.Json.String vectors) ])
           in
           if jfield "line" g = "" then die "serve smoke: grade returned no line";
-          let x =
+          let extract () =
             Serve.Client.rpc cl ~op:"extract"
               ~params:
                 [ ("design", Obs.Json.String "@gcd");
                   ("mut", Obs.Json.String "u_core.u_ctrl") ]
           in
+          let extract_lines r = (jfield "extraction" r, jfield "transformed" r) in
+          let x = extract () in
           if jfield "extraction" x = "" then
             die "serve smoke: extract returned no stats";
+          (* the repeat must be served from the resident entry's
+             transform memo, unchanged *)
+          let x2 = extract () in
+          if jfield "cache" x2 <> "warm-mem" then
+            die "serve smoke: repeat extract should be warm-mem, got %s"
+              (jfield "cache" x2);
+          if Obs.Json.member "transform_cached" x2 <> Some (Obs.Json.Bool true)
+          then die "serve smoke: repeat extract missed the transform memo";
+          if extract_lines x2 <> extract_lines x then
+            die "serve smoke: repeat extract lines differ";
           let ec =
             Serve.Client.rpc cl ~op:"ec"
               ~params:
@@ -1488,19 +1330,19 @@ let bench_serve_smoke () =
           in
           if jfield "verdict" ec <> "equal" then
             die "serve smoke: self-equivalence verdict %S" (jfield "verdict" ec);
-          (* the daemon-side registry must show warm hits *)
+          (* the daemon-side registry must count the warm hits: the
+             counter is registered at load, so its value is what matters *)
           let m = Serve.Client.rpc cl ~op:"metrics" ~params:[] in
-          let dump = jfield "prometheus" m in
-          let has_warm =
-            let needle = "factor_serve_cache_warm_mem" in
-            let nl = String.length needle and hl = String.length dump in
-            let rec go i =
-              i + nl <= hl && (String.sub dump i nl = needle || go (i + 1))
-            in
-            go 0
+          let warm_hits =
+            List.find_map
+              (fun line ->
+                match String.split_on_char ' ' line with
+                | [ "factor_serve_cache_warm_mem"; v ] -> int_of_string_opt v
+                | _ -> None)
+              (String.split_on_char '\n' (jfield "prometheus" m))
           in
-          if not has_warm then
-            die "serve smoke: prometheus dump lacks the warm-hit counter"));
+          if Option.value warm_hits ~default:0 < 1 then
+            die "serve smoke: prometheus dump counts no warm-mem hit"));
   (* restart over the same store: the design must come back from disk *)
   with_daemon ~store (fun addr ->
       with_conn addr (fun cl ->
@@ -1621,89 +1463,6 @@ let bench_progress_smoke () =
      request id on client and server spans (%d jobs)\n"
     (List.length progress) (max 2 !jobs_ref)
 
-(* BENCH_serve.json: cold vs warm request latency and requests/sec at
-   one client and at [-j N] concurrent clients. *)
-let bench_serve () =
-  let jobs = max 1 !jobs_ref in
-  Engine.Pool.set_jobs jobs;
-  let store = serve_tmpdir "factor-bench-store" in
-  let warm_reqs = 32 in
-  with_daemon ~store (fun addr ->
-      with_conn addr (fun cl ->
-          let rpc op params = Serve.Client.rpc cl ~op ~params in
-          let extract_params =
-            [ ("design", Obs.Json.String "@gcd");
-              ("mut", Obs.Json.String "u_core.u_ctrl") ]
-          in
-          let (_, extract_cold) =
-            timed (fun () -> rpc "extract" extract_params)
-          in
-          let (_, extract_warm) =
-            timed (fun () -> rpc "extract" extract_params)
-          in
-          let (r_cold, atpg_cold) =
-            timed (fun () -> rpc "atpg" (atpg_params "fifo"))
-          in
-          let (r_warm, atpg_warm) =
-            timed (fun () -> rpc "atpg" (atpg_params "fifo"))
-          in
-          if response_lines r_cold <> response_lines r_warm then begin
-            prerr_endline "bench serve: warm response differs from cold";
-            exit 1
-          end;
-          (* single-client throughput over warm traffic *)
-          let (_, serial_s) =
-            timed (fun () ->
-                for _ = 1 to warm_reqs do
-                  ignore (rpc "atpg" (atpg_params "arbiter"))
-                done)
-          in
-          (* [jobs] clients, each its own connection, same total work *)
-          let per_client = max 1 (warm_reqs / jobs) in
-          let (_, par_s) =
-            timed (fun () ->
-                let workers =
-                  List.init jobs (fun _ ->
-                      Domain.spawn (fun () ->
-                          with_conn addr (fun cl ->
-                              for _ = 1 to per_client do
-                                ignore
-                                  (Serve.Client.rpc cl ~op:"atpg"
-                                     ~params:(atpg_params "arbiter"))
-                              done)))
-                in
-                List.iter Domain.join workers)
-          in
-          let rps n s = if s <= 0.0 then 0.0 else float_of_int n /. s in
-          Printf.printf
-            "serve: extract cold %.1f ms, warm %.1f ms (%.1fx) | atpg cold \
-             %.1f ms, warm %.1f ms (%.1fx)\n"
-            (1e3 *. extract_cold) (1e3 *. extract_warm)
-            (extract_cold /. Float.max 1e-9 extract_warm)
-            (1e3 *. atpg_cold) (1e3 *. atpg_warm)
-            (atpg_cold /. Float.max 1e-9 atpg_warm);
-          Printf.printf
-            "serve: %.0f req/s at 1 client, %.0f req/s at %d clients\n"
-            (rps warm_reqs serial_s)
-            (rps (per_client * jobs) par_s)
-            jobs;
-          let oc = open_out "BENCH_serve.json" in
-          Printf.fprintf oc "{\n  \"jobs\": %d,\n" jobs;
-          Printf.fprintf oc
-            "  \"extract_cold_ms\": %.3f,\n  \"extract_warm_ms\": %.3f,\n"
-            (1e3 *. extract_cold) (1e3 *. extract_warm);
-          Printf.fprintf oc
-            "  \"atpg_cold_ms\": %.3f,\n  \"atpg_warm_ms\": %.3f,\n"
-            (1e3 *. atpg_cold) (1e3 *. atpg_warm);
-          Printf.fprintf oc "  \"warm_identical\": true,\n";
-          Printf.fprintf oc
-            "  \"rps_1_client\": %.1f,\n  \"rps_%d_clients\": %.1f,\n"
-            (rps warm_reqs serial_s) jobs
-            (rps (per_client * jobs) par_s);
-          Printf.fprintf oc "  \"metrics\": %s\n}\n" (metrics_json ());
-          close_out oc;
-          print_endline "wrote BENCH_serve.json"))
-
 (* ------------------------------------------------------------------ *)
 (* Driver.                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -1776,7 +1535,6 @@ let () =
     | "scan" -> scan_vs_functional ()
     | "bridging" -> bridging ()
     | "ablations" -> ablations ()
-    | "micro" -> micro ()
     | "fsim" -> bench_fsim ()
     | "fsim_smoke" -> bench_fsim_smoke ()
     | "sat" -> bench_sat ()
@@ -1785,7 +1543,6 @@ let () =
     | "par_smoke" -> bench_par_smoke ()
     | "chaos_smoke" -> bench_chaos_smoke ()
     | "fuzz_smoke" -> bench_fuzz_smoke ()
-    | "serve" -> bench_serve ()
     | "serve_smoke" -> bench_serve_smoke ()
     | "progress_smoke" -> bench_progress_smoke ()
     | "all" ->
@@ -1800,7 +1557,7 @@ let () =
       generality ()
     | other ->
       Printf.eprintf
-        "unknown target %S (expected table1..table6, testability, translate, generality, variance, ablations, micro, fsim, sat, sat_smoke, par, par_smoke, chaos_smoke, fuzz_smoke, serve, serve_smoke, progress_smoke, all)\n"
+        "unknown target %S (expected table1..table6, testability, translate, generality, variance, scan, bridging, ablations, fsim, fsim_smoke, sat, sat_smoke, par, par_smoke, chaos_smoke, fuzz_smoke, serve_smoke, progress_smoke, all)\n"
         other;
       exit 1
   in

@@ -191,7 +191,9 @@ let mut_arg =
 
 let mode_arg =
   let doc = "Extraction mode: 'compositional' (default) or 'conventional'." in
-  Arg.(value & opt string "compositional" & info [ "mode" ] ~doc)
+  Arg.(value
+       & opt (enum Factor.Flow.modes) Factor.Flow.Compositional
+       & info [ "mode" ] ~doc)
 
 let output_arg =
   let doc = "Write the extracted constraints (Verilog) to this file." in
@@ -295,11 +297,8 @@ let extract_cmd =
         let top = resolve_top design path top in
         let env = Factor.Compose.make_env design ~top in
         let stats =
-          match mode with
-          | "conventional" -> Factor.Compose.conventional env ~mut_path:mut
-          | _ ->
-            Factor.Compose.compositional (Factor.Compose.create_session ())
-              env ~mut_path:mut
+          Factor.Flow.extract env (Factor.Compose.create_session ()) mode
+            ~mut_path:mut
         in
         Printf.printf "%s, %.4f s\n"
           (Serve.Render.extract_stats stats)
@@ -695,7 +694,7 @@ let fuzz_cmd =
   in
   let out_arg =
     let doc = "Write the campaign summary JSON to $(docv)." in
-    Arg.(value & opt string "BENCH_fuzz.json"
+    Arg.(value & opt string "fuzz-report.json"
          & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
   let parse_checks = function
@@ -737,18 +736,25 @@ let fuzz_cmd =
         let nc = List.length report.Gen_rtl.Diff.rp_crashes in
         Printf.printf "%.2f s wall (%d jobs)\n" report.Gen_rtl.Diff.rp_wall
           jobs;
+        let summary =
+          Obs.Json.(
+            Obj
+              [ ("seed_base", Int base);
+                ("seeds", Int seeds);
+                ("checks",
+                 List
+                   (List.map
+                      (fun c -> String (Gen_rtl.Diff.check_name c))
+                      report.Gen_rtl.Diff.rp_checks));
+                ("failures", Int nf);
+                ("crashes", Int nc);
+                ("wall_s", Float report.Gen_rtl.Diff.rp_wall);
+                ("jobs", Int jobs);
+                ("metrics", Obs.Metrics.dump ()) ])
+        in
         let oc = open_out out in
-        Printf.fprintf oc
-          "{\n  \"seed_base\": %d,\n  \"seeds\": %d,\n  \"checks\": [%s],\n  \
-           \"failures\": %d,\n  \"crashes\": %d,\n  \"wall_s\": %.4f,\n  \
-           \"jobs\": %d,\n  \"metrics\": %s\n}\n"
-          base seeds
-          (String.concat ", "
-             (List.map
-                (fun c -> Printf.sprintf "%S" (Gen_rtl.Diff.check_name c))
-                report.Gen_rtl.Diff.rp_checks))
-          nf nc report.Gen_rtl.Diff.rp_wall jobs
-          (Obs.Json.to_string (Obs.Metrics.dump ()));
+        output_string oc (Obs.Json.to_string summary);
+        output_char oc '\n';
         close_out oc;
         Obs.Log.progressf "wrote %s" out;
         if nf > 0 || nc > 0 then exit 1)
@@ -997,7 +1003,8 @@ let client_cmd =
       with_client ~socket ~tcp (fun cl ->
           let params =
             design_params path top
-            @ [ ("mut", J.String mut); ("mode", J.String mode) ]
+            @ [ ("mut", J.String mut);
+                ("mode", J.String (Factor.Flow.mode_name mode)) ]
             @ (if output <> None then [ ("emit_verilog", J.Bool true) ]
                else [])
             @ budget_params budget

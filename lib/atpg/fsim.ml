@@ -52,7 +52,7 @@ type engine_kind = Packed | Event | Reference
 
 (* ------------------------------------------------------------------ *)
 (* Metrics: each engine owns its own eval counter so a registry dump    *)
-(* (and BENCH_fsim's [metrics] section) is attributable per engine.     *)
+(* is attributable per engine.                                          *)
 (* Hot loops accumulate locally and flush once per batch.               *)
 (* ------------------------------------------------------------------ *)
 

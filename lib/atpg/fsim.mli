@@ -152,5 +152,6 @@ val packed_eval_count : unit -> int
 (** Packed words simulated (one word = up to [Sim.Packed.width] tests). *)
 val packed_word_count : unit -> int
 
-(** The eval counter of the given engine — what BENCH_fsim deltas. *)
+(** The eval counter of the given engine; [bench fsim] reports its
+    delta per engine. *)
 val evals_for : engine_kind -> int

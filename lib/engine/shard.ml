@@ -11,24 +11,11 @@ let ranges ~shards n =
         (start, len))
   end
 
-let map_ranges pool ~shards n f =
-  match ranges ~shards n with
-  | [||] -> [||]
-  | [| (start, len) |] -> [| f start len |]
-  | rs ->
-    let futs =
-      Array.map (fun (start, len) -> Pool.submit pool (fun () -> f start len)) rs
-    in
-    Array.map Pool.await futs
-
 let map_chunks pool ~shards f arr =
-  map_ranges pool ~shards (Array.length arr) (fun start len ->
-      f (Array.sub arr start len))
-
-let map_list pool f xs =
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | xs ->
-    let futs = List.map (fun x -> Pool.submit pool (fun () -> f x)) xs in
-    List.map Pool.await futs
+  let chunk (start, len) = f (Array.sub arr start len) in
+  match ranges ~shards (Array.length arr) with
+  | [||] -> [||]
+  | [| r |] -> [| chunk r |]
+  | rs ->
+    let futs = Array.map (fun r -> Pool.submit pool (fun () -> chunk r)) rs in
+    Array.map Pool.await futs

@@ -13,16 +13,8 @@
     Empty when [n = 0]. *)
 val ranges : shards:int -> int -> (int * int) array
 
-(** [map_ranges pool ~shards n f] applies [f start length] to every
-    chunk of [ranges ~shards n] on the pool and returns the results in
-    chunk order.  A single chunk runs inline. *)
-val map_ranges : Pool.t -> shards:int -> int -> (int -> int -> 'b) -> 'b array
-
-(** [map_chunks pool ~shards f arr] applies [f] to each contiguous
-    sub-array of [arr] and returns the per-chunk results in chunk
-    order. *)
+(** [map_chunks pool ~shards f arr] applies [f] on the pool to each
+    contiguous sub-array of [arr] given by [ranges ~shards (Array.length
+    arr)] and returns the per-chunk results in chunk order.  A single
+    chunk runs inline. *)
 val map_chunks : Pool.t -> shards:int -> ('a array -> 'b) -> 'a array -> 'b array
-
-(** [map_list pool f xs] runs [f] on every item as its own task and
-    returns the results in input order — the MUT-parallel primitive. *)
-val map_list : Pool.t -> ('a -> 'b) -> 'a list -> 'b list

@@ -14,6 +14,17 @@ type mut_spec = {
 
 type mode = Conventional | Compositional
 
+let mode_name = function
+  | Conventional -> "conventional"
+  | Compositional -> "compositional"
+
+let modes = List.map (fun m -> (mode_name m, m)) [ Conventional; Compositional ]
+
+let extract ?budget env session mode ~mut_path =
+  match mode with
+  | Conventional -> Compose.conventional ?budget env ~mut_path
+  | Compositional -> Compose.compositional ?budget session env ~mut_path
+
 (* ------------------------------------------------------------------ *)
 (* Table 1: module characteristics.                                    *)
 (* ------------------------------------------------------------------ *)
@@ -86,12 +97,7 @@ let transform ?budget env session mode spec ~surrounding_before =
   Obs.Span.with_ "flow.transform"
     ~attrs:[ ("mut", Obs.Json.String spec.ms_name) ]
   @@ fun () ->
-  let stats =
-    match mode with
-    | Conventional -> Compose.conventional ?budget env ~mut_path:spec.ms_path
-    | Compositional ->
-      Compose.compositional ?budget session env ~mut_path:spec.ms_path
-  in
+  let stats = extract ?budget env session mode ~mut_path:spec.ms_path in
   let tf =
     Transform.validate
       (Transform.build env stats.Compose.cs_slice ~mut_path:spec.ms_path)

@@ -8,6 +8,18 @@ type mut_spec = {
 
 type mode = Conventional | Compositional
 
+(** The modes under their command-line and protocol names,
+    ["conventional"] and ["compositional"]. *)
+val modes : (string * mode) list
+
+val mode_name : mode -> string
+
+(** [extract ?budget env session mode ~mut_path] runs the requested
+    extraction; [session] is only consulted in [Compositional] mode. *)
+val extract :
+  ?budget:Engine.Budget.t -> Compose.env -> Compose.session -> mode ->
+  mut_path:string -> Compose.stats
+
 (** {1 Table 1 — module characteristics} *)
 
 type characteristics = {

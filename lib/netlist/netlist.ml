@@ -399,8 +399,8 @@ let live_mask c =
   done;
   !seen
 
-let stats ?(live_only = true) c =
-  let mask = if live_only then live_mask c else Array.make (num_nets c) true in
+let stats c =
+  let mask = live_mask c in
   let g2 = ref 0 and inv = ref 0 and mux = ref 0 in
   Array.iteri
     (fun net d ->

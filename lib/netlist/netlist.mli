@@ -147,9 +147,9 @@ type stats = {
   st_pos : int;
 }
 
-(** [stats c] counts primitives; with [live_only] (default) dangling
-    logic is excluded, as synthesis would sweep it. *)
-val stats : ?live_only:bool -> t -> stats
+(** [stats c] counts live primitives: dangling logic is excluded, as
+    synthesis would sweep it. *)
+val stats : t -> stats
 
 (** Gate-equivalent count used in all tables: 2-input gates and inverters
     count 1, muxes 3, flip-flops 6; buffers are free. *)

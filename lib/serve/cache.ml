@@ -297,7 +297,7 @@ let circuit e =
     c
 
 let transform e ~budget ~mut ~mode =
-  let key = mode ^ "|" ^ mut in
+  let key = Factor.Flow.mode_name mode ^ "|" ^ mut in
   let cached =
     Mutex.protect e.e_lock @@ fun () -> Hashtbl.find_opt e.e_transforms key
   in
@@ -307,9 +307,7 @@ let transform e ~budget ~mut ~mode =
     (r, true)
   | None ->
     let stats =
-      match mode with
-      | "conventional" -> Compose.conventional ~budget e.e_env ~mut_path:mut
-      | _ -> Compose.compositional ~budget e.e_session e.e_env ~mut_path:mut
+      Factor.Flow.extract ~budget e.e_env e.e_session mode ~mut_path:mut
     in
     let tf =
       Factor.Transform.build e.e_env stats.Compose.cs_slice ~mut_path:mut

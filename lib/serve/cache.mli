@@ -62,11 +62,9 @@ val circuit : entry -> Netlist.t
 
 (** [transform entry ~budget ~mut ~mode] returns the transformed module
     and extraction stats for [(mut, mode)], extracting and synthesizing
-    only on first request; [snd] is [true] on a cache hit.  [mode] is
-    ["conventional"] or anything else for compositional (the CLI
-    convention). *)
+    only on first request; [snd] is [true] on a cache hit. *)
 val transform :
-  entry -> budget:Engine.Budget.t -> mut:string -> mode:string ->
+  entry -> budget:Engine.Budget.t -> mut:string -> mode:Factor.Flow.mode ->
   (Factor.Transform.t * Factor.Compose.stats) * bool
 
 (** Number of resident entries. *)

@@ -86,7 +86,12 @@ let op_metrics _ctx _budget _params =
 
 let op_extract ctx budget params =
   let mut = str_req "mut" params in
-  let mode = str_default "mode" ~default:"compositional" params in
+  let mode =
+    let name = str_default "mode" ~default:"compositional" params in
+    match List.assoc_opt name Factor.Flow.modes with
+    | Some m -> m
+    | None -> bad "bad mode %S (expected conventional or compositional)" name
+  in
   let (entry, outcome) = entry_of ctx ~budget params in
   let ((tf, stats), tf_hit) = Cache.transform entry ~budget ~mut ~mode in
   let fields =

@@ -206,25 +206,3 @@ let next_frame r =
       compact r;
       Some payload
     end
-
-(* ------------------------------------------------------------------ *)
-(* Blocking channel I/O.                                               *)
-(* ------------------------------------------------------------------ *)
-
-let input_frame ic =
-  let line = input_line ic in
-  let n =
-    match int_of_string_opt (String.trim line) with
-    | Some n when n >= 0 && n <= max_frame -> n
-    | _ -> fail "frame: bad length prefix %S" line
-  in
-  let payload = really_input_string ic n in
-  (match input_char ic with
-   | '\n' -> ()
-   | _ -> fail "frame: missing terminator"
-   | exception End_of_file -> fail "frame: truncated terminator");
-  payload
-
-let output_frame oc payload =
-  output_string oc (frame payload);
-  flush oc

@@ -94,9 +94,9 @@ val frame : string -> string
 
 (** {1 Incremental frame reader}
 
-    Feed raw bytes as they arrive; complete frames pop out.  Used by the
-    server's non-blocking event loop (the blocking client reads frames
-    directly off a channel instead). *)
+    Feed raw bytes as they arrive; complete frames pop out.  Both the
+    server's non-blocking event loop and the client read frames through
+    it. *)
 
 type reader
 
@@ -109,12 +109,3 @@ val feed : reader -> bytes -> int -> unit
     @raise Proto_error on a malformed length prefix, a missing frame
     terminator, or a frame larger than the sanity cap. *)
 val next_frame : reader -> string option
-
-(** {1 Blocking channel I/O} *)
-
-(** Read one frame payload from a channel.
-    @raise End_of_file on a cleanly closed stream.
-    @raise Proto_error on malformed framing. *)
-val input_frame : in_channel -> string
-
-val output_frame : out_channel -> string -> unit

@@ -277,7 +277,7 @@ let gcd_top = Circuits.Collection.gcd.Circuits.Collection.e_top
 let transform_lines entry =
   let ((tf, stats), hit) =
     Serve.Cache.transform entry ~budget:Engine.Budget.none
-      ~mut:"u_core.u_ctrl" ~mode:"compositional"
+      ~mut:"u_core.u_ctrl" ~mode:Factor.Flow.Compositional
   in
   ((Serve.Render.extract_stats stats, Serve.Render.transform_line tf), hit)
 
@@ -568,6 +568,35 @@ let e2e_warm_restart () =
       check_bool "restarted response is bit-identical" true
         (first = (jstr "counts" r, jstr "quality" r, jstr "vectors" r)))
 
+(* An unknown extraction mode is refused before any work, so it can
+   neither run a flow nor memoize a transform under a key of its own. *)
+let e2e_extract_modes () =
+  let dir = tmpdir "factor-modes" in
+  let store = Serve.Store.open_ dir in
+  with_server ~store:dir (fun cl ->
+      let extract mode =
+        Serve.Client.rpc cl ~op:"extract"
+          ~params:
+            [ ("design", J.String "@gcd"); ("mut", J.String "u_core.u_ctrl");
+              ("mode", J.String mode) ]
+      in
+      let cached r = J.member "transform_cached" r = Some (J.Bool true) in
+      let comp = extract "compositional" in
+      check_bool "compositional extract answers" true
+        (jstr "extraction" comp <> "" && not (cached comp));
+      let before = Serve.Store.stats store in
+      check_bool "a misspelt mode is a proto error" true
+        (match extract "conventonal" with
+         | exception Serve.Client.Server_error ("proto", _) -> true
+         | _ -> false);
+      check_bool "a misspelt mode adds no transform entry" true
+        (Serve.Store.stats store = before);
+      let conv = extract "conventional" in
+      check_bool "conventional extract answers fresh" true
+        (jstr "extraction" conv <> "" && not (cached conv));
+      check_bool "compositional repeat hits its memo" true
+        (cached (extract "compositional")))
+
 let e2e_shutdown_request () =
   let dir = tmpdir "factor-shutdown" in
   let sock = Filename.concat dir "factor.sock" in
@@ -820,6 +849,7 @@ let () =
             e2e_roundtrip;
           test "errors and budgets degrade one request" e2e_errors_and_budget;
           test "store-backed warm restart" e2e_warm_restart;
+          test "an unknown extract mode is refused" e2e_extract_modes;
           test "shutdown request" e2e_shutdown_request;
           test "chaos kills one op, siblings untouched" e2e_chaos_isolation;
         ] );
