@@ -878,9 +878,71 @@ let bench_sat () =
         hybrid.Atpg.Gen.r_sat_stats.Sat.Solver.s_conflicts)
     (Lazy.force compositional)
 
+(* The sequential half of the SAT smoke: gcd unrolled to 3 frames,
+   once with its PIERs (every fault then closes at depth 1) and once
+   with none (X initial state: cubes need 2-3 frames and most faults
+   are untestable within 3).  PODEM deepens 1..3 frames on the same
+   PIERs; where it decides a fault (a test at some depth, or exhausted
+   at every depth) SAT must agree, and every SAT cube must detect under
+   the fault simulator.  One split is allowed: PODEM's 5-valued
+   calculus is pessimistic with frame-0 state at X, so a cube for a
+   fault PODEM exhausted stands once the simulator confirms it.
+   Returns the summary and the faults failing the check. *)
+let sat_smoke_gcd c ~piers =
+  let frames = 3 in
+  let observe = { Atpg.Fsim.ob_pos = true; ob_pier_ffs = piers } in
+  let faults = Atpg.Fault.collapse c (Atpg.Fault.all c) in
+  let cubes = ref 0 and untestable = ref 0 and gave_up = ref 0 in
+  let decided = ref 0 in
+  (* PODEM's verdict, deepening as Atpg.Gen does *)
+  let podem f =
+    let rec deepen d =
+      if d > frames then `Exhausted
+      else
+        let cfg =
+          { Atpg.Podem.frames = d; backtrack_limit = 1_000; piers; seed = 1 }
+        in
+        match Atpg.Podem.run c cfg f with
+        | Atpg.Podem.Detected _ -> `Detected
+        | Atpg.Podem.Exhausted -> deepen (d + 1)
+        | Atpg.Podem.Aborted -> `Undecided
+    in
+    let p = deepen 1 in
+    if p <> `Undecided then incr decided;
+    p
+  in
+  let bad =
+    List.filter
+      (fun f ->
+        let (verdict, _) =
+          Sat.Satgen.run c ~max_frames:frames ~piers ~net:f.Atpg.Fault.f_net
+            ~stuck:f.Atpg.Fault.f_stuck
+        in
+        match verdict with
+        | Sat.Satgen.Cube cube ->
+          incr cubes;
+          let t =
+            { Atpg.Pattern.p_vectors = cube.Sat.Satgen.tc_vectors;
+              p_loads = cube.Sat.Satgen.tc_loads }
+          in
+          not (Atpg.Fsim.run c ~observe ~faults:[ f ] [ t ]).(0)
+        | Sat.Satgen.Untestable _ ->
+          incr untestable;
+          podem f = `Detected
+        | Sat.Satgen.Gave_up ->
+          incr gave_up;
+          podem f <> `Undecided)
+      faults
+  in
+  ( Printf.sprintf
+      "%d PIERs: %d cubes, %d untestable (PODEM decides %d), %d gave up"
+      (List.length piers) !cubes !untestable !decided !gave_up,
+    List.map (Atpg.Fault.to_string c) bad )
+
 (* Fast CI smoke: miter every collapsed fault of the stand-alone ALU and
    require a cube for each (the ALU has no untestable faults), plus one
-   equivalence proof of an optimizer rebuild. *)
+   equivalence proof of an optimizer rebuild and the sequential gcd
+   agreement check above. *)
 let bench_sat_smoke () =
   let ed = Design.Elaborate.elaborate (Arm.Rtl.design ()) ~top:"arm_alu" in
   let c =
@@ -909,7 +971,25 @@ let bench_sat_smoke () =
    | Synth.Opt.Equal -> print_endline "  rebuild proven equivalent"
    | Synth.Opt.Differ n ->
      Printf.eprintf "sat smoke: rebuild differs on %s\n" n;
-     exit 1)
+     exit 1);
+  let e = Circuits.Collection.gcd in
+  let gcd =
+    Gen_rtl.Gen.circuit_of
+      (Verilog.Parser.parse_design e.Circuits.Collection.e_source)
+      ~top:e.Circuits.Collection.e_top
+  in
+  let (with_piers, bad) =
+    sat_smoke_gcd gcd ~piers:(Factor.Pier.identify gcd)
+  in
+  let (without, bad') = sat_smoke_gcd gcd ~piers:[] in
+  let bad = bad @ bad' in
+  Printf.printf "sat smoke: gcd at 3 frames, %s; %s; %d failed\n" with_piers
+    without (List.length bad);
+  if bad <> [] then begin
+    Printf.eprintf "sat smoke: gcd faults failing the check: %s\n"
+      (String.concat ", " bad);
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Parallel engine benchmark.                                          *)

@@ -1,7 +1,7 @@
 (** SAT-based stuck-at test generation: a miter of the good circuit
     against a faulted copy (built only over the fault's fanout cone),
-    unrolled over bounded time frames, with the difference of every
-    observation point OR'd into one detection clause.
+    unrolled over bounded time frames, with the differences at the
+    observation points OR'd into a detection clause per depth.
 
     Frame semantics mirror [Atpg.Podem] and [Atpg.Fsim]: primary
     inputs are fresh binary variables per frame, frame-0 flip-flops
@@ -30,11 +30,19 @@ type outcome =
 
 (** [run c ~net ~stuck] targets the single stuck-at fault
     [net] stuck-at-[stuck].  Depths [1..max_frames] are tried in turn
-    ([max_frames] is capped to 1 when [c] has no flip-flops); each
-    depth gets [conflict_limit] conflicts.  A dead [budget] token turns
-    the remaining work into [Gave_up] (never a spurious untestability
-    verdict).  Also returns the solver statistics summed over all
-    depths. *)
+    ([max_frames] is capped to 1 when [c] has no flip-flops) on one
+    solver that is extended by a frame per depth, so clauses learned
+    at a shallower depth carry over; each depth's solve gets
+    [conflict_limit] conflicts.  A dead [budget] token turns the
+    remaining work into [Gave_up] (never a spurious untestability
+    verdict).  Also returns that solver's statistics, totals across
+    every depth tried.
+
+    With the structured log at [Debug], each depth emits one
+    [sat.depth] event: [net], [stuck], [depth], [vars] (solver
+    variables after encoding), [conflicts] (this depth's solve),
+    [encode_s], [solve_s] and [result] ([sat], [unsat] or
+    [unknown]). *)
 val run :
   ?max_frames:int -> ?conflict_limit:int -> ?piers:int list ->
   ?budget:Engine.Budget.t ->

@@ -64,7 +64,8 @@ let add_stats a b =
 
 let stats_to_string st =
   Printf.sprintf
-    "conflicts %d | decisions %d | propagations %d | restarts %d | learned %d"
+    "conflicts %d | decisions %d | propagations %d | restarts %d | \
+     learned (total) %d"
     st.s_conflicts st.s_decisions st.s_propagations st.s_restarts st.s_learned
 
 type t = {

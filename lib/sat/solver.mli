@@ -59,7 +59,10 @@ type stats = {
   s_decisions : int;
   s_propagations : int;
   s_restarts : int;
-  s_learned : int;   (** learned clauses currently retained *)
+  s_learned : int;
+      (** learned clauses recorded since [create], counting every one
+          database reduction has since deleted; units, which go to the
+          trail, are not counted *)
 }
 
 val stats : t -> stats

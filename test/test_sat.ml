@@ -241,6 +241,150 @@ let arm_alu_agreement () =
     (engines_agree ~strict:true ~backtrack_limit:20_000 c)
 
 (* ------------------------------------------------------------------ *)
+(* Multi-frame Satgen vs an exhaustive oracle                          *)
+(* ------------------------------------------------------------------ *)
+
+(* [c] with all but [free] of its primary inputs tied off, each to a
+   constant or to one of the kept inputs, so that every input sequence
+   of a few frames can be enumerated.  The logic, state and fault list
+   stay those of the generated module. *)
+let restrict_pis rng c ~free =
+  let n = Netlist.num_pis c in
+  let kept = Array.sub c.Netlist.pis 0 free in
+  let drv = Array.copy c.Netlist.drv in
+  for i = free to n - 1 do
+    drv.(c.Netlist.pis.(i)) <-
+      (match Random.State.int rng 3 with
+       | 0 -> Netlist.C0
+       | 1 -> Netlist.C1
+       | _ -> Netlist.G1 (Netlist.Buff, kept.(Random.State.int rng free)))
+  done;
+  { c with Netlist.drv; pis = kept;
+           pi_names = Array.sub c.Netlist.pi_names 0 free }
+
+(* Every test of exactly [frames] frames: all input sequences crossed
+   with all PIER loads, [bits] = PIs x frames + PIERs. *)
+let all_tests c ~piers ~frames =
+  let num_pis = Netlist.num_pis c in
+  let bits = (num_pis * frames) + List.length piers in
+  List.init (1 lsl bits) (fun m ->
+      let bit k = (m lsr k) land 1 = 1 in
+      { Atpg.Pattern.p_vectors =
+          Array.init frames (fun f ->
+              Array.init num_pis (fun i -> bit ((f * num_pis) + i)));
+        p_loads =
+          List.mapi (fun j ff -> (ff, bit ((num_pis * frames) + j))) piers })
+
+(* Satgen with no conflict limit against exhaustive fault simulation:
+   [Untestable k] iff no sequence of length <= k, under any PIER load,
+   detects the fault; a cube of length d detects and no shorter
+   sequence does.  Circuits whose input space exceeds 12 bits at the
+   drawn depth are skipped. *)
+let satgen_vs_exhaustive (gm, seed) =
+  let (_, c) = Fuzzgen.build gm in
+  let rng = Random.State.make [| seed |] in
+  let max_frames = 1 + Random.State.int rng 3 in
+  let c =
+    restrict_pis rng c
+      ~free:(min (Netlist.num_pis c) (1 + Random.State.int rng 3))
+  in
+  let piers =
+    List.filter
+      (fun _ -> Random.State.int rng 3 = 0)
+      (List.init (Netlist.num_ffs c) Fun.id)
+  in
+  let piers = List.filteri (fun j _ -> j < 4) piers in
+  if (Netlist.num_pis c * max_frames) + List.length piers > 12 then true
+  else begin
+    let depths = if Netlist.num_ffs c = 0 then 1 else max_frames in
+    let observe = { Atpg.Fsim.ob_pos = true; ob_pier_ffs = piers } in
+    let faults = Atpg.Fault.collapse c (Atpg.Fault.all c) in
+    (* detected.(l - 1): flags of the faults some length-l test detects *)
+    let detected =
+      Array.init depths (fun l ->
+          Atpg.Fsim.run c ~observe ~faults
+            (all_tests c ~piers ~frames:(l + 1)))
+    in
+    List.for_all2
+      (fun k f ->
+        let undetected_below d =
+          List.for_all (fun l -> not detected.(l).(k)) (List.init d Fun.id)
+        in
+        match
+          Sat.Satgen.run c ~max_frames ~conflict_limit:max_int ~piers
+            ~net:f.Atpg.Fault.f_net ~stuck:f.Atpg.Fault.f_stuck
+        with
+        | (Sat.Satgen.Cube cube, _) ->
+          let d = Array.length cube.Sat.Satgen.tc_vectors in
+          d >= 1 && d <= depths
+          && (Atpg.Fsim.run c ~observe ~faults:[ f ] [ cube_to_test cube ]).(0)
+          && undetected_below (d - 1)
+        | (Sat.Satgen.Untestable n, _) -> n = depths && undetected_below n
+        | (Sat.Satgen.Gave_up, _) -> false)
+      (List.init (List.length faults) Fun.id)
+      faults
+  end
+
+(* One [sat.depth] debug event per depth tried, in order, carrying the
+   per-depth split.  [a] reaches [y] only through a register that
+   starts at X, so a-stuck-at-0 is UNSAT at depth 1 and gets a 2-frame
+   cube. *)
+let satgen_depth_events () =
+  let c =
+    Testutil.circuit
+      {|module top (input clk, input a, output y);
+          reg r;
+          always @(posedge clk) r <= a;
+          assign y = r;
+        endmodule|}
+  in
+  let a =
+    c.Netlist.pis.(Option.get (Array.find_index (( = ) "a") c.Netlist.pi_names))
+  in
+  let got = ref [] in
+  let fwd =
+    Obs.Log.add_forwarder (fun _ msg attrs ->
+        if msg = "sat.depth" then got := attrs :: !got)
+  in
+  let file = Filename.temp_file "satgen" ".jsonl" in
+  Obs.Log.set_level (Some Obs.Log.Debug);
+  Obs.Log.set_file (Some file);
+  let (verdict, stats) =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Log.remove_forwarder fwd;
+        Obs.Log.close ();
+        Obs.Log.set_file None;
+        Obs.Log.set_level None;
+        Sys.remove file)
+      (fun () -> Sat.Satgen.run c ~max_frames:3 ~net:a ~stuck:false)
+  in
+  (match verdict with
+   | Sat.Satgen.Cube cube ->
+     Alcotest.(check int) "two-frame cube" 2
+       (Array.length cube.Sat.Satgen.tc_vectors)
+   | _ -> Alcotest.fail "expected a cube");
+  let events = List.rev !got in
+  let field k = List.map (List.assoc k) events in
+  Alcotest.(check bool) "depths 1, 2" true
+    (field "depth" = [ Obs.Json.Int 1; Obs.Json.Int 2 ]);
+  Alcotest.(check bool) "results unsat, sat" true
+    (field "result" = [ Obs.Json.String "unsat"; Obs.Json.String "sat" ]);
+  Alcotest.(check bool) "net and stuck" true
+    (field "net" = [ Obs.Json.Int a; Obs.Json.Int a ]
+     && field "stuck" = [ Obs.Json.Bool false; Obs.Json.Bool false ]);
+  Alcotest.(check int) "per-depth conflicts sum to the solver's"
+    stats.Sat.Solver.s_conflicts
+    (List.fold_left
+       (fun acc -> function Obs.Json.Int n -> acc + n | _ -> acc)
+       0 (field "conflicts"));
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (k ^ " present") true
+        (List.for_all (List.mem_assoc k) events))
+    [ "vars"; "encode_s"; "solve_s" ]
+
+(* ------------------------------------------------------------------ *)
 (* Equivalence checking                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -293,6 +437,11 @@ let () =
             Fuzzgen.gen_comb_arbitrary podem_vs_satgen;
           test "arm alu: engines agree on every collapsed fault"
             arm_alu_agreement;
+          qtest "random seq rtl: multi-frame satgen matches exhaustive \
+                 simulation" ~count:40
+            QCheck.(pair Fuzzgen.gen_arbitrary (int_bound 1_000_000))
+            satgen_vs_exhaustive;
+          test "one sat.depth debug event per depth" satgen_depth_events;
         ] );
       ( "ec",
         [
