@@ -939,10 +939,18 @@ let sat_smoke_gcd c ~piers =
       (List.length piers) !cubes !untestable !decided !gave_up,
     List.map (Atpg.Fault.to_string c) bad )
 
+(* The ALU miters' summed search statistics.  The solver's search is
+   deterministic, so a change to how it stores clauses must reproduce
+   this line exactly; a change that moves it changes the search, and
+   must say so and re-pin it. *)
+let sat_smoke_alu_stats =
+  "conflicts 9920 | decisions 77038 | propagations 1350660 | restarts 7 | \
+   learned (total) 9787"
+
 (* Fast CI smoke: miter every collapsed fault of the stand-alone ALU and
-   require a cube for each (the ALU has no untestable faults), plus one
-   equivalence proof of an optimizer rebuild and the sequential gcd
-   agreement check above. *)
+   require a cube for each (the ALU has no untestable faults) and the
+   pinned search statistics, plus one equivalence proof of an optimizer
+   rebuild and the sequential gcd agreement check above. *)
 let bench_sat_smoke () =
   let ed = Design.Elaborate.elaborate (Arm.Rtl.design ()) ~top:"arm_alu" in
   let c =
@@ -962,9 +970,15 @@ let bench_sat_smoke () =
     faults;
   Printf.printf "sat smoke: %d/%d arm_alu faults closed with a cube\n" !cubes
     (List.length faults);
-  Printf.printf "  %s\n" (Sat.Solver.stats_to_string !stats);
+  let got = Sat.Solver.stats_to_string !stats in
+  Printf.printf "  %s\n" got;
   if !cubes <> List.length faults then begin
     prerr_endline "sat smoke: some faults missed a cube";
+    exit 1
+  end;
+  if got <> sat_smoke_alu_stats then begin
+    Printf.eprintf "sat smoke: the arm_alu search moved: expected %s\n"
+      sat_smoke_alu_stats;
     exit 1
   end;
   (match Synth.Opt.equivalent_exact c (Synth.Opt.rebuild c) with

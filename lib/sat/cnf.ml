@@ -9,12 +9,26 @@ type rails = {
   r0 : Solver.lit;
 }
 
+(* literals compared, sorted and hashed as the ints they are *)
+let same (a : Solver.lit) (b : Solver.lit) = (a :> int) = (b :> int)
+let compare_lit (a : Solver.lit) (b : Solver.lit) =
+  Int.compare (a :> int) (b :> int)
+
+module Memo = Hashtbl.Make (struct
+  type t = Solver.lit list
+  let equal = List.equal same
+  let hash ls =
+    List.fold_left (fun h (l : Solver.lit) -> (h * 31) + (l :> int)) 7 ls
+    land max_int
+end)
+
 type env = {
   sv : Solver.t;
   tlit : Solver.lit;  (* literal constrained true at level 0 *)
-  memo : (Solver.lit list, Solver.lit) Hashtbl.t;
-      (* structural sharing of AND terms: the two rails of a gate reuse
-         each other's conjunctions instead of re-Tseitinizing them *)
+  memo : Solver.lit Memo.t;
+      (* structural sharing of AND terms, keyed on the sorted operand
+         list: the two rails of a gate reuse each other's conjunctions
+         instead of re-Tseitinizing them *)
 }
 
 let create () =
@@ -22,7 +36,7 @@ let create () =
   let v = Solver.new_var sv in
   let tlit = Solver.pos v in
   Solver.add_clause sv [ tlit ];
-  { sv; tlit; memo = Hashtbl.create 1024 }
+  { sv; tlit; memo = Memo.create 1024 }
 
 let solver e = e.sv
 let lit_true e = e.tlit
@@ -42,22 +56,29 @@ let fresh_binary e =
    stuck nets never reach the solver. *)
 let mk_and e ls =
   let f = lit_false e and t = lit_true e in
-  if List.mem f ls then f
+  if List.exists (same f) ls then f
   else
-    let ls = List.sort_uniq compare (List.filter (fun l -> l <> t) ls) in
-    if List.exists (fun l -> List.mem (Solver.neg l) ls) ls then f
+    let ls =
+      List.sort_uniq compare_lit (List.filter (fun l -> not (same l t)) ls)
+    in
+    (* once sorted, a complementary pair [2v], [2v+1] is adjacent *)
+    let rec complementary = function
+      | a :: (b :: _ as rest) -> same (Solver.neg a) b || complementary rest
+      | _ -> false
+    in
+    if complementary ls then f
     else
       match ls with
       | [] -> t
       | [ l ] -> l
       | _ ->
-        (match Hashtbl.find_opt e.memo ls with
+        (match Memo.find_opt e.memo ls with
         | Some y -> y
         | None ->
           let y = Solver.pos (Solver.new_var e.sv) in
           List.iter (fun l -> Solver.add_clause e.sv [ Solver.neg y; l ]) ls;
           Solver.add_clause e.sv (y :: List.map Solver.neg ls);
-          Hashtbl.add e.memo ls y;
+          Memo.add e.memo ls y;
           y)
 
 let mk_or e ls = Solver.neg (mk_and e (List.map Solver.neg ls))

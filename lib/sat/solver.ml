@@ -1,9 +1,30 @@
 (** MiniSat-shaped CDCL: two-watched-literal propagation, first-UIP
-    learning with self-subsumption minimization, VSIDS activity with a
-    max-heap decision order, phase saving, Luby-sequence restarts, and
-    activity-driven learned-clause database reduction.  A clause that
-    propagates keeps the implied literal in slot 0 and the falsified
-    watch in slot 1, the invariant conflict analysis relies on. *)
+    learning with a one-level self-subsumption check, VSIDS activity
+    with a max-heap decision order, phase saving, Luby-sequence
+    restarts, and activity-driven learned-clause database reduction.
+
+    Storage is unboxed, so propagation touches only [int] arrays and
+    bytes and never pays a write barrier:
+    - every clause lives in one [int array] arena as a header word
+      (length, learnt and deleted bits, and a learnt clause's activity
+      slot) followed by its literals; a clause reference is the offset
+      of its header;
+    - a watcher is a pair of ints, the clause reference and an inline
+      literal: a binary clause carries its other literal there, so it
+      is decided without reading the arena; a longer clause carries -1;
+    - literal values take one byte per literal; reasons are clause
+      references, -1 for none.
+
+    Slots 0 and 1 of a clause hold its two watched literals.  Their
+    order is written only when the clause becomes a reason or the
+    conflict: the implied (or other) watch in slot 0, the falsified
+    watch in slot 1.  Conflict analysis and [locked] are the only
+    readers of that order, and a reason is never visited again while
+    it stands, so every read sees the order that swapping on each
+    visit would have left.  Database reduction compacts the arena and
+    drops deleted clauses from the watch lists, keeping each list's
+    order, so deletion never changes which clauses propagation visits
+    or in what order. *)
 
 type lit = int
 (* literal encoding: variable [v] is [2v] (positive) / [2v+1] (negated) *)
@@ -14,34 +35,43 @@ let lit_of v sign = if sign then 2 * v else (2 * v) + 1
 let var_of l = l lsr 1
 let positive l = l land 1 = 0
 
-type clause = {
-  lits : int array;
-  mutable act : float;    (* activity, learnt clauses only *)
-  learnt : bool;
-  mutable deleted : bool; (* lazily unhooked from the watch lists *)
-}
-
-(* the "no clause" sentinel for reasons and conflict returns; compared
-   with physical equality *)
-let null_clause = { lits = [||]; act = 0.0; learnt = false; deleted = false }
-
-(* growable vector of clauses (watch lists) *)
-type cvec = {
-  mutable data : clause array;
+(* growable int vector: watch lists (two ints per watcher), the learnt
+   list and conflict-analysis scratch *)
+type ivec = {
+  mutable data : int array;
   mutable sz : int;
 }
 
-let cvec_make () = { data = [||]; sz = 0 }
+let ivec_make () = { data = [||]; sz = 0 }
 
-let cvec_push v c =
-  if v.sz = Array.length v.data then begin
-    let cap = max 4 (2 * v.sz) in
-    let d = Array.make cap null_clause in
+(* grows by half: most watch lists hold a handful of watchers, and
+   doubling them kept more memory than the boxed kernel did *)
+let ivec_reserve v n =
+  if n > Array.length v.data then begin
+    let cap = Array.length v.data in
+    let d = Array.make (max n (max 4 (cap + (cap / 2)))) 0 in
     Array.blit v.data 0 d 0 v.sz;
     v.data <- d
-  end;
-  v.data.(v.sz) <- c;
+  end
+
+let ivec_push v x =
+  ivec_reserve v (v.sz + 1);
+  v.data.(v.sz) <- x;
   v.sz <- v.sz + 1
+
+let watch_push w cr inline =
+  ivec_reserve w (w.sz + 2);
+  w.data.(w.sz) <- cr;
+  w.data.(w.sz + 1) <- inline;
+  w.sz <- w.sz + 2
+
+(* clause header word: bit 0 learnt, bit 1 deleted, bits 2-31 length,
+   bits 32 and up the activity slot of a learnt clause (the forwarding
+   reference while [compact] runs) *)
+let hdr_len h = (h lsr 2) land 0x3FFF_FFFF
+let hdr_learnt h = h land 1 <> 0
+let hdr_deleted h = h land 2 <> 0
+let hdr_low h = h land 0xFFFF_FFFF
 
 type stats = {
   s_conflicts : int;
@@ -70,15 +100,18 @@ let stats_to_string st =
 
 type t = {
   (* per variable *)
-  mutable assigns : int array;    (* -1 unassigned, 0 false, 1 true *)
   mutable level : int array;
-  mutable reason : clause array;  (* [null_clause] = decision / unassigned *)
+  mutable reason : int array;     (* clause reference; -1 = none *)
   mutable activity : float array;
   mutable polarity : bool array;  (* saved phase *)
   mutable seen : bool array;
   mutable heap_pos : int array;   (* -1 = not in heap *)
   (* per literal *)
-  mutable watches : cvec array;
+  mutable vals : Bytes.t;         (* '\000' false, '\001' true, '\002' unset *)
+  mutable watches : ivec array;   (* (clause ref, inline literal) pairs *)
+  (* clause arena *)
+  mutable arena : int array;
+  mutable arena_sz : int;
   (* trail *)
   mutable trail : int array;
   mutable trail_sz : int;
@@ -90,12 +123,17 @@ type t = {
   mutable heap_sz : int;
   mutable nvars : int;
   mutable var_inc : float;
-  (* learned-clause database *)
-  mutable learnts : cvec;
+  (* learned-clause database: references by activity slot *)
+  learnts : ivec;
+  mutable learnt_act : float array;
   mutable cla_inc : float;
   mutable max_learnts : int;
   mutable ok : bool;
   mutable model : bool array;
+  (* conflict-analysis scratch *)
+  an_out : ivec;     (* literals below the conflict level, in discovery order *)
+  an_clear : ivec;   (* variables whose [seen] flag is set *)
+  an_learnt : ivec;  (* the learned clause *)
   (* statistics *)
   mutable conflicts : int;
   mutable decisions : int;
@@ -105,14 +143,16 @@ type t = {
 }
 
 let create () =
-  { assigns = Array.make 16 (-1);
-    level = Array.make 16 0;
-    reason = Array.make 16 null_clause;
+  { level = Array.make 16 0;
+    reason = Array.make 16 (-1);
     activity = Array.make 16 0.0;
     polarity = Array.make 16 false;
     seen = Array.make 16 false;
     heap_pos = Array.make 16 (-1);
-    watches = Array.init 32 (fun _ -> cvec_make ());
+    vals = Bytes.make 32 '\002';
+    watches = Array.init 32 (fun _ -> ivec_make ());
+    arena = Array.make 1024 0;
+    arena_sz = 0;
     trail = Array.make 16 0;
     trail_sz = 0;
     trail_lim = Array.make 16 0;
@@ -122,11 +162,15 @@ let create () =
     heap_sz = 0;
     nvars = 0;
     var_inc = 1.0;
-    learnts = cvec_make ();
+    learnts = ivec_make ();
+    learnt_act = [||];
     cla_inc = 1.0;
     max_learnts = 4000;
     ok = true;
     model = [||];
+    an_out = ivec_make ();
+    an_clear = ivec_make ();
+    an_learnt = ivec_make ();
     conflicts = 0;
     decisions = 0;
     propagations = 0;
@@ -197,7 +241,7 @@ let heap_pop s =
 (* ------------------------------------------------------------------ *)
 
 let grow_to s n =
-  let cap = Array.length s.assigns in
+  let cap = Array.length s.level in
   if n > cap then begin
     let cap' = max n (2 * cap) in
     let extend a fill =
@@ -205,9 +249,8 @@ let grow_to s n =
       Array.blit a 0 a' 0 (Array.length a);
       a'
     in
-    s.assigns <- extend s.assigns (-1);
     s.level <- extend s.level 0;
-    s.reason <- extend s.reason null_clause;
+    s.reason <- extend s.reason (-1);
     s.activity <- extend s.activity 0.0;
     s.polarity <- extend s.polarity false;
     s.seen <- extend s.seen false;
@@ -215,7 +258,10 @@ let grow_to s n =
     s.trail <- extend s.trail 0;
     s.trail_lim <- extend s.trail_lim 0;
     s.heap <- extend s.heap 0;
-    let w = Array.init (2 * cap') (fun _ -> cvec_make ()) in
+    let vals = Bytes.make (2 * cap') '\002' in
+    Bytes.blit s.vals 0 vals 0 (2 * cap);
+    s.vals <- vals;
+    let w = Array.init (2 * cap') (fun _ -> ivec_make ()) in
     Array.blit s.watches 0 w 0 (2 * cap);
     s.watches <- w
   end
@@ -229,8 +275,9 @@ let new_var s =
 
 (* value of a literal: -1 unassigned, 0 false, 1 true *)
 let lit_value s l =
-  let a = s.assigns.(l lsr 1) in
-  if a < 0 then -1 else a lxor (l land 1)
+  match Bytes.get s.vals l with '\002' -> -1 | c -> Char.code c
+
+let assigned s v = Bytes.get s.vals (2 * v) <> '\002'
 
 let bump_var s v =
   s.activity.(v) <- s.activity.(v) +. s.var_inc;
@@ -250,68 +297,82 @@ let decay_activity s = s.var_inc <- s.var_inc /. 0.95
 
 let enqueue s l reason =
   let v = l lsr 1 in
-  s.assigns.(v) <- 1 - (l land 1);
+  Bytes.set s.vals l '\001';
+  Bytes.set s.vals (neg l) '\000';
   s.level.(v) <- s.levels;
   s.reason.(v) <- reason;
   s.trail.(s.trail_sz) <- l;
   s.trail_sz <- s.trail_sz + 1
 
-(* [propagate s] drains the queue; returns the conflicting clause or
-   [null_clause].  Clauses marked deleted are dropped from the watch
-   lists as they are encountered. *)
+(* [propagate s] drains the queue; returns the conflicting clause
+   reference or -1.  Only [alloc] and [grow_to] replace the arrays
+   held in locals here, and neither runs during propagation. *)
 let propagate s =
-  let confl = ref null_clause in
-  while !confl == null_clause && s.qhead < s.trail_sz do
-    let p = s.trail.(s.qhead) in
+  let a = s.arena and vals = s.vals and trail = s.trail in
+  let confl = ref (-1) in
+  while !confl < 0 && s.qhead < s.trail_sz do
+    let p = trail.(s.qhead) in
     (* p just became true, falsifying (neg p): visit the clauses that
        watch it, which [attach] filed under the key [neg (neg p)] = p *)
     let fl = neg p in
     s.qhead <- s.qhead + 1;
     s.propagations <- s.propagations + 1;
+    (* a moved watch goes to another literal's list, so this one's
+       buffer stays put while it is scanned *)
     let ws = s.watches.(p) in
+    let d = ws.data and n = ws.sz in
     let i = ref 0 and j = ref 0 in
-    while !i < ws.sz do
-      let cl = ws.data.(!i) in
-      incr i;
-      if not cl.deleted then begin
-        let c = cl.lits in
-        (* put the falsified watch in slot 1 *)
-        if c.(0) = fl then begin
-          c.(0) <- c.(1);
-          c.(1) <- fl
-        end;
-        if lit_value s c.(0) = 1 then begin
-          (* clause already satisfied: keep the watch *)
-          ws.data.(!j) <- cl;
-          incr j
-        end
-        else begin
-          (* look for a new literal to watch *)
-          let n = Array.length c in
-          let k = ref 2 in
-          while !k < n && lit_value s c.(!k) = 0 do incr k done;
-          if !k < n then begin
-            c.(1) <- c.(!k);
-            c.(!k) <- fl;
-            cvec_push s.watches.(neg c.(1)) cl
-            (* watch moved: do not keep it here *)
+    while !i < n do
+      let cr = d.(!i) and inline = d.(!i + 1) in
+      i := !i + 2;
+      (* the clause's other watch: inline for a binary clause *)
+      let other =
+        if inline >= 0 then inline
+        else
+          let s0 = a.(cr + 1) in
+          if s0 = fl then a.(cr + 2) else s0
+      in
+      let vo = Bytes.get vals other in
+      if vo = '\001' then begin
+        (* clause already satisfied: keep the watch *)
+        d.(!j) <- cr;
+        d.(!j + 1) <- inline;
+        j := !j + 2
+      end
+      else begin
+        (* a long clause looks for a new literal to watch *)
+        let moved =
+          inline < 0
+          &&
+          let stop = cr + 1 + hdr_len a.(cr) in
+          let k = ref (cr + 3) in
+          while !k < stop && Bytes.get vals a.(!k) = '\000' do incr k done;
+          !k < stop
+          && begin
+            let l = a.(!k) in
+            a.(if a.(cr + 1) = fl then cr + 1 else cr + 2) <- l;
+            a.(!k) <- fl;
+            watch_push s.watches.(neg l) cr (-1);
+            true
           end
-          else begin
-            (* unit or conflicting *)
-            ws.data.(!j) <- cl;
-            incr j;
-            if lit_value s c.(0) = 0 then begin
-              confl := cl;
-              (* copy the unvisited tail and stop *)
-              while !i < ws.sz do
-                ws.data.(!j) <- ws.data.(!i);
-                incr j;
-                incr i
-              done;
-              s.qhead <- s.trail_sz
-            end
-            else enqueue s c.(0) cl
+        in
+        if not moved then begin
+          (* unit or conflicting: keep the watch and orient the clause
+             as its reader expects, other watch first *)
+          d.(!j) <- cr;
+          d.(!j + 1) <- inline;
+          j := !j + 2;
+          a.(cr + 1) <- other;
+          a.(cr + 2) <- fl;
+          if vo = '\000' then begin
+            confl := cr;
+            (* copy the unvisited tail and stop *)
+            Array.blit d !i d !j (n - !i);
+            j := !j + (n - !i);
+            i := n;
+            s.qhead <- s.trail_sz
           end
+          else enqueue s other cr
         end
       end
     done;
@@ -336,9 +397,10 @@ let cancel_until s lvl =
     for i = s.trail_sz - 1 downto bound do
       let l = s.trail.(i) in
       let v = l lsr 1 in
-      s.polarity.(v) <- s.assigns.(v) = 1;
-      s.assigns.(v) <- -1;
-      s.reason.(v) <- null_clause;
+      s.polarity.(v) <- Bytes.get s.vals (2 * v) = '\001';
+      Bytes.set s.vals l '\002';
+      Bytes.set s.vals (neg l) '\002';
+      s.reason.(v) <- -1;
       heap_insert s v
     done;
     s.trail_sz <- bound;
@@ -350,32 +412,59 @@ let cancel_until s lvl =
 (* Clause management.                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let attach s c =
-  cvec_push s.watches.(neg c.lits.(0)) c;
-  cvec_push s.watches.(neg c.lits.(1)) c
+(* [alloc s ~learnt len] reserves a clause of [len] literals at the end
+   of the arena and returns its reference; the caller writes the
+   literals into slots [cr + 1 .. cr + len]. *)
+let alloc s ~learnt len =
+  let need = s.arena_sz + 1 + len in
+  if need > Array.length s.arena then begin
+    let a = Array.make (max need (2 * Array.length s.arena)) 0 in
+    Array.blit s.arena 0 a 0 s.arena_sz;
+    s.arena <- a
+  end;
+  let cr = s.arena_sz in
+  s.arena.(cr) <- (len lsl 2) lor (if learnt then 1 else 0);
+  s.arena_sz <- need;
+  cr
+
+let attach s cr =
+  let a = s.arena in
+  let l0 = a.(cr + 1) and l1 = a.(cr + 2) in
+  if hdr_len a.(cr) = 2 then begin
+    watch_push s.watches.(neg l0) cr l1;
+    watch_push s.watches.(neg l1) cr l0
+  end
+  else begin
+    watch_push s.watches.(neg l0) cr (-1);
+    watch_push s.watches.(neg l1) cr (-1)
+  end
 
 (** Add a problem clause at decision level 0, simplifying against the
     level-0 assignment. *)
 let add_clause s lits =
   if s.ok then begin
     assert (s.levels = 0);
-    (* dedup, drop false literals, detect tautologies / satisfied *)
-    let lits = List.sort_uniq compare lits in
+    (* dedup, drop false literals, detect tautologies / satisfied; once
+       sorted, a complementary pair [2v], [2v+1] is adjacent *)
+    let lits = List.sort_uniq Int.compare lits in
+    let rec complementary = function
+      | a :: (b :: _ as rest) -> a lxor 1 = b || complementary rest
+      | _ -> false
+    in
     let tautology =
-      List.exists (fun l -> List.mem (neg l) lits) lits
-      || List.exists (fun l -> lit_value s l = 1) lits
+      complementary lits || List.exists (fun l -> lit_value s l = 1) lits
     in
     if not tautology then begin
       let lits = List.filter (fun l -> lit_value s l <> 0) lits in
       match lits with
       | [] -> s.ok <- false
       | [ l ] ->
-        enqueue s l null_clause;
-        if propagate s != null_clause then s.ok <- false
+        enqueue s l (-1);
+        if propagate s >= 0 then s.ok <- false
       | _ ->
-        attach s
-          { lits = Array.of_list lits; act = 0.0; learnt = false;
-            deleted = false }
+        let cr = alloc s ~learnt:false (List.length lits) in
+        List.iteri (fun k l -> s.arena.(cr + 1 + k) <- l) lits;
+        attach s cr
     end
   end
 
@@ -383,39 +472,115 @@ let add_clause s lits =
 (* Learned-clause database reduction.                                  *)
 (* ------------------------------------------------------------------ *)
 
-let bump_clause s c =
-  c.act <- c.act +. s.cla_inc;
-  if c.act > 1e20 then begin
+let bump_clause s cr =
+  let slot = s.arena.(cr) lsr 32 in
+  let act = s.learnt_act in
+  act.(slot) <- act.(slot) +. s.cla_inc;
+  if act.(slot) > 1e20 then begin
     for i = 0 to s.learnts.sz - 1 do
-      s.learnts.data.(i).act <- s.learnts.data.(i).act *. 1e-20
+      act.(i) <- act.(i) *. 1e-20
     done;
     s.cla_inc <- s.cla_inc *. 1e-20
   end
 
 let decay_clauses s = s.cla_inc <- s.cla_inc /. 0.999
 
+(* Append learnt clause [cr] to the database with activity [act]. *)
+let push_learnt s cr act =
+  let slot = s.learnts.sz in
+  ivec_push s.learnts cr;
+  if slot >= Array.length s.learnt_act then begin
+    let a = Array.make (Array.length s.learnts.data) 0.0 in
+    Array.blit s.learnt_act 0 a 0 slot;
+    s.learnt_act <- a
+  end;
+  s.learnt_act.(slot) <- act;
+  s.arena.(cr) <- hdr_low s.arena.(cr) lor (slot lsl 32)
+
 (* a clause that is the reason of a current assignment must stay *)
-let locked s c =
-  Array.length c.lits > 0
-  &&
-  let v = c.lits.(0) lsr 1 in
-  s.assigns.(v) >= 0 && s.reason.(v) == c
+let locked s cr =
+  let v = s.arena.(cr + 1) lsr 1 in
+  assigned s v && s.reason.(v) = cr
+
+(* Reclaim the clauses [reduce_db] marked deleted: drop their watchers
+   (each list keeps its order), then slide the live clauses down the
+   arena and rewrite every reference to them. *)
+let compact s =
+  let a = s.arena in
+  (* pass 1: each live header records its clause's new offset *)
+  let o = ref 0 and fresh = ref 0 in
+  while !o < s.arena_sz do
+    let h = a.(!o) in
+    let size = 1 + hdr_len h in
+    if not (hdr_deleted h) then begin
+      a.(!o) <- hdr_low h lor (!fresh lsl 32);
+      fresh := !fresh + size
+    end;
+    o := !o + size
+  done;
+  let fwd cr = a.(cr) lsr 32 in
+  (* pass 2: rewrite the references *)
+  for l = 0 to (2 * s.nvars) - 1 do
+    let w = s.watches.(l) in
+    let d = w.data in
+    let j = ref 0 in
+    for i = 0 to (w.sz / 2) - 1 do
+      let cr = d.(2 * i) in
+      if not (hdr_deleted a.(cr)) then begin
+        d.(!j) <- fwd cr;
+        d.(!j + 1) <- d.((2 * i) + 1);
+        j := !j + 2
+      end
+    done;
+    w.sz <- !j
+  done;
+  (* every reason is a live clause: [reduce_db] keeps locked ones *)
+  for v = 0 to s.nvars - 1 do
+    if s.reason.(v) >= 0 then s.reason.(v) <- fwd s.reason.(v)
+  done;
+  for k = 0 to s.learnts.sz - 1 do
+    s.learnts.data.(k) <- fwd s.learnts.data.(k)
+  done;
+  (* pass 3: slide; a clause only ever moves down, past clauses
+     already moved *)
+  o := 0;
+  while !o < s.arena_sz do
+    let h = a.(!o) in
+    let size = 1 + hdr_len h in
+    if not (hdr_deleted h) then begin
+      let dst = h lsr 32 in
+      Array.blit a !o a dst size;
+      a.(dst) <- hdr_low h
+    end;
+    o := !o + size
+  done;
+  s.arena_sz <- !fresh;
+  (* pass 4: restore the activity slots *)
+  for k = 0 to s.learnts.sz - 1 do
+    let cr = s.learnts.data.(k) in
+    a.(cr) <- a.(cr) lor (k lsl 32)
+  done
 
 (** Delete the lower-activity half of the learned clauses (binary and
-    locked clauses are always kept); deleted clauses fall out of the
-    watch lists lazily during propagation. *)
+    locked clauses are always kept) and compact the arena. *)
 let reduce_db s =
-  let arr = Array.sub s.learnts.data 0 s.learnts.sz in
-  Array.sort (fun a b -> compare a.act b.act) arr;
-  let keep = cvec_make () in
-  let half = s.learnts.sz / 2 in
+  let n = s.learnts.sz in
+  let refs = Array.sub s.learnts.data 0 n in
+  let act = Array.sub s.learnt_act 0 n in
+  (* sorting slots by activity makes the same comparisons, and so the
+     same permutation, as sorting the clauses themselves *)
+  let order = Array.init n Fun.id in
+  Array.sort (fun x y -> Float.compare act.(x) act.(y)) order;
+  s.learnts.sz <- 0;
+  let half = n / 2 in
   Array.iteri
-    (fun i c ->
-      if i >= half || Array.length c.lits <= 2 || locked s c then
-        cvec_push keep c
-      else c.deleted <- true)
-    arr;
-  s.learnts <- keep;
+    (fun i slot ->
+      let cr = refs.(slot) in
+      if i >= half || hdr_len s.arena.(cr) <= 2 || locked s cr then
+        push_learnt s cr act.(slot)
+      else s.arena.(cr) <- s.arena.(cr) lor 2)
+    order;
+  compact s;
   (* geometric growth of the budget, à la MiniSat *)
   s.max_learnts <- s.max_learnts + (s.max_learnts / 10)
 
@@ -423,35 +588,37 @@ let reduce_db s =
 (* Conflict analysis: first UIP.                                       *)
 (* ------------------------------------------------------------------ *)
 
-(** Returns the learned clause (asserting literal in slot 0, a literal
-    of the backjump level in slot 1 when binary or longer) and the
-    backjump level. *)
+(** Leaves the learned clause in [s.an_learnt] (asserting literal in
+    slot 0, a literal of the backjump level in slot 1 when binary or
+    longer) and returns the backjump level. *)
 let analyze s confl =
-  let out = ref [] in
+  let a = s.arena in
+  let out = s.an_out and to_clear = s.an_clear in
+  out.sz <- 0;
+  to_clear.sz <- 0;
   let path = ref 0 in
   let p = ref (-1) in
   let confl = ref confl in
   let idx = ref (s.trail_sz - 1) in
-  let to_clear = ref [] in
   let continue = ref true in
   while !continue do
-    let cl = !confl in
-    if cl.learnt then bump_clause s cl;
-    let c = cl.lits in
-    let start = if !p < 0 then 0 else 1 in
-    for k = start to Array.length c - 1 do
-      let q = c.(k) in
+    let cr = !confl in
+    let h = a.(cr) in
+    if hdr_learnt h then bump_clause s cr;
+    let start = if !p < 0 then 1 else 2 in
+    for k = cr + start to cr + hdr_len h do
+      let q = a.(k) in
       let v = q lsr 1 in
       if (not s.seen.(v)) && s.level.(v) > 0 then begin
         s.seen.(v) <- true;
-        to_clear := v :: !to_clear;
+        ivec_push to_clear v;
         bump_var s v;
         if s.level.(v) >= s.levels then incr path
-        else out := q :: !out
+        else ivec_push out q
       end
     done;
     (* walk back to the most recent seen literal on the trail; its seen
-       flag stays set so the minimization below can treat resolved-away
+       flag stays set so the check below can treat resolved-away
        literals as covered *)
     while not s.seen.(s.trail.(!idx) lsr 1) do decr idx done;
     p := s.trail.(!idx);
@@ -460,34 +627,45 @@ let analyze s confl =
     decr idx;
     if !path = 0 then continue := false else confl := s.reason.(v)
   done;
-  (* self-subsumption minimization: a literal whose reason consists
+  (* one-level self-subsumption: a literal whose reason consists
      entirely of literals already in the clause (or resolved away, or
      fixed at level 0) is implied by the rest and can be dropped *)
   let redundant l =
     let r = s.reason.(l lsr 1) in
-    r != null_clause
+    r >= 0
     && (let ok = ref true in
-        for k = 1 to Array.length r.lits - 1 do
-          let v = r.lits.(k) lsr 1 in
+        for k = r + 2 to r + hdr_len a.(r) do
+          let v = a.(k) lsr 1 in
           if s.level.(v) > 0 && not s.seen.(v) then ok := false
         done;
         !ok)
   in
-  let kept = List.filter (fun l -> not (redundant l)) !out in
-  List.iter (fun v -> s.seen.(v) <- false) !to_clear;
-  let asserting = neg !p in
-  match kept with
-  | [] -> ([| asserting |], 0)
-  | rest ->
+  (* the kept literals go to slots 1.., newest first *)
+  let learnt = s.an_learnt in
+  learnt.sz <- 0;
+  ivec_push learnt (neg !p);
+  for i = out.sz - 1 downto 0 do
+    let l = out.data.(i) in
+    if not (redundant l) then ivec_push learnt l
+  done;
+  for i = 0 to to_clear.sz - 1 do
+    s.seen.(to_clear.data.(i)) <- false
+  done;
+  if learnt.sz = 1 then 0
+  else begin
     (* slot 1 must hold a literal of the backjump (second-highest)
-       level so it is watched when the clause becomes unit there *)
-    let best =
-      List.fold_left
-        (fun acc l -> if s.level.(l lsr 1) > s.level.(acc lsr 1) then l else acc)
-        (List.hd rest) (List.tl rest)
-    in
-    let others = List.filter (fun l -> l <> best) rest in
-    (Array.of_list (asserting :: best :: others), s.level.(best lsr 1))
+       level so it is watched when the clause becomes unit there: the
+       first kept literal of the highest level moves to slot 1 *)
+    let d = learnt.data in
+    let best = ref 1 in
+    for i = 2 to learnt.sz - 1 do
+      if s.level.(d.(i) lsr 1) > s.level.(d.(!best) lsr 1) then best := i
+    done;
+    let b = d.(!best) in
+    Array.blit d 1 d 2 (!best - 1);
+    d.(1) <- b;
+    s.level.(b lsr 1)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Search.                                                             *)
@@ -513,7 +691,7 @@ let pick_branch s =
   let v = ref (-1) in
   while !v < 0 && s.heap_sz > 0 do
     let cand = heap_pop s in
-    if s.assigns.(cand) < 0 then v := cand
+    if not (assigned s cand) then v := cand
   done;
   !v
 
@@ -527,20 +705,29 @@ let search s (assumptions : lit array) tok budget limit =
     if Engine.Budget.check tok then result := Some Unknown
     else begin
     let confl = propagate s in
-    if confl != null_clause then begin
+    if confl >= 0 then begin
       s.conflicts <- s.conflicts + 1;
-      if s.levels = 0 then result := Some Unsat
+      if s.levels = 0 then begin
+        (* level 0 holds only consequences of the clauses, never of
+           assumptions: the database itself is unsatisfiable, for this
+           call and every later one *)
+        s.ok <- false;
+        result := Some Unsat
+      end
       else begin
-        let (lits, back_lvl) = analyze s confl in
+        let back_lvl = analyze s confl in
         cancel_until s back_lvl;
-        let learnt = { lits; act = 0.0; learnt = true; deleted = false } in
-        if Array.length lits > 1 then begin
-          attach s learnt;
-          cvec_push s.learnts learnt;
-          bump_clause s learnt;
-          s.learned <- s.learned + 1
-        end;
-        enqueue s lits.(0) learnt;
+        let lits = s.an_learnt in
+        if lits.sz > 1 then begin
+          let cr = alloc s ~learnt:true lits.sz in
+          Array.blit lits.data 0 s.arena (cr + 1) lits.sz;
+          attach s cr;
+          push_learnt s cr 0.0;
+          bump_clause s cr;
+          s.learned <- s.learned + 1;
+          enqueue s lits.data.(0) cr
+        end
+        else enqueue s lits.data.(0) (-1);
         decay_activity s;
         decay_clauses s;
         if s.learnts.sz >= s.max_learnts then reduce_db s;
@@ -562,19 +749,19 @@ let search s (assumptions : lit array) tok budget limit =
       | 1 -> new_level s
       | _ ->
         new_level s;
-        enqueue s a null_clause
+        enqueue s a (-1)
     end
     else begin
       match pick_branch s with
       | -1 ->
-        s.model <- Array.init s.nvars (fun v -> s.assigns.(v) = 1);
+        s.model <- Array.init s.nvars (fun v -> lit_value s (pos v) = 1);
         result := Some Sat
       | v ->
         s.decisions <- s.decisions + 1;
         if s.decisions land 1023 = 0 then
           ignore (Engine.Budget.poll tok : bool);
         new_level s;
-        enqueue s (lit_of v s.polarity.(v)) null_clause
+        enqueue s (lit_of v s.polarity.(v)) (-1)
     end
     end
   done;

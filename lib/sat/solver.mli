@@ -41,6 +41,8 @@ type result =
     conjunction of every added clause under the given assumption
     literals.  [Unsat] with assumptions means no model extends the
     assumptions; the clause database itself may still be satisfiable.
+    Once a call finds the database itself unsatisfiable, every later
+    call returns [Unsat].
 
     [budget] bounds the search in wall-clock terms the way
     [conflict_limit] bounds it in conflicts: the search loop polls the

@@ -137,6 +137,135 @@ let solver_random_3sat () =
     | Unknown, _ -> Alcotest.fail "unexpected Unknown without limit"
   done
 
+(* Incremental use against brute force: a script of rounds, each adding
+   clauses over at most 12 variables and then solving under a few
+   assumption literals.  [Sat] must come with a model of every clause
+   so far and every assumption; [Unsat] must hold exactly when no
+   assignment is one. *)
+type script = {
+  sc_vars : int;
+  sc_rounds : ((int * bool) list list * (int * bool) list) list;
+      (* (clauses to add, assumptions) per round *)
+}
+
+let gen_script =
+  let open QCheck.Gen in
+  int_range 1 12 >>= fun nv ->
+  let lit = pair (int_bound (nv - 1)) bool in
+  (* mostly 2- and 3-literal clauses; a rare empty clause makes the
+     database itself UNSAT *)
+  let clause =
+    frequency
+      [ (1, return []); (4, list_repeat 1 lit); (20, list_repeat 2 lit);
+        (40, list_repeat 3 lit); (10, list_repeat 4 lit) ]
+  in
+  let round =
+    pair (list_size (int_range 0 (2 * nv)) clause) (list_size (int_bound 3) lit)
+  in
+  list_size (int_range 1 4) round >|= fun sc_rounds ->
+  { sc_vars = nv; sc_rounds }
+
+let print_script sc =
+  let lit (v, sgn) = Printf.sprintf "%s%d" (if sgn then "" else "-") v in
+  let lits ls = String.concat " " (List.map lit ls) in
+  Printf.sprintf "%d vars; %s" sc.sc_vars
+    (String.concat "; "
+       (List.map
+          (fun (cls, asm) ->
+            Printf.sprintf "add [%s] assume [%s]"
+              (String.concat ", " (List.map lits cls))
+              (lits asm))
+          sc.sc_rounds))
+
+let solver_vs_brute_force sc =
+  let s = Sat.Solver.create () in
+  let vars = Array.init sc.sc_vars (fun _ -> Sat.Solver.new_var s) in
+  let to_lit (v, sgn) = Sat.Solver.lit_of vars.(v) sgn in
+  let holds m (v, sgn) = (m lsr v) land 1 = 1 = sgn in
+  let added = ref [] in
+  List.for_all
+    (fun (cls, asm) ->
+      List.iter (fun cl -> Sat.Solver.add_clause s (List.map to_lit cl)) cls;
+      added := cls @ !added;
+      let models m =
+        List.for_all (List.exists (holds m)) !added
+        && List.for_all (holds m) asm
+      in
+      let brute = List.exists models (List.init (1 lsl sc.sc_vars) Fun.id) in
+      match Sat.Solver.solve ~assumptions:(List.map to_lit asm) s with
+      | Sat.Solver.Sat ->
+        let m =
+          Array.fold_left
+            (fun acc v ->
+              if Sat.Solver.value s vars.(v) then acc lor (1 lsl v) else acc)
+            0
+            (Array.init sc.sc_vars Fun.id)
+        in
+        models m
+      | Sat.Solver.Unsat -> not brute
+      | Sat.Solver.Unknown -> false)
+    sc.sc_rounds
+
+(* Random 3-SAT at clause ratio 4.26 from a self-contained LCG, so the
+   instance does not depend on the standard library's generator. *)
+let lcg_3sat ~seed ~vars =
+  let st = ref seed in
+  let next bound =
+    st := (!st * 0x5851F42D4C957F2D) + 0x14057B7EF767814F;
+    ((!st lsr 30) land 0xFFFFFF) mod bound
+  in
+  let s = Sat.Solver.create () in
+  let vs = Array.init vars (fun _ -> Sat.Solver.new_var s) in
+  let clauses =
+    List.init
+      (int_of_float (4.26 *. float_of_int vars))
+      (fun _ ->
+        List.init 3 (fun _ ->
+            let v = next vars in
+            (v, next 2 = 0)))
+  in
+  List.iter
+    (fun cl ->
+      Sat.Solver.add_clause s
+        (List.map (fun (v, sgn) -> Sat.Solver.lit_of vs.(v) sgn) cl))
+    clauses;
+  (s, vs, clauses)
+
+(* Long searches through the learned-clause database: every reduction
+   deletes clauses and compacts the clause storage under the live
+   ones.  Database reduction first runs at 4000 learned clauses, keeps
+   at least half of them, and the next one runs at 4400, so more than
+   6400 learned clauses means at least two reductions.  The search
+   statistics are pinned: storage changes must leave them as they
+   are. *)
+let solver_reduce_db_pinned () =
+  let pinned name s (conflicts, decisions, propagations, learned) =
+    let st = Sat.Solver.stats s in
+    Alcotest.(check bool) (name ^ ": two reductions") true
+      (st.Sat.Solver.s_learned > 6400);
+    Alcotest.(check (list int)) (name ^ ": pinned search")
+      [ conflicts; decisions; propagations; learned ]
+      [ st.Sat.Solver.s_conflicts; st.Sat.Solver.s_decisions;
+        st.Sat.Solver.s_propagations; st.Sat.Solver.s_learned ]
+  in
+  (* UNSAT: the proof must survive every compaction *)
+  let (s, _, _) = lcg_3sat ~seed:2 ~vars:175 in
+  (match Sat.Solver.solve s with
+   | Sat.Solver.Unsat -> ()
+   | _ -> Alcotest.fail "seed 2 at 175 variables is UNSAT");
+  pinned "unsat" s (8393, 10051, 291363, 8387);
+  (* SAT: the model must satisfy every problem clause the compactions
+     moved *)
+  let (s, vs, clauses) = lcg_3sat ~seed:8 ~vars:200 in
+  (match Sat.Solver.solve s with
+   | Sat.Solver.Sat -> ()
+   | _ -> Alcotest.fail "seed 8 at 200 variables is SAT");
+  Alcotest.(check bool) "model satisfies every clause" true
+    (List.for_all
+       (List.exists (fun (v, sgn) -> Sat.Solver.value s vs.(v) = sgn))
+       clauses);
+  pinned "sat" s (12419, 15223, 492136, 12419)
+
 (* ------------------------------------------------------------------ *)
 (* CNF encoding vs. the simulator                                      *)
 (* ------------------------------------------------------------------ *)
@@ -425,6 +554,11 @@ let () =
           test "equivalence chain" solver_chain;
           test "assumptions" solver_assumptions;
           test "random 3-sat vs brute force" solver_random_3sat;
+          qtest "incremental solves with assumptions vs brute force"
+            ~count:2000
+            (QCheck.make ~print:print_script gen_script)
+            solver_vs_brute_force;
+          test "database reductions: search pinned" solver_reduce_db_pinned;
         ] );
       ( "cnf",
         [
