@@ -20,7 +20,8 @@ module T = Report.Table
 (* [-j N] sizes the domain pool for the [par] targets; [--seed S] seeds
    every randomized workload so a failure can be replayed exactly. *)
 let jobs_ref = ref (Engine.Pool.default_jobs ())
-let seed_ref = ref 42
+let default_seed = 42
+let seed_ref = ref default_seed
 
 (* ------------------------------------------------------------------ *)
 (* Shared context.                                                     *)
@@ -722,8 +723,8 @@ let variance () =
    attributable) printed to stdout.  The test count defaults to two full
    packed words of patterns — grading workloads batch dozens of
    patterns, which is exactly where pattern-packing pays.  Returns the
-   packed-vs-event eval reduction so the CI smoke gate can assert a
-   floor. *)
+   packed evals, packed words, event evals and reference evals, so the
+   CI smoke gate can pin them. *)
 let bench_fsim_on ~name c ~num_tests =
   let faults = Atpg.Fault.collapse c (Atpg.Fault.all c) in
   let rng = Random.State.make [| !seed_ref |] in
@@ -776,14 +777,15 @@ let bench_fsim_on ~name c ~num_tests =
     (ratio event_wall packed_wall) (fratio event_evals packed_evals);
   Printf.printf "  packed vs reference: %.1fx wall, %.1fx evals\n"
     (ratio ref_wall packed_wall) (fratio ref_evals packed_evals);
-  fratio event_evals packed_evals
+  (packed_evals, packed_words, event_evals, ref_evals)
 
 let bench_fsim () =
   ignore (bench_fsim_on ~name:"arm" (Lazy.force full) ~num_tests:126)
 
 (* Packed and reference flags for the transition universe and a random
    bridge population of [c], graded on random PIER sequences; exits 1 on
-   the first model where they differ. *)
+   the first model where they differ.  Returns each model's packed
+   evals. *)
 let check_fault_models ~name c =
   let rng = Random.State.make [| !seed_ref |] in
   let piers = Factor.Pier.identify c in
@@ -800,12 +802,14 @@ let check_fault_models ~name c =
        List.map Atpg.Bridge.descriptor
          (Atpg.Bridge.candidates ~rng ~count:252 c)) ]
   in
-  List.iter
+  List.map
     (fun (model, faults) ->
       let flags engine =
         Atpg.Fsim.run_descriptors ~engine c ~observe ~faults tests
       in
+      let e0 = Atpg.Fsim.packed_eval_count () in
       let packed = flags Atpg.Fsim.Packed in
+      let evals = Atpg.Fsim.packed_eval_count () - e0 in
       if packed <> flags Atpg.Fsim.Reference then begin
         Printf.eprintf
           "fsim smoke: packed and reference disagree on %s faults of %s \
@@ -815,12 +819,22 @@ let check_fault_models ~name c =
       end;
       Printf.printf "fsim smoke: %s, %d %s faults, %d detected, engines agree\n"
         name (List.length faults) model
-        (Array.fold_left (fun n d -> if d then n + 1 else n) 0 packed))
+        (Array.fold_left (fun n d -> if d then n + 1 else n) 0 packed);
+      (model, evals))
     models
+
+(* The ALU's eval counts at the default seed.  Every engine's work is
+   deterministic, so a change to how the engines evaluate gates must
+   reproduce this line exactly; a change that moves it changes the work
+   done, and must say so and re-pin it. *)
+let fsim_smoke_alu_evals =
+  "packed 35372 (2 words) | event 1128269 | reference 1155888 | \
+   transition 18543 | bridge 13948"
 
 (* CI gate: on the stand-alone ALU, the three engines must agree bit for
    bit on stuck-at faults, packed and reference on transition and bridge
-   faults, and the packed engine's eval reduction over the event-driven
+   faults, every engine's eval count must equal its pin (at the default
+   seed), and the packed engine's eval reduction over the event-driven
    one must not fall below a conservative floor (a regression here means
    the packing or dropping logic degraded). *)
 let bench_fsim_smoke () =
@@ -829,8 +843,23 @@ let bench_fsim_smoke () =
     (Synth.Lower.lower (Synth.Flatten.flatten ed "arm_alu"))
       .Synth.Lower.circuit
   in
-  let speedup_evals = bench_fsim_on ~name:"arm_alu" c ~num_tests:126 in
-  check_fault_models ~name:"arm_alu" c;
+  let (packed, words, event, reference) =
+    bench_fsim_on ~name:"arm_alu" c ~num_tests:126
+  in
+  let models = check_fault_models ~name:"arm_alu" c in
+  let got =
+    Printf.sprintf "packed %d (%d words) | event %d | reference %d | %s"
+      packed words event reference
+      (String.concat " | "
+         (List.map (fun (m, e) -> Printf.sprintf "%s %d" m e) models))
+  in
+  Printf.printf "  %s\n" got;
+  if !seed_ref = default_seed && got <> fsim_smoke_alu_evals then begin
+    Printf.eprintf "fsim smoke: the arm_alu eval counts moved: expected %s\n"
+      fsim_smoke_alu_evals;
+    exit 1
+  end;
+  let speedup_evals = float_of_int event /. float_of_int (max 1 packed) in
   let floor = 6.0 in
   if speedup_evals < floor then begin
     Printf.eprintf

@@ -6,7 +6,9 @@
       up to [Sys.int_size] patterns per word).  The good circuit is
       simulated once per word — every gate evaluation settles a whole
       word of patterns in a handful of unboxed bit ops over dual-rail
-      planes — and each fault is then event-driven through the word:
+      planes, through the one kernel {!Sim.Packed.gate} on the
+      circuit's compiled form ({!Netlist.Analysis}) — and each fault is
+      then event-driven through the word:
       injection is a pair of lane masks per site (two AND/OR ops), and
       only nets whose packed value diverges from the good planes are
       re-evaluated, seeded at the injection sites and at flip-flops
@@ -519,8 +521,10 @@ type pgood = {
    indexed by net, reused across frames, faults and words.  The sweep is
    strictly activity-proportional — state divergence is tracked as a
    list (fed by the analysis's d-net -> flip-flop CSR), never by
-   scanning all flip-flops, so a fault with a five-net cone costs a
-   handful of ops per frame no matter how much state the circuit has. *)
+   scanning all flip-flops, and the event queue is scanned only between
+   the lowest and the highest level scheduled, so a fault with a
+   five-net cone costs a handful of ops per frame no matter how much
+   state or depth the circuit has. *)
 type pengine = {
   xc : N.t;
   xinfo : A.info;
@@ -532,9 +536,13 @@ type pengine = {
   xfl : int array;
   xdirty : bool array;
   xqueued : bool array;
-  xtouched : int array;
+  xtouched : int array;        (* the dirty nets, in evaluation order *)
   mutable xtouched_n : int;
-  xbuckets : int list array;
+  xbucket : int array;         (* event queue: level l's nets from
+                                  level_off.(l) on *)
+  xfill : int array;           (* per level: nets queued *)
+  mutable xlo : int;           (* lowest and highest level queued; *)
+  mutable xhi : int;           (* xlo > xhi when the queue is empty *)
   xfsh : int array;            (* faulty state, valid where xsdirty *)
   xfsl : int array;
   xsdirty : bool array;
@@ -544,6 +552,7 @@ type pengine = {
   mutable xforce_hi : int array; (* per site, this frame: lanes forced to 1 *)
   mutable xforce_lo : int array; (* ... and to 0 *)
   mutable xknown : int array;  (* per site: 0 = force known lanes only, -1 = all *)
+  xr : P.rail;                 (* the kernel's output *)
 }
 
 let make_pengine c =
@@ -561,7 +570,10 @@ let make_pengine c =
     xqueued = Array.make n false;
     xtouched = Array.make n 0;
     xtouched_n = 0;
-    xbuckets = Array.make (info.A.max_level + 1) [];
+    xbucket = Array.make n 0;
+    xfill = Array.make (info.A.max_level + 1) 0;
+    xlo = info.A.max_level + 1;
+    xhi = -1;
     xfsh = Array.make nff 0;
     xfsl = Array.make nff 0;
     xsdirty = Array.make nff false;
@@ -570,7 +582,8 @@ let make_pengine c =
     xsite = Array.make n (-1);
     xforce_hi = [| 0 |];
     xforce_lo = [| 0 |];
-    xknown = [| -1 |] }
+    xknown = [| -1 |];
+    xr = { P.hi = 0; lo = 0 } }
 
 let batch_of_tests c (chunk : Pattern.test array) =
   P.make_batch ~num_pis:(N.num_pis c) ~num_ffs:(N.num_ffs c)
@@ -583,6 +596,7 @@ let batch_of_tests c (chunk : Pattern.test array) =
 let packed_good_sim eng (b : P.batch) =
   Obs.Metrics.incr packed_words_counter;
   let c = eng.xc in
+  let info = eng.xinfo in
   let n = N.num_nets c in
   let nff = N.num_ffs c in
   let frames = b.P.b_frames in
@@ -598,55 +612,40 @@ let packed_good_sim eng (b : P.batch) =
     sh.(i) <- b.P.b_load_hi.(i);
     sl.(i) <- b.P.b_load_lo.(i)
   done;
-  let order = eng.xinfo.A.order in
+  let order = info.A.order and ops = info.A.op and fanin = info.A.fanin in
+  let r = eng.xr in
   let m = b.P.b_mask in
   for f = 0 to frames - 1 do
     Array.blit sh 0 pg_sth.(f) 0 nff;
     Array.blit sl 0 pg_stl.(f) 0 nff;
     let pih = b.P.b_pi_hi.(f) and pil = b.P.b_pi_lo.(f) in
-    Array.iter
-      (fun net ->
-        match c.N.drv.(net) with
-        | N.Pi i -> gh.(net) <- pih.(i); gl.(net) <- pil.(i)
-        | N.Ff i -> gh.(net) <- sh.(i); gl.(net) <- sl.(i)
-        | N.C0 -> gh.(net) <- 0; gl.(net) <- m
-        | N.C1 -> gh.(net) <- m; gl.(net) <- 0
-        | N.G1 (N.Inv, a) -> gh.(net) <- gl.(a); gl.(net) <- gh.(a)
-        | N.G1 (N.Buff, a) -> gh.(net) <- gh.(a); gl.(net) <- gl.(a)
-        | N.G2 (N.And, a, b) ->
-          gh.(net) <- gh.(a) land gh.(b);
-          gl.(net) <- gl.(a) lor gl.(b)
-        | N.G2 (N.Or, a, b) ->
-          gh.(net) <- gh.(a) lor gh.(b);
-          gl.(net) <- gl.(a) land gl.(b)
-        | N.G2 (N.Xor, a, b) ->
-          gh.(net) <- (gh.(a) land gl.(b)) lor (gl.(a) land gh.(b));
-          gl.(net) <- (gh.(a) land gh.(b)) lor (gl.(a) land gl.(b))
-        | N.G2 (N.Nand, a, b) ->
-          gh.(net) <- gl.(a) lor gl.(b);
-          gl.(net) <- gh.(a) land gh.(b)
-        | N.G2 (N.Nor, a, b) ->
-          gh.(net) <- gl.(a) land gl.(b);
-          gl.(net) <- gh.(a) lor gh.(b)
-        | N.G2 (N.Xnor, a, b) ->
-          gh.(net) <- (gh.(a) land gh.(b)) lor (gl.(a) land gl.(b));
-          gl.(net) <- (gh.(a) land gl.(b)) lor (gl.(a) land gh.(b))
-        | N.Mux (s, a, b) ->
-          gh.(net) <-
-            (gh.(s) land gh.(b)) lor (gl.(s) land gh.(a))
-            lor (gh.(a) land gh.(b));
-          gl.(net) <-
-            (gh.(s) land gl.(b)) lor (gl.(s) land gl.(a))
-            lor (gl.(a) land gl.(b)))
-      order;
-    add_packed_evals (Array.length order);
+    for k = 0 to n - 1 do
+      let net = order.(k) in
+      let op = Bytes.get_uint8 ops net in
+      let a = fanin.(3 * net) in
+      if op = A.op_pi then begin
+        gh.(net) <- pih.(a);
+        gl.(net) <- pil.(a)
+      end
+      else if op = A.op_ff then begin
+        gh.(net) <- sh.(a);
+        gl.(net) <- sl.(a)
+      end
+      else begin
+        let b = fanin.((3 * net) + 1) and s = fanin.((3 * net) + 2) in
+        P.gate r op m gh.(a) gl.(a) gh.(b) gl.(b) gh.(s) gl.(s);
+        gh.(net) <- r.P.hi;
+        gl.(net) <- r.P.lo
+      end
+    done;
+    add_packed_evals n;
     Array.blit gh 0 pg_hi.(f) 0 n;
     Array.blit gl 0 pg_lo.(f) 0 n;
-    Array.iteri
-      (fun i d ->
-        sh.(i) <- gh.(d);
-        sl.(i) <- gl.(d))
-      c.N.ff_d
+    for i = 0 to nff - 1 do
+      let d = c.N.ff_d.(i) in
+      sh.(i) <- gh.(d);
+      sl.(i) <- gl.(d)
+    done
   done;
   Array.blit sh 0 pg_sth.(frames) 0 nff;
   Array.blit sl 0 pg_stl.(frames) 0 nff;
@@ -658,6 +657,18 @@ let pier_flags c observe =
   let a = Array.make (max 1 (N.num_ffs c)) false in
   List.iter (fun ff -> a.(ff) <- true) observe.ob_pier_ffs;
   a
+
+(* Queue [net] for evaluation in its level's bucket, once per pass. *)
+let schedule eng net =
+  if not eng.xqueued.(net) then begin
+    eng.xqueued.(net) <- true;
+    let lv = eng.xinfo.A.level.(net) in
+    let k = eng.xfill.(lv) in
+    eng.xbucket.(eng.xinfo.A.level_off.(lv) + k) <- net;
+    eng.xfill.(lv) <- k + 1;
+    if lv < eng.xlo then eng.xlo <- lv;
+    if lv > eng.xhi then eng.xhi <- lv
+  end
 
 (* Event-drive one fault, given as its injection [sites], through the
    whole word.  Each frame every site is re-evaluated and then forced on
@@ -671,11 +682,18 @@ let pier_flags c observe =
    first frame that detects the fault in any lane — sound whenever the
    caller only fault-drops on the mask (the remaining frames could only
    set more lane bits), and the dominant saving on dropping runs where
-   most faults fall in the first frames of the first word. *)
+   most faults fall in the first frames of the first word.  Nothing is
+   allocated per frame or per net. *)
 let packed_sweep eng good (b : P.batch) ~observe ~piers ~stop_on_detect
     (sites : (int * rule) array) =
   let c = eng.xc in
   let info = eng.xinfo in
+  let ops = info.A.op and fanin = info.A.fanin in
+  let level_off = info.A.level_off and is_po = info.A.is_po in
+  let fo = info.A.fanout_off and fanout = info.A.fanout in
+  let dirty = eng.xdirty and fh = eng.xfh and fl = eng.xfl in
+  let r = eng.xr in
+  let m = b.P.b_mask in
   let ns = Array.length sites in
   if Array.length eng.xforce_hi < ns then begin
     eng.xforce_hi <- Array.make ns 0;
@@ -696,8 +714,8 @@ let packed_sweep eng good (b : P.batch) ~observe ~piers ~stop_on_detect
     known.(s) <- -1;
     (match rule with
      | Stuck v ->
-       force_hi.(s) <- (if v then b.P.b_mask else 0);
-       force_lo.(s) <- (if v then 0 else b.P.b_mask)
+       force_hi.(s) <- (if v then m else 0);
+       force_lo.(s) <- (if v then 0 else m)
      | Slow _ -> per_frame := true
      | Wired _ ->
        (* a short forces only the lanes where the site's own value is
@@ -721,15 +739,6 @@ let packed_sweep eng good (b : P.batch) ~observe ~piers ~stop_on_detect
     let gh = good.pg_hi.(f) and gl = good.pg_lo.(f) in
     let gsh = good.pg_sth.(f) and gsl = good.pg_stl.(f) in
     let pih = b.P.b_pi_hi.(f) and pil = b.P.b_pi_lo.(f) in
-    let vh a = if eng.xdirty.(a) then eng.xfh.(a) else gh.(a) in
-    let vl a = if eng.xdirty.(a) then eng.xfl.(a) else gl.(a) in
-    let schedule net =
-      if not eng.xqueued.(net) then begin
-        eng.xqueued.(net) <- true;
-        let lv = info.A.level.(net) in
-        eng.xbuckets.(lv) <- net :: eng.xbuckets.(lv)
-      end
-    in
     if !per_frame then
       for s = 0 to ns - 1 do
         let (net, rule) = sites.(s) in
@@ -746,114 +755,106 @@ let packed_sweep eng good (b : P.batch) ~observe ~piers ~stop_on_detect
           force_hi.(s) <- 0;
           force_lo.(s) <- 0
       done;
-    (* levelized event propagation; built once per frame, not per level *)
-    let rec drain = function
-      | [] -> ()
-      | net :: rest ->
-        eng.xqueued.(net) <- false;
-        let nh = ref 0 and nl = ref 0 in
-        (match c.N.drv.(net) with
-         | N.Pi i -> nh := pih.(i); nl := pil.(i)
-         | N.Ff i ->
-           if eng.xsdirty.(i) then begin
-             nh := eng.xfsh.(i);
-             nl := eng.xfsl.(i)
-           end
-           else begin
-             nh := gsh.(i);
-             nl := gsl.(i)
-           end
-         | N.C0 -> nh := 0; nl := b.P.b_mask
-         | N.C1 -> nh := b.P.b_mask; nl := 0
-         | N.G1 (N.Inv, a) -> nh := vl a; nl := vh a
-         | N.G1 (N.Buff, a) -> nh := vh a; nl := vl a
-         | N.G2 (N.And, a, b) ->
-           nh := vh a land vh b;
-           nl := vl a lor vl b
-         | N.G2 (N.Or, a, b) ->
-           nh := vh a lor vh b;
-           nl := vl a land vl b
-         | N.G2 (N.Xor, a, b) ->
-           nh := (vh a land vl b) lor (vl a land vh b);
-           nl := (vh a land vh b) lor (vl a land vl b)
-         | N.G2 (N.Nand, a, b) ->
-           nh := vl a lor vl b;
-           nl := vh a land vh b
-         | N.G2 (N.Nor, a, b) ->
-           nh := vl a land vl b;
-           nl := vh a lor vh b
-         | N.G2 (N.Xnor, a, b) ->
-           nh := (vh a land vh b) lor (vl a land vl b);
-           nl := (vh a land vl b) lor (vl a land vh b)
-         | N.Mux (s, a, b) ->
-           nh :=
-             (vh s land vh b) lor (vl s land vh a)
-             lor (vh a land vh b);
-           nl :=
-             (vh s land vl b) lor (vl s land vl a)
-             lor (vl a land vl b));
-        if net = net0 || (multi && eng.xsite.(net) >= 0) then begin
-          let s = if net = net0 then 0 else eng.xsite.(net) in
-          let k = !nh lor !nl lor known.(s) in
-          let fh = force_hi.(s) land k and fl = force_lo.(s) land k in
-          nh := (!nh land lnot fl) lor fh;
-          nl := (!nl land lnot fh) lor fl
-        end;
-        incr evals;
-        if !nh <> gh.(net) || !nl <> gl.(net) then begin
-          eng.xfh.(net) <- !nh;
-          eng.xfl.(net) <- !nl;
-          eng.xdirty.(net) <- true;
-          eng.xtouched.(eng.xtouched_n) <- net;
-          eng.xtouched_n <- eng.xtouched_n + 1;
-          let fo = info.A.fanout_off in
-          for k = fo.(net) to fo.(net + 1) - 1 do
-            schedule info.A.fanout.(k)
-          done
-        end;
-        drain rest
-    in
     (* settle the faulty machine for this frame under the current masks,
        seeded at the sites and at the diverged flip-flops; with a short,
        pass 1 first settles the frame with the shorts lifted *)
     for pass = (if !shorted then 1 else 2) to 2 do
       for s = 0 to ns - 1 do
-        schedule (fst sites.(s))
+        schedule eng (fst sites.(s))
       done;
       for k = 0 to eng.xsdirty_n - 1 do
-        schedule c.N.ff_q.(eng.xsdirty_list.(k))
+        schedule eng c.N.ff_q.(eng.xsdirty_list.(k))
       done;
-      for lv = 0 to info.A.max_level do
-        let bk = eng.xbuckets.(lv) in
-        eng.xbuckets.(lv) <- [];
-        drain bk
+      (* levelized event propagation: fanouts are strictly deeper than
+         their fanins, so draining level by level evaluates each net at
+         most once, and a level's bucket no longer grows once reached *)
+      let lv = ref eng.xlo in
+      while !lv <= eng.xhi do
+        let l = !lv in
+        let base = level_off.(l) in
+        for q = base to base + eng.xfill.(l) - 1 do
+          let net = eng.xbucket.(q) in
+          eng.xqueued.(net) <- false;
+          let op = Bytes.get_uint8 ops net in
+          let a = fanin.(3 * net) in
+          if op = A.op_pi then begin
+            r.P.hi <- pih.(a);
+            r.P.lo <- pil.(a)
+          end
+          else if op = A.op_ff then begin
+            if eng.xsdirty.(a) then begin
+              r.P.hi <- eng.xfsh.(a);
+              r.P.lo <- eng.xfsl.(a)
+            end
+            else begin
+              r.P.hi <- gsh.(a);
+              r.P.lo <- gsl.(a)
+            end
+          end
+          else begin
+            let b = fanin.((3 * net) + 1) and s = fanin.((3 * net) + 2) in
+            let da = dirty.(a) and db = dirty.(b) and ds = dirty.(s) in
+            P.gate r op m
+              (if da then fh.(a) else gh.(a)) (if da then fl.(a) else gl.(a))
+              (if db then fh.(b) else gh.(b)) (if db then fl.(b) else gl.(b))
+              (if ds then fh.(s) else gh.(s)) (if ds then fl.(s) else gl.(s))
+          end;
+          if net = net0 || (multi && eng.xsite.(net) >= 0) then begin
+            let s = if net = net0 then 0 else eng.xsite.(net) in
+            let nh = r.P.hi and nl = r.P.lo in
+            let k = nh lor nl lor known.(s) in
+            let forced_hi = force_hi.(s) land k
+            and forced_lo = force_lo.(s) land k in
+            r.P.hi <- (nh land lnot forced_lo) lor forced_hi;
+            r.P.lo <- (nl land lnot forced_hi) lor forced_lo
+          end;
+          incr evals;
+          let nh = r.P.hi and nl = r.P.lo in
+          if nh <> gh.(net) || nl <> gl.(net) then begin
+            fh.(net) <- nh;
+            fl.(net) <- nl;
+            dirty.(net) <- true;
+            eng.xtouched.(eng.xtouched_n) <- net;
+            eng.xtouched_n <- eng.xtouched_n + 1;
+            for k = fo.(net) to fo.(net + 1) - 1 do
+              schedule eng fanout.(k)
+            done
+          end
+        done;
+        eng.xfill.(l) <- 0;
+        incr lv
       done;
+      eng.xlo <- info.A.max_level + 1;
+      eng.xhi <- -1;
       if pass = 1 then begin
         (* each wired site's pass-1 partner value decides which lanes the
            short pulls down (AND) or up (OR) in pass 2 *)
         for s = 0 to ns - 1 do
           match sites.(s) with
-          | (_, Wired (p, Wired_and)) -> force_lo.(s) <- vl p
-          | (_, Wired (p, Wired_or)) -> force_hi.(s) <- vh p
+          | (_, Wired (p, Wired_and)) ->
+            force_lo.(s) <- (if dirty.(p) then fl.(p) else gl.(p))
+          | (_, Wired (p, Wired_or)) ->
+            force_hi.(s) <- (if dirty.(p) then fh.(p) else gh.(p))
           | (_, (Stuck _ | Slow _)) -> ()
         done;
         for k = 0 to eng.xtouched_n - 1 do
-          eng.xdirty.(eng.xtouched.(k)) <- false
+          dirty.(eng.xtouched.(k)) <- false
         done;
         eng.xtouched_n <- 0
       end
     done;
+    (* a primary output can only detect where it diverged: walk the
+       touched nets against the PO bitmap, not every PO *)
     if observe.ob_pos then begin
       let act = b.P.b_active.(f) in
-      Array.iter
-        (fun po ->
-          if eng.xdirty.(po) then
-            detected :=
-              !detected
-              lor (((gh.(po) land eng.xfl.(po))
-                    lor (gl.(po) land eng.xfh.(po)))
-                   land act))
-        c.N.pos
+      for k = 0 to eng.xtouched_n - 1 do
+        let net = eng.xtouched.(k) in
+        if Bytes.get_uint8 is_po net = 1 then
+          detected :=
+            !detected
+            lor (((gh.(net) land fl.(net)) lor (gl.(net) land fh.(net)))
+                 land act)
+      done
     end;
     (* capture next faulty state: drop last frame's divergence, then walk
        the nets that diverged this frame and mark exactly the flip-flops
@@ -863,13 +864,13 @@ let packed_sweep eng good (b : P.batch) ~observe ~piers ~stop_on_detect
       eng.xsdirty.(eng.xsdirty_list.(k)) <- false
     done;
     eng.xsdirty_n <- 0;
-    let ff_of_d = eng.xinfo.A.ff_of_d and ff_off = eng.xinfo.A.ff_of_d_off in
+    let ff_of_d = info.A.ff_of_d and ff_off = info.A.ff_of_d_off in
     for k = 0 to eng.xtouched_n - 1 do
       let d = eng.xtouched.(k) in
       for j = ff_off.(d) to ff_off.(d + 1) - 1 do
         let i = ff_of_d.(j) in
-        eng.xfsh.(i) <- eng.xfh.(d);
-        eng.xfsl.(i) <- eng.xfl.(d);
+        eng.xfsh.(i) <- fh.(d);
+        eng.xfsl.(i) <- fl.(d);
         if not eng.xsdirty.(i) then begin
           eng.xsdirty.(i) <- true;
           eng.xsdirty_list.(eng.xsdirty_n) <- i;
@@ -894,7 +895,7 @@ let packed_sweep eng good (b : P.batch) ~observe ~piers ~stop_on_detect
       done
     end;
     for k = 0 to eng.xtouched_n - 1 do
-      eng.xdirty.(eng.xtouched.(k)) <- false
+      dirty.(eng.xtouched.(k)) <- false
     done;
     eng.xtouched_n <- 0;
     incr fr
@@ -904,7 +905,7 @@ let packed_sweep eng good (b : P.batch) ~observe ~piers ~stop_on_detect
       eng.xsite.(fst sites.(s)) <- -1
     done;
   add_packed_evals !evals;
-  !detected land b.P.b_mask
+  !detected land m
 
 (* Sweep the active faults through one word, observing the per-word time
    histogram and the packed-sweep span; [apply k det] receives, in

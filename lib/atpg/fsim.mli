@@ -8,7 +8,12 @@
     - a longer list runs on [Packed]: PPSFP — up to [Sim.Packed.width]
       test patterns ride the lanes of a native word, the good circuit is
       simulated once per word, and each fault is event-driven through
-      the word with two-mask injection at each of its sites.
+      the word with two-mask injection at each of its sites.  Both
+      evaluate gates through {!Sim.Packed.gate} on the circuit's
+      compiled form ({!Netlist.Analysis}: opcodes, fanin slots, level
+      bucket offsets, PO bitmap), built once per circuit; a fault's
+      sweep allocates nothing and its bookkeeping (level scan, PO
+      check) is proportional to the nets it re-evaluates.
 
     [Reference] is the straight-line oracle — every net re-evaluated on
     every frame ({!run_batch_reference}); differential-testing and

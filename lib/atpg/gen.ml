@@ -449,9 +449,14 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
     Obs.Span.with_ "atpg.simgen" (fun () ->
         sweep ~eligible:aborted
           ~generate:(fun i ->
+            (* a child of the run token, polled once per generation: an
+               expired total budget ends the fault's run within one
+               generation instead of after all of them *)
             let r =
               with_chaos i ~crashed:None (fun () ->
-                  Simgen.run c simgen_cfg fault_arr.(i))
+                  let tok = Engine.Budget.sub run_tok in
+                  Fun.protect ~finally:(fun () -> Engine.Budget.detach tok)
+                  @@ fun () -> Simgen.run ~budget:tok c simgen_cfg fault_arr.(i))
             in
             Obs.Progress.step prog_simgen;
             r)

@@ -6,7 +6,8 @@
     time-frame model, naturally handles deep sequential behaviour. *)
 
 module N = Netlist
-module L = Sim.Logic3
+module A = N.Analysis
+module P = Sim.Packed
 
 type config = {
   sg_pool : int;         (** candidate sequences kept per fault *)
@@ -25,54 +26,88 @@ let default_config =
     sg_piers = [];
     sg_seed = 1 }
 
-(* Fitness of a sequence against one fault: simulate good (bit 0) and
-   faulty (bit 1) machines together; score divergence, hugely rewarding
+(* The good machine rides lane 0 of native-int dual-rail planes, the
+   faulty one lane 1; both planes are reused across every candidate of
+   a fault. *)
+type planes = {
+  vh : int array;  (* per net *)
+  vl : int array;
+  sh : int array;  (* per flip-flop *)
+  sl : int array;
+  r : P.rail;
+}
+
+let both = 3  (* lanes 0 and 1 *)
+let faulty = 2  (* lane 1 *)
+
+(* Lanes 0 and 1 are both binary and differ. *)
+let diverges h l = ((h land (l lsr 1)) lor (l land (h lsr 1))) land 1 <> 0
+
+(* Fitness of a sequence against one fault: simulate the good and faulty
+   machines together; score divergence, hugely rewarding
    primary-output divergence (= detection). *)
-let fitness c order observe fault (test : Pattern.test) =
-  let values = Array.make (N.num_nets c) L.x in
-  let state = Array.make (N.num_ffs c) L.x in
+let fitness c (info : A.info) pl observe fault (test : Pattern.test) =
+  let { vh; vl; sh; sl; r } = pl in
+  let order = info.A.order and ops = info.A.op and fanin = info.A.fanin in
+  Array.fill sh 0 (Array.length sh) 0;
+  Array.fill sl 0 (Array.length sl) 0;
   List.iter
-    (fun (ff, v) -> state.(ff) <- (if v then L.one else L.zero))
+    (fun (ff, v) ->
+      sh.(ff) <- (if v then both else 0);
+      sl.(ff) <- (if v then 0 else both))
     test.Pattern.p_loads;
-  let site = fault.Fault.f_net in
-  let stuck = if fault.Fault.f_stuck then Some true else Some false in
+  let site = fault.Fault.f_net and stuck = fault.Fault.f_stuck in
   let score = ref 0 in
   let detected = ref false in
   let frames = Array.length test.Pattern.p_vectors in
   for f = 0 to frames - 1 do
     let pi_vec = test.Pattern.p_vectors.(f) in
-    let pi i = if pi_vec.(i) then L.one else L.zero in
-    Array.iter
-      (fun net ->
-        let v = Sim.Eval.drive c values ~pi ~state net in
-        (* the faulty machine (pattern 1) sees the stuck value *)
-        values.(net) <- (if net = site then L.set v 1 stuck else v))
-      order;
     (* divergence: nets where the good and faulty machines provably
        differ *)
     let divergent = ref 0 in
-    Array.iter
-      (fun v ->
-        (* compare pattern 0 (good) against pattern 1 (faulty) *)
-        match (L.get v 0, L.get v 1) with
-        | (Some a, Some b) when a <> b -> incr divergent
-        | _ -> ())
-      values;
+    for k = 0 to Array.length order - 1 do
+      let net = order.(k) in
+      let op = Bytes.get_uint8 ops net in
+      let a = fanin.(3 * net) in
+      if op = A.op_pi then begin
+        r.P.hi <- (if pi_vec.(a) then both else 0);
+        r.P.lo <- (if pi_vec.(a) then 0 else both)
+      end
+      else if op = A.op_ff then begin
+        r.P.hi <- sh.(a);
+        r.P.lo <- sl.(a)
+      end
+      else begin
+        let b = fanin.((3 * net) + 1) and s = fanin.((3 * net) + 2) in
+        P.gate r op both vh.(a) vl.(a) vh.(b) vl.(b) vh.(s) vl.(s)
+      end;
+      (* the faulty machine sees the stuck value *)
+      if net = site then
+        if stuck then begin
+          r.P.hi <- r.P.hi lor faulty;
+          r.P.lo <- r.P.lo land lnot faulty
+        end
+        else begin
+          r.P.hi <- r.P.hi land lnot faulty;
+          r.P.lo <- r.P.lo lor faulty
+        end;
+      vh.(net) <- r.P.hi;
+      vl.(net) <- r.P.lo;
+      if diverges r.P.hi r.P.lo then incr divergent
+    done;
     score := !score + !divergent;
     if observe.Fsim.ob_pos then
       Array.iter
-        (fun po ->
-          match (L.get values.(po) 0, L.get values.(po) 1) with
-          | (Some a, Some b) when a <> b -> detected := true
-          | _ -> ())
+        (fun po -> if diverges vh.(po) vl.(po) then detected := true)
         c.N.pos;
-    Array.iteri (fun i d -> state.(i) <- values.(d)) c.N.ff_d;
+    for i = 0 to N.num_ffs c - 1 do
+      let d = c.N.ff_d.(i) in
+      sh.(i) <- vh.(d);
+      sl.(i) <- vl.(d)
+    done;
     if f = frames - 1 then
       List.iter
-        (fun ff ->
-          match (L.get state.(ff) 0, L.get state.(ff) 1) with
-          | (Some a, Some b) when a <> b -> detected := true
-          | _ -> ())
+        (fun ff -> if diverges sh.(ff) sl.(ff) then detected := true)
         observe.Fsim.ob_pier_ffs
   done;
   (!score, !detected)
@@ -103,10 +138,17 @@ let mutate rng num_pis max_frames (t : Pattern.test) =
   in
   { Pattern.p_vectors = vectors; p_loads = loads }
 
-(** [run c cfg fault] evolves a test for [fault]; [None] when the budget
-    is exhausted without detection. *)
-let run c cfg fault =
-  let order = (N.analysis c).N.Analysis.order in
+(** [run ?budget c cfg fault] evolves a test for [fault]; [None] when the
+    generations run out, or [budget] dies, without detection. *)
+let run ?(budget = Engine.Budget.none) c cfg fault =
+  let info = N.analysis c in
+  let pl =
+    { vh = Array.make (N.num_nets c) 0;
+      vl = Array.make (N.num_nets c) 0;
+      sh = Array.make (max 1 (N.num_ffs c)) 0;
+      sl = Array.make (max 1 (N.num_ffs c)) 0;
+      r = { P.hi = 0; lo = 0 } }
+  in
   let observe = { Fsim.ob_pos = true; ob_pier_ffs = cfg.sg_piers } in
   let rng = Random.State.make [| cfg.sg_seed; fault.Fault.f_net |] in
   let num_pis = N.num_pis c in
@@ -116,12 +158,16 @@ let run c cfg fault =
   let pool = ref (List.init cfg.sg_pool (fun _ -> fresh ())) in
   let result = ref None in
   let generation = ref 0 in
-  while !result = None && !generation < cfg.sg_generations do
+  while
+    !result = None
+    && !generation < cfg.sg_generations
+    && not (Engine.Budget.poll budget)
+  do
     incr generation;
     let scored =
       List.map
         (fun t ->
-          let (score, detected) = fitness c order observe fault t in
+          let (score, detected) = fitness c info pl observe fault t in
           if detected && !result = None then result := Some t;
           (score, t))
         !pool

@@ -14,9 +14,20 @@ type config = {
 
 val default_config : config
 
-(** [run c cfg fault] evolves a test; [None] when the budget is exhausted
-    without detection. *)
-val run : Netlist.t -> config -> Fault.t -> Pattern.test option
+(** [run ?budget c cfg fault] evolves a test; [None] when the
+    generations run out without detection.  [budget] (default
+    {!Engine.Budget.none}) is polled once per generation, before its
+    candidates are simulated: a dead token returns [None] at the next
+    generation, so a cancelled one returns [None] without simulating a
+    frame.
+
+    The fitness simulates the good and faulty machines as lanes 0 and
+    1 of native-int dual-rail planes through {!Sim.Packed.gate}, on the
+    circuit's compiled form ({!Netlist.Analysis}): nothing is allocated
+    per gate. *)
+val run :
+  ?budget:Engine.Budget.t -> Netlist.t -> config -> Fault.t ->
+  Pattern.test option
 
 type result = {
   sr_total : int;

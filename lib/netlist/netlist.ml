@@ -265,6 +265,20 @@ let fanouts c =
 (* ------------------------------------------------------------------ *)
 
 module Analysis = struct
+  let op_pi = 0
+  let op_ff = 1
+  let op_c0 = 2
+  let op_c1 = 3
+  let op_buf = 4
+  let op_inv = 5
+  let op_and = 6
+  let op_or = 7
+  let op_xor = 8
+  let op_nand = 9
+  let op_nor = 10
+  let op_xnor = 11
+  let op_mux = 12
+
   type info = {
     order : int array;       (** topological order, fanins first *)
     level : int array;       (** per net: longest path from a source *)
@@ -276,6 +290,13 @@ module Analysis = struct
     ff_of_d : int array;     (** flip-flops grouped by d-input net (CSR) *)
     ff_of_d_off : int array; (** per net: offset into [ff_of_d]; length
                                  num_nets + 1 *)
+    op : Bytes.t;            (** per net: the driver's opcode *)
+    fanin : int array;       (** per net [k]: a, b, select at [3k..3k+2] *)
+    level_off : int array;   (** per level: offset of its nets in a
+                                 level-bucketed array; length
+                                 max_level + 2 *)
+    is_po : Bytes.t;         (** per net: 1 if observed by a primary
+                                 output, else 0 *)
   }
 end
 
@@ -334,8 +355,48 @@ let build_analysis c =
       ff_of_d.(cursor.(d)) <- i;
       cursor.(d) <- cursor.(d) + 1)
     c.ff_d;
+  (* the compiled form: unused fanin slots repeat a real fanin (or the
+     net itself), so a kernel may read all three without a check *)
+  let op = Bytes.make n '\000' in
+  let fanin = Array.make (3 * n) 0 in
+  let set net code a b s =
+    Bytes.set_uint8 op net code;
+    fanin.(3 * net) <- a;
+    fanin.((3 * net) + 1) <- b;
+    fanin.((3 * net) + 2) <- s
+  in
+  Array.iteri
+    (fun net d ->
+      let open Analysis in
+      match d with
+      | Pi i -> set net op_pi i i i
+      | Ff i -> set net op_ff i i i
+      | C0 -> set net op_c0 net net net
+      | C1 -> set net op_c1 net net net
+      | G1 (Buff, a) -> set net op_buf a a a
+      | G1 (Inv, a) -> set net op_inv a a a
+      | G2 (g, a, b) ->
+        let code =
+          match g with
+          | And -> op_and
+          | Or -> op_or
+          | Xor -> op_xor
+          | Nand -> op_nand
+          | Nor -> op_nor
+          | Xnor -> op_xnor
+        in
+        set net code a b a
+      | Mux (sel, a, b) -> set net op_mux a b sel)
+    c.drv;
+  let level_off = Array.make (!max_level + 2) 0 in
+  Array.iter (fun l -> level_off.(l + 1) <- level_off.(l + 1) + 1) level;
+  for l = 1 to !max_level + 1 do
+    level_off.(l) <- level_off.(l) + level_off.(l - 1)
+  done;
+  let is_po = Bytes.make n '\000' in
+  Array.iter (fun po -> Bytes.set_uint8 is_po po 1) c.pos;
   { Analysis.order; level; max_level = !max_level; fanout; fanout_off = off;
-    position; ff_of_d; ff_of_d_off = ff_off }
+    position; ff_of_d; ff_of_d_off = ff_off; op; fanin; level_off; is_po }
 
 (** Memoized structural analysis of a circuit: computed once per netlist
     value, shared by every engine that needs an evaluation order.

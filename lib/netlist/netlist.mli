@@ -109,6 +109,35 @@ val fanouts : t -> int list array
 (** {1 Shared structural analysis} *)
 
 module Analysis : sig
+  (** {2 The compiled form}
+
+      Every driver as an opcode and three fanin slots, so simulation
+      kernels dispatch on an int instead of matching the {!driver}
+      variant.  Slots: [Pi i] and [Ff i] hold the input or flip-flop
+      index [i] in slot a; a one-input gate its input in a; a two-input
+      gate its inputs in a and b; [Mux (s, a0, a1)] holds a0 (chosen by
+      select 0) in a, a1 in b and s in select.  Unused slots repeat a
+      used one (constants: the net itself), so every slot of a
+      constant or gate is a valid net.
+
+      The opcodes are the consecutive ints 0 ([op_pi]) to 12
+      ([op_mux]) in the order listed below — a fixed numbering that
+      the gate kernel ([Sim.Packed.gate]) matches on as literals. *)
+
+  val op_pi : int
+  val op_ff : int
+  val op_c0 : int
+  val op_c1 : int
+  val op_buf : int
+  val op_inv : int
+  val op_and : int
+  val op_or : int
+  val op_xor : int
+  val op_nand : int
+  val op_nor : int
+  val op_xnor : int
+  val op_mux : int
+
   type info = {
     order : int array;       (** topological order, fanins first *)
     level : int array;       (** per net: longest path from a source *)
@@ -120,12 +149,24 @@ module Analysis : sig
     ff_of_d : int array;     (** flip-flops grouped by d-input net (CSR) *)
     ff_of_d_off : int array; (** per net: offset into [ff_of_d]; length
                                  num_nets + 1 *)
+    op : Bytes.t;            (** per net: the driver's opcode, one byte
+                                 ([Bytes.get_uint8]) *)
+    fanin : int array;       (** per net [k]: slots a, b, select at
+                                 [3k], [3k+1], [3k+2] *)
+    level_off : int array;   (** per level: offset of its nets in a
+                                 level-bucketed array of num_nets slots
+                                 (CSR over [level]); length
+                                 max_level + 2 *)
+    is_po : Bytes.t;         (** per net: 1 if observed by some primary
+                                 output, else 0 *)
   }
 end
 
 (** Memoized structural analysis: computed once per netlist value (keyed
     by physical equality) and shared by every engine needing an
-    evaluation order, levels, or fanout adjacency. *)
+    evaluation order, levels, fanout adjacency or the compiled form —
+    so parallel shards and served requests on one circuit never rebuild
+    it. *)
 val analysis : t -> Analysis.info
 
 (** Number of analyses actually built (cache misses) since program start —

@@ -8,6 +8,35 @@ let width = Sys.int_size
 let mask n = if n >= width then -1 else (1 lsl n) - 1
 
 (* ------------------------------------------------------------------ *)
+(* The gate kernel.                                                    *)
+(* ------------------------------------------------------------------ *)
+
+type rail = { mutable hi : int; mutable lo : int }
+
+(* Opcodes as numbered in [Netlist.Analysis]; a literal match compiles
+   to one jump table. *)
+let gate r op m ah al bh bl sh sl =
+  match op with
+  | 2 (* c0 *) -> r.hi <- 0; r.lo <- m
+  | 3 (* c1 *) -> r.hi <- m; r.lo <- 0
+  | 4 (* buf *) -> r.hi <- ah; r.lo <- al
+  | 5 (* inv *) -> r.hi <- al; r.lo <- ah
+  | 6 (* and *) -> r.hi <- ah land bh; r.lo <- al lor bl
+  | 7 (* or *) -> r.hi <- ah lor bh; r.lo <- al land bl
+  | 8 (* xor *) ->
+    r.hi <- (ah land bl) lor (al land bh);
+    r.lo <- (ah land bh) lor (al land bl)
+  | 9 (* nand *) -> r.hi <- al lor bl; r.lo <- ah land bh
+  | 10 (* nor *) -> r.hi <- al land bl; r.lo <- ah lor bh
+  | 11 (* xnor *) ->
+    r.hi <- (ah land bh) lor (al land bl);
+    r.lo <- (ah land bl) lor (al land bh)
+  | 12 (* mux: select 1 picks b *) ->
+    r.hi <- (sh land bh) lor (sl land ah) lor (ah land bh);
+    r.lo <- (sh land bl) lor (sl land al) lor (al land bl)
+  | _ -> invalid_arg "Packed.gate: not a gate opcode"
+
+(* ------------------------------------------------------------------ *)
 (* Transpose: pattern rows -> per-frame bit planes.                    *)
 (* ------------------------------------------------------------------ *)
 

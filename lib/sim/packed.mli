@@ -2,9 +2,10 @@
     signal across up to {!width} {e patterns}, dual-rail encoded exactly
     like {!Logic3} — a [hi] rail has a bit set in the lanes where the
     value is known 1, a [lo] rail where it is known 0, neither where it
-    is X.  A lane bit must never be set in both rails.  The fault
-    simulator's packed kernels ([Atpg.Fsim]) evaluate gates on these
-    rails.
+    is X.  A lane bit must never be set in both rails.  {!gate} is the
+    one gate kernel on these rails: the packed fault simulator's good
+    simulation and per-fault sweep ([Atpg.Fsim]) and Simgen's fitness
+    all evaluate through it.
 
     Where {!Logic3} spreads one pattern across 64 {e fault columns}, this
     module spreads up to {!width} {e patterns} across the lanes of a
@@ -25,6 +26,21 @@
 
 (** Patterns per word: [Sys.int_size], i.e. 63 on 64-bit platforms. *)
 val width : int
+
+(** {1 The gate kernel} *)
+
+(** A dual-rail word the kernel writes its result into: reused across
+    evaluations, so a gate allocates nothing. *)
+type rail = { mutable hi : int; mutable lo : int }
+
+(** [gate r op m ah al bh bl sh sl] evaluates the {!Netlist.Analysis}
+    opcode [op] (a constant or a gate, not [op_pi]/[op_ff]) on fanin
+    rails a, b and select, per the truth tables above, into [r].  [m]
+    is the lane mask a constant fills.  Fanins the opcode does not read
+    are ignored.
+    @raise Invalid_argument on a source opcode. *)
+val gate :
+  rail -> int -> int -> int -> int -> int -> int -> int -> int -> unit
 
 
 (** {1 Pattern-to-plane transpose}

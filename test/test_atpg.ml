@@ -135,6 +135,76 @@ let fault_tests =
 (* Fault simulation.                                                   *)
 (* ------------------------------------------------------------------ *)
 
+let flat_circuit design top =
+  let ed = Design.Elaborate.elaborate design ~top in
+  (Synth.Lower.lower (Synth.Flatten.flatten ed top)).Synth.Lower.circuit
+
+let gcd_circuit () =
+  let e = Circuits.Collection.find "gcd" in
+  flat_circuit (parse e.Circuits.Collection.e_source)
+    e.Circuits.Collection.e_top
+
+(* The packed engine's flags, digested, and its eval delta for one
+   seeded multi-word grading run: 100 random PIER tests of 1-6 frames
+   (two words, ragged) against the stuck-at list, the transition
+   universe and 126 bridges.  Recorded before the packed kernels moved
+   onto the compiled netlist; fault dropping, the early exit and the
+   event schedule are all in the eval count, so a change to any of
+   them must say so and re-pin. *)
+let packed_work c =
+  let rng = Random.State.make [| 19 |] in
+  let piers = Factor.Pier.identify c in
+  let observe = { Atpg.Fsim.ob_pos = true; ob_pier_ffs = piers } in
+  let tests =
+    List.init 100 (fun _ ->
+        Atpg.Pattern.random ~rng ~num_pis:(N.num_pis c)
+          ~frames:(1 + Random.State.int rng 6) ~piers)
+  in
+  let digest flags =
+    let e = Atpg.Fsim.packed_eval_count () in
+    let flags = flags () in
+    Printf.sprintf "%s evals=%d"
+      (Digest.to_hex
+         (Digest.string
+            (String.concat ""
+               (Array.to_list
+                  (Array.map (fun d -> if d then "1" else "0") flags)))))
+      (Atpg.Fsim.packed_eval_count () - e)
+  in
+  let descriptors faults () =
+    Atpg.Fsim.run_descriptors ~engine:Atpg.Fsim.Packed c ~observe ~faults
+      tests
+  in
+  let faults = F.collapse c (F.all c) in
+  let stuck =
+    digest (fun () ->
+        Atpg.Fsim.run ~engine:Atpg.Fsim.Packed c ~observe ~faults tests)
+  in
+  let transition =
+    digest
+      (descriptors
+         (List.map Atpg.Transition.descriptor (Atpg.Transition.all c)))
+  in
+  let bridges = Atpg.Bridge.candidates ~rng ~count:126 c in
+  [ stuck; transition;
+    digest (descriptors (List.map Atpg.Bridge.descriptor bridges)) ]
+
+let pinned_packed_work () =
+  List.iter
+    (fun (name, c, expected) ->
+      List.iter2
+        (fun model (want, got) -> check_string (name ^ " " ^ model) want got)
+        [ "stuck-at"; "transition"; "bridge" ]
+        (List.combine expected (packed_work c)))
+    [ ("arm_alu", flat_circuit (Arm.Rtl.design ()) "arm_alu",
+       [ "c80370474ec58da54ab061425686808d evals=21894";
+         "d57d3a1c6c13480075dcfd94241e60e9 evals=20209";
+         "6ded10398d23da043c1c40d6ba064ef7 evals=7322" ]);
+      ("gcd", gcd_circuit (),
+       [ "91b587390e483b0545295dd6333040bd evals=53120";
+         "d6a3ea9ce799253fbdd4af4a62d548ce evals=66413";
+         "3e3d3b5f1e2453ea2ea3509bedce1bb4 evals=22931" ]) ]
+
 let fsim_tests =
   [ test "stuck PI fault detected by opposite value" (fun () ->
         let c = circuit "module top (input a, output y); assign y = a; endmodule" in
@@ -240,7 +310,8 @@ let fsim_tests =
               Atpg.Fsim.run c ~observe:Atpg.Fsim.default_observe ~faults:[ f ] tests
             in
             solo.(0) = batched.(i))
-          (List.mapi (fun i f -> (i, f)) faults)) ]
+          (List.mapi (fun i f -> (i, f)) faults));
+    test "packed work pinned" pinned_packed_work ]
 
 (* ------------------------------------------------------------------ *)
 (* PODEM.                                                              *)
@@ -860,6 +931,34 @@ let transition_tests =
 (* Simulation-based generation.                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Every Simgen outcome on a fault sample of gcd (with half its
+   registers as PIERs), digested: the test found, or "none".  Recorded
+   while the fitness still ran on boxed Logic3 words; scores, the RNG
+   stream and so every test depend only on the three-valued semantics,
+   so the digest may only move with a deliberate change to the
+   search. *)
+let pinned_simgen_outcomes () =
+  let c = gcd_circuit () in
+  let piers =
+    List.filter (fun i -> i mod 2 = 0) (List.init (N.num_ffs c) Fun.id)
+  in
+  let cfg = { Atpg.Simgen.default_config with sg_piers = piers; sg_seed = 3 } in
+  let faults = List.filteri (fun i _ -> i mod 7 = 0) (F.collapse c (F.all c)) in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun f ->
+      Buffer.add_string buf (F.to_string c f);
+      Buffer.add_string buf
+        (match Atpg.Simgen.run c cfg f with
+         | Some t -> Atpg.Pattern.to_string t
+         | None -> " none");
+      Buffer.add_char buf '\n')
+    faults;
+  check_string "gcd sample" "89354e3abd4afa9761a627286c5c4e6b faults=82"
+    (Printf.sprintf "%s faults=%d"
+       (Digest.to_hex (Digest.string (Buffer.contents buf)))
+       (List.length faults))
+
 let simgen_tests =
   [ test "detects combinational faults" (fun () ->
         let c = circuit c17 in
@@ -897,7 +996,22 @@ let simgen_tests =
              fault
          with
          | Some t -> check_bool "long test" true (Atpg.Pattern.num_frames t >= 6)
-         | None -> Alcotest.fail "should detect within the budget")) ]
+         | None -> Alcotest.fail "should detect within the budget"));
+    test "outcomes pinned" pinned_simgen_outcomes;
+    test "a cancelled budget returns before the first generation" (fun () ->
+        (* one generation suffices for every c17 fault, so a None from
+           the cancelled run means no candidate was simulated *)
+        let c = circuit c17 in
+        let cfg = { Atpg.Simgen.default_config with sg_generations = 1 } in
+        let tok = Engine.Budget.make () in
+        Engine.Budget.cancel tok;
+        List.iter
+          (fun f ->
+            check_bool "found in one generation" true
+              (Option.is_some (Atpg.Simgen.run c cfg f));
+            check_bool "cancelled" true
+              (Option.is_none (Atpg.Simgen.run ~budget:tok c cfg f)))
+          (F.collapse c (F.all c))) ]
 
 let () =
   Alcotest.run "atpg"

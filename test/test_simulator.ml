@@ -262,7 +262,143 @@ let packed_tests =
              false
            with Invalid_argument _ -> true)) ]
 
+(* The gate kernel against Logic3: every {0,1,X} combination of the
+   three fanins rides its own lane (27 lanes), and each lane of the
+   kernel's output must equal the Logic3 operator on that combination. *)
+let kernel_matches_logic3 () =
+  let module A = Netlist.Analysis in
+  let vals = [| Some false; Some true; None |] in
+  let combos =
+    Array.init 27 (fun j -> (vals.(j mod 3), vals.(j / 3 mod 3), vals.(j / 9)))
+  in
+  let rails pick =
+    let hi = ref 0 and lo = ref 0 in
+    Array.iteri
+      (fun j combo ->
+        match pick combo with
+        | Some true -> hi := !hi lor (1 lsl j)
+        | Some false -> lo := !lo lor (1 lsl j)
+        | None -> ())
+      combos;
+    (!hi, !lo)
+  in
+  let (ah, al) = rails (fun (a, _, _) -> a) in
+  let (bh, bl) = rails (fun (_, b, _) -> b) in
+  let (sh, sl) = rails (fun (_, _, s) -> s) in
+  let m = (1 lsl 27) - 1 in
+  let ops =
+    [ ("c0", A.op_c0, fun _ _ _ -> L.zero);
+      ("c1", A.op_c1, fun _ _ _ -> L.one);
+      ("buf", A.op_buf, fun a _ _ -> a);
+      ("inv", A.op_inv, fun a _ _ -> L.v_not a);
+      ("and", A.op_and, fun a b _ -> L.v_and a b);
+      ("or", A.op_or, fun a b _ -> L.v_or a b);
+      ("xor", A.op_xor, fun a b _ -> L.v_xor a b);
+      ("nand", A.op_nand, fun a b _ -> L.v_not (L.v_and a b));
+      ("nor", A.op_nor, fun a b _ -> L.v_not (L.v_or a b));
+      ("xnor", A.op_xnor, fun a b _ -> L.v_not (L.v_xor a b));
+      (* slot a is chosen by select 0, slot b by select 1 *)
+      ("mux", A.op_mux, fun a b s -> L.v_mux s a b) ]
+  in
+  let r = { P.hi = 0; lo = 0 } in
+  List.iter
+    (fun (name, op, logic3) ->
+      P.gate r op m ah al bh bl sh sl;
+      check_int (name ^ ": rails disjoint") 0 (r.P.hi land r.P.lo);
+      check_int (name ^ ": no lane beyond the mask") 0
+        ((r.P.hi lor r.P.lo) land lnot m);
+      Array.iteri
+        (fun j (a, b, s) ->
+          let lane =
+            if (r.P.hi lsr j) land 1 = 1 then Some true
+            else if (r.P.lo lsr j) land 1 = 1 then Some false
+            else None
+          in
+          check_bool
+            (Printf.sprintf "%s lane %d" name j)
+            true
+            (lane = get0 (logic3 (v a) (v b) (v s))))
+        combos)
+    ops;
+  List.iter
+    (fun op ->
+      check_bool "a source opcode is rejected" true
+        (try
+           P.gate r op m ah al bh bl sh sl;
+           false
+         with Invalid_argument _ -> true))
+    [ A.op_pi; A.op_ff ]
+
+(* Decode the compiled form back into drivers. *)
+let decode (info : Netlist.Analysis.info) net =
+  let module A = Netlist.Analysis in
+  let module N = Netlist in
+  let a = info.A.fanin.(3 * net)
+  and b = info.A.fanin.((3 * net) + 1)
+  and s = info.A.fanin.((3 * net) + 2) in
+  let op = Bytes.get_uint8 info.A.op net in
+  if op = A.op_pi then N.Pi a
+  else if op = A.op_ff then N.Ff a
+  else if op = A.op_c0 then N.C0
+  else if op = A.op_c1 then N.C1
+  else if op = A.op_buf then N.G1 (N.Buff, a)
+  else if op = A.op_inv then N.G1 (N.Inv, a)
+  else if op = A.op_mux then N.Mux (s, a, b)
+  else
+    let g =
+      List.assoc op
+        [ (A.op_and, N.And); (A.op_or, N.Or); (A.op_xor, N.Xor);
+          (A.op_nand, N.Nand); (A.op_nor, N.Nor); (A.op_xnor, N.Xnor) ]
+    in
+    N.G2 (g, a, b)
+
+(* The compiled arrays describe [c] exactly: every driver decodes back,
+   every gate slot is a real net, the level offsets count each level's
+   nets and the PO bitmap marks exactly the observed nets. *)
+let compiled_round_trips (c : Netlist.t) =
+  let module A = Netlist.Analysis in
+  let info = Netlist.analysis c in
+  let n = Netlist.num_nets c in
+  let ok = ref true in
+  for net = 0 to n - 1 do
+    if decode info net <> c.Netlist.drv.(net) then ok := false;
+    let op = Bytes.get_uint8 info.A.op net in
+    if op <> A.op_pi && op <> A.op_ff then
+      for k = 0 to 2 do
+        let f = info.A.fanin.((3 * net) + k) in
+        if f < 0 || f >= n then ok := false
+      done
+  done;
+  let per_level = Array.make (info.A.max_level + 1) 0 in
+  Array.iter (fun l -> per_level.(l) <- per_level.(l) + 1) info.A.level;
+  Array.iteri
+    (fun l cnt ->
+      if info.A.level_off.(l + 1) - info.A.level_off.(l) <> cnt then
+        ok := false)
+    per_level;
+  if info.A.level_off.(info.A.max_level + 1) <> n then ok := false;
+  for net = 0 to n - 1 do
+    if Bytes.get_uint8 info.A.is_po net = 1 <> Array.mem net c.Netlist.pos
+    then ok := false
+  done;
+  !ok
+
+let compiled_tests =
+  [ test "gate kernel matches Logic3 lane for lane" kernel_matches_logic3;
+    test "compiled ARM round-trips to its drivers" (fun () ->
+        let ed =
+          Design.Elaborate.elaborate (Arm.Rtl.design ()) ~top:Arm.Rtl.top
+        in
+        let c =
+          (Synth.Lower.lower (Synth.Flatten.flatten ed Arm.Rtl.top))
+            .Synth.Lower.circuit
+        in
+        check_bool "round trip" true (compiled_round_trips c));
+    qtest "compiled random RTL round-trips to its drivers" ~count:40
+      Fuzzgen.gen_arbitrary (fun gm ->
+        compiled_round_trips (snd (Fuzzgen.build gm))) ]
+
 let () =
   Alcotest.run "sim"
     [ ("logic3", logic3_tests); ("eval", sim_tests); ("vcd", vcd_tests);
-      ("packed", packed_tests) ]
+      ("packed", packed_tests); ("compiled", compiled_tests) ]
