@@ -401,4 +401,4 @@ let compiled_tests =
 let () =
   Alcotest.run "sim"
     [ ("logic3", logic3_tests); ("eval", sim_tests); ("vcd", vcd_tests);
-      ("packed", packed_tests); ("compiled", compiled_tests) ]
+      ("packed", packed_tests); ("kernel", compiled_tests) ]
