@@ -303,11 +303,14 @@ end
 let analysis_build_count = ref 0
 let analysis_builds () = !analysis_build_count
 
-(* Memoized per circuit by physical equality.  The cache is a short MRU
-   list: flows work on a handful of circuits at a time, and bounding it
-   lets dead circuits be collected.  Guarded by a mutex — the parallel
-   engine's fault shards and MUT flows all consult it concurrently. *)
-let analysis_cache : (t * Analysis.info) list ref = ref []
+(* Memoized per circuit by physical equality.  The cache is a short
+   list of the most recent builds, each an ephemeron keyed on its
+   circuit: flows work on a handful of circuits at a time, and a circuit
+   nothing else references (one the daemon evicted, say) is collected
+   together with its analysis instead of being held by the cache.
+   Guarded by a mutex — the parallel engine's fault shards and MUT flows
+   all consult it concurrently. *)
+let analysis_cache : (t, Analysis.info) Ephemeron.K1.t list ref = ref []
 let analysis_cache_max = 8
 let analysis_mutex = Mutex.create ()
 
@@ -407,8 +410,10 @@ let analysis_misses = Obs.Metrics.counter "factor.netlist.analysis_misses"
 
 let analysis c =
   Mutex.protect analysis_mutex (fun () ->
-      match List.find_opt (fun (c', _) -> c' == c) !analysis_cache with
-      | Some (_, info) ->
+      match
+        List.find_map (fun eph -> Ephemeron.K1.query eph c) !analysis_cache
+      with
+      | Some info ->
         Obs.Metrics.incr analysis_hits;
         info
       | None ->
@@ -423,7 +428,8 @@ let analysis c =
           | x :: rest -> x :: keep (k - 1) rest
         in
         analysis_cache :=
-          (c, info) :: keep (analysis_cache_max - 1) !analysis_cache;
+          Ephemeron.K1.make c info
+          :: keep (analysis_cache_max - 1) !analysis_cache;
         info)
 
 (* ------------------------------------------------------------------ *)

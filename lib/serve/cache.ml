@@ -20,6 +20,11 @@ type entry = {
   mutable e_circuit : Netlist.t option;
   e_transforms :
     (string, Factor.Transform.t * Compose.stats) Hashtbl.t;
+  (* changed since its blob was last written; under [e_lock] *)
+  mutable e_dirty : bool;
+  (* serializes this entry's blob writes, so an older snapshot never
+     lands on disk after a newer one *)
+  e_flush : Mutex.t;
   e_store : Store.t option;
 }
 
@@ -125,25 +130,69 @@ let evict_over_cap t =
 let full_key fp = "full-" ^ fp
 let alias_key alias = "alias-" ^ alias
 
-(* Write-behind: called after every entry mutation.  The blob is small
-   relative to the work it saves, so a synchronous rewrite keeps the
-   store consistent without a flush protocol. *)
+(* Writes the entry's blob if it changed since the last write.  The
+   snapshot (circuit, sorted transforms, dirty bit) is taken under
+   [e_lock], so a concurrent [transform] on another domain cannot race
+   the fold; marshalling and the write run outside it. *)
 let persist_entry e =
   match e.e_store with
   | None -> ()
   | Some store ->
-    let blob =
-      { b_fp = e.e_fp;
-        b_top = e.e_top;
-        b_design = e.e_design;
-        b_env = e.e_env;
-        b_session = Compose.export_session e.e_session;
-        b_circuit = e.e_circuit;
-        b_transforms =
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) e.e_transforms []
-          |> List.sort (fun (a, _) (b, _) -> compare a b) }
+    Mutex.protect e.e_flush @@ fun () ->
+    let snapshot =
+      Mutex.protect e.e_lock @@ fun () ->
+      if not e.e_dirty then None
+      else begin
+        e.e_dirty <- false;
+        Some
+          ( e.e_circuit,
+            Hashtbl.fold (fun k v acc -> (k, v) :: acc) e.e_transforms []
+            |> List.sort (fun (a, _) (b, _) -> compare a b) )
+      end
     in
-    Store.put_value store ~key:(full_key e.e_fp) blob
+    match snapshot with
+    | None -> ()
+    | Some (circuit, transforms) ->
+      let blob =
+        { b_fp = e.e_fp;
+          b_top = e.e_top;
+          b_design = e.e_design;
+          b_env = e.e_env;
+          b_session = Compose.export_session e.e_session;
+          b_circuit = circuit;
+          b_transforms = transforms }
+      in
+      (try Store.put_value store ~key:(full_key e.e_fp) blob with
+       | ex ->
+         Mutex.protect e.e_lock (fun () -> e.e_dirty <- true);
+         raise ex)
+
+(* Entries changed inside a {!batch} on this domain, written when the
+   batch ends; [None] outside one, where a change is written at once. *)
+let pending : entry list ref option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+(* Call after marking [e] dirty, without [e_lock]. *)
+let changed e =
+  match Domain.DLS.get pending with
+  | Some l -> if not (List.memq e !l) then l := e :: !l
+  | None -> persist_entry e
+
+(* A failed write leaves the entry dirty, so its next change writes it
+   again; the request that derived it still gets its answer. *)
+let flush_quietly e =
+  try persist_entry e with
+  | ex ->
+    Obs.Log.warnf "serve: cannot write cache entry %s: %s" e.e_fp
+      (Printexc.to_string ex)
+
+let batch f =
+  let mine = ref [] in
+  let outer = Domain.DLS.get pending in
+  Domain.DLS.set pending (Some mine);
+  Fun.protect f ~finally:(fun () ->
+      Domain.DLS.set pending outer;
+      List.iter flush_quietly (List.rev !mine))
 
 let persist_alias t ~alias ~fp =
   match t.c_store with
@@ -162,6 +211,8 @@ let entry_of_blob t (b : blob) =
       (let h = Hashtbl.create 8 in
        List.iter (fun (k, v) -> Hashtbl.replace h k v) b.b_transforms;
        h);
+    e_dirty = false;
+    e_flush = Mutex.create ();
     e_store = t.c_store }
 
 let load_from_store t ~fp =
@@ -187,12 +238,18 @@ let resolve_top (design : Verilog.Ast.design) = function
        Factor.Errors.fail Factor.Errors.Elaborate
          "empty design: no modules to pick a top from")
 
+(* Call with [c_lock] held. *)
 let install t ~alias entry =
   Hashtbl.replace t.c_entries entry.e_fp entry;
   Hashtbl.replace t.c_alias alias entry.e_fp;
   touch t entry.e_fp;
-  evict_over_cap t;
-  persist_alias t ~alias ~fp:entry.e_fp
+  evict_over_cap t
+
+(* An alias edge read back from disk must name a chain fingerprint
+   (hex MD5) before it is used as part of a key. *)
+let is_fingerprint s =
+  String.length s = 32
+  && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
 
 (* The cache lock covers the index lookups and installs only; parsing,
    elaboration and store I/O run outside it, so one cold build does not
@@ -223,9 +280,13 @@ let find_or_build t ~budget ~source ~top =
     let disk_fp =
       match t.c_store with
       | None -> None
-      | Some store -> Store.get store ~key:(alias_key alias)
+      | Some store ->
+        Option.bind (Store.get store ~key:(alias_key alias)) (fun fp ->
+            if is_fingerprint fp then Some fp else None)
     in
-    let from_fp fp =
+    (* [on_disk]: the alias edge was read from the store, so it is not
+       written back *)
+    let from_fp ~on_disk fp =
       match
         Mutex.protect t.c_lock @@ fun () -> Hashtbl.find_opt t.c_entries fp
       with
@@ -233,18 +294,19 @@ let find_or_build t ~budget ~source ~top =
         Mutex.protect t.c_lock (fun () ->
             Hashtbl.replace t.c_alias alias fp;
             touch t fp);
-        persist_alias t ~alias ~fp;
+        if not on_disk then persist_alias t ~alias ~fp;
         Obs.Metrics.incr m_warm_mem;
         Some (e, Warm_mem)
       | None ->
         (match load_from_store t ~fp with
          | Some e ->
            Mutex.protect t.c_lock (fun () -> install t ~alias e);
+           if not on_disk then persist_alias t ~alias ~fp;
            Obs.Metrics.incr m_warm_disk;
            Some (e, Warm_disk)
          | None -> None)
     in
-    (match Option.bind disk_fp from_fp with
+    (match Option.bind disk_fp (from_fp ~on_disk:true) with
      | Some hit -> hit
      | None ->
        (* parse, fingerprint the module chain, and try again: a
@@ -254,7 +316,7 @@ let find_or_build t ~budget ~source ~top =
        let design = Verilog.Parser.parse_design ~guard source in
        let top = resolve_top design top in
        let fp = Compose.design_fingerprint design ~top in
-       (match from_fp fp with
+       (match from_fp ~on_disk:false fp with
         | Some hit -> hit
         | None ->
           let env = Compose.make_env ~budget design ~top in
@@ -267,10 +329,13 @@ let find_or_build t ~budget ~source ~top =
               e_lock = Mutex.create ();
               e_circuit = None;
               e_transforms = Hashtbl.create 8;
+              e_dirty = true;
+              e_flush = Mutex.create ();
               e_store = t.c_store }
           in
           Mutex.protect t.c_lock (fun () -> install t ~alias e);
-          persist_entry e;
+          persist_alias t ~alias ~fp;
+          changed e;
           Obs.Metrics.incr m_cold;
           (e, Cold)))
 
@@ -291,9 +356,16 @@ let circuit e =
     let ed = (e.e_env : Compose.env).Compose.ed in
     let flat = Synth.Flatten.flatten ed e.e_top in
     let c = (Synth.Lower.lower flat).Synth.Lower.circuit in
-    Mutex.protect e.e_lock (fun () ->
-        if e.e_circuit = None then e.e_circuit <- Some c);
-    persist_entry e;
+    let fresh =
+      Mutex.protect e.e_lock @@ fun () ->
+      if Option.is_some e.e_circuit then false
+      else begin
+        e.e_circuit <- Some c;
+        e.e_dirty <- true;
+        true
+      end
+    in
+    if fresh then changed e;
     c
 
 let transform e ~budget ~mut ~mode =
@@ -312,8 +384,14 @@ let transform e ~budget ~mut ~mode =
     let tf =
       Factor.Transform.build e.e_env stats.Compose.cs_slice ~mut_path:mut
     in
-    Mutex.protect e.e_lock (fun () ->
-        if not (Hashtbl.mem e.e_transforms key) then
-          Hashtbl.replace e.e_transforms key (tf, stats));
-    persist_entry e;
+    let fresh =
+      Mutex.protect e.e_lock @@ fun () ->
+      if Hashtbl.mem e.e_transforms key then false
+      else begin
+        Hashtbl.replace e.e_transforms key (tf, stats);
+        e.e_dirty <- true;
+        true
+      end
+    in
+    if fresh then changed e;
     ((tf, stats), false)

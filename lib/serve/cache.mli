@@ -18,9 +18,17 @@
     Each entry keeps the elaborated {!Factor.Compose.env}, the
     compositional constraint-cache session, the lazily synthesized full
     circuit, and every transformed module built so far, all keyed under
-    the chain fingerprint.  With a store attached, entries (and new
-    alias → fingerprint edges) are persisted after each change, so a
-    restarted daemon warm-starts from disk. *)
+    the chain fingerprint.  With a store attached, a restarted daemon
+    warm-starts from disk.  What is written, and when:
+
+    - an entry's blob once per request that changed it (built it cold,
+      synthesized its circuit, added a transform), when the request's
+      {!batch} ends — also when the request fails after the change.
+      Outside a batch every change is written at once;
+    - an alias → fingerprint edge only when it is new to the disk: a
+      hit that read its edge from the store writes nothing.
+
+    So a request that derives nothing new writes nothing. *)
 
 type t
 
@@ -66,6 +74,13 @@ val circuit : entry -> Netlist.t
 val transform :
   entry -> budget:Engine.Budget.t -> mut:string -> mode:Factor.Flow.mode ->
   (Factor.Transform.t * Factor.Compose.stats) * bool
+
+(** [batch f] runs [f ()] with blob writes deferred: every entry [f]
+    changes on this domain is written once, when [f] returns or raises.
+    A write that fails then is logged and leaves the entry marked
+    changed, so its next change writes it again.  The daemon runs each
+    request in one batch. *)
+val batch : (unit -> 'a) -> 'a
 
 (** Number of resident entries. *)
 val resident : t -> int

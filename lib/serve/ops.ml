@@ -292,7 +292,7 @@ let handle ?emit ctx (rq : Proto.request) =
        an error response while siblings proceed untouched *)
     if Engine.Chaos.active () then
       Engine.Chaos.point ("serve.request:" ^ rq.rq_op);
-    (handler rq.rq_op) ctx budget rq.rq_params
+    Cache.batch (fun () -> (handler rq.rq_op) ctx budget rq.rq_params)
   in
   let traced () =
     if Obs.Span.enabled () then

@@ -3,11 +3,14 @@
     One flat directory of files, one entry per key.  Writes go to a
     temporary file in the same directory and [rename] into place, so a
     reader never observes a torn entry and a crashed writer leaves at
-    worst an orphan temp file.  Marshalled values carry a magic string
-    and the compiler version; {!get_value} treats any mismatch — or any
-    read/unmarshal failure at all — as a cache miss, never an error, so
-    a store written by an older build degrades to cold starts instead of
-    poisoning the daemon. *)
+    worst an orphan temp file.  Marshalled values carry a magic string,
+    the compiler version and an MD5 digest of the key and the marshalled
+    body; {!get_value} checks all three before [Marshal] sees a byte and
+    treats any mismatch — or any read/unmarshal failure at all — as a
+    cache miss, never an error.  So a store written by an older build
+    (or by the previous layout, [FACTOR-STORE-1]) degrades to cold
+    starts, and a truncated or bit-flipped file, or one copied under
+    another key, reads as a miss instead of poisoning the daemon. *)
 
 type t
 
@@ -27,12 +30,13 @@ val put : t -> key:string -> string -> unit
 val get : t -> key:string -> string option
 
 (** [put_value t ~key v] stores [Marshal.to_string v] under a versioned
-    header.  [v] must be pure data (no closures, no custom blocks). *)
+    header that ends in the digest of [key] and the body.  [v] must be
+    pure data (no closures, no custom blocks). *)
 val put_value : t -> key:string -> 'a -> unit
 
 (** [get_value t ~key] returns the stored value, or [None] when the key
-    is absent, the header does not match this build, or unmarshalling
-    fails.  The caller must request the same type that was stored —
+    is absent, the header does not match this build, the digest does
+    not match the key and body, or unmarshalling fails.  The caller must request the same type that was stored —
     the store cannot check it (standard [Marshal] caveat); confine each
     key namespace to a single type. *)
 val get_value : t -> key:string -> 'a option
@@ -41,8 +45,17 @@ val get_value : t -> key:string -> 'a option
 val remove : t -> key:string -> unit
 
 (** [(entries, bytes)] currently on disk — regular files only,
-    in-flight temp files excluded.  Also published as the
-    [factor.serve.store_entries] / [factor.serve.store_bytes] gauges on
-    {!open_} and after every write or removal, so the otherwise
-    grow-only store is visible on the [metrics] op. *)
+    in-flight temp files excluded — from a scan of the directory.
+
+    The same totals are published as the [factor.serve.store_entries] /
+    [factor.serve.store_bytes] gauges, so the otherwise grow-only store
+    is visible on the [metrics] op.  The gauges are not rescanned: one
+    scan at {!open_} sets them, and every {!put} and {!remove} adjusts
+    them by the old and new size of its key, under a lock that also
+    covers the rename or unlink, so concurrent writers (even of one key)
+    keep them exact.  They therefore match {!stats} as long as this
+    handle is the only writer of the directory, as in the daemon.
+    Every {!put} also counts in [factor.serve.store_writes]; with
+    tracing on, {!put} and {!get} record [store.put] / [store.get]
+    spans. *)
 val stats : t -> int * int

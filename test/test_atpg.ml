@@ -563,6 +563,16 @@ let gen_tests =
         (* random phase, PODEM and fault simulation all share one
            memoized analysis of the circuit *)
         check_bool "at most one build" true (after - before <= 1));
+    test "netlist analysis does not keep a dropped circuit alive" (fun () ->
+        let w = Weak.create 1 in
+        let[@inline never] analyse_and_drop () =
+          let c = circuit c17 in
+          ignore (N.analysis c);
+          Weak.set w 0 (Some c)
+        in
+        analyse_and_drop ();
+        Gc.full_major ();
+        check_bool "circuit collected" false (Weak.check w 0));
     test "budget exhaustion skips remaining" (fun () ->
         let c = circuit (Arm.Rtl.source |> fun _ ->
           {|module top (input clk, input [7:0] d, output reg [7:0] q);

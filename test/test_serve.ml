@@ -215,6 +215,68 @@ let store_roundtrip () =
      | exception Invalid_argument _ -> true
      | () -> false)
 
+let rec remove_tree path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> remove_tree (Filename.concat path f))
+        (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+(* Occupancy is counted, not rescanned: after any sequence of puts,
+   overwrites and removals — half of them split over two domains that
+   race on the same keys — the published gauges equal a fresh scan of
+   the directory. *)
+type store_op = Put of int * int | Remove of int
+
+let store_gauges_match_rescan =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (3, map2 (fun k n -> Put (k, n)) (int_bound 4) (int_bound 64));
+          (1, map (fun k -> Remove k) (int_bound 4)) ])
+  in
+  let print (ops, two) =
+    Printf.sprintf "%s%s"
+      (if two then "two domains: " else "")
+      (String.concat "; "
+         (List.map
+            (function
+              | Put (k, n) -> Printf.sprintf "put k%d %d" k n
+              | Remove k -> Printf.sprintf "remove k%d" k)
+            ops))
+  in
+  qtest ~count:60 "store gauges equal a directory rescan"
+    (QCheck.make ~print QCheck.Gen.(pair (list_size (int_bound 24) op) bool))
+    (fun (ops, two) ->
+      let dir = tmpdir "factor-gauges" in
+      Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
+      let s = Serve.Store.open_ dir in
+      let apply =
+        List.iter (function
+          | Put (k, n) ->
+            Serve.Store.put s ~key:(Printf.sprintf "k%d" k) (String.make n 'x')
+          | Remove k -> Serve.Store.remove s ~key:(Printf.sprintf "k%d" k))
+      in
+      if two then begin
+        let half = List.filteri (fun i _ -> i mod 2 = 0) ops in
+        let other = List.filteri (fun i _ -> i mod 2 = 1) ops in
+        let d = Domain.spawn (fun () -> apply other) in
+        apply half;
+        Domain.join d
+      end
+      else apply ops;
+      let gauges () =
+        ( int_of_float
+            (Obs.Metrics.get (Obs.Metrics.gauge "factor.serve.store_entries")),
+          int_of_float
+            (Obs.Metrics.get (Obs.Metrics.gauge "factor.serve.store_bytes")) )
+      in
+      let counted = gauges () in
+      ignore (Serve.Store.open_ dir : Serve.Store.t);
+      counted = Serve.Store.stats s && gauges () = counted)
+
 (* ------------------------------------------------------------------ *)
 (* Fingerprints.                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -409,6 +471,147 @@ let cache_budget_expiry () =
   in
   check_bool "alias hit skips the guarded phases entirely" true
     (o2 = Serve.Cache.Warm_mem)
+
+(* The write path: a request writes only what it changed — a cold
+   extract its blob and alias edge, a repeat nothing, a restarted
+   daemon's warm-disk hit nothing, and a whitespace variant of a
+   resident design only its new alias edge.  A request that fails after
+   its cold build still leaves the entry on disk. *)
+let store_writes_per_class () =
+  let dir = tmpdir "factor-writes" in
+  let writes = Obs.Metrics.counter "factor.serve.store_writes" in
+  let mut = ("mut", J.String "u_core.u_ctrl") in
+  let request ?(op = "extract") ctx params =
+    let before = Obs.Metrics.value writes in
+    let cls =
+      match
+        Serve.Ops.handle ctx
+          { Serve.Proto.rq_id = 1; rq_op = op; rq_params = J.Obj params }
+      with
+      | r -> Option.get (Option.bind (J.member "cache" r) J.to_string_opt)
+      | exception Serve.Proto.Proto_error _ -> "failed"
+    in
+    (cls, Obs.Metrics.value writes - before)
+  in
+  let check_class name expected got =
+    Alcotest.(check (pair string int)) name expected got
+  in
+  let gcd = [ ("design", J.String "@gcd"); mut ] in
+  let ctx = Serve.Ops.make_ctx ~store:(Serve.Store.open_ dir) () in
+  check_class "cold: blob and alias" ("cold", 2) (request ctx gcd);
+  check_class "warm-mem: nothing" ("warm-mem", 0) (request ctx gcd);
+  (* an unknown engine is refused after the circuit is built *)
+  check_class "failing after a cold build: blob and alias" ("failed", 2)
+    (request ~op:"atpg" ctx
+       [ ("design", J.String "@arbiter"); ("engine", J.String "bogus") ]);
+  let ctx = Serve.Ops.make_ctx ~store:(Serve.Store.open_ dir) () in
+  check_class "warm-disk: nothing" ("warm-disk", 0) (request ctx gcd);
+  check_class "whitespace variant: its alias only" ("warm-mem", 1)
+    (request ctx
+       [ ("source", J.String (gcd_source ^ "\n// ws\n"));
+         ("top", J.String gcd_top); mut ]);
+  let arb = Circuits.Collection.arbiter in
+  let (_, o) =
+    Serve.Cache.find_or_build (Serve.Ops.cache ctx) ~budget:Engine.Budget.none
+      ~source:arb.Circuits.Collection.e_source
+      ~top:(Some arb.Circuits.Collection.e_top)
+  in
+  check_bool "the failed request's entry was kept" true
+    (o = Serve.Cache.Warm_disk)
+
+(* What the store reads back from a damaged file is a miss or the value
+   that was written, never a crash or another value: truncations, bit
+   flips anywhere in a real cache blob, and files swapped in from other
+   keys (another design's blob, an alias edge, a blob of the previous
+   layout). *)
+let store_digest_fuzz =
+  let setup =
+    lazy
+      (let dir = tmpdir "factor-digest" in
+       let s = Serve.Store.open_ dir in
+       let t = Serve.Cache.create ~store:s () in
+       let build (e : Circuits.Collection.entry) =
+         let (entry, _) =
+           Serve.Cache.find_or_build t ~budget:Engine.Budget.none
+             ~source:e.e_source ~top:(Some e.e_top)
+         in
+         ignore (Serve.Cache.circuit entry : Netlist.t);
+         "full-" ^ Serve.Cache.fingerprint entry
+       in
+       let key = build Circuits.Collection.gcd in
+       let other = build Circuits.Collection.arbiter in
+       let raw k = Option.get (Serve.Store.get s ~key:k) in
+       let bytes = raw key in
+       let value : Obj.t = Option.get (Serve.Store.get_value s ~key) in
+       let alias =
+         "alias-"
+         ^ Factor.Compose.source_fingerprint ~source:gcd_source ~top:gcd_top
+       in
+       let old_layout =
+         let nl1 = String.index bytes '\n' in
+         let nl2 = String.index_from bytes (nl1 + 1) '\n' in
+         "FACTOR-STORE-1\n"
+         ^ String.sub bytes (nl1 + 1) (nl2 - nl1)
+         ^ String.sub bytes (nl2 + 17) (String.length bytes - nl2 - 17)
+       in
+       (s, key, bytes, Marshal.to_string value [],
+        [| raw other; raw alias; old_layout |]))
+  in
+  qtest ~count:150 "damaged blobs read as misses"
+    QCheck.(triple (int_bound 2) (int_bound 1_000_000) (int_bound 7))
+    (fun (kind, pos, bit) ->
+      let (s, key, bytes, expected, swaps) = Lazy.force setup in
+      let len = String.length bytes in
+      let damaged =
+        match kind with
+        | 0 -> String.sub bytes 0 (pos mod len)
+        | 1 ->
+          let b = Bytes.of_string bytes in
+          let i = pos mod len in
+          Bytes.set b i
+            (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+          Bytes.to_string b
+        | _ -> swaps.(pos mod Array.length swaps)
+      in
+      Serve.Store.put s ~key damaged;
+      let ok =
+        match (Serve.Store.get_value s ~key : Obj.t option) with
+        | None -> true
+        | Some v -> Marshal.to_string v [] = expected
+      in
+      Serve.Store.put s ~key bytes;
+      ok)
+
+(* A damaged blob or alias edge costs a rebuild (or a parse), never the
+   request: a restarted cache over a flipped blob builds cold, and one
+   whose alias edge is garbage falls back to the chain fingerprint. *)
+let cache_damaged_store () =
+  let dir = tmpdir "factor-damaged" in
+  let none = Engine.Budget.none in
+  let lookup () =
+    let t = Serve.Cache.create ~store:(Serve.Store.open_ dir) () in
+    Serve.Cache.find_or_build t ~budget:none ~source:gcd_source
+      ~top:(Some gcd_top)
+  in
+  let (e, _) = lookup () in
+  let c = Serve.Cache.circuit e in
+  let s = Serve.Store.open_ dir in
+  let key = "full-" ^ Serve.Cache.fingerprint e in
+  let bytes = Option.get (Serve.Store.get s ~key) in
+  let b = Bytes.of_string bytes in
+  let i = Bytes.length b - 1 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+  Serve.Store.put s ~key (Bytes.to_string b);
+  let (e1, o1) = lookup () in
+  check_bool "flipped blob rebuilds cold" true (o1 = Serve.Cache.Cold);
+  check_bool "and the rebuild is identical" true (Serve.Cache.circuit e1 = c);
+  let alias =
+    "alias-" ^ Factor.Compose.source_fingerprint ~source:gcd_source ~top:gcd_top
+  in
+  Serve.Store.put s ~key:alias "../\000not a fingerprint";
+  let (_, o2) = lookup () in
+  check_bool "garbage alias edge falls back to the chain fingerprint" true
+    (o2 = Serve.Cache.Warm_disk)
 
 (* ------------------------------------------------------------------ *)
 (* End to end: a live daemon over a Unix socket.                       *)
@@ -834,7 +1037,12 @@ let () =
           test "snapshot/diff is reset-free" metrics_snapshot_diff;
           test "prometheus dump sanitizes names" metrics_prometheus;
         ] );
-      ( "store", [ test "roundtrip, corruption, unsafe keys" store_roundtrip ] );
+      ( "store",
+        [
+          test "roundtrip, corruption, unsafe keys" store_roundtrip;
+          store_gauges_match_rescan;
+          store_digest_fuzz;
+        ] );
       ( "fingerprint",
         [ test "alias vs chain invariance" fingerprint_invariance ] );
       ( "cache",
@@ -842,6 +1050,9 @@ let () =
           test "cold, warm-mem, warm-disk, bit-identical" cache_outcomes;
           test "budget guards cold builds only" cache_budget_expiry;
           test "max-resident LRU evicts to warm-disk" cache_lru_eviction;
+          test "writes per request class" store_writes_per_class;
+          test "a damaged store costs a rebuild, not a crash"
+            cache_damaged_store;
         ] );
       ( "daemon",
         [
