@@ -717,14 +717,14 @@ let variance () =
 (* Fault-simulation engine benchmark.                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* All three engines on the same fault list and test set: identical
-   detection flags required; per-engine wall clock and net-evaluation
-   counts (each engine owns its registry counter, so the deltas are
-   attributable) printed to stdout.  The test count defaults to two full
-   packed words of patterns — grading workloads batch dozens of
-   patterns, which is exactly where pattern-packing pays.  Returns the
-   packed evals, packed words, event evals and reference evals, so the
-   CI smoke gate can pin them. *)
+(* The packed engine and the reference oracle on the same fault list and
+   test set: identical detection flags required; per-engine wall clock
+   and net-evaluation counts (each engine owns its registry counter, so
+   the deltas are attributable) printed to stdout.  The test count
+   defaults to two full packed words of patterns — grading workloads
+   batch dozens of patterns, which is exactly where pattern-packing
+   pays.  Returns the packed evals, packed words and reference evals, so
+   the CI smoke gate can pin them. *)
 let bench_fsim_on ~name c ~num_tests =
   let faults = Atpg.Fault.collapse c (Atpg.Fault.all c) in
   let rng = Random.State.make [| !seed_ref |] in
@@ -733,9 +733,9 @@ let bench_fsim_on ~name c ~num_tests =
      sequences with register loads, observation at POs every cycle and
      at the PIERs' final state.  24-cycle sequences model the
      multi-cycle MUT tests the methodology schedules; sequence depth is
-     where packing pays, since the event engine re-simulates the good
-     circuit per test per cycle while the packed engine pays one good
-     sweep per word. *)
+     where packing pays, since the reference re-simulates every net per
+     test per cycle while the packed engine pays one good sweep per
+     word. *)
   let piers = Factor.Pier.identify c in
   let tests =
     List.init num_tests (fun _ ->
@@ -743,18 +743,21 @@ let bench_fsim_on ~name c ~num_tests =
           ~piers)
   in
   let observe = { Atpg.Fsim.ob_pos = true; ob_pier_ffs = piers } in
-  let timed kind =
-    let e0 = Atpg.Fsim.evals_for kind in
+  let timed kind evals =
+    let e0 = evals () in
     let t0 = Engine.Clock.now () in
     let r = Atpg.Fsim.run ~engine:kind c ~observe ~faults tests in
-    (r, Engine.Clock.now () -. t0, Atpg.Fsim.evals_for kind - e0)
+    (r, Engine.Clock.now () -. t0, evals () - e0)
   in
-  let words0 = Atpg.Fsim.packed_word_count () in
-  let (packed_flags, packed_wall, packed_evals) = timed Atpg.Fsim.Packed in
-  let packed_words = Atpg.Fsim.packed_word_count () - words0 in
-  let (event_flags, event_wall, event_evals) = timed Atpg.Fsim.Event in
-  let (ref_flags, ref_wall, ref_evals) = timed Atpg.Fsim.Reference in
-  if packed_flags <> ref_flags || event_flags <> ref_flags then begin
+  let words0 = Atpg.Fsim.packed_words () in
+  let (packed_flags, packed_wall, packed_evals) =
+    timed Atpg.Fsim.Packed Atpg.Fsim.packed_evals
+  in
+  let packed_words = Atpg.Fsim.packed_words () - words0 in
+  let (ref_flags, ref_wall, ref_evals) =
+    timed Atpg.Fsim.Reference Atpg.Fsim.ref_evals
+  in
+  if packed_flags <> ref_flags then begin
     Printf.eprintf
       "bench fsim: engines disagree on detection flags (replay with --seed %d)\n"
       !seed_ref;
@@ -771,13 +774,10 @@ let bench_fsim_on ~name c ~num_tests =
     !seed_ref;
   Printf.printf "  packed:       %.3f s, %d net evals (%d words)\n"
     packed_wall packed_evals packed_words;
-  Printf.printf "  event-driven: %.3f s, %d net evals\n" event_wall event_evals;
   Printf.printf "  reference:    %.3f s, %d net evals\n" ref_wall ref_evals;
-  Printf.printf "  packed vs event:     %.1fx wall, %.1fx evals\n"
-    (ratio event_wall packed_wall) (fratio event_evals packed_evals);
   Printf.printf "  packed vs reference: %.1fx wall, %.1fx evals\n"
     (ratio ref_wall packed_wall) (fratio ref_evals packed_evals);
-  (packed_evals, packed_words, event_evals, ref_evals)
+  (packed_evals, packed_words, ref_evals)
 
 let bench_fsim () =
   ignore (bench_fsim_on ~name:"arm" (Lazy.force full) ~num_tests:126)
@@ -807,9 +807,9 @@ let check_fault_models ~name c =
       let flags engine =
         Atpg.Fsim.run_descriptors ~engine c ~observe ~faults tests
       in
-      let e0 = Atpg.Fsim.packed_eval_count () in
+      let e0 = Atpg.Fsim.packed_evals () in
       let packed = flags Atpg.Fsim.Packed in
-      let evals = Atpg.Fsim.packed_eval_count () - e0 in
+      let evals = Atpg.Fsim.packed_evals () - e0 in
       if packed <> flags Atpg.Fsim.Reference then begin
         Printf.eprintf
           "fsim smoke: packed and reference disagree on %s faults of %s \
@@ -828,14 +828,14 @@ let check_fault_models ~name c =
    reproduce this line exactly; a change that moves it changes the work
    done, and must say so and re-pin it. *)
 let fsim_smoke_alu_evals =
-  "packed 35372 (2 words) | event 1128269 | reference 1155888 | \
-   transition 18543 | bridge 13948"
+  "packed 35372 (2 words) | reference 1155888 | transition 18543 | \
+   bridge 13948"
 
-(* CI gate: on the stand-alone ALU, the three engines must agree bit for
-   bit on stuck-at faults, packed and reference on transition and bridge
+(* CI gate: on the stand-alone ALU, the packed engine must agree bit for
+   bit with the reference oracle on stuck-at, transition and bridge
    faults, every engine's eval count must equal its pin (at the default
-   seed), and the packed engine's eval reduction over the event-driven
-   one must not fall below a conservative floor (a regression here means
+   seed), and the packed engine's eval reduction over the reference
+   must not fall below a conservative floor (a regression here means
    the packing or dropping logic degraded). *)
 let bench_fsim_smoke () =
   let ed = Design.Elaborate.elaborate (Arm.Rtl.design ()) ~top:"arm_alu" in
@@ -843,13 +843,13 @@ let bench_fsim_smoke () =
     (Synth.Lower.lower (Synth.Flatten.flatten ed "arm_alu"))
       .Synth.Lower.circuit
   in
-  let (packed, words, event, reference) =
+  let (packed, words, reference) =
     bench_fsim_on ~name:"arm_alu" c ~num_tests:126
   in
   let models = check_fault_models ~name:"arm_alu" c in
   let got =
-    Printf.sprintf "packed %d (%d words) | event %d | reference %d | %s"
-      packed words event reference
+    Printf.sprintf "packed %d (%d words) | reference %d | %s"
+      packed words reference
       (String.concat " | "
          (List.map (fun (m, e) -> Printf.sprintf "%s %d" m e) models))
   in
@@ -859,7 +859,7 @@ let bench_fsim_smoke () =
       fsim_smoke_alu_evals;
     exit 1
   end;
-  let speedup_evals = float_of_int event /. float_of_int (max 1 packed) in
+  let speedup_evals = float_of_int reference /. float_of_int (max 1 packed) in
   let floor = 6.0 in
   if speedup_evals < floor then begin
     Printf.eprintf
@@ -868,7 +868,7 @@ let bench_fsim_smoke () =
       speedup_evals floor !seed_ref;
     exit 1
   end;
-  Printf.printf "fsim smoke: arm_alu ok, %.1fx eval reduction vs event\n"
+  Printf.printf "fsim smoke: arm_alu ok, %.1fx eval reduction vs reference\n"
     speedup_evals
 
 (* ------------------------------------------------------------------ *)
@@ -1129,9 +1129,9 @@ let bench_par () =
     (100.0 *. utilization)
 
 (* Fast CI smoke: on the stand-alone ALU, a 4-job ATPG run and 4-way
-   sharded fault simulation — a multi-test list on the packed engine and
-   one test on the event engine, the path Gen's confirm-and-drop takes
-   at -j N — must reproduce the serial results exactly. *)
+   sharded fault simulation — a multi-test list and one test (a one-lane
+   word, the path Gen's confirm-and-drop takes at -j N) — must
+   reproduce the serial results exactly. *)
 let bench_par_smoke () =
   let ed = Design.Elaborate.elaborate (Arm.Rtl.design ()) ~top:"arm_alu" in
   let c =

@@ -233,6 +233,11 @@ let resolve_top design path top =
          Factor.Errors.fail ~file:path Factor.Errors.Elaborate
            "empty design: no modules to pick a top from")
 
+(* Resolve a given --mut against the instance tree before any work: an
+   unknown path is an extract error (exit 4), not an empty fault list. *)
+let check_mut tree mut =
+  Option.iter (fun m -> ignore (Design.Hierarchy.find_path tree m)) mut
+
 (* ----------------------------- parse ------------------------------ *)
 
 let parse_cmd =
@@ -296,6 +301,7 @@ let extract_cmd =
         let design = read_design path in
         let top = resolve_top design path top in
         let env = Factor.Compose.make_env design ~top in
+        ignore (Factor.Compose.mut_node env mut);
         let stats =
           Factor.Flow.extract env (Factor.Compose.create_session ()) mode
             ~mut_path:mut
@@ -378,6 +384,7 @@ let atpg_cmd =
         let design = read_design path in
         let top = resolve_top design path top in
         let ed = Design.Elaborate.elaborate design ~top in
+        check_mut (Design.Hierarchy.build ed) mut;
         let flat = Synth.Flatten.flatten ed top in
         let c = (Synth.Lower.lower flat).Synth.Lower.circuit in
         let faults =
@@ -446,6 +453,7 @@ let sat_cmd =
         let design = read_design path in
         let top = resolve_top design path top in
         let ed = Design.Elaborate.elaborate design ~top in
+        check_mut (Design.Hierarchy.build ed) mut;
         let c =
           (Synth.Lower.lower (Synth.Flatten.flatten ed top)).Synth.Lower.circuit
         in
@@ -488,6 +496,7 @@ let analyze_cmd =
         let design = read_design path in
         let top = resolve_top design path top in
         let env = Factor.Compose.make_env design ~top in
+        ignore (Factor.Compose.mut_node env mut);
         let stats =
           Factor.Compose.compositional (Factor.Compose.create_session ()) env
             ~mut_path:mut
@@ -544,6 +553,7 @@ let grade_cmd =
         let design = read_design path in
         let top = resolve_top design path top in
         let ed = Design.Elaborate.elaborate design ~top in
+        check_mut (Design.Hierarchy.build ed) mut;
         let c =
           (Synth.Lower.lower (Synth.Flatten.flatten ed top)).Synth.Lower.circuit
         in

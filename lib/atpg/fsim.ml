@@ -1,37 +1,14 @@
-(** Sequential fault simulation behind three engines with bit-identical
-    detection flags.  {!run} picks the engine from the test count.
-
-    - {b Packed} (PPSFP, any test list longer than one): test patterns
-      are packed into the lanes of a native machine word ({!Sim.Packed},
-      up to [Sys.int_size] patterns per word).  The good circuit is
-      simulated once per word — every gate evaluation settles a whole
-      word of patterns in a handful of unboxed bit ops over dual-rail
-      planes, through the one kernel {!Sim.Packed.gate} on the
-      circuit's compiled form ({!Netlist.Analysis}) — and each fault is
-      then event-driven through the word:
-      injection is a pair of lane masks per site (two AND/OR ops), and
-      only nets whose packed value diverges from the good planes are
-      re-evaluated, seeded at the injection sites and at flip-flops
-      whose faulty state word differs.
-    - {b Event} (a one-test list): the parallel-fault engine — bit
-      column 0 of a {!Sim.Logic3} word carries the good circuit,
-      columns 1..63 one faulty circuit each.  With one pattern there is
-      nothing to pack, and 63 faults per evaluation beat one lane per
-      word by 2-4x on the ARM.
-    - {b Reference}: the straight-line oracle — every net re-evaluated
-      on every frame of every 63-fault batch.  Kept as the differential
-      oracle ({!run_batch_reference}) and benchmark baseline.
-
-    Faults reach the reference and packed engines as {!descriptor}s —
-    per-site injection rules for stuck-at, transition and bridging
-    faults — so every fault model runs on the same two engines; the
-    event engine is stuck-at only.
-
-    All engines share the detection semantics: flip-flops start at X
-    (except loaded PIER registers), so detection is conservative exactly
-    like the pattern translation the paper performs, and a fault's
-    detection by a test never depends on other faults or tests — which
-    is why fault dropping, sharding and word-packing are all
+(** Sequential fault simulation; the mli describes the engines and their
+    contract.  The packed engine (PPSFP) packs test patterns into the
+    lanes of a native word ({!Sim.Packed}), simulates the good circuit
+    once per word through the compiled kernel {!Sim.Packed.gate}, then
+    event-drives each fault through the word alone: injection is a pair
+    of lane masks per site, and only nets whose planes diverge from the
+    good planes are re-evaluated, seeded at the sites and at diverged
+    flip-flops.  The reference oracle re-evaluates every net on every
+    frame, one {!Sim.Logic3} column per fault of a 63-fault batch.  A
+    fault's detection by a test never depends on other faults or tests,
+    which is why fault dropping, sharding and word-packing are all
     bit-identical to the serial reference. *)
 
 module N = Netlist
@@ -50,7 +27,7 @@ let default_observe = { ob_pos = true; ob_pier_ffs = [] }
 (* Engine selection.                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type engine_kind = Packed | Event | Reference
+type engine_kind = Packed | Reference | Event
 
 (* ------------------------------------------------------------------ *)
 (* Metrics: each engine owns its own eval counter so a registry dump    *)
@@ -58,34 +35,22 @@ type engine_kind = Packed | Event | Reference
 (* Hot loops accumulate locally and flush once per batch.               *)
 (* ------------------------------------------------------------------ *)
 
-let eval_counter = Obs.Metrics.counter "factor.fsim.evals"
-let eval_count () = Obs.Metrics.value eval_counter
-let add_evals k = Obs.Metrics.add eval_counter k
+let ref_evals_counter = Obs.Metrics.counter "factor.fsim.ref_evals"
+let ref_evals () = Obs.Metrics.value ref_evals_counter
+let add_ref_evals k = Obs.Metrics.add ref_evals_counter k
 
-let ref_eval_counter = Obs.Metrics.counter "factor.fsim.ref_evals"
-let ref_eval_count () = Obs.Metrics.value ref_eval_counter
-let add_ref_evals k = Obs.Metrics.add ref_eval_counter k
-
-let packed_eval_counter = Obs.Metrics.counter "factor.fsim.packed_evals"
-let packed_eval_count () = Obs.Metrics.value packed_eval_counter
-let add_packed_evals k = Obs.Metrics.add packed_eval_counter k
-
-let good_sims_counter = Obs.Metrics.counter "factor.fsim.good_sims"
-let batches_counter = Obs.Metrics.counter "factor.fsim.batches"
+let packed_evals_counter = Obs.Metrics.counter "factor.fsim.packed_evals"
+let packed_evals () = Obs.Metrics.value packed_evals_counter
+let add_packed_evals k = Obs.Metrics.add packed_evals_counter k
 
 (* One packed word = up to [Sim.Packed.width] tests simulated together. *)
 let packed_words_counter = Obs.Metrics.counter "factor.fsim.packed_words"
-let packed_word_count () = Obs.Metrics.value packed_words_counter
+let packed_words () = Obs.Metrics.value packed_words_counter
 
 (* One packed batch = one fault set swept through one word. *)
 let packed_batches_counter = Obs.Metrics.counter "factor.fsim.packed_batches"
 
 let packed_batch_hist = Obs.Metrics.histogram "factor.fsim.packed_batch_s"
-
-let evals_for = function
-  | Packed -> packed_eval_count ()
-  | Event -> eval_count ()
-  | Reference -> ref_eval_count ()
 
 (* ------------------------------------------------------------------ *)
 (* Fault models: one injection interface.                              *)
@@ -112,51 +77,13 @@ let detected_mask (v : L.t) : int64 =
   | Some false -> Int64.logand v.L.hi (Int64.lognot 1L)
 
 (* Indices of the faults not detected yet, in fault order: the active
-   set every dropping loop simulates next. *)
+   set both dropping loops simulate next. *)
 let undetected detected =
   let idx = ref [] in
   for i = Array.length detected - 1 downto 0 do
     if not detected.(i) then idx := i :: !idx
   done;
   Array.of_list !idx
-
-(* One test against [faults] in batches of 63: [simulate batch]
-   simulates at most 63 faults and returns the detection mask, bit k+1
-   for [batch.(k)].  Flags align with [faults]. *)
-let in_batches ~budget faults simulate =
-  let len = Array.length faults in
-  let flags = Array.make len false in
-  let pos = ref 0 in
-  while !pos < len && not (Engine.Budget.poll budget) do
-    let k = min 63 (len - !pos) in
-    let det = simulate (Array.sub faults !pos k) in
-    for i = 0 to k - 1 do
-      if Int64.logand (Int64.shift_right_logical det (i + 1)) 1L = 1L then
-        flags.(!pos + i) <- true
-    done;
-    pos := !pos + k
-  done;
-  flags
-
-(* Multi-test grading with per-test fault dropping — the dropping
-   semantics every engine shares: [flags_of active test] grades one test
-   against the faults still undetected, flags aligned with [active]. *)
-let drop_per_test ~budget ~n tests flags_of =
-  let detected = Array.make n false in
-  if n > 0 then begin
-    let prog = Obs.Progress.start ~total:(List.length tests) "fsim.grade" in
-    List.iter
-      (fun test ->
-        Obs.Progress.step prog;
-        let active = undetected detected in
-        if Array.length active > 0 && not (Engine.Budget.poll budget) then
-          Array.iteri
-            (fun k hit -> if hit then detected.(active.(k)) <- true)
-            (flags_of active test))
-      tests;
-    Obs.Progress.finish prog
-  end;
-  detected
 
 (* ------------------------------------------------------------------ *)
 (* Reference engine: straight-line evaluation of every net.            *)
@@ -260,7 +187,7 @@ let reference_mask c ~order ~faults ~observe (test : Pattern.test) =
   !detected
 
 (* The detected descriptors of a batch of at most 63, as a bool list
-   aligned with [faults]: the oracle the other engines are checked
+   aligned with [faults]: the oracle the packed engine is checked
    against. *)
 let run_batch_reference c ~order ~faults ~observe test =
   let det = reference_mask c ~order ~faults ~observe test in
@@ -268,238 +195,30 @@ let run_batch_reference c ~order ~faults ~observe test =
     (fun i _ -> Int64.logand (Int64.shift_right_logical det (i + 1)) 1L = 1L)
     faults
 
+(* Reference grading: each test against the faults still undetected,
+   in batches of 63, fault dropping after every test. *)
 let run_reference ~budget c ~observe ~(faults : descriptor array) tests =
   let order = (N.analysis c).A.order in
-  drop_per_test ~budget ~n:(Array.length faults) tests (fun active test ->
-      in_batches ~budget (Array.map (fun i -> faults.(i)) active) (fun batch ->
-          reference_mask c ~order ~faults:(Array.to_list batch) ~observe test))
-
-(* ------------------------------------------------------------------ *)
-(* Event-driven engine.                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Cached good-circuit values of one test: per frame, per net, one byte
-   (0 = X, 1 = zero, 2 = one); likewise the flip-flop state at the start
-   of each frame.  Computed once per test and shared by every fault
-   batch. *)
-type good = {
-  go_vals : Bytes.t array;
-  go_state : Bytes.t array;
-}
-
-let byte_of v =
-  match L.get v 0 with None -> 0 | Some false -> 1 | Some true -> 2
-
-(* The good value replicated across all 64 columns (constants: no
-   allocation). *)
-let rep b = if b = 1 then L.zero else if b = 2 then L.one else L.x
-
-(* Mutable per-circuit scratch, reused across frames, batches and tests. *)
-type engine = {
-  c : N.t;
-  info : A.info;
-  values : L.t array;          (* good-simulation values *)
-  gstate : L.t array;          (* good-simulation flip-flop state *)
-  fvals : L.t array;           (* faulty values, valid where dirty *)
-  dirty : bool array;          (* net diverges from the good value *)
-  queued : bool array;         (* net scheduled this frame *)
-  touched : int array;         (* dirty nets, for cleanup *)
-  mutable touched_n : int;
-  buckets : int list array;    (* event queue, bucketed by level *)
-  fstate : L.t array;          (* faulty state, valid where state_dirty *)
-  state_dirty : bool array;
-  inj_hi : int64 array;        (* per net: columns forced to 1 *)
-  inj_lo : int64 array;        (* per net: columns forced to 0 *)
-}
-
-let make_engine c =
-  let info = N.analysis c in
-  let n = N.num_nets c in
-  let nff = max 1 (N.num_ffs c) in
-  { c; info;
-    values = Array.make n L.x;
-    gstate = Array.make nff L.x;
-    fvals = Array.make n L.x;
-    dirty = Array.make n false;
-    queued = Array.make n false;
-    touched = Array.make n 0;
-    touched_n = 0;
-    buckets = Array.make (info.A.max_level + 1) [];
-    fstate = Array.make nff L.x;
-    state_dirty = Array.make nff false;
-    inj_hi = Array.make n 0L;
-    inj_lo = Array.make n 0L }
-
-(* Simulate the fault-free circuit over the whole test, recording every
-   net value and the state at the start of each frame. *)
-let good_sim eng (test : Pattern.test) =
-  Obs.Metrics.incr good_sims_counter;
-  let c = eng.c in
-  let n = N.num_nets c in
-  let nff = N.num_ffs c in
-  let frames = Array.length test.Pattern.p_vectors in
-  let go_vals = Array.init frames (fun _ -> Bytes.make n '\000') in
-  let go_state = Array.init frames (fun _ -> Bytes.make (max 1 nff) '\000') in
-  let v = eng.values in
-  let state = eng.gstate in
-  Array.fill state 0 (Array.length state) L.x;
+  let detected = Array.make (Array.length faults) false in
+  let prog = Obs.Progress.start ~total:(List.length tests) "fsim.grade" in
   List.iter
-    (fun (ff, b) -> state.(ff) <- (if b then L.one else L.zero))
-    test.Pattern.p_loads;
-  for f = 0 to frames - 1 do
-    for i = 0 to nff - 1 do
-      Bytes.set_uint8 go_state.(f) i (byte_of state.(i))
-    done;
-    let pi_vec = test.Pattern.p_vectors.(f) in
-    let pi i = if pi_vec.(i) then L.one else L.zero in
-    Array.iter
-      (fun net -> v.(net) <- Sim.Eval.drive c v ~pi ~state net)
-      eng.info.A.order;
-    add_evals (Array.length eng.info.A.order);
-    for net = 0 to n - 1 do
-      Bytes.set_uint8 go_vals.(f) net (byte_of v.(net))
-    done;
-    Array.iteri (fun i d -> state.(i) <- v.(d)) c.N.ff_d
-  done;
-  { go_vals; go_state }
-
-(* Simulate one batch of at most 63 faults against the cached good
-   values; returns the detection bitmask (bit k+1 = batch.(k)). *)
-let simulate_batch eng good ~observe (batch : Fault.t array) test =
-  Obs.Metrics.incr batches_counter;
-  let c = eng.c in
-  let info = eng.info in
-  let nb = Array.length batch in
-  assert (nb <= 63);
-  (* O(1) fault injection: per-net column masks, built once per batch *)
-  let inj_nets = ref [] in
-  Array.iteri
-    (fun k (f : Fault.t) ->
-      let net = f.Fault.f_net in
-      let m = Int64.shift_left 1L (k + 1) in
-      if eng.inj_hi.(net) = 0L && eng.inj_lo.(net) = 0L then
-        inj_nets := net :: !inj_nets;
-      if f.Fault.f_stuck then eng.inj_hi.(net) <- Int64.logor eng.inj_hi.(net) m
-      else eng.inj_lo.(net) <- Int64.logor eng.inj_lo.(net) m)
-    batch;
-  let inj_nets = !inj_nets in
-  Array.fill eng.state_dirty 0 (Array.length eng.state_dirty) false;
-  let detected = ref 0L in
-  let evals = ref 0 in
-  let frames = Array.length test.Pattern.p_vectors in
-  for f = 0 to frames - 1 do
-    let gv = good.go_vals.(f) in
-    let gs = good.go_state.(f) in
-    let pi_vec = test.Pattern.p_vectors.(f) in
-    let value_of a =
-      if eng.dirty.(a) then eng.fvals.(a) else rep (Bytes.get_uint8 gv a)
-    in
-    let schedule net =
-      if not eng.queued.(net) then begin
-        eng.queued.(net) <- true;
-        let lv = info.A.level.(net) in
-        eng.buckets.(lv) <- net :: eng.buckets.(lv)
-      end
-    in
-    (* seed: injection sites always, plus flip-flops whose faulty state
-       diverged from the good state *)
-    List.iter schedule inj_nets;
-    Array.iteri (fun i sd -> if sd then schedule c.N.ff_q.(i)) eng.state_dirty;
-    (* levelized event propagation: fanouts are strictly deeper than
-       their fanins, so each net is evaluated at most once per frame *)
-    let rec drain = function
-      | [] -> ()
-      | net :: rest ->
-        eng.queued.(net) <- false;
-        let v =
-          match c.N.drv.(net) with
-          | N.Pi i -> if pi_vec.(i) then L.one else L.zero
-          | N.Ff i ->
-            if eng.state_dirty.(i) then eng.fstate.(i)
-            else rep (Bytes.get_uint8 gs i)
-          | N.C0 -> L.zero
-          | N.C1 -> L.one
-          | N.G1 (N.Inv, a) -> L.v_not (value_of a)
-          | N.G1 (N.Buff, a) -> value_of a
-          | N.G2 (N.And, a, b) -> L.v_and (value_of a) (value_of b)
-          | N.G2 (N.Or, a, b) -> L.v_or (value_of a) (value_of b)
-          | N.G2 (N.Xor, a, b) -> L.v_xor (value_of a) (value_of b)
-          | N.G2 (N.Nand, a, b) -> L.v_not (L.v_and (value_of a) (value_of b))
-          | N.G2 (N.Nor, a, b) -> L.v_not (L.v_or (value_of a) (value_of b))
-          | N.G2 (N.Xnor, a, b) -> L.v_not (L.v_xor (value_of a) (value_of b))
-          | N.Mux (s, a, b) -> L.v_mux (value_of s) (value_of a) (value_of b)
-        in
-        let v =
-          let set_hi = eng.inj_hi.(net) and set_lo = eng.inj_lo.(net) in
-          let clear = Int64.logor set_hi set_lo in
-          if clear = 0L then v
-          else
-            { L.hi = Int64.logor (Int64.logand v.L.hi (Int64.lognot clear)) set_hi;
-              lo = Int64.logor (Int64.logand v.L.lo (Int64.lognot clear)) set_lo }
-        in
-        incr evals;
-        if not (L.equal v (rep (Bytes.get_uint8 gv net))) then begin
-          eng.fvals.(net) <- v;
-          eng.dirty.(net) <- true;
-          eng.touched.(eng.touched_n) <- net;
-          eng.touched_n <- eng.touched_n + 1;
-          for k = info.A.fanout_off.(net) to info.A.fanout_off.(net + 1) - 1 do
-            schedule info.A.fanout.(k)
-          done
-        end;
-        drain rest
-    in
-    for lv = 0 to info.A.max_level do
-      let b = eng.buckets.(lv) in
-      eng.buckets.(lv) <- [];
-      drain b
-    done;
-    if observe.ob_pos then
-      Array.iter
-        (fun po ->
-          if eng.dirty.(po) then
-            detected := Int64.logor !detected (detected_mask eng.fvals.(po)))
-        c.N.pos;
-    (* capture next faulty state (before clearing the dirty flags) *)
-    Array.iteri
-      (fun i d ->
-        if eng.dirty.(d) then begin
-          eng.fstate.(i) <- eng.fvals.(d);
-          eng.state_dirty.(i) <- true
-        end
-        else eng.state_dirty.(i) <- false)
-      c.N.ff_d;
-    if f = frames - 1 then
-      List.iter
-        (fun ff ->
-          if eng.state_dirty.(ff) then
-            detected := Int64.logor !detected (detected_mask eng.fstate.(ff)))
-        observe.ob_pier_ffs;
-    for k = 0 to eng.touched_n - 1 do
-      eng.dirty.(eng.touched.(k)) <- false
-    done;
-    eng.touched_n <- 0
-  done;
-  List.iter
-    (fun net ->
-      eng.inj_hi.(net) <- 0L;
-      eng.inj_lo.(net) <- 0L)
-    inj_nets;
-  add_evals !evals;
-  !detected
-
-(* One test against [faults], every batch of 63 against a single shared
-   good simulation. *)
-let run_active ~budget eng ~observe faults test =
-  let good = good_sim eng test in
-  in_batches ~budget faults (fun batch ->
-      simulate_batch eng good ~observe batch test)
-
-let run_event ~budget c ~observe ~faults tests =
-  let faults = Array.of_list faults in
-  let eng = make_engine c in
-  drop_per_test ~budget ~n:(Array.length faults) tests (fun active ->
-      run_active ~budget eng ~observe (Array.map (fun i -> faults.(i)) active))
+    (fun test ->
+      Obs.Progress.step prog;
+      let active = undetected detected in
+      let pos = ref 0 in
+      while !pos < Array.length active && not (Engine.Budget.poll budget) do
+        let k = min 63 (Array.length active - !pos) in
+        let batch = List.init k (fun i -> faults.(active.(!pos + i))) in
+        let det = reference_mask c ~order ~faults:batch ~observe test in
+        for i = 0 to k - 1 do
+          if Int64.logand (Int64.shift_right_logical det (i + 1)) 1L = 1L then
+            detected.(active.(!pos + i)) <- true
+        done;
+        pos := !pos + k
+      done)
+    tests;
+  Obs.Progress.finish prog;
+  detected
 
 (* ------------------------------------------------------------------ *)
 (* Packed engine (PPSFP): patterns in word lanes, one fault at a time.  *)
@@ -593,7 +312,7 @@ let batch_of_tests c (chunk : Pattern.test array) =
 (* Simulate the fault-free circuit over a whole word of tests: one
    linear sweep of the topo order per frame, every gate settling all
    lanes at once. *)
-let packed_good_sim eng (b : P.batch) =
+let good_word eng (b : P.batch) =
   Obs.Metrics.incr packed_words_counter;
   let c = eng.xc in
   let info = eng.xinfo in
@@ -920,7 +639,7 @@ let packed_word ?(budget = Engine.Budget.none) ~jobs eng c ~observe
   Obs.Metrics.incr packed_batches_counter;
   let sweep () =
     let b = batch_of_tests c chunk in
-    let good = packed_good_sim eng b in
+    let good = good_word eng b in
     let piers = pier_flags c observe in
     (* one atomic load per fault; the word loops above poll the clock *)
     let det eng i =
@@ -948,12 +667,13 @@ let packed_word ?(budget = Engine.Budget.none) ~jobs eng c ~observe
    else sweep ());
   Obs.Metrics.observe packed_batch_hist (Engine.Clock.now () -. t0)
 
-(* Multi-test packed run: word-sized chunks of tests in order, fault
-   dropping at word granularity.  The word loop stays sequential at
-   every [jobs], so dropping between words is preserved; only each
-   word's active faults are sharded.  Because detection of a fault by a
-   test never depends on other faults or tests, the flags are
-   bit-identical to the per-test-dropping reference. *)
+(* Packed run: word-sized chunks of tests in order (a single test is a
+   one-lane word), fault dropping at word granularity.  The word loop
+   stays sequential at every [jobs], so dropping between words is
+   preserved; only each word's active faults are sharded.  Because
+   detection of a fault by a test never depends on other faults or
+   tests, the flags are bit-identical to the per-test-dropping
+   reference. *)
 let run_packed ~budget ~jobs c ~observe
     ~(faults : (int * rule) array array) tests =
   let n = Array.length faults in
@@ -993,49 +713,26 @@ let descriptors faults = Array.of_list (List.map stuck_at faults)
 (* Injection sites of every fault, as the packed sweep takes them. *)
 let packed_sites faults = Array.map Array.of_list faults
 
-(* One test on the event engine.  A single test offers only one lane to
-   pack, and the parallel-fault engine already evaluates 63 faults per
-   word.  At [jobs > 1] the faults are split into disjoint contiguous
-   slices, each with its own injection state over the shared immutable
-   circuit; per-fault flags are independent, so the ordered merge is
-   bit-identical to serial. *)
-let run_one_test ~budget ~jobs c ~observe faults test =
-  let sim faults = run_active ~budget (make_engine c) ~observe faults test in
-  if jobs <= 1 then sim faults
-  else
-    Array.concat
-      (Array.to_list
-         (Engine.Shard.map_chunks (Engine.Pool.global ()) ~shards:jobs sim
-            faults))
+(* Grading with fault dropping on the packed engine, or on the oracle
+   under [Reference] (and [Event], which has no engine of its own).  The
+   packed engine shards each word's active faults over the global pool
+   at [jobs > 1]; the oracle runs serially. *)
+let dispatch ?engine ~budget ~jobs c ~observe ~faults tests =
+  match engine with
+  | None | Some Packed ->
+    run_packed ~budget ~jobs c ~observe ~faults:(packed_sites faults) tests
+  | Some (Reference | Event) -> run_reference ~budget c ~observe ~faults tests
 
-(* Stuck-at grading with fault dropping.  Unforced, one test runs on the
-   event engine and a longer list on the packed engine; both shard over
-   the global pool at [jobs > 1] with at least 128 faults.  A forced
-   [Event] or [Reference] runs serially. *)
+(* Stuck-at grading: below 128 faults sharding does not pay. *)
 let run ?engine ?(budget = Engine.Budget.none) ?(jobs = 1) c ~observe
     ~faults tests =
   let jobs = if List.length faults < 128 then 1 else jobs in
-  match (engine, faults, tests) with
-  | (_, [], _) -> [||]
-  | (None, _, [ test ]) ->
-    run_one_test ~budget ~jobs c ~observe (Array.of_list faults) test
-  | ((None | Some Packed), _, _) ->
-    run_packed ~budget ~jobs c ~observe
-      ~faults:(packed_sites (descriptors faults)) tests
-  | (Some Event, _, _) -> run_event ~budget c ~observe ~faults tests
-  | (Some Reference, _, _) ->
-    run_reference ~budget c ~observe ~faults:(descriptors faults) tests
+  dispatch ?engine ~budget ~jobs c ~observe ~faults:(descriptors faults) tests
 
-(* Any fault model: the event engine is stuck-at only, so it selects
-   the packed engine here. *)
 let run_descriptors ?engine ?(budget = Engine.Budget.none) c ~observe
     ~faults tests =
-  let faults = Array.of_list faults in
-  match engine with
-  | Some Reference -> run_reference ~budget c ~observe ~faults tests
-  | None | Some (Packed | Event) ->
-    run_packed ~budget ~jobs:1 c ~observe ~faults:(packed_sites faults)
-      tests
+  dispatch ?engine ~budget ~jobs:1 c ~observe ~faults:(Array.of_list faults)
+    tests
 
 let coverage c ~observe ~faults tests =
   match faults with

@@ -1,24 +1,21 @@
-(** Sequential fault simulation behind three engines with bit-identical
-    detection flags.  {!run} picks the engine from its input:
+(** Sequential fault simulation behind one engine, with a straight-line
+    oracle beside it; both give bit-identical detection flags.
 
-    - a one-test list runs on [Event]: parallel-fault — bit column 0 of
-      a {!Sim.Logic3} word carries the good circuit, columns 1..63 one
-      faulty circuit each.  A single test offers only one pattern lane,
-      and 63 faults per evaluation beat a one-lane packed word;
-    - a longer list runs on [Packed]: PPSFP — up to [Sim.Packed.width]
-      test patterns ride the lanes of a native word, the good circuit is
-      simulated once per word, and each fault is event-driven through
-      the word with two-mask injection at each of its sites.  Both
-      evaluate gates through {!Sim.Packed.gate} on the circuit's
-      compiled form ({!Netlist.Analysis}: opcodes, fanin slots, level
-      bucket offsets, PO bitmap), built once per circuit; a fault's
-      sweep allocates nothing and its bookkeeping (level scan, PO
-      check) is proportional to the nets it re-evaluates.
-
-    [Reference] is the straight-line oracle — every net re-evaluated on
-    every frame ({!run_batch_reference}); differential-testing and
-    benchmark baseline.  Passing [~engine] forces an engine; only the
-    cross-checks do that.
+    - [Packed] runs every test list {!run} is given, one test included:
+      PPSFP — up to [Sim.Packed.width] test patterns ride the lanes of a
+      native word, the good circuit is simulated once per word, and each
+      fault is event-driven through the word with two-mask injection at
+      each of its sites.  Gates are evaluated through
+      {!Sim.Packed.gate} on the circuit's compiled form
+      ({!Netlist.Analysis}: opcodes, fanin slots, level bucket offsets,
+      PO bitmap), built once per circuit; a fault's sweep allocates
+      nothing and its bookkeeping (level scan, PO check) is proportional
+      to the nets it re-evaluates.  A single test is a one-lane word.
+    - [Reference] is the straight-line oracle — every net re-evaluated
+      on every frame, one {!Sim.Logic3} column per fault
+      ({!run_batch_reference}); differential-testing and benchmark
+      baseline.  Passing [~engine] forces an engine; only the
+      cross-checks do that.
 
     Faults are given to the engines as {!descriptor}s: per-site
     injection rules for stuck-at, transition (slow-to-rise/fall) and
@@ -26,8 +23,7 @@
 
     {v
                    stuck-at                  transition   bridge
-       Packed      run (> 1 test), matrix       yes         yes
-       Event       run (1 test)                  -           -
+       Packed      run (default), matrix        yes         yes
        Reference   forced only                  yes         yes
     v}
 
@@ -54,7 +50,11 @@ val default_observe : observe
 
 (** {1 Engine selection} *)
 
-type engine_kind = Packed | Event | Reference
+(** [Event] has no engine of its own: it selects the [Reference]
+    oracle.  It stays only because the sample gate of perfbench's
+    [arm_grade] workload forces it by name; the ROADMAP's
+    benchmark-change item removes it. *)
+type engine_kind = Packed | Reference | Event
 
 (** {1 Fault models}
 
@@ -93,18 +93,16 @@ val run_batch_reference :
 
 (** [run c ~observe ~faults tests] fault-simulates every test with fault
     dropping; per-fault detection flags align with [faults].  Without
-    [~engine], a one-test list runs on the event engine and any other
-    list on the packed engine.  All three engines return bit-identical
-    flags: detection of a fault by a test never depends on other faults
-    or tests, so packing tests into word lanes (and dropping at word
-    granularity) changes evaluation counts only.
+    [~engine], every list runs on the packed engine.  Both engines
+    return bit-identical flags: detection of a fault by a test never
+    depends on other faults or tests, so packing tests into word lanes
+    (and dropping at word granularity) changes evaluation counts only.
 
     [~jobs] (default 1) shards the work over the global domain pool
     when there are at least 128 faults, bit-identically at every
-    [jobs]: one test splits the faults into contiguous slices; a longer
-    list keeps its word-sized pattern chunks sequential (fault dropping
-    between words is preserved) and shards each word's active faults
-    against one shared good simulation.  A forced [Event] or [Reference]
+    [jobs]: word-sized pattern chunks stay sequential (fault dropping
+    between words is preserved) and each word's active faults are
+    sharded against one shared good simulation.  A forced [Reference]
     runs serially. *)
 val run :
   ?engine:engine_kind -> ?budget:Engine.Budget.t -> ?jobs:int ->
@@ -113,8 +111,7 @@ val run :
 
 (** [run_descriptors c ~observe ~faults tests] is {!run} for descriptors
     of any fault model: the packed engine, or the oracle under
-    [~engine:Reference].  The event engine is stuck-at only, so [Event]
-    selects the packed engine here. *)
+    [~engine:Reference]. *)
 val run_descriptors :
   ?engine:engine_kind -> ?budget:Engine.Budget.t ->
   Netlist.t -> observe:observe -> faults:descriptor list ->
@@ -140,23 +137,15 @@ val run_matrix :
 (** {1 Evaluation counters}
 
     Each engine owns its own counter in the metrics registry
-    ([factor.fsim.evals] / [factor.fsim.ref_evals] /
-    [factor.fsim.packed_evals]) so benchmark deltas are attributable
-    per engine. *)
-
-(** Event-driven engine net evaluations since program start. *)
-val eval_count : unit -> int
+    ([factor.fsim.packed_evals] / [factor.fsim.ref_evals]) so benchmark
+    deltas are attributable per engine. *)
 
 (** Straight-line reference engine net evaluations since program start. *)
-val ref_eval_count : unit -> int
+val ref_evals : unit -> int
 
 (** Packed engine net evaluations (each settles a whole word of
     patterns) since program start. *)
-val packed_eval_count : unit -> int
+val packed_evals : unit -> int
 
 (** Packed words simulated (one word = up to [Sim.Packed.width] tests). *)
-val packed_word_count : unit -> int
-
-(** The eval counter of the given engine; [bench fsim] reports its
-    delta per engine. *)
-val evals_for : engine_kind -> int
+val packed_words : unit -> int

@@ -37,22 +37,26 @@ let rec flatten node = node :: List.concat_map flatten node.nd_children
 let find_instances tree mod_name =
   List.filter (fun n -> String.equal n.nd_module mod_name) (flatten tree)
 
+exception Unknown_path of string
+
 (** [find_path tree path] resolves an instance path ["a.b.c"].
-    @raise Not_found when no such instance exists. *)
+    @raise Unknown_path when no such instance exists. *)
 let find_path tree path =
   let segs = if String.equal path "" then [] else String.split_on_char '.' path in
   let rec go node = function
     | [] -> node
     | seg :: rest ->
       let child =
-        List.find
+        List.find_opt
           (fun c ->
             match List.rev c.nd_path with
             | last :: _ -> String.equal last seg
             | [] -> false)
           node.nd_children
       in
-      go child rest
+      (match child with
+       | Some child -> go child rest
+       | None -> raise (Unknown_path path))
   in
   go tree segs
 

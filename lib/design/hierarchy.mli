@@ -19,8 +19,11 @@ val flatten : node -> node list
 (** Every node instantiating the given module. *)
 val find_instances : node -> string -> node list
 
+(** Raised by {!find_path} with the path that names no instance. *)
+exception Unknown_path of string
+
 (** [find_path tree "a.b.c"] resolves an instance path; [""] is the root.
-    @raise Not_found when no such instance exists. *)
+    @raise Unknown_path when no such instance exists. *)
 val find_path : node -> string -> node
 
 (** The node whose child the given node is; [None] for the root. *)

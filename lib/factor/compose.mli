@@ -45,7 +45,7 @@ val source_fingerprint : source:string -> top:string -> string
     while any semantic edit to a used module does. *)
 val design_fingerprint : Verilog.Ast.design -> top:string -> string
 
-(** @raise Not_found for an unknown instance path. *)
+(** @raise Design.Hierarchy.Unknown_path for an unknown instance path. *)
 val mut_node : env -> string -> Design.Hierarchy.node
 
 (** [conventional ?budget env ~mut_path] builds the MUT's ATPG view the

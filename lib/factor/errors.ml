@@ -73,6 +73,8 @@ let of_exn ?file exn =
   | Synth.Interp.Error msg -> mk Elaborate msg
   | Netlist.Error msg -> mk Elaborate msg
   | Reconstruct.Error msg -> mk Extract msg
+  | Design.Hierarchy.Unknown_path path ->
+    mk Extract (Printf.sprintf "no instance %S in the design" path)
   | Engine.Chaos.Injected site ->
     mk Solve (Printf.sprintf "chaos fault injected at %s" site)
   | Engine.Budget.Exhausted site ->

@@ -251,7 +251,6 @@ let check_fsim_engines cfg budget rng ast ~top =
     Atpg.Fsim.run_descriptors ~engine ~budget c ~observe ~faults:descs tests
   in
   let packed = flags Atpg.Fsim.Packed in
-  let event = flags Atpg.Fsim.Event in
   let reference = flags Atpg.Fsim.Reference in
   let mismatch label name a b =
     let n = ref None in
@@ -261,8 +260,7 @@ let check_fsim_engines cfg budget rng ast ~top =
       a;
     !n
   in
-  (* packed vs reference on a non-stuck-at model (the event engine is
-     stuck-at only) *)
+  (* packed vs reference on a non-stuck-at model *)
   let model_mismatch label to_string descriptor population =
     let descs = List.map descriptor population in
     mismatch label
@@ -274,8 +272,7 @@ let check_fsim_engines cfg budget rng ast ~top =
   let first_mismatch =
     List.find_map
       (fun check -> check ())
-      [ (fun () -> mismatch "packed-vs-event" stuck_name packed event);
-        (fun () -> mismatch "event-vs-reference" stuck_name event reference);
+      [ (fun () -> mismatch "packed-vs-reference" stuck_name packed reference);
         (fun () ->
           model_mismatch "transition packed-vs-reference"
             Atpg.Transition.to_string Atpg.Transition.descriptor transitions);

@@ -24,9 +24,9 @@
       pessimistic, so a PODEM [Exhausted] against a SAT-confirmed test
       is consistent — only an unsound claim (a non-detecting test or
       cube, or a detected-vs-untestable split) fails.
-    - [Fsim_engines] — packed, event and reference fault simulation
-      return bit-identical stuck-at detection flags, and packed and
-      reference agree on transition and bridging faults.
+    - [Fsim_engines] — packed and reference fault simulation return
+      bit-identical detection flags on stuck-at, transition and bridging
+      faults.
     - [Extract_modes] — for level-1 MUTs conventional and compositional
       extraction agree pin-for-pin on inputs and the compositional view
       is never larger (it may observe fewer outputs and keep fewer

@@ -7,7 +7,7 @@
     metric — and every update is domain-safe.
 
     Naming scheme: [factor.<subsystem>.<name>], e.g.
-    [factor.fsim.evals], [factor.sat.conflicts], [factor.pool.steals].
+    [factor.fsim.packed_evals], [factor.sat.conflicts], [factor.pool.steals].
 
     Hot-path cost: {!incr}/{!add} are single atomic fetch-and-adds with
     no allocation, so engines may account from inner loops (though
@@ -92,10 +92,10 @@ val snapshot_counter : snapshot -> string -> int
 (** {1 Prometheus exposition}
 
     The whole registry in Prometheus text format 0.0.4: names are
-    sanitized ([factor.fsim.evals] → [factor_fsim_evals]), counters and
-    gauges one sample each, histograms as cumulative [_bucket{le=...}]
-    series plus [_sum]/[_count].  Served by the daemon's [metrics]
-    request. *)
+    sanitized ([factor.fsim.packed_evals] → [factor_fsim_packed_evals]),
+    counters and gauges one sample each, histograms as cumulative
+    [_bucket{le=...}] series plus [_sum]/[_count].  Served by the
+    daemon's [metrics] request. *)
 val dump_prometheus : unit -> string
 
 (** Zero every registered metric (tests and benchmark deltas). *)

@@ -75,6 +75,11 @@ let entry_of ctx ~budget params =
 
 let cache_field outcome = ("cache", J.String (Cache.outcome_to_string outcome))
 
+(* Resolve a given [mut] against the entry's instance tree before any
+   work: an unknown path is an extract error, not an empty fault list. *)
+let check_mut entry mut =
+  Option.iter (fun m -> ignore (Factor.Compose.mut_node (Cache.env entry) m)) mut
+
 (* ------------------------------------------------------------------ *)
 (* Ops.                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -93,6 +98,7 @@ let op_extract ctx budget params =
     | None -> bad "bad mode %S (expected conventional or compositional)" name
   in
   let (entry, outcome) = entry_of ctx ~budget params in
+  ignore (Factor.Compose.mut_node (Cache.env entry) mut);
   let ((tf, stats), tf_hit) = Cache.transform entry ~budget ~mut ~mode in
   let fields =
     [ ("extraction", J.String (Render.extract_stats stats));
@@ -120,8 +126,9 @@ let engine_of_string = function
 
 let op_atpg ctx budget params =
   let (entry, outcome) = entry_of ctx ~budget params in
-  let c = Cache.circuit entry in
   let mut = str_opt "mut" params in
+  check_mut entry mut;
+  let c = Cache.circuit entry in
   let faults = Atpg.Fault.collapse c (Atpg.Fault.all ?within:mut c) in
   let piers =
     if bool_default "piers" ~default:false params then Factor.Pier.identify c
@@ -159,13 +166,14 @@ let op_atpg ctx budget params =
 
 let op_grade ctx budget params =
   let (entry, outcome) = entry_of ctx ~budget params in
+  let mut = str_opt "mut" params in
+  check_mut entry mut;
   let c = Cache.circuit entry in
   let tests =
     try Atpg.Pattern.read_string (str_req "vectors" params) with
     | Atpg.Pattern.Parse_error msg ->
       Factor.Errors.fail Factor.Errors.Parse msg
   in
-  let mut = str_opt "mut" params in
   let faults = Atpg.Fault.collapse c (Atpg.Fault.all ?within:mut c) in
   let observe =
     { Atpg.Fsim.ob_pos = true;

@@ -23,10 +23,14 @@
     ["rq-<id>"]), and ["stream"], which opts the request into event
     frames (see {!Proto.event}).
 
+    A given ["mut"] must name an instance of the design: it is resolved
+    before any work, and an unknown path raises
+    {!Design.Hierarchy.Unknown_path}, an extract-stage error.
+
     {!handle} raises on failure — {!Factor.Errors.Error},
-    {!Engine.Budget.Exhausted}, {!Proto.Proto_error},
-    {!Engine.Chaos.Injected} — and the server maps the exception to an
-    error response for that request only. *)
+    {!Design.Hierarchy.Unknown_path}, {!Engine.Budget.Exhausted},
+    {!Proto.Proto_error}, {!Engine.Chaos.Injected} — and the server maps
+    the exception to an error response for that request only. *)
 
 type ctx
 

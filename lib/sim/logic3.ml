@@ -25,17 +25,12 @@ let v_mux s a b =
   { hi = (s.hi &&& b.hi) ||| (s.lo &&& a.hi) ||| (a.hi &&& b.hi);
     lo = (s.hi &&& b.lo) ||| (s.lo &&& a.lo) ||| (a.lo &&& b.lo) }
 
-(** Mask of patterns where the value is binary (not X). *)
-let known a = a.hi ||| a.lo
-
 (** Mask of patterns where [a] and [b] are binary and differ. *)
 let diff a b = (a.hi &&& b.lo) ||| (a.lo &&& b.hi)
 
 (** Pack bit [i] of each pattern: value from [bits], X where [mask] clear. *)
 let of_bits ~value ~known =
   { hi = value &&& known; lo = Int64.lognot value &&& known }
-
-let equal a b = Int64.equal a.hi b.hi && Int64.equal a.lo b.lo
 
 (** Pattern [i]'s value: [Some true], [Some false], or [None] for X. *)
 let get a i =

@@ -19,17 +19,12 @@ val v_xor : t -> t -> t
     yields a known value only where both branches agree. *)
 val v_mux : t -> t -> t -> t
 
-(** Mask of patterns where the value is binary. *)
-val known : t -> int64
-
 (** Mask of patterns where both values are binary and differ. *)
 val diff : t -> t -> int64
 
 (** [of_bits ~value ~known] builds per-pattern values: bit [i] of [value]
     where bit [i] of [known] is set, X elsewhere. *)
 val of_bits : value:int64 -> known:int64 -> t
-
-val equal : t -> t -> bool
 
 (** Pattern [i]'s value; [None] is X. *)
 val get : t -> int -> bool option

@@ -161,7 +161,7 @@ let packed_work c =
           ~frames:(1 + Random.State.int rng 6) ~piers)
   in
   let digest flags =
-    let e = Atpg.Fsim.packed_eval_count () in
+    let e = Atpg.Fsim.packed_evals () in
     let flags = flags () in
     Printf.sprintf "%s evals=%d"
       (Digest.to_hex
@@ -169,7 +169,7 @@ let packed_work c =
             (String.concat ""
                (Array.to_list
                   (Array.map (fun d -> if d then "1" else "0") flags)))))
-      (Atpg.Fsim.packed_eval_count () - e)
+      (Atpg.Fsim.packed_evals () - e)
   in
   let descriptors faults () =
     Atpg.Fsim.run_descriptors ~engine:Atpg.Fsim.Packed c ~observe ~faults

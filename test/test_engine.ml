@@ -155,10 +155,9 @@ let fsim_sharded_matches_serial () =
     (fun (ename, engine) ->
       check_bool (ename ^ " agrees with the default engine") true
         (Atpg.Fsim.run ~engine c ~observe ~faults tests = serial))
-    [ ("packed", Atpg.Fsim.Packed);
-      ("event", Atpg.Fsim.Event);
-      ("reference", Atpg.Fsim.Reference) ];
-  (* a one-test list takes the event engine, sharded over fault slices *)
+    [ ("packed", Atpg.Fsim.Packed); ("reference", Atpg.Fsim.Reference) ];
+  (* a one-test list is a one-lane packed word, its active faults
+     sharded like any other word's *)
   let one = [ List.hd tests ] in
   let packed1 = Atpg.Fsim.run ~engine:Atpg.Fsim.Packed c ~observe ~faults one in
   check_bool "one test: packed = reference" true

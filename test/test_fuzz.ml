@@ -71,14 +71,13 @@ let stuck_reference_flags circuit ~observe ~faults tests =
   reference_flags circuit ~observe ~faults:(List.map Atpg.Fsim.stuck_at faults)
     tests
 
-(* A fault simulator engine against the straight-line reference:
-   identical detection flags on random circuits, fault lists and test
-   sequences (random PIER loads and observations; flip-flops outside
-   the loaded set start X, so X propagation is exercised throughout).
-   The engines that take every fault model are also checked on a random
-   transition population and a random bridge population (pairs drawn
-   at random, so feedback pairs occur too). *)
-let fsim_matches_reference ~engine gm =
+(* The packed engine against the straight-line reference: identical
+   detection flags on random circuits, fault lists and test sequences
+   (random PIER loads and observations; flip-flops outside the loaded
+   set start X, so X propagation is exercised throughout), on stuck-at
+   faults, a random transition population and a random bridge
+   population (pairs drawn at random, so feedback pairs occur too). *)
+let fsim_matches_reference gm =
   let (_, circuit) = build gm in
   let seed = Hashtbl.hash gm.gm_src + 3 in
   let rng = Random.State.make [| seed |] in
@@ -105,14 +104,14 @@ let fsim_matches_reference ~engine gm =
   in
   let bridges = Atpg.Bridge.candidates ~rng ~count:40 circuit in
   let models_match faults =
-    Atpg.Fsim.run_descriptors ~engine circuit ~observe ~faults tests
+    Atpg.Fsim.run_descriptors ~engine:Atpg.Fsim.Packed circuit ~observe
+      ~faults tests
     = reference_flags circuit ~observe ~faults tests
   in
-  Atpg.Fsim.run ~engine circuit ~observe ~faults tests
+  Atpg.Fsim.run ~engine:Atpg.Fsim.Packed circuit ~observe ~faults tests
   = stuck_reference_flags circuit ~observe ~faults tests
-  && (engine = Atpg.Fsim.Event
-      || models_match (List.map Atpg.Transition.descriptor transitions)
-         && models_match (List.map Atpg.Bridge.descriptor bridges))
+  && models_match (List.map Atpg.Transition.descriptor transitions)
+  && models_match (List.map Atpg.Bridge.descriptor bridges)
 
 (* Word-boundary pattern counts for the packed engine: 1 (partial
    word), 63 (one lane short of full), 64 (word + 1), 65, 127 (two
@@ -196,9 +195,7 @@ let fuzz_tests =
     qtest "random rtl: gates match the interpreter" ~count:60 gen_arbitrary
       gates_match_interpreter;
     qtest "random rtl: packed fsim matches the reference engine" ~count:60
-      gen_arbitrary (fsim_matches_reference ~engine:Atpg.Fsim.Packed);
-    qtest "random rtl: event-driven fsim matches the reference engine"
-      ~count:60 gen_arbitrary (fsim_matches_reference ~engine:Atpg.Fsim.Event);
+      gen_arbitrary fsim_matches_reference;
     qtest "random rtl: packed fsim at word-boundary pattern counts"
       ~count:12 gen_arbitrary packed_word_boundaries;
     qtest "random rtl: detection matrix matches the reference engine"

@@ -658,29 +658,38 @@ let fsim_metrics_smoke () =
           ~piers:[])
   in
   let grade tests =
-    let evals = Atpg.Fsim.eval_count () in
-    let packed = Atpg.Fsim.packed_eval_count () in
-    let words = Atpg.Fsim.packed_word_count () in
+    let packed = Atpg.Fsim.packed_evals () in
+    let words = Atpg.Fsim.packed_words () in
     ignore (Atpg.Fsim.run c ~observe:Atpg.Fsim.default_observe ~faults tests);
-    ( Atpg.Fsim.eval_count () - evals,
-      Atpg.Fsim.packed_eval_count () - packed,
-      Atpg.Fsim.packed_word_count () - words )
+    ( Atpg.Fsim.packed_evals () - packed,
+      Atpg.Fsim.packed_words () - words )
   in
-  (* the engine is chosen from the test count *)
-  let (evals, packed, words) = grade tests in
-  check_bool "a multi-test run advances factor.fsim.packed_evals" true
-    (packed > 0);
-  check_bool "a multi-test run advances factor.fsim.packed_words" true
-    (words > 0);
-  check_int "a multi-test run leaves factor.fsim.evals" 0 evals;
-  let (evals, packed, words) = grade [ List.hd tests ] in
-  check_bool "a one-test run advances factor.fsim.evals" true (evals > 0);
-  check_int "a one-test run leaves factor.fsim.packed_evals" 0 packed;
-  check_int "a one-test run leaves factor.fsim.packed_words" 0 words;
+  (* every test list, one test included, runs on the packed engine *)
+  List.iter
+    (fun (what, tests) ->
+      let (packed, words) = grade tests in
+      check_bool (what ^ " run advances factor.fsim.packed_evals") true
+        (packed > 0);
+      check_bool (what ^ " run advances factor.fsim.packed_words") true
+        (words > 0))
+    [ ("a multi-test", tests); ("a one-test", [ List.hd tests ]) ];
+  (* one eval counter per engine, and no other *)
+  let engine_counters =
+    match Obs.Metrics.dump () with
+    | Obs.Json.Obj kvs ->
+      List.filter
+        (fun name ->
+          String.starts_with ~prefix:"factor.fsim." name
+          && String.ends_with ~suffix:"evals" name)
+        (List.map fst kvs)
+    | _ -> []
+  in
+  Alcotest.(check (list string)) "the registry's fsim eval counters"
+    [ "factor.fsim.packed_evals"; "factor.fsim.ref_evals" ] engine_counters;
   match Obs.Metrics.find "factor.fsim.packed_evals" with
   | Some (Obs.Json.Int v) ->
     check_int "registry mirrors the engine's counter"
-      (Atpg.Fsim.packed_eval_count ()) v
+      (Atpg.Fsim.packed_evals ()) v
   | _ -> Alcotest.fail "factor.fsim.packed_evals missing from the registry"
 
 let () =

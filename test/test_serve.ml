@@ -800,6 +800,29 @@ let e2e_extract_modes () =
       check_bool "compositional repeat hits its memo" true
         (cached (extract "compositional")))
 
+(* An unknown [mut] is refused before any work as an extract error,
+   the stage the server puts on the wire, never as [internal:] or as a
+   0-fault report. *)
+let unknown_mut op () =
+  let ctx = Serve.Ops.make_ctx () in
+  let params =
+    [ ("design", J.String "@gcd"); ("mut", J.String "nope");
+      ("vectors", J.String "") ]
+  in
+  match
+    Serve.Ops.handle ctx
+      { Serve.Proto.rq_id = 1; rq_op = op; rq_params = J.Obj params }
+  with
+  | _ -> Alcotest.failf "%s with an unknown mut answered" op
+  | exception e ->
+    (match Factor.Errors.of_exn e with
+     | Some t ->
+       check_string "stage" "extract"
+         (Factor.Errors.stage_name t.Factor.Errors.e_stage);
+       check_string "message" "no instance \"nope\" in the design"
+         t.Factor.Errors.e_msg
+     | None -> Alcotest.failf "internal: %s" (Printexc.to_string e))
+
 let e2e_shutdown_request () =
   let dir = tmpdir "factor-shutdown" in
   let sock = Filename.concat dir "factor.sock" in
@@ -1054,6 +1077,11 @@ let () =
           test "a damaged store costs a rebuild, not a crash"
             cache_damaged_store;
         ] );
+      ( "ops",
+        List.map
+          (fun op ->
+            test (op ^ ": an unknown mut is an extract error") (unknown_mut op))
+          [ "extract"; "atpg"; "grade" ] );
       ( "daemon",
         [
           test "end-to-end roundtrip, byte-identical to direct runs"
