@@ -5,61 +5,39 @@
 
     Subcommands mirror the tool flow of the paper:
     - [parse]    check a design and show its hierarchy
-    - [extract]  FACTOR-ise a design around one module under test
     - [synth]    synthesize a design to gates and print statistics
+    - [extract]  FACTOR-ise a design around one module under test
     - [atpg]     generate tests for a design (or a module inside it)
+    - [sat]      miter every fault with the SAT engine, print solver stats
     - [analyze]  testability report (empty chains, hard-coded inputs)
-    - [demo]     run the whole flow on the bundled ARM benchmark *)
+    - [grade]    fault-simulate a vector file against a design
+    - [demo]     run the whole flow on the bundled ARM benchmark
+    - [fuzz]     differential fuzzing on generated designs
+    - [serve]    the persistent daemon
+    - [client]   send requests to a running daemon
+
+    [extract], [atpg] and [grade] are in-process clients of the daemon's
+    ops ({!Serve.Ops}): they build the request parameters [client]
+    sends, run the op's typed core on a store-less context, and print
+    its {!Serve.Render} lines. *)
 
 open Cmdliner
-
-(* Re-raise front-end failures with the offending file attached, so the
-   diagnostic reads file:line:col. *)
-let parse_with_file file src =
-  try Verilog.Parser.parse_design src with
-  | (Verilog.Lexer.Error _ | Verilog.Parser.Error _) as e ->
-    (match Factor.Errors.of_exn ~file e with
-     | Some t -> raise (Factor.Errors.Error t)
-     | None -> raise e)
-
-(* "@arm" selects the bundled processor; "@gcd", "@fifo", "@arbiter",
-   "@traffic", "@dma" select corpus designs; anything else is a file. *)
-let read_design path =
-  if path = "@arm" then Arm.Rtl.design ()
-  else if String.length path > 1 && path.[0] = '@' then begin
-    let name = String.sub path 1 (String.length path - 1) in
-    match Circuits.Collection.find name with
-    | entry ->
-      parse_with_file path entry.Circuits.Collection.e_source
-    | exception Not_found ->
-      Printf.eprintf "unknown bundled design %s (have: arm, %s)\n" path
-        (String.concat ", "
-           (List.map
-              (fun e -> e.Circuits.Collection.e_name)
-              Circuits.Collection.all));
-      exit 1
-  end
-  else begin
-    let ic =
-      try open_in_bin path with
-      | Sys_error msg -> Factor.Errors.fail Factor.Errors.Io msg
-    in
-    let n = in_channel_length ic in
-    let src = really_input_string ic n in
-    close_in ic;
-    parse_with_file path src
-  end
+module J = Obs.Json
 
 (* Classify every user-provokable failure through the taxonomy and exit
    with its stage's code (parse 2, elaborate 3, extract 4, solve 5,
-   io 6).  Anything unclassified is an internal bug: let it escape with
-   its backtrace. *)
+   io 6; a malformed request, such as an unknown bundled design, 1).
+   Anything unclassified is an internal bug: let it escape with its
+   backtrace. *)
 let handle_errors f =
   try f () with
+  | Serve.Proto.Proto_error msg ->
+    Printf.eprintf "factor: proto error: %s\n" msg;
+    exit 1
   | e ->
     (match Factor.Errors.of_exn e with
      | Some t ->
-       Printf.eprintf "%s\n" (Factor.Errors.to_string t);
+       prerr_endline (Factor.Errors.to_string t);
        exit (Factor.Errors.exit_code t)
      | None -> raise e)
 
@@ -185,9 +163,15 @@ let top_arg =
   let doc = "Top module (default: the bundled benchmark's top or the last module)." in
   Arg.(value & opt (some string) None & info [ "top" ] ~docv:"MODULE" ~doc)
 
-let mut_arg =
-  let doc = "Instance path of the module under test, e.g. u_dpath.u_alu." in
-  Arg.(required & opt (some string) None & info [ "mut" ] ~docv:"PATH" ~doc)
+let mut_info =
+  let doc =
+    "Instance path of the module under test, e.g. u_dpath.u_alu; test \
+     generation and grading restrict their faults to it."
+  in
+  Arg.info [ "mut" ] ~docv:"PATH" ~doc
+
+let mut_arg = Arg.(required & opt (some string) None & mut_info)
+let mut_opt = Arg.(value & opt (some string) None & mut_info)
 
 let mode_arg =
   let doc = "Extraction mode: 'compositional' (default) or 'conventional'." in
@@ -196,8 +180,42 @@ let mode_arg =
        & info [ "mode" ] ~doc)
 
 let output_arg =
-  let doc = "Write the extracted constraints (Verilog) to this file." in
+  let doc =
+    "Write the result to $(docv): the extracted constraints as Verilog, \
+     or the generated test vectors."
+  in
   Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
+
+let vec_arg =
+  let doc = "Vector file produced by 'atpg -o' (or by hand)." in
+  Arg.(required & pos 1 (some string) None & info [] ~docv:"VECTORS" ~doc)
+
+let gen_budget_arg =
+  let doc =
+    "Total test-generation budget in seconds (default 60); on expiry the \
+     run returns promptly with partial results (remaining faults are \
+     counted as budget-skipped, not aborted)."
+  in
+  Arg.(value & opt (some float) None & info [ "budget" ] ~docv:"SECONDS" ~doc)
+
+let frames_arg =
+  let doc = "Deepest time-frame expansion." in
+  Arg.(value & opt int 4 & info [ "frames" ] ~doc)
+
+let piers_arg =
+  let doc =
+    "Treat load/store-reachable registers as PIER pseudo ports: test \
+     generation loads and observes them, grading observes them."
+  in
+  Arg.(value & flag & info [ "piers" ] ~doc)
+
+let engine_arg =
+  let doc =
+    "Deterministic-phase engine: 'podem', 'sat', or 'hybrid' (PODEM \
+     with SAT rescue of aborted faults; the default)."
+  in
+  Arg.(value & opt (enum Atpg.Gen.engines) Atpg.Gen.Hybrid
+       & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 (* -j / --jobs: worker domains for the parallel engine.  The default
    honours FACTOR_JOBS, then the machine's recommended domain count. *)
@@ -216,27 +234,59 @@ let apply_jobs j =
   Engine.Pool.set_jobs j;
   j
 
-(* the top module: explicit flag, the bundled benchmark's top, or the
-   last module in the file *)
-let resolve_top design path top =
-  match top with
-  | Some t -> t
-  | None ->
-    if path = "@arm" then Arm.Rtl.top
-    else if String.length path > 1 && path.[0] = '@' then
-      (Circuits.Collection.find (String.sub path 1 (String.length path - 1)))
-        .Circuits.Collection.e_top
-    else
-      (match List.rev design.Verilog.Ast.modules with
-       | last :: _ -> last.Verilog.Ast.mod_name
-       | [] ->
-         Factor.Errors.fail ~file:path Factor.Errors.Elaborate
-           "empty design: no modules to pick a top from")
+(* ------------------------ request parameters ------------------------ *)
 
-(* Resolve a given --mut against the instance tree before any work: an
-   unknown path is an extract error (exit 4), not an empty fault list. *)
-let check_mut tree mut =
-  Option.iter (fun m -> ignore (Design.Hierarchy.find_path tree m)) mut
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Every -o file, one-shot and client alike: an unwritable path is an
+   io error (exit 6). *)
+let write_output ~what file contents =
+  Out_channel.with_open_text file (fun oc -> output_string oc contents);
+  Obs.Log.progressf "%s written to %s" what file
+
+let opt_param name f = function Some v -> [ (name, f v) ] | None -> []
+let flag_param name b = if b then [ (name, J.Bool true) ] else []
+let str s = J.String s
+let num f = J.Float f
+
+(* The design argument as request parameters: '@name' designs travel by
+   name (the daemon holds the same bundled sources, so the content hash
+   matches); files are shipped as text. *)
+let design_params path top =
+  (if String.length path > 1 && path.[0] = '@' then [ ("design", str path) ]
+   else [ ("source", str (read_file path)) ])
+  @ opt_param "top" str top
+
+(* parse, synth, analyze and sat resolve the design as a request would,
+   then run their own pipelines on it *)
+let load_design path top =
+  let (source, top) = Serve.Ops.design_source (J.Obj (design_params path top)) in
+  let design = Serve.Cache.parse_design ~file:path source in
+  (design, Serve.Cache.resolve_top ~file:path design top)
+
+(* One function per op turns its flags into request parameters; the
+   one-shot command, [client <op>] and [client watch] all use it. *)
+let extract_params design ~mut ~mode ~emit_verilog =
+  design
+  @ [ ("mut", str mut); ("mode", str (Factor.Flow.mode_name mode)) ]
+  @ flag_param "emit_verilog" emit_verilog
+
+let atpg_params ?mut ?budget ?fault_budget ?frames ?engine ?seed
+    ?(piers = false) design =
+  design
+  @ opt_param "mut" str mut
+  @ opt_param "budget" num budget
+  @ opt_param "fault_budget" num fault_budget
+  @ opt_param "frames" (fun i -> J.Int i) frames
+  @ opt_param "engine" (fun e -> str (Atpg.Gen.engine_name e)) engine
+  @ opt_param "seed" (fun i -> J.Int i) seed
+  @ flag_param "piers" piers
+
+let grade_params ?mut ?(piers = false) design ~vec_file =
+  design
+  @ [ ("vectors", str (read_file vec_file)) ]
+  @ opt_param "mut" str mut
+  @ flag_param "piers" piers
 
 (* ----------------------------- parse ------------------------------ *)
 
@@ -244,8 +294,7 @@ let parse_cmd =
   let run () path top =
     handle_errors (fun () ->
         Obs.Span.with_ "cli.parse" @@ fun () ->
-        let design = read_design path in
-        let top = resolve_top design path top in
+        let (design, top) = load_design path top in
         let env = Factor.Compose.make_env design ~top in
         let tree = env.Factor.Compose.tree in
         Printf.printf "design ok: %d modules, hierarchy depth %d\n"
@@ -276,8 +325,7 @@ let synth_cmd =
   let run () path top =
     handle_errors (fun () ->
         Obs.Span.with_ "cli.synth" @@ fun () ->
-        let design = read_design path in
-        let top = resolve_top design path top in
+        let (design, top) = load_design path top in
         let ed = Design.Elaborate.elaborate design ~top in
         let flat = Synth.Flatten.flatten ed top in
         let r = Synth.Lower.lower flat in
@@ -298,14 +346,15 @@ let extract_cmd =
   let run () path top mut mode output =
     handle_errors (fun () ->
         Obs.Span.with_ "cli.extract" @@ fun () ->
-        let design = read_design path in
-        let top = resolve_top design path top in
-        let env = Factor.Compose.make_env design ~top in
-        ignore (Factor.Compose.mut_node env mut);
-        let stats =
-          Factor.Flow.extract env (Factor.Compose.create_session ()) mode
-            ~mut_path:mut
+        let params =
+          extract_params (design_params path top) ~mut ~mode
+            ~emit_verilog:(output <> None)
         in
+        let (x, _) =
+          Serve.Ops.extract ~design_file:path (Serve.Ops.make_ctx ())
+            (J.Obj params)
+        in
+        let stats = x.Serve.Ops.x_stats in
         Printf.printf "%s, %.4f s\n"
           (Serve.Render.extract_stats stats)
           stats.Factor.Compose.cs_extraction_time;
@@ -313,18 +362,13 @@ let extract_cmd =
           (fun d ->
             Obs.Log.warnf "%s" (Factor.Extract.dead_end_to_string d))
           stats.Factor.Compose.cs_dead_ends;
-        let tf =
-          Factor.Transform.build env stats.Factor.Compose.cs_slice ~mut_path:mut
-        in
+        let tf = x.Serve.Ops.x_transform in
         print_endline (Serve.Render.transform_line tf);
-        match output with
-        | None -> ()
-        | Some file ->
-          let oc = open_out file in
-          output_string oc
-            (Verilog.Pp.design_to_string tf.Factor.Transform.tf_design);
-          close_out oc;
-          Obs.Log.progressf "constraints written to %s" file)
+        Option.iter
+          (fun file ->
+            write_output ~what:"constraints" file
+              (Verilog.Pp.design_to_string tf.Factor.Transform.tf_design))
+          output)
   in
   let doc = "Extract the functional constraints around a module under test." in
   Cmd.v (Cmd.info "extract" ~doc)
@@ -334,81 +378,28 @@ let extract_cmd =
 (* ------------------------------ atpg ------------------------------ *)
 
 let atpg_cmd =
-  let mut_opt =
-    let doc = "Restrict faults to this instance path." in
-    Arg.(value & opt (some string) None & info [ "mut" ] ~docv:"PATH" ~doc)
-  in
-  let budget =
-    let doc =
-      "Total wall-clock budget in seconds; on expiry the run returns \
-       promptly with partial results (remaining faults are counted as \
-       budget-skipped, not aborted)."
-    in
-    Arg.(value & opt float 60.0 & info [ "budget" ] ~doc)
-  in
   let fault_budget =
     let doc = "Wall-clock budget in seconds for each individual fault." in
     Arg.(value & opt (some float) None
          & info [ "fault-budget" ] ~docv:"SECONDS" ~doc)
   in
-  let frames =
-    let doc = "Deepest time-frame expansion." in
-    Arg.(value & opt int 4 & info [ "frames" ] ~doc)
-  in
-  let piers_flag =
-    let doc = "Treat load/store-reachable registers as PIER pseudo ports." in
-    Arg.(value & flag & info [ "piers" ] ~doc)
-  in
-  let out_vectors =
-    let doc = "Write the generated test vectors to this file." in
-    Cmdliner.Arg.(value & opt (some string) None
-                  & info [ "o"; "output" ] ~docv:"FILE" ~doc)
-  in
-  let engine_arg =
-    let doc =
-      "Deterministic-phase engine: 'podem', 'sat', or 'hybrid' (PODEM \
-       with SAT rescue of aborted faults; the default)."
-    in
-    Arg.(value & opt (enum [ ("podem", Atpg.Gen.Podem_only);
-                             ("sat", Atpg.Gen.Sat_only);
-                             ("hybrid", Atpg.Gen.Hybrid) ])
-           Atpg.Gen.Hybrid
-         & info [ "engine" ] ~docv:"ENGINE" ~doc)
-  in
-  let run () path top mut budget fault_budget frames use_piers engine jobs
+  let run () path top mut budget fault_budget frames piers engine jobs
       output progress =
     handle_errors (fun () ->
         Obs.Span.with_ "cli.atpg" @@ fun () ->
         if progress then install_console_progress ();
         let jobs = apply_jobs jobs in
-        let design = read_design path in
-        let top = resolve_top design path top in
-        let ed = Design.Elaborate.elaborate design ~top in
-        check_mut (Design.Hierarchy.build ed) mut;
-        let flat = Synth.Flatten.flatten ed top in
-        let c = (Synth.Lower.lower flat).Synth.Lower.circuit in
-        let faults =
-          Obs.Span.with_ "faults" (fun () ->
-              Atpg.Fault.collapse c (Atpg.Fault.all ?within:mut c))
+        let params =
+          atpg_params ?mut ?budget ?fault_budget ~frames ~engine ~piers
+            (design_params path top)
         in
-        Obs.Log.verbosef "atpg: %d collapsed faults, %d jobs"
-          (List.length faults) jobs;
-        let piers = if use_piers then Factor.Pier.identify c else [] in
-        let cfg =
-          { Atpg.Gen.default_config with
-            g_total_budget = budget;
-            g_fault_budget =
-              Option.value fault_budget
-                ~default:Atpg.Gen.default_config.Atpg.Gen.g_fault_budget;
-            g_max_frames = frames;
-            g_piers = piers;
-            g_engine = engine;
-            g_jobs = jobs }
+        let (a, _) =
+          Serve.Ops.atpg ~jobs ~design_file:path (Serve.Ops.make_ctx ())
+            (J.Obj params)
         in
-        let r = Atpg.Gen.run c cfg faults in
-        (* the deterministic lines come from Serve.Render so a daemon
-           response can be compared byte for byte; timing is appended
-           here, outside the canonical part *)
+        let r = a.Serve.Ops.a_result in
+        (* the deterministic lines are the served ones; timing is
+           appended here, outside the canonical part *)
         print_endline (Serve.Render.atpg_counts r);
         Printf.printf "%s | %.2f s wall (%.2f s cpu, %d jobs)\n"
           (Serve.Render.atpg_quality r)
@@ -419,30 +410,23 @@ let atpg_cmd =
             r.Atpg.Gen.r_sat_detected r.Atpg.Gen.r_sat_untestable
             r.Atpg.Gen.r_sat_time
             (Sat.Solver.stats_to_string r.Atpg.Gen.r_sat_stats);
-        match output with
-        | None -> ()
-        | Some file ->
-          Atpg.Pattern.write_file ~pi_names:c.Netlist.pi_names file
-            r.Atpg.Gen.r_tests;
-          Obs.Log.progressf "vectors written to %s" file)
+        Option.iter
+          (fun file ->
+            write_output ~what:"vectors" file
+              (Atpg.Pattern.write_string
+                 ~pi_names:a.Serve.Ops.a_circuit.Netlist.pi_names
+                 r.Atpg.Gen.r_tests))
+          output)
   in
   let doc = "Run sequential test generation on a design." in
   Cmd.v (Cmd.info "atpg" ~doc)
-    Term.(const run $ obs_term $ design_arg $ top_arg $ mut_opt $ budget
-          $ fault_budget $ frames $ piers_flag $ engine_arg $ jobs_arg
-          $ out_vectors $ progress_arg)
+    Term.(const run $ obs_term $ design_arg $ top_arg $ mut_opt
+          $ gen_budget_arg $ fault_budget $ frames_arg $ piers_arg
+          $ engine_arg $ jobs_arg $ output_arg $ progress_arg)
 
 (* ------------------------------ sat ------------------------------- *)
 
 let sat_cmd =
-  let mut_opt =
-    let doc = "Restrict faults to this instance path." in
-    Arg.(value & opt (some string) None & info [ "mut" ] ~docv:"PATH" ~doc)
-  in
-  let frames =
-    let doc = "Deepest time-frame expansion." in
-    Arg.(value & opt int 4 & info [ "frames" ] ~doc)
-  in
   let conflicts =
     let doc = "Conflict limit per fault and unrolling depth." in
     Arg.(value & opt int 20_000 & info [ "conflicts" ] ~doc)
@@ -450,10 +434,13 @@ let sat_cmd =
   let run () path top mut frames conflicts =
     handle_errors (fun () ->
         Obs.Span.with_ "cli.sat" @@ fun () ->
-        let design = read_design path in
-        let top = resolve_top design path top in
+        let (design, top) = load_design path top in
         let ed = Design.Elaborate.elaborate design ~top in
-        check_mut (Design.Hierarchy.build ed) mut;
+        (* an unknown --mut is an extract error, not an empty fault list *)
+        Option.iter
+          (fun m ->
+            ignore (Design.Hierarchy.find_path (Design.Hierarchy.build ed) m))
+          mut;
         let c =
           (Synth.Lower.lower (Synth.Flatten.flatten ed top)).Synth.Lower.circuit
         in
@@ -484,7 +471,7 @@ let sat_cmd =
      statistics."
   in
   Cmd.v (Cmd.info "sat" ~doc)
-    Term.(const run $ obs_term $ design_arg $ top_arg $ mut_opt $ frames
+    Term.(const run $ obs_term $ design_arg $ top_arg $ mut_opt $ frames_arg
           $ conflicts)
 
 (* ----------------------------- analyze ---------------------------- *)
@@ -493,8 +480,7 @@ let analyze_cmd =
   let run () path top mut =
     handle_errors (fun () ->
         Obs.Span.with_ "cli.analyze" @@ fun () ->
-        let design = read_design path in
-        let top = resolve_top design path top in
+        let (design, top) = load_design path top in
         let env = Factor.Compose.make_env design ~top in
         ignore (Factor.Compose.mut_node env mut);
         let stats =
@@ -533,52 +519,24 @@ let analyze_cmd =
 (* ----------------------------- grade ------------------------------ *)
 
 let grade_cmd =
-  let vec_arg =
-    let doc = "Vector file produced by 'atpg -o' (or by hand)." in
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"VECTORS" ~doc)
-  in
-  let mut_opt =
-    let doc = "Restrict faults to this instance path." in
-    Arg.(value & opt (some string) None & info [ "mut" ] ~docv:"PATH" ~doc)
-  in
-  let piers_flag =
-    let doc = "Treat load/store-reachable registers as observable." in
-    Arg.(value & flag & info [ "piers" ] ~doc)
-  in
-  let run () path vec_file top mut use_piers jobs progress =
+  let run () path vec_file top mut piers jobs progress =
     handle_errors (fun () ->
         Obs.Span.with_ "cli.grade" @@ fun () ->
         if progress then install_console_progress ();
         let jobs = apply_jobs jobs in
-        let design = read_design path in
-        let top = resolve_top design path top in
-        let ed = Design.Elaborate.elaborate design ~top in
-        check_mut (Design.Hierarchy.build ed) mut;
-        let c =
-          (Synth.Lower.lower (Synth.Flatten.flatten ed top)).Synth.Lower.circuit
-        in
-        let tests =
-          try Atpg.Pattern.read_file vec_file with
-          | Atpg.Pattern.Parse_error msg ->
-            Factor.Errors.fail ~file:vec_file Factor.Errors.Parse msg
-        in
-        let faults = Atpg.Fault.collapse c (Atpg.Fault.all ?within:mut c) in
-        let observe =
-          { Atpg.Fsim.ob_pos = true;
-            ob_pier_ffs = (if use_piers then Factor.Pier.identify c else []) }
-        in
-        let flags = Atpg.Fsim.run ~jobs c ~observe ~faults tests in
-        let detected =
-          Array.to_list flags |> List.filter Fun.id |> List.length
+        let params = grade_params ?mut ~piers (design_params path top) ~vec_file in
+        let (g, _) =
+          Serve.Ops.grade ~jobs ~design_file:path ~vectors_file:vec_file
+            (Serve.Ops.make_ctx ()) (J.Obj params)
         in
         print_endline
-          (Serve.Render.grade_line ~tests ~detected
-             ~faults:(List.length faults)))
+          (Serve.Render.grade_line ~tests:g.Serve.Ops.gd_tests
+             ~detected:g.Serve.Ops.gd_detected ~faults:g.Serve.Ops.gd_faults))
   in
   let doc = "Fault-simulate a vector file against a design (grade tests)." in
   Cmd.v (Cmd.info "grade" ~doc)
     Term.(const run $ obs_term $ design_arg $ vec_arg $ top_arg $ mut_opt
-          $ piers_flag $ jobs_arg $ progress_arg)
+          $ piers_arg $ jobs_arg $ progress_arg)
 
 (* ------------------------------ demo ------------------------------ *)
 
@@ -801,6 +759,11 @@ let addr_of ~socket ~tcp =
           Printf.eprintf "bad --tcp port %S\n" port_s;
           exit 1))
 
+let addr_to_string = function
+  | Serve.Server.Unix_path p -> p
+  | Serve.Server.Tcp (h, p) ->
+    Printf.sprintf "%s:%d" (if h = "" then "127.0.0.1" else h) p
+
 let socket_arg =
   let doc = "Unix-domain socket path of the daemon." in
   Arg.(value & opt string "factor.sock" & info [ "socket" ] ~docv:"PATH" ~doc)
@@ -840,12 +803,7 @@ let serve_cmd =
     handle_errors (fun () ->
         let jobs = apply_jobs jobs in
         let addr = addr_of ~socket ~tcp in
-        (match addr with
-         | Serve.Server.Unix_path p ->
-           Obs.Log.progressf "listening on %s (%d jobs)" p jobs
-         | Serve.Server.Tcp (h, p) ->
-           Obs.Log.progressf "listening on %s:%d (%d jobs)"
-             (if h = "" then "127.0.0.1" else h) p jobs);
+        Obs.Log.progressf "listening on %s (%d jobs)" (addr_to_string addr) jobs;
         Serve.Server.run
           { Serve.Server.sc_addr = addr;
             sc_store = store;
@@ -863,21 +821,16 @@ let serve_cmd =
 
 (* ----------------------------- client ----------------------------- *)
 
-module J = Obs.Json
-
 let jstr name j =
   Option.value ~default:"" (Option.bind (J.member name j) J.to_string_opt)
-
-let addr_to_string = function
-  | Serve.Server.Unix_path p -> p
-  | Serve.Server.Tcp (h, p) ->
-    Printf.sprintf "%s:%d" (if h = "" then "127.0.0.1" else h) p
 
 (* Connect, run, and map daemon failures onto the same stage exit codes
    as the one-shot CLI; exit 7 means the daemon itself is unreachable —
    including a daemon that accepted the connection but then went silent
-   past the idle timeout. *)
+   past the idle timeout.  Local failures (reading the design, writing
+   -o) go through the one-shot's taxonomy. *)
 let with_client ~socket ~tcp f =
+  handle_errors @@ fun () ->
   let addr = addr_of ~socket ~tcp in
   let cl =
     try Serve.Client.connect addr with
@@ -912,29 +865,7 @@ let with_client ~socket ~tcp f =
     Serve.Client.close cl;
     raise e
 
-(* '@name' designs travel by name (the daemon holds the same bundled
-   sources, so the content hash matches); files are shipped as text *)
-let design_params path top =
-  let base =
-    if String.length path > 0 && path.[0] = '@' then
-      [ ("design", J.String path) ]
-    else begin
-      let ic =
-        try open_in_bin path with
-        | Sys_error msg ->
-          Printf.eprintf "factor: io error: %s\n" msg;
-          exit 6
-      in
-      let src = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      [ ("source", J.String src) ]
-    end
-  in
-  base @ (match top with Some t -> [ ("top", J.String t) ] | None -> [])
-
-let budget_params = function
-  | None -> []
-  | Some s -> [ ("budget_s", J.Float s) ]
+let budget_params budget = opt_param "budget_s" num budget
 
 let client_budget_arg =
   let doc = "Wall-clock budget in seconds for this request." in
@@ -956,6 +887,27 @@ let report_cache result =
   (match jstr "cache" result with
    | "" -> ()
    | o -> Obs.Log.progressf "cache: %s" o)
+
+(* One printer per op for the daemon's reply, shared by [client <op>]
+   and [client watch]: the same final lines the one-shot prints, minus
+   its timings. *)
+let print_extract_reply r =
+  report_cache r;
+  (match J.member "dead_ends" r with
+   | Some (J.List ds) ->
+     List.iter (fun d -> Option.iter (Obs.Log.warnf "%s") (J.to_string_opt d)) ds
+   | _ -> ());
+  print_endline (jstr "extraction" r);
+  print_endline (jstr "transformed" r)
+
+let print_atpg_reply r =
+  report_cache r;
+  print_endline (jstr "counts" r);
+  print_endline (jstr "quality" r)
+
+let print_grade_reply r =
+  report_cache r;
+  print_endline (jstr "line" r)
 
 let client_cmd =
   let ping_cmd =
@@ -1012,33 +964,15 @@ let client_cmd =
     let run () socket tcp path top mut mode output budget timeout =
       with_client ~socket ~tcp (fun cl ->
           let params =
-            design_params path top
-            @ [ ("mut", J.String mut);
-                ("mode", J.String (Factor.Flow.mode_name mode)) ]
-            @ (if output <> None then [ ("emit_verilog", J.Bool true) ]
-               else [])
+            extract_params (design_params path top) ~mut ~mode
+              ~emit_verilog:(output <> None)
             @ budget_params budget
           in
           let r = Serve.Client.rpc ?timeout cl ~op:"extract" ~params in
-          report_cache r;
-          (match J.member "dead_ends" r with
-           | Some (J.List ds) ->
-             List.iter
-               (fun d ->
-                 match J.to_string_opt d with
-                 | Some s -> Obs.Log.warnf "%s" s
-                 | None -> ())
-               ds
-           | _ -> ());
-          print_endline (jstr "extraction" r);
-          print_endline (jstr "transformed" r);
-          match output with
-          | None -> ()
-          | Some f ->
-            let oc = open_out f in
-            output_string oc (jstr "verilog" r);
-            close_out oc;
-            Obs.Log.progressf "constraints written to %s" f)
+          print_extract_reply r;
+          Option.iter
+            (fun f -> write_output ~what:"constraints" f (jstr "verilog" r))
+            output)
     in
     let doc = "FACTOR-ise a design through the daemon's constraint cache." in
     Cmd.v (Cmd.info "extract" ~doc)
@@ -1047,101 +981,38 @@ let client_cmd =
             $ timeout_arg)
   in
   let c_atpg_cmd =
-    let mut_opt =
-      let doc = "Restrict faults to this instance subtree." in
-      Arg.(value & opt (some string) None & info [ "mut" ] ~docv:"PATH" ~doc)
-    in
-    let gen_budget =
-      let doc = "Total generation budget in seconds (daemon default 60)." in
-      Arg.(value & opt (some float) None
-           & info [ "budget" ] ~docv:"SECONDS" ~doc)
-    in
-    let engine_arg =
-      let doc = "Test-generation engine: 'podem', 'sat' or 'hybrid'." in
-      Arg.(value & opt string "hybrid" & info [ "engine" ] ~doc)
-    in
     let seed_arg =
       let doc = "Random seed for the generator." in
       Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"N" ~doc)
-    in
-    let piers_flag =
-      let doc = "Treat pseudo-primary-output pier flip-flops as observable." in
-      Arg.(value & flag & info [ "piers" ] ~doc)
     in
     let run () socket tcp path top mut gen_budget engine seed piers output
         budget timeout =
       with_client ~socket ~tcp (fun cl ->
           let params =
-            design_params path top
-            @ (match mut with
-               | Some m -> [ ("mut", J.String m) ]
-               | None -> [])
-            @ (match gen_budget with
-               | Some b -> [ ("budget", J.Float b) ]
-               | None -> [])
-            @ [ ("engine", J.String engine) ]
-            @ (match seed with
-               | Some s -> [ ("seed", J.Int s) ]
-               | None -> [])
-            @ (if piers then [ ("piers", J.Bool true) ] else [])
+            atpg_params ?mut ?budget:gen_budget ~engine ?seed ~piers
+              (design_params path top)
             @ budget_params budget
           in
           let r = Serve.Client.rpc ?timeout cl ~op:"atpg" ~params in
-          report_cache r;
-          print_endline (jstr "counts" r);
-          print_endline (jstr "quality" r);
-          match output with
-          | None -> ()
-          | Some f ->
-            let oc = open_out f in
-            output_string oc (jstr "vectors" r);
-            close_out oc;
-            Obs.Log.progressf "vectors written to %s" f)
-    in
-    let vec_out =
-      let doc = "Write the generated vectors to this file." in
-      Arg.(value & opt (some string) None
-           & info [ "o"; "output" ] ~docv:"FILE" ~doc)
+          print_atpg_reply r;
+          Option.iter
+            (fun f -> write_output ~what:"vectors" f (jstr "vectors" r))
+            output)
     in
     let doc = "Generate tests through the daemon's design cache." in
     Cmd.v (Cmd.info "atpg" ~doc)
       Term.(const run $ obs_term $ socket_arg $ tcp_arg $ design_arg
-            $ top_arg $ mut_opt $ gen_budget $ engine_arg $ seed_arg
-            $ piers_flag $ vec_out $ client_budget_arg $ timeout_arg)
+            $ top_arg $ mut_opt $ gen_budget_arg $ engine_arg $ seed_arg
+            $ piers_arg $ output_arg $ client_budget_arg $ timeout_arg)
   in
   let c_grade_cmd =
-    let vec_arg =
-      let doc = "Vector file to grade." in
-      Arg.(required & pos 1 (some string) None & info [] ~docv:"VECTORS" ~doc)
-    in
-    let mut_opt =
-      let doc = "Restrict faults to this instance subtree." in
-      Arg.(value & opt (some string) None & info [ "mut" ] ~docv:"PATH" ~doc)
-    in
     let run () socket tcp path top vec_file mut budget timeout =
       with_client ~socket ~tcp (fun cl ->
-          let vectors =
-            let ic =
-              try open_in_bin vec_file with
-              | Sys_error msg ->
-                Printf.eprintf "factor: io error: %s\n" msg;
-                exit 6
-            in
-            let s = really_input_string ic (in_channel_length ic) in
-            close_in ic;
-            s
-          in
           let params =
-            design_params path top
-            @ [ ("vectors", J.String vectors) ]
-            @ (match mut with
-               | Some m -> [ ("mut", J.String m) ]
-               | None -> [])
+            grade_params ?mut (design_params path top) ~vec_file
             @ budget_params budget
           in
-          let r = Serve.Client.rpc ?timeout cl ~op:"grade" ~params in
-          report_cache r;
-          print_endline (jstr "line" r))
+          print_grade_reply (Serve.Client.rpc ?timeout cl ~op:"grade" ~params))
     in
     let doc = "Fault-simulate a vector file through the daemon." in
     Cmd.v (Cmd.info "grade" ~doc)
@@ -1187,22 +1058,10 @@ let client_cmd =
       in
       Arg.(value & flag & info [ "json" ] ~doc)
     in
-    let mut_opt =
-      let doc =
-        "Instance path of the module under test (required with \
-         $(b,--op extract))."
-      in
-      Arg.(value & opt (some string) None & info [ "mut" ] ~docv:"PATH" ~doc)
-    in
     let vec_opt =
       let doc = "Vector file to grade (required with $(b,--op grade))." in
       Arg.(value & opt (some string) None
            & info [ "vectors" ] ~docv:"FILE" ~doc)
-    in
-    let gen_budget =
-      let doc = "Generation budget in seconds for $(b,--op atpg)." in
-      Arg.(value & opt (some float) None
-           & info [ "budget" ] ~docv:"SECONDS" ~doc)
     in
     let req_opt =
       let doc =
@@ -1220,33 +1079,15 @@ let client_cmd =
               Printf.eprintf "factor: --op %s needs %s\n" op what;
               exit 1
           in
+          let design = design_params path top in
           let params =
-            design_params path top
-            @ (match op with
-               | "extract" ->
-                 [ ("mut", J.String (need "--mut" mut));
-                   ("mode", J.String "compositional") ]
-               | "grade" ->
-                 let file = need "--vectors" vectors in
-                 let ic =
-                   try open_in_bin file with
-                   | Sys_error msg ->
-                     Printf.eprintf "factor: io error: %s\n" msg;
-                     exit 6
-                 in
-                 let s = really_input_string ic (in_channel_length ic) in
-                 close_in ic;
-                 [ ("vectors", J.String s) ]
-                 @ (match mut with
-                    | Some m -> [ ("mut", J.String m) ]
-                    | None -> [])
-               | _ ->
-                 (match mut with
-                  | Some m -> [ ("mut", J.String m) ]
-                  | None -> [])
-                 @ (match gen_budget with
-                    | Some b -> [ ("budget", J.Float b) ]
-                    | None -> []))
+            (match op with
+             | "extract" ->
+               extract_params design ~mut:(need "--mut" mut)
+                 ~mode:Factor.Flow.Compositional ~emit_verilog:false
+             | "grade" ->
+               grade_params ?mut design ~vec_file:(need "--vectors" vectors)
+             | _ -> atpg_params ?mut ?budget:gen_budget design)
             @ budget_params budget
           in
           (* progress frames redraw one stderr line in place; log frames
@@ -1290,15 +1131,10 @@ let client_cmd =
               ~params
           in
           clear_line ();
-          report_cache r;
           match op with
-          | "grade" -> print_endline (jstr "line" r)
-          | "extract" ->
-            print_endline (jstr "extraction" r);
-            print_endline (jstr "transformed" r)
-          | _ ->
-            print_endline (jstr "counts" r);
-            print_endline (jstr "quality" r))
+          | "grade" -> print_grade_reply r
+          | "extract" -> print_extract_reply r
+          | _ -> print_atpg_reply r)
     in
     let doc =
       "Run an operation through the daemon with live progress: streamed \
@@ -1307,7 +1143,7 @@ let client_cmd =
     in
     Cmd.v (Cmd.info "watch" ~doc)
       Term.(const run $ obs_term $ socket_arg $ tcp_arg $ design_arg
-            $ top_arg $ op_arg $ mut_opt $ vec_opt $ gen_budget $ req_opt
+            $ top_arg $ op_arg $ mut_opt $ vec_opt $ gen_budget_arg $ req_opt
             $ client_budget_arg $ timeout_arg $ json_flag)
   in
   let doc = "Talk to a running factor daemon." in

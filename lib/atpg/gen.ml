@@ -18,6 +18,13 @@ type engine =
   | Sat_only
   | Hybrid
 
+let engine_name = function
+  | Podem_only -> "podem"
+  | Sat_only -> "sat"
+  | Hybrid -> "hybrid"
+
+let engines = List.map (fun e -> (engine_name e, e)) [ Podem_only; Sat_only; Hybrid ]
+
 type config = {
   g_backtrack_limit : int;
   g_max_frames : int;          (** deepest time-frame expansion tried *)

@@ -19,6 +19,12 @@ type engine =
   | Sat_only
   | Hybrid
 
+(** The engines under their command-line and protocol names,
+    ["podem"], ["sat"] and ["hybrid"]. *)
+val engines : (string * engine) list
+
+val engine_name : engine -> string
+
 type config = {
   g_backtrack_limit : int;
   g_max_frames : int;        (** deepest time-frame expansion tried *)

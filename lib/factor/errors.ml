@@ -10,7 +10,7 @@ type stage =
   | Solve
   | Io
 
-type pos = { p_file : string; p_line : int; p_col : int }
+type pos = { p_file : string option; p_line : int; p_col : int }
 
 type t = {
   e_stage : stage;
@@ -22,11 +22,12 @@ exception Error of t
 
 let make ?file ?line ?col stage msg =
   let pos =
-    match (file, line) with
-    | Some f, Some l ->
-      Some { p_file = f; p_line = l; p_col = Option.value col ~default:0 }
-    | Some f, None -> Some { p_file = f; p_line = 0; p_col = 0 }
-    | None, _ -> None
+    if file = None && line = None then None
+    else
+      Some
+        { p_file = file;
+          p_line = Option.value line ~default:0;
+          p_col = Option.value col ~default:0 }
   in
   { e_stage = stage; e_pos = pos; e_msg = msg }
 
@@ -48,17 +49,18 @@ let exit_code t =
   | Solve -> 5
   | Io -> 6
 
+let message t =
+  match t.e_pos with
+  | None -> t.e_msg
+  | Some { p_file; p_line; p_col } ->
+    let nums =
+      if p_line = 0 then []
+      else string_of_int p_line :: (if p_col = 0 then [] else [ string_of_int p_col ])
+    in
+    String.concat ":" (Option.to_list p_file @ nums) ^ ": " ^ t.e_msg
+
 let to_string t =
-  let where =
-    match t.e_pos with
-    | None -> ""
-    | Some { p_file; p_line = 0; _ } -> Printf.sprintf "%s: " p_file
-    | Some { p_file; p_line; p_col = 0 } ->
-      Printf.sprintf "%s:%d: " p_file p_line
-    | Some { p_file; p_line; p_col } ->
-      Printf.sprintf "%s:%d:%d: " p_file p_line p_col
-  in
-  Printf.sprintf "factor: %s error: %s%s" (stage_name t.e_stage) where t.e_msg
+  Printf.sprintf "factor: %s error: %s" (stage_name t.e_stage) (message t)
 
 let of_exn ?file exn =
   let mk ?line ?col stage msg = Some (make ?file ?line ?col stage msg) in

@@ -15,8 +15,10 @@ type stage =
   | Solve      (** test generation and SAT solving *)
   | Io         (** file system and OS errors *)
 
-(** Source position, 1-based; [p_col = 0] means "line only". *)
-type pos = { p_file : string; p_line : int; p_col : int }
+(** Source position, 1-based; [p_line = 0] means "file only", [p_col = 0]
+    "line only", and [p_file = None] a position in text that came
+    without a file name (a served request's [source]). *)
+type pos = { p_file : string option; p_line : int; p_col : int }
 
 type t = {
   e_stage : stage;
@@ -26,8 +28,8 @@ type t = {
 
 exception Error of t
 
-(** [make ?file ?line ?col stage msg]: [line]/[col] are attached only
-    when [file] is present. *)
+(** [make ?file ?line ?col stage msg]: positioned when [file] or [line]
+    is given. *)
 val make : ?file:string -> ?line:int -> ?col:int -> stage -> string -> t
 
 (** Raise {!Error} built by {!make}. *)
@@ -39,7 +41,11 @@ val stage_name : stage -> string
     solve 5, io 6.  (0 is success, 1 a usage error.) *)
 val exit_code : t -> int
 
-(** One-line diagnostic: ["factor: <stage> error: \[file:line:col: \]msg"]. *)
+(** The message with its position in front: ["\[file:\]\[line:col: \]msg"].
+    This is what a served error response carries. *)
+val message : t -> string
+
+(** One-line diagnostic: ["factor: <stage> error: "] ^ {!message}. *)
 val to_string : t -> string
 
 (** Classify a raised exception into the taxonomy; [None] for

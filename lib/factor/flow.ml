@@ -83,9 +83,7 @@ type transform_row = {
   tr_transformed : Transform.t;
 }
 
-(** [transform env session mode spec ~surrounding_before] extracts the
-    constraints in the requested mode and synthesizes the transformed
-    module.  [session] is only consulted in [Compositional] mode. *)
+(** Collapsed fault count of the MUT synthesized stand-alone. *)
 let standalone_fault_count env spec =
   let node = H.find_path env.Compose.tree spec.ms_path in
   let ed = env.Compose.ed in
@@ -93,6 +91,9 @@ let standalone_fault_count env spec =
   let c = (Synth.Lower.lower flat).Synth.Lower.circuit in
   List.length (Atpg.Fault.collapse c (Atpg.Fault.all c))
 
+(** [transform env session mode spec ~surrounding_before] extracts the
+    constraints in the requested mode and synthesizes the transformed
+    module.  [session] is only consulted in [Compositional] mode. *)
 let transform ?budget env session mode spec ~surrounding_before =
   Obs.Span.with_ "flow.transform"
     ~attrs:[ ("mut", Obs.Json.String spec.ms_name) ]

@@ -227,15 +227,18 @@ let load_from_store t ~fp =
 (* Lookup.                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Resolve the top the way the one-shot CLI does when none is given:
-   the last module of the file. *)
-let resolve_top (design : Verilog.Ast.design) = function
+let parse_design ?file ?guard source =
+  try Verilog.Parser.parse_design ?guard source with
+  | (Verilog.Lexer.Error _ | Verilog.Parser.Error _) as e ->
+    raise (Factor.Errors.Error (Option.get (Factor.Errors.of_exn ?file e)))
+
+let resolve_top ?file (design : Verilog.Ast.design) = function
   | Some top -> top
   | None ->
     (match List.rev design.Verilog.Ast.modules with
      | last :: _ -> last.Verilog.Ast.mod_name
      | [] ->
-       Factor.Errors.fail Factor.Errors.Elaborate
+       Factor.Errors.fail ?file Factor.Errors.Elaborate
          "empty design: no modules to pick a top from")
 
 (* Call with [c_lock] held. *)
@@ -256,7 +259,7 @@ let is_fingerprint s =
    stall unrelated warm hits.  Two racing cold builds of the same design
    converge: both compute identical entries and the second install wins
    harmlessly. *)
-let find_or_build t ~budget ~source ~top =
+let find_or_build ?file t ~budget ~source ~top =
   let alias =
     Compose.source_fingerprint ~source
       ~top:(Option.value top ~default:"")
@@ -313,8 +316,8 @@ let find_or_build t ~budget ~source ~top =
           whitespace-only edit or a new alias of a known design lands
           here and still avoids elaboration and extraction *)
        let guard () = Engine.Budget.guard ~site:"parse" budget in
-       let design = Verilog.Parser.parse_design ~guard source in
-       let top = resolve_top design top in
+       let design = parse_design ?file ~guard source in
+       let top = resolve_top ?file design top in
        let fp = Compose.design_fingerprint design ~top in
        (match from_fp ~on_disk:false fp with
         | Some hit -> hit

@@ -50,14 +50,28 @@ type entry
     Evictions are counted in [factor.serve.cache_evicted]. *)
 val create : ?store:Store.t -> ?max_resident:int -> unit -> t
 
-(** [find_or_build t ~budget ~source ~top] resolves [source] to a
+(** [parse_design ?file ?guard source] parses [source]; a lexer or
+    parser error is raised as a {!Factor.Errors.Error} of stage [Parse]
+    at its line and column, in [file] when given. *)
+val parse_design :
+  ?file:string -> ?guard:(unit -> unit) -> string -> Verilog.Ast.design
+
+(** [resolve_top ?file design top] is [top], or else the last module of
+    [design].
+    @raise Factor.Errors.Error (stage [Elaborate], in [file]) when
+    [design] has no module. *)
+val resolve_top : ?file:string -> Verilog.Ast.design -> string option -> string
+
+(** [find_or_build ?file t ~budget ~source ~top] resolves [source] to a
     resident entry.  [top] is the requested top module ([None] = the
     last module in the file, resolved after parse).  [budget] guards
-    the parse and elaboration of a cold build.
+    the parse and elaboration of a cold build.  [file] only names
+    [source] in the errors of a cold build ({!parse_design},
+    {!resolve_top}); it is not part of the key.
     @raise Engine.Budget.Exhausted when [budget] dies mid-build. *)
 val find_or_build :
-  t -> budget:Engine.Budget.t -> source:string -> top:string option ->
-  entry * outcome
+  ?file:string -> t -> budget:Engine.Budget.t -> source:string ->
+  top:string option -> entry * outcome
 
 val fingerprint : entry -> string
 val top : entry -> string

@@ -51,89 +51,88 @@ let bool_default name ~default params =
   | Some b -> b
   | None -> default
 
-(* Resolve the design parameters of [params] to (source text, top
-   option).  Bundled names resolve to the embedded sources, so their
-   cache identity is the same content hash as an equivalent [source]
-   request. *)
+(* The value of parameter [name] (default [default]) looked up in
+   [table], a name-to-value list like {!Factor.Flow.modes}. *)
+let choice name table ~default params =
+  let v = str_default name ~default params in
+  match List.assoc_opt v table with
+  | Some x -> x
+  | None ->
+    bad "bad %s %S (expected %s)" name v (String.concat " or " (List.map fst table))
+
+let bundled_names =
+  "arm" :: List.map (fun e -> e.Circuits.Collection.e_name) Circuits.Collection.all
+
 let design_source params =
+  let top = str_opt "top" params in
   match str_opt "design" params with
-  | Some "@arm" -> (Arm.Rtl.source, Some Arm.Rtl.top)
+  | Some "@arm" -> (Arm.Rtl.source, Some (Option.value top ~default:Arm.Rtl.top))
   | Some d when String.length d > 1 && d.[0] = '@' ->
-    let name = String.sub d 1 (String.length d - 1) in
-    (match Circuits.Collection.find name with
-     | e -> (e.Circuits.Collection.e_source, Some e.Circuits.Collection.e_top)
-     | exception Not_found -> bad "unknown bundled design %S" d)
+    (match Circuits.Collection.find (String.sub d 1 (String.length d - 1)) with
+     | e ->
+       ( e.Circuits.Collection.e_source,
+         Some (Option.value top ~default:e.Circuits.Collection.e_top) )
+     | exception Not_found ->
+       bad "unknown bundled design %S (have: %s)" d
+         (String.concat ", " bundled_names))
   | Some d -> bad "bad design %S (expected '@arm' or a corpus '@name')" d
   | None ->
     (match str_opt "source" params with
-     | Some src -> (src, str_opt "top" params)
+     | Some src -> (src, top)
      | None -> bad "missing 'design' or 'source' parameter")
 
-let entry_of ctx ~budget params =
+let entry_of ?design_file ctx ~budget params =
   let (source, top) = design_source params in
-  Cache.find_or_build ctx.oc_cache ~budget ~source ~top
-
-let cache_field outcome = ("cache", J.String (Cache.outcome_to_string outcome))
+  Cache.find_or_build ?file:design_file ctx.oc_cache ~budget ~source ~top
 
 (* Resolve a given [mut] against the entry's instance tree before any
    work: an unknown path is an extract error, not an empty fault list. *)
 let check_mut entry mut =
   Option.iter (fun m -> ignore (Factor.Compose.mut_node (Cache.env entry) m)) mut
 
+let faults_of c mut = Atpg.Fault.collapse c (Atpg.Fault.all ?within:mut c)
+
+let pier_ffs c params =
+  if bool_default "piers" ~default:false params then Factor.Pier.identify c
+  else []
+
 (* ------------------------------------------------------------------ *)
-(* Ops.                                                                *)
+(* Typed cores.                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let op_ping _ctx _budget _params = J.Obj [ ("pong", J.Bool true) ]
+type extract = {
+  x_transform : Factor.Transform.t;
+  x_stats : Factor.Compose.stats;
+  x_cached : bool;
+}
 
-let op_metrics _ctx _budget _params =
-  J.Obj [ ("prometheus", J.String (Obs.Metrics.dump_prometheus ())) ]
+type atpg = {
+  a_circuit : Netlist.t;
+  a_result : Atpg.Gen.result;
+}
 
-let op_extract ctx budget params =
+type grade = {
+  gd_tests : Atpg.Pattern.test list;
+  gd_detected : int;
+  gd_faults : int;
+}
+
+let extract ?design_file ?(budget = Engine.Budget.none) ctx params =
   let mut = str_req "mut" params in
   let mode =
-    let name = str_default "mode" ~default:"compositional" params in
-    match List.assoc_opt name Factor.Flow.modes with
-    | Some m -> m
-    | None -> bad "bad mode %S (expected conventional or compositional)" name
+    choice "mode" Factor.Flow.modes ~default:"compositional" params
   in
-  let (entry, outcome) = entry_of ctx ~budget params in
-  ignore (Factor.Compose.mut_node (Cache.env entry) mut);
-  let ((tf, stats), tf_hit) = Cache.transform entry ~budget ~mut ~mode in
-  let fields =
-    [ ("extraction", J.String (Render.extract_stats stats));
-      ("transformed", J.String (Render.transform_line tf));
-      cache_field outcome;
-      ("transform_cached", J.Bool tf_hit);
-      ("dead_ends",
-       J.List
-         (List.map
-            (fun d -> J.String (Factor.Extract.dead_end_to_string d))
-            stats.Factor.Compose.cs_dead_ends)) ]
-    @ (if bool_default "emit_verilog" ~default:false params then
-         [ ("verilog",
-            J.String
-              (Verilog.Pp.design_to_string tf.Factor.Transform.tf_design)) ]
-       else [])
-  in
-  J.Obj fields
+  let (entry, outcome) = entry_of ?design_file ctx ~budget params in
+  check_mut entry (Some mut);
+  let ((tf, stats), cached) = Cache.transform entry ~budget ~mut ~mode in
+  ({ x_transform = tf; x_stats = stats; x_cached = cached }, outcome)
 
-let engine_of_string = function
-  | "podem" -> Atpg.Gen.Podem_only
-  | "sat" -> Atpg.Gen.Sat_only
-  | "hybrid" -> Atpg.Gen.Hybrid
-  | other -> bad "bad engine %S (expected podem, sat or hybrid)" other
-
-let op_atpg ctx budget params =
-  let (entry, outcome) = entry_of ctx ~budget params in
+let atpg ?jobs ?design_file ?(budget = Engine.Budget.none) ctx params =
+  let (entry, outcome) = entry_of ?design_file ctx ~budget params in
   let mut = str_opt "mut" params in
   check_mut entry mut;
   let c = Cache.circuit entry in
-  let faults = Atpg.Fault.collapse c (Atpg.Fault.all ?within:mut c) in
-  let piers =
-    if bool_default "piers" ~default:false params then Factor.Pier.identify c
-    else []
-  in
+  let faults = faults_of c mut in
   let dflt = Atpg.Gen.default_config in
   let cfg =
     { dflt with
@@ -142,53 +141,91 @@ let op_atpg ctx budget params =
         float_default "fault_budget" ~default:dflt.Atpg.Gen.g_fault_budget
           params;
       g_max_frames = int_default "frames" ~default:4 params;
-      g_piers = piers;
-      g_engine =
-        engine_of_string (str_default "engine" ~default:"hybrid" params);
+      g_piers = pier_ffs c params;
+      g_engine = choice "engine" Atpg.Gen.engines ~default:"hybrid" params;
       g_seed = int_default "seed" ~default:dflt.Atpg.Gen.g_seed params;
-      (* concurrent requests are the daemon's unit of parallelism;
-         generation is deterministic across job counts, so per-request
-         serial generation keeps responses identical to any -j N
-         one-shot run without oversubscribing the pool *)
-      g_jobs = 1 }
+      g_jobs = Option.value jobs ~default:1 }
   in
+  Obs.Log.verbosef "atpg: %d collapsed faults, %d jobs" (List.length faults)
+    cfg.Atpg.Gen.g_jobs;
   let r = Atpg.Gen.run ~budget c cfg faults in
-  J.Obj
-    [ ("counts", J.String (Render.atpg_counts r));
-      ("quality", J.String (Render.atpg_quality r));
-      ("vectors",
-       J.String
-         (Atpg.Pattern.write_string ~pi_names:c.Netlist.pi_names
-            r.Atpg.Gen.r_tests));
-      ("detected", J.Int r.Atpg.Gen.r_detected);
-      ("faults", J.Int r.Atpg.Gen.r_total);
-      cache_field outcome ]
+  ({ a_circuit = c; a_result = r }, outcome)
 
-let op_grade ctx budget params =
-  let (entry, outcome) = entry_of ctx ~budget params in
+let grade ?jobs ?design_file ?vectors_file ?(budget = Engine.Budget.none) ctx
+    params =
+  let (entry, outcome) = entry_of ?design_file ctx ~budget params in
   let mut = str_opt "mut" params in
   check_mut entry mut;
   let c = Cache.circuit entry in
   let tests =
     try Atpg.Pattern.read_string (str_req "vectors" params) with
     | Atpg.Pattern.Parse_error msg ->
-      Factor.Errors.fail Factor.Errors.Parse msg
+      Factor.Errors.fail ?file:vectors_file Factor.Errors.Parse msg
   in
-  let faults = Atpg.Fault.collapse c (Atpg.Fault.all ?within:mut c) in
-  let observe =
-    { Atpg.Fsim.ob_pos = true;
-      ob_pier_ffs =
-        (if bool_default "piers" ~default:false params then
-           Factor.Pier.identify c
-         else []) }
-  in
-  let flags = Atpg.Fsim.run c ~observe ~faults tests in
-  let detected = Array.to_list flags |> List.filter Fun.id |> List.length in
+  let faults = faults_of c mut in
+  let observe = { Atpg.Fsim.ob_pos = true; ob_pier_ffs = pier_ffs c params } in
+  let flags = Atpg.Fsim.run ?jobs c ~observe ~faults tests in
+  let detected = Array.fold_left (fun n f -> if f then n + 1 else n) 0 flags in
+  ( { gd_tests = tests; gd_detected = detected; gd_faults = List.length faults },
+    outcome )
+
+(* ------------------------------------------------------------------ *)
+(* Ops: a typed core rendered as the response's result object.        *)
+(* ------------------------------------------------------------------ *)
+
+let cache_field outcome = ("cache", J.String (Cache.outcome_to_string outcome))
+
+let op_ping _ctx _budget _params = J.Obj [ ("pong", J.Bool true) ]
+
+let op_metrics _ctx _budget _params =
+  J.Obj [ ("prometheus", J.String (Obs.Metrics.dump_prometheus ())) ]
+
+let op_extract ctx budget params =
+  let (x, outcome) = extract ~budget ctx params in
+  J.Obj
+    ([ ("extraction", J.String (Render.extract_stats x.x_stats));
+       ("transformed", J.String (Render.transform_line x.x_transform));
+       cache_field outcome;
+       ("transform_cached", J.Bool x.x_cached);
+       ("dead_ends",
+        J.List
+          (List.map
+             (fun d -> J.String (Factor.Extract.dead_end_to_string d))
+             x.x_stats.Factor.Compose.cs_dead_ends)) ]
+     @
+     if bool_default "emit_verilog" ~default:false params then
+       [ ("verilog",
+          J.String
+            (Verilog.Pp.design_to_string
+               x.x_transform.Factor.Transform.tf_design)) ]
+     else [])
+
+(* Concurrent requests are the daemon's unit of parallelism, so a
+   served request generates and grades serially (no [?jobs]); the
+   results are identical at every job count. *)
+let op_atpg ctx budget params =
+  let (a, outcome) = atpg ~budget ctx params in
+  let r = a.a_result in
+  J.Obj
+    [ ("counts", J.String (Render.atpg_counts r));
+      ("quality", J.String (Render.atpg_quality r));
+      ("vectors",
+       J.String
+         (Atpg.Pattern.write_string ~pi_names:a.a_circuit.Netlist.pi_names
+            r.Atpg.Gen.r_tests));
+      ("detected", J.Int r.Atpg.Gen.r_detected);
+      ("faults", J.Int r.Atpg.Gen.r_total);
+      cache_field outcome ]
+
+let op_grade ctx budget params =
+  let (g, outcome) = grade ~budget ctx params in
   J.Obj
     [ ("line",
-       J.String (Render.grade_line ~tests ~detected ~faults:(List.length faults)));
-      ("detected", J.Int detected);
-      ("faults", J.Int (List.length faults));
+       J.String
+         (Render.grade_line ~tests:g.gd_tests ~detected:g.gd_detected
+            ~faults:g.gd_faults));
+      ("detected", J.Int g.gd_detected);
+      ("faults", J.Int g.gd_faults);
       cache_field outcome ]
 
 let op_ec ctx budget params =

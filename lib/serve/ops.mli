@@ -1,16 +1,20 @@
 (** The daemon's request handlers — the socket layer stripped away, so
-    tests and benchmarks drive them in-process.
+    tests, benchmarks and the one-shot CLI drive them in-process.
 
-    Every design-bearing op resolves its design through the shared
-    {!Cache}, accepts the same parameters, and renders its results
-    through {!Render}, so a warm daemon answer is byte-identical to the
-    deterministic part of the corresponding one-shot CLI output.
+    [extract], [atpg] and [grade] each have a typed core ({!extract},
+    {!atpg}, {!grade}: parameters in, typed result out) and a rendering
+    of that result through {!Render} as the response object.  The
+    one-shot [factor_cli extract|atpg|grade] runs the same core on a
+    store-less {!make_ctx}[ ()] with the same parameters a [client]
+    would send, and prints the same {!Render} lines, so a daemon answer
+    equals the deterministic part of the one-shot output by
+    construction.
 
     Common design parameters (for [ec], nested under ["a"]/["b"]):
-    - ["design"]: a bundled name — ["@arm"] or a corpus name like
-      ["@gcd"] — or
-    - ["source"]: Verilog text, with optional ["top"] (default: the last
-      module in the file).
+    ["design"], a bundled name (["@arm"] or a corpus name like
+    ["@gcd"]), or ["source"], Verilog text; either with an optional
+    ["top"] (default: the bundled design's top, or the last module in
+    the file).
 
     Ops: ["ping"], ["metrics"] (Prometheus text), ["extract"] (["mut"],
     ["mode"], optional ["emit_verilog"]), ["atpg"] (["mut"], ["budget"],
@@ -42,6 +46,53 @@ val make_ctx :
   ?store:Store.t -> ?max_resident:int -> ?default_budget:float -> unit -> ctx
 
 val cache : ctx -> Cache.t
+
+(** [design_source params] resolves the design parameters to (Verilog
+    source, top): a bundled name to its embedded source and top, a
+    ["source"] to itself; a given ["top"] wins.
+    @raise Proto.Proto_error on an unknown bundled name (the message
+    lists the bundled ones) or when neither parameter is given. *)
+val design_source : Obs.Json.t -> string * string option
+
+(** {2 Typed cores}
+
+    Each takes the op's request parameters and returns its result with
+    the {!Cache.outcome} of the design lookup.  [budget] (default
+    none) bounds the whole call, like a request's ["budget_s"].
+    [design_file] and [vectors_file] name the text the parameters carry
+    in the errors raised while reading it (see {!Cache.find_or_build});
+    the daemon passes neither.  [jobs] is the worker count of test
+    generation and grading (default 1, as the daemon runs them);
+    results are identical at every count. *)
+
+type extract = {
+  x_transform : Factor.Transform.t;
+  x_stats : Factor.Compose.stats;
+  x_cached : bool;  (** served from the entry's transform memo *)
+}
+
+type atpg = {
+  a_circuit : Netlist.t;
+  a_result : Atpg.Gen.result;
+}
+
+type grade = {
+  gd_tests : Atpg.Pattern.test list;
+  gd_detected : int;
+  gd_faults : int;  (** collapsed faults graded *)
+}
+
+val extract :
+  ?design_file:string -> ?budget:Engine.Budget.t -> ctx -> Obs.Json.t ->
+  extract * Cache.outcome
+
+val atpg :
+  ?jobs:int -> ?design_file:string -> ?budget:Engine.Budget.t -> ctx ->
+  Obs.Json.t -> atpg * Cache.outcome
+
+val grade :
+  ?jobs:int -> ?design_file:string -> ?vectors_file:string ->
+  ?budget:Engine.Budget.t -> ctx -> Obs.Json.t -> grade * Cache.outcome
 
 (** Dispatch one request to its handler and return the [result] object
     of the response.  [emit] opts the request into streaming (the

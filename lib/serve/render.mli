@@ -1,10 +1,10 @@
 (** Canonical result lines shared by the one-shot CLI and the serve
     daemon.
 
-    Byte-identity between a daemon response and the corresponding
-    one-shot run is part of the serve contract, so both front ends must
-    render results through the same functions — and those functions must
-    be deterministic: every line here is a pure function of the result
+    The one-shot [extract], [atpg] and [grade] print these lines from
+    the same {!Ops} typed cores whose rendering is the daemon's
+    response, so a served answer and the one-shot output agree by
+    construction.  Every line here is a pure function of the result
     data, with wall-clock and CPU times deliberately excluded (the CLI
     appends timing to its output separately). *)
 

@@ -83,7 +83,7 @@ let answer ?emit ctx payload =
        let (stage, msg) =
          match Factor.Errors.of_exn e with
          | Some t -> (Factor.Errors.stage_name t.Factor.Errors.e_stage,
-                      t.Factor.Errors.e_msg)
+                      Factor.Errors.message t)
          | None ->
            (match e with
             | Proto.Proto_error msg -> ("proto", msg)

@@ -500,10 +500,17 @@ let store_writes_per_class () =
   let ctx = Serve.Ops.make_ctx ~store:(Serve.Store.open_ dir) () in
   check_class "cold: blob and alias" ("cold", 2) (request ctx gcd);
   check_class "warm-mem: nothing" ("warm-mem", 0) (request ctx gcd);
-  (* an unknown engine is refused after the circuit is built *)
+  (* an unknown engine is refused after the circuit is built; every
+     engine the command line offers is accepted and writes nothing new *)
   check_class "failing after a cold build: blob and alias" ("failed", 2)
     (request ~op:"atpg" ctx
        [ ("design", J.String "@arbiter"); ("engine", J.String "bogus") ]);
+  List.iter
+    (fun (name, _) ->
+      check_class ("engine " ^ name) ("warm-mem", 0)
+        (request ~op:"atpg" ctx
+           [ ("design", J.String "@arbiter"); ("engine", J.String name) ]))
+    Atpg.Gen.engines;
   let ctx = Serve.Ops.make_ctx ~store:(Serve.Store.open_ dir) () in
   check_class "warm-disk: nothing" ("warm-disk", 0) (request ctx gcd);
   check_class "whitespace variant: its alias only" ("warm-mem", 1)
@@ -612,6 +619,50 @@ let cache_damaged_store () =
   let (_, o2) = lookup () in
   check_bool "garbage alias edge falls back to the chain fingerprint" true
     (o2 = Serve.Cache.Warm_disk)
+
+(* The one-shot commands print the typed cores through Render; served
+   requests render the same cores as the response object.  Both must
+   agree field for field, at any job count. *)
+let typed_cores_match_handle () =
+  Engine.Pool.set_jobs 2;
+  let handle params op =
+    Serve.Ops.handle (Serve.Ops.make_ctx ())
+      { Serve.Proto.rq_id = 1; rq_op = op; rq_params = J.Obj params }
+  in
+  let field name r =
+    Option.value ~default:"" (Option.bind (J.member name r) J.to_string_opt)
+  in
+  let arb = [ ("design", J.String "@arbiter") ] in
+  let xp = arb @ [ ("mut", J.String "u_arb.u_prio") ] in
+  let (x, _) = Serve.Ops.extract (Serve.Ops.make_ctx ()) (J.Obj xp) in
+  let served = handle xp "extract" in
+  check_string "extraction" (field "extraction" served)
+    (Serve.Render.extract_stats x.Serve.Ops.x_stats);
+  check_string "transformed" (field "transformed" served)
+    (Serve.Render.transform_line x.Serve.Ops.x_transform);
+  let served = handle arb "atpg" in
+  let vectors = field "vectors" served in
+  let gp = arb @ [ ("vectors", J.String vectors) ] in
+  let served_grade = handle gp "grade" in
+  List.iter
+    (fun jobs ->
+      let tag what = Printf.sprintf "%s at %d jobs" what jobs in
+      let (a, _) =
+        Serve.Ops.atpg ~jobs (Serve.Ops.make_ctx ()) (J.Obj arb)
+      in
+      let r = a.Serve.Ops.a_result in
+      check_string (tag "counts") (field "counts" served)
+        (Serve.Render.atpg_counts r);
+      check_string (tag "quality") (field "quality" served)
+        (Serve.Render.atpg_quality r);
+      check_string (tag "vectors") vectors
+        (Atpg.Pattern.write_string
+           ~pi_names:a.Serve.Ops.a_circuit.Netlist.pi_names r.Atpg.Gen.r_tests);
+      let (g, _) = Serve.Ops.grade ~jobs (Serve.Ops.make_ctx ()) (J.Obj gp) in
+      check_string (tag "grade line") (field "line" served_grade)
+        (Serve.Render.grade_line ~tests:g.Serve.Ops.gd_tests
+           ~detected:g.Serve.Ops.gd_detected ~faults:g.Serve.Ops.gd_faults))
+    [ 1; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* End to end: a live daemon over a Unix socket.                       *)
@@ -743,6 +794,19 @@ let e2e_errors_and_budget () =
       in
       check_string "same design succeeds without the dead budget" "cold"
         (jstr "cache" r);
+      (* a syntax error in shipped source keeps its line and column *)
+      check_bool "a syntax error answers parse at 2:17" true
+        (match
+           Serve.Client.rpc cl ~op:"atpg"
+             ~params:
+               [ ("source",
+                  J.String
+                    "module top(input a, output y);\n  assign y = a &;\nendmodule\n") ]
+         with
+         | exception Serve.Client.Server_error (stage, msg) ->
+           stage = "parse"
+           && msg = "2:17: expected expression (found ';')"
+         | _ -> false);
       (* a missing parameter reports proto, siblings still fine *)
       check_bool "extract without mut is a proto error" true
         (match
@@ -1081,7 +1145,9 @@ let () =
         List.map
           (fun op ->
             test (op ^ ": an unknown mut is an extract error") (unknown_mut op))
-          [ "extract"; "atpg"; "grade" ] );
+          [ "extract"; "atpg"; "grade" ]
+        @ [ test "typed cores render as handle's fields, 1 and 4 jobs"
+              typed_cores_match_handle ] );
       ( "daemon",
         [
           test "end-to-end roundtrip, byte-identical to direct runs"
