@@ -62,7 +62,9 @@ let module_cfg =
 (* Tables 5/6 run the production hybrid engine: PODEM plus SAT rescue
    of its aborts.  The rescue only ever sees a handful of faults, so it
    can afford a deeper conflict budget than the interactive default —
-   exc's lone abort needs ~28 k conflicts to prove untestable. *)
+   exc's lone abort takes 17,485 conflicts to prove untestable
+   (3/130/1,658/15,694 at depths 1-4 in the perfbench arm_flow run,
+   read from the [sat.depth] events under FACTOR_LOG=debug). *)
 let hybrid_cfg =
   { module_cfg with
     g_engine = Atpg.Gen.Hybrid;

@@ -847,13 +847,9 @@ let with_client ~socket ~tcp f =
     Serve.Client.close cl;
     Printf.eprintf "factor: %s error: %s\n" stage msg;
     exit
-      (match stage with
-       | "parse" -> 2
-       | "elaborate" -> 3
-       | "extract" -> 4
-       | "solve" -> 5
-       | "io" -> 6
-       | _ -> 1)
+      (match Factor.Errors.stage_of_string stage with
+       | Some st -> Factor.Errors.exit_code (Factor.Errors.make st msg)
+       | None -> 1)
   | exception Serve.Client.Timeout s ->
     Serve.Client.close cl;
     Printf.eprintf

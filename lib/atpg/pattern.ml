@@ -48,7 +48,7 @@ let total_vectors tests =
 *)
 (* ------------------------------------------------------------------ *)
 
-exception Parse_error of string
+exception Parse_error of int * string
 
 (** [write_string tests] renders the test set in the vector-file format;
     [pi_names] become a header comment for humans. *)
@@ -94,6 +94,10 @@ let read_lines next_line =
   let tests = ref [] in
   let vectors = ref [] and loads = ref [] in
   let in_test = ref false in
+  (* 1-based number of the line being read, and of the open block's
+     [test] line *)
+  let lnum = ref 0 and opened = ref 0 in
+  let fail ?(at = !lnum) msg = raise (Parse_error (at, msg)) in
   let finish () =
     tests :=
       { p_vectors = Array.of_list (List.rev !vectors);
@@ -110,13 +114,15 @@ let read_lines next_line =
          | Some l -> String.trim l
          | None -> raise End_of_file
        in
+       incr lnum;
        if line = "" || (String.length line > 0 && line.[0] = '#') then ()
        else if line = "test" then begin
-         if !in_test then raise (Parse_error "nested test block");
-         in_test := true
+         if !in_test then fail "nested test block";
+         in_test := true;
+         opened := !lnum
        end
        else if line = "end" then begin
-         if not !in_test then raise (Parse_error "end without test");
+         if not !in_test then fail "end without test";
          finish ()
        end
        else if String.length line > 4 && String.sub line 0 4 = "vec " then begin
@@ -126,20 +132,20 @@ let read_lines next_line =
                match bits.[i] with
                | '1' -> true
                | '0' -> false
-               | c -> raise (Parse_error (Printf.sprintf "bad bit %C" c)))
+               | c -> fail (Printf.sprintf "bad bit %C" c))
          in
          vectors := vec :: !vectors
        end
        else if String.length line > 5 && String.sub line 0 5 = "load " then begin
          match String.split_on_char ' ' line with
-         | [ _; ff; v ] ->
+         | [ _; ff; ("0" | "1" as v) ] when int_of_string_opt ff <> None ->
            loads := (int_of_string ff, v = "1") :: !loads
-         | _ -> raise (Parse_error ("bad load line: " ^ line))
+         | _ -> fail ("bad load line: " ^ line)
        end
-       else raise (Parse_error ("unrecognized line: " ^ line))
+       else fail ("unrecognized line: " ^ line)
      done
    with End_of_file ->
-     if !in_test then raise (Parse_error "unterminated test block"));
+     if !in_test then fail ~at:!opened "unterminated test block");
   List.rev !tests
 
 (** [read_channel ic] parses a vector file back into tests.

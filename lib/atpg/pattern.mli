@@ -19,7 +19,9 @@ val random :
 (** Total vector (clock cycle) count across a test set. *)
 val total_vectors : test list -> int
 
-exception Parse_error of string
+(** A malformed vector file: the 1-based line (for an unterminated
+    block, its [test] line) and what is wrong with it. *)
+exception Parse_error of int * string
 
 (** Render a test set in the textual vector-file format ([test] /
     [load ff v] / [vec 0101...] / [end] blocks); [pi_names] become a

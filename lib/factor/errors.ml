@@ -41,6 +41,14 @@ let stage_name = function
   | Solve -> "solve"
   | Io -> "io"
 
+let stage_of_string = function
+  | "parse" -> Some Parse
+  | "elaborate" -> Some Elaborate
+  | "extract" -> Some Extract
+  | "solve" -> Some Solve
+  | "io" -> Some Io
+  | _ -> None
+
 let exit_code t =
   match t.e_stage with
   | Parse -> 2
@@ -68,7 +76,7 @@ let of_exn ?file exn =
   | Error t -> Some t
   | Verilog.Lexer.Error (msg, line, col) -> mk ~line ~col Parse msg
   | Verilog.Parser.Error (msg, line, col) -> mk ~line ~col Parse msg
-  | Atpg.Pattern.Parse_error msg -> mk Parse msg
+  | Atpg.Pattern.Parse_error (line, msg) -> mk ~line Parse msg
   | Design.Elaborate.Error msg -> mk Elaborate msg
   | Synth.Flatten.Error msg -> mk Elaborate msg
   | Synth.Lower.Error msg -> mk Elaborate msg

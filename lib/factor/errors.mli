@@ -37,6 +37,9 @@ val fail : ?file:string -> ?line:int -> ?col:int -> stage -> string -> 'a
 
 val stage_name : stage -> string
 
+(** The inverse of {!stage_name}; [None] for any other string. *)
+val stage_of_string : string -> stage option
+
 (** Stable exit code per stage: parse 2, elaborate 3, extract 4,
     solve 5, io 6.  (0 is success, 1 a usage error.) *)
 val exit_code : t -> int

@@ -12,8 +12,13 @@
     - a watcher is a pair of ints, the clause reference and an inline
       literal: a binary clause carries its other literal there, so it
       is decided without reading the arena; a longer clause carries -1;
+    - each literal's watch list is a bare [int array] in [wdata] with
+      its length in [wsz], so its watchers are one load from the
+      literal, not two through a record;
     - literal values take one byte per literal; reasons are clause
-      references, -1 for none.
+      references, -1 for none.  Backtracking leaves a variable's reason
+      behind: a reason is read only while its variable is assigned, and
+      [enqueue] writes a fresh one.
 
     Slots 0 and 1 of a clause hold its two watched literals.  Their
     order is written only when the clause becomes a reason or the
@@ -35,8 +40,7 @@ let lit_of v sign = if sign then 2 * v else (2 * v) + 1
 let var_of l = l lsr 1
 let positive l = l land 1 = 0
 
-(* growable int vector: watch lists (two ints per watcher), the learnt
-   list and conflict-analysis scratch *)
+(* growable int vector: the learnt list and conflict-analysis scratch *)
 type ivec = {
   mutable data : int array;
   mutable sz : int;
@@ -46,24 +50,18 @@ let ivec_make () = { data = [||]; sz = 0 }
 
 (* grows by half: most watch lists hold a handful of watchers, and
    doubling them kept more memory than the boxed kernel did *)
-let ivec_reserve v n =
-  if n > Array.length v.data then begin
-    let cap = Array.length v.data in
-    let d = Array.make (max n (max 4 (cap + (cap / 2)))) 0 in
-    Array.blit v.data 0 d 0 v.sz;
-    v.data <- d
-  end
+let grown data n =
+  let cap = Array.length data in
+  Array.make (max n (max 4 (cap + (cap / 2)))) 0
 
 let ivec_push v x =
-  ivec_reserve v (v.sz + 1);
+  if v.sz >= Array.length v.data then begin
+    let d = grown v.data (v.sz + 1) in
+    Array.blit v.data 0 d 0 v.sz;
+    v.data <- d
+  end;
   v.data.(v.sz) <- x;
   v.sz <- v.sz + 1
-
-let watch_push w cr inline =
-  ivec_reserve w (w.sz + 2);
-  w.data.(w.sz) <- cr;
-  w.data.(w.sz + 1) <- inline;
-  w.sz <- w.sz + 2
 
 (* clause header word: bit 0 learnt, bit 1 deleted, bits 2-31 length,
    bits 32 and up the activity slot of a learnt clause (the forwarding
@@ -108,7 +106,8 @@ type t = {
   mutable heap_pos : int array;   (* -1 = not in heap *)
   (* per literal *)
   mutable vals : Bytes.t;         (* '\000' false, '\001' true, '\002' unset *)
-  mutable watches : ivec array;   (* (clause ref, inline literal) pairs *)
+  mutable wdata : int array array; (* (clause ref, inline literal) pairs *)
+  mutable wsz : int array;        (* ints in use in each [wdata] list *)
   (* clause arena *)
   mutable arena : int array;
   mutable arena_sz : int;
@@ -150,7 +149,8 @@ let create () =
     seen = Array.make 16 false;
     heap_pos = Array.make 16 (-1);
     vals = Bytes.make 32 '\002';
-    watches = Array.init 32 (fun _ -> ivec_make ());
+    wdata = Array.make 32 [||];
+    wsz = Array.make 32 0;
     arena = Array.make 1024 0;
     arena_sz = 0;
     trail = Array.make 16 0;
@@ -188,33 +188,50 @@ let stats s =
 (* Decision-order heap: a binary max-heap on activity.                  *)
 (* ------------------------------------------------------------------ *)
 
-let heap_swap s i j =
-  let a = s.heap.(i) and b = s.heap.(j) in
-  s.heap.(i) <- b;
-  s.heap.(j) <- a;
-  s.heap_pos.(b) <- i;
-  s.heap_pos.(a) <- j
+(* Both sifts carry the moving variable in a hole and write it once
+   where it stops.  They make the comparisons, and so the moves, that
+   swapping it one level at a time would: ties stay where they are. *)
+let heap_up s i =
+  let heap = s.heap and pos = s.heap_pos and act = s.activity in
+  let v = heap.(i) in
+  let a = act.(v) in
+  let i = ref i in
+  while !i > 0 && a > act.(heap.((!i - 1) / 2)) do
+    let parent = (!i - 1) / 2 in
+    let u = heap.(parent) in
+    heap.(!i) <- u;
+    pos.(u) <- !i;
+    i := parent
+  done;
+  heap.(!i) <- v;
+  pos.(v) <- !i
 
-let rec heap_up s i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if s.activity.(s.heap.(i)) > s.activity.(s.heap.(parent)) then begin
-      heap_swap s i parent;
-      heap_up s parent
+let heap_down s i =
+  let heap = s.heap and pos = s.heap_pos and act = s.activity in
+  let n = s.heap_sz in
+  let v = heap.(i) in
+  let a = act.(v) in
+  let i = ref i and stop = ref false in
+  while not !stop do
+    let l = (2 * !i) + 1 in
+    let r = l + 1 in
+    (* the larger child, if larger than [v]; a tie keeps the left *)
+    let best = if l < n && act.(heap.(l)) > a then l else -1 in
+    let best =
+      if r < n && act.(heap.(r)) > (if best < 0 then a else act.(heap.(best)))
+      then r
+      else best
+    in
+    if best < 0 then stop := true
+    else begin
+      let u = heap.(best) in
+      heap.(!i) <- u;
+      pos.(u) <- !i;
+      i := best
     end
-  end
-
-let rec heap_down s i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = ref i in
-  if l < s.heap_sz && s.activity.(s.heap.(l)) > s.activity.(s.heap.(!best))
-  then best := l;
-  if r < s.heap_sz && s.activity.(s.heap.(r)) > s.activity.(s.heap.(!best))
-  then best := r;
-  if !best <> i then begin
-    heap_swap s i !best;
-    heap_down s !best
-  end
+  done;
+  heap.(!i) <- v;
+  pos.(v) <- !i
 
 let heap_insert s v =
   if s.heap_pos.(v) < 0 then begin
@@ -261,9 +278,12 @@ let grow_to s n =
     let vals = Bytes.make (2 * cap') '\002' in
     Bytes.blit s.vals 0 vals 0 (2 * cap);
     s.vals <- vals;
-    let w = Array.init (2 * cap') (fun _ -> ivec_make ()) in
-    Array.blit s.watches 0 w 0 (2 * cap);
-    s.watches <- w
+    let w = Array.make (2 * cap') [||] in
+    Array.blit s.wdata 0 w 0 (2 * cap);
+    s.wdata <- w;
+    let w = Array.make (2 * cap') 0 in
+    Array.blit s.wsz 0 w 0 (2 * cap);
+    s.wsz <- w
   end
 
 let new_var s =
@@ -278,6 +298,23 @@ let lit_value s l =
   match Bytes.get s.vals l with '\002' -> -1 | c -> Char.code c
 
 let assigned s v = Bytes.get s.vals (2 * v) <> '\002'
+
+(* file watcher (clause ref [cr], inline literal) under literal [l] *)
+let watch_push s l cr inline =
+  let n = s.wsz.(l) in
+  let d =
+    let d = s.wdata.(l) in
+    if n + 2 <= Array.length d then d
+    else begin
+      let d' = grown d (n + 2) in
+      Array.blit d 0 d' 0 n;
+      s.wdata.(l) <- d';
+      d'
+    end
+  in
+  d.(n) <- cr;
+  d.(n + 1) <- inline;
+  s.wsz.(l) <- n + 2
 
 let bump_var s v =
   s.activity.(v) <- s.activity.(v) +. s.var_inc;
@@ -319,8 +356,7 @@ let propagate s =
     s.propagations <- s.propagations + 1;
     (* a moved watch goes to another literal's list, so this one's
        buffer stays put while it is scanned *)
-    let ws = s.watches.(p) in
-    let d = ws.data and n = ws.sz in
+    let d = s.wdata.(p) and n = s.wsz.(p) in
     let i = ref 0 and j = ref 0 in
     while !i < n do
       let cr = d.(!i) and inline = d.(!i + 1) in
@@ -352,7 +388,7 @@ let propagate s =
             let l = a.(!k) in
             a.(if a.(cr + 1) = fl then cr + 1 else cr + 2) <- l;
             a.(!k) <- fl;
-            watch_push s.watches.(neg l) cr (-1);
+            watch_push s (neg l) cr (-1);
             true
           end
         in
@@ -376,7 +412,7 @@ let propagate s =
         end
       end
     done;
-    ws.sz <- !j
+    s.wsz.(p) <- !j
   done;
   !confl
 
@@ -400,7 +436,6 @@ let cancel_until s lvl =
       s.polarity.(v) <- Bytes.get s.vals (2 * v) = '\001';
       Bytes.set s.vals l '\002';
       Bytes.set s.vals (neg l) '\002';
-      s.reason.(v) <- -1;
       heap_insert s v
     done;
     s.trail_sz <- bound;
@@ -431,12 +466,12 @@ let attach s cr =
   let a = s.arena in
   let l0 = a.(cr + 1) and l1 = a.(cr + 2) in
   if hdr_len a.(cr) = 2 then begin
-    watch_push s.watches.(neg l0) cr l1;
-    watch_push s.watches.(neg l1) cr l0
+    watch_push s (neg l0) cr l1;
+    watch_push s (neg l1) cr l0
   end
   else begin
-    watch_push s.watches.(neg l0) cr (-1);
-    watch_push s.watches.(neg l1) cr (-1)
+    watch_push s (neg l0) cr (-1);
+    watch_push s (neg l1) cr (-1)
   end
 
 (** Add a problem clause at decision level 0, simplifying against the
@@ -521,10 +556,9 @@ let compact s =
   let fwd cr = a.(cr) lsr 32 in
   (* pass 2: rewrite the references *)
   for l = 0 to (2 * s.nvars) - 1 do
-    let w = s.watches.(l) in
-    let d = w.data in
+    let d = s.wdata.(l) in
     let j = ref 0 in
-    for i = 0 to (w.sz / 2) - 1 do
+    for i = 0 to (s.wsz.(l) / 2) - 1 do
       let cr = d.(2 * i) in
       if not (hdr_deleted a.(cr)) then begin
         d.(!j) <- fwd cr;
@@ -532,11 +566,13 @@ let compact s =
         j := !j + 2
       end
     done;
-    w.sz <- !j
+    s.wsz.(l) <- !j
   done;
-  (* every reason is a live clause: [reduce_db] keeps locked ones *)
+  (* an assigned variable's reason is a live clause ([reduce_db] keeps
+     locked ones); an unassigned one's is stale, may name a deleted
+     clause, and is never read before [enqueue] overwrites it *)
   for v = 0 to s.nvars - 1 do
-    if s.reason.(v) >= 0 then s.reason.(v) <- fwd s.reason.(v)
+    if assigned s v && s.reason.(v) >= 0 then s.reason.(v) <- fwd s.reason.(v)
   done;
   for k = 0 to s.learnts.sz - 1 do
     s.learnts.data.(k) <- fwd s.learnts.data.(k)

@@ -159,8 +159,8 @@ let grade ?jobs ?design_file ?vectors_file ?(budget = Engine.Budget.none) ctx
   let c = Cache.circuit entry in
   let tests =
     try Atpg.Pattern.read_string (str_req "vectors" params) with
-    | Atpg.Pattern.Parse_error msg ->
-      Factor.Errors.fail ?file:vectors_file Factor.Errors.Parse msg
+    | Atpg.Pattern.Parse_error (line, msg) ->
+      Factor.Errors.fail ?file:vectors_file ~line Factor.Errors.Parse msg
   in
   let faults = faults_of c mut in
   let observe = { Atpg.Fsim.ob_pos = true; ob_pier_ffs = pier_ffs c params } in

@@ -783,6 +783,22 @@ let vector_file_tests =
          | exception Atpg.Pattern.Parse_error _ -> ()
          | _ -> Alcotest.fail "expected parse error");
         Sys.remove path);
+    test "parse errors carry their line" (fun () ->
+        let parse s =
+          match Atpg.Pattern.read_string s with
+          | exception Atpg.Pattern.Parse_error (line, msg) -> (line, msg)
+          | _ -> Alcotest.fail "expected parse error"
+        in
+        check_bool "bad bit on line 3" true
+          (parse "# pins: a b\ntest\nvec 0x\nend\n" = (3, "bad bit 'x'"));
+        check_bool "a non-numeric flip-flop is a bad load line" true
+          (parse "test\nload x 1\n" = (2, "bad load line: load x 1"));
+        check_bool "so is a load value other than 0 or 1" true
+          (parse "test\nvec 01\nload 3 x\n"
+           = (3, "bad load line: load 3 x"));
+        check_bool "unterminated block names its test line" true
+          (parse "test\nvec 01\nend\n\ntest\nvec 10\n"
+           = (5, "unterminated test block")));
     test "rejects unterminated block" (fun () ->
         let path = Filename.temp_file "factor" ".vec" in
         let oc = open_out path in

@@ -507,6 +507,18 @@ let translate_tests =
         check_bool "coverage carries over" true
           (v.Factor.Translate.va_coverage >= r.Atpg.Gen.r_coverage -. 0.001)) ]
 
+(* The wire carries a served error's stage by name; the client maps it
+   back to the one-shot's exit code through [stage_of_string]. *)
+let errors_tests =
+  let module E = Factor.Errors in
+  [ test "stage names round-trip" (fun () ->
+        List.iter
+          (fun st ->
+            check_bool (E.stage_name st) true
+              (E.stage_of_string (E.stage_name st) = Some st))
+          [ E.Parse; E.Elaborate; E.Extract; E.Solve; E.Io ];
+        check_bool "unknown stage" true (E.stage_of_string "proto" = None)) ]
+
 let () =
   Alcotest.run "factor"
     [ ("translate", translate_tests);
@@ -517,4 +529,5 @@ let () =
       ("compose", compose_tests);
       ("transform", transform_tests);
       ("pier", pier_tests);
-      ("testability", testability_tests) ]
+      ("testability", testability_tests);
+      ("errors", errors_tests) ]

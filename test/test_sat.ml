@@ -513,6 +513,43 @@ let satgen_depth_events () =
         (List.for_all (List.mem_assoc k) events))
     [ "vars"; "encode_s"; "solve_s" ]
 
+(* The incremental path through backjumps and a database reduction:
+   y stuck-at-0 needs y = 1.  At depth 1 the register is X, so only
+   a * b = 1048583 could set y; that prime exceeds 20 bits, so no
+   20-bit factors exist and the proof takes over 4000 conflicts, enough
+   for the first reduction (at 4000 learned clauses).  Depth 2 then
+   grows the same solver a frame and factors the registered product
+   1048573 * 1048571.  The search statistics are pinned: storage
+   changes must leave them as they are. *)
+let satgen_incremental_pinned () =
+  let c =
+    Testutil.circuit
+      {|module top (input clk, input [19:0] a, input [19:0] b, output y);
+          reg [39:0] p;
+          always @(posedge clk) p <= a * b;
+          assign y = (p == 40'd1099503239183) | (a * b == 40'd1048583);
+        endmodule|}
+  in
+  let y = c.Netlist.pos.(0) in
+  let (verdict, st) =
+    Sat.Satgen.run c ~max_frames:3 ~conflict_limit:max_int ~net:y
+      ~stuck:false
+  in
+  (match verdict with
+   | Sat.Satgen.Cube cube ->
+     Alcotest.(check int) "two-frame cube" 2
+       (Array.length cube.Sat.Satgen.tc_vectors);
+     let f = { Atpg.Fault.f_net = y; f_stuck = false } in
+     Alcotest.(check bool) "the cube detects" true (cube_detects c f cube)
+   | _ -> Alcotest.fail "expected a cube");
+  Alcotest.(check bool) "a reduction ran" true
+    (st.Sat.Solver.s_learned >= 4000);
+  Alcotest.(check (list int)) "pinned search"
+    [ 5799; 13888; 3470839; 31; 5798 ]
+    [ st.Sat.Solver.s_conflicts; st.Sat.Solver.s_decisions;
+      st.Sat.Solver.s_propagations; st.Sat.Solver.s_restarts;
+      st.Sat.Solver.s_learned ]
+
 (* ------------------------------------------------------------------ *)
 (* Equivalence checking                                                *)
 (* ------------------------------------------------------------------ *)
@@ -576,6 +613,8 @@ let () =
             QCheck.(pair Fuzzgen.gen_arbitrary (int_bound 1_000_000))
             satgen_vs_exhaustive;
           test "one sat.depth debug event per depth" satgen_depth_events;
+          test "incremental unrolling: search pinned"
+            satgen_incremental_pinned;
         ] );
       ( "ec",
         [

@@ -807,6 +807,17 @@ let e2e_errors_and_budget () =
            stage = "parse"
            && msg = "2:17: expected expression (found ';')"
          | _ -> false);
+      (* a malformed vector file answers parse at its line *)
+      check_bool "a garbage vector line answers parse at line 1" true
+        (match
+           Serve.Client.rpc cl ~op:"grade"
+             ~params:
+               [ ("design", J.String "@arbiter");
+                 ("vectors", J.String "garbage line here\n") ]
+         with
+         | exception Serve.Client.Server_error (stage, msg) ->
+           stage = "parse" && msg = "1: unrecognized line: garbage line here"
+         | _ -> false);
       (* a missing parameter reports proto, siblings still fine *)
       check_bool "extract without mut is a proto error" true
         (match
