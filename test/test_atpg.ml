@@ -198,12 +198,12 @@ let pinned_packed_work () =
         (List.combine expected (packed_work c)))
     [ ("arm_alu", flat_circuit (Arm.Rtl.design ()) "arm_alu",
        [ "c80370474ec58da54ab061425686808d evals=21894";
-         "d57d3a1c6c13480075dcfd94241e60e9 evals=20209";
-         "6ded10398d23da043c1c40d6ba064ef7 evals=7322" ]);
+       "d57d3a1c6c13480075dcfd94241e60e9 evals=20209";
+       "6ded10398d23da043c1c40d6ba064ef7 evals=7322" ]);
       ("gcd", gcd_circuit (),
        [ "91b587390e483b0545295dd6333040bd evals=53120";
-         "d6a3ea9ce799253fbdd4af4a62d548ce evals=66413";
-         "3e3d3b5f1e2453ea2ea3509bedce1bb4 evals=22931" ]) ]
+       "d6a3ea9ce799253fbdd4af4a62d548ce evals=66413";
+       "3e3d3b5f1e2453ea2ea3509bedce1bb4 evals=22931" ]) ]
 
 let fsim_tests =
   [ test "stuck PI fault detected by opposite value" (fun () ->
@@ -415,14 +415,14 @@ let pinned_podem_traces () =
   let alu = flat (Arm.Rtl.design ()) "arm_alu" in
   let faults = F.collapse alu (F.all alu) in
   check_string "alu, 1 frame"
-    "fcab5ec6278b1bc9d1c934e4ac21bd80 decisions=4606 backtracks=355"
+       "fcab5ec6278b1bc9d1c934e4ac21bd80 decisions=4606 backtracks=355"
     (podem_trace alu ~frames:1 ~piers:[] faults);
   (* the implication must stay event-driven: well under one full
      re-simulation per decision *)
   let evals = Obs.Metrics.counter "factor.podem.evals" in
   let e0 = Obs.Metrics.value evals in
   check_string "alu, 2 frames"
-    "4e266b691256a43858c2803275829921 decisions=4539 backtracks=152"
+       "4e266b691256a43858c2803275829921 decisions=4539 backtracks=152"
     (podem_trace alu ~frames:2 ~piers:[] faults);
   let full = (List.length faults + 4539 + 152) * 2 * N.num_nets alu in
   check_bool "evals below full re-simulation" true
@@ -525,6 +525,119 @@ let podem_tests =
 (* Generation driver.                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Every fault's outcome and every test of one [Gen.run], digested,
+   plus the SAT engine's verdict counts and summed solver statistics.
+   The backtrack limit is low enough that PODEM aborts, and the SAT
+   conflict limit low enough that SAT gives up on some of those aborts,
+   so every deterministic phase (PODEM, SAT rescue, Simgen) does work.
+   Budgets are infinite: the run is a pure function of its inputs and
+   must read the same at every job count. *)
+let gen_trace c ~engine ~simgen ~jobs faults =
+  let piers =
+    List.filter (fun i -> i mod 2 = 0) (List.init (N.num_ffs c) Fun.id)
+  in
+  let cfg =
+    { Atpg.Gen.default_config with
+      g_backtrack_limit = 2;
+      g_max_frames = 2;
+      g_random_sequences = 4;
+      g_random_batches = 1;
+      g_fault_budget = infinity;
+      g_total_budget = infinity;
+      g_piers = piers;
+      g_simgen_fallback = simgen;
+      g_engine = engine;
+      g_sat_conflicts = 300;
+      g_jobs = jobs }
+  in
+  let r = Atpg.Gen.run c cfg faults in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (f, o) ->
+      Buffer.add_string buf (F.to_string c f);
+      Buffer.add_string buf
+        (match o with
+         | Atpg.Gen.Detected -> " D\n"
+         | Atpg.Gen.Untestable -> " U\n"
+         | Atpg.Gen.Aborted_fault -> " A\n"
+         | Atpg.Gen.Budget_skipped -> " S\n"))
+    r.Atpg.Gen.r_outcomes;
+  Buffer.add_string buf (Atpg.Pattern.write_string r.Atpg.Gen.r_tests);
+  Printf.sprintf "%s %d/%d/%d sat=%d/%d %s"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+    r.Atpg.Gen.r_detected r.Atpg.Gen.r_untestable r.Atpg.Gen.r_aborted
+    r.Atpg.Gen.r_sat_detected r.Atpg.Gen.r_sat_untestable
+    (Sat.Solver.stats_to_string r.Atpg.Gen.r_sat_stats)
+
+(* One case per (circuit, engine, Simgen fallback), each run serially
+   and on four jobs against the same pin. *)
+let pinned_gen_runs =
+  let circuits =
+    lazy
+      (List.map
+         (fun name ->
+           let e = Circuits.Collection.find name in
+           let module C = Circuits.Collection in
+           let c = flat_circuit (parse e.C.e_source) e.C.e_top in
+           let mut = (List.hd e.C.e_muts).Factor.Flow.ms_path in
+           (name, (c, F.collapse c (F.all ~within:mut c))))
+         [ "gcd"; "arbiter" ])
+  in
+  let pins =
+    [ ("gcd", Atpg.Gen.Podem_only, false,
+       "6e7ef67113009a87ffa95be63d96032a 188/22/58 sat=0/0 "
+       ^ "conflicts 0 | decisions 0 | propagations 0 | restarts 0 | learned (total) 0");
+      ("gcd", Atpg.Gen.Podem_only, true,
+       "e373a5b513ab9c7b682944cc030a0572 241/22/5 sat=0/0 "
+       ^ "conflicts 0 | decisions 0 | propagations 0 | restarts 0 | learned (total) 0");
+      ("gcd", Atpg.Gen.Sat_only, false,
+       "acf7158cd48bf6c34c2e33d061cea3d0 220/0/48 sat=19/0 "
+       ^ "conflicts 21490 | decisions 69644 | propagations 3606846 | restarts 122 | learned (total) 21350");
+      ("gcd", Atpg.Gen.Sat_only, true,
+       "fe79d93ec9b6875fb7aa68ccccffe3ed 260/0/8 sat=19/0 "
+       ^ "conflicts 21490 | decisions 69644 | propagations 3606846 | restarts 122 | learned (total) 21350");
+      ("gcd", Atpg.Gen.Hybrid, false,
+       "bdda79d63ebc158868a239516f93e107 214/22/32 sat=9/0 "
+       ^ "conflicts 13149 | decisions 42548 | propagations 2183789 | restarts 73 | learned (total) 13067");
+      ("gcd", Atpg.Gen.Hybrid, true,
+       "21add622ca1b01d69dc61a049eab553e 242/22/4 sat=9/0 "
+       ^ "conflicts 13149 | decisions 42548 | propagations 2183789 | restarts 73 | learned (total) 13067");
+      ("arbiter", Atpg.Gen.Podem_only, false,
+       "b01750585849e4e75a4f98781db519c2 67/1/2 sat=0/0 "
+       ^ "conflicts 0 | decisions 0 | propagations 0 | restarts 0 | learned (total) 0");
+      ("arbiter", Atpg.Gen.Podem_only, true,
+       "ddd06585ea5cb989d5a0ad9173ee68f6 68/1/1 sat=0/0 "
+       ^ "conflicts 0 | decisions 0 | propagations 0 | restarts 0 | learned (total) 0");
+      ("arbiter", Atpg.Gen.Sat_only, false,
+       "ef404c773d720fe648960a44c6b8db6c 67/3/0 sat=4/3 "
+       ^ "conflicts 514 | decisions 909 | propagations 48140 | restarts 2 | learned (total) 497");
+      ("arbiter", Atpg.Gen.Sat_only, true,
+       "ef404c773d720fe648960a44c6b8db6c 67/3/0 sat=4/3 "
+       ^ "conflicts 514 | decisions 909 | propagations 48140 | restarts 2 | learned (total) 497");
+      ("arbiter", Atpg.Gen.Hybrid, false,
+       "23ab3f7cad07d17fb79cebfbb903c4f1 67/3/0 sat=0/2 "
+       ^ "conflicts 222 | decisions 362 | propagations 22597 | restarts 1 | learned (total) 215");
+      ("arbiter", Atpg.Gen.Hybrid, true,
+       "23ab3f7cad07d17fb79cebfbb903c4f1 67/3/0 sat=0/2 "
+       ^ "conflicts 222 | decisions 362 | propagations 22597 | restarts 1 | learned (total) 215") ]
+  in
+  List.map
+    (fun (name, engine, simgen, expected) ->
+      let label =
+        Printf.sprintf "pinned: %s %s%s" name (Atpg.Gen.engine_name engine)
+          (if simgen then "+simgen" else "")
+      in
+      test label (fun () ->
+          let (c, faults) = List.assoc name (Lazy.force circuits) in
+          List.iter
+            (fun jobs ->
+              check_string
+                (Printf.sprintf "%s, %d jobs" label jobs)
+                expected
+                (gen_trace c ~engine ~simgen ~jobs faults))
+            [ 1; 4 ]))
+    pins
+
 let gen_tests =
   [ test "full coverage on c17" (fun () ->
         let c = circuit c17 in
@@ -588,6 +701,7 @@ let gen_tests =
         check_int "all budget-skipped" (List.length faults)
           r.Atpg.Gen.r_budget_skipped;
         check_int "none aborted" 0 r.Atpg.Gen.r_aborted) ]
+  @ pinned_gen_runs
 
 (* ------------------------------------------------------------------ *)
 (* Compaction.                                                          *)
