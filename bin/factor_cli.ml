@@ -198,9 +198,19 @@ let gen_budget_arg =
   in
   Arg.(value & opt (some float) None & info [ "budget" ] ~docv:"SECONDS" ~doc)
 
+(* below one frame nothing is searched, so nothing could be detected or
+   proven: a usage error, not a run *)
 let frames_arg =
-  let doc = "Deepest time-frame expansion." in
-  Arg.(value & opt int 4 & info [ "frames" ] ~doc)
+  let doc = "Deepest time-frame expansion, at least 1." in
+  let at_least_one =
+    Arg.conv'
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= 1 -> Ok n
+          | _ -> Error (Printf.sprintf "%S is not an integer of at least 1" s)),
+        Format.pp_print_int )
+  in
+  Arg.(value & opt at_least_one 4 & info [ "frames" ] ~docv:"N" ~doc)
 
 let piers_arg =
   let doc =
@@ -981,11 +991,16 @@ let client_cmd =
       let doc = "Random seed for the generator." in
       Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"N" ~doc)
     in
-    let run () socket tcp path top mut gen_budget engine seed piers output
-        budget timeout =
+    (* sent as given: the daemon judges it *)
+    let frames_opt =
+      let doc = "Deepest time-frame expansion (the daemon's default is 4)." in
+      Arg.(value & opt (some int) None & info [ "frames" ] ~docv:"N" ~doc)
+    in
+    let run () socket tcp path top mut gen_budget frames engine seed piers
+        output budget timeout =
       with_client ~socket ~tcp (fun cl ->
           let params =
-            atpg_params ?mut ?budget:gen_budget ~engine ?seed ~piers
+            atpg_params ?mut ?budget:gen_budget ?frames ~engine ?seed ~piers
               (design_params path top)
             @ budget_params budget
           in
@@ -998,8 +1013,9 @@ let client_cmd =
     let doc = "Generate tests through the daemon's design cache." in
     Cmd.v (Cmd.info "atpg" ~doc)
       Term.(const run $ obs_term $ socket_arg $ tcp_arg $ design_arg
-            $ top_arg $ mut_opt $ gen_budget_arg $ engine_arg $ seed_arg
-            $ piers_arg $ output_arg $ client_budget_arg $ timeout_arg)
+            $ top_arg $ mut_opt $ gen_budget_arg $ frames_opt $ engine_arg
+            $ seed_arg $ piers_arg $ output_arg $ client_budget_arg
+            $ timeout_arg)
   in
   let c_grade_cmd =
     let run () socket tcp path top vec_file mut budget timeout =

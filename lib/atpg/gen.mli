@@ -1,19 +1,26 @@
-(** The test-generation engine: a saturating random phase, deterministic
-    PODEM with iterative frame deepening and randomized restarts, and a
-    simulation-based fallback for aborted faults — the stand-in for the
-    commercial sequential ATPG tool of the paper.
+(** The test-generation engine: a saturating random phase, then a fault
+    ladder of deterministic stages — PODEM with iterative frame
+    deepening and randomized restarts, the SAT miter, and the
+    simulation-based Simgen — the stand-in for the commercial
+    sequential ATPG tool of the paper.
 
-    The deterministic phases are fault-parallel: per-fault generation
-    depends only on the circuit, the configuration and the fault, so a
-    parallel run generates candidates concurrently, applies the results
-    in fault order and reproduces the serial run bit for bit whenever
-    the time budgets do not bind. *)
+    Each stage gives every fault it targets one verdict: a test, proven
+    untestable, or gave up.  The first stage targets the faults the
+    random phase left; each later one (a rescue) the faults still
+    aborted.  A test is graded against every fault still open to the
+    stage (fault dropping) and its fault marked detected.
 
-(** Deterministic-phase engine selection.  [Podem_only] is the
-    pre-SAT behaviour; [Sat_only] replaces PODEM with {!Sat.Satgen}
-    miters; [Hybrid] (the default) runs PODEM and then retries every
-    aborted fault with SAT, turning bounded-UNSAT answers into proven
-    untestability. *)
+    The stages are fault-parallel: per-fault generation depends only on
+    the circuit, the configuration and the fault, so a parallel run
+    generates candidates concurrently, applies the results in fault
+    order and reproduces the serial run bit for bit whenever the time
+    budgets do not bind. *)
+
+(** The fault ladder's stages.  [Podem_only] is PODEM alone;
+    [Sat_only] replaces PODEM with {!Sat.Satgen} miters; [Hybrid] (the
+    default) runs PODEM and then retries every aborted fault with SAT,
+    turning bounded-UNSAT answers into proven untestability.
+    [g_simgen_fallback] appends a {!Simgen} rescue to any of them. *)
 type engine =
   | Podem_only
   | Sat_only
@@ -27,7 +34,8 @@ val engine_name : engine -> string
 
 type config = {
   g_backtrack_limit : int;
-  g_max_frames : int;        (** deepest time-frame expansion tried *)
+  g_max_frames : int;        (** deepest time-frame expansion tried,
+                                 at least 1 *)
   g_restarts : int;          (** randomized PODEM restarts per depth *)
   g_random_sequences : int;  (** random sequences per saturation batch *)
   g_random_batches : int;    (** maximum saturation batches *)
@@ -80,7 +88,9 @@ type result = {
     SAT solve watches that token or a per-fault child of it, so expiry
     or a [cancel] of [budget] stops in-flight work cooperatively and
     returns partial results; faults never attempted are reported as
-    [Budget_skipped]. *)
+    [Budget_skipped].
+    @raise Invalid_argument when [g_max_frames < 1]: no frame would be
+    searched, and nothing can be proven. *)
 val run :
   ?budget:Engine.Budget.t -> Netlist.t -> config -> Fault.t list ->
   result

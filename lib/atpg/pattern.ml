@@ -89,8 +89,10 @@ let write_file ?pi_names path tests =
     (fun () -> write_channel ?pi_names oc tests)
 
 (* Core parser over a pull-based line source ([next_line] returns [None]
-   at end of input), shared by the channel and string front ends. *)
-let read_lines next_line =
+   at end of input), shared by the channel and string front ends.  With
+   [fit = (num_pis, num_ffs)], every vec must be [num_pis] bits wide and
+   every load name a flip-flop below [num_ffs]. *)
+let read_lines ?fit next_line =
   let tests = ref [] in
   let vectors = ref [] and loads = ref [] in
   let in_test = ref false in
@@ -134,12 +136,25 @@ let read_lines next_line =
                | '0' -> false
                | c -> fail (Printf.sprintf "bad bit %C" c))
          in
+         (match fit with
+          | Some (pis, _) when Array.length vec <> pis ->
+            fail
+              (Printf.sprintf "%d-bit vec, the design has %d inputs"
+                 (Array.length vec) pis)
+          | _ -> ());
          vectors := vec :: !vectors
        end
        else if String.length line > 5 && String.sub line 0 5 = "load " then begin
          match String.split_on_char ' ' line with
          | [ _; ff; ("0" | "1" as v) ] when int_of_string_opt ff <> None ->
-           loads := (int_of_string ff, v = "1") :: !loads
+           let ff = int_of_string ff in
+           (match fit with
+            | Some (_, ffs) when ff < 0 || ff >= ffs ->
+              fail
+                (Printf.sprintf
+                   "load of flip-flop %d, the design has %d flip-flops" ff ffs)
+            | _ -> ());
+           loads := (ff, v = "1") :: !loads
          | _ -> fail ("bad load line: " ^ line)
        end
        else fail ("unrecognized line: " ^ line)
@@ -156,16 +171,25 @@ let read_channel ic =
       | l -> Some l
       | exception End_of_file -> None)
 
-(** [read_string s] parses the vector-file format from a string.
-    @raise Parse_error on malformed input. *)
-let read_string s =
+let read_lines_of ?fit s =
   let rest = ref (String.split_on_char '\n' s) in
-  read_lines (fun () ->
+  read_lines ?fit (fun () ->
       match !rest with
       | [] -> None
       | l :: tl ->
         rest := tl;
         Some l)
+
+(** [read_string s] parses the vector-file format from a string.
+    @raise Parse_error on malformed input. *)
+let read_string s = read_lines_of s
+
+(** [read_string_for ~num_pis ~num_ffs s] parses [s] for a circuit with
+    [num_pis] inputs and [num_ffs] flip-flops.
+    @raise Parse_error on malformed input, a vec of another width or a
+    load of a flip-flop the circuit lacks. *)
+let read_string_for ~num_pis ~num_ffs s =
+  read_lines_of ~fit:(num_pis, num_ffs) s
 
 let read_file path =
   let ic = open_in path in

@@ -40,4 +40,11 @@ val read_channel : in_channel -> test list
     @raise Parse_error on malformed input. *)
 val read_string : string -> test list
 
+(** [read_string_for ~num_pis ~num_ffs s] parses [s] as the tests of a
+    circuit with [num_pis] primary inputs and [num_ffs] flip-flops.
+    @raise Parse_error on malformed input, on a [vec] that is not
+    [num_pis] bits wide and on a [load] of a flip-flop outside
+    [0 .. num_ffs - 1], at that line. *)
+val read_string_for : num_pis:int -> num_ffs:int -> string -> test list
+
 val read_file : string -> test list

@@ -2,8 +2,9 @@
     flip-flops chain frame state, frame-0 state is X except for PIER
     registers (loadable pseudo inputs), PIER next-state at the last frame
     is observable, and the fault is present in every frame.  The
-    backtrace is guided by SCOAP-like controllability costs with a
-    seedable jitter for randomized restarts.
+    backtrace is guided by per-frame SCOAP controllability costs
+    ({!Scoap.gate_costs}) with a seedable jitter for randomized
+    restarts.
 
     Implication is event-driven: after a decision, a flip or the
     unassigns of a backtrack, only the nets those inputs change are
@@ -23,8 +24,6 @@ type config = {
   piers : int list;  (** loadable/storable flip-flop indices *)
   seed : int;        (** randomizes tie-breaks; vary across restarts *)
 }
-
-val default_config : config
 
 (** [run c cfg fault] attempts to generate a test for [fault].  A dead
     [budget] token surfaces as [Aborted]: the decision loop loads the

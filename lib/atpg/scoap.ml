@@ -19,6 +19,50 @@ let bump a k = if a >= infinite then infinite else a + k
 
 let seq_penalty = 20
 
+(** A cost carried across a flip-flop, either way: one sequential
+    penalty per crossing. *)
+let across_ff cost = bump cost seq_penalty
+
+(** The 0/1 controllability rule of a primary input, a constant or a
+    gate: the costs of setting the net it drives to 0 and to 1, with
+    each fanin's costs read from [cc0]/[cc1] at [base + fanin].  A
+    flip-flop's costs come from its d input in another frame or pass,
+    which only the caller knows.
+    @raise Invalid_argument on a flip-flop. *)
+let gate_costs cc0 cc1 base = function
+  | N.Pi _ -> (1, 1)
+  | N.C0 -> (0, infinite)
+  | N.C1 -> (infinite, 0)
+  | N.Ff _ -> invalid_arg "Scoap.gate_costs: flip-flop"
+  | N.G1 (N.Inv, a) -> (bump cc1.(base + a) 1, bump cc0.(base + a) 1)
+  | N.G1 (N.Buff, a) -> (bump cc0.(base + a) 1, bump cc1.(base + a) 1)
+  | N.G2 (N.And, a, b) ->
+    ( bump (min cc0.(base + a) cc0.(base + b)) 1,
+      bump (add cc1.(base + a) cc1.(base + b)) 1 )
+  | N.G2 (N.Nand, a, b) ->
+    ( bump (add cc1.(base + a) cc1.(base + b)) 1,
+      bump (min cc0.(base + a) cc0.(base + b)) 1 )
+  | N.G2 (N.Or, a, b) ->
+    ( bump (add cc0.(base + a) cc0.(base + b)) 1,
+      bump (min cc1.(base + a) cc1.(base + b)) 1 )
+  | N.G2 (N.Nor, a, b) ->
+    ( bump (min cc1.(base + a) cc1.(base + b)) 1,
+      bump (add cc0.(base + a) cc0.(base + b)) 1 )
+  | N.G2 (N.Xor, a, b) ->
+    let (a0, a1, b0, b1) =
+      (cc0.(base + a), cc1.(base + a), cc0.(base + b), cc1.(base + b))
+    in
+    (bump (min (add a0 b0) (add a1 b1)) 1, bump (min (add a0 b1) (add a1 b0)) 1)
+  | N.G2 (N.Xnor, a, b) ->
+    let (a0, a1, b0, b1) =
+      (cc0.(base + a), cc1.(base + a), cc0.(base + b), cc1.(base + b))
+    in
+    (bump (min (add a0 b1) (add a1 b0)) 1, bump (min (add a0 b0) (add a1 b1)) 1)
+  | N.Mux (s, a, b) ->
+    let (s0, s1) = (cc0.(base + s), cc1.(base + s)) in
+    ( bump (min (add s0 cc0.(base + a)) (add s1 cc0.(base + b))) 1,
+      bump (min (add s0 cc1.(base + a)) (add s1 cc1.(base + b))) 1 )
+
 (* Controllability: forward fixpoint (flip-flops feed back). *)
 let controllability c order =
   let n = N.num_nets c in
@@ -29,31 +73,10 @@ let controllability c order =
       (fun net ->
         let (z, o) =
           match c.N.drv.(net) with
-          | N.Pi _ -> (1, 1)
-          | N.C0 -> (0, infinite)
-          | N.C1 -> (infinite, 0)
           | N.Ff i ->
             let d = c.N.ff_d.(i) in
-            (bump cc0.(d) seq_penalty, bump cc1.(d) seq_penalty)
-          | N.G1 (N.Inv, a) -> (bump cc1.(a) 1, bump cc0.(a) 1)
-          | N.G1 (N.Buff, a) -> (bump cc0.(a) 1, bump cc1.(a) 1)
-          | N.G2 (N.And, a, b) ->
-            (bump (min cc0.(a) cc0.(b)) 1, bump (add cc1.(a) cc1.(b)) 1)
-          | N.G2 (N.Nand, a, b) ->
-            (bump (add cc1.(a) cc1.(b)) 1, bump (min cc0.(a) cc0.(b)) 1)
-          | N.G2 (N.Or, a, b) ->
-            (bump (add cc0.(a) cc0.(b)) 1, bump (min cc1.(a) cc1.(b)) 1)
-          | N.G2 (N.Nor, a, b) ->
-            (bump (min cc1.(a) cc1.(b)) 1, bump (add cc0.(a) cc0.(b)) 1)
-          | N.G2 (N.Xor, a, b) ->
-            (bump (min (add cc0.(a) cc0.(b)) (add cc1.(a) cc1.(b))) 1,
-             bump (min (add cc0.(a) cc1.(b)) (add cc1.(a) cc0.(b))) 1)
-          | N.G2 (N.Xnor, a, b) ->
-            (bump (min (add cc0.(a) cc1.(b)) (add cc1.(a) cc0.(b))) 1,
-             bump (min (add cc0.(a) cc0.(b)) (add cc1.(a) cc1.(b))) 1)
-          | N.Mux (s, a, b) ->
-            (bump (min (add cc0.(s) cc0.(a)) (add cc1.(s) cc0.(b))) 1,
-             bump (min (add cc0.(s) cc1.(a)) (add cc1.(s) cc1.(b))) 1)
+            (across_ff cc0.(d), across_ff cc1.(d))
+          | drv -> gate_costs cc0 cc1 0 drv
         in
         if z < cc0.(net) then begin cc0.(net) <- z; changed := true end;
         if o < cc1.(net) then begin cc1.(net) <- o; changed := true end)
@@ -122,7 +145,7 @@ let observability c order cc0 cc1 =
     Array.iteri
       (fun i q ->
         if co.(q) < infinite then
-          if relax c.N.ff_d.(i) (bump co.(q) seq_penalty) then changed := true)
+          if relax c.N.ff_d.(i) (across_ff co.(q)) then changed := true)
       c.N.ff_q
   in
   while !changed do

@@ -128,6 +128,9 @@ let extract ?design_file ?(budget = Engine.Budget.none) ctx params =
   ({ x_transform = tf; x_stats = stats; x_cached = cached }, outcome)
 
 let atpg ?jobs ?design_file ?(budget = Engine.Budget.none) ctx params =
+  (* no frame to search proves nothing: refused before any work *)
+  let frames = int_default "frames" ~default:4 params in
+  if frames < 1 then bad "bad frames %d (expected at least 1)" frames;
   let (entry, outcome) = entry_of ?design_file ctx ~budget params in
   let mut = str_opt "mut" params in
   check_mut entry mut;
@@ -140,7 +143,7 @@ let atpg ?jobs ?design_file ?(budget = Engine.Budget.none) ctx params =
       g_fault_budget =
         float_default "fault_budget" ~default:dflt.Atpg.Gen.g_fault_budget
           params;
-      g_max_frames = int_default "frames" ~default:4 params;
+      g_max_frames = frames;
       g_piers = pier_ffs c params;
       g_engine = choice "engine" Atpg.Gen.engines ~default:"hybrid" params;
       g_seed = int_default "seed" ~default:dflt.Atpg.Gen.g_seed params;
@@ -158,7 +161,10 @@ let grade ?jobs ?design_file ?vectors_file ?(budget = Engine.Budget.none) ctx
   check_mut entry mut;
   let c = Cache.circuit entry in
   let tests =
-    try Atpg.Pattern.read_string (str_req "vectors" params) with
+    try
+      Atpg.Pattern.read_string_for ~num_pis:(Netlist.num_pis c)
+        ~num_ffs:(Netlist.num_ffs c) (str_req "vectors" params)
+    with
     | Atpg.Pattern.Parse_error (line, msg) ->
       Factor.Errors.fail ?file:vectors_file ~line Factor.Errors.Parse msg
   in

@@ -29,7 +29,11 @@
 
     A given ["mut"] must name an instance of the design: it is resolved
     before any work, and an unknown path raises
-    {!Design.Hierarchy.Unknown_path}, an extract-stage error.
+    {!Design.Hierarchy.Unknown_path}, an extract-stage error.  An
+    [atpg] ["frames"] below 1 is refused before any work with
+    {!Proto.Proto_error}.  [grade]'s tests must fit the circuit: a
+    [vec] of another width than its inputs, or a [load] of a flip-flop
+    it lacks, is a parse-stage error at that line.
 
     {!handle} raises on failure — {!Factor.Errors.Error},
     {!Design.Hierarchy.Unknown_path}, {!Engine.Budget.Exhausted},

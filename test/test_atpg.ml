@@ -198,12 +198,12 @@ let pinned_packed_work () =
         (List.combine expected (packed_work c)))
     [ ("arm_alu", flat_circuit (Arm.Rtl.design ()) "arm_alu",
        [ "c80370474ec58da54ab061425686808d evals=21894";
-       "d57d3a1c6c13480075dcfd94241e60e9 evals=20209";
-       "6ded10398d23da043c1c40d6ba064ef7 evals=7322" ]);
+         "d57d3a1c6c13480075dcfd94241e60e9 evals=20209";
+         "6ded10398d23da043c1c40d6ba064ef7 evals=7322" ]);
       ("gcd", gcd_circuit (),
        [ "91b587390e483b0545295dd6333040bd evals=53120";
-       "d6a3ea9ce799253fbdd4af4a62d548ce evals=66413";
-       "3e3d3b5f1e2453ea2ea3509bedce1bb4 evals=22931" ]) ]
+         "d6a3ea9ce799253fbdd4af4a62d548ce evals=66413";
+         "3e3d3b5f1e2453ea2ea3509bedce1bb4 evals=22931" ]) ]
 
 let fsim_tests =
   [ test "stuck PI fault detected by opposite value" (fun () ->
@@ -344,7 +344,7 @@ let implication_matches_full gm =
          in
          match
            P.check_implication c
-             { P.default_config with frames; piers; seed = frames }
+             { P.frames; backtrack_limit = 100; piers; seed = frames }
              fault batches
          with
          | Ok () -> true
@@ -415,18 +415,21 @@ let pinned_podem_traces () =
   let alu = flat (Arm.Rtl.design ()) "arm_alu" in
   let faults = F.collapse alu (F.all alu) in
   check_string "alu, 1 frame"
-       "fcab5ec6278b1bc9d1c934e4ac21bd80 decisions=4606 backtracks=355"
+    "fcab5ec6278b1bc9d1c934e4ac21bd80 decisions=4606 backtracks=355"
     (podem_trace alu ~frames:1 ~piers:[] faults);
   (* the implication must stay event-driven: well under one full
      re-simulation per decision *)
   let evals = Obs.Metrics.counter "factor.podem.evals" in
   let e0 = Obs.Metrics.value evals in
   check_string "alu, 2 frames"
-       "4e266b691256a43858c2803275829921 decisions=4539 backtracks=152"
+    "4e266b691256a43858c2803275829921 decisions=4539 backtracks=152"
     (podem_trace alu ~frames:2 ~piers:[] faults);
   let full = (List.length faults + 4539 + 152) * 2 * N.num_nets alu in
   check_bool "evals below full re-simulation" true
     (Obs.Metrics.value evals - e0 < full / 4)
+
+let podem_cfg ~frames ~backtrack_limit =
+  { P.frames; backtrack_limit; piers = []; seed = 0 }
 
 let podem_tests =
   [ test "all c17 faults detected combinationally" (fun () ->
@@ -434,7 +437,7 @@ let podem_tests =
         let faults = F.all c in
         List.iter
           (fun f ->
-            match P.run c { P.default_config with frames = 1; backtrack_limit = 50 } f with
+            match P.run c (podem_cfg ~frames:1 ~backtrack_limit:50) f with
             | P.Detected _ -> ()
             | _ -> Alcotest.failf "fault %s not detected" (F.to_string c f))
           faults);
@@ -443,7 +446,7 @@ let podem_tests =
         let faults = F.all c in
         List.iter
           (fun f ->
-            match P.run c { P.default_config with frames = 1; backtrack_limit = 50 } f with
+            match P.run c (podem_cfg ~frames:1 ~backtrack_limit:50) f with
             | P.Detected t ->
               let confirmed =
                 Atpg.Fsim.run c ~observe:Atpg.Fsim.default_observe
@@ -461,7 +464,7 @@ let podem_tests =
         let untestable =
           List.filter
             (fun f ->
-              P.run c { P.default_config with frames = 1; backtrack_limit = 10_000 } f
+              P.run c (podem_cfg ~frames:1 ~backtrack_limit:10_000) f
               = P.Exhausted)
             faults
         in
@@ -474,10 +477,10 @@ let podem_tests =
               assign y = q; endmodule|}
         in
         let fault = { F.f_net = c.N.ff_q.(0); f_stuck = false } in
-        (match P.run c { P.default_config with frames = 1; backtrack_limit = 100 } fault with
+        (match P.run c (podem_cfg ~frames:1 ~backtrack_limit:100) fault with
          | P.Detected _ -> Alcotest.fail "should not detect in one frame"
          | _ -> ());
-        (match P.run c { P.default_config with frames = 2; backtrack_limit = 100 } fault with
+        (match P.run c (podem_cfg ~frames:2 ~backtrack_limit:100) fault with
          | P.Detected t ->
            check_int "two frames" 2 (Atpg.Pattern.num_frames t)
          | _ -> Alcotest.fail "should detect in two frames"));
@@ -491,7 +494,7 @@ let podem_tests =
         let fault = { F.f_net = c.N.ff_q.(0); f_stuck = false } in
         match
           P.run c
-            { P.default_config with frames = 1; backtrack_limit = 100; piers = [ 0 ] }
+            { (podem_cfg ~frames:1 ~backtrack_limit:100) with piers = [ 0 ] }
             fault
         with
         | P.Detected t ->
@@ -510,10 +513,10 @@ let podem_tests =
               assign y = (q == 3'd5); endmodule|}
         in
         let fault = { F.f_net = c.N.pos.(0); f_stuck = false } in
-        (match P.run c { P.default_config with frames = 3; backtrack_limit = 5000 } fault with
+        (match P.run c (podem_cfg ~frames:3 ~backtrack_limit:5000) fault with
          | P.Detected _ -> Alcotest.fail "needs more than three frames"
          | _ -> ());
-        (match P.run c { P.default_config with frames = 8; backtrack_limit = 5000 } fault with
+        (match P.run c (podem_cfg ~frames:8 ~backtrack_limit:5000) fault with
          | P.Detected t ->
            check_bool "long test" true (Atpg.Pattern.num_frames t >= 7)
          | _ -> Alcotest.fail "eight frames should detect"));
@@ -701,6 +704,15 @@ let gen_tests =
         check_int "all budget-skipped" (List.length faults)
           r.Atpg.Gen.r_budget_skipped;
         check_int "none aborted" 0 r.Atpg.Gen.r_aborted) ]
+  @ [ test "no frame to search is refused, not certified" (fun () ->
+          let c = circuit c17 in
+          match
+            Atpg.Gen.run c
+              { Atpg.Gen.default_config with g_max_frames = 0 }
+              (F.all c)
+          with
+          | _ -> Alcotest.fail "a run with no frame answered"
+          | exception Invalid_argument _ -> ()) ]
   @ pinned_gen_runs
 
 (* ------------------------------------------------------------------ *)
@@ -913,6 +925,26 @@ let vector_file_tests =
         check_bool "unterminated block names its test line" true
           (parse "test\nvec 01\nend\n\ntest\nvec 10\n"
            = (5, "unterminated test block")));
+    test "tests read for a circuit must fit it" (fun () ->
+        let read s =
+          match Atpg.Pattern.read_string_for ~num_pis:3 ~num_ffs:2 s with
+          | exception Atpg.Pattern.Parse_error (line, msg) -> Error (line, msg)
+          | tests -> Ok (List.length tests)
+        in
+        check_bool "a fitting test reads" true
+          (read "test\nload 1 0\nvec 010\nend\n" = Ok 1);
+        check_bool "a narrow vec is refused at its line" true
+          (read "test\nvec 010\nvec 01\nend\n"
+           = Error (3, "2-bit vec, the design has 3 inputs"));
+        check_bool "so is a wide one" true
+          (read "test\nvec 0101\nend\n"
+           = Error (2, "4-bit vec, the design has 3 inputs"));
+        check_bool "and a load of a missing flip-flop" true
+          (read "test\nload 2 1\nvec 010\nend\n"
+           = Error (2, "load of flip-flop 2, the design has 2 flip-flops"));
+        check_bool "read_string does not check" true
+          (List.length (Atpg.Pattern.read_string "test\nload 2 1\nvec 0\nend\n")
+           = 1));
     test "rejects unterminated block" (fun () ->
         let path = Filename.temp_file "factor" ".vec" in
         let oc = open_out path in

@@ -898,6 +898,59 @@ let unknown_mut op () =
          t.Factor.Errors.e_msg
      | None -> Alcotest.failf "internal: %s" (Printexc.to_string e))
 
+(* No frame to search proves nothing: an atpg [frames] below 1 is a
+   malformed request, refused before the design is even loaded, never
+   a run that reports every fault untestable. *)
+let frames_below_one () =
+  let ctx = Serve.Ops.make_ctx () in
+  List.iter
+    (fun frames ->
+      match
+        Serve.Ops.handle ctx
+          { Serve.Proto.rq_id = 1; rq_op = "atpg";
+            rq_params =
+              J.Obj [ ("design", J.String "@gcd"); ("frames", J.Int frames) ] }
+      with
+      | _ -> Alcotest.failf "atpg with %d frames answered" frames
+      | exception Serve.Proto.Proto_error msg ->
+        check_string "message"
+          (Printf.sprintf "bad frames %d (expected at least 1)" frames) msg)
+    [ 0; -1 ];
+  check_int "no design loaded" 0 (Serve.Cache.resident (Serve.Ops.cache ctx))
+
+(* A test that does not fit the circuit (a vec narrower or wider than
+   its inputs, a load of a flip-flop it lacks) is a parse error at its
+   line, never an index error inside the fault simulator. *)
+let grade_misfit () =
+  let ctx = Serve.Ops.make_ctx () in
+  List.iter
+    (fun (vectors, line, msg) ->
+      match
+        Serve.Ops.handle ctx
+          { Serve.Proto.rq_id = 1; rq_op = "grade";
+            rq_params =
+              J.Obj
+                [ ("design", J.String "@arbiter");
+                  ("vectors", J.String vectors) ] }
+      with
+      | _ -> Alcotest.failf "grade of %S answered" vectors
+      | exception e ->
+        (match Factor.Errors.of_exn e with
+         | Some t ->
+           check_string "stage" "parse"
+             (Factor.Errors.stage_name t.Factor.Errors.e_stage);
+           check_bool "line" true
+             (Option.map (fun p -> p.Factor.Errors.p_line)
+                t.Factor.Errors.e_pos
+              = Some line);
+           check_string "message" msg t.Factor.Errors.e_msg
+         | None -> Alcotest.failf "internal: %s" (Printexc.to_string e)))
+    [ ("test\nvec 0\nend\n", 2, "1-bit vec, the design has 6 inputs");
+      ("test\nvec 000000\nvec 0000001\nend\n", 3,
+       "7-bit vec, the design has 6 inputs");
+      ("test\nload 999 1\nvec 000000\nend\n", 2,
+       "load of flip-flop 999, the design has 10 flip-flops") ]
+
 let e2e_shutdown_request () =
   let dir = tmpdir "factor-shutdown" in
   let sock = Filename.concat dir "factor.sock" in
@@ -1158,7 +1211,11 @@ let () =
             test (op ^ ": an unknown mut is an extract error") (unknown_mut op))
           [ "extract"; "atpg"; "grade" ]
         @ [ test "typed cores render as handle's fields, 1 and 4 jobs"
-              typed_cores_match_handle ] );
+              typed_cores_match_handle;
+            test "atpg: frames below 1 is refused before any work"
+              frames_below_one;
+            test "grade: a test that does not fit is a parse error"
+              grade_misfit ] );
       ( "daemon",
         [
           test "end-to-end roundtrip, byte-identical to direct runs"
