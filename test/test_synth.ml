@@ -43,6 +43,56 @@ let builder_tests =
         match N.finalize b with
         | exception N.Error _ -> ()
         | _ -> Alcotest.fail "expected failure");
+    test "indices follow creation order" (fun () ->
+        let b = N.create_builder () in
+        let a = N.add_pi b "a" in
+        let q0 = N.add_ff b "q0" in
+        let x = N.add_pi b "x" in
+        let q1 = N.add_ff b "q1" in
+        N.set_ff_d b q1 a;
+        N.set_ff_d b q0 x;
+        let c = N.finalize b in
+        check_bool "pi drivers" true (c.N.drv.(a) = N.Pi 0 && c.N.drv.(x) = N.Pi 1);
+        check_bool "ff drivers" true (c.N.drv.(q0) = N.Ff 0 && c.N.drv.(q1) = N.Ff 1);
+        check_bool "pi tables" true
+          (c.N.pis = [| a; x |] && c.N.pi_names = [| "a"; "x" |]);
+        check_bool "ff tables" true
+          (c.N.ff_q = [| q0; q1 |] && c.N.ff_d = [| x; a |]
+           && c.N.ff_names = [| "q0"; "q1" |]));
+    test "the last set_ff_d wins" (fun () ->
+        let b = N.create_builder () in
+        let a = N.add_pi b "a" and x = N.add_pi b "x" in
+        let q = N.add_ff b "q" in
+        N.set_ff_d b q a;
+        N.set_ff_d b q x;
+        check_int "d" x (N.finalize b).N.ff_d.(0));
+    test "one unpatched ff among patched ones is rejected" (fun () ->
+        let b = N.create_builder () in
+        let a = N.add_pi b "a" in
+        let q0 = N.add_ff b "q0" in
+        let _q1 = N.add_ff b "q1" in
+        let q2 = N.add_ff b "q2" in
+        N.set_ff_d b q0 a;
+        N.set_ff_d b q2 q0;
+        match N.finalize b with
+        | exception N.Error msg ->
+          check_string "names the flip-flop" "flip-flop q1 has no d input" msg
+        | _ -> Alcotest.fail "expected failure");
+    test "hash-consing is scoped by origin" (fun () ->
+        let b = N.create_builder () in
+        let a = N.add_pi b "a" and x = N.add_pi b "x" in
+        N.set_context b "u0";
+        let g0 = N.mk_and b a x and c0 = N.const0 b and c1 = N.const1 b in
+        N.set_context b "u1";
+        let g1 = N.mk_and b a x in
+        check_bool "two origins, two nets" true (g0 <> g1);
+        check_int "const0 shared" c0 (N.const0 b);
+        check_int "const1 shared" c1 (N.const1 b);
+        N.set_context b "u0";
+        check_int "back in u0, its gate is reused" g0 (N.mk_and b x a);
+        let c = N.finalize b in
+        check_string "origin u0" "u0" c.N.origin.(g0);
+        check_string "origin u1" "u1" c.N.origin.(g1));
     test "topological order respects fanins" (fun () ->
         let b = N.create_builder () in
         let a = N.add_pi b "a" and x = N.add_pi b "x" in
@@ -564,9 +614,127 @@ let opt_tests =
             eval_out c' [ ("a", a); ("b", b) ] "y" = want)
           [ (3, 9); (15, 1); (0, 0); (7, 7) ]) ]
 
+(* ------------------------------------------------------------------ *)
+(* Netlist identity.                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A canonical text dump of a netlist: every net's driver and origin,
+   then the named PIs, POs and flip-flops (q and d nets), digested.  A
+   change to how netlists are built that must leave them unchanged has
+   to keep these digests. *)
+let netlist_digest (c : N.t) =
+  let b = Buffer.create 65536 in
+  let g1 = function N.Inv -> "inv" | N.Buff -> "buf" in
+  let g2 = function
+    | N.And -> "and" | N.Or -> "or" | N.Xor -> "xor"
+    | N.Nand -> "nand" | N.Nor -> "nor" | N.Xnor -> "xnor"
+  in
+  Array.iteri
+    (fun n d ->
+      (match d with
+       | N.Pi i -> Printf.bprintf b "%d pi %d" n i
+       | N.Ff i -> Printf.bprintf b "%d ff %d" n i
+       | N.C0 -> Printf.bprintf b "%d c0" n
+       | N.C1 -> Printf.bprintf b "%d c1" n
+       | N.G1 (g, a) -> Printf.bprintf b "%d %s %d" n (g1 g) a
+       | N.G2 (g, x, y) -> Printf.bprintf b "%d %s %d %d" n (g2 g) x y
+       | N.Mux (s, x, y) -> Printf.bprintf b "%d mux %d %d %d" n s x y);
+      Printf.bprintf b " @%s\n" c.N.origin.(n))
+    c.N.drv;
+  Array.iteri
+    (fun i net -> Printf.bprintf b "pi %s %d\n" c.N.pi_names.(i) net)
+    c.N.pis;
+  Array.iteri
+    (fun i net -> Printf.bprintf b "po %s %d\n" c.N.po_names.(i) net)
+    c.N.pos;
+  Array.iteri
+    (fun i q -> Printf.bprintf b "ff %s %d %d\n" c.N.ff_names.(i) q c.N.ff_d.(i))
+    c.N.ff_q;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Every netlist the pin covers, by name: full synthesis of the ARM and
+   of each corpus design, the optimizer's rebuild of the ARM, the four
+   ARM transformed modules (compositional extraction, one session, as
+   the paper flow runs it) and generated designs 1-20. *)
+let pinned_netlists () =
+  let full e = Factor.Flow.full_circuit e in
+  let arm_env = Factor.Compose.make_env (Arm.Rtl.design ()) ~top:Arm.Rtl.top in
+  let arm = full arm_env in
+  let corpus =
+    List.map
+      (fun e ->
+        ( "full " ^ e.Circuits.Collection.e_name,
+          full
+            (Factor.Compose.make_env (parse e.Circuits.Collection.e_source)
+               ~top:e.Circuits.Collection.e_top) ))
+      Circuits.Collection.all
+  in
+  let session = Factor.Compose.create_session () in
+  let transformed =
+    List.map
+      (fun s ->
+        let path = s.Factor.Flow.ms_path in
+        let st = Factor.Compose.compositional session arm_env ~mut_path:path in
+        ( "transformed " ^ s.Factor.Flow.ms_name,
+          (Factor.Transform.build arm_env st.Factor.Compose.cs_slice
+             ~mut_path:path).Factor.Transform.tf_circuit ))
+      Arm.Rtl.muts
+  in
+  let generated =
+    List.init 20 (fun i ->
+        let d = Gen_rtl.Gen.generate ~seed:(i + 1) () in
+        ( Printf.sprintf "gen_rtl %d" (i + 1),
+          Gen_rtl.Gen.circuit_of d.Gen_rtl.Gen.d_ast ~top:d.Gen_rtl.Gen.d_top ))
+  in
+  (("full arm", arm) :: ("rebuilt arm", Synth.Opt.rebuild arm) :: corpus)
+  @ transformed @ generated
+
+let pinned_digests =
+  [ ("full arm", "03a605b811a0ee005a36f6af87367926");
+    ("rebuilt arm", "92e333381b01dd20607a60c3ab8aac91");
+    ("full gcd", "1f450ee8a0bd3a1482b7a9162c10465e");
+    ("full fifo", "c7ac34d3e78a134ec02238c89eb54eae");
+    ("full arbiter", "3a0da71eeca8a46e33cdb1a21103622d");
+    ("full traffic", "1597b3701918b55310979249cc988e40");
+    ("full dma", "855531598a970ae0d35574db3db4ce79");
+    ("full scratchpad", "b051267a12202cc025ed8c2ebf2e4b15");
+    ("full mcu8", "1a5c5a7720dca6ad4f1d5e88bab5efdf");
+    ("transformed arm_alu", "843ba6e2c3750a9b85d466a0c7ff271c");
+    ("transformed regfile_struct", "843ba6e2c3750a9b85d466a0c7ff271c");
+    ("transformed exc", "59716fe55c15c41a4bec76f8b6b3da61");
+    ("transformed forward", "843ba6e2c3750a9b85d466a0c7ff271c");
+    ("gen_rtl 1", "d8c4a5d4017204c1beed65d5832e5576");
+    ("gen_rtl 2", "7b9bcdc3e8fb787c3dbb55db979f4bc8");
+    ("gen_rtl 3", "ca57c919f4c8fa08644abbee62e20385");
+    ("gen_rtl 4", "da961ecab2aa776047ef06cee2161e65");
+    ("gen_rtl 5", "1518353f9f2b9aee2fd22eb9b66b074c");
+    ("gen_rtl 6", "2de37bfaa80aa4fe7048c9951a5cf85a");
+    ("gen_rtl 7", "bc06da02490e77e593104c4f7e416b7d");
+    ("gen_rtl 8", "37352434f12f1eb4f7aa209fa1c8a3a6");
+    ("gen_rtl 9", "95896241cb1ef3e9b7c2658ab4515a6f");
+    ("gen_rtl 10", "0df2249007c578ede82f8e9506edb806");
+    ("gen_rtl 11", "7b2ad11996db4625fca7d7f4296f2817");
+    ("gen_rtl 12", "c35cba869574ab3bd23003b185674d0a");
+    ("gen_rtl 13", "c9eda08960a8a7a6afda23f1b5022abf");
+    ("gen_rtl 14", "c676ec8fed75db3a0a4ce52d977391b7");
+    ("gen_rtl 15", "6b7af49b1af0fb8fe77d069b1978b53f");
+    ("gen_rtl 16", "a0b95fc6c814d4f59919dd0e774f3538");
+    ("gen_rtl 17", "824f80b1492bd21091f69594c49baa9a");
+    ("gen_rtl 18", "655049cb039fa4823660b88caaf318b7");
+    ("gen_rtl 19", "2676bd5f4b53e23c3403e0404cc3bafb");
+    ("gen_rtl 20", "c966c263ef4ba76ed8fe5289244852c6") ]
+
+let identity_tests =
+  [ test "netlists pinned" (fun () ->
+        let got =
+          List.map (fun (name, c) -> (name, netlist_digest c)) (pinned_netlists ())
+        in
+        Alcotest.(check (list (pair string string))) "digests" pinned_digests got) ]
+
 let () =
   Alcotest.run "synth"
     [ ("builder", builder_tests);
+      ("identity", identity_tests);
       ("flatten", flatten_tests);
       ("semantics", lower_semantics_tests);
       ("structure", lower_structure_tests);
