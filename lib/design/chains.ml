@@ -100,29 +100,19 @@ and walk_stmt item path stmt (defs, uses) =
   | S_for _ ->
     raise (Error "for loops must be unrolled before chain construction")
 
-and walk_stmt_with_cond item path cond_reads stmt acc =
-  let (defs, uses) = walk_stmt item path stmt acc in
-  (* register the controlling reads at every leaf site under this branch *)
+and walk_stmt_with_cond item path cond_reads stmt (defs, uses) =
+  (* the leaves under this branch are the sites this statement defines:
+     walk it against an empty def map, then merge *)
+  let (own, uses) = walk_stmt item path stmt (Smap.empty, uses) in
   let leaf_sites =
-    Smap.fold
-      (fun _ sites acc -> Site_set.union sites acc)
-      defs Site_set.empty
-    |> Site_set.filter (fun s ->
-           s.st_item = item
-           && List.length s.st_path >= List.length path
-           && (let rec prefix a b =
-                 match (a, b) with
-                 | ([], _) -> true
-                 | (x :: a', y :: b') -> x = y && prefix a' b'
-                 | _ -> false
-               in
-               prefix path s.st_path))
+    Smap.fold (fun _ sites acc -> Site_set.union sites acc) own Site_set.empty
   in
+  (* register the controlling reads at every leaf site under this branch *)
   let uses =
     Site_set.fold (fun site uses -> add_all cond_reads site uses) leaf_sites
       uses
   in
-  (defs, uses)
+  (Smap.union (fun _ a b -> Some (Site_set.union a b)) defs own, uses)
 
 (** [build ed em] computes the chains for one elaborated module.
     Instance connections count as definitions (child output ports driving

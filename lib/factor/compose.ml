@@ -67,6 +67,7 @@ let source_fingerprint ~source ~top =
     survives cosmetic edits while any semantic change to a module the
     design actually uses invalidates it. *)
 let design_fingerprint design ~top =
+  Obs.Span.with_ "compose.fingerprint" @@ fun () ->
   let buf = Buffer.create 4096 in
   Buffer.add_string buf fingerprint_version;
   Buffer.add_char buf '\x00';

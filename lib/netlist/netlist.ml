@@ -36,33 +36,96 @@ let num_ffs c = Array.length c.ff_d
 (* Builder.                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Hash-consing compares a driver and an interned origin id by hand,
+   with int hashing: a lookup never hashes the origin string or walks
+   the driver generically. *)
+let same_driver d d' =
+  match (d, d') with
+  | (G2 (g, a, b), G2 (g', a', b')) -> g == g' && a = a' && b = b'
+  | (G1 (g, a), G1 (g', a')) -> g == g' && a = a'
+  | (Mux (s, a, b), Mux (s', a', b')) -> s = s' && a = a' && b = b'
+  | (Pi i, Pi i') | (Ff i, Ff i') -> i = i'
+  | (C0, C0) | (C1, C1) -> true
+  | _ -> false
+
+let mix h x = (h lxor x) * 0x100000001b3
+
+let hash_key origin d =
+  let h =
+    match d with
+    | G2 (g, a, b) ->
+      let tag =
+        match g with
+        | And -> 0 | Or -> 1 | Xor -> 2 | Nand -> 3 | Nor -> 4 | Xnor -> 5
+      in
+      mix (mix (mix 7 tag) a) b
+    | G1 (Inv, a) -> mix 11 a
+    | G1 (Buff, a) -> mix 13 a
+    | Mux (s, a, b) -> mix (mix (mix 17 s) a) b
+    | Pi i -> mix 19 i
+    | Ff i -> mix 23 i
+    | C0 -> 29
+    | C1 -> 31
+  in
+  let h = mix h origin in
+  h lxor (h lsr 29)
+
 type builder = {
   mutable b_drv : driver array;
   mutable b_origin : string array;
   mutable b_n : int;
-  b_tbl : (string * driver, int) Hashtbl.t;
-      (* hash-consing is scoped by origin: a module under test keeps its
-         own gates even when the surrounding logic contains identical
-         ones, so fault sites never migrate across module boundaries *)
+  mutable b_key_origin : int array;
+      (* per net: the origin id it is hash-consed under.  Hash-consing
+         is scoped by origin: a module under test keeps its own gates
+         even when the surrounding logic contains identical ones, so
+         fault sites never migrate across module boundaries *)
+  mutable b_slots : int array;
+      (* the hash-consed nets, open addressing with linear probing;
+         -1 is empty, the length a power of two at most half full *)
+  mutable b_consed : int;  (* nets in [b_slots] *)
+  b_origin_ids : (string, int) Hashtbl.t;  (* origin -> interned id *)
   mutable b_pis : (string * int) list;      (* reverse order *)
+  mutable b_npis : int;
   mutable b_pos : (string * int) list;
-  mutable b_ffs : (string * int * int) list; (* name, q net, d net; d patched *)
+  mutable b_ffs : (string * int) list;      (* name, q net; reverse order *)
+  mutable b_nffs : int;
+  mutable b_ff_d : int array;  (* d net by flip-flop index, -1 until patched *)
   mutable b_ctx : string;  (* current origin tag *)
+  mutable b_ctx_id : int;  (* its interned id *)
 }
 
 let create_builder () =
+  let ids = Hashtbl.create 64 in
+  Hashtbl.add ids "" 0;
   { b_drv = Array.make 1024 C0;
     b_origin = Array.make 1024 "";
     b_n = 0;
-    b_tbl = Hashtbl.create 4096;
+    b_key_origin = Array.make 1024 0;
+    b_slots = Array.make 4096 (-1);
+    b_consed = 0;
+    b_origin_ids = ids;
     b_pis = [];
+    b_npis = 0;
     b_pos = [];
     b_ffs = [];
-    b_ctx = "" }
+    b_nffs = 0;
+    b_ff_d = Array.make 64 (-1);
+    b_ctx = "";
+    b_ctx_id = 0 }
 
 (** Set the origin tag recorded on nets created from now on (instance
     path during flattening). *)
-let set_context b ctx = b.b_ctx <- ctx
+let set_context b ctx =
+  if ctx != b.b_ctx then begin
+    b.b_ctx <- ctx;
+    b.b_ctx_id <-
+      (match Hashtbl.find_opt b.b_origin_ids ctx with
+       | Some id -> id
+       | None ->
+         let id = Hashtbl.length b.b_origin_ids in
+         Hashtbl.add b.b_origin_ids ctx id;
+         id)
+  end
 
 let get_context b = b.b_ctx
 
@@ -73,7 +136,10 @@ let fresh_net b d =
     b.b_drv <- drv;
     let origin = Array.make (2 * b.b_n) "" in
     Array.blit b.b_origin 0 origin 0 b.b_n;
-    b.b_origin <- origin
+    b.b_origin <- origin;
+    let key_origin = Array.make (2 * b.b_n) 0 in
+    Array.blit b.b_key_origin 0 key_origin 0 b.b_n;
+    b.b_key_origin <- key_origin
   end;
   let n = b.b_n in
   b.b_drv.(n) <- d;
@@ -81,22 +147,49 @@ let fresh_net b d =
   b.b_n <- n + 1;
   n
 
+(* The slot holding the net hash-consed as [(origin, d)], or the empty
+   slot where it belongs. *)
+let rec probe b origin d mask i =
+  let n = b.b_slots.(i) in
+  if n < 0 || (b.b_key_origin.(n) = origin && same_driver b.b_drv.(n) d) then i
+  else probe b origin d mask ((i + 1) land mask)
+
+let find_slot b origin d =
+  let mask = Array.length b.b_slots - 1 in
+  probe b origin d mask (hash_key origin d land mask)
+
+let grow_slots b =
+  let old = b.b_slots in
+  b.b_slots <- Array.make (2 * Array.length old) (-1);
+  Array.iter
+    (fun n ->
+      if n >= 0 then
+        b.b_slots.(find_slot b b.b_key_origin.(n) b.b_drv.(n)) <- n)
+    old
+
 let hashcons b d =
-  (* constants are shared globally; everything else within its origin *)
-  let key = (match d with C0 | C1 -> "" | _ -> b.b_ctx) in
-  match Hashtbl.find_opt b.b_tbl (key, d) with
-  | Some n -> n
-  | None ->
+  (* constants are shared globally (under the id of the empty origin);
+     everything else within its origin *)
+  let origin = match d with C0 | C1 -> 0 | _ -> b.b_ctx_id in
+  let i = find_slot b origin d in
+  let n = b.b_slots.(i) in
+  if n >= 0 then n
+  else begin
     let n = fresh_net b d in
-    Hashtbl.add b.b_tbl (key, d) n;
+    b.b_key_origin.(n) <- origin;
+    b.b_slots.(i) <- n;
+    b.b_consed <- b.b_consed + 1;
+    if 2 * b.b_consed > Array.length b.b_slots then grow_slots b;
     n
+  end
 
 let const0 b = hashcons b C0
 let const1 b = hashcons b C1
 
 let add_pi b name =
-  let n = fresh_net b (Pi (List.length b.b_pis)) in
+  let n = fresh_net b (Pi b.b_npis) in
   b.b_pis <- (name, n) :: b.b_pis;
+  b.b_npis <- b.b_npis + 1;
   n
 
 let add_po b name net = b.b_pos <- (name, net) :: b.b_pos
@@ -104,18 +197,25 @@ let add_po b name net = b.b_pos <- (name, net) :: b.b_pos
 (** Allocate a flip-flop; returns its q net.  The d input is patched later
     with [set_ff_d], allowing feedback through state. *)
 let add_ff b name =
-  let idx = List.length b.b_ffs in
+  let idx = b.b_nffs in
+  if idx = Array.length b.b_ff_d then begin
+    let ff_d = Array.make (2 * idx) (-1) in
+    Array.blit b.b_ff_d 0 ff_d 0 idx;
+    b.b_ff_d <- ff_d
+  end;
   let q = fresh_net b (Ff idx) in
-  b.b_ffs <- (name, q, -1) :: b.b_ffs;
+  b.b_ffs <- (name, q) :: b.b_ffs;
+  b.b_nffs <- idx + 1;
   q
 
+(* O(1): the q net's driver names the flip-flop's index *)
 let set_ff_d b q d =
-  b.b_ffs <-
-    List.map (fun (n, q', d') -> if q' = q then (n, q', d) else (n, q', d'))
-      b.b_ffs
+  match b.b_drv.(q) with
+  | Ff i -> b.b_ff_d.(i) <- d
+  | _ -> invalid_arg "Netlist.set_ff_d: not a flip-flop q net"
 
-let is_const0 b n = b.b_drv.(n) = C0
-let is_const1 b n = b.b_drv.(n) = C1
+let is_const0 b n = match b.b_drv.(n) with C0 -> true | _ -> false
+let is_const1 b n = match b.b_drv.(n) with C1 -> true | _ -> false
 
 (* Local simplification rules, then hash-consing.  Inputs of commutative
    gates are ordered so that structurally equal gates unify. *)
@@ -192,9 +292,10 @@ let finalize b =
   let pis = List.rev b.b_pis in
   let pos = List.rev b.b_pos in
   let ffs = List.rev b.b_ffs in
-  List.iter
-    (fun (name, _, d) ->
-      if d < 0 then
+  let ff_d = Array.sub b.b_ff_d 0 b.b_nffs in
+  List.iteri
+    (fun i (name, _) ->
+      if ff_d.(i) < 0 then
         raise (Error (Printf.sprintf "flip-flop %s has no d input" name)))
     ffs;
   { drv = Array.sub b.b_drv 0 b.b_n;
@@ -203,9 +304,9 @@ let finalize b =
     pi_names = Array.of_list (List.map fst pis);
     pos = Array.of_list (List.map snd pos);
     po_names = Array.of_list (List.map fst pos);
-    ff_q = Array.of_list (List.map (fun (_, q, _) -> q) ffs);
-    ff_d = Array.of_list (List.map (fun (_, _, d) -> d) ffs);
-    ff_names = Array.of_list (List.map (fun (n, _, _) -> n) ffs) }
+    ff_q = Array.of_list (List.map snd ffs);
+    ff_d;
+    ff_names = Array.of_list (List.map fst ffs) }
 
 (* ------------------------------------------------------------------ *)
 (* Structure queries.                                                  *)
@@ -421,7 +522,9 @@ let analysis c =
         if Obs.Log.enabled Obs.Log.Debug then
           Obs.Log.event Obs.Log.Debug "netlist.analysis miss"
             [ ("nets", Obs.Json.Int (num_nets c)) ];
-        let info = build_analysis c in
+        let info =
+          Obs.Span.with_ "netlist.analysis" (fun () -> build_analysis c)
+        in
         let rec keep k = function
           | [] -> []
           | _ when k = 0 -> []

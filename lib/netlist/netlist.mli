@@ -59,6 +59,9 @@ val add_po : builder -> string -> int -> unit
     later with {!set_ff_d}, allowing feedback through state. *)
 val add_ff : builder -> string -> int
 
+(** [set_ff_d b q d] makes [d] the d input of the flip-flop whose q net
+    is [q]; the last call wins.  O(1).
+    @raise Invalid_argument if [q] is not a flip-flop's q net. *)
 val set_ff_d : builder -> int -> int -> unit
 
 (** Simplifying gate constructors: constant folding, idempotence,

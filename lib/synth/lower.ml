@@ -29,19 +29,24 @@ type item_state = Pending | Active | Done
 type ctx = {
   b : N.builder;
   flat : flat;
-  defs : int list Smap.t;              (* signal -> defining item indices *)
-  mutable vec_memo : int array Smap.t; (* completed signal vectors *)
-  mutable partial : int option array Smap.t;
+  signals : (string, signal) Hashtbl.t; (* [flat.fl_signals], hashed *)
+  defs : (string, int list) Hashtbl.t; (* signal -> defining item indices *)
+  vec_memo : (string, int array) Hashtbl.t; (* completed signal vectors *)
+  partial : (string, int option array) Hashtbl.t;
   state : item_state array;
-  mutable warnings : string list;
+  mutable warnings : string list;      (* first-seen order, reversed *)
+  warned : (string, unit) Hashtbl.t;   (* the set of [warnings] *)
   ff_signals : Verilog.Ast_util.Sset.t; (* signals registered by clocked blocks *)
 }
 
 let warn ctx msg =
-  if not (List.mem msg ctx.warnings) then ctx.warnings <- msg :: ctx.warnings
+  if not (Hashtbl.mem ctx.warned msg) then begin
+    Hashtbl.add ctx.warned msg ();
+    ctx.warnings <- msg :: ctx.warnings
+  end
 
 let signal_info ctx name =
-  match Smap.find_opt name ctx.flat.fl_signals with
+  match Hashtbl.find_opt ctx.signals name with
   | Some s -> s
   | None -> errorf "undeclared signal %s" name
 
@@ -573,7 +578,7 @@ and exec_stmts ctx outer_read acc stmts =
 
 let defining_items flat =
   let module U = Verilog.Ast_util in
-  let defs = ref Smap.empty in
+  let defs = Hashtbl.create 1024 in
   Array.iteri
     (fun idx (_, item) ->
       let written =
@@ -585,24 +590,24 @@ let defining_items flat =
       in
       U.Sset.iter
         (fun s ->
-          let old = Option.value (Smap.find_opt s !defs) ~default:[] in
-          defs := Smap.add s (idx :: old) !defs)
+          let old = Option.value (Hashtbl.find_opt defs s) ~default:[] in
+          Hashtbl.replace defs s (idx :: old))
         written)
     flat.fl_items;
-  !defs
+  defs
 
 let rec get_vec ctx s : int array =
-  match Smap.find_opt s ctx.vec_memo with
+  match Hashtbl.find_opt ctx.vec_memo s with
   | Some v -> v
   | None ->
     let width = total_bits ctx s in
-    let items = Option.value (Smap.find_opt s ctx.defs) ~default:[] in
+    let items = Option.value (Hashtbl.find_opt ctx.defs s) ~default:[] in
     List.iter (process_item ctx) items;
-    (match Smap.find_opt s ctx.vec_memo with
+    (match Hashtbl.find_opt ctx.vec_memo s with
      | Some v -> v  (* filled by a clocked block or earlier recursion *)
      | None ->
        let partial =
-         Option.value (Smap.find_opt s ctx.partial)
+         Option.value (Hashtbl.find_opt ctx.partial s)
            ~default:(Array.make width None)
        in
        let vec =
@@ -617,7 +622,7 @@ let rec get_vec ctx s : int array =
                N.const0 ctx.b)
            partial
        in
-       ctx.vec_memo <- Smap.add s vec ctx.vec_memo;
+       Hashtbl.replace ctx.vec_memo s vec;
        vec)
 
 and outer_read ctx s = get_vec ctx s
@@ -699,14 +704,14 @@ and process_item ctx idx =
        let seed =
          U.Sset.fold
            (fun s env ->
-             let q = Smap.find s ctx.vec_memo in
+             let q = Hashtbl.find ctx.vec_memo s in
              Smap.add s (Array.map (fun n -> Some n) q) env)
            written Smap.empty
        in
        let (_, nxt) = exec_stmts ctx (outer_read ctx) (seed, seed) body in
        Smap.iter
          (fun s bits ->
-           let q = Smap.find s ctx.vec_memo in
+           let q = Hashtbl.find ctx.vec_memo s in
            Array.iteri
              (fun i bit ->
                match bit with
@@ -753,7 +758,7 @@ and fill_range ctx s lo vec =
     errorf "memory %s may only be written in a clocked block" s;
   let width = total_bits ctx s in
   let bits =
-    match Smap.find_opt s ctx.partial with
+    match Hashtbl.find_opt ctx.partial s with
     | Some b -> b
     | None -> Array.make width None
   in
@@ -765,10 +770,10 @@ and fill_range ctx s lo vec =
        | None -> ());
       bits.(lo + i) <- Some n)
     vec;
-  ctx.partial <- Smap.add s bits ctx.partial
+  Hashtbl.replace ctx.partial s bits
 
 and fill_full ctx s vec =
-  (match Smap.find_opt s ctx.partial with
+  (match Hashtbl.find_opt ctx.partial s with
    | Some _ -> errorf "multiple drivers for %s" s
    | None -> ());
   fill_range ctx s 0 vec
@@ -796,13 +801,16 @@ let lower flat =
         | _ -> acc)
       U.Sset.empty flat.fl_items
   in
+  let signals = Hashtbl.create 1024 in
+  Smap.iter (Hashtbl.replace signals) flat.fl_signals;
   let ctx =
-    { b; flat;
+    { b; flat; signals;
       defs = defining_items flat;
-      vec_memo = Smap.empty;
-      partial = Smap.empty;
+      vec_memo = Hashtbl.create 1024;
+      partial = Hashtbl.create 1024;
       state = Array.make (Array.length flat.fl_items) Pending;
       warnings = [];
+      warned = Hashtbl.create 16;
       ff_signals }
   in
   let bit_name s info i =
@@ -825,7 +833,7 @@ let lower flat =
           Array.init (signal_width info) (fun i ->
               N.add_pi b (bit_name p info i))
         in
-        ctx.vec_memo <- Smap.add p vec ctx.vec_memo
+        Hashtbl.replace ctx.vec_memo p vec
       end)
     flat.fl_ports;
   (* flip-flop q nets, tagged with the origin of their clocked block *)
@@ -836,7 +844,7 @@ let lower flat =
         N.set_context b origin;
         U.Sset.iter
           (fun s ->
-            if Smap.mem s ctx.vec_memo then
+            if Hashtbl.mem ctx.vec_memo s then
               errorf "%s is registered by more than one clocked block" s;
             let info = signal_info ctx s in
             let vec =
@@ -844,7 +852,7 @@ let lower flat =
                 (signal_width info * info.sg_words)
                 (fun i -> N.add_ff b (bit_name s info i))
             in
-            ctx.vec_memo <- Smap.add s vec ctx.vec_memo)
+            Hashtbl.replace ctx.vec_memo s vec)
           (U.stmts_writes body)
       | _ -> ())
     flat.fl_items;

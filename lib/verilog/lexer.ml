@@ -26,14 +26,18 @@ type token =
 
 exception Error of string * int * int  (** message, line, column *)
 
-let keywords =
-  [ "module"; "endmodule"; "input"; "output"; "inout"; "wire"; "reg";
-    "assign"; "always"; "begin"; "end"; "if"; "else"; "case"; "casex";
-    "casez"; "endcase"; "default"; "for"; "posedge"; "negedge"; "or";
-    "parameter"; "localparam"; "and"; "nand"; "nor"; "xor"; "xnor"; "not";
-    "buf"; "integer"; "initial" ]
+let keyword_set =
+  let t = Hashtbl.create 64 in
+  List.iter
+    (fun k -> Hashtbl.replace t k ())
+    [ "module"; "endmodule"; "input"; "output"; "inout"; "wire"; "reg";
+      "assign"; "always"; "begin"; "end"; "if"; "else"; "case"; "casex";
+      "casez"; "endcase"; "default"; "for"; "posedge"; "negedge"; "or";
+      "parameter"; "localparam"; "and"; "nand"; "nor"; "xor"; "xnor";
+      "not"; "buf"; "integer"; "initial" ];
+  t
 
-let is_keyword s = List.mem s keywords
+let is_keyword s = Hashtbl.mem keyword_set s
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9') || c = '$'
@@ -51,8 +55,12 @@ type state = {
 
 let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
 
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+(* [at st c] is [peek st = Some c] without the option and the
+   polymorphic compare; [at2 st c] tests the character after it. *)
+let at st c = st.pos < String.length st.src && st.src.[st.pos] = c
+
+let at2 st c =
+  st.pos + 1 < String.length st.src && st.src.[st.pos + 1] = c
 
 let advance st =
   (if st.pos < String.length st.src && st.src.[st.pos] = '\n' then begin
@@ -65,59 +73,49 @@ let column st = st.pos - st.bol + 1
 
 let error st msg = raise (Error (msg, st.line, column st))
 
+(* Up to, not over, the next newline: no line bookkeeping needed. *)
+let skip_to_eol st =
+  while st.pos < String.length st.src && st.src.[st.pos] <> '\n' do
+    st.pos <- st.pos + 1
+  done
+
 let rec skip_space st =
-  match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-    advance st;
-    skip_space st
-  | Some '/' when peek2 st = Some '/' ->
-    let rec line_comment () =
-      match peek st with
-      | Some '\n' | None -> ()
-      | Some _ ->
-        advance st;
-        line_comment ()
-    in
-    line_comment ();
-    skip_space st
-  | Some '/' when peek2 st = Some '*' ->
-    advance st;
-    advance st;
-    let rec block_comment () =
-      match peek st with
-      | None -> error st "unterminated block comment"
-      | Some '*' when peek2 st = Some '/' ->
-        advance st;
-        advance st
-      | Some _ ->
-        advance st;
-        block_comment ()
-    in
-    block_comment ();
-    skip_space st
-  | Some '`' ->
-    (* compiler directives (`timescale etc.) — skip to end of line *)
-    let rec directive () =
-      match peek st with
-      | Some '\n' | None -> ()
-      | Some _ ->
-        advance st;
-        directive ()
-    in
-    directive ();
-    skip_space st
-  | _ -> ()
+  if st.pos < String.length st.src then
+    match st.src.[st.pos] with
+    | ' ' | '\t' | '\r' | '\n' ->
+      advance st;
+      skip_space st
+    | '/' when at2 st '/' ->
+      skip_to_eol st;
+      skip_space st
+    | '/' when at2 st '*' ->
+      advance st;
+      advance st;
+      let rec block_comment () =
+        if st.pos >= String.length st.src then
+          error st "unterminated block comment"
+        else if at st '*' && at2 st '/' then begin
+          advance st;
+          advance st
+        end
+        else begin
+          advance st;
+          block_comment ()
+        end
+      in
+      block_comment ();
+      skip_space st
+    | '`' ->
+      (* compiler directives (`timescale etc.) — skip to end of line *)
+      skip_to_eol st;
+      skip_space st
+    | _ -> ()
 
 let lex_ident st =
   let start = st.pos in
-  let rec go () =
-    match peek st with
-    | Some c when is_ident_char c ->
-      advance st;
-      go ()
-    | _ -> ()
-  in
-  go ();
+  while st.pos < String.length st.src && is_ident_char st.src.[st.pos] do
+    st.pos <- st.pos + 1
+  done;
   String.sub st.src start (st.pos - start)
 
 (* Digits of an unsigned decimal run, ignoring '_' separators. *)
@@ -260,29 +258,29 @@ let next_token st =
     | Some '?' -> advance st; T_question
     | Some '=' ->
       advance st;
-      if peek st = Some '=' then (advance st; T_op "==") else T_eq
+      if at st '=' then (advance st; T_op "==") else T_eq
     | Some '!' ->
       advance st;
-      if peek st = Some '=' then (advance st; T_op "!=") else T_op "!"
+      if at st '=' then (advance st; T_op "!=") else T_op "!"
     | Some '<' ->
       advance st;
-      if peek st = Some '=' then (advance st; T_le_assign)
-      else if peek st = Some '<' then (advance st; T_op "<<")
+      if at st '=' then (advance st; T_le_assign)
+      else if at st '<' then (advance st; T_op "<<")
       else T_op "<"
     | Some '>' ->
       advance st;
-      if peek st = Some '=' then (advance st; T_op ">=")
-      else if peek st = Some '>' then (advance st; T_op ">>")
+      if at st '=' then (advance st; T_op ">=")
+      else if at st '>' then (advance st; T_op ">>")
       else T_op ">"
     | Some '&' ->
       advance st;
-      if peek st = Some '&' then (advance st; T_op "&&") else T_op "&"
+      if at st '&' then (advance st; T_op "&&") else T_op "&"
     | Some '|' ->
       advance st;
-      if peek st = Some '|' then (advance st; T_op "||") else T_op "|"
+      if at st '|' then (advance st; T_op "||") else T_op "|"
     | Some '^' ->
       advance st;
-      if peek st = Some '~' then (advance st; T_op "^~") else T_op "^"
+      if at st '~' then (advance st; T_op "^~") else T_op "^"
     | Some '~' ->
       advance st;
       (match peek st with

@@ -312,7 +312,50 @@ let chains_tests =
         in
         check_bool "ghost has no defs" true
           (Ch.Site_set.is_empty (Ch.defs_of ch "ghost"));
-        check_int "ghost has a use" 1 (Ch.Site_set.cardinal (Ch.uses_of ch "ghost"))) ]
+        check_int "ghost has a use" 1 (Ch.Site_set.cardinal (Ch.uses_of ch "ghost")));
+    test "chains pinned" (fun () ->
+        (* a digest of every module's use-def and def-use chains, per
+           design: a change to how chains are built that must leave
+           them unchanged has to keep these *)
+        let digest d top =
+          let b = Buffer.create 65536 in
+          let dump name m =
+            Smap.iter
+              (fun s sites ->
+                Printf.bprintf b "%s %s:" name s;
+                Ch.Site_set.iter
+                  (fun site -> Printf.bprintf b " %s" (Ch.site_to_string site))
+                  sites;
+                Buffer.add_char b '\n')
+              m
+          in
+          Smap.iter
+            (fun m ch ->
+              Printf.bprintf b "module %s\n" m;
+              dump "def" ch.Ch.ch_use_def;
+              dump "use" ch.Ch.ch_def_use)
+            (Ch.build_all (E.elaborate d ~top));
+          Digest.to_hex (Digest.string (Buffer.contents b))
+        in
+        let got =
+          ("arm", digest (Arm.Rtl.design ()) Arm.Rtl.top)
+          :: List.map
+               (fun e ->
+                 ( e.Circuits.Collection.e_name,
+                   digest (parse e.Circuits.Collection.e_source)
+                     e.Circuits.Collection.e_top ))
+               Circuits.Collection.all
+        in
+        Alcotest.(check (list (pair string string))) "digests"
+          [ ("arm", "06584e8b050220d75b1ded4a39280ddf");
+            ("gcd", "eda3bdeb9861b42f837c4c4cecc47852");
+            ("fifo", "5b2e51064b27df3f4601858166a97928");
+            ("arbiter", "a5a40a064e49a3aa967bd0a8bef11131");
+            ("traffic", "930c949de289f5c01d29b5a5fed94bfb");
+            ("dma", "57c4c62064f61dc3e6717a56edca38cc");
+            ("scratchpad", "6b09ebc0f11495703b010dd39f13ea42");
+            ("mcu8", "b626da814fc3267265c881b8e68b342d") ]
+          got) ]
 
 (* ------------------------------------------------------------------ *)
 (* Width lint.                                                          *)

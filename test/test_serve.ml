@@ -921,6 +921,28 @@ let frames_below_one () =
 (* A test that does not fit the circuit (a vec narrower or wider than
    its inputs, a load of a flip-flop it lacks) is a parse error at its
    line, never an index error inside the fault simulator. *)
+(* A cold request's design fingerprint and structural analysis are
+   spans of their own, not unattributed self time of the request. *)
+let traced_cold_grade () =
+  let ctx = Serve.Ops.make_ctx () in
+  Obs.Span.clear ();
+  Obs.Span.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.Span.set_enabled false)
+    (fun () ->
+      ignore
+        (Serve.Ops.handle ctx
+           { Serve.Proto.rq_id = 1; rq_op = "grade";
+             rq_params =
+               J.Obj
+                 [ ("design", J.String "@arbiter");
+                   ("vectors", J.String "test\nvec 000000\nvec 111111\nend\n") ] }));
+  let names = List.map (fun e -> e.Obs.Span.ev_name) (Obs.Span.events ()) in
+  Obs.Span.clear ();
+  List.iter
+    (fun n -> check_bool (n ^ " span recorded") true (List.mem n names))
+    [ "compose.fingerprint"; "netlist.analysis" ]
+
 let grade_misfit () =
   let ctx = Serve.Ops.make_ctx () in
   List.iter
@@ -1215,7 +1237,9 @@ let () =
             test "atpg: frames below 1 is refused before any work"
               frames_below_one;
             test "grade: a test that does not fit is a parse error"
-              grade_misfit ] );
+              grade_misfit;
+            test "a traced cold grade shows fingerprint and analysis spans"
+              traced_cold_grade ] );
       ( "daemon",
         [
           test "end-to-end roundtrip, byte-identical to direct runs"

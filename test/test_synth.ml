@@ -93,6 +93,22 @@ let builder_tests =
         let c = N.finalize b in
         check_string "origin u0" "u0" c.N.origin.(g0);
         check_string "origin u1" "u1" c.N.origin.(g1));
+    test "ff bookkeeping allocates linearly" (fun () ->
+        (* deterministic, not timed: adding and patching n flip-flops
+           may allocate a bounded number of minor words per flip-flop,
+           whatever n is *)
+        let n = 5_000 in
+        let names = Array.init n (Printf.sprintf "q%d") in
+        let b = N.create_builder () in
+        let d = N.add_pi b "d" in
+        let before = Gc.minor_words () in
+        let qs = Array.map (N.add_ff b) names in
+        Array.iter (fun q -> N.set_ff_d b q d) qs;
+        let words = Gc.minor_words () -. before in
+        check_bool
+          (Printf.sprintf "%.0f minor words for %d flip-flops" words n)
+          true
+          (words <= float_of_int (64 * n)));
     test "topological order respects fanins" (fun () ->
         let b = N.create_builder () in
         let a = N.add_pi b "a" and x = N.add_pi b "x" in
@@ -313,6 +329,14 @@ let lower_structure_tests =
         check_bool "warning emitted" true
           (List.exists (fun w -> String.length w >= 8 && String.sub w 0 8 = "undriven") warnings);
         check_out "ghost is zero" 0 (eval_out c [ ("a", 0) ] "y"));
+    test "a wide undriven wire warns once per bit, in bit order" (fun () ->
+        let (_, warnings) =
+          circuit_and_warnings
+            {|module top (input a, output y); wire [4095:0] ghost;
+              assign y = a | (^ghost) | ghost[7]; endmodule|}
+        in
+        check_bool "4096 warnings in bit order" true
+          (warnings = List.init 4096 (Printf.sprintf "undriven: ghost[%d]")));
     test "blocking then nonblocking in clocked block" (fun () ->
         (* t = a + 1 (blocking temp), q <= t: q sees the new t *)
         let c =
