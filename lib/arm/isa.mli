@@ -41,9 +41,5 @@ type cycle = {
 
 val cycle : ?rdata:int -> instruction -> cycle
 
-(** The two-cycle idiom bringing a value from memory into a register —
-    the "load instruction" realization of PIER controllability. *)
-val load_register : rd:reg -> int -> cycle list
-
 (** Load each (register, value) pair and settle the pipeline. *)
 val setup_registers : (reg * int) list -> cycle list

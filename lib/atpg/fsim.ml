@@ -745,7 +745,7 @@ let coverage c ~observe ~faults tests =
 (* The full detection matrix, no dropping: one signature per index in
    [active], one byte per test.  The packed engine sweeps word-sized
    test chunks without early exit. *)
-let run_matrix ?(budget = Engine.Budget.none) c ~observe
+let run_matrix c ~observe
     ~(faults : Fault.t array) ~(active : int array)
     (tests : Pattern.test array) =
   let nt = Array.length tests in
@@ -754,13 +754,13 @@ let run_matrix ?(budget = Engine.Budget.none) c ~observe
     let eng = make_pengine c in
     let faults = packed_sites (Array.map stuck_at faults) in
     let pos = ref 0 in
-    while !pos < nt && not (Engine.Budget.poll budget) do
+    while !pos < nt do
       let len = min P.width (nt - !pos) in
       let chunk = Array.sub tests !pos len in
       let off = !pos in
       pos := !pos + len;
-      packed_word ~budget ~jobs:1 eng c ~observe ~stop_on_detect:false
-        ~faults ~active chunk
+      packed_word ~budget:Engine.Budget.none ~jobs:1 eng c ~observe
+        ~stop_on_detect:false ~faults ~active chunk
         ~apply:(fun k det ->
           for l = 0 to len - 1 do
             if (det lsr l) land 1 = 1 then

@@ -130,7 +130,6 @@ val coverage :
     chunk; Compact and Diagnose read their answers straight out of
     it. *)
 val run_matrix :
-  ?budget:Engine.Budget.t ->
   Netlist.t -> observe:observe -> faults:Fault.t array -> active:int array ->
   Pattern.test array -> Bytes.t array
 

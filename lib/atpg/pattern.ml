@@ -79,20 +79,10 @@ let write_string ?(pi_names = [||]) tests =
     tests;
   Buffer.contents buf
 
-let write_channel ?pi_names oc tests =
-  output_string oc (write_string ?pi_names tests)
-
-let write_file ?pi_names path tests =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> write_channel ?pi_names oc tests)
-
-(* Core parser over a pull-based line source ([next_line] returns [None]
-   at end of input), shared by the channel and string front ends.  With
-   [fit = (num_pis, num_ffs)], every vec must be [num_pis] bits wide and
-   every load name a flip-flop below [num_ffs]. *)
-let read_lines ?fit next_line =
+(* The parser.  With [fit = (num_pis, num_ffs)], every vec must be
+   [num_pis] bits wide and every load name a flip-flop below
+   [num_ffs]. *)
+let read_lines ?fit s =
   let tests = ref [] in
   let vectors = ref [] and loads = ref [] in
   let in_test = ref false in
@@ -109,13 +99,9 @@ let read_lines ?fit next_line =
     loads := [];
     in_test := false
   in
-  (try
-     while true do
-       let line =
-         match next_line () with
-         | Some l -> String.trim l
-         | None -> raise End_of_file
-       in
+  List.iter
+    (fun line ->
+       let line = String.trim line in
        incr lnum;
        if line = "" || (String.length line > 0 && line.[0] = '#') then ()
        else if line = "test" then begin
@@ -157,42 +143,18 @@ let read_lines ?fit next_line =
            loads := (ff, v = "1") :: !loads
          | _ -> fail ("bad load line: " ^ line)
        end
-       else fail ("unrecognized line: " ^ line)
-     done
-   with End_of_file ->
-     if !in_test then fail ~at:!opened "unterminated test block");
+       else fail ("unrecognized line: " ^ line))
+    (String.split_on_char '\n' s);
+  if !in_test then fail ~at:!opened "unterminated test block";
   List.rev !tests
-
-(** [read_channel ic] parses a vector file back into tests.
-    @raise Parse_error on malformed input. *)
-let read_channel ic =
-  read_lines (fun () ->
-      match input_line ic with
-      | l -> Some l
-      | exception End_of_file -> None)
-
-let read_lines_of ?fit s =
-  let rest = ref (String.split_on_char '\n' s) in
-  read_lines ?fit (fun () ->
-      match !rest with
-      | [] -> None
-      | l :: tl ->
-        rest := tl;
-        Some l)
 
 (** [read_string s] parses the vector-file format from a string.
     @raise Parse_error on malformed input. *)
-let read_string s = read_lines_of s
+let read_string s = read_lines s
 
 (** [read_string_for ~num_pis ~num_ffs s] parses [s] for a circuit with
     [num_pis] inputs and [num_ffs] flip-flops.
     @raise Parse_error on malformed input, a vec of another width or a
     load of a flip-flop the circuit lacks. *)
 let read_string_for ~num_pis ~num_ffs s =
-  read_lines_of ~fit:(num_pis, num_ffs) s
-
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> read_channel ic)
+  read_lines ~fit:(num_pis, num_ffs) s

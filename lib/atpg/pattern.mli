@@ -28,14 +28,6 @@ exception Parse_error of int * string
     header comment. *)
 val write_string : ?pi_names:string array -> test list -> string
 
-(** Emit {!write_string} output to a channel. *)
-val write_channel : ?pi_names:string array -> out_channel -> test list -> unit
-
-val write_file : ?pi_names:string array -> string -> test list -> unit
-
-(** Parse a vector file back.  @raise Parse_error on malformed input. *)
-val read_channel : in_channel -> test list
-
 (** Parse the vector-file format from a string.
     @raise Parse_error on malformed input. *)
 val read_string : string -> test list
@@ -46,5 +38,3 @@ val read_string : string -> test list
     [num_pis] bits wide and on a [load] of a flip-flop outside
     [0 .. num_ffs - 1], at that line. *)
 val read_string_for : num_pis:int -> num_ffs:int -> string -> test list
-
-val read_file : string -> test list

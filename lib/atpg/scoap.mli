@@ -27,9 +27,6 @@ type t = {
 (** Run both analyses to their fixpoints. *)
 val compute : Netlist.t -> t
 
-(** Cost of provoking and observing one fault. *)
-val fault_cost : t -> Fault.t -> int
-
 (** The [n] hardest finite faults plus every structurally untestable one,
     hardest first, with their costs. *)
 val rank_faults : t -> Fault.t list -> n:int -> (Fault.t * int) list

@@ -12,9 +12,6 @@ type entry = {
 val gcd : entry
 val fifo : entry
 val arbiter : entry
-val traffic : entry
-val dma : entry
-val scratchpad : entry
 val mcu8 : entry
 
 (** Every corpus entry. *)

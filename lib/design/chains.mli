@@ -10,7 +10,6 @@ type site = {
 }
 
 val site_to_string : site -> string
-val compare_site : site -> site -> int
 
 module Site_set : Set.S with type elt = site
 

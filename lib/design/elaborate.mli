@@ -77,6 +77,3 @@ val outputs_of : emodule -> string list
 
 (** Total bit count of the named ports (the PI/PO columns of Table 1). *)
 val port_bits : emodule -> string list -> int
-
-(** Constant folding over expressions (exposed for reuse). *)
-val fold_expr : Verilog.Ast.expr -> Verilog.Ast.expr

@@ -32,11 +32,6 @@ let path_to_string path = String.concat "." path
 (** All nodes in preorder. *)
 let rec flatten node = node :: List.concat_map flatten node.nd_children
 
-(** [find_instances tree mod_name] returns every node instantiating
-    [mod_name]. *)
-let find_instances tree mod_name =
-  List.filter (fun n -> String.equal n.nd_module mod_name) (flatten tree)
-
 exception Unknown_path of string
 
 (** [find_path tree path] resolves an instance path ["a.b.c"].

@@ -16,9 +16,6 @@ val path_to_string : string list -> string
 (** All nodes in preorder. *)
 val flatten : node -> node list
 
-(** Every node instantiating the given module. *)
-val find_instances : node -> string -> node list
-
 (** Raised by {!find_path} with the path that names no instance. *)
 exception Unknown_path of string
 

@@ -10,8 +10,5 @@ type finding = {
 
 val to_string : finding -> string
 
-(** Lint one module. *)
-val check_module : Elaborate.edesign -> Elaborate.emodule -> finding list
-
 (** Lint every module of a design. *)
 val check : Elaborate.edesign -> finding list

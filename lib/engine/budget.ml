@@ -92,9 +92,7 @@ let rec cancel t =
     List.iter cancel kids
   end
 
-let is_cancelled t = Atomic.get t.flag <> live
-
-let check = is_cancelled
+let check t = Atomic.get t.flag <> live
 
 let rec poll t =
   if t == none then false
@@ -119,8 +117,6 @@ let why t =
   | 0 -> None
   | 1 -> Some Expired
   | _ -> Some Cancelled
-
-let deadline t = t.bd_deadline
 
 let remaining t =
   if Atomic.get t.flag <> live then 0.0

@@ -9,7 +9,7 @@
 
     The contract that lets tokens sit inside the PODEM decision loop,
     the CDCL propagation loop and the packed-fsim per-word sweep:
-    {!is_cancelled}/{!check} are {b one atomic load} — no clock read, no
+    {!check} is {b one atomic load} — no clock read, no
     lock, no allocation.  Someone has to flip the flag, so code with a
     deadline calls {!poll} (a [Clock.now] read plus the parent-chain
     walk) at a coarser cadence — per conflict, per simulated word, per
@@ -22,7 +22,7 @@ type why =
   | Expired    (** its own or an ancestor's deadline passed *)
   | Cancelled  (** {!cancel} was called on it or an ancestor *)
 
-(** The never-cancelled token: [is_cancelled none] is always [false],
+(** The never-cancelled token: [check none] is always [false],
     [poll none] never trips, [cancel none] is a no-op.  Use it as the
     default when a caller imposed no budget. *)
 val none : t
@@ -49,15 +49,11 @@ val cancel : t -> unit
 (** One atomic load: has the token been cancelled or observed expired?
     Note a deadline only becomes visible here after some {!poll} on the
     token noticed it. *)
-val is_cancelled : t -> bool
-
-(** Alias of {!is_cancelled}, for call sites that read better as
-    [if Budget.check tok then bail]. *)
 val check : t -> bool
 
 (** Full check: flag, ancestor chain, then own deadline against
     [Clock.now].  Trips the flag (and the expiry metric) on discovery,
-    so subsequent {!is_cancelled} loads observe it.  Returns [true] when
+    so subsequent {!check} loads observe it.  Returns [true] when
     the token is dead. *)
 val poll : t -> bool
 
@@ -80,7 +76,3 @@ val why : t -> why option
 (** Seconds until the effective deadline ([infinity] when none;
     [0.] once dead or past due). *)
 val remaining : t -> float
-
-(** Absolute effective deadline ([Clock.now] timebase), [infinity] when
-    none. *)
-val deadline : t -> float

@@ -157,12 +157,6 @@ let point site =
     | Some (Delay_only, v) -> delay site v
     | Some (All, v) -> if v < 0.5 then inject site else delay site v
 
-let delay_point site =
-  if active () then
-    match decide site with
-    | None | Some (Fail_only, _) -> ()
-    | Some ((All | Delay_only), v) -> delay site v
-
 let abort_point site =
   if not (active ()) then false
   else

@@ -44,10 +44,6 @@ val active : unit -> bool
     a recovery path above will catch the failure. *)
 val point : string -> unit
 
-(** Delay-only site for seams with no recovery above: may stall, never
-    raises — shakes out races and hang-freedom. *)
-val delay_point : string -> unit
-
 (** Graceful-abort site: returns [true] when the site should give up
     without raising (a solver returning [Unknown]).  Counted as an
     injection. *)

@@ -1,5 +1,4 @@
-(** Time sources for the execution engine: wall clock for budgets and
-    speedups, CPU clock only for the paper's CPU-second table columns. *)
+(** The execution engine's time source: the wall clock, for budgets and
+    speedups. *)
 
 let now = Unix.gettimeofday
-let cpu = Sys.time

@@ -1,16 +1,11 @@
-(** Time sources for the execution engine.
+(** The execution engine's time source.
 
     Budgets and elapsed-time measurements must use {!now}: [Sys.time]
     is process-wide CPU time, which advances [N] times faster than the
     wall once [N] domains run, so CPU-based budgets mis-fire as soon as
-    anything is parallel.  CPU time ({!cpu}) is kept only for figures
-    the paper's tables report in CPU seconds. *)
+    anything is parallel. *)
 
 (** Wall-clock seconds from an arbitrary origin; non-decreasing for the
     purposes of interval measurement.  Use for every budget and every
     elapsed/speedup measurement. *)
 val now : unit -> float
-
-(** Process CPU seconds ([Sys.time]), summed over all domains.  Only for
-    table figures that the paper reports as CPU time. *)
-val cpu : unit -> float

@@ -28,10 +28,6 @@ type env = {
     @raise Engine.Budget.Exhausted when [budget] expires. *)
 val make_env : ?budget:Engine.Budget.t -> Verilog.Ast.design -> top:string -> env
 
-(** Version tag folded into both fingerprints; bump it whenever the
-    hashing scheme changes so old on-disk cache entries cannot alias. *)
-val fingerprint_version : string
-
 (** [source_fingerprint ~source ~top] is the raw-text content hash (hex
     MD5 over version, top name, and source bytes).  Any byte change —
     even whitespace — produces a new hash; use it as a cheap alias for a

@@ -3,8 +3,8 @@
     load/store instructions; on the transformed module this corresponds to
     registers with small sequential distance from the interface.  A
     flip-flop is a PIER when its data input is controllable from the
-    primary inputs within [ctrl_depth] register crossings and its state is
-    observable at a primary output within [obs_depth] crossings. *)
+    primary inputs within one register crossing and its state is
+    observable at a primary output within one crossing. *)
 
 module N = Netlist
 
@@ -71,17 +71,12 @@ let observe_depth c order =
   done;
   depth
 
-(** [identify ?ctrl_depth ?obs_depth c] returns the PIER flip-flop
-    indices of [c]. *)
-let identify ?(ctrl_depth = 1) ?(obs_depth = 1) c =
+(** [identify c] returns the PIER flip-flop indices of [c]. *)
+let identify c =
   let order = (N.analysis c).N.Analysis.order in
   let ctrl = control_depth c order in
   let obs = observe_depth c order in
   List.filter
     (fun i ->
-      ctrl.(c.N.ff_d.(i)) <= ctrl_depth
-      && obs.(c.N.ff_q.(i)) <= obs_depth)
+      ctrl.(c.N.ff_d.(i)) <= 1 && obs.(c.N.ff_q.(i)) <= 1)
     (List.init (N.num_ffs c) Fun.id)
-
-(** Names of PIER registers, for reports. *)
-let names c piers = List.map (fun i -> c.N.ff_names.(i)) piers

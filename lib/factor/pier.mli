@@ -1,21 +1,9 @@
 (** PIER identification (Primary Input/output accessible Registers): a
     structural approximation of "registers reachable from chip level via
     load/store instructions" — flip-flops whose data input is
-    controllable within [ctrl_depth] register crossings of the primary
-    inputs and whose state is observable within [obs_depth] crossings of
-    the primary outputs. *)
+    controllable within one register crossing of the primary inputs and
+    whose state is observable within one crossing of the primary
+    outputs. *)
 
-(** Sequential controllability depth per net: minimum flip-flop crossings
-    from a primary input ([max_int/2] when unreachable). *)
-val control_depth : Netlist.t -> int array -> int array
-
-(** Sequential observability depth per net: minimum flip-flop crossings
-    to a primary output. *)
-val observe_depth : Netlist.t -> int array -> int array
-
-(** [identify ?ctrl_depth ?obs_depth c] returns the PIER flip-flop
-    indices (defaults: depth 1 on both sides). *)
-val identify : ?ctrl_depth:int -> ?obs_depth:int -> Netlist.t -> int list
-
-(** Register names, for reports. *)
-val names : Netlist.t -> int list -> string list
+(** [identify c] returns the PIER flip-flop indices. *)
+val identify : Netlist.t -> int list

@@ -11,8 +11,6 @@ type hard_coded = {
   hc_values : int;            (** distinct constants driving it *)
 }
 
-val hard_coded_to_string : hard_coded -> string
-
 (** [hard_coded_inputs env ~mut_path] analyzes every input of the module
     under test, following aliases and port connections through the
     hierarchy, and reports the ones driven exclusively by hard-coded

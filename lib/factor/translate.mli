@@ -9,14 +9,6 @@ type mapping = {
   mp_ff : (int * int) list;  (** shared registers: transformed -> chip *)
 }
 
-(** Match pins and registers by name (transformed names are a subset of
-    the chip's). *)
-val mapping : chip:Netlist.t -> transformed:Netlist.t -> mapping
-
-(** Translate one test; unconstrained chip pins are held low. *)
-val test : chip:Netlist.t -> mapping:mapping -> Atpg.Pattern.test ->
-  Atpg.Pattern.test
-
 (** Translate a whole test set. *)
 val translate_all :
   chip:Netlist.t -> transformed:Netlist.t -> Atpg.Pattern.test list ->

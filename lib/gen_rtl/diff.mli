@@ -125,7 +125,3 @@ val render : report -> string
 (** ["FACTOR_SEED=<n> FACTOR_CHAOS=<v|unset> FACTOR_JOBS=<v|unset>"] —
     the environment of this process, verbatim, plus the seed. *)
 val repro_env : seed:int -> string
-
-(** Write one failure's shrunk reproducer (with its replay header) into
-    [dir], returning the file path. *)
-val write_corpus : dir:string -> failure -> string

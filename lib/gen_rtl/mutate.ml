@@ -22,9 +22,6 @@ let kind_name = function
   | Deepen -> "deepen"
   | Flatten -> "flatten"
 
-let all_kinds =
-  [ Operand_swap; Gate_subst; Const_seed; Dead_module; Deepen; Flatten ]
-
 type info = {
   mi_kind : kind;
   mi_preserving : bool;
@@ -512,9 +509,7 @@ let random_preserving ~rng d ~top =
       match acc with Some _ -> acc | None -> apply ~rng d ~top kind)
     None rotated
 
-let gate_swap ~rng d ~top = apply ~rng d ~top Gate_subst
-
-(* Deterministic twin of [gate_swap] for the chaos bug seam: first
+(* Deterministic [Gate_subst] for the chaos bug seam: first
    eligible site in traversal order, first other operator in the class.
    A pure function of the design, so when a shrinker replays the seam
    on candidate designs the planted bug stays at the same structural

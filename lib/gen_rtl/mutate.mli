@@ -24,7 +24,6 @@ type kind =
   | Flatten        (** inline a leaf instance into its parent *)
 
 val kind_name : kind -> string
-val all_kinds : kind list
 
 type info = {
   mi_kind : kind;
@@ -55,20 +54,8 @@ val map_exprs :
   (int -> root:bool -> Verilog.Ast.expr -> Verilog.Ast.expr) ->
   Verilog.Ast.design -> Verilog.Ast.design
 
-(** [apply ~rng d ~top kind] applies one instance of [kind] somewhere
-    in the modules reachable from [top] ([Dead_module] inserts an
-    unreachable one on purpose).  [None] when no site applies. *)
-val apply :
-  rng:Random.State.t -> Verilog.Ast.design -> top:string -> kind ->
-  (Verilog.Ast.design * info) option
-
 (** A random applicable semantics-preserving mutation. *)
 val random_preserving :
-  rng:Random.State.t -> Verilog.Ast.design -> top:string ->
-  (Verilog.Ast.design * info) option
-
-(** The canonical perturbing mutation ([Gate_subst]). *)
-val gate_swap :
   rng:Random.State.t -> Verilog.Ast.design -> top:string ->
   (Verilog.Ast.design * info) option
 

@@ -353,14 +353,6 @@ let topological_order c =
   done;
   Array.of_list (List.rev !order)
 
-(** Fanout lists: for each net, the nets whose driver reads it. *)
-let fanouts c =
-  let out = Array.make (num_nets c) [] in
-  Array.iteri
-    (fun net d -> List.iter (fun i -> out.(i) <- net :: out.(i)) (fanins d))
-    c.drv;
-  out
-
 (* ------------------------------------------------------------------ *)
 (* Shared structural analysis.                                         *)
 (* ------------------------------------------------------------------ *)
@@ -592,5 +584,3 @@ let stats c =
     count 1, muxes 3, flip-flops 6. *)
 let gate_equivalents st =
   st.st_g2 + st.st_inv + (3 * st.st_mux) + (6 * st.st_ffs)
-
-let comb_gates st = st.st_g2 + st.st_inv + (3 * st.st_mux)

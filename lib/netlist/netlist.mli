@@ -98,16 +98,9 @@ val finalize : builder -> t
 (** Input nets of a driver. *)
 val fanins : driver -> int list
 
-(** Nets reachable backwards from [roots] through combinational gates
-    (PIs, FFs and constants included). *)
-val comb_cone : t -> int list -> bool array
-
 (** Topological order of all nets, fanins first; FF q nets are sources.
     @raise Error on a combinational cycle. *)
 val topological_order : t -> int array
-
-(** For each net, the nets whose driver reads it. *)
-val fanouts : t -> int list array
 
 (** {1 Shared structural analysis} *)
 
@@ -198,6 +191,3 @@ val stats : t -> stats
 (** Gate-equivalent count used in all tables: 2-input gates and inverters
     count 1, muxes 3, flip-flops 6; buffers are free. *)
 val gate_equivalents : stats -> int
-
-(** Combinational gate equivalents only. *)
-val comb_gates : stats -> int

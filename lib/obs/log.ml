@@ -125,12 +125,6 @@ let verbosity_cell = Atomic.make (verbosity_rank Normal)
 
 let set_verbosity v = Atomic.set verbosity_cell (verbosity_rank v)
 
-let verbosity () =
-  match Atomic.get verbosity_cell with
-  | 0 -> Quiet
-  | 2 -> Verbose
-  | _ -> Normal
-
 let console_lock = Mutex.create ()
 
 let emit_console s =

@@ -59,7 +59,6 @@ val remove_forwarder : int -> unit
 type verbosity = Quiet | Normal | Verbose
 
 val set_verbosity : verbosity -> unit
-val verbosity : unit -> verbosity
 
 (** Normal-and-above console progress line (stderr). *)
 val progressf : ('a, unit, string, unit) format4 -> 'a

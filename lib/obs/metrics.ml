@@ -3,8 +3,7 @@ type counter = int Atomic.t
 type gauge = float Atomic.t
 
 type histogram = {
-  h_bounds : float array;         (* strictly increasing upper bounds *)
-  h_counts : int Atomic.t array;  (* length = bounds + 1; last = overflow *)
+  h_counts : int Atomic.t array;  (* one per bound, then the overflow *)
   h_sum : float Atomic.t;
   h_max : float Atomic.t;
 }
@@ -17,8 +16,9 @@ type metric =
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
 let registry_lock = Mutex.create ()
 
-(* Seconds-scale latency bounds: 1 µs .. ~524 s, doubling. *)
-let default_buckets = Array.init 30 (fun i -> 1e-6 *. Float.pow 2.0 (float_of_int i))
+(* Every histogram's bucket upper bounds, seconds-scale latencies:
+   1 µs .. ~537 s, doubling. *)
+let bounds = Array.init 30 (fun i -> 1e-6 *. Float.pow 2.0 (float_of_int i))
 
 let intern name make project kind =
   Mutex.protect registry_lock (fun () ->
@@ -59,19 +59,12 @@ let gauge name =
 let set g v = Atomic.set g v
 let get g = Atomic.get g
 
-let histogram ?(buckets = default_buckets) name =
+let histogram name =
   intern name
     (fun () ->
-      Array.iteri
-        (fun i b ->
-          if i > 0 && b <= buckets.(i - 1) then
-            invalid_arg
-              "Obs.Metrics.histogram: bounds must be strictly increasing")
-        buckets;
       let h =
-        { h_bounds = Array.copy buckets;
-          h_counts =
-            Array.init (Array.length buckets + 1) (fun _ -> Atomic.make 0);
+        { h_counts =
+            Array.init (Array.length bounds + 1) (fun _ -> Atomic.make 0);
           h_sum = Atomic.make 0.0;
           h_max = Atomic.make neg_infinity }
       in
@@ -85,9 +78,9 @@ let rec cas_update cell f =
   if not (Atomic.compare_and_set cell old (f old)) then cas_update cell f
 
 let observe h v =
-  let nb = Array.length h.h_bounds in
+  let nb = Array.length bounds in
   let rec bucket i =
-    if i >= nb || v <= h.h_bounds.(i) then i else bucket (i + 1)
+    if i >= nb || v <= bounds.(i) then i else bucket (i + 1)
   in
   ignore (Atomic.fetch_and_add h.h_counts.(bucket 0) 1);
   cas_update h.h_sum (fun s -> s +. v);
@@ -100,7 +93,7 @@ let sum h = Atomic.get h.h_sum
 
 (* Percentile over plain bucket counts; shared by the live histogram
    reader and snapshot-delta rendering. *)
-let percentile_of ~bounds ~counts ~max_v p =
+let percentile_of ~counts ~max_v p =
   let total = Array.fold_left ( + ) 0 counts in
   if total = 0 then 0.0
   else begin
@@ -118,7 +111,7 @@ let percentile_of ~bounds ~counts ~max_v p =
   end
 
 let percentile h p =
-  percentile_of ~bounds:h.h_bounds
+  percentile_of
     ~counts:(Array.map Atomic.get h.h_counts)
     ~max_v:(Atomic.get h.h_max) p
 
@@ -165,7 +158,6 @@ type snap_value =
       sh_counts : int array;
       sh_sum : float;
       sh_max : float;
-      sh_bounds : float array;  (* shared with the live histogram *)
     }
 
 type snapshot = (string, snap_value) Hashtbl.t
@@ -186,21 +178,20 @@ let snapshot () : snapshot =
           S_hist
             { sh_counts = Array.map Atomic.get h.h_counts;
               sh_sum = Atomic.get h.h_sum;
-              sh_max = Atomic.get h.h_max;
-              sh_bounds = h.h_bounds }
+              sh_max = Atomic.get h.h_max }
       in
       Hashtbl.add snap name v)
     entries;
   snap
 
-let hist_delta_json ~bounds ~counts ~sum ~max_v =
+let hist_delta_json ~counts ~sum ~max_v =
   let n = Array.fold_left ( + ) 0 counts in
   Json.Obj
     [ ("count", Json.Int n);
       ("sum", Json.Float sum);
-      ("p50", Json.Float (percentile_of ~bounds ~counts ~max_v 50.0));
-      ("p90", Json.Float (percentile_of ~bounds ~counts ~max_v 90.0));
-      ("p99", Json.Float (percentile_of ~bounds ~counts ~max_v 99.0));
+      ("p50", Json.Float (percentile_of ~counts ~max_v 50.0));
+      ("p90", Json.Float (percentile_of ~counts ~max_v 90.0));
+      ("p99", Json.Float (percentile_of ~counts ~max_v 99.0));
       ("max", Json.Float (if n = 0 then 0.0 else max_v)) ]
 
 (* [diff before after]: counters and histogram cells subtract (a metric
@@ -231,15 +222,13 @@ let diff (before : snapshot) (after : snapshot) =
         | S_hist h ->
           let prev_counts, prev_sum =
             match Hashtbl.find_opt before name with
-            | Some (S_hist p) when Array.length p.sh_counts
-                                   = Array.length h.sh_counts ->
-              (p.sh_counts, p.sh_sum)
+            | Some (S_hist p) -> (p.sh_counts, p.sh_sum)
             | _ -> (Array.map (fun _ -> 0) h.sh_counts, 0.0)
           in
           let counts = Array.mapi (fun i c -> c - prev_counts.(i)) h.sh_counts in
           if Array.exists (fun c -> c <> 0) counts then
             ( name,
-              hist_delta_json ~bounds:h.sh_bounds ~counts
+              hist_delta_json ~counts
                 ~sum:(h.sh_sum -. prev_sum) ~max_v:h.sh_max )
             :: acc
           else acc)
@@ -297,8 +286,8 @@ let dump_prometheus () =
             Buffer.add_string buf
               (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" n
                  (prom_float bound) !cum))
-          h.h_bounds;
-        let total = !cum + Atomic.get h.h_counts.(Array.length h.h_bounds) in
+          bounds;
+        let total = !cum + Atomic.get h.h_counts.(Array.length bounds) in
         Buffer.add_string buf
           (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" n total);
         Buffer.add_string buf
@@ -306,16 +295,3 @@ let dump_prometheus () =
         Buffer.add_string buf (Printf.sprintf "%s_count %d\n" n total))
     entries;
   Buffer.contents buf
-
-let reset () =
-  Mutex.protect registry_lock (fun () ->
-      Hashtbl.iter
-        (fun _ m ->
-          match m with
-          | Counter c -> Atomic.set c 0
-          | Gauge g -> Atomic.set g 0.0
-          | Histogram h ->
-            Array.iter (fun cell -> Atomic.set cell 0) h.h_counts;
-            Atomic.set h.h_sum 0.0;
-            Atomic.set h.h_max neg_infinity)
-        registry)

@@ -36,11 +36,11 @@ val gauge : string -> gauge
 val set : gauge -> float -> unit
 val get : gauge -> float
 
-(** [histogram ?buckets name] interns a histogram with the given strictly
-    increasing bucket upper bounds (default: exponential bounds suited to
-    seconds-scale latencies, 1 µs to ~500 s).  Observations above the
-    last bound land in an overflow bucket. *)
-val histogram : ?buckets:float array -> string -> histogram
+(** [histogram name] interns a histogram with exponential bucket upper
+    bounds suited to seconds-scale latencies (1 µs × 2{^k}, k = 0..29:
+    1 µs to ~537 s).  Observations above the last bound land in an
+    overflow bucket. *)
+val histogram : string -> histogram
 
 val observe : histogram -> float -> unit
 val count : histogram -> int
@@ -97,6 +97,3 @@ val snapshot_counter : snapshot -> string -> int
     [_bucket{le=...}] series plus [_sum]/[_count].  Served by the
     daemon's [metrics] request. *)
 val dump_prometheus : unit -> string
-
-(** Zero every registered metric (tests and benchmark deltas). *)
-val reset : unit -> unit

@@ -119,11 +119,11 @@ let emit_limited r ~final =
      && Atomic.compare_and_set last_emit last now
   then emit r ~final
 
-let step ?(n = 1) t =
+let step t =
   match t with
   | Off -> ()
   | On r ->
-    ignore (Atomic.fetch_and_add r.r_done n : int);
+    Atomic.incr r.r_done;
     emit_limited r ~final:false
 
 let finish t =

@@ -60,8 +60,8 @@ type t
     (one atomic load, no allocation) when no sink is installed. *)
 val start : ?total:int -> string -> t
 
-(** Advance by [n] (default 1) and emit if the rate limit allows. *)
-val step : ?n:int -> t -> unit
+(** Advance by one and emit if the rate limit allows. *)
+val step : t -> unit
 
 (** Emit the closing update for the phase. *)
 val finish : t -> unit

@@ -20,7 +20,6 @@ type rails = {
 val create : unit -> env
 val solver : env -> Solver.t
 
-val lit_true : env -> Solver.lit
 val lit_false : env -> Solver.lit
 
 (** The constant-X value: both rails false. *)
@@ -31,11 +30,6 @@ val rails_of_bool : env -> bool -> rails
 (** A fresh binary variable as rails: [r0 = neg r1], so the value is
     never X.  Used for primary inputs and PIER load values. *)
 val fresh_binary : env -> rails
-
-(** Simplifying Tseitin gates over literals: constants fold,
-    duplicates drop, complementary inputs short-circuit. *)
-val mk_and : env -> Solver.lit list -> Solver.lit
-val mk_or : env -> Solver.lit list -> Solver.lit
 
 (** [diff_lit e a b]: a literal true iff the two rail pairs hold
     opposite binary values — the {!Sim.Logic3.diff} of the encoding.

@@ -70,18 +70,10 @@ let create ?store ?max_resident () =
     c_stamp = Hashtbl.create 16 }
 
 let fingerprint e = e.e_fp
-let top e = e.e_top
 let env e = e.e_env
-let session e = e.e_session
 
 let resident t =
   Mutex.protect t.c_lock @@ fun () -> Hashtbl.length t.c_entries
-
-let clear_resident t =
-  Mutex.protect t.c_lock @@ fun () ->
-  Hashtbl.reset t.c_entries;
-  Hashtbl.reset t.c_alias;
-  Hashtbl.reset t.c_stamp
 
 (* Call with [c_lock] held. *)
 let touch t fp =

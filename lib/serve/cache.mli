@@ -74,9 +74,7 @@ val find_or_build :
   top:string option -> entry * outcome
 
 val fingerprint : entry -> string
-val top : entry -> string
 val env : entry -> Factor.Compose.env
-val session : entry -> Factor.Compose.session
 
 (** The fully synthesized circuit of the entry's top, built on first use
     and cached (resident and, when a store is attached, on disk). *)
@@ -98,7 +96,3 @@ val batch : (unit -> 'a) -> 'a
 
 (** Number of resident entries. *)
 val resident : t -> int
-
-(** Drop every resident entry (the store is untouched), so the next
-    lookups exercise the disk path. *)
-val clear_resident : t -> unit

@@ -38,15 +38,15 @@ let connect addr =
     cl_pending = Hashtbl.create 4;
     cl_last_metrics = None }
 
-let connect_retry ?(attempts = 50) ?(delay = 0.1) addr =
+let connect_retry addr =
   let rec go n =
     match connect addr with
     | t -> t
     | exception Unix.Unix_error _ when n > 1 ->
-      Unix.sleepf delay;
+      Unix.sleepf 0.1;
       go (n - 1)
   in
-  go (max 1 attempts)
+  go 50
 
 let close t =
   (* closing the channel closes the shared fd *)

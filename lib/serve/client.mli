@@ -21,11 +21,10 @@ type t
 (** @raise Unix.Unix_error when the daemon is not reachable. *)
 val connect : Server.addr -> t
 
-(** [connect_retry ?attempts ?delay addr] retries [connect] while the
-    daemon is still booting ([attempts] × [delay] seconds, default
-    50 × 0.1).
+(** [connect_retry addr] retries [connect] while the daemon is still
+    booting (50 attempts, 0.1 s apart).
     @raise Unix.Unix_error when every attempt fails. *)
-val connect_retry : ?attempts:int -> ?delay:float -> Server.addr -> t
+val connect_retry : Server.addr -> t
 
 val close : t -> unit
 

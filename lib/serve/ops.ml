@@ -24,7 +24,19 @@ let h_latency = Obs.Metrics.histogram "factor.serve.request_seconds"
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Proto.Proto_error s)) fmt
 
-let str_opt name params = Option.bind (J.member name params) J.to_string_opt
+(* One rule for every parameter: absent reads as [None]; present with
+   the right JSON type reads as its value; anything else is refused,
+   never read as absent. *)
+let param conv kind name params =
+  match J.member name params with
+  | None -> None
+  | Some j ->
+    (match conv j with
+     | Some v -> Some v
+     | None -> bad "bad %s: expected %s" name kind)
+
+let str_opt = param J.to_string_opt "string"
+let float_opt = param J.to_float_opt "number"
 
 let str_req name params =
   match str_opt name params with
@@ -35,21 +47,13 @@ let str_default name ~default params =
   Option.value (str_opt name params) ~default
 
 let float_default name ~default params =
-  match Option.bind (J.member name params) J.to_float_opt with
-  | Some f -> f
-  | None -> default
-
-let float_opt name params = Option.bind (J.member name params) J.to_float_opt
+  Option.value (float_opt name params) ~default
 
 let int_default name ~default params =
-  match Option.bind (J.member name params) J.to_int_opt with
-  | Some i -> i
-  | None -> default
+  Option.value (param J.to_int_opt "int" name params) ~default
 
 let bool_default name ~default params =
-  match Option.bind (J.member name params) J.to_bool_opt with
-  | Some b -> b
-  | None -> default
+  Option.value (param J.to_bool_opt "bool" name params) ~default
 
 (* The value of parameter [name] (default [default]) looked up in
    [table], a name-to-value list like {!Factor.Flow.modes}. *)
@@ -83,6 +87,7 @@ let design_source params =
 
 let entry_of ?design_file ctx ~budget params =
   let (source, top) = design_source params in
+  Obs.Span.with_ "serve.cache_lookup" @@ fun () ->
   Cache.find_or_build ?file:design_file ctx.oc_cache ~budget ~source ~top
 
 (* Resolve a given [mut] against the entry's instance tree before any
@@ -90,7 +95,9 @@ let entry_of ?design_file ctx ~budget params =
 let check_mut entry mut =
   Option.iter (fun m -> ignore (Factor.Compose.mut_node (Cache.env entry) m)) mut
 
-let faults_of c mut = Atpg.Fault.collapse c (Atpg.Fault.all ?within:mut c)
+let faults_of c mut =
+  Obs.Span.with_ "atpg.collapse" @@ fun () ->
+  Atpg.Fault.collapse c (Atpg.Fault.all ?within:mut c)
 
 let pier_ffs c params =
   if bool_default "piers" ~default:false params then Factor.Pier.identify c
@@ -188,6 +195,7 @@ let op_metrics _ctx _budget _params =
 
 let op_extract ctx budget params =
   let (x, outcome) = extract ~budget ctx params in
+  Obs.Span.with_ "serve.render" @@ fun () ->
   J.Obj
     ([ ("extraction", J.String (Render.extract_stats x.x_stats));
        ("transformed", J.String (Render.transform_line x.x_transform));
@@ -212,6 +220,7 @@ let op_extract ctx budget params =
 let op_atpg ctx budget params =
   let (a, outcome) = atpg ~budget ctx params in
   let r = a.a_result in
+  Obs.Span.with_ "serve.render" @@ fun () ->
   J.Obj
     [ ("counts", J.String (Render.atpg_counts r));
       ("quality", J.String (Render.atpg_quality r));
@@ -225,6 +234,7 @@ let op_atpg ctx budget params =
 
 let op_grade ctx budget params =
   let (g, outcome) = grade ~budget ctx params in
+  Obs.Span.with_ "serve.render" @@ fun () ->
   J.Obj
     [ ("line",
        J.String
@@ -237,7 +247,8 @@ let op_grade ctx budget params =
 let op_ec ctx budget params =
   let side name =
     match J.member name params with
-    | Some p -> p
+    | Some (J.Obj _ as p) -> p
+    | Some _ -> bad "bad %s: expected object" name
     | None -> bad "missing %S design object" name
   in
   let (ea, oa) = entry_of ctx ~budget (side "a") in
@@ -247,6 +258,7 @@ let op_ec ctx budget params =
     Option.map int_of_float (float_opt "conflict_limit" params)
   in
   let (verdict, _stats) = Sat.Ec.check ?conflict_limit ca cb in
+  Obs.Span.with_ "serve.render" @@ fun () ->
   J.Obj
     [ ("line", J.String (Render.ec_line verdict));
       ("verdict",
@@ -321,39 +333,44 @@ let with_streaming ~emit ~req rq f =
 let handle ?emit ctx (rq : Proto.request) =
   Obs.Metrics.incr m_requests;
   let t0 = Engine.Clock.now () in
-  let budget =
-    match float_opt "budget_s" rq.rq_params with
-    | Some s -> Engine.Budget.make ~deadline_in:s ()
-    | None ->
-      (match ctx.oc_default_budget with
-       | Some s -> Engine.Budget.make ~deadline_in:s ()
-       | None -> Engine.Budget.none)
+  (* a malformed [budget_s] or [req] fails here, counted as an error *)
+  let run () =
+    let budget =
+      match float_opt "budget_s" rq.rq_params with
+      | Some s -> Engine.Budget.make ~deadline_in:s ()
+      | None ->
+        (match ctx.oc_default_budget with
+         | Some s -> Engine.Budget.make ~deadline_in:s ()
+         | None -> Engine.Budget.none)
+    in
+    (* the request id correlates the whole lifetime: the client sends
+       one ([req] param), the daemon stamps it into the ambient context
+       so every span and log record of this request carries it *)
+    let req =
+      match str_opt "req" rq.rq_params with
+      | Some r -> r
+      | None -> Printf.sprintf "rq-%d" rq.rq_id
+    in
+    let body () =
+      (* the per-request chaos seam: a kill or stall here degrades
+         exactly one request — the server catches the exception and
+         answers with an error response while siblings proceed
+         untouched *)
+      if Engine.Chaos.active () then
+        Engine.Chaos.point ("serve.request:" ^ rq.rq_op);
+      Cache.batch (fun () -> (handler rq.rq_op) ctx budget rq.rq_params)
+    in
+    let traced () =
+      if Obs.Span.enabled () then
+        Obs.Span.with_ "serve.request"
+          ~attrs:[ ("op", J.String rq.rq_op); ("rq_id", J.Int rq.rq_id) ]
+          body
+      else body ()
+    in
+    Obs.Context.with_request_id req (fun () ->
+        with_streaming ~emit ~req rq traced)
   in
-  (* the request id correlates the whole lifetime: the client sends one
-     ([req] param), the daemon stamps it into the ambient context so
-     every span and log record of this request carries it *)
-  let req =
-    match str_opt "req" rq.rq_params with
-    | Some r -> r
-    | None -> Printf.sprintf "rq-%d" rq.rq_id
-  in
-  let body () =
-    (* the per-request chaos seam: a kill or stall here degrades exactly
-       one request — the server catches the exception and answers with
-       an error response while siblings proceed untouched *)
-    if Engine.Chaos.active () then
-      Engine.Chaos.point ("serve.request:" ^ rq.rq_op);
-    Cache.batch (fun () -> (handler rq.rq_op) ctx budget rq.rq_params)
-  in
-  let traced () =
-    if Obs.Span.enabled () then
-      Obs.Span.with_ "serve.request"
-        ~attrs:[ ("op", J.String rq.rq_op); ("rq_id", J.Int rq.rq_id) ]
-        body
-    else body ()
-  in
-  let run () = with_streaming ~emit ~req rq traced in
-  match Obs.Context.with_request_id req run with
+  match run () with
   | result ->
     Obs.Metrics.observe h_latency (Engine.Clock.now () -. t0);
     result

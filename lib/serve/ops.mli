@@ -31,9 +31,12 @@
     before any work, and an unknown path raises
     {!Design.Hierarchy.Unknown_path}, an extract-stage error.  An
     [atpg] ["frames"] below 1 is refused before any work with
-    {!Proto.Proto_error}.  [grade]'s tests must fit the circuit: a
-    [vec] of another width than its inputs, or a [load] of a flip-flop
-    it lacks, is a parse-stage error at that line.
+    {!Proto.Proto_error}, and so is any parameter present with another
+    JSON type than its own (["bad <name>: expected
+    int|number|string|bool|object"]): it is never read as absent.
+    [grade]'s tests must fit the circuit: a [vec] of another width than
+    its inputs, or a [load] of a flip-flop it lacks, is a parse-stage
+    error at that line.
 
     {!handle} raises on failure — {!Factor.Errors.Error},
     {!Design.Hierarchy.Unknown_path}, {!Engine.Budget.Exhausted},

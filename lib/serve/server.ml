@@ -53,8 +53,6 @@ type t = {
   mutable sv_stopped : bool;
 }
 
-let addr t = t.sv_state.st_cfg.sc_addr
-
 (* ------------------------------------------------------------------ *)
 (* Request execution.                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -64,7 +62,11 @@ let addr t = t.sv_state.st_cfg.sc_addr
    every exception is folded into an error frame for this id only. *)
 let answer ?emit ctx payload =
   let rq =
-    try Some (Proto.request_of_json (Obs.Json.of_string payload)) with
+    try
+      Some
+        (Obs.Span.with_ "proto.decode" @@ fun () ->
+         Proto.request_of_json (Obs.Json.of_string payload))
+    with
     | Obs.Json.Parse_error msg | Proto.Proto_error msg ->
       Obs.Log.warnf "serve: unparseable request: %s" msg;
       None
@@ -77,6 +79,7 @@ let answer ?emit ctx payload =
     let before = Obs.Metrics.snapshot () in
     (match Ops.handle ?emit ctx rq with
      | result ->
+       Obs.Span.with_ "proto.encode" @@ fun () ->
        let metrics = Obs.Metrics.diff before (Obs.Metrics.snapshot ()) in
        Some (Proto.ok_frame ~id:rq.Proto.rq_id ~metrics result)
      | exception e ->

@@ -52,8 +52,6 @@ type t
     @raise Unix.Unix_error when the address cannot be bound. *)
 val start : config -> t
 
-val addr : t -> addr
-
 (** Request shutdown and join the loop domain.  Idempotent. *)
 val stop : t -> unit
 

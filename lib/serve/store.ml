@@ -13,8 +13,6 @@ type t = {
   mutable st_bytes : int;
 }
 
-let dir t = t.st_dir
-
 (* Identifies both the store layout and the Marshal producer: entries
    written by a different compiler build (whose Marshal format may
    differ) must read as misses, not as garbage values.  Layout 2 added

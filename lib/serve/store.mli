@@ -19,8 +19,6 @@ type t
     cannot be created. *)
 val open_ : string -> t
 
-val dir : t -> string
-
 (** [put t ~key s] atomically stores raw bytes.  [key] must be made of
     [A-Za-z0-9._-] only.
     @raise Invalid_argument on an unsafe key. *)

@@ -53,9 +53,6 @@ let eval sim (pi_values : L.t array) =
         drive sim.circuit sim.values ~pi ~state:sim.state net)
     sim.order
 
-(** Current value of a net (after [eval]). *)
-let value sim net = sim.values.(net)
-
 (** Values observed at the primary outputs. *)
 let outputs sim = Array.map (fun net -> sim.values.(net)) sim.circuit.N.pos
 

@@ -28,9 +28,6 @@ val drive :
 (** Evaluate combinational logic for the given per-PI values. *)
 val eval : t -> Logic3.t array -> unit
 
-(** Value of a net after {!eval}. *)
-val value : t -> int -> Logic3.t
-
 (** Values at the primary outputs after {!eval}. *)
 val outputs : t -> Logic3.t array
 

@@ -18,6 +18,3 @@ type flat = {
     Unconnected input ports are tied to zero.
     @raise Error on inout ports. *)
 val flatten : Design.Elaborate.edesign -> string -> flat
-
-(** Identifier renaming over expressions, exposed for reuse. *)
-val rename_expr : (string -> string) -> Verilog.Ast.expr -> Verilog.Ast.expr

@@ -402,15 +402,9 @@ let settle t =
       | _ -> ())
     t.it_order
 
-(** [set_input t name v] drives a root input port. *)
-let set_input t name v = set_value t name v
-
 (** [output t name] reads any signal (typically a root output) after
-    {!eval_comb}. *)
+    {!step}. *)
 let output t name = value t name
-
-(** Recompute all combinational logic for the current inputs/state. *)
-let eval_comb t = settle t
 
 (** Advance one clock cycle: run every clocked block against the settled
     values, then commit nonblocking updates. *)
@@ -452,5 +446,5 @@ let tick t =
 (** [step t inputs] drives the inputs, settles, reads nothing; call
     {!output} before or after {!tick} as needed. *)
 let step t inputs =
-  List.iter (fun (n, v) -> set_input t n v) inputs;
-  eval_comb t
+  List.iter (fun (n, v) -> set_value t n v) inputs;
+  settle t

@@ -11,16 +11,11 @@ type t
     @raise Error on combinational cycles or unsupported constructs. *)
 val create : Flatten.flat -> t
 
-(** Drive a root input port. *)
-val set_input : t -> string -> int -> unit
-
-(** Recompute all combinational logic for the current inputs/state. *)
-val eval_comb : t -> unit
-
-(** [step t inputs] = set every input, then {!eval_comb}. *)
+(** [step t inputs] drives the root inputs, then recomputes all
+    combinational logic for the current inputs and state. *)
 val step : t -> (string * int) list -> unit
 
-(** Read any signal (typically a root output) after {!eval_comb}. *)
+(** Read any signal (typically a root output) after {!step}. *)
 val output : t -> string -> int
 
 (** Advance one clock cycle: run the clocked blocks against the settled

@@ -1,43 +1,24 @@
 (** Standalone netlist optimization passes.  The builder already folds
     constants and hash-conses structurally during construction; these
-    passes run on finished netlists — e.g. after tying inputs to
-    constants — and implement the "synthesis removes the redundant
-    constraints" step as a reusable transformation.  Also provides a
+    passes run on finished netlists and implement the "synthesis
+    removes the redundant constraints" step as a reusable
+    transformation.  Also provides a
     random-simulation equivalence check used by the test suite. *)
 
 module N = Netlist
 module L = Sim.Logic3
 
-(** Statistics of one optimization run. *)
-type stats = {
-  op_nets_before : int;
-  op_nets_after : int;
-  op_ffs_before : int;
-  op_ffs_after : int;
-}
-
-(** [rebuild ?tie c] reconstructs [c] through a fresh builder, re-applying
-    every local simplification rule; [tie] forces the given primary
-    inputs to constants first (the constraint-tying use case).  Dead
-    logic disappears because only the cones of the outputs and of live
-    flip-flops are traversed.  Primary inputs and outputs keep their
-    names and order; tied inputs survive as (unused) inputs so the
-    interface is stable. *)
-let rebuild ?(tie = []) c =
+(** [rebuild c] reconstructs [c] through a fresh builder, re-applying
+    every local simplification rule.  Dead logic disappears because only
+    the cones of the outputs and of live flip-flops are traversed.
+    Primary inputs and outputs keep their names and order. *)
+let rebuild c =
   let b = N.create_builder () in
   let nets = N.num_nets c in
   let memo = Array.make nets (-1) in
   (* inputs first, in order *)
   Array.iteri
-    (fun i name ->
-      let net = N.add_pi b name in
-      let net =
-        match List.assoc_opt name tie with
-        | Some false -> N.const0 b
-        | Some true -> N.const1 b
-        | None -> net
-      in
-      memo.(c.N.pis.(i)) <- net)
+    (fun i name -> memo.(c.N.pis.(i)) <- N.add_pi b name)
     c.N.pi_names;
   (* flip-flops: q nets allocated lazily so dead state vanishes; d inputs
      patched after the combinational rebuild *)
@@ -119,24 +100,6 @@ let rebuild ?(tie = []) c =
       ff_used
   done;
   N.finalize b
-
-(** [optimize ?tie c] rebuilds and reports before/after statistics. *)
-let optimize ?tie c =
-  Obs.Span.with_ "synth.optimize" @@ fun () ->
-  let before = N.stats c in
-  let c' = rebuild ?tie c in
-  let after = N.stats c' in
-  if Obs.Log.enabled Obs.Log.Info then
-    Obs.Log.event Obs.Log.Info "synth.optimize"
-      [ ("nets_before", Obs.Json.Int (N.num_nets c));
-        ("nets_after", Obs.Json.Int (N.num_nets c'));
-        ("gates_before", Obs.Json.Int (N.gate_equivalents before));
-        ("gates_after", Obs.Json.Int (N.gate_equivalents after)) ];
-  ( c',
-    { op_nets_before = N.num_nets c;
-      op_nets_after = N.num_nets c';
-      op_ffs_before = before.N.st_ffs;
-      op_ffs_after = after.N.st_ffs } )
 
 (* ------------------------------------------------------------------ *)
 (* Random-simulation equivalence check.                                *)

@@ -1,23 +1,10 @@
 (** Standalone netlist optimization: rebuilds a finished netlist through
-    the simplifying constructors, optionally tying inputs to constants,
-    sweeping dead logic and dead state.  Includes a random-simulation
-    equivalence check. *)
+    the simplifying constructors, sweeping dead logic and dead state.
+    Includes a random-simulation equivalence check. *)
 
-type stats = {
-  op_nets_before : int;
-  op_nets_after : int;
-  op_ffs_before : int;
-  op_ffs_after : int;
-}
-
-(** [rebuild ?tie c] reconstructs [c]; [tie] forces the named primary
-    inputs to constants.  Tied inputs survive as unused inputs so the
-    interface stays stable.  Dead cones behind constant selects are
-    never rebuilt. *)
-val rebuild : ?tie:(string * bool) list -> Netlist.t -> Netlist.t
-
-(** [optimize ?tie c] rebuilds and reports before/after statistics. *)
-val optimize : ?tie:(string * bool) list -> Netlist.t -> Netlist.t * stats
+(** [rebuild c] reconstructs [c]; dead cones behind constant selects
+    are never rebuilt. *)
+val rebuild : Netlist.t -> Netlist.t
 
 (** [Equal] means no counter-example was found within the effort bound. *)
 type verdict = Equal | Differ of string

@@ -1,13 +1,6 @@
 (** Verilog pretty-printer.  The output is parseable by {!Parser}, so
     extracted constraints round-trip through the front end. *)
 
-val pp_expr : Format.formatter -> Ast.expr -> unit
-val pp_lvalue : Format.formatter -> Ast.lvalue -> unit
-val pp_stmt : int -> Format.formatter -> Ast.stmt -> unit
-val pp_item : Format.formatter -> Ast.item -> unit
-val pp_module : Format.formatter -> Ast.module_def -> unit
-val pp_design : Format.formatter -> Ast.design -> unit
-
 (** [module_to_string m] renders one module as Verilog source. *)
 val module_to_string : Ast.module_def -> string
 

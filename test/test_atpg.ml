@@ -895,20 +895,15 @@ let vector_file_tests =
           List.init 5 (fun _ ->
               Atpg.Pattern.random ~rng ~num_pis:7 ~frames:3 ~piers:[ 2; 9 ])
         in
-        let path = Filename.temp_file "factor" ".vec" in
-        Atpg.Pattern.write_file ~pi_names:[| "a"; "b" |] path tests;
-        let back = Atpg.Pattern.read_file path in
-        Sys.remove path;
+        let back =
+          Atpg.Pattern.read_string
+            (Atpg.Pattern.write_string ~pi_names:[| "a"; "b" |] tests)
+        in
         check_bool "identical" true (back = tests));
     test "rejects malformed input" (fun () ->
-        let path = Filename.temp_file "factor" ".vec" in
-        let oc = open_out path in
-        output_string oc "test\nvec 01x0\nend\n";
-        close_out oc;
-        (match Atpg.Pattern.read_file path with
-         | exception Atpg.Pattern.Parse_error _ -> ()
-         | _ -> Alcotest.fail "expected parse error");
-        Sys.remove path);
+        match Atpg.Pattern.read_string "test\nvec 01x0\nend\n" with
+        | exception Atpg.Pattern.Parse_error _ -> ()
+        | _ -> Alcotest.fail "expected parse error");
     test "parse errors carry their line" (fun () ->
         let parse s =
           match Atpg.Pattern.read_string s with
@@ -946,22 +941,16 @@ let vector_file_tests =
           (List.length (Atpg.Pattern.read_string "test\nload 2 1\nvec 0\nend\n")
            = 1));
     test "rejects unterminated block" (fun () ->
-        let path = Filename.temp_file "factor" ".vec" in
-        let oc = open_out path in
-        output_string oc "test\nvec 0101\n";
-        close_out oc;
-        (match Atpg.Pattern.read_file path with
-         | exception Atpg.Pattern.Parse_error _ -> ()
-         | _ -> Alcotest.fail "expected parse error");
-        Sys.remove path);
+        match Atpg.Pattern.read_string "test\nvec 0101\n" with
+        | exception Atpg.Pattern.Parse_error _ -> ()
+        | _ -> Alcotest.fail "expected parse error");
     test "replayed vectors detect the same faults" (fun () ->
         let c = circuit c17 in
         let faults = F.collapse c (F.all c) in
         let r = Atpg.Gen.run c Atpg.Gen.default_config faults in
-        let path = Filename.temp_file "factor" ".vec" in
-        Atpg.Pattern.write_file path r.Atpg.Gen.r_tests;
-        let back = Atpg.Pattern.read_file path in
-        Sys.remove path;
+        let back =
+          Atpg.Pattern.read_string (Atpg.Pattern.write_string r.Atpg.Gen.r_tests)
+        in
         let flags =
           Atpg.Fsim.run c ~observe:Atpg.Fsim.default_observe ~faults back
         in

@@ -109,14 +109,12 @@ let shard_map_ordering () =
 
 let clock_monotonic () =
   let a = Engine.Clock.now () in
-  let c0 = Engine.Clock.cpu () in
-  (* burn a little CPU so both clocks must advance *)
+  (* burn a little CPU so the clock must advance *)
   let acc = ref 0 in
   for i = 0 to 2_000_000 do acc := !acc + i done;
   ignore (Sys.opaque_identity !acc);
   let b = Engine.Clock.now () in
-  check_bool "wall clock advances" true (b >= a);
-  check_bool "cpu clock advances" true (Engine.Clock.cpu () >= c0)
+  check_bool "wall clock advances" true (b >= a)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel == serial, end to end.                                     *)
@@ -285,7 +283,7 @@ let budget_deadline_expiry () =
   (* the flag only flips once some poll observes the deadline *)
   check_bool "check before poll is false" false (Budget.check t);
   check_bool "poll observes expiry" true (Budget.poll t);
-  check_bool "flag set after poll" true (Budget.is_cancelled t);
+  check_bool "flag set after poll" true (Budget.check t);
   check_bool "why = Expired" true (Budget.why t = Some Budget.Expired);
   check_bool "remaining clamps to zero" true (Budget.remaining t = 0.0);
   let live = Budget.make ~deadline_in:1e9 () in

@@ -365,32 +365,23 @@ let pier_tests =
         in
         check_int "all four bits" 4 (List.length (Factor.Pier.identify c)));
     test "buried register is not a pier" (fun () ->
-        (* two registers deep on both sides *)
+        (* s1..s5 are each more than one crossing from an input or from
+           an output; p sits next to both *)
         let c =
           circuit
-            {|module top (input clk, input [3:0] d, output [3:0] y);
-              reg [3:0] s1, s2, s3;
+            {|module top (input clk, input [3:0] d, output [3:0] y, z);
+              reg [3:0] p, s1, s2, s3, s4, s5;
               always @(posedge clk) begin
-                s1 <= d; s2 <= s1; s3 <= s2;
+                p <= d; s1 <= d; s2 <= s1; s3 <= s2; s4 <= s3; s5 <= s4;
               end
-              assign y = s3; endmodule|}
+              assign y = p; assign z = s5; endmodule|}
         in
-        let piers = Factor.Pier.identify ~ctrl_depth:0 ~obs_depth:0 c in
-        let names = Factor.Pier.names c piers in
-        check_bool "middle register excluded" true
-          (not (List.exists (fun n -> String.length n > 1 && n.[1] = '2') names)));
-    test "depth thresholds widen the set" (fun () ->
-        let c =
-          circuit
-            {|module top (input clk, input [3:0] d, output [3:0] y);
-              reg [3:0] s1, s2;
-              always @(posedge clk) begin s1 <= d; s2 <= s1; end
-              assign y = s2; endmodule|}
+        let names =
+          List.map (fun i -> c.Netlist.ff_names.(i)) (Factor.Pier.identify c)
         in
-        let tight = Factor.Pier.identify ~ctrl_depth:0 ~obs_depth:0 c in
-        let loose = Factor.Pier.identify ~ctrl_depth:1 ~obs_depth:1 c in
-        check_bool "loose superset" true
-          (List.length loose > List.length tight)) ]
+        check_int "four bits" 4 (List.length names);
+        check_bool "all of them p" true
+          (List.for_all (fun n -> n.[0] = 'p') names)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Testability analysis.                                                *)

@@ -918,31 +918,95 @@ let frames_below_one () =
     [ 0; -1 ];
   check_int "no design loaded" 0 (Serve.Cache.resident (Serve.Ops.cache ctx))
 
-(* A test that does not fit the circuit (a vec narrower or wider than
-   its inputs, a load of a flip-flop it lacks) is a parse error at its
-   line, never an index error inside the fault simulator. *)
-(* A cold request's design fingerprint and structural analysis are
-   spans of their own, not unattributed self time of the request. *)
+(* A cold request's time is attributed: decoding and encoding the
+   frame, the cache lookup (the design fingerprint and the structural
+   analysis inside it), fault collapsing and rendering are spans of
+   their own, not unattributed self time of the request. *)
 let traced_cold_grade () =
-  let ctx = Serve.Ops.make_ctx () in
   Obs.Span.clear ();
   Obs.Span.set_enabled true;
   Fun.protect
     ~finally:(fun () -> Obs.Span.set_enabled false)
     (fun () ->
-      ignore
-        (Serve.Ops.handle ctx
-           { Serve.Proto.rq_id = 1; rq_op = "grade";
-             rq_params =
-               J.Obj
+      with_server (fun cl ->
+          ignore
+            (Serve.Client.rpc cl ~op:"grade"
+               ~params:
                  [ ("design", J.String "@arbiter");
-                   ("vectors", J.String "test\nvec 000000\nvec 111111\nend\n") ] }));
+                   ("vectors", J.String "test\nvec 000000\nvec 111111\nend\n") ])));
   let names = List.map (fun e -> e.Obs.Span.ev_name) (Obs.Span.events ()) in
   Obs.Span.clear ();
   List.iter
     (fun n -> check_bool (n ^ " span recorded") true (List.mem n names))
-    [ "compose.fingerprint"; "netlist.analysis" ]
+    [ "proto.decode"; "serve.request"; "serve.cache_lookup";
+      "compose.fingerprint"; "netlist.analysis"; "atpg.collapse";
+      "serve.render"; "proto.encode" ]
 
+(* A served parameter present with the wrong JSON type is refused as a
+   proto error that names it, never read as absent (a [frames] of 0.0
+   running 4 frames, a numeric [mut] grading the whole design). *)
+let wrong_typed_params () =
+  let ctx = Serve.Ops.make_ctx () in
+  let gcd = [ ("design", J.String "@gcd") ] in
+  let sub = ("mut", J.String "u_core.u_sub") in
+  let vectors = ("vectors", J.String "test\nvec 000000\nend\n") in
+  let arbiter = [ ("design", J.String "@arbiter"); vectors ] in
+  let side = J.Obj gcd in
+  let str = J.Int 7 and num = J.String "5" and bool = J.Int 1 in
+  (* op, the parameter under test, its type, and the request's
+     parameters: valid but for that one *)
+  let rows =
+    List.concat_map
+      (fun (op, base) ->
+        let rest = List.remove_assoc "design" base in
+        [ (op, "budget_s", "number", ("budget_s", num) :: base);
+          (op, "req", "string", ("req", str) :: base);
+          (op, "design", "string", ("design", str) :: rest);
+          (op, "source", "string", ("source", str) :: rest);
+          (op, "top", "string", ("top", str) :: base) ])
+      [ ("extract", sub :: gcd); ("atpg", gcd); ("grade", arbiter) ]
+    @ [ ("extract", "mut", "string", ("mut", str) :: gcd);
+        ("extract", "mode", "string", ("mode", str) :: sub :: gcd);
+        ("extract", "emit_verilog", "bool",
+         ("emit_verilog", bool) :: sub :: gcd);
+        ("atpg", "mut", "string", ("mut", str) :: gcd);
+        ("atpg", "budget", "number", ("budget", num) :: gcd);
+        ("atpg", "fault_budget", "number", ("fault_budget", num) :: gcd);
+        ("atpg", "frames", "int", ("frames", J.Float 0.0) :: gcd);
+        ("atpg", "frames", "int", ("frames", J.String "0") :: gcd);
+        ("atpg", "piers", "bool", ("piers", bool) :: gcd);
+        ("atpg", "engine", "string", ("engine", J.Int 3) :: gcd);
+        ("atpg", "seed", "int", ("seed", J.Float 1.5) :: gcd);
+        ("grade", "mut", "string", ("mut", str) :: arbiter);
+        ("grade", "vectors", "string",
+         [ ("design", J.String "@arbiter"); ("vectors", str) ]);
+        ("grade", "piers", "bool", ("piers", bool) :: arbiter);
+        ("ec", "budget_s", "number",
+         [ ("budget_s", num); ("a", side); ("b", side) ]);
+        ("ec", "a", "object", [ ("a", J.String "@gcd"); ("b", side) ]);
+        ("ec", "b", "object", [ ("a", side); ("b", J.String "@gcd") ]);
+        ("ec", "conflict_limit", "number",
+         [ ("a", side); ("b", side); ("conflict_limit", num) ]);
+        ("ec", "design", "string",
+         [ ("a", J.Obj [ ("design", str) ]); ("b", side) ]) ]
+  in
+  List.iter
+    (fun (op, name, kind, params) ->
+      let what = op ^ " " ^ J.to_string (J.Obj params) in
+      match
+        Serve.Ops.handle ctx
+          { Serve.Proto.rq_id = 1; rq_op = op; rq_params = J.Obj params }
+      with
+      | _ -> Alcotest.failf "%s answered" what
+      | exception Serve.Proto.Proto_error msg ->
+        check_string what (Printf.sprintf "bad %s: expected %s" name kind) msg
+      | exception e ->
+        Alcotest.failf "%s: not a proto error: %s" what (Printexc.to_string e))
+    rows
+
+(* A test that does not fit the circuit (a vec narrower or wider than
+   its inputs, a load of a flip-flop it lacks) is a parse error at its
+   line, never an index error inside the fault simulator. *)
 let grade_misfit () =
   let ctx = Serve.Ops.make_ctx () in
   List.iter
@@ -1239,7 +1303,9 @@ let () =
             test "grade: a test that does not fit is a parse error"
               grade_misfit;
             test "a traced cold grade shows fingerprint and analysis spans"
-              traced_cold_grade ] );
+              traced_cold_grade;
+            test "a wrong-typed parameter is a proto error naming it"
+              wrong_typed_params ] );
       ( "daemon",
         [
           test "end-to-end roundtrip, byte-identical to direct runs"

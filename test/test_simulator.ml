@@ -169,57 +169,6 @@ let sim_tests =
         check_bool "q is X again" true (Sim.Eval.po_as_int sim "q" = None)) ]
 
 (* ------------------------------------------------------------------ *)
-(* VCD dump.                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let vcd_tests =
-  [ test "dump contains declarations and changes" (fun () ->
-        let c =
-          circuit
-            {|module top (input clk, rst, output reg [1:0] q);
-              always @(posedge clk) begin
-                if (rst) q <= 2'd0; else q <= q + 2'd1;
-              end endmodule|}
-        in
-        let sim = Sim.Eval.create c in
-        let dump = Sim.Vcd.create sim in
-        let step binds =
-          Sim.Eval.eval sim (Sim.Eval.pi_of_ports c binds);
-          Sim.Vcd.sample dump;
-          Sim.Eval.tick sim
-        in
-        step [ ("rst", 1) ];
-        step [ ("rst", 0) ];
-        step [ ("rst", 0) ];
-        let text = Sim.Vcd.contents dump in
-        let contains needle =
-          let rec go i =
-            i + String.length needle <= String.length text
-            && (String.sub text i (String.length needle) = needle || go (i + 1))
-          in
-          go 0
-        in
-        check_bool "header" true (contains "$enddefinitions");
-        check_bool "declares q" true (contains "ff_q_0_");
-        check_bool "has timestamps" true (contains "#0");
-        check_bool "x state appears" true (contains "x"));
-    test "unchanged signals emit once" (fun () ->
-        let c = circuit "module top (input a, output y); assign y = a; endmodule" in
-        let sim = Sim.Eval.create c in
-        let dump = Sim.Vcd.create sim in
-        for _ = 1 to 3 do
-          Sim.Eval.eval sim (Sim.Eval.pi_of_ports c [ ("a", 1) ]);
-          Sim.Vcd.sample dump
-        done;
-        let text = Sim.Vcd.contents dump in
-        let count_ts =
-          List.length
-            (String.split_on_char '#' text) - 1
-        in
-        (* one declaration-free timestamp: later samples changed nothing *)
-        check_int "single timestamp" 1 count_ts) ]
-
-(* ------------------------------------------------------------------ *)
 (* Packed pattern words: the pattern-to-plane transpose must place each
    test's bits in its own lane. *)
 
@@ -399,5 +348,5 @@ let compiled_tests =
 
 let () =
   Alcotest.run "sim"
-    [ ("logic3", logic3_tests); ("eval", sim_tests); ("vcd", vcd_tests);
+    [ ("logic3", logic3_tests); ("eval", sim_tests);
       ("packed", packed_tests); ("kernel", compiled_tests) ]
