@@ -510,6 +510,50 @@ let errors_tests =
           [ E.Parse; E.Elaborate; E.Extract; E.Solve; E.Io ];
         check_bool "unknown stage" true (E.stage_of_string "proto" = None)) ]
 
+(* The timing-free columns of Tables 2/3 for the four ARM MUTs in both
+   modes, as [Flow.transform] builds them (one constraint-cache session
+   per mode, MUTs in table order): surrounding gates, PI/PO bits, cache
+   hits, stand-alone faults and the SAT self-check verdict. *)
+let row_text (tr : Factor.Flow.transform_row) =
+  let tf = tr.Factor.Flow.tr_transformed in
+  Printf.sprintf "%s: surrounding %d, pi %d, po %d, hits %d, faults %d, %s"
+    tr.Factor.Flow.tr_name tf.Factor.Transform.tf_surrounding_gates
+    tf.Factor.Transform.tf_pi_bits tf.Factor.Transform.tf_po_bits
+    tr.Factor.Flow.tr_stats.Factor.Compose.cs_cache_hits
+    tr.Factor.Flow.tr_standalone_faults
+    (Option.value tf.Factor.Transform.tf_validation ~default:"unvalidated")
+
+let pinned_rows =
+  [ ("conventional",
+     [ "arm_alu: surrounding 6386, pi 36, po 150, hits 0, faults 646, equal";
+       "regfile_struct: surrounding 3246, pi 36, po 150, hits 0, faults 2248, equal";
+       "exc: surrounding 7163, pi 36, po 174, hits 0, faults 44, equal";
+       "forward: surrounding 6831, pi 36, po 150, hits 0, faults 64, equal" ]);
+    ("compositional",
+     [ "arm_alu: surrounding 6103, pi 36, po 118, hits 0, faults 646, equal";
+       "regfile_struct: surrounding 2963, pi 36, po 118, hits 1, faults 2248, equal";
+       "exc: surrounding 6539, pi 36, po 118, hits 0, faults 44, equal";
+       "forward: surrounding 6548, pi 36, po 118, hits 1, faults 64, equal" ]) ]
+
+let flow_tests =
+  [ test "table 2/3 rows pinned" (fun () ->
+        let env = Factor.Compose.make_env (Arm.Rtl.design ()) ~top:Arm.Rtl.top in
+        let got =
+          List.map
+            (fun (name, mode) ->
+              let session = Factor.Compose.create_session () in
+              ( name,
+                List.map
+                  (fun spec ->
+                    row_text
+                      (Factor.Flow.transform env session mode spec
+                         ~surrounding_before:0))
+                  Arm.Rtl.muts ))
+            Factor.Flow.modes
+        in
+        Alcotest.(check (list (pair string (list string))))
+          "rows" pinned_rows got) ]
+
 let () =
   Alcotest.run "factor"
     [ ("translate", translate_tests);
@@ -519,6 +563,7 @@ let () =
       ("extract", extract_tests);
       ("compose", compose_tests);
       ("transform", transform_tests);
+      ("flow", flow_tests);
       ("pier", pier_tests);
       ("testability", testability_tests);
       ("errors", errors_tests) ]
