@@ -131,13 +131,14 @@ let transform_table ~title txs =
   let rows =
     List.map
       (fun (_, (tr : Flow.transform_row)) ->
+        let tf = tr.Flow.tr_transformed in
         [ tr.Flow.tr_name;
           Printf.sprintf "%.4f" tr.Flow.tr_extraction_time;
-          Printf.sprintf "%.4f" tr.Flow.tr_synthesis_time;
-          string_of_int tr.Flow.tr_surrounding_gates;
+          Printf.sprintf "%.4f" tf.Factor.Transform.tf_synthesis_time;
+          string_of_int tf.Factor.Transform.tf_surrounding_gates;
           T.fpct tr.Flow.tr_reduction_pct;
-          string_of_int tr.Flow.tr_pi_bits;
-          string_of_int tr.Flow.tr_po_bits ])
+          string_of_int tf.Factor.Transform.tf_pi_bits;
+          string_of_int tf.Factor.Transform.tf_po_bits ])
       txs
   in
   print_string
@@ -160,7 +161,8 @@ let table3 () =
     (Lazy.force compositional);
   let hits =
     List.fold_left
-      (fun acc (_, tr) -> acc + tr.Flow.tr_cache_hits)
+      (fun acc (_, tr) ->
+        acc + tr.Flow.tr_stats.Factor.Compose.cs_cache_hits)
       0 (Lazy.force compositional)
   in
   Printf.printf
@@ -174,9 +176,9 @@ let table4 () =
         let sa = Flow.standalone_atpg (Lazy.force env) spec module_cfg in
         [ spec.Flow.ms_name;
           T.fpct raw.Flow.ar_coverage;
-          T.fsec raw.Flow.ar_testgen_time;
+          T.fsec raw.Flow.ar_result.Atpg.Gen.r_time;
           T.fpct sa.Flow.ar_coverage;
-          T.fsec sa.Flow.ar_testgen_time ])
+          T.fsec sa.Flow.ar_result.Atpg.Gen.r_time ])
       (Lazy.force characteristics)
   in
   print_string
@@ -196,7 +198,7 @@ let atpg_table ~title txs =
         [ a.Flow.ar_name;
           T.fpct a.Flow.ar_coverage;
           T.fpct a.Flow.ar_effectiveness;
-          T.fsec a.Flow.ar_testgen_time;
+          T.fsec a.Flow.ar_result.Atpg.Gen.r_time;
           T.fsec a.Flow.ar_total_time ])
       txs
   in
@@ -388,16 +390,9 @@ let ablation_piers () =
            && spec.Flow.ms_name <> "forward"
         then None
         else begin
-          let c = tr.Flow.tr_transformed.Factor.Transform.tf_circuit in
-          let faults =
-            Atpg.Fault.collapse c
-              (Atpg.Fault.all
-                 ~within:tr.Flow.tr_transformed.Factor.Transform.tf_mut_path c)
-          in
+          let (c, faults, piers) = Flow.transformed_target tr in
           let with_piers =
-            Atpg.Gen.run c
-              { cfg with Atpg.Gen.g_piers = Factor.Pier.identify c }
-              faults
+            Atpg.Gen.run c { cfg with Atpg.Gen.g_piers = piers } faults
           in
           let without =
             Atpg.Gen.run c { cfg with Atpg.Gen.g_piers = [] } faults
@@ -425,13 +420,7 @@ let ablation_random_phase () =
         if spec.Flow.ms_name <> "forward" && spec.Flow.ms_name <> "exc" then
           None
         else begin
-          let c = tr.Flow.tr_transformed.Factor.Transform.tf_circuit in
-          let faults =
-            Atpg.Fault.collapse c
-              (Atpg.Fault.all
-                 ~within:tr.Flow.tr_transformed.Factor.Transform.tf_mut_path c)
-          in
-          let piers = Factor.Pier.identify c in
+          let (c, faults, piers) = Flow.transformed_target tr in
           (* the simulation-based rescue is disabled in both columns so
              the random phase's own contribution is isolated *)
           let with_random =
@@ -527,13 +516,7 @@ let ablation_engines () =
         if spec.Flow.ms_name <> "forward" && spec.Flow.ms_name <> "exc" then
           None
         else begin
-          let c = tr.Flow.tr_transformed.Factor.Transform.tf_circuit in
-          let faults =
-            Atpg.Fault.collapse c
-              (Atpg.Fault.all
-                 ~within:tr.Flow.tr_transformed.Factor.Transform.tf_mut_path c)
-          in
-          let piers = Factor.Pier.identify c in
+          let (c, faults, piers) = Flow.transformed_target tr in
           let podem =
             Atpg.Gen.run c
               { module_cfg with
@@ -586,13 +569,12 @@ let bridging () =
   let rows =
     List.map
       (fun (spec, (tr : Flow.transform_row)) ->
-        let c = tr.Flow.tr_transformed.Factor.Transform.tf_circuit in
+        let (c, _, piers) = Flow.transformed_target tr in
         let mut = tr.Flow.tr_transformed.Factor.Transform.tf_mut_path in
         let a = Flow.transformed_atpg tr module_cfg in
         let tests = a.Flow.ar_result.Atpg.Gen.r_tests in
         let rng = Random.State.make [| 17 |] in
         let bridges = Atpg.Bridge.candidates ~within:mut ~rng ~count:100 c in
-        let piers = Factor.Pier.identify c in
         let observe = { Atpg.Fsim.ob_pos = true; ob_pier_ffs = piers } in
         let bridge_cov = Atpg.Bridge.coverage c ~observe ~bridges tests in
         let transition_cov =
@@ -630,12 +612,7 @@ let scan_vs_functional () =
   let rows =
     List.map
       (fun (spec, (tr : Flow.transform_row)) ->
-        let c = tr.Flow.tr_transformed.Factor.Transform.tf_circuit in
-        let faults =
-          Atpg.Fault.collapse c
-            (Atpg.Fault.all
-               ~within:tr.Flow.tr_transformed.Factor.Transform.tf_mut_path c)
-        in
+        let (c, faults, _) = Flow.transformed_target tr in
         (* full scan: every flip-flop is load/observe accessible *)
         let all_ffs = List.init (Netlist.num_ffs c) Fun.id in
         let scan =
@@ -690,7 +667,7 @@ let variance () =
                   Flow.transformed_atpg tr
                     { module_cfg with Atpg.Gen.g_seed = seed }
                 in
-                (a.Flow.ar_coverage, a.Flow.ar_testgen_time))
+                (a.Flow.ar_coverage, a.Flow.ar_result.Atpg.Gen.r_time))
               [ 1; 7; 23 ]
           in
           let covs = List.map fst runs and times = List.map snd runs in
@@ -884,13 +861,7 @@ let bench_fsim_smoke () =
 let bench_sat () =
   List.iter
     (fun (spec, (tr : Flow.transform_row)) ->
-      let c = tr.Flow.tr_transformed.Factor.Transform.tf_circuit in
-      let faults =
-        Atpg.Fault.collapse c
-          (Atpg.Fault.all
-             ~within:tr.Flow.tr_transformed.Factor.Transform.tf_mut_path c)
-      in
-      let piers = Factor.Pier.identify c in
+      let (c, faults, piers) = Flow.transformed_target tr in
       let run engine =
         Atpg.Gen.run c
           { hybrid_cfg with Atpg.Gen.g_piers = piers; g_engine = engine }
@@ -1044,7 +1015,7 @@ let bench_sat_smoke () =
    must reproduce bit for bit. *)
 let atpg_row_key (a : Flow.atpg_row) =
   let r = a.Flow.ar_result in
-  (a.Flow.ar_name, a.Flow.ar_faults, a.Flow.ar_vectors,
+  (a.Flow.ar_name, a.Flow.ar_faults, r.Atpg.Gen.r_vectors,
    a.Flow.ar_coverage, a.Flow.ar_effectiveness,
    r.Atpg.Gen.r_detected, r.Atpg.Gen.r_untestable, r.Atpg.Gen.r_aborted,
    (r.Atpg.Gen.r_sat_detected, r.Atpg.Gen.r_sat_untestable,

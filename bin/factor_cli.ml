@@ -571,26 +571,8 @@ let demo_cmd =
           List.map
             (fun spec ->
               Obs.Log.verbosef "demo: extracting %s" spec.Factor.Flow.ms_name;
-              let stats =
-                Factor.Compose.compositional session env
-                  ~mut_path:spec.Factor.Flow.ms_path
-              in
-              let tf =
-                Factor.Transform.build env stats.Factor.Compose.cs_slice
-                  ~mut_path:spec.Factor.Flow.ms_path
-              in
-              { Factor.Flow.tr_name = spec.Factor.Flow.ms_name;
-                tr_standalone_faults =
-                  Factor.Flow.standalone_fault_count env spec;
-                tr_extraction_time = stats.Factor.Compose.cs_extraction_time;
-                tr_synthesis_time = tf.Factor.Transform.tf_synthesis_time;
-                tr_surrounding_gates = tf.Factor.Transform.tf_surrounding_gates;
-                tr_reduction_pct = 0.0;
-                tr_pi_bits = tf.Factor.Transform.tf_pi_bits;
-                tr_po_bits = tf.Factor.Transform.tf_po_bits;
-                tr_cache_hits = stats.Factor.Compose.cs_cache_hits;
-                tr_stats = stats;
-                tr_transformed = tf })
+              Factor.Flow.transform env session Factor.Flow.Compositional spec
+                ~surrounding_before:0)
             Arm.Rtl.muts
         in
         let run_budget =
@@ -608,10 +590,12 @@ let demo_cmd =
           (fun row (o : Factor.Flow.mut_outcome) ->
             match (o.Factor.Flow.mo_row, o.Factor.Flow.mo_status) with
             | Some a, status ->
+              let tf = row.Factor.Flow.tr_transformed in
               Printf.printf
                 "%-15s surrounding %5d gates | coverage %6.2f%% | %6.2f s%s\n%!"
-                row.Factor.Flow.tr_name row.Factor.Flow.tr_surrounding_gates
-                a.Factor.Flow.ar_coverage a.Factor.Flow.ar_testgen_time
+                row.Factor.Flow.tr_name tf.Factor.Transform.tf_surrounding_gates
+                a.Factor.Flow.ar_coverage
+                a.Factor.Flow.ar_result.Atpg.Gen.r_time
                 (match status with
                  | Factor.Flow.Mut_degraded why -> " [degraded: " ^ why ^ "]"
                  | _ -> "")

@@ -35,7 +35,7 @@ let () =
       { cfg with g_fault_budget = 0.3; g_random_batches = 4 }
   in
   Printf.printf "raw (processor level): %6.1f%% coverage in %6.2f s\n"
-    raw.Factor.Flow.ar_coverage raw.Factor.Flow.ar_testgen_time;
+    raw.Factor.Flow.ar_coverage raw.Factor.Flow.ar_result.Atpg.Gen.r_time;
 
   (* 2. conventional transformed module (whole level-1 ancestor) *)
   let session = Factor.Compose.create_session () in
@@ -46,8 +46,9 @@ let () =
   let conv_atpg = Factor.Flow.transformed_atpg conv cfg in
   Printf.printf
     "without composition:   %6.1f%% coverage in %6.2f s (%d surrounding gates)\n"
-    conv_atpg.Factor.Flow.ar_coverage conv_atpg.Factor.Flow.ar_testgen_time
-    conv.Factor.Flow.tr_surrounding_gates;
+    conv_atpg.Factor.Flow.ar_coverage
+    conv_atpg.Factor.Flow.ar_result.Atpg.Gen.r_time
+    conv.Factor.Flow.tr_transformed.Factor.Transform.tf_surrounding_gates;
 
   (* 3. compositional transformed module (FACTOR) *)
   let comp =
@@ -57,13 +58,14 @@ let () =
   let comp_atpg = Factor.Flow.transformed_atpg comp cfg in
   Printf.printf
     "with composition:      %6.1f%% coverage in %6.2f s (%d surrounding gates)\n"
-    comp_atpg.Factor.Flow.ar_coverage comp_atpg.Factor.Flow.ar_testgen_time
-    comp.Factor.Flow.tr_surrounding_gates;
+    comp_atpg.Factor.Flow.ar_coverage
+    comp_atpg.Factor.Flow.ar_result.Atpg.Gen.r_time
+    comp.Factor.Flow.tr_transformed.Factor.Transform.tf_surrounding_gates;
 
   (* stand-alone ceiling *)
   let sa = Factor.Flow.standalone_atpg env spec cfg in
   Printf.printf "stand-alone ceiling:   %6.1f%% coverage in %6.2f s\n"
-    sa.Factor.Flow.ar_coverage sa.Factor.Flow.ar_testgen_time;
+    sa.Factor.Flow.ar_coverage sa.Factor.Flow.ar_result.Atpg.Gen.r_time;
 
   (* the tests translate back to processor-level sequences: every vector
      is a value for the chip pins, PIER loads become load instructions *)

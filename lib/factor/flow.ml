@@ -4,7 +4,6 @@
     generation (Table 4), and test generation on the transformed modules
     (Tables 5/6). *)
 
-module N = Netlist
 module H = Design.Hierarchy
 
 type mut_spec = {
@@ -39,20 +38,27 @@ type characteristics = {
   ch_faults : int;  (** collapsed stuck-at faults inside the module *)
 }
 
+(* Flatten and lower the design from module [top] down. *)
+let synthesize (env : Compose.env) top =
+  let ed = env.Compose.ed in
+  (Synth.Lower.lower (Synth.Flatten.flatten ed top)).Synth.Lower.circuit
+
 (** Synthesize the whole design once; reused by Tables 1 and 4. *)
 let full_circuit (env : Compose.env) =
   Obs.Span.with_ "flow.full_circuit" @@ fun () ->
-  let ed = env.Compose.ed in
-  let flat = Synth.Flatten.flatten ed ed.Design.Elaborate.ed_top in
-  (Synth.Lower.lower flat).Synth.Lower.circuit
+  synthesize env env.Compose.ed.Design.Elaborate.ed_top
+
+(* The MUT synthesized stand-alone. *)
+let standalone_circuit env spec =
+  synthesize env (H.find_path env.Compose.tree spec.ms_path).H.nd_module
+
+(* Collapsed stuck-at faults of [c], inside [within] when given. *)
+let collapsed ?within c = Atpg.Fault.collapse c (Atpg.Fault.all ?within c)
 
 let characteristics env ~full spec =
   let node = H.find_path env.Compose.tree spec.ms_path in
   let em = Design.Elaborate.find_emodule env.Compose.ed node.H.nd_module in
   let (inside, outside) = Transform.split_gates full ~mut_path:spec.ms_path in
-  let faults =
-    Atpg.Fault.collapse full (Atpg.Fault.all ~within:spec.ms_path full) |> List.length
-  in
   { ch_name = spec.ms_name;
     ch_level = node.H.nd_depth;
     ch_pi_bits =
@@ -61,7 +67,7 @@ let characteristics env ~full spec =
       Design.Elaborate.port_bits em (Design.Elaborate.outputs_of em);
     ch_module_gates = inside;
     ch_surrounding_gates = outside;
-    ch_faults = faults }
+    ch_faults = List.length (collapsed ~within:spec.ms_path full) }
 
 (* ------------------------------------------------------------------ *)
 (* Tables 2/3: transformed module construction.                        *)
@@ -73,27 +79,15 @@ type transform_row = {
       (** collapsed fault count of the stand-alone MUT; the reference
           universe for transformed-module coverage *)
   tr_extraction_time : float;
-  tr_synthesis_time : float;
-  tr_surrounding_gates : int;
   tr_reduction_pct : float;
-  tr_pi_bits : int;
-  tr_po_bits : int;
-  tr_cache_hits : int;
   tr_stats : Compose.stats;
   tr_transformed : Transform.t;
 }
 
-(** Collapsed fault count of the MUT synthesized stand-alone. *)
-let standalone_fault_count env spec =
-  let node = H.find_path env.Compose.tree spec.ms_path in
-  let ed = env.Compose.ed in
-  let flat = Synth.Flatten.flatten ed node.H.nd_module in
-  let c = (Synth.Lower.lower flat).Synth.Lower.circuit in
-  List.length (Atpg.Fault.collapse c (Atpg.Fault.all c))
-
 (** [transform env session mode spec ~surrounding_before] extracts the
-    constraints in the requested mode and synthesizes the transformed
-    module.  [session] is only consulted in [Compositional] mode. *)
+    constraints in the requested mode, synthesizes the transformed
+    module and SAT-validates it: the one constructor of a Tables 2-6
+    row.  [session] is only consulted in [Compositional] mode. *)
 let transform ?budget env session mode spec ~surrounding_before =
   Obs.Span.with_ "flow.transform"
     ~attrs:[ ("mut", Obs.Json.String spec.ms_name) ]
@@ -111,16 +105,20 @@ let transform ?budget env session mode spec ~surrounding_before =
       /. float_of_int surrounding_before
   in
   { tr_name = spec.ms_name;
-    tr_standalone_faults = standalone_fault_count env spec;
+    tr_standalone_faults =
+      List.length (collapsed (standalone_circuit env spec));
     tr_extraction_time = stats.Compose.cs_extraction_time;
-    tr_synthesis_time = tf.Transform.tf_synthesis_time;
-    tr_surrounding_gates = tf.Transform.tf_surrounding_gates;
     tr_reduction_pct = reduction;
-    tr_pi_bits = tf.Transform.tf_pi_bits;
-    tr_po_bits = tf.Transform.tf_po_bits;
-    tr_cache_hits = stats.Compose.cs_cache_hits;
     tr_stats = stats;
     tr_transformed = tf }
+
+(** The generation target of a transformed module: its circuit, the
+    collapsed faults inside the MUT and its PIER flip-flops. *)
+let transformed_target row =
+  let tf = row.tr_transformed in
+  let c = tf.Transform.tf_circuit in
+  let piers = Pier.identify c in
+  (c, collapsed ~within:tf.Transform.tf_mut_path c, piers)
 
 (* ------------------------------------------------------------------ *)
 (* Tables 4/5/6: test generation.                                      *)
@@ -130,49 +128,36 @@ type atpg_row = {
   ar_name : string;
   ar_coverage : float;
   ar_effectiveness : float;
-  ar_testgen_time : float;
   ar_total_time : float;  (** extraction + synthesis + test generation *)
   ar_faults : int;
-  ar_vectors : int;
   ar_result : Atpg.Gen.result;
 }
 
-(** Test generation on the stand-alone module (Table 4, columns 4-5). *)
-let standalone_atpg env spec cfg =
-  Obs.Span.with_ "flow.standalone_atpg"
-    ~attrs:[ ("mut", Obs.Json.String spec.ms_name) ]
+(* A Table 4 row: generation on the circuit [target ()] builds, against
+   its own fault list, under the span [span]. *)
+let raw_atpg span spec cfg target =
+  Obs.Span.with_ span ~attrs:[ ("mut", Obs.Json.String spec.ms_name) ]
   @@ fun () ->
-  let node = H.find_path env.Compose.tree spec.ms_path in
-  let ed = env.Compose.ed in
-  let flat = Synth.Flatten.flatten ed node.H.nd_module in
-  let c = (Synth.Lower.lower flat).Synth.Lower.circuit in
-  let faults = Atpg.Fault.collapse c (Atpg.Fault.all c) in
+  let (c, faults) = target () in
   let r = Atpg.Gen.run c cfg faults in
   { ar_name = spec.ms_name;
     ar_coverage = r.Atpg.Gen.r_coverage;
     ar_effectiveness = r.Atpg.Gen.r_effectiveness;
-    ar_testgen_time = r.Atpg.Gen.r_time;
     ar_total_time = r.Atpg.Gen.r_time;
     ar_faults = r.Atpg.Gen.r_total;
-    ar_vectors = r.Atpg.Gen.r_vectors;
     ar_result = r }
+
+(** Test generation on the stand-alone module (Table 4, columns 4-5). *)
+let standalone_atpg env spec cfg =
+  raw_atpg "flow.standalone_atpg" spec cfg (fun () ->
+      let c = standalone_circuit env spec in
+      (c, collapsed c))
 
 (** Raw test generation at processor level, targeting the MUT's faults
     (Table 4, columns 2-3). *)
 let processor_atpg ~full spec cfg =
-  Obs.Span.with_ "flow.processor_atpg"
-    ~attrs:[ ("mut", Obs.Json.String spec.ms_name) ]
-  @@ fun () ->
-  let faults = Atpg.Fault.collapse full (Atpg.Fault.all ~within:spec.ms_path full) in
-  let r = Atpg.Gen.run full cfg faults in
-  { ar_name = spec.ms_name;
-    ar_coverage = r.Atpg.Gen.r_coverage;
-    ar_effectiveness = r.Atpg.Gen.r_effectiveness;
-    ar_testgen_time = r.Atpg.Gen.r_time;
-    ar_total_time = r.Atpg.Gen.r_time;
-    ar_faults = r.Atpg.Gen.r_total;
-    ar_vectors = r.Atpg.Gen.r_vectors;
-    ar_result = r }
+  raw_atpg "flow.processor_atpg" spec cfg (fun () ->
+      (full, collapsed ~within:spec.ms_path full))
 
 (** Test generation on a transformed module (Tables 5/6), with PIER
     pseudo ports enabled.  Coverage is reported against the stand-alone
@@ -184,14 +169,8 @@ let transformed_atpg ?(budget = Engine.Budget.none) (row : transform_row) cfg =
   Obs.Span.with_ "flow.transformed_atpg"
     ~attrs:[ ("mut", Obs.Json.String row.tr_name) ]
   @@ fun () ->
-  let c = row.tr_transformed.Transform.tf_circuit in
-  let piers = Pier.identify c in
-  let faults =
-    Atpg.Fault.collapse c
-      (Atpg.Fault.all ~within:row.tr_transformed.Transform.tf_mut_path c)
-  in
-  let cfg = { cfg with Atpg.Gen.g_piers = piers } in
-  let r = Atpg.Gen.run ~budget c cfg faults in
+  let (c, faults, piers) = transformed_target row in
+  let r = Atpg.Gen.run ~budget c { cfg with Atpg.Gen.g_piers = piers } faults in
   let universe = max row.tr_standalone_faults r.Atpg.Gen.r_total in
   let constrained_away = universe - r.Atpg.Gen.r_total in
   let pct n = 100.0 *. float_of_int n /. float_of_int (max 1 universe) in
@@ -199,11 +178,10 @@ let transformed_atpg ?(budget = Engine.Budget.none) (row : transform_row) cfg =
     ar_coverage = pct r.Atpg.Gen.r_detected;
     ar_effectiveness =
       pct (r.Atpg.Gen.r_detected + r.Atpg.Gen.r_untestable + constrained_away);
-    ar_testgen_time = r.Atpg.Gen.r_time;
     ar_total_time =
-      row.tr_extraction_time +. row.tr_synthesis_time +. r.Atpg.Gen.r_time;
+      row.tr_extraction_time +. row.tr_transformed.Transform.tf_synthesis_time
+      +. r.Atpg.Gen.r_time;
     ar_faults = universe;
-    ar_vectors = r.Atpg.Gen.r_vectors;
     ar_result = r }
 
 (* ------------------------------------------------------------------ *)
@@ -253,12 +231,12 @@ let outcome name status row =
     [Mut_degraded] with whatever partial coverage was reached, and a
     parent budget already dead before the row starts becomes
     [Mut_skipped].  Never raises — sibling rows are unaffected. *)
-let run_one_mut ?mut_budget parent cfg (row : transform_row) =
+let run_one_mut parent cfg (row : transform_row) =
   let name = row.tr_name in
   if Engine.Budget.poll parent then
     outcome name (Mut_skipped "run budget exhausted before start") None
   else begin
-    let tok = Engine.Budget.sub ?deadline_in:mut_budget parent in
+    let tok = Engine.Budget.sub parent in
     Fun.protect ~finally:(fun () -> Engine.Budget.detach tok) @@ fun () ->
     match
       if Engine.Chaos.active () then begin
@@ -287,20 +265,19 @@ let run_one_mut ?mut_budget parent cfg (row : transform_row) =
     | exception e -> outcome name (Mut_failed (Printexc.to_string e)) None
   end
 
-(** [transformed_atpg_all ?jobs ?budget ?mut_budget rows cfg] produces
+(** [transformed_atpg_all ?jobs ?budget rows cfg] produces
     every Table 5/6 row, running the per-MUT generations as concurrent
     tasks on the global domain pool and merging the outcomes in input
     order — bit-identical to the serial map because each MUT's
     generation reads only its own transformed circuit and the shared
     immutable analysis, and chaos/budget decisions key on the MUT name.
     Each MUT is isolated (see {!run_one_mut}); [budget] bounds the whole
-    run and [mut_budget] (seconds) each row.  Rows whose task was still
+    run.  Rows whose task was still
     queued when [budget] died are cancelled and reported as
     [Mut_skipped].  [jobs] defaults to the pool width; [jobs <= 1] runs
     serially.  Per-row generation is kept serial ([g_jobs = 1]) when the
     rows themselves fan out, so the pool is not oversubscribed. *)
-let transformed_atpg_all ?jobs ?(budget = Engine.Budget.none) ?mut_budget
-    rows cfg =
+let transformed_atpg_all ?jobs ?(budget = Engine.Budget.none) rows cfg =
   let pool = Engine.Pool.global () in
   let jobs =
     match jobs with Some j -> max 1 j | None -> Engine.Pool.size pool
@@ -310,7 +287,7 @@ let transformed_atpg_all ?jobs ?(budget = Engine.Budget.none) ?mut_budget
     if jobs <= 1 || List.length rows <= 1 then
       List.map
         (fun row ->
-          let o = run_one_mut ?mut_budget budget cfg row in
+          let o = run_one_mut budget cfg row in
           Obs.Progress.step prog;
           o)
         rows
@@ -320,7 +297,7 @@ let transformed_atpg_all ?jobs ?(budget = Engine.Budget.none) ?mut_budget
         List.map
           (fun row ->
             (row, Engine.Pool.submit pool (fun () ->
-                      let o = run_one_mut ?mut_budget budget cfg row in
+                      let o = run_one_mut budget cfg row in
                       Obs.Progress.step prog;
                       o)))
           rows

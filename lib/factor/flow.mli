@@ -45,29 +45,29 @@ type transform_row = {
   tr_standalone_faults : int;
       (** collapsed fault count of the stand-alone MUT; the reference
           universe for transformed-module coverage *)
-  tr_extraction_time : float;
-  tr_synthesis_time : float;
-  tr_surrounding_gates : int;
+  tr_extraction_time : float;  (** [tr_stats]' CPU seconds *)
   tr_reduction_pct : float;
-  tr_pi_bits : int;
-  tr_po_bits : int;
-  tr_cache_hits : int;
-  tr_stats : Compose.stats;
-  tr_transformed : Transform.t;
+  tr_stats : Compose.stats;  (** cache hits, dead ends, the slice *)
+  tr_transformed : Transform.t;  (** gates, port bits, synthesis time *)
 }
 
-(** Collapsed fault count of the MUT synthesized stand-alone. *)
-val standalone_fault_count : Compose.env -> mut_spec -> int
-
 (** [transform ?budget env session mode spec ~surrounding_before]
-    extracts in the requested mode and synthesizes the transformed
-    module; [surrounding_before] (from Table 1) feeds the gate-reduction
-    column.  Extraction polls [budget] as it walks the hierarchy.
+    extracts in the requested mode, synthesizes the transformed module
+    and SAT-validates it ({!Transform.validate}); [surrounding_before]
+    (from Table 1) feeds the gate-reduction column, and [0] reads as a
+    0.0 reduction.  Extraction polls [budget] as it walks the hierarchy.
+    This is the one constructor of a Tables 2-6 row.
     @raise Engine.Budget.Exhausted when [budget] expires mid-walk. *)
 val transform :
   ?budget:Engine.Budget.t ->
   Compose.env -> Compose.session -> mode -> mut_spec ->
   surrounding_before:int -> transform_row
+
+(** [transformed_target row] is what test generation on the row runs
+    on: the transformed circuit, the collapsed stuck-at faults inside
+    the MUT, and the circuit's PIER flip-flops. *)
+val transformed_target :
+  transform_row -> Netlist.t * Atpg.Fault.t list * int list
 
 (** {1 Tables 4/5/6 — test generation} *)
 
@@ -75,11 +75,9 @@ type atpg_row = {
   ar_name : string;
   ar_coverage : float;
   ar_effectiveness : float;
-  ar_testgen_time : float;
   ar_total_time : float;  (** extraction + synthesis + test generation *)
   ar_faults : int;
-  ar_vectors : int;
-  ar_result : Atpg.Gen.result;
+  ar_result : Atpg.Gen.result;  (** test-generation time, vectors, tests *)
 }
 
 (** Test generation on the stand-alone module (Table 4, right half). *)
@@ -115,17 +113,16 @@ type mut_outcome = {
     order preserved. *)
 val completed_rows : mut_outcome list -> atpg_row list
 
-(** [transformed_atpg_all ?jobs ?budget ?mut_budget rows cfg] maps
+(** [transformed_atpg_all ?jobs ?budget rows cfg] maps
     {!transformed_atpg} over the rows as concurrent tasks on the global
     domain pool (MUT-parallel Tables 5/6), merging outcomes in input
     order — bit-identical to the serial map.  Each MUT is isolated: a
     crash, hang-guard trip, or budget expiry yields a [Mut_failed] /
     [Mut_degraded] outcome for that row only; siblings are unaffected
     and the call never raises.  [budget] bounds the whole run (queued
-    rows are cancelled and [Mut_skipped] once it dies), [mut_budget]
-    (seconds) bounds each row.  [jobs] defaults to the pool width;
-    [jobs <= 1] is the serial map.  Per-row generation is forced serial
-    to avoid oversubscribing the pool. *)
+    rows are cancelled and [Mut_skipped] once it dies).  [jobs]
+    defaults to the pool width; [jobs <= 1] is the serial map.  Per-row
+    generation is forced serial to avoid oversubscribing the pool. *)
 val transformed_atpg_all :
-  ?jobs:int -> ?budget:Engine.Budget.t -> ?mut_budget:float ->
+  ?jobs:int -> ?budget:Engine.Budget.t ->
   transform_row list -> Atpg.Gen.config -> mut_outcome list

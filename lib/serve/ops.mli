@@ -61,6 +61,13 @@ val cache : ctx -> Cache.t
     lists the bundled ones) or when neither parameter is given. *)
 val design_source : Obs.Json.t -> string * string option
 
+(** [bool_default name ~default params] reads the bool parameter [name]
+    by the one rule of every parameter: absent reads as [default].  The
+    server reads the protocol-level ["stream"] through it.
+    @raise Proto.Proto_error when [name] is present with another JSON
+    type. *)
+val bool_default : string -> default:bool -> Obs.Json.t -> bool
+
 (** {2 Typed cores}
 
     Each takes the op's request parameters and returns its result with

@@ -57,44 +57,30 @@ type t = {
 (* Request execution.                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* One request, start to framed response: per-request metrics snapshot,
-   budget, chaos seam (inside Ops.handle), and total fault isolation —
-   every exception is folded into an error frame for this id only. *)
-let answer ?emit ctx payload =
-  let rq =
-    try
-      Some
-        (Obs.Span.with_ "proto.decode" @@ fun () ->
-         Proto.request_of_json (Obs.Json.of_string payload))
-    with
-    | Obs.Json.Parse_error msg | Proto.Proto_error msg ->
-      Obs.Log.warnf "serve: unparseable request: %s" msg;
-      None
-  in
-  match rq with
-  | None ->
-    (* no id to echo: answer on id 0 so the client at least sees it *)
-    Some (Proto.error_frame ~id:0 ~stage:"parse" ~msg:"unparseable request")
-  | Some rq ->
-    let before = Obs.Metrics.snapshot () in
-    (match Ops.handle ?emit ctx rq with
-     | result ->
-       Obs.Span.with_ "proto.encode" @@ fun () ->
-       let metrics = Obs.Metrics.diff before (Obs.Metrics.snapshot ()) in
-       Some (Proto.ok_frame ~id:rq.Proto.rq_id ~metrics result)
-     | exception e ->
-       let (stage, msg) =
-         match Factor.Errors.of_exn e with
-         | Some t -> (Factor.Errors.stage_name t.Factor.Errors.e_stage,
-                      Factor.Errors.message t)
-         | None ->
-           (match e with
-            | Proto.Proto_error msg -> ("proto", msg)
-            | _ -> ("internal", Printexc.to_string e))
-       in
-       Obs.Log.warnf "serve: request %d failed (%s): %s" rq.Proto.rq_id
-         stage msg;
-       Some (Proto.error_frame ~id:rq.Proto.rq_id ~stage ~msg))
+(* One decoded request, start to framed response: per-request metrics
+   snapshot, budget, chaos seam (inside Ops.handle), and total fault
+   isolation — every exception is folded into an error frame for this
+   id only. *)
+let answer ?emit ctx (rq : Proto.request) =
+  let before = Obs.Metrics.snapshot () in
+  match Ops.handle ?emit ctx rq with
+  | result ->
+    Obs.Span.with_ "proto.encode" @@ fun () ->
+    let metrics = Obs.Metrics.diff before (Obs.Metrics.snapshot ()) in
+    Proto.ok_frame ~id:rq.Proto.rq_id ~metrics result
+  | exception e ->
+    let (stage, msg) =
+      match Factor.Errors.of_exn e with
+      | Some t -> (Factor.Errors.stage_name t.Factor.Errors.e_stage,
+                   Factor.Errors.message t)
+      | None ->
+        (match e with
+         | Proto.Proto_error msg -> ("proto", msg)
+         | _ -> ("internal", Printexc.to_string e))
+    in
+    Obs.Log.warnf "serve: request %d failed (%s): %s" rq.Proto.rq_id
+      stage msg;
+    Proto.error_frame ~id:rq.Proto.rq_id ~stage ~msg
 
 (* ------------------------------------------------------------------ *)
 (* Loop plumbing.                                                      *)
@@ -139,7 +125,7 @@ let drain_done st =
           conn.cn_streams <-
             List.filter (fun r -> r <> rq_id) conn.cn_streams
         end;
-        if frame <> "" then enqueue_out conn frame
+        enqueue_out conn frame
       | None -> () (* client hung up before its answer was ready *))
     pending
 
@@ -165,43 +151,34 @@ let flush_conn st conn =
 
 let has_output conn = Buffer.length conn.cn_out > conn.cn_out_pos
 
-(* Dispatch one decoded frame.  The shutdown op is loop-level (it must
-   flip the stop flag); everything else goes through Ops — on the pool
-   when workers exist, inline otherwise (a 1-slot pool only runs tasks
-   inside [await], which the loop never calls). *)
+(* Decode one frame and dispatch it.  A frame that is no request is
+   answered on id 0 and a wrong-typed [stream] on the request's id, both
+   as proto errors, and the connection stays open.  The shutdown op is
+   loop-level (it must flip the stop flag); everything else goes through
+   Ops — on the pool when workers exist, inline otherwise (a 1-slot pool
+   only runs tasks inside [await], which the loop never calls). *)
 let dispatch st conn payload =
-  let parsed =
-    match Obs.Json.of_string payload with
-    | j -> Some j
-    | exception Obs.Json.Parse_error _ -> None
+  let decoded =
+    Obs.Span.with_ "proto.decode" @@ fun () ->
+    match Proto.request_of_json (Obs.Json.of_string payload) with
+    | exception (Obs.Json.Parse_error msg | Proto.Proto_error msg) ->
+      Error (0, "unparseable request: " ^ msg)
+    | rq ->
+      (match Ops.bool_default "stream" ~default:false rq.rq_params with
+       | stream -> Ok (rq, stream)
+       | exception Proto.Proto_error msg -> Error (rq.rq_id, msg))
   in
-  let member name j = Obs.Json.member name j in
-  let is_shutdown =
-    match Option.bind parsed (member "op") with
-    | Some (Obs.Json.String "shutdown") ->
-      Some
-        (Option.value ~default:0
-           (Option.bind (Option.bind parsed (member "id"))
-              Obs.Json.to_int_opt))
-    | _ -> None
-  in
-  match is_shutdown with
-  | Some id ->
+  match decoded with
+  | Error (id, msg) ->
+    Obs.Log.warnf "serve: request %d refused: %s" id msg;
+    enqueue_out conn (Proto.error_frame ~id ~stage:"proto" ~msg)
+  | Ok ({ Proto.rq_op = "shutdown"; rq_id; _ }, _) ->
     enqueue_out conn
-      (Proto.ok_frame ~id (Obs.Json.Obj [ ("stopping", Obs.Json.Bool true) ]));
+      (Proto.ok_frame ~id:rq_id
+         (Obs.Json.Obj [ ("stopping", Obs.Json.Bool true) ]));
     Atomic.set st.st_stop true
-  | None ->
-    let rq_id =
-      Option.value ~default:0
-        (Option.bind (Option.bind parsed (member "id")) Obs.Json.to_int_opt)
-    in
-    let stream =
-      Option.value ~default:false
-        (Option.bind
-           (Option.bind (Option.bind parsed (member "params"))
-              (member "stream"))
-           Obs.Json.to_bool_opt)
-    in
+  | Ok (rq, stream) ->
+    let rq_id = rq.Proto.rq_id in
     if stream then begin
       conn.cn_streams <- rq_id :: conn.cn_streams;
       conn.cn_last_beat <- Unix.gettimeofday ()
@@ -212,11 +189,7 @@ let dispatch st conn payload =
       if stream then Some (fun frame -> push_event st conn_id rq_id frame)
       else None
     in
-    let work () =
-      match answer ?emit st.st_ctx payload with
-      | Some frame -> push_done st conn_id rq_id frame
-      | None -> push_done st conn_id rq_id ""
-    in
+    let work () = push_done st conn_id rq_id (answer ?emit st.st_ctx rq) in
     let pool = Engine.Pool.global () in
     if Engine.Pool.size pool <= 1 then
       (* inline on the loop domain: event frames queue up during the

@@ -12,7 +12,11 @@
 
     Isolation: each request runs under its own {!Engine.Budget} token
     and chaos seam; an exception (crash, budget expiry, injected fault)
-    is converted into an error response for that request only.
+    is converted into an error response for that request only.  Each
+    frame is decoded once, by the loop: a frame that is no request is
+    answered on id 0 and a ["stream"] of another JSON type than bool on
+    the request's id, both as [proto] errors, and the connection stays
+    open.
 
     Streaming: a request with [params.stream = true] receives interim
     event frames (progress, relayed log records, loop-driven

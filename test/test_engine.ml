@@ -233,25 +233,10 @@ let make_flow_rows () =
   let env = Factor.Compose.make_env (parse hier_src) ~top:"top" in
   let session = Factor.Compose.create_session () in
   List.map
-      (fun (name, path) ->
-        let stats = Factor.Compose.compositional session env ~mut_path:path in
-        let tf =
-          Factor.Transform.build env stats.Factor.Compose.cs_slice
-            ~mut_path:path
-        in
-        { Factor.Flow.tr_name = name;
-          tr_standalone_faults =
-            Factor.Flow.standalone_fault_count env
-              { Factor.Flow.ms_name = name; ms_path = path };
-          tr_extraction_time = stats.Factor.Compose.cs_extraction_time;
-          tr_synthesis_time = tf.Factor.Transform.tf_synthesis_time;
-          tr_surrounding_gates = tf.Factor.Transform.tf_surrounding_gates;
-          tr_reduction_pct = 0.0;
-          tr_pi_bits = tf.Factor.Transform.tf_pi_bits;
-          tr_po_bits = tf.Factor.Transform.tf_po_bits;
-          tr_cache_hits = stats.Factor.Compose.cs_cache_hits;
-          tr_stats = stats;
-          tr_transformed = tf })
+    (fun (name, path) ->
+      Factor.Flow.transform env session Factor.Flow.Compositional
+        { Factor.Flow.ms_name = name; ms_path = path }
+        ~surrounding_before:0)
     [ ("mut", "u_core.u_mut"); ("mut2", "u_core.u_mut2");
       ("mut3", "u_core.u_mut3") ]
 
@@ -264,7 +249,7 @@ let flow_rows jobs = Factor.Flow.completed_rows (flow_outcomes jobs)
 let row_text (a : Factor.Flow.atpg_row) =
   Printf.sprintf "%s|%.4f|%.4f|%d|%d" a.Factor.Flow.ar_name
     a.Factor.Flow.ar_coverage a.Factor.Flow.ar_effectiveness
-    a.Factor.Flow.ar_faults a.Factor.Flow.ar_vectors
+    a.Factor.Flow.ar_faults a.Factor.Flow.ar_result.Atpg.Gen.r_vectors
 
 let flow_parallel_deterministic () =
   Pool.set_jobs 4;
@@ -513,14 +498,20 @@ let flow_chaos_kill_and_budget () =
   check_bool "healthy row bit-identical to the undisturbed run" true
     (ok_rows o1 = [ List.hd clean ]);
   check_bool "healthy row identical at j4" true (ok_rows o4 = ok_rows o1);
-  (* the degraded row still carries partial data *)
+  (* the degraded row still carries partial data: its faults, and the
+     ones the starved budget skipped *)
   List.iter
     (fun (m : Factor.Flow.mut_outcome) ->
       match (m.Factor.Flow.mo_status, m.Factor.Flow.mo_row) with
       | Factor.Flow.Mut_degraded _, None ->
         Alcotest.fail "degraded row must keep its partial result"
+      | Factor.Flow.Mut_degraded _, Some a ->
+        check_bool "budget-starved row reports its faults" true
+          (a.Factor.Flow.ar_faults > 0);
+        check_bool "skipped faults counted" true
+          (a.Factor.Flow.ar_result.Atpg.Gen.r_budget_skipped > 0)
       | _ -> ())
-    o1
+    (o1 @ o4)
 
 let flow_budget_skips_rows () =
   Pool.set_jobs 4;
@@ -534,28 +525,6 @@ let flow_budget_skips_rows () =
         (Printf.sprintf "dead run budget skips all rows (j%d)" jobs)
         true
         (List.for_all (fun s -> s = "skipped") (status_names o)))
-    [ 1; 4 ]
-
-let flow_mut_budget_degrades_rows () =
-  Pool.set_jobs 4;
-  List.iter
-    (fun jobs ->
-      let o =
-        Factor.Flow.transformed_atpg_all ~jobs ~mut_budget:0.0
-          (make_flow_rows ()) det_cfg
-      in
-      List.iter
-        (fun (m : Factor.Flow.mut_outcome) ->
-          match (m.Factor.Flow.mo_status, m.Factor.Flow.mo_row) with
-          | Factor.Flow.Mut_degraded _, Some a ->
-            (* partial results: the row exists with zero-coverage data
-               rather than being dropped *)
-            check_bool "budget-starved row reports its faults" true
-              (a.Factor.Flow.ar_faults > 0);
-            check_bool "skipped faults counted" true
-              (a.Factor.Flow.ar_result.Atpg.Gen.r_budget_skipped > 0)
-          | _ -> Alcotest.fail "expected a degraded row with partial data")
-        o)
     [ 1; 4 ]
 
 let () =
@@ -603,7 +572,5 @@ let () =
           test "one MUT killed + one budget-starved in one run"
             flow_chaos_kill_and_budget;
           test "dead run budget skips every row" flow_budget_skips_rows;
-          test "per-MUT budget degrades rows with partial data"
-            flow_mut_budget_degrades_rows;
         ] );
     ]

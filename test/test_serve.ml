@@ -668,7 +668,8 @@ let typed_cores_match_handle () =
 (* End to end: a live daemon over a Unix socket.                       *)
 (* ------------------------------------------------------------------ *)
 
-let with_server ?store ?(heartbeat = 1.0) f =
+(* [f sock] with a daemon listening on the Unix socket [sock]. *)
+let with_daemon ?store ?(heartbeat = 1.0) f =
   let dir = tmpdir "factor-e2e" in
   let sock = Filename.concat dir "factor.sock" in
   let t =
@@ -679,9 +680,10 @@ let with_server ?store ?(heartbeat = 1.0) f =
         sc_default_budget = None;
         sc_heartbeat_s = heartbeat }
   in
-  Fun.protect
-    ~finally:(fun () -> Serve.Server.stop t)
-    (fun () ->
+  Fun.protect ~finally:(fun () -> Serve.Server.stop t) (fun () -> f sock)
+
+let with_server ?store ?heartbeat f =
+  with_daemon ?store ?heartbeat (fun sock ->
       let cl = Serve.Client.connect_retry (Serve.Server.Unix_path sock) in
       Fun.protect ~finally:(fun () -> Serve.Client.close cl) (fun () -> f cl))
 
@@ -1056,6 +1058,58 @@ let e2e_shutdown_request () =
   Serve.Server.stop t;
   check_bool "socket file unlinked on shutdown" false (Sys.file_exists sock)
 
+(* A request whose [stream] is not a bool is refused as a proto error
+   naming it, on its own id, never run without its event frames; the
+   connection keeps serving. *)
+let e2e_wrong_typed_stream () =
+  with_server (fun cl ->
+      (match
+         Serve.Client.rpc cl ~op:"ping" ~params:[ ("stream", J.Int 1) ]
+       with
+       | _ -> Alcotest.fail "a request with \"stream\": 1 was answered"
+       | exception Serve.Client.Server_error (stage, msg) ->
+         check_string "stage" "proto" stage;
+         check_string "message" "bad stream: expected bool" msg);
+      check_bool "the connection still serves" true
+        (J.member "pong" (Serve.Client.rpc cl ~op:"ping" ~params:[])
+         = Some (J.Bool true)))
+
+(* A frame that is not JSON is a proto error on id 0 (client exit 1),
+   not a parse error (exit 2 is a Verilog error), and the connection
+   stays open. *)
+let e2e_unparseable_frame () =
+  with_daemon (fun sock ->
+      (* the client's retry waits for the listener *)
+      Serve.Client.close
+        (Serve.Client.connect_retry (Serve.Server.Unix_path sock));
+      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX sock);
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+      let send s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+      let reader = Serve.Proto.create_reader () in
+      let buf = Bytes.create 4096 in
+      let rec next () =
+        match Serve.Proto.next_frame reader with
+        | Some payload -> J.of_string payload
+        | None ->
+          (match Unix.read fd buf 0 (Bytes.length buf) with
+           | 0 -> Alcotest.fail "the daemon closed the connection"
+           | n -> Serve.Proto.feed reader buf n);
+          next ()
+      in
+      send (Serve.Proto.frame "this is not json");
+      let r = next () in
+      let err = Option.value (J.member "error" r) ~default:J.Null in
+      check_int "answered on id 0" 0 (jint "id" r);
+      check_string "stage" "proto" (jstr "stage" err);
+      send
+        (Serve.Proto.encode_request
+           { Serve.Proto.rq_id = 5; rq_op = "ping"; rq_params = J.Null });
+      let r = next () in
+      check_int "the next request is answered" 5 (jint "id" r);
+      check_bool "ok" true (J.member "ok" r = Some (J.Bool true)))
+
 let e2e_chaos_isolation () =
   with_server (fun cl ->
       let params = [ ("design", J.String "@arbiter") ] in
@@ -1314,6 +1368,10 @@ let () =
           test "store-backed warm restart" e2e_warm_restart;
           test "an unknown extract mode is refused" e2e_extract_modes;
           test "shutdown request" e2e_shutdown_request;
+          test "a wrong-typed stream is a proto error naming it"
+            e2e_wrong_typed_stream;
+          test "a frame that is not JSON is a proto error"
+            e2e_unparseable_frame;
           test "chaos kills one op, siblings untouched" e2e_chaos_isolation;
         ] );
       ( "streaming",
