@@ -133,8 +133,6 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
          else Some cfg.g_total_budget)
       budget
   in
-  Fun.protect ~finally:(fun () -> Engine.Budget.detach run_tok)
-  @@ fun () ->
   let dead () = Engine.Budget.poll run_tok in
   let rng = Random.State.make [| cfg.g_seed |] in
   let observe =
@@ -193,16 +191,14 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
         let r = generate i in
         fun () -> Some r
       | Some pool ->
-        let fut = Engine.Pool.submit pool (fun () -> generate i) in
-        fun () ->
-          (* a dead budget withdraws the round's queued candidates; the
-             ones already running abort through their own child tokens,
-             and both leave the fault unresolved (later counted
-             budget-skipped) *)
-          if dead () then ignore (Engine.Pool.cancel fut : bool);
-          (match Engine.Pool.await fut with
-           | r -> Some r
-           | exception Engine.Pool.Cancelled -> None)
+        (* a candidate that starts after the budget died does nothing;
+           one already running aborts through its own child token; both
+           leave the fault unresolved (later counted budget-skipped) *)
+        let fut =
+          Engine.Pool.submit pool (fun () ->
+              if dead () then None else Some (generate i))
+        in
+        fun () -> Engine.Pool.await fut
     in
     let chunk = if pool = None then 1 else 2 * jobs in
     let next = ref 0 in
@@ -370,10 +366,7 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
         with_chaos i ~crashed:(Gave_up, None, 0.0) @@ fun () ->
         let a0 = Engine.Clock.now () in
         let tok = Engine.Budget.sub ?deadline_in:st.st_deadline run_tok in
-        let (verdict, sat) =
-          Fun.protect ~finally:(fun () -> Engine.Budget.detach tok)
-          @@ fun () -> st.st_run tok i
-        in
+        let (verdict, sat) = st.st_run tok i in
         let dt = Engine.Clock.now () -. a0 in
         Obs.Metrics.observe m_fault_time dt;
         (verdict, sat, dt)

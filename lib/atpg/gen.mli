@@ -84,10 +84,10 @@ type result = {
 
     The whole run is governed by a hierarchical {!Engine.Budget} token:
     a child of [budget] (when given) carrying [g_total_budget] as its
-    deadline.  Every phase loop, queued pool task, fault simulation and
-    SAT solve watches that token or a per-fault child of it, so expiry
-    or a [cancel] of [budget] stops in-flight work cooperatively and
-    returns partial results; faults never attempted are reported as
+    deadline.  Every phase loop, pool task, fault simulation and SAT
+    solve watches that token or a per-fault child of it, so expiry of
+    either deadline stops in-flight work cooperatively and returns
+    partial results; faults never attempted are reported as
     [Budget_skipped].
     @raise Invalid_argument when [g_max_frames < 1]: no frame would be
     searched, and nothing can be proven. *)

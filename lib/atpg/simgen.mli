@@ -18,8 +18,8 @@ val default_config : config
     generations run out without detection.  [budget] (default
     {!Engine.Budget.none}) is polled once per generation, before its
     candidates are simulated: a dead token returns [None] at the next
-    generation, so a cancelled one returns [None] without simulating a
-    frame.
+    generation, so a token already dead returns [None] without
+    simulating a frame.
 
     The fitness simulates the good and faulty machines as lanes 0 and
     1 of native-int dual-rail planes through {!Sim.Packed.gate}, on the

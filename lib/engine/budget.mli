@@ -1,11 +1,11 @@
-(** Hierarchical deadline + cancellation tokens.
+(** Hierarchical deadline tokens.
 
-    A token is a cooperative cancellation point shared between the code
-    that imposes a limit and the code that must honour it.  Tokens form
-    a tree: a parent covers a whole run, children cover one MUT or one
-    fault.  Cancelling a parent cancels every registered descendant, and
-    a child's deadline can only tighten the parent's ({!sub} takes the
-    minimum), so an inner loop needs to watch exactly one token.
+    A token is a cooperative stopping point shared between the code
+    that imposes a time limit and the code that must honour it.  Tokens
+    form a tree: a parent covers a whole run, children cover one MUT or
+    one fault.  A child's deadline can only tighten the parent's ({!sub}
+    takes the minimum), and a child is dead once any ancestor is, so an
+    inner loop needs to watch exactly one token.
 
     The contract that lets tokens sit inside the PODEM decision loop,
     the CDCL propagation loop and the packed-fsim per-word sweep:
@@ -17,44 +17,31 @@
 
 type t
 
-(** Why a token is dead. *)
-type why =
-  | Expired    (** its own or an ancestor's deadline passed *)
-  | Cancelled  (** {!cancel} was called on it or an ancestor *)
-
-(** The never-cancelled token: [check none] is always [false],
-    [poll none] never trips, [cancel none] is a no-op.  Use it as the
-    default when a caller imposed no budget. *)
+(** The token without a deadline: [check none] and [poll none] are
+    always [false].  Use it as the default when a caller imposed no
+    budget. *)
 val none : t
 
 (** [make ?deadline_in ()] creates a root token.  [deadline_in] is in
-    seconds from now; omitted means no deadline (cancel-only). *)
+    seconds from now; omitted means no deadline. *)
 val make : ?deadline_in:float -> unit -> t
 
-(** [sub ?deadline_in parent] creates a child registered with [parent]
-    (so [cancel parent] reaches it).  Its effective deadline is the
-    earlier of the parent's and [now + deadline_in].  Children of
-    {!none} are free-standing roots.  Call {!detach} when the child's
-    work completes so the parent's child list stays bounded. *)
+(** [sub ?deadline_in parent] creates a child of [parent].  Its
+    effective deadline is the earlier of the parent's and
+    [now + deadline_in]; [deadline_in:0.0] makes a token that is dead
+    at its first {!poll}.  Children of {!none} are free-standing
+    roots. *)
 val sub : ?deadline_in:float -> t -> t
 
-(** Unregister a completed child from its parent.  Idempotent; no-op on
-    roots and on {!none}. *)
-val detach : t -> unit
-
-(** Cancel the token and every registered descendant.  Idempotent; a
-    token that already expired keeps {!why} [Expired]. *)
-val cancel : t -> unit
-
-(** One atomic load: has the token been cancelled or observed expired?
-    Note a deadline only becomes visible here after some {!poll} on the
-    token noticed it. *)
+(** One atomic load: has the token been observed dead?  A deadline only
+    becomes visible here after some {!poll} on the token noticed it. *)
 val check : t -> bool
 
 (** Full check: flag, ancestor chain, then own deadline against
-    [Clock.now].  Trips the flag (and the expiry metric) on discovery,
-    so subsequent {!check} loads observe it.  Returns [true] when
-    the token is dead. *)
+    [Clock.now].  Trips the flag on discovery, so subsequent {!check}
+    loads observe it; [factor.budget.expired] counts the tokens whose
+    own deadline passed, not those that only inherited an ancestor's
+    death.  Returns [true] when the token is dead. *)
 val poll : t -> bool
 
 (** Raised by {!guard} when its token is dead; the payload names the
@@ -69,10 +56,3 @@ exception Exhausted of string
     dead.  The raising form of the budget contract for front-end stages
     (parse / elaborate / extract) that cannot return partial work. *)
 val guard : ?site:string -> t -> unit
-
-(** [why t] is [None] while live. *)
-val why : t -> why option
-
-(** Seconds until the effective deadline ([infinity] when none;
-    [0.] once dead or past due). *)
-val remaining : t -> float

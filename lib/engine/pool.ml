@@ -14,8 +14,6 @@ type task = {
      critical section as the telemetry update so a stats read made
      after an await can never miss the awaited task's counters *)
   t_submitted : float;    (* Clock.now at submission, for queue-wait *)
-  mutable t_taken : bool;      (* a slot popped it; under [mutex] *)
-  mutable t_cancelled : bool;  (* drain without running; under [mutex] *)
 }
 
 (* A deque as two stacks: [front] head is the front, [back] head is the
@@ -66,7 +64,6 @@ type t = {
   (* telemetry, all under [mutex] *)
   mutable tasks : int;
   mutable steals : int;
-  mutable cancelled : int;
   mutable queue_wait : float;
   mutable run_time : float;
   busy : float array;
@@ -76,7 +73,6 @@ type stats = {
   ps_jobs : int;
   ps_tasks : int;
   ps_steals : int;
-  ps_cancelled : int;
   ps_queue_wait : float;
   ps_run_time : float;
   ps_busy : float array;
@@ -87,15 +83,11 @@ type 'a state =
   | Pending
   | Done of 'a
   | Failed of exn * Printexc.raw_backtrace
-  | Cancelled_state
 
 type 'a future = {
   f_pool : t;
-  f_task : task;
   mutable f_state : 'a state;
 }
-
-exception Cancelled
 
 let uid_counter = Atomic.make 0
 
@@ -112,11 +104,8 @@ let my_slot pool =
 (* Take a task while holding [pool.mutex]: own front first, then steal
    from the back of the other slots. *)
 let take pool slot =
-  let mark t = t.t_taken <- true in
   match pop_front pool.deques.(slot) with
-  | Some t ->
-    mark t;
-    Some t
+  | Some _ as t -> t
   | None ->
     let n = pool.jobs in
     let rec steal k =
@@ -126,38 +115,27 @@ let take pool slot =
         match pop_back pool.deques.(j) with
         | Some t ->
           pool.steals <- pool.steals + 1;
-          mark t;
           Some t
         | None -> steal (k + 1)
     in
     steal 1
 
 (* Run [t] outside the lock; account for it on [slot] and resolve its
-   future in one critical section.  A task cancelled while queued is
-   drained — accounted and discarded without running — so workers never
-   pay for work nobody will await. *)
+   future in one critical section. *)
 let run_task pool slot t =
-  if t.t_cancelled then begin
-    Mutex.lock pool.mutex;
-    pool.tasks <- pool.tasks + 1;
-    Condition.broadcast pool.cond;
-    Mutex.unlock pool.mutex
-  end
-  else begin
-    let start = Clock.now () in
-    let commit = t.t_run () in
-    let stop = Clock.now () in
-    Mutex.lock pool.mutex;
-    pool.tasks <- pool.tasks + 1;
-    pool.queue_wait <- pool.queue_wait +. (start -. t.t_submitted);
-    pool.run_time <- pool.run_time +. (stop -. start);
-    pool.busy.(slot) <- pool.busy.(slot) +. (stop -. start);
-    commit ();
-    (* wakes both awaiting domains and idle workers; completions are
-       rare relative to task work, so a broadcast is cheap enough *)
-    Condition.broadcast pool.cond;
-    Mutex.unlock pool.mutex
-  end
+  let start = Clock.now () in
+  let commit = t.t_run () in
+  let stop = Clock.now () in
+  Mutex.lock pool.mutex;
+  pool.tasks <- pool.tasks + 1;
+  pool.queue_wait <- pool.queue_wait +. (start -. t.t_submitted);
+  pool.run_time <- pool.run_time +. (stop -. start);
+  pool.busy.(slot) <- pool.busy.(slot) +. (stop -. start);
+  commit ();
+  (* wakes both awaiting domains and idle workers; completions are
+     rare relative to task work, so a broadcast is cheap enough *)
+  Condition.broadcast pool.cond;
+  Mutex.unlock pool.mutex
 
 let worker pool slot () =
   Domain.DLS.set slot_key (Some (pool.uid, slot));
@@ -200,7 +178,6 @@ let create jobs =
       created = Clock.now ();
       tasks = 0;
       steals = 0;
-      cancelled = 0;
       queue_wait = 0.0;
       run_time = 0.0;
       busy = Array.make jobs 0.0 }
@@ -212,10 +189,8 @@ let create jobs =
 let size pool = pool.jobs
 
 let submit pool f =
-  let rec t =
-    { t_run = run; t_submitted = Clock.now ();
-      t_taken = false; t_cancelled = false }
-  and fut = { f_pool = pool; f_task = t; f_state = Pending }
+  let rec t = { t_run = run; t_submitted = Clock.now () }
+  and fut = { f_pool = pool; f_state = Pending }
   and run () =
     match
       Chaos.point "pool.task";
@@ -236,26 +211,6 @@ let submit pool f =
   Mutex.unlock pool.mutex;
   fut
 
-let m_pool_cancelled =
-  lazy (Obs.Metrics.counter "factor.pool.cancelled_tasks")
-
-let cancel fut =
-  let pool = fut.f_pool in
-  Mutex.lock pool.mutex;
-  let won =
-    match fut.f_state with
-    | Pending when not fut.f_task.t_taken ->
-      fut.f_task.t_cancelled <- true;
-      fut.f_state <- Cancelled_state;
-      pool.cancelled <- pool.cancelled + 1;
-      Condition.broadcast pool.cond;
-      true
-    | _ -> false
-  in
-  Mutex.unlock pool.mutex;
-  if won then Obs.Metrics.incr (Lazy.force m_pool_cancelled);
-  won
-
 let await fut =
   let pool = fut.f_pool in
   let slot = my_slot pool in
@@ -269,9 +224,6 @@ let await fut =
     | Failed (e, bt) ->
       Mutex.unlock pool.mutex;
       Printexc.raise_with_backtrace e bt
-    | Cancelled_state ->
-      Mutex.unlock pool.mutex;
-      raise Cancelled
     | Pending ->
       (match take pool slot with
        | Some t ->
@@ -304,7 +256,6 @@ let stats pool =
     { ps_jobs = pool.jobs;
       ps_tasks = pool.tasks;
       ps_steals = pool.steals;
-      ps_cancelled = pool.cancelled;
       ps_queue_wait = pool.queue_wait;
       ps_run_time = pool.run_time;
       ps_busy = Array.copy pool.busy;
@@ -322,9 +273,9 @@ let stats_to_string s =
   in
   Buffer.add_string buf
     (Printf.sprintf
-       "pool: %d slots, %d tasks (%d stolen, %d cancelled), run \
-        %.3fs, queue-wait %.3fs, wall %.3fs, utilization %.0f%%\n"
-       s.ps_jobs s.ps_tasks s.ps_steals s.ps_cancelled s.ps_run_time
+       "pool: %d slots, %d tasks (%d stolen), run %.3fs, queue-wait \
+        %.3fs, wall %.3fs, utilization %.0f%%\n"
+       s.ps_jobs s.ps_tasks s.ps_steals s.ps_run_time
        s.ps_queue_wait s.ps_wall (100.0 *. util));
   Array.iteri
     (fun i busy ->
@@ -342,7 +293,6 @@ let publish_metrics pool =
   let catch_up c v = Obs.Metrics.add c (v - Obs.Metrics.value c) in
   catch_up (Obs.Metrics.counter "factor.pool.tasks") s.ps_tasks;
   catch_up (Obs.Metrics.counter "factor.pool.steals") s.ps_steals;
-  catch_up (Obs.Metrics.counter "factor.pool.cancelled") s.ps_cancelled;
   Obs.Metrics.set (Obs.Metrics.gauge "factor.pool.jobs")
     (float_of_int s.ps_jobs);
   Obs.Metrics.set (Obs.Metrics.gauge "factor.pool.queue_wait_s")

@@ -35,22 +35,11 @@ val size : t -> int
     @raise Invalid_argument if the pool has been shut down. *)
 val submit : t -> (unit -> 'a) -> 'a future
 
-(** Raised by {!await} on a future that was {!cancel}led. *)
-exception Cancelled
-
 (** [await fut] returns the task's result, executing other queued tasks
     while waiting; re-raises (with backtrace) if the task raised.
-    @raise Cancelled if the future was cancelled before it ran. *)
+    A queued task cannot be withdrawn: a task that should not outlive a
+    deadline polls a {!Budget} token, at its start and while it runs. *)
 val await : 'a future -> 'a
-
-(** [cancel fut] withdraws a future whose task has not started: the
-    future moves to the cancelled state ({!await} raises {!Cancelled})
-    and whichever slot later pops the task drains it without running —
-    workers survive and keep serving other tasks.  Returns [false] if
-    the task already started (or finished, or was already cancelled):
-    cancellation is cooperative past that point — hand the running task
-    a {!Budget} token instead. *)
-val cancel : 'a future -> bool
 
 (** [run_all pool fs] submits every thunk and awaits the results in
     order — the deterministic fan-out/merge primitive. *)
@@ -66,7 +55,6 @@ type stats = {
   ps_jobs : int;         (** slots in the pool *)
   ps_tasks : int;        (** tasks completed since creation *)
   ps_steals : int;       (** tasks taken from another slot's deque *)
-  ps_cancelled : int;    (** futures cancelled before their task ran *)
   ps_queue_wait : float; (** total seconds tasks spent queued *)
   ps_run_time : float;   (** total seconds spent running tasks *)
   ps_busy : float array; (** per-slot busy seconds (slot 0 = external

@@ -88,17 +88,10 @@ let of_exn ?file exn =
   | Engine.Chaos.Injected site ->
     mk Solve (Printf.sprintf "chaos fault injected at %s" site)
   | Engine.Budget.Exhausted site ->
-    (* front-end stages raise with their stage name as the site; anything
-       else (or an unlabelled guard) is attributed to the solver, where
-       budgets otherwise bite *)
-    let stage =
-      match site with
-      | "parse" -> Parse
-      | "elaborate" -> Elaborate
-      | "extract" -> Extract
-      | _ -> Solve
-    in
+    (* an exhausted budget is a resource limit, never a fault of the
+       input, so it is a solve error whichever stage was polling; the
+       site stays in the message *)
     let where = if site = "" then "" else Printf.sprintf " during %s" site in
-    mk stage (Printf.sprintf "budget exhausted%s" where)
+    mk Solve (Printf.sprintf "budget exhausted%s" where)
   | Sys_error msg -> mk Io msg
   | _ -> None

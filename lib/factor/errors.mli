@@ -12,7 +12,8 @@ type stage =
   | Parse      (** lexing / parsing of Verilog or pattern files *)
   | Elaborate  (** elaboration, synthesis, netlist construction *)
   | Extract    (** constraint extraction / transformed-module build *)
-  | Solve      (** test generation and SAT solving *)
+  | Solve      (** test generation and SAT solving; an exhausted budget
+                   at any stage *)
   | Io         (** file system and OS errors *)
 
 (** Source position, 1-based; [p_line = 0] means "file only", [p_col = 0]

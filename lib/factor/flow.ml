@@ -227,43 +227,38 @@ let outcome name status row =
 
 (** Run one MUT under a child budget, converting every failure mode into
     a row-local status: an exception (including an injected chaos fault)
-    becomes [Mut_failed], a budget that expired mid-generation becomes
-    [Mut_degraded] with whatever partial coverage was reached, and a
-    parent budget already dead before the row starts becomes
-    [Mut_skipped].  Never raises — sibling rows are unaffected. *)
+    becomes [Mut_failed], a budget that expired before every fault was
+    attempted becomes [Mut_degraded] with whatever partial coverage was
+    reached, and a parent budget already dead before the row starts
+    becomes [Mut_skipped].  Never raises — sibling rows are
+    unaffected. *)
 let run_one_mut parent cfg (row : transform_row) =
   let name = row.tr_name in
   if Engine.Budget.poll parent then
     outcome name (Mut_skipped "run budget exhausted before start") None
-  else begin
-    let tok = Engine.Budget.sub parent in
-    Fun.protect ~finally:(fun () -> Engine.Budget.detach tok) @@ fun () ->
+  else
     match
-      if Engine.Chaos.active () then begin
-        Engine.Chaos.point ("flow.mut:" ^ name);
-        (* a second seam starves the row's budget instead of crashing
-           it, driving the Degraded path deterministically *)
-        if Engine.Chaos.abort_point ("flow.budget:" ^ name) then
-          Engine.Budget.cancel tok
-      end;
-      transformed_atpg ~budget:tok row cfg
+      let starve =
+        Engine.Chaos.active ()
+        && begin
+          Engine.Chaos.point ("flow.mut:" ^ name);
+          (* a second seam starves the row's budget instead of crashing
+             it, driving the Degraded path deterministically *)
+          Engine.Chaos.abort_point ("flow.budget:" ^ name)
+        end
+      in
+      let deadline_in = if starve then Some 0.0 else None in
+      transformed_atpg ~budget:(Engine.Budget.sub ?deadline_in parent) row cfg
     with
     | r ->
       let skipped = r.ar_result.Atpg.Gen.r_budget_skipped in
-      if skipped > 0 || Engine.Budget.check tok then begin
-        let cause =
-          match Engine.Budget.why tok with
-          | Some Engine.Budget.Cancelled -> "budget cancelled"
-          | _ -> "budget expired"
-        in
+      if skipped > 0 then
         outcome name
           (Mut_degraded
-             (Printf.sprintf "%s: %d fault(s) skipped" cause skipped))
+             (Printf.sprintf "budget expired: %d fault(s) skipped" skipped))
           (Some r)
-      end
       else outcome name Mut_ok (Some r)
     | exception e -> outcome name (Mut_failed (Printexc.to_string e)) None
-  end
 
 (** [transformed_atpg_all ?jobs ?budget rows cfg] produces
     every Table 5/6 row, running the per-MUT generations as concurrent
@@ -272,47 +267,27 @@ let run_one_mut parent cfg (row : transform_row) =
     generation reads only its own transformed circuit and the shared
     immutable analysis, and chaos/budget decisions key on the MUT name.
     Each MUT is isolated (see {!run_one_mut}); [budget] bounds the whole
-    run.  Rows whose task was still
-    queued when [budget] died are cancelled and reported as
-    [Mut_skipped].  [jobs] defaults to the pool width; [jobs <= 1] runs
-    serially.  Per-row generation is kept serial ([g_jobs = 1]) when the
-    rows themselves fan out, so the pool is not oversubscribed. *)
+    run, and a row that starts after it died is [Mut_skipped].  [jobs]
+    defaults to the pool width; [jobs <= 1] runs serially.  Per-row
+    generation is kept serial ([g_jobs = 1]) when the rows themselves
+    fan out, so the pool is not oversubscribed. *)
 let transformed_atpg_all ?jobs ?(budget = Engine.Budget.none) rows cfg =
   let pool = Engine.Pool.global () in
   let jobs =
     match jobs with Some j -> max 1 j | None -> Engine.Pool.size pool
   in
   let prog = Obs.Progress.start ~total:(List.length rows) "flow.muts" in
+  let one cfg row () =
+    let o = run_one_mut budget cfg row in
+    Obs.Progress.step prog;
+    o
+  in
   let result =
     if jobs <= 1 || List.length rows <= 1 then
-      List.map
-        (fun row ->
-          let o = run_one_mut budget cfg row in
-          Obs.Progress.step prog;
-          o)
-        rows
-    else begin
-      let cfg = { cfg with Atpg.Gen.g_jobs = 1 } in
-      let futs =
-        List.map
-          (fun row ->
-            (row, Engine.Pool.submit pool (fun () ->
-                      let o = run_one_mut budget cfg row in
-                      Obs.Progress.step prog;
-                      o)))
-          rows
-      in
-      List.map
-        (fun (row, fut) ->
-          if Engine.Budget.poll budget then
-            ignore (Engine.Pool.cancel fut : bool);
-          match Engine.Pool.await fut with
-          | o -> o
-          | exception Engine.Pool.Cancelled ->
-            outcome row.tr_name
-              (Mut_skipped "run budget exhausted before start") None)
-        futs
-    end
+      List.map (fun row -> one cfg row ()) rows
+    else
+      Engine.Pool.run_all pool
+        (List.map (one { cfg with Atpg.Gen.g_jobs = 1 }) rows)
   in
   Obs.Progress.finish prog;
   result

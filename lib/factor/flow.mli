@@ -99,7 +99,11 @@ val transformed_atpg :
 
 type mut_status =
   | Mut_ok                    (** full generation, no truncation *)
-  | Mut_degraded of string    (** budget expired mid-row: partial coverage *)
+  | Mut_degraded of string
+  (** the budget expired before every fault was attempted: partial
+      coverage, and the text reads [budget expired: <n> fault(s)
+      skipped] with [<n>] the row's [r_budget_skipped].  Faults a
+      budget cut short mid-search stay [aborted] in a [Mut_ok] row. *)
   | Mut_failed of string      (** the row crashed; message captured *)
   | Mut_skipped of string     (** run budget died before the row started *)
 
@@ -119,8 +123,8 @@ val completed_rows : mut_outcome list -> atpg_row list
     order — bit-identical to the serial map.  Each MUT is isolated: a
     crash, hang-guard trip, or budget expiry yields a [Mut_failed] /
     [Mut_degraded] outcome for that row only; siblings are unaffected
-    and the call never raises.  [budget] bounds the whole run (queued
-    rows are cancelled and [Mut_skipped] once it dies).  [jobs]
+    and the call never raises.  [budget] bounds the whole run (a row
+    that starts after it died is [Mut_skipped]).  [jobs]
     defaults to the pool width; [jobs <= 1] is the serial map.  Per-row
     generation is forced serial to avoid oversubscribing the pool. *)
 val transformed_atpg_all :

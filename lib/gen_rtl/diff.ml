@@ -482,7 +482,6 @@ let shrink_failure cfg ~budget ~seed ~top ast (chk, detail) =
 let run_seed ?(budget = Engine.Budget.none) cfg seed =
   try
     let b = Engine.Budget.sub ~deadline_in:cfg.dc_seed_budget budget in
-    Fun.protect ~finally:(fun () -> Engine.Budget.detach b) @@ fun () ->
     if Engine.Chaos.active () then
       Engine.Chaos.point ("gen_rtl.seed:" ^ string_of_int seed);
     let d = Gen.generate ~config:cfg.dc_gen ~seed () in

@@ -47,8 +47,7 @@ type result =
     [budget] bounds the search in wall-clock terms the way
     [conflict_limit] bounds it in conflicts: the search loop polls the
     token every 128 conflicts (and every 1024 decisions) and gives up
-    with [Unknown] once it is dead, leaving the solver reusable.  The
-    solver never cancels the token itself. *)
+    with [Unknown] once it is dead, leaving the solver reusable. *)
 val solve : ?budget:Engine.Budget.t -> ?assumptions:lit list ->
   ?conflict_limit:int -> t -> result
 

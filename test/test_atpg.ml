@@ -694,16 +694,22 @@ let gen_tests =
           {|module top (input clk, input [7:0] d, output reg [7:0] q);
             always @(posedge clk) q <= q ^ d; endmodule|}) in
         let faults = F.all c in
-        let cfg =
-          { Atpg.Gen.default_config with
-            g_total_budget = 0.0; g_random_batches = 0 }
-        in
-        let r = Atpg.Gen.run c cfg faults in
         (* budget starvation is accounted separately from engine
-           give-ups: nothing here was genuinely attempted and aborted *)
-        check_int "all budget-skipped" (List.length faults)
-          r.Atpg.Gen.r_budget_skipped;
-        check_int "none aborted" 0 r.Atpg.Gen.r_aborted) ]
+           give-ups: nothing here was genuinely attempted and aborted,
+           serially or on the pool *)
+        List.iter
+          (fun jobs ->
+            let cfg =
+              { Atpg.Gen.default_config with
+                g_total_budget = 0.0; g_random_batches = 0; g_jobs = jobs }
+            in
+            let r = Atpg.Gen.run c cfg faults in
+            check_int
+              (Printf.sprintf "all budget-skipped (j%d)" jobs)
+              (List.length faults) r.Atpg.Gen.r_budget_skipped;
+            check_int (Printf.sprintf "none aborted (j%d)" jobs) 0
+              r.Atpg.Gen.r_aborted)
+          [ 1; 4 ]) ]
   @ [ test "no frame to search is refused, not certified" (fun () ->
           let c = circuit c17 in
           match
@@ -1159,18 +1165,18 @@ let simgen_tests =
          | Some t -> check_bool "long test" true (Atpg.Pattern.num_frames t >= 6)
          | None -> Alcotest.fail "should detect within the budget"));
     test "outcomes pinned" pinned_simgen_outcomes;
-    test "a cancelled budget returns before the first generation" (fun () ->
+    test "an expired budget returns before the first generation" (fun () ->
         (* one generation suffices for every c17 fault, so a None from
-           the cancelled run means no candidate was simulated *)
+           the run under an expired-at-birth token means no candidate
+           was simulated *)
         let c = circuit c17 in
         let cfg = { Atpg.Simgen.default_config with sg_generations = 1 } in
-        let tok = Engine.Budget.make () in
-        Engine.Budget.cancel tok;
+        let tok = Engine.Budget.make ~deadline_in:0.0 () in
         List.iter
           (fun f ->
             check_bool "found in one generation" true
               (Option.is_some (Atpg.Simgen.run c cfg f));
-            check_bool "cancelled" true
+            check_bool "expired" true
               (Option.is_none (Atpg.Simgen.run ~budget:tok c cfg f)))
           (F.collapse c (F.all c))) ]
 

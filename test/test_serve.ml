@@ -777,17 +777,16 @@ let e2e_errors_and_budget () =
         (match Serve.Client.rpc cl ~op:"frobnicate" ~params:[] with
          | exception Serve.Client.Server_error (stage, _) -> stage = "proto"
          | _ -> false);
-      (* a dead budget on a cold design dies in the parse guard *)
-      check_bool "expired budget fails the request with stage parse" true
+      (* a dead budget on a cold design dies in the parse guard, and an
+         exhausted budget is a solve error whichever stage it stopped *)
+      check_bool "expired budget fails the request with stage solve" true
         (match
            Serve.Client.rpc cl ~op:"atpg"
              ~params:
                [ ("design", J.String "@traffic"); ("budget_s", J.Float 0.0) ]
          with
          | exception Serve.Client.Server_error (stage, msg) ->
-           stage = "parse"
-           && String.length msg >= 16
-           && String.sub msg 0 16 = "budget exhausted"
+           stage = "solve" && msg = "budget exhausted during parse"
          | _ -> false);
       (* the failure degraded only itself: the same design works next *)
       let r =
@@ -1260,7 +1259,7 @@ let e2e_stream_cancelled () =
                [ ("design", J.String "@arbiter");
                  ("budget_s", J.Float 0.0) ]
          with
-         | exception Serve.Client.Server_error ("parse", _) -> true
+         | exception Serve.Client.Server_error ("solve", _) -> true
          | _ -> false);
       (* the lifecycle marker preceded the failure *)
       check_bool "marker frame arrived before the error" true
