@@ -807,8 +807,8 @@ let check_fault_models ~name c =
    reproduce this line exactly; a change that moves it changes the work
    done, and must say so and re-pin it. *)
 let fsim_smoke_alu_evals =
-  "packed 35372 (2 words) | reference 1155888 | transition 18543 | \
-   bridge 13948"
+  "packed 24322 (2 words) | reference 1155888 | transition 10629 | \
+   bridge 7393"
 
 (* CI gate: on the stand-alone ALU, the packed engine must agree bit for
    bit with the reference oracle on stuck-at, transition and bridge

@@ -228,7 +228,9 @@ let run_reference ~budget c ~observe ~(faults : descriptor array) tests =
    [pg_lo.(f).(net)] are net values during frame [f]; [pg_sth.(f).(i)] /
    [pg_stl.(f).(i)] the flip-flop state at the {e start} of frame [f]
    (entry [frames] holds the state after the last frame, for PIER
-   observation).  Read-only once built, so shards may share one copy. *)
+   observation).  The engine that simulates a word owns them and reuses
+   them for the next word; in between they are read-only, so shards may
+   share one copy. *)
 type pgood = {
   pg_hi : int array array;
   pg_lo : int array array;
@@ -247,10 +249,8 @@ type pgood = {
 type pengine = {
   xc : N.t;
   xinfo : A.info;
-  xgh : int array;             (* good hi plane for the frame being built *)
-  xgl : int array;
-  xsh : int array;             (* good state hi plane *)
-  xsl : int array;
+  mutable xgood : pgood;       (* good planes of the current word; grown
+                                  to the longest word, never shrunk *)
   xfh : int array;             (* faulty hi plane, valid where xdirty *)
   xfl : int array;
   xdirty : bool array;
@@ -279,10 +279,7 @@ let make_pengine c =
   let n = N.num_nets c in
   let nff = max 1 (N.num_ffs c) in
   { xc = c; xinfo = info;
-    xgh = Array.make n 0;
-    xgl = Array.make n 0;
-    xsh = Array.make nff 0;
-    xsl = Array.make nff 0;
+    xgood = { pg_hi = [||]; pg_lo = [||]; pg_sth = [||]; pg_stl = [||] };
     xfh = Array.make n 0;
     xfl = Array.make n 0;
     xdirty = Array.make n false;
@@ -309,9 +306,28 @@ let batch_of_tests c (chunk : Pattern.test array) =
     ~vectors:(Array.map (fun t -> t.Pattern.p_vectors) chunk)
     ~loads:(Array.map (fun t -> t.Pattern.p_loads) chunk)
 
+(* The engine's good planes, grown to hold a word of [frames] frames:
+   planes already there are kept, so a run allocates them once for its
+   longest word. *)
+let good_planes eng frames =
+  let g = eng.xgood in
+  if Array.length g.pg_hi < frames then begin
+    let n = N.num_nets eng.xc and nff = max 1 (N.num_ffs eng.xc) in
+    let grow planes k len =
+      Array.init k (fun f ->
+          if f < Array.length planes then planes.(f) else Array.make len 0)
+    in
+    eng.xgood <-
+      { pg_hi = grow g.pg_hi frames n;
+        pg_lo = grow g.pg_lo frames n;
+        pg_sth = grow g.pg_sth (frames + 1) nff;
+        pg_stl = grow g.pg_stl (frames + 1) nff }
+  end;
+  eng.xgood
+
 (* Simulate the fault-free circuit over a whole word of tests: one
    linear sweep of the topo order per frame, every gate settling all
-   lanes at once. *)
+   lanes at once, straight into the engine's planes for that frame. *)
 let good_word eng (b : P.batch) =
   Obs.Metrics.incr packed_words_counter;
   let c = eng.xc in
@@ -319,24 +335,15 @@ let good_word eng (b : P.batch) =
   let n = N.num_nets c in
   let nff = N.num_ffs c in
   let frames = b.P.b_frames in
-  let pg_hi = Array.init frames (fun _ -> Array.make n 0) in
-  let pg_lo = Array.init frames (fun _ -> Array.make n 0) in
-  let pg_sth = Array.init (frames + 1) (fun _ -> Array.make (max 1 nff) 0) in
-  let pg_stl = Array.init (frames + 1) (fun _ -> Array.make (max 1 nff) 0) in
-  let gh = eng.xgh and gl = eng.xgl in
-  let sh = eng.xsh and sl = eng.xsl in
-  Array.fill sh 0 (Array.length sh) 0;
-  Array.fill sl 0 (Array.length sl) 0;
-  for i = 0 to nff - 1 do
-    sh.(i) <- b.P.b_load_hi.(i);
-    sl.(i) <- b.P.b_load_lo.(i)
-  done;
+  let good = good_planes eng frames in
+  Array.blit b.P.b_load_hi 0 good.pg_sth.(0) 0 nff;
+  Array.blit b.P.b_load_lo 0 good.pg_stl.(0) 0 nff;
   let order = info.A.order and ops = info.A.op and fanin = info.A.fanin in
   let r = eng.xr in
   let m = b.P.b_mask in
   for f = 0 to frames - 1 do
-    Array.blit sh 0 pg_sth.(f) 0 nff;
-    Array.blit sl 0 pg_stl.(f) 0 nff;
+    let gh = good.pg_hi.(f) and gl = good.pg_lo.(f) in
+    let sh = good.pg_sth.(f) and sl = good.pg_stl.(f) in
     let pih = b.P.b_pi_hi.(f) and pil = b.P.b_pi_lo.(f) in
     for k = 0 to n - 1 do
       let net = order.(k) in
@@ -358,17 +365,14 @@ let good_word eng (b : P.batch) =
       end
     done;
     add_packed_evals n;
-    Array.blit gh 0 pg_hi.(f) 0 n;
-    Array.blit gl 0 pg_lo.(f) 0 n;
+    let nsh = good.pg_sth.(f + 1) and nsl = good.pg_stl.(f + 1) in
     for i = 0 to nff - 1 do
       let d = c.N.ff_d.(i) in
-      sh.(i) <- gh.(d);
-      sl.(i) <- gl.(d)
+      nsh.(i) <- gh.(d);
+      nsl.(i) <- gl.(d)
     done
   done;
-  Array.blit sh 0 pg_sth.(frames) 0 nff;
-  Array.blit sl 0 pg_stl.(frames) 0 nff;
-  { pg_hi; pg_lo; pg_sth; pg_stl }
+  good
 
 (* PIER membership as a bitmap over flip-flop indices, built once per
    word (or run) so the sweep never walks the pier list. *)
@@ -376,6 +380,10 @@ let pier_flags c observe =
   let a = Array.make (max 1 (N.num_ffs c)) false in
   List.iter (fun ff -> a.(ff) <- true) observe.ob_pier_ffs;
   a
+
+(* Raised inside a settle when a primary output detects the swept fault
+   and the caller stops at the first detection. *)
+exception Po_detected
 
 (* Queue [net] for evaluation in its level's bucket, once per pass. *)
 let schedule eng net =
@@ -398,11 +406,18 @@ let schedule eng net =
    detection mask, already restricted to the lanes still inside their
    own test ([b_active]) and, for PIER observation, to each lane's own
    final frame ([b_last]).  With [stop_on_detect] the sweep ends at the
-   first frame that detects the fault in any lane — sound whenever the
-   caller only fault-drops on the mask (the remaining frames could only
-   set more lane bits), and the dominant saving on dropping runs where
-   most faults fall in the first frames of the first word.  Nothing is
-   allocated per frame or per net. *)
+   first detection: as soon as the final settle of a frame (never
+   pass 1 of a short) gives a primary output a value that differs from
+   the good planes on a lane still inside its test, those lanes are
+   recorded, whatever is still queued is unqueued, the frame's
+   bookkeeping finishes on the nets settled so far and the sweep
+   returns; a frame that detects only through PIER state ends the
+   sweep after that frame.  The mask is then nonzero but may name only
+   the first detecting output's lanes — sound whenever the caller only
+   fault-drops on the mask (the rest of the frame and the remaining
+   frames could only set more lane bits), and the dominant saving on
+   dropping runs where most faults fall in the first frames of the
+   first word.  Nothing is allocated per frame or per net. *)
 let packed_sweep eng good (b : P.batch) ~observe ~piers ~stop_on_detect
     (sites : (int * rule) array) =
   let c = eng.xc in
@@ -413,6 +428,7 @@ let packed_sweep eng good (b : P.batch) ~observe ~piers ~stop_on_detect
   let dirty = eng.xdirty and fh = eng.xfh and fl = eng.xfl in
   let r = eng.xr in
   let m = b.P.b_mask in
+  let stop_at_po = stop_on_detect && observe.ob_pos in
   let ns = Array.length sites in
   if Array.length eng.xforce_hi < ns then begin
     eng.xforce_hi <- Array.make ns 0;
@@ -455,6 +471,7 @@ let packed_sweep eng good (b : P.batch) ~observe ~piers ~stop_on_detect
   let fr = ref 0 in
   while !fr < frames && not (stop_on_detect && !detected <> 0) do
     let f = !fr in
+    let act = b.P.b_active.(f) in
     let gh = good.pg_hi.(f) and gl = good.pg_lo.(f) in
     let gsh = good.pg_sth.(f) and gsl = good.pg_stl.(f) in
     let pih = b.P.b_pi_hi.(f) and pil = b.P.b_pi_lo.(f) in
@@ -488,61 +505,81 @@ let packed_sweep eng good (b : P.batch) ~observe ~piers ~stop_on_detect
          their fanins, so draining level by level evaluates each net at
          most once, and a level's bucket no longer grows once reached *)
       let lv = ref eng.xlo in
-      while !lv <= eng.xhi do
-        let l = !lv in
-        let base = level_off.(l) in
-        for q = base to base + eng.xfill.(l) - 1 do
-          let net = eng.xbucket.(q) in
-          eng.xqueued.(net) <- false;
-          let op = Bytes.get_uint8 ops net in
-          let a = fanin.(3 * net) in
-          if op = A.op_pi then begin
-            r.P.hi <- pih.(a);
-            r.P.lo <- pil.(a)
-          end
-          else if op = A.op_ff then begin
-            if eng.xsdirty.(a) then begin
-              r.P.hi <- eng.xfsh.(a);
-              r.P.lo <- eng.xfsl.(a)
-            end
-            else begin
-              r.P.hi <- gsh.(a);
-              r.P.lo <- gsl.(a)
-            end
-          end
-          else begin
-            let b = fanin.((3 * net) + 1) and s = fanin.((3 * net) + 2) in
-            let da = dirty.(a) and db = dirty.(b) and ds = dirty.(s) in
-            P.gate r op m
-              (if da then fh.(a) else gh.(a)) (if da then fl.(a) else gl.(a))
-              (if db then fh.(b) else gh.(b)) (if db then fl.(b) else gl.(b))
-              (if ds then fh.(s) else gh.(s)) (if ds then fl.(s) else gl.(s))
-          end;
-          if net = net0 || (multi && eng.xsite.(net) >= 0) then begin
-            let s = if net = net0 then 0 else eng.xsite.(net) in
-            let nh = r.P.hi and nl = r.P.lo in
-            let k = nh lor nl lor known.(s) in
-            let forced_hi = force_hi.(s) land k
-            and forced_lo = force_lo.(s) land k in
-            r.P.hi <- (nh land lnot forced_lo) lor forced_hi;
-            r.P.lo <- (nl land lnot forced_hi) lor forced_lo
-          end;
-          incr evals;
-          let nh = r.P.hi and nl = r.P.lo in
-          if nh <> gh.(net) || nl <> gl.(net) then begin
-            fh.(net) <- nh;
-            fl.(net) <- nl;
-            dirty.(net) <- true;
-            eng.xtouched.(eng.xtouched_n) <- net;
-            eng.xtouched_n <- eng.xtouched_n + 1;
-            for k = fo.(net) to fo.(net + 1) - 1 do
-              schedule eng fanout.(k)
-            done
-          end
-        done;
-        eng.xfill.(l) <- 0;
-        incr lv
-      done;
+      (try
+         while !lv <= eng.xhi do
+           let l = !lv in
+           let base = level_off.(l) in
+           for q = base to base + eng.xfill.(l) - 1 do
+             let net = eng.xbucket.(q) in
+             eng.xqueued.(net) <- false;
+             let op = Bytes.get_uint8 ops net in
+             let a = fanin.(3 * net) in
+             if op = A.op_pi then begin
+               r.P.hi <- pih.(a);
+               r.P.lo <- pil.(a)
+             end
+             else if op = A.op_ff then begin
+               if eng.xsdirty.(a) then begin
+                 r.P.hi <- eng.xfsh.(a);
+                 r.P.lo <- eng.xfsl.(a)
+               end
+               else begin
+                 r.P.hi <- gsh.(a);
+                 r.P.lo <- gsl.(a)
+               end
+             end
+             else begin
+               let b = fanin.((3 * net) + 1) and s = fanin.((3 * net) + 2) in
+               let da = dirty.(a) and db = dirty.(b) and ds = dirty.(s) in
+               P.gate r op m
+                 (if da then fh.(a) else gh.(a)) (if da then fl.(a) else gl.(a))
+                 (if db then fh.(b) else gh.(b)) (if db then fl.(b) else gl.(b))
+                 (if ds then fh.(s) else gh.(s)) (if ds then fl.(s) else gl.(s))
+             end;
+             if net = net0 || (multi && eng.xsite.(net) >= 0) then begin
+               let s = if net = net0 then 0 else eng.xsite.(net) in
+               let nh = r.P.hi and nl = r.P.lo in
+               let k = nh lor nl lor known.(s) in
+               let forced_hi = force_hi.(s) land k
+               and forced_lo = force_lo.(s) land k in
+               r.P.hi <- (nh land lnot forced_lo) lor forced_hi;
+               r.P.lo <- (nl land lnot forced_hi) lor forced_lo
+             end;
+             incr evals;
+             let nh = r.P.hi and nl = r.P.lo in
+             if nh <> gh.(net) || nl <> gl.(net) then begin
+               fh.(net) <- nh;
+               fl.(net) <- nl;
+               dirty.(net) <- true;
+               eng.xtouched.(eng.xtouched_n) <- net;
+               eng.xtouched_n <- eng.xtouched_n + 1;
+               if stop_at_po && pass = 2 && Bytes.get_uint8 is_po net = 1
+               then begin
+                 let d =
+                   ((gh.(net) land nl) lor (gl.(net) land nh)) land act
+                 in
+                 if d <> 0 then begin
+                   detected := d;
+                   raise_notrace Po_detected
+                 end
+               end;
+               for k = fo.(net) to fo.(net + 1) - 1 do
+                 schedule eng fanout.(k)
+               done
+             end
+           done;
+           eng.xfill.(l) <- 0;
+           incr lv
+         done
+       with Po_detected ->
+         (* unqueue what the stop left behind, from the level it hit on *)
+         for l = !lv to eng.xhi do
+           let base = level_off.(l) in
+           for q = base to base + eng.xfill.(l) - 1 do
+             eng.xqueued.(eng.xbucket.(q)) <- false
+           done;
+           eng.xfill.(l) <- 0
+         done);
       eng.xlo <- info.A.max_level + 1;
       eng.xhi <- -1;
       if pass = 1 then begin
@@ -565,7 +602,6 @@ let packed_sweep eng good (b : P.batch) ~observe ~piers ~stop_on_detect
     (* a primary output can only detect where it diverged: walk the
        touched nets against the PO bitmap, not every PO *)
     if observe.ob_pos then begin
-      let act = b.P.b_active.(f) in
       for k = 0 to eng.xtouched_n - 1 do
         let net = eng.xtouched.(k) in
         if Bytes.get_uint8 is_po net = 1 then
@@ -627,19 +663,27 @@ let packed_sweep eng good (b : P.batch) ~observe ~piers ~stop_on_detect
   !detected land m
 
 (* Sweep the active faults through one word, observing the per-word time
-   histogram and the packed-sweep span; [apply k det] receives, in
+   histogram and the packed-sweep span (its child [fsim.good] covers the
+   transpose and the good simulation); [apply k det] receives, in
    [active] order, the index into [active] and its nonzero lane mask.
    With [jobs > 1] the active faults are sharded across the global pool,
    every shard sweeping its slice against the one shared good
-   simulation. *)
+   simulation, which [eng] owns: the next word overwrites it only after
+   every shard has returned. *)
 let packed_word ?(budget = Engine.Budget.none) ~jobs eng c ~observe
     ~stop_on_detect ~(faults : (int * rule) array array)
     ~(active : int array) (chunk : Pattern.test array) ~apply =
   let t0 = Engine.Clock.now () in
   Obs.Metrics.incr packed_batches_counter;
   let sweep () =
-    let b = batch_of_tests c chunk in
-    let good = good_word eng b in
+    let simulate () =
+      let b = batch_of_tests c chunk in
+      (b, good_word eng b)
+    in
+    let (b, good) =
+      if Obs.Span.enabled () then Obs.Span.with_ "fsim.good" simulate
+      else simulate ()
+    in
     let piers = pier_flags c observe in
     (* one atomic load per fault; the word loops above poll the clock *)
     let det eng i =

@@ -10,7 +10,13 @@
       ({!Netlist.Analysis}: opcodes, fanin slots, level bucket offsets,
       PO bitmap), built once per circuit; a fault's sweep allocates
       nothing and its bookkeeping (level scan, PO check) is proportional
-      to the nets it re-evaluates.  A single test is a one-lane word.
+      to the nets it re-evaluates.  The good planes belong to the
+      engine and are reused from word to word (grown only for a longer
+      word), and the test transpose sets lane bits without branching.
+      While fault dropping ({!run}, {!run_descriptors}), a sweep stops
+      at the first primary output that shows the fault on a live lane;
+      {!run_matrix} never stops early.  A single test is a one-lane
+      word.
     - [Reference] is the straight-line oracle — every net re-evaluated
       on every frame, one {!Sim.Logic3} column per fault
       ({!run_batch_reference}); differential-testing and benchmark

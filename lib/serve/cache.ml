@@ -186,10 +186,14 @@ let batch f =
       Domain.DLS.set pending outer;
       List.iter flush_quietly (List.rev !mine))
 
+(* Alias edges go through the digested value path, like blobs: the
+   digest binds the fingerprint to its own key, so an edge swapped in
+   from another alias, or one written bare by an older build, reads as a
+   miss instead of naming another design's blob. *)
 let persist_alias t ~alias ~fp =
   match t.c_store with
   | None -> ()
-  | Some store -> Store.put store ~key:(alias_key alias) fp
+  | Some store -> Store.put_value store ~key:(alias_key alias) (fp : string)
 
 let entry_of_blob t (b : blob) =
   { e_fp = b.b_fp;
@@ -276,8 +280,8 @@ let find_or_build ?file t ~budget ~source ~top =
       match t.c_store with
       | None -> None
       | Some store ->
-        Option.bind (Store.get store ~key:(alias_key alias)) (fun fp ->
-            if is_fingerprint fp then Some fp else None)
+        Option.bind (Store.get_value store ~key:(alias_key alias))
+          (fun (fp : string) -> if is_fingerprint fp then Some fp else None)
     in
     (* [on_disk]: the alias edge was read from the store, so it is not
        written back *)

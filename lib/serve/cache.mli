@@ -26,7 +26,10 @@
       {!batch} ends — also when the request fails after the change.
       Outside a batch every change is written at once;
     - an alias → fingerprint edge only when it is new to the disk: a
-      hit that read its edge from the store writes nothing.
+      hit that read its edge from the store writes nothing.  Edges are
+      stored with {!Store.put_value}, whose digest binds them to their
+      key, so an edge swapped in from another alias (or written bare by
+      an older build) reads as a miss and the request parses.
 
     So a request that derives nothing new writes nothing. *)
 

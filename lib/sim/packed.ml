@@ -74,8 +74,12 @@ let make_batch ~num_pis ~num_ffs ~vectors ~loads =
       b_active.(f) <- b_active.(f) lor bit;
       let vec = vectors.(j).(f) in
       let hi = b_pi_hi.(f) and lo = b_pi_lo.(f) in
+      (* the lane bit lands on one rail by arithmetic, not by a branch
+         on a random input bit *)
       for i = 0 to num_pis - 1 do
-        if vec.(i) then hi.(i) <- hi.(i) lor bit else lo.(i) <- lo.(i) lor bit
+        let v = Bool.to_int vec.(i) in
+        hi.(i) <- hi.(i) lor (v lsl j);
+        lo.(i) <- lo.(i) lor ((v lxor 1) lsl j)
       done
     done;
     if fj > 0 then b_last.(fj - 1) <- b_last.(fj - 1) lor bit
@@ -84,11 +88,11 @@ let make_batch ~num_pis ~num_ffs ~vectors ~loads =
   let b_load_lo = Array.make (max 1 num_ffs) 0 in
   Array.iteri
     (fun j ls ->
-      let bit = 1 lsl j in
       List.iter
         (fun (ff, v) ->
-          if v then b_load_hi.(ff) <- b_load_hi.(ff) lor bit
-          else b_load_lo.(ff) <- b_load_lo.(ff) lor bit)
+          let v = Bool.to_int v in
+          b_load_hi.(ff) <- b_load_hi.(ff) lor (v lsl j);
+          b_load_lo.(ff) <- b_load_lo.(ff) lor ((v lxor 1) lsl j))
         ls)
     loads;
   { b_lanes = lanes;

@@ -147,10 +147,12 @@ let gcd_circuit () =
 (* The packed engine's flags, digested, and its eval delta for one
    seeded multi-word grading run: 100 random PIER tests of 1-6 frames
    (two words, ragged) against the stuck-at list, the transition
-   universe and 126 bridges.  Recorded before the packed kernels moved
-   onto the compiled netlist; fault dropping, the early exit and the
-   event schedule are all in the eval count, so a change to any of
-   them must say so and re-pin. *)
+   universe and 126 bridges.  The digests were recorded before the
+   packed kernels moved onto the compiled netlist; the eval counts were
+   re-pinned when dropping sweeps began to stop at the first detecting
+   primary output.  Fault dropping, the early exit and the event
+   schedule are all in the eval count, so a change to any of them must
+   say so and re-pin. *)
 let packed_work c =
   let rng = Random.State.make [| 19 |] in
   let piers = Factor.Pier.identify c in
@@ -197,13 +199,104 @@ let pinned_packed_work () =
         [ "stuck-at"; "transition"; "bridge" ]
         (List.combine expected (packed_work c)))
     [ ("arm_alu", flat_circuit (Arm.Rtl.design ()) "arm_alu",
-       [ "c80370474ec58da54ab061425686808d evals=21894";
-         "d57d3a1c6c13480075dcfd94241e60e9 evals=20209";
-         "6ded10398d23da043c1c40d6ba064ef7 evals=7322" ]);
+       [ "c80370474ec58da54ab061425686808d evals=11473";
+         "d57d3a1c6c13480075dcfd94241e60e9 evals=13037";
+         "6ded10398d23da043c1c40d6ba064ef7 evals=4039" ]);
       ("gcd", gcd_circuit (),
-       [ "91b587390e483b0545295dd6333040bd evals=53120";
-         "d6a3ea9ce799253fbdd4af4a62d548ce evals=66413";
-         "3e3d3b5f1e2453ea2ea3509bedce1bb4 evals=22931" ]) ]
+       [ "91b587390e483b0545295dd6333040bd evals=38770";
+         "d6a3ea9ce799253fbdd4af4a62d548ce evals=50083";
+         "3e3d3b5f1e2453ea2ea3509bedce1bb4 evals=17319" ]) ]
+
+(* Sweeps that stop at the first detecting primary output, on random
+   RTL whose outputs sit at several levels (so a stop leaves deeper nets
+   queued): over 64-130 ragged tests (two or three words) with PIER
+   loads and observation, the dropping packed engine's flags equal the
+   oracle's on stuck-at, transition and bridge faults, and equal the
+   nonzero signatures of the full matrix, which never stops early. *)
+let early_stop_matches gm =
+  let (_, c) = Fuzzgen.build gm in
+  let levels = (N.analysis c).N.Analysis.level in
+  let po_levels =
+    List.sort_uniq compare
+      (Array.to_list (Array.map (fun po -> levels.(po)) c.N.pos))
+  in
+  QCheck.assume (List.length po_levels >= 2);
+  let rng =
+    Random.State.make [| Hashtbl.hash gm.Fuzzgen.gm_src + 23; fuzz_seed |]
+  in
+  let piers =
+    List.filter
+      (fun _ -> Random.State.bool rng)
+      (List.init (N.num_ffs c) Fun.id)
+  in
+  let observe = { Atpg.Fsim.ob_pos = true; ob_pier_ffs = piers } in
+  let tests =
+    List.init (64 + Random.State.int rng 67) (fun _ ->
+        Atpg.Pattern.random ~rng ~num_pis:(N.num_pis c)
+          ~frames:(1 + Random.State.int rng 4) ~piers)
+  in
+  let faults = F.all c in
+  let agree name descs =
+    let flags engine =
+      Atpg.Fsim.run_descriptors ~engine c ~observe ~faults:descs tests
+    in
+    flags Atpg.Fsim.Packed = flags Atpg.Fsim.Reference
+    || QCheck.Test.fail_reportf "%s: packed and reference flags differ" name
+  in
+  let sigs =
+    Atpg.Fsim.run_matrix c ~observe ~faults:(Array.of_list faults)
+      ~active:(Array.init (List.length faults) Fun.id)
+      (Array.of_list tests)
+  in
+  agree "stuck-at" (List.map Atpg.Fsim.stuck_at faults)
+  && agree "transition"
+       (List.map Atpg.Transition.descriptor (Atpg.Transition.all c))
+  && agree "bridge"
+       (List.map Atpg.Bridge.descriptor
+          (Atpg.Bridge.candidates ~rng ~count:40 c))
+  && (Atpg.Fsim.run c ~observe ~faults tests
+      = Array.map (fun s -> Bytes.contains s '\001') sigs
+      || QCheck.Test.fail_report "run and the matrix's signatures differ")
+
+(* The engine's good planes are reused from word to word: grading three
+   24-frame words of the stand-alone ALU allocates less beyond grading
+   one of them than a single word's plane set. *)
+let planes_reused () =
+  let c = flat_circuit (Arm.Rtl.design ()) "arm_alu" in
+  let frames = 24 in
+  let rng = Random.State.make [| 31 |] in
+  let tests =
+    List.init (3 * Sim.Packed.width) (fun _ ->
+        Atpg.Pattern.random ~rng ~num_pis:(N.num_pis c) ~frames ~piers:[])
+  in
+  let faults = F.collapse c (F.all c) in
+  (* a minor collection before each reading: OCaml 5 adds a domain's
+     direct major-heap allocations (the planes) to the counters there *)
+  let allocated_bytes () = Gc.minor (); Gc.allocated_bytes () in
+  let allocated tests =
+    let w0 = Atpg.Fsim.packed_words () in
+    let b0 = allocated_bytes () in
+    ignore
+      (Atpg.Fsim.run c ~observe:Atpg.Fsim.default_observe ~faults tests
+        : bool array);
+    (allocated_bytes () -. b0, Atpg.Fsim.packed_words () - w0)
+  in
+  let first = List.filteri (fun i _ -> i < Sim.Packed.width) tests in
+  (* the first run also builds the circuit's analysis *)
+  ignore (allocated first);
+  let (one, w1) = allocated first in
+  let (three, w3) = allocated tests in
+  check_int "one word" 1 w1;
+  check_int "three words" 3 w3;
+  let planes =
+    ((2 * frames * N.num_nets c) + (2 * (frames + 1) * max 1 (N.num_ffs c)))
+    * (Sys.word_size / 8)
+  in
+  check_bool
+    (Printf.sprintf "two more words allocate %.0f bytes, one plane set %d"
+       (three -. one) planes)
+    true
+    (three -. one < float_of_int planes)
 
 let fsim_tests =
   [ test "stuck PI fault detected by opposite value" (fun () ->
@@ -311,6 +404,9 @@ let fsim_tests =
             in
             solo.(0) = batched.(i))
           (List.mapi (fun i f -> (i, f)) faults));
+    qtest "random rtl: early-stopping sweeps match the oracle and the matrix"
+      ~count:25 Fuzzgen.gen_arbitrary early_stop_matches;
+    test "good planes are reused across words" planes_reused;
     test "packed work pinned" pinned_packed_work ]
 
 (* ------------------------------------------------------------------ *)

@@ -620,6 +620,56 @@ let cache_damaged_store () =
   check_bool "garbage alias edge falls back to the chain fingerprint" true
     (o2 = Serve.Cache.Warm_disk)
 
+(* Alias edges are bound to their own key: with two designs' edges
+   swapped on disk, or an edge written bare (as builds before the
+   digested edges did), a restarted cache answers each design with its
+   own entry — the edge reads as a miss and the request parses — never
+   with the other design's. *)
+let cache_swapped_alias_edges () =
+  let dir = tmpdir "factor-alias-swap" in
+  let none = Engine.Budget.none in
+  let designs =
+    List.map
+      (fun (e : Circuits.Collection.entry) -> (e.e_source, e.e_top))
+      [ Circuits.Collection.gcd; Circuits.Collection.arbiter ]
+  in
+  let lookup t (source, top) =
+    let (e, o) =
+      Serve.Cache.find_or_build t ~budget:none ~source ~top:(Some top)
+    in
+    ((Serve.Cache.fingerprint e, Serve.Cache.circuit e), o)
+  in
+  let t = Serve.Cache.create ~store:(Serve.Store.open_ dir) () in
+  let own = List.map (fun d -> fst (lookup t d)) designs in
+  let s = Serve.Store.open_ dir in
+  let alias_key (source, top) =
+    "alias-" ^ Factor.Compose.source_fingerprint ~source ~top
+  in
+  let keys = List.map alias_key designs in
+  let edges = List.map (fun key -> Option.get (Serve.Store.get s ~key)) keys in
+  List.iter2 (fun key edge -> Serve.Store.put s ~key edge) keys
+    (List.rev edges);
+  let t2 = Serve.Cache.create ~store:(Serve.Store.open_ dir) () in
+  List.iter2
+    (fun d (fp, c) ->
+      let ((fp', c'), o) = lookup t2 d in
+      check_string "swapped edge: own fingerprint" fp fp';
+      check_bool "swapped edge: own circuit" true (c = c');
+      check_bool "swapped edge: warm from the own blob" true
+        (o = Serve.Cache.Warm_disk))
+    designs own;
+  List.iter2
+    (fun key (fp, _) -> Serve.Store.put s ~key fp)
+    keys (List.rev own);
+  let t3 = Serve.Cache.create ~store:(Serve.Store.open_ dir) () in
+  List.iter2
+    (fun d (fp, _) ->
+      let ((fp', _), o) = lookup t3 d in
+      check_string "bare edge: own fingerprint" fp fp';
+      check_bool "bare edge: warm from the own blob" true
+        (o = Serve.Cache.Warm_disk))
+    designs own
+
 (* The one-shot commands print the typed cores through Render; served
    requests render the same cores as the response object.  Both must
    agree field for field, at any job count. *)
@@ -1343,6 +1393,8 @@ let () =
           test "writes per request class" store_writes_per_class;
           test "a damaged store costs a rebuild, not a crash"
             cache_damaged_store;
+          test "swapped alias edges answer each design with its own"
+            cache_swapped_alias_edges;
         ] );
       ( "ops",
         List.map
