@@ -1,7 +1,9 @@
 (** Paper reproduction and correctness gates: regenerates every table of
     the paper's evaluation (Tables 1-6), the Section 4.2 testability
     report and the ablation studies called out in DESIGN.md, and runs the
-    [*_smoke] gates CI relies on (each exits 1 when its property fails).
+    two gates CI relies on that pin figures of their own, [fsim_smoke]
+    and [sat_smoke] (each exits 1 when its property fails).  Every other
+    correctness gate is an alcotest case under test/.
     Every target prints to stdout; [--metrics FILE] dumps the process's
     counters and [--trace FILE] a Chrome trace.  Performance is measured
     by the repo benchmark in perfbench/, not here.
@@ -9,8 +11,7 @@
     Usage: [bench/main.exe [table1|table2|table3|table4|table5|table6|
                             testability|translate|generality|variance|
                             scan|bridging|ablations|fsim|fsim_smoke|
-                            sat|sat_smoke|par|par_smoke|chaos_smoke|
-                            fuzz_smoke|serve_smoke|progress_smoke|all]
+                            sat|sat_smoke|par|all]
                            [-j N] [--seed S] [--trace FILE]
                            [--metrics FILE]]. *)
 
@@ -818,10 +819,7 @@ let fsim_smoke_alu_evals =
    the packing or dropping logic degraded). *)
 let bench_fsim_smoke () =
   let ed = Design.Elaborate.elaborate (Arm.Rtl.design ()) ~top:"arm_alu" in
-  let c =
-    (Synth.Lower.lower (Synth.Flatten.flatten ed "arm_alu"))
-      .Synth.Lower.circuit
-  in
+  let c = (Synth.Lower.synthesize ed "arm_alu").Synth.Lower.circuit in
   let (packed, words, reference) =
     bench_fsim_on ~name:"arm_alu" c ~num_tests:126
   in
@@ -955,10 +953,7 @@ let sat_smoke_alu_stats =
    rebuild and the sequential gcd agreement check above. *)
 let bench_sat_smoke () =
   let ed = Design.Elaborate.elaborate (Arm.Rtl.design ()) ~top:"arm_alu" in
-  let c =
-    (Synth.Lower.lower (Synth.Flatten.flatten ed "arm_alu"))
-      .Synth.Lower.circuit
-  in
+  let c = (Synth.Lower.synthesize ed "arm_alu").Synth.Lower.circuit in
   let faults = Atpg.Fault.collapse c (Atpg.Fault.all c) in
   let stats = ref Sat.Solver.zero_stats in
   let cubes = ref 0 in
@@ -1035,8 +1030,9 @@ let bench_par () =
   (* regfile_struct needs ~5 CPU-minutes per pass even serially; with the
      uncapped budgets this target requires, running it twice would dominate
      the benchmark, so it is excluded here (the determinism suites in
-     test/test_engine.ml and the CI par_smoke gate still cover ATPG
-     parallelism; this target measures the flow on the remaining MUTs). *)
+     test/test_engine.ml still cover ATPG parallelism, stand-alone
+     arm_alu included; this target measures the flow on the remaining
+     MUTs). *)
   let rows =
     List.filter
       (fun tr -> tr.Flow.tr_name <> "regfile_struct")
@@ -1100,464 +1096,6 @@ let bench_par () =
     st.Engine.Pool.ps_tasks st.Engine.Pool.ps_steals
     st.Engine.Pool.ps_queue_wait st.Engine.Pool.ps_run_time
     (100.0 *. utilization)
-
-(* Fast CI smoke: on the stand-alone ALU, a 4-job ATPG run and 4-way
-   sharded fault simulation — a multi-test list and one test (a one-lane
-   word, the path Gen's confirm-and-drop takes at -j N) — must
-   reproduce the serial results exactly. *)
-let bench_par_smoke () =
-  let ed = Design.Elaborate.elaborate (Arm.Rtl.design ()) ~top:"arm_alu" in
-  let c =
-    (Synth.Lower.lower (Synth.Flatten.flatten ed "arm_alu"))
-      .Synth.Lower.circuit
-  in
-  let faults = Atpg.Fault.collapse c (Atpg.Fault.all c) in
-  let cfg =
-    { module_cfg with
-      Atpg.Gen.g_engine = Atpg.Gen.Hybrid;
-      g_fault_budget = 1e9;
-      g_total_budget = 1e9;
-      g_seed = !seed_ref }
-  in
-  let r1 = Atpg.Gen.run c { cfg with Atpg.Gen.g_jobs = 1 } faults in
-  Engine.Pool.set_jobs 4;
-  let r4 = Atpg.Gen.run c { cfg with Atpg.Gen.g_jobs = 4 } faults in
-  let key (r : Atpg.Gen.result) =
-    (r.Atpg.Gen.r_detected, r.Atpg.Gen.r_untestable, r.Atpg.Gen.r_aborted,
-     r.Atpg.Gen.r_vectors, r.Atpg.Gen.r_tests, r.Atpg.Gen.r_outcomes)
-  in
-  if key r1 <> key r4 then begin
-    Printf.eprintf
-      "par smoke: 4-job ATPG differs from serial on arm_alu (seed %d)\n"
-      !seed_ref;
-    exit 1
-  end;
-  let rng = Random.State.make [| !seed_ref |] in
-  let tests =
-    List.init 16 (fun _ ->
-        Atpg.Pattern.random ~rng ~num_pis:(Netlist.num_pis c) ~frames:4
-          ~piers:[])
-  in
-  let observe = Atpg.Fsim.default_observe in
-  List.iter
-    (fun (what, tests) ->
-      let serial = Atpg.Fsim.run c ~observe ~faults tests in
-      if Atpg.Fsim.run ~jobs:4 c ~observe ~faults tests <> serial then begin
-        Printf.eprintf
-          "par smoke: sharded %s fsim differs from serial on arm_alu (seed %d)\n"
-          what !seed_ref;
-        exit 1
-      end)
-    [ ("multi-test", tests); ("single-test", [ List.hd tests ]) ];
-  Printf.printf
-    "par smoke: arm_alu identical at 1 and 4 jobs (%d faults, coverage %.2f%%)\n"
-    r4.Atpg.Gen.r_total r4.Atpg.Gen.r_coverage
-
-(* CI chaos smoke: with failure injection pinned to one MUT's flow seam
-   and budget starvation pinned to another's, the MUT-parallel flow must
-   finish promptly (no hang), degrade exactly those rows, keep the
-   healthy row bit-identical to an undisturbed run, and exit 0. *)
-let bench_chaos_smoke () =
-  let jobs = max 1 !jobs_ref in
-  Engine.Pool.set_jobs jobs;
-  (* a purpose-built three-MUT hierarchy: ARM-scale generation takes
-     minutes with the uncapped budgets determinism needs, and the gate
-     is about the degradation machinery, not ATPG throughput *)
-  let src =
-    {|module leafa (input [3:0] a, b, output [3:0] y);
-        assign y = (a & b) | (a ^ b);
-      endmodule
-      module leafb (input [3:0] a, b, output [3:0] y);
-        assign y = (a + b) ^ (a & b);
-      endmodule
-      module core (input [3:0] p, q, output [3:0] r, s, t);
-        wire [3:0] m;
-        assign m = p & 4'd11;
-        leafa u_alpha (.a(m), .b(q), .y(r));
-        leafb u_beta (.a(q), .b(p), .y(s));
-        leafa u_gamma (.a(p), .b(m), .y(t));
-      endmodule
-      module top (input [3:0] i1, i2, output [3:0] o1, o2, o3);
-        core u_core (.p(i1), .q(i2), .r(o1), .s(o2), .t(o3));
-      endmodule|}
-  in
-  let env =
-    Factor.Compose.make_env (Verilog.Parser.parse_design src) ~top:"top"
-  in
-  let session = Factor.Compose.create_session () in
-  let rows =
-    List.map
-      (fun (name, path) ->
-        let spec = { Flow.ms_name = name; ms_path = path } in
-        let ch =
-          Flow.characteristics env ~full:(Flow.full_circuit env) spec
-        in
-        Flow.transform env session Flow.Compositional spec
-          ~surrounding_before:ch.Flow.ch_surrounding_gates)
-      [ ("alpha", "u_core.u_alpha"); ("beta", "u_core.u_beta");
-        ("gamma", "u_core.u_gamma") ]
-  in
-  let cfg =
-    { hybrid_cfg with
-      Atpg.Gen.g_fault_budget = 1e9;
-      g_total_budget = 1e9;
-      g_seed = !seed_ref;
-      g_jobs = 1 }
-  in
-  let status (m : Flow.mut_outcome) =
-    match m.Flow.mo_status with
-    | Flow.Mut_ok -> "ok"
-    | Flow.Mut_degraded _ -> "degraded"
-    | Flow.Mut_failed _ -> "failed"
-    | Flow.Mut_skipped _ -> "skipped"
-  in
-  let clean = Flow.transformed_atpg_all ~jobs rows cfg in
-  if not (List.for_all (fun m -> status m = "ok") clean) then begin
-    prerr_endline "chaos smoke: undisturbed run must be all-ok";
-    exit 1
-  end;
-  Engine.Chaos.set ~seed:!seed_ref ~rate:1.0 ~mode:Engine.Chaos.Fail_only
-    ~prefix:"flow.mut:beta,flow.budget:gamma" ();
-  let chaotic =
-    Fun.protect ~finally:Engine.Chaos.clear (fun () ->
-        Flow.transformed_atpg_all ~jobs rows cfg)
-  in
-  List.iter2
-    (fun (c : Flow.mut_outcome) (m : Flow.mut_outcome) ->
-      let expect =
-        match m.Flow.mo_name with
-        | "beta" -> "failed"
-        | "gamma" -> "degraded"
-        | _ -> "ok"
-      in
-      if status m <> expect then begin
-        Printf.eprintf "chaos smoke: %s is %s, expected %s\n" m.Flow.mo_name
-          (status m) expect;
-        exit 1
-      end;
-      (* healthy rows must not even notice the siblings dying *)
-      if expect = "ok"
-         && (match (c.Flow.mo_row, m.Flow.mo_row) with
-             | Some a, Some b -> atpg_row_key a <> atpg_row_key b
-             | _ -> true)
-      then begin
-        Printf.eprintf
-          "chaos smoke: healthy row %s differs from the undisturbed run\n"
-          m.Flow.mo_name;
-        exit 1
-      end)
-    clean chaotic;
-  Printf.printf
-    "chaos smoke: %d MUTs — beta killed, gamma budget-starved, survivors \
-     bit-identical (seed %d, %d jobs)\n"
-    (List.length rows) !seed_ref jobs
-
-(* CI fuzz smoke: a fixed-seed differential campaign across every
-   check must come back clean and render byte-identically when re-run
-   (the determinism contract of [factor_cli fuzz]); then, with chaos
-   armed on the deliberate bug seam, the [Opt_ec] check must catch the
-   slipped gate substitution and shrink every reproducer under the
-   25-line bound. *)
-let bench_fuzz_smoke () =
-  let jobs = max 2 !jobs_ref in
-  Engine.Pool.set_jobs jobs;
-  let cfg = { Gen_rtl.Diff.default_config with dc_jobs = jobs } in
-  let r1 = Gen_rtl.Diff.campaign cfg ~base:0 ~count:6 in
-  if r1.Gen_rtl.Diff.rp_failures <> [] || r1.Gen_rtl.Diff.rp_crashes <> []
-  then begin
-    prerr_endline "fuzz smoke: clean campaign must have no disagreements";
-    prerr_endline (Gen_rtl.Diff.render r1);
-    exit 1
-  end;
-  let r2 = Gen_rtl.Diff.campaign cfg ~base:0 ~count:6 in
-  if Gen_rtl.Diff.render r1 <> Gen_rtl.Diff.render r2 then begin
-    prerr_endline "fuzz smoke: two identical campaigns rendered differently";
-    exit 1
-  end;
-  Engine.Chaos.set ~seed:1 ~rate:1.0 ~mode:Engine.Chaos.Fail_only
-    ~prefix:Gen_rtl.Diff.bug_seam ();
-  let seamed =
-    Fun.protect ~finally:Engine.Chaos.clear (fun () ->
-        Gen_rtl.Diff.campaign
-          { cfg with Gen_rtl.Diff.dc_checks = [ Gen_rtl.Diff.Opt_ec ] }
-          ~base:0 ~count:6)
-  in
-  if seamed.Gen_rtl.Diff.rp_failures = [] then begin
-    prerr_endline "fuzz smoke: armed bug seam was not caught";
-    exit 1
-  end;
-  List.iter
-    (fun (fl : Gen_rtl.Diff.failure) ->
-      if fl.Gen_rtl.Diff.fl_lines >= 25 then begin
-        Printf.eprintf
-          "fuzz smoke: seed %d reproducer is %d lines (bound 25)\n"
-          fl.Gen_rtl.Diff.fl_seed fl.Gen_rtl.Diff.fl_lines;
-        exit 1
-      end)
-    seamed.Gen_rtl.Diff.rp_failures;
-  Printf.printf
-    "fuzz smoke: 6 seeds x %d checks clean and deterministic; seam caught \
-     on %d seed(s), worst reproducer %d lines (%d jobs)\n"
-    (List.length cfg.Gen_rtl.Diff.dc_checks)
-    (List.length seamed.Gen_rtl.Diff.rp_failures)
-    (List.fold_left
-       (fun a (fl : Gen_rtl.Diff.failure) -> max a fl.Gen_rtl.Diff.fl_lines)
-       0 seamed.Gen_rtl.Diff.rp_failures)
-    jobs
-
-(* ------------------------------------------------------------------ *)
-(* serve: the persistent daemon, smoke-gated.                          *)
-(* ------------------------------------------------------------------ *)
-
-let serve_tmpdir prefix =
-  let d = Filename.temp_file prefix "" in
-  Sys.remove d;
-  Unix.mkdir d 0o755;
-  d
-
-let with_daemon ?store f =
-  let dir = serve_tmpdir "factor-bench" in
-  let sock = Filename.concat dir "factor.sock" in
-  let t =
-    Serve.Server.start
-      { Serve.Server.sc_addr = Serve.Server.Unix_path sock;
-        sc_store = store;
-        sc_max_resident = None;
-        sc_default_budget = None;
-        sc_heartbeat_s = 1.0 }
-  in
-  Fun.protect
-    ~finally:(fun () -> Serve.Server.stop t)
-    (fun () -> f (Serve.Server.Unix_path sock))
-
-let with_conn addr f =
-  let cl = Serve.Client.connect_retry addr in
-  Fun.protect ~finally:(fun () -> Serve.Client.close cl) (fun () -> f cl)
-
-let jfield name j =
-  Option.value ~default:""
-    (Option.bind (Obs.Json.member name j) Obs.Json.to_string_opt)
-
-(* Direct (no daemon) canonical lines for a corpus design, serial: the
-   reference every daemon response is compared against byte for byte. *)
-let direct_atpg name =
-  let e = Circuits.Collection.find name in
-  let ed =
-    Design.Elaborate.elaborate
-      (Verilog.Parser.parse_design e.Circuits.Collection.e_source)
-      ~top:e.Circuits.Collection.e_top
-  in
-  let c =
-    (Synth.Lower.lower
-       (Synth.Flatten.flatten ed e.Circuits.Collection.e_top))
-      .Synth.Lower.circuit
-  in
-  let faults = Atpg.Fault.collapse c (Atpg.Fault.all c) in
-  let cfg =
-    { Atpg.Gen.default_config with g_total_budget = 60.0; g_jobs = 1 }
-  in
-  let r = Atpg.Gen.run c cfg faults in
-  ( Serve.Render.atpg_counts r,
-    Serve.Render.atpg_quality r,
-    Atpg.Pattern.write_string ~pi_names:c.Netlist.pi_names r.Atpg.Gen.r_tests )
-
-let atpg_params name = [ ("design", Obs.Json.String ("@" ^ name)) ]
-
-let response_lines r = (jfield "counts" r, jfield "quality" r, jfield "vectors" r)
-
-(* CI gate: boot a daemon, drive every op, require byte-identity with
-   the one-shot pipeline, a warm hit on repeat traffic, a warm-disk
-   start after a restart over the same store, and a graceful stop. *)
-let bench_serve_smoke () =
-  Engine.Pool.set_jobs (max 1 !jobs_ref);
-  let store = serve_tmpdir "factor-bench-store" in
-  let expected = direct_atpg "arbiter" in
-  let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt in
-  with_daemon ~store (fun addr ->
-      with_conn addr (fun cl ->
-          (match Obs.Json.member "pong" (Serve.Client.rpc cl ~op:"ping" ~params:[]) with
-           | Some (Obs.Json.Bool true) -> ()
-           | _ -> die "serve smoke: ping did not pong");
-          let r1 = Serve.Client.rpc cl ~op:"atpg" ~params:(atpg_params "arbiter") in
-          if response_lines r1 <> expected then
-            die "serve smoke: cold daemon atpg differs from the one-shot run";
-          if jfield "cache" r1 <> "cold" then
-            die "serve smoke: first request should be cold, got %s"
-              (jfield "cache" r1);
-          let r2 = Serve.Client.rpc cl ~op:"atpg" ~params:(atpg_params "arbiter") in
-          if jfield "cache" r2 <> "warm-mem" then
-            die "serve smoke: repeat request should be warm-mem, got %s"
-              (jfield "cache" r2);
-          if response_lines r2 <> expected then
-            die "serve smoke: warm response is not bit-identical";
-          (* grade the daemon's own vectors, extract, and ec *)
-          let (_, _, vectors) = expected in
-          let g =
-            Serve.Client.rpc cl ~op:"grade"
-              ~params:(atpg_params "arbiter"
-                       @ [ ("vectors", Obs.Json.String vectors) ])
-          in
-          if jfield "line" g = "" then die "serve smoke: grade returned no line";
-          let extract () =
-            Serve.Client.rpc cl ~op:"extract"
-              ~params:
-                [ ("design", Obs.Json.String "@gcd");
-                  ("mut", Obs.Json.String "u_core.u_ctrl") ]
-          in
-          let extract_lines r = (jfield "extraction" r, jfield "transformed" r) in
-          let x = extract () in
-          if jfield "extraction" x = "" then
-            die "serve smoke: extract returned no stats";
-          (* the repeat must be served from the resident entry's
-             transform memo, unchanged *)
-          let x2 = extract () in
-          if jfield "cache" x2 <> "warm-mem" then
-            die "serve smoke: repeat extract should be warm-mem, got %s"
-              (jfield "cache" x2);
-          if Obs.Json.member "transform_cached" x2 <> Some (Obs.Json.Bool true)
-          then die "serve smoke: repeat extract missed the transform memo";
-          if extract_lines x2 <> extract_lines x then
-            die "serve smoke: repeat extract lines differ";
-          let ec =
-            Serve.Client.rpc cl ~op:"ec"
-              ~params:
-                [ ("a", Obs.Json.Obj [ ("design", Obs.Json.String "@arbiter") ]);
-                  ("b", Obs.Json.Obj [ ("design", Obs.Json.String "@arbiter") ]) ]
-          in
-          if jfield "verdict" ec <> "equal" then
-            die "serve smoke: self-equivalence verdict %S" (jfield "verdict" ec);
-          (* the daemon-side registry must count the warm hits: the
-             counter is registered at load, so its value is what matters *)
-          let m = Serve.Client.rpc cl ~op:"metrics" ~params:[] in
-          let warm_hits =
-            List.find_map
-              (fun line ->
-                match String.split_on_char ' ' line with
-                | [ "factor_serve_cache_warm_mem"; v ] -> int_of_string_opt v
-                | _ -> None)
-              (String.split_on_char '\n' (jfield "prometheus" m))
-          in
-          if Option.value warm_hits ~default:0 < 1 then
-            die "serve smoke: prometheus dump counts no warm-mem hit"));
-  (* restart over the same store: the design must come back from disk *)
-  with_daemon ~store (fun addr ->
-      with_conn addr (fun cl ->
-          let r = Serve.Client.rpc cl ~op:"atpg" ~params:(atpg_params "arbiter") in
-          if jfield "cache" r <> "warm-disk" then
-            die "serve smoke: restarted daemon should warm-start, got %s"
-              (jfield "cache" r);
-          if response_lines r <> expected then
-            die "serve smoke: warm-disk response is not bit-identical"));
-  Printf.printf
-    "serve smoke: all ops byte-identical to one-shot, warm-mem and \
-     warm-disk hits observed, graceful stop (%d jobs)\n"
-    (max 1 !jobs_ref)
-
-(* CI gate for live progress streaming: a traced daemon ATPG run must
-   emit at least three monotonic progress frames (done non-decreasing,
-   total stable within each (phase, reporter) group) with an ETA, the
-   final response must stay byte-identical to a non-streaming run, and
-   the request id must land on both the client.rpc and serve.request
-   spans of the same trace. *)
-let bench_progress_smoke () =
-  Engine.Pool.set_jobs (max 2 !jobs_ref);
-  let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt in
-  Obs.Span.clear ();
-  Obs.Span.set_enabled true;
-  let req = "progress-smoke" in
-  let events = ref [] in
-  with_daemon (fun addr ->
-      with_conn addr (fun cl ->
-          (* byte-identity on a corpus design: streaming must not change
-             one byte of the final response *)
-          let plain =
-            Serve.Client.rpc cl ~op:"atpg" ~params:(atpg_params "arbiter")
-          in
-          let streamed =
-            Serve.Client.rpc ~stream:true
-              ~on_event:(fun _ -> ())
-              cl ~op:"atpg" ~params:(atpg_params "arbiter")
-          in
-          if response_lines plain <> response_lines streamed then
-            die "progress smoke: streamed final response differs";
-          (* the full-ARM core under a bounded budget: long enough that
-             progress actually streams *)
-          let r =
-            Serve.Client.rpc ~stream:true ~req ~timeout:120.0
-              ~on_event:(fun j -> events := j :: !events)
-              cl ~op:"atpg"
-              ~params:
-                [ ("design", Obs.Json.String "@arm");
-                  ("budget", Obs.Json.Float 10.0) ]
-          in
-          if jfield "counts" r = "" then
-            die "progress smoke: arm run returned no counts"));
-  Obs.Span.set_enabled false;
-  let events = List.rev !events in
-  (* (frame, phase, reporter, done, total, eta) for every progress frame *)
-  let progress =
-    List.filter_map
-      (fun j ->
-        match Serve.Proto.event_of_json j with
-        | Some (Serve.Proto.Ev_progress p) ->
-          Some (j, p.ep_phase, p.ep_reporter, p.ep_done, p.ep_total,
-                p.ep_eta_s)
-        | _ -> None)
-      events
-  in
-  if List.length progress < 3 then
-    die "progress smoke: expected >= 3 progress frames, got %d"
-      (List.length progress);
-  let groups = Hashtbl.create 8 in
-  List.iter
-    (fun (j, phase, reporter, done_, total, _) ->
-      if jfield "req" j <> req then
-        die "progress smoke: frame lacks the request id (got %S)"
-          (jfield "req" j);
-      (match Hashtbl.find_opt groups (phase, reporter) with
-       | Some (d, t) ->
-         if done_ < d then
-           die "progress smoke: %s went backwards (%d after %d)" phase
-             done_ d;
-         if total <> t then
-           die "progress smoke: %s total moved (%d after %d)" phase total t
-       | None -> ());
-      Hashtbl.replace groups (phase, reporter) (done_, total))
-    progress;
-  if not (List.exists (fun (_, _, _, _, _, eta) -> eta >= 0.0) progress)
-  then die "progress smoke: no frame carried an ETA estimate";
-  (* the trace must correlate both halves by the request id *)
-  let tf = Filename.temp_file "factor_progress_trace" ".json" in
-  Obs.Span.write_chrome_trace tf;
-  let trace =
-    let ic = open_in_bin tf in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Sys.remove tf;
-    Obs.Json.of_string s
-  in
-  let span_has_req name =
-    match trace with
-    | Obs.Json.List evs ->
-      List.exists
-        (fun ev ->
-          Obs.Json.member "name" ev = Some (Obs.Json.String name)
-          && (match Obs.Json.member "args" ev with
-              | Some args ->
-                Obs.Json.member "req" args = Some (Obs.Json.String req)
-              | None -> false))
-        evs
-    | _ -> die "progress smoke: trace is not a JSON array"
-  in
-  if not (span_has_req "client.rpc") then
-    die "progress smoke: no client.rpc span carries the request id";
-  if not (span_has_req "serve.request") then
-    die "progress smoke: no serve.request span carries the request id";
-  Obs.Span.clear ();
-  Printf.printf
-    "progress smoke: %d monotonic frames with ETA, byte-identical final, \
-     request id on client and server spans (%d jobs)\n"
-    (List.length progress) (max 2 !jobs_ref)
 
 (* ------------------------------------------------------------------ *)
 (* Driver.                                                             *)
@@ -1636,11 +1174,6 @@ let () =
     | "sat" -> bench_sat ()
     | "sat_smoke" -> bench_sat_smoke ()
     | "par" -> bench_par ()
-    | "par_smoke" -> bench_par_smoke ()
-    | "chaos_smoke" -> bench_chaos_smoke ()
-    | "fuzz_smoke" -> bench_fuzz_smoke ()
-    | "serve_smoke" -> bench_serve_smoke ()
-    | "progress_smoke" -> bench_progress_smoke ()
     | "all" ->
       table1 ();
       table2 ();
@@ -1653,7 +1186,7 @@ let () =
       generality ()
     | other ->
       Printf.eprintf
-        "unknown target %S (expected table1..table6, testability, translate, generality, variance, scan, bridging, ablations, fsim, fsim_smoke, sat, sat_smoke, par, par_smoke, chaos_smoke, fuzz_smoke, serve_smoke, progress_smoke, all)\n"
+        "unknown target %S (expected table1..table6, testability, translate, generality, variance, scan, bridging, ablations, fsim, fsim_smoke, sat, sat_smoke, par, all)\n"
         other;
       exit 1
   in

@@ -337,8 +337,7 @@ let synth_cmd =
         Obs.Span.with_ "cli.synth" @@ fun () ->
         let (design, top) = load_design path top in
         let ed = Design.Elaborate.elaborate design ~top in
-        let flat = Synth.Flatten.flatten ed top in
-        let r = Synth.Lower.lower flat in
+        let r = Synth.Lower.synthesize ed top in
         List.iter (fun w -> Obs.Log.warnf "%s" w) r.Synth.Lower.warnings;
         let st = Netlist.stats r.Synth.Lower.circuit in
         Printf.printf
@@ -451,9 +450,7 @@ let sat_cmd =
           (fun m ->
             ignore (Design.Hierarchy.find_path (Design.Hierarchy.build ed) m))
           mut;
-        let c =
-          (Synth.Lower.lower (Synth.Flatten.flatten ed top)).Synth.Lower.circuit
-        in
+        let c = (Synth.Lower.synthesize ed top).Synth.Lower.circuit in
         let faults = Atpg.Fault.collapse c (Atpg.Fault.all ?within:mut c) in
         let t0 = Engine.Clock.now () in
         let stats = ref Sat.Solver.zero_stats in
@@ -503,9 +500,7 @@ let analyze_cmd =
         in
         print_string (Factor.Testability.report_to_string report);
         (* SCOAP testability measures of the module inside the chip *)
-        let ed = env.Factor.Compose.ed in
-        let flat = Synth.Flatten.flatten ed ed.Design.Elaborate.ed_top in
-        let c = (Synth.Lower.lower flat).Synth.Lower.circuit in
+        let c = Factor.Flow.full_circuit env in
         let scoap = Atpg.Scoap.compute c in
         let summary = Atpg.Scoap.summarize ~within:mut c scoap in
         Printf.printf

@@ -104,7 +104,7 @@ let () =
   in
   let full =
     let ed = Design.Elaborate.elaborate design ~top:"soc" in
-    (Synth.Lower.lower (Synth.Flatten.flatten ed "soc")).Synth.Lower.circuit
+    (Synth.Lower.synthesize ed "soc").Synth.Lower.circuit
   in
   let raw_faults = Atpg.Fault.collapse full (Atpg.Fault.all ~within:"u_uart.u_baud" full) in
   let raw = Atpg.Gen.run full cfg raw_faults in

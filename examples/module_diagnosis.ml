@@ -42,12 +42,7 @@ let () =
     (List.length r.Atpg.Gen.r_tests) r.Atpg.Gen.r_coverage;
 
   (* 2. translate to chip level *)
-  let chip =
-    let ed = env.Factor.Compose.ed in
-    (Synth.Lower.lower
-       (Synth.Flatten.flatten ed ed.Design.Elaborate.ed_top))
-      .Synth.Lower.circuit
-  in
+  let chip = Factor.Flow.full_circuit env in
   let tests =
     Factor.Translate.translate_all ~chip ~transformed:tfc r.Atpg.Gen.r_tests
   in

@@ -10,7 +10,6 @@ module A = N.Analysis
 module P = Sim.Packed
 
 type config = {
-  sg_pool : int;         (** candidate sequences kept per fault *)
   sg_generations : int;  (** improvement rounds per fault *)
   sg_frames : int;       (** initial sequence length *)
   sg_max_frames : int;   (** hard cap on sequence growth *)
@@ -19,12 +18,14 @@ type config = {
 }
 
 let default_config =
-  { sg_pool = 8;
-    sg_generations = 30;
+  { sg_generations = 30;
     sg_frames = 4;
     sg_max_frames = 24;
     sg_piers = [];
     sg_seed = 1 }
+
+(* Candidate sequences kept per fault. *)
+let pool_size = 8
 
 (* The good machine rides lane 0 of native-int dual-rail planes, the
    faulty one lane 1; both planes are reused across every candidate of
@@ -155,7 +156,7 @@ let run ?(budget = Engine.Budget.none) c cfg fault =
   let fresh () =
     Pattern.random ~rng ~num_pis ~frames:cfg.sg_frames ~piers:cfg.sg_piers
   in
-  let pool = ref (List.init cfg.sg_pool (fun _ -> fresh ())) in
+  let pool = ref (List.init pool_size (fun _ -> fresh ())) in
   let result = ref None in
   let generation = ref 0 in
   while
@@ -177,14 +178,14 @@ let run ?(budget = Engine.Budget.none) c cfg fault =
       let ranked =
         List.sort (fun (a, _) (b, _) -> compare b a) scored |> List.map snd
       in
-      let keep = max 1 (cfg.sg_pool / 2) in
+      let keep = max 1 (pool_size / 2) in
       let survivors = List.filteri (fun i _ -> i < keep) ranked in
       let children =
         List.concat_map
           (fun t -> [ mutate rng num_pis cfg.sg_max_frames t ])
           survivors
       in
-      let refill = cfg.sg_pool - List.length survivors - List.length children in
+      let refill = pool_size - List.length survivors - List.length children in
       pool :=
         survivors @ children @ List.init (max 0 refill) (fun _ -> fresh ())
     end

@@ -1,10 +1,10 @@
 (** Simulation-based sequential test generation (CONTEST-style): evolves
-    candidate sequences by hill-climbing on a divergence cost measured by
-    concurrent good/faulty simulation.  An alternative engine to
-    {!Podem}'s time-frame search, compared in ablation A5. *)
+    a pool of eight candidate sequences per fault by hill-climbing on a
+    divergence cost measured by concurrent good/faulty simulation.  An
+    alternative engine to {!Podem}'s time-frame search, compared in
+    ablation A5. *)
 
 type config = {
-  sg_pool : int;         (** candidate sequences kept per fault *)
   sg_generations : int;  (** improvement rounds per fault *)
   sg_frames : int;       (** initial sequence length *)
   sg_max_frames : int;   (** hard cap on sequence growth *)

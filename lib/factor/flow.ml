@@ -19,10 +19,13 @@ let mode_name = function
 
 let modes = List.map (fun m -> (mode_name m, m)) [ Conventional; Compositional ]
 
-let extract ?budget env session mode ~mut_path =
-  match mode with
-  | Conventional -> Compose.conventional ?budget env ~mut_path
-  | Compositional -> Compose.compositional ?budget session env ~mut_path
+let build_transform ?budget env session mode ~mut_path =
+  let stats =
+    match mode with
+    | Conventional -> Compose.conventional ?budget env ~mut_path
+    | Compositional -> Compose.compositional ?budget session env ~mut_path
+  in
+  (Transform.build env stats.Compose.cs_slice ~mut_path, stats)
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: module characteristics.                                    *)
@@ -40,8 +43,7 @@ type characteristics = {
 
 (* Flatten and lower the design from module [top] down. *)
 let synthesize (env : Compose.env) top =
-  let ed = env.Compose.ed in
-  (Synth.Lower.lower (Synth.Flatten.flatten ed top)).Synth.Lower.circuit
+  (Synth.Lower.synthesize env.Compose.ed top).Synth.Lower.circuit
 
 (** Synthesize the whole design once; reused by Tables 1 and 4. *)
 let full_circuit (env : Compose.env) =
@@ -92,11 +94,10 @@ let transform ?budget env session mode spec ~surrounding_before =
   Obs.Span.with_ "flow.transform"
     ~attrs:[ ("mut", Obs.Json.String spec.ms_name) ]
   @@ fun () ->
-  let stats = extract ?budget env session mode ~mut_path:spec.ms_path in
-  let tf =
-    Transform.validate
-      (Transform.build env stats.Compose.cs_slice ~mut_path:spec.ms_path)
+  let (tf, stats) =
+    build_transform ?budget env session mode ~mut_path:spec.ms_path
   in
+  let tf = Transform.validate tf in
   let reduction =
     if surrounding_before = 0 then 0.0
     else

@@ -14,11 +14,15 @@ val modes : (string * mode) list
 
 val mode_name : mode -> string
 
-(** [extract ?budget env session mode ~mut_path] runs the requested
-    extraction; [session] is only consulted in [Compositional] mode. *)
-val extract :
+(** [build_transform ?budget env session mode ~mut_path] runs the
+    requested extraction and synthesizes the transformed module from its
+    slice, unvalidated: what {!transform} validates and the daemon's
+    transform memo keeps.  [session] is only consulted in
+    [Compositional] mode.
+    @raise Engine.Budget.Exhausted when [budget] expires mid-walk. *)
+val build_transform :
   ?budget:Engine.Budget.t -> Compose.env -> Compose.session -> mode ->
-  mut_path:string -> Compose.stats
+  mut_path:string -> Transform.t * Compose.stats
 
 (** {1 Table 1 — module characteristics} *)
 

@@ -55,8 +55,9 @@ let synthesize design ~top ~mut_path =
   @@ fun () ->
   let t0 = Sys.time () in
   let ed = Design.Elaborate.elaborate design ~top in
-  let flat = Synth.Flatten.flatten ed ed.Design.Elaborate.ed_top in
-  let { Synth.Lower.circuit; warnings } = Synth.Lower.lower flat in
+  let { Synth.Lower.circuit; warnings } =
+    Synth.Lower.synthesize ed ed.Design.Elaborate.ed_top
+  in
   let dt = Sys.time () -. t0 in
   let (inside, outside) = split_gates circuit ~mut_path in
   if Obs.Log.enabled Obs.Log.Info then

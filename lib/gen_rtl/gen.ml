@@ -411,4 +411,4 @@ let generate ?(config = default_config) ~seed () =
 
 let circuit_of ast ~top =
   let ed = Design.Elaborate.elaborate ast ~top in
-  (Synth.Lower.lower (Synth.Flatten.flatten ed top)).Synth.Lower.circuit
+  (Synth.Lower.synthesize ed top).Synth.Lower.circuit

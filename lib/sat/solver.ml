@@ -837,8 +837,9 @@ let solve ?(budget = Engine.Budget.none) ?(assumptions = [])
   else begin
     let c0 = s.conflicts and d0 = s.decisions and p0 = s.propagations in
     let assumptions = Array.of_list assumptions in
+    (* saturating: a limit past [max_int - conflicts] is no limit *)
     let limit =
-      if conflict_limit = max_int then max_int
+      if conflict_limit > max_int - s.conflicts then max_int
       else s.conflicts + conflict_limit
     in
     let rec restarts k =

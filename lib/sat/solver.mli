@@ -44,6 +44,8 @@ type result =
     Once a call finds the database itself unsatisfiable, every later
     call returns [Unsat].
 
+    [conflict_limit] counts from this call's start (default: none; a
+    limit too large to add to the solver's conflict count is none).
     [budget] bounds the search in wall-clock terms the way
     [conflict_limit] bounds it in conflicts: the search loop polls the
     token every 128 conflicts (and every 1024 decisions) and gives up

@@ -352,9 +352,7 @@ let circuit e =
     Obs.Metrics.incr m_synth_hits;
     c
   | None ->
-    let ed = (e.e_env : Compose.env).Compose.ed in
-    let flat = Synth.Flatten.flatten ed e.e_top in
-    let c = (Synth.Lower.lower flat).Synth.Lower.circuit in
+    let c = Factor.Flow.full_circuit e.e_env in
     let fresh =
       Mutex.protect e.e_lock @@ fun () ->
       if Option.is_some e.e_circuit then false
@@ -377,11 +375,9 @@ let transform e ~budget ~mut ~mode =
     Obs.Metrics.incr m_tf_hits;
     (r, true)
   | None ->
-    let stats =
-      Factor.Flow.extract ~budget e.e_env e.e_session mode ~mut_path:mut
-    in
-    let tf =
-      Factor.Transform.build e.e_env stats.Compose.cs_slice ~mut_path:mut
+    let (tf, stats) =
+      Factor.Flow.build_transform ~budget e.e_env e.e_session mode
+        ~mut_path:mut
     in
     let fresh =
       Mutex.protect e.e_lock @@ fun () ->

@@ -37,8 +37,9 @@ exception Server_error of string * string
 exception Timeout of float
 
 (** [rpc t ~op ~params] performs one round trip and returns the
-    response's [result] object.  The per-request metrics delta, when
-    present, is available via {!last_metrics}.
+    response's [result] object.  The response's metrics delta (see
+    {!Proto}: it includes concurrent requests' work), when present, is
+    available via {!last_metrics}.
 
     [req] is the correlation id sent as the ["req"] parameter and
     stamped on the client's own [client.rpc] span; defaults to

@@ -49,8 +49,10 @@ let str_default name ~default params =
 let float_default name ~default params =
   Option.value (float_opt name params) ~default
 
+let int_opt = param J.to_int_opt "int"
+
 let int_default name ~default params =
-  Option.value (param J.to_int_opt "int" name params) ~default
+  Option.value (int_opt name params) ~default
 
 let bool_default name ~default params =
   Option.value (param J.to_bool_opt "bool" name params) ~default
@@ -245,6 +247,12 @@ let op_grade ctx budget params =
       cache_field outcome ]
 
 let op_ec ctx budget params =
+  (* a limit below one conflict decides nothing: refused before any
+     work, like atpg's frames *)
+  let conflict_limit = int_opt "conflict_limit" params in
+  Option.iter
+    (fun n -> if n < 1 then bad "bad conflict_limit %d (expected at least 1)" n)
+    conflict_limit;
   let side name =
     match J.member name params with
     | Some (J.Obj _ as p) -> p
@@ -254,9 +262,6 @@ let op_ec ctx budget params =
   let (ea, oa) = entry_of ctx ~budget (side "a") in
   let (eb, ob) = entry_of ctx ~budget (side "b") in
   let ca = Cache.circuit ea and cb = Cache.circuit eb in
-  let conflict_limit =
-    Option.map int_of_float (float_opt "conflict_limit" params)
-  in
   let (verdict, _stats) = Sat.Ec.check ?conflict_limit ca cb in
   Obs.Span.with_ "serve.render" @@ fun () ->
   J.Obj

@@ -30,9 +30,9 @@
     A given ["mut"] must name an instance of the design: it is resolved
     before any work, and an unknown path raises
     {!Design.Hierarchy.Unknown_path}, an extract-stage error.  An
-    [atpg] ["frames"] below 1 is refused before any work with
-    {!Proto.Proto_error}, and so is any parameter present with another
-    JSON type than its own (["bad <name>: expected
+    [atpg] ["frames"] or an [ec] ["conflict_limit"] below 1 is refused
+    before any work with {!Proto.Proto_error}, and so is any parameter
+    present with another JSON type than its own (["bad <name>: expected
     int|number|string|bool|object"]): it is never read as absent.
     [grade]'s tests must fit the circuit: a [vec] of another width than
     its inputs, or a [load] of a flip-flop it lacks, is a parse-stage

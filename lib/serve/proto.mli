@@ -13,8 +13,11 @@
     by the client and echoed in the response; responses may arrive out
     of request order (jobs run concurrently on the pool), so clients
     match on it.  Responses: [{"id": n, "ok": true, "result": {...},
-    "metrics": {...}}] on success — [metrics] is the per-request
-    {!Obs.Metrics} delta — or [{"id": n, "ok": false, "error":
+    "metrics": {...}}] on success — [metrics] is the {!Obs.Metrics}
+    delta across the request: the server diffs two snapshots of the
+    process-wide registry, so when requests overlap (a daemon at
+    [-j >= 2]) it also counts the work of those running concurrently —
+    or [{"id": n, "ok": false, "error":
     {"stage": "...", "msg": "..."}}] on failure, with [stage] from the
     {!Factor.Errors} taxonomy. *)
 

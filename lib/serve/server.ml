@@ -57,10 +57,11 @@ type t = {
 (* Request execution.                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* One decoded request, start to framed response: per-request metrics
-   snapshot, budget, chaos seam (inside Ops.handle), and total fault
-   isolation — every exception is folded into an error frame for this
-   id only. *)
+(* One decoded request, start to framed response: a metrics snapshot
+   diff around it (of the process-wide registry, so it includes any
+   request that overlaps this one), budget, chaos seam (inside
+   Ops.handle), and total fault isolation — every exception is folded
+   into an error frame for this id only. *)
 let answer ?emit ctx (rq : Proto.request) =
   let before = Obs.Metrics.snapshot () in
   match Ops.handle ?emit ctx rq with

@@ -874,3 +874,5 @@ let lower flat =
       | _ -> ())
     flat.fl_items;
   { circuit = N.finalize b; warnings = List.rev ctx.warnings }
+
+let synthesize ed top = lower (Flatten.flatten ed top)

@@ -15,3 +15,9 @@ type result = {
     @raise Error on combinational cycles, multiple drivers, inferred
     latches, or unsupported constructs. *)
 val lower : Flatten.flat -> result
+
+(** [synthesize ed top] flattens [ed] from module [top] down
+    ({!Flatten.flatten}) and lowers the result: the gate-level netlist
+    of that subtree.
+    @raise Flatten.Error or Error as those two do. *)
+val synthesize : Design.Elaborate.edesign -> string -> result

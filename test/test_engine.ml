@@ -133,41 +133,55 @@ let seq_src =
       assign p = ^acc;
     endmodule|}
 
+(* The small sequential circuit and the stand-alone ARM ALU (646
+   collapsed faults, the processor's datapath core): every determinism
+   case runs on both. *)
+let determinism_circuits () =
+  [ ("seq", circuit ~top:"top" seq_src);
+    ("arm_alu", circuit ~top:"arm_alu" Arm.Rtl.source) ]
+
 let fsim_sharded_matches_serial () =
-  let c = circuit ~top:"top" seq_src in
-  let faults = Atpg.Fault.all c in
-  let rng = Random.State.make [| 11; fuzz_seed |] in
-  let tests =
-    List.init 12 (fun _ ->
-        Atpg.Pattern.random ~rng ~num_pis:(Netlist.num_pis c) ~frames:5
-          ~piers:[])
-  in
-  let observe = Atpg.Fsim.default_observe in
   Pool.set_jobs 4;
-  (* enough faults that [run ~jobs] really shards instead of falling
-     back to the serial path *)
-  check_bool "fault list large enough to shard" true
-    (List.length faults >= 128);
-  let serial = Atpg.Fsim.run c ~observe ~faults tests in
   List.iter
-    (fun (ename, engine) ->
-      check_bool (ename ^ " agrees with the default engine") true
-        (Atpg.Fsim.run ~engine c ~observe ~faults tests = serial))
-    [ ("packed", Atpg.Fsim.Packed); ("reference", Atpg.Fsim.Reference) ];
-  (* a one-test list is a one-lane packed word, its active faults
-     sharded like any other word's *)
-  let one = [ List.hd tests ] in
-  let packed1 = Atpg.Fsim.run ~engine:Atpg.Fsim.Packed c ~observe ~faults one in
-  check_bool "one test: packed = reference" true
-    (packed1
-     = Atpg.Fsim.run ~engine:Atpg.Fsim.Reference c ~observe ~faults one);
-  List.iter
-    (fun jobs ->
-      check_bool (Printf.sprintf "run ~jobs:%d = run" jobs) true
-        (Atpg.Fsim.run ~jobs c ~observe ~faults tests = serial);
-      check_bool (Printf.sprintf "one test: run ~jobs:%d = packed" jobs) true
-        (Atpg.Fsim.run ~jobs c ~observe ~faults one = packed1))
-    [ 1; 2; 3; 4 ]
+    (fun (name, c) ->
+      let label what = name ^ ": " ^ what in
+      let faults = Atpg.Fault.all c in
+      let rng = Random.State.make [| 11; fuzz_seed |] in
+      let tests =
+        List.init 12 (fun _ ->
+            Atpg.Pattern.random ~rng ~num_pis:(Netlist.num_pis c) ~frames:5
+              ~piers:[])
+      in
+      let observe = Atpg.Fsim.default_observe in
+      (* enough faults that [run ~jobs] really shards instead of falling
+         back to the serial path *)
+      check_bool (label "fault list large enough to shard") true
+        (List.length faults >= 128);
+      let serial = Atpg.Fsim.run c ~observe ~faults tests in
+      List.iter
+        (fun (ename, engine) ->
+          check_bool (label (ename ^ " agrees with the default engine")) true
+            (Atpg.Fsim.run ~engine c ~observe ~faults tests = serial))
+        [ ("packed", Atpg.Fsim.Packed); ("reference", Atpg.Fsim.Reference) ];
+      (* a one-test list is a one-lane packed word, its active faults
+         sharded like any other word's *)
+      let one = [ List.hd tests ] in
+      let packed1 =
+        Atpg.Fsim.run ~engine:Atpg.Fsim.Packed c ~observe ~faults one
+      in
+      check_bool (label "one test: packed = reference") true
+        (packed1
+         = Atpg.Fsim.run ~engine:Atpg.Fsim.Reference c ~observe ~faults one);
+      List.iter
+        (fun jobs ->
+          check_bool (label (Printf.sprintf "run ~jobs:%d = run" jobs)) true
+            (Atpg.Fsim.run ~jobs c ~observe ~faults tests = serial);
+          check_bool
+            (label (Printf.sprintf "one test: run ~jobs:%d = packed" jobs))
+            true
+            (Atpg.Fsim.run ~jobs c ~observe ~faults one = packed1))
+        [ 1; 2; 3; 4 ])
+    (determinism_circuits ())
 
 (* Everything in a generation result except timings. *)
 let gen_key (r : Atpg.Gen.result) =
@@ -184,29 +198,38 @@ let det_cfg =
     g_total_budget = 1e9 }
 
 let gen_parallel_deterministic () =
-  let c = circuit ~top:"top" seq_src in
-  let faults = Atpg.Fault.collapse c (Atpg.Fault.all c) in
   Pool.set_jobs 4;
-  let serial = Atpg.Gen.run c { det_cfg with Atpg.Gen.g_jobs = 1 } faults in
   List.iter
-    (fun jobs ->
-      let r = Atpg.Gen.run c { det_cfg with Atpg.Gen.g_jobs = jobs } faults in
-      check_bool (Printf.sprintf "g_jobs = %d reproduces serial" jobs) true
-        (gen_key r = gen_key serial))
-    [ 2; 4 ];
-  (* the SAT engine goes through the same sweep driver *)
-  let sat_serial =
-    Atpg.Gen.run c
-      { det_cfg with Atpg.Gen.g_engine = Atpg.Gen.Sat_only; g_jobs = 1 }
-      faults
-  in
-  let sat_par =
-    Atpg.Gen.run c
-      { det_cfg with Atpg.Gen.g_engine = Atpg.Gen.Sat_only; g_jobs = 4 }
-      faults
-  in
-  check_bool "Sat_only parallel reproduces serial" true
-    (gen_key sat_par = gen_key sat_serial)
+    (fun (name, c) ->
+      let label what = name ^ ": " ^ what in
+      let faults = Atpg.Fault.collapse c (Atpg.Fault.all c) in
+      let serial =
+        Atpg.Gen.run c { det_cfg with Atpg.Gen.g_jobs = 1 } faults
+      in
+      List.iter
+        (fun jobs ->
+          let r =
+            Atpg.Gen.run c { det_cfg with Atpg.Gen.g_jobs = jobs } faults
+          in
+          check_bool
+            (label (Printf.sprintf "g_jobs = %d reproduces serial" jobs))
+            true
+            (gen_key r = gen_key serial))
+        [ 2; 4 ];
+      (* the SAT engine goes through the same sweep driver *)
+      let sat_serial =
+        Atpg.Gen.run c
+          { det_cfg with Atpg.Gen.g_engine = Atpg.Gen.Sat_only; g_jobs = 1 }
+          faults
+      in
+      let sat_par =
+        Atpg.Gen.run c
+          { det_cfg with Atpg.Gen.g_engine = Atpg.Gen.Sat_only; g_jobs = 4 }
+          faults
+      in
+      check_bool (label "Sat_only parallel reproduces serial") true
+        (gen_key sat_par = gen_key sat_serial))
+    (determinism_circuits ())
 
 (* The Table 5/6 shape: extract, transform, then MUT-parallel test
    generation over the rows — report fields (timings excluded) must be
@@ -376,18 +399,23 @@ let status_names outcomes =
       | Factor.Flow.Mut_skipped _ -> "skipped")
     outcomes
 
-(* Row texts of the outcomes whose status is Mut_ok. *)
+(* Everything timing-free about a row: its text and the generation
+   result behind it, tests and per-fault outcomes included. *)
+let row_key (a : Factor.Flow.atpg_row) =
+  (row_text a, gen_key a.Factor.Flow.ar_result)
+
+(* Row keys of the outcomes whose status is Mut_ok. *)
 let ok_rows outcomes =
   List.filter_map
     (fun (m : Factor.Flow.mut_outcome) ->
       match (m.Factor.Flow.mo_status, m.Factor.Flow.mo_row) with
-      | Factor.Flow.Mut_ok, Some a -> Some (row_text a)
+      | Factor.Flow.Mut_ok, Some a -> Some (row_key a)
       | _ -> None)
     outcomes
 
 let flow_chaos_isolation () =
   Pool.set_jobs 4;
-  let clean = List.map row_text (flow_rows 1) in
+  let clean = List.map row_key (flow_rows 1) in
   (* kill exactly the MUT named mut2; the site embeds the name, so the
      same MUT dies at every job count *)
   Chaos.set ~seed:7 ~rate:1.0 ~mode:Chaos.Fail_only ~prefix:"flow.mut:mut2" ();
@@ -410,7 +438,12 @@ let flow_chaos_isolation () =
    returns normally. *)
 let flow_chaos_kill_and_budget () =
   Pool.set_jobs 4;
-  let clean = List.map row_text (flow_rows 1) in
+  let undisturbed = flow_outcomes 1 in
+  check_bool "undisturbed run is all ok" true
+    (status_names undisturbed = [ "ok"; "ok"; "ok" ]);
+  let clean =
+    List.map row_key (Factor.Flow.completed_rows undisturbed)
+  in
   Chaos.set ~seed:11 ~rate:1.0 ~mode:Chaos.Fail_only
     ~prefix:"flow.mut:mut2,flow.budget:mut3" ();
   let (o1, o4) =

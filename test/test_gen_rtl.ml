@@ -1,12 +1,13 @@
 (** Hierarchical RTL generation, mutation and shrinking.
 
     The differential checks themselves run continuously in
-    [factor_cli fuzz] and in the bench gate; here we pin the library
-    contracts: generation is deterministic in the seed and always lands
-    in the accepted Verilog subset, semantics-preserving mutations
-    really preserve, the planted [Opt_ec] bug seam is caught and shrunk
-    below the reproducer size bound, shrinking is deterministic, and
-    every checked-in corpus reproducer replays clean. *)
+    [factor_cli fuzz]; here we pin the library contracts: generation is
+    deterministic in the seed and always lands in the accepted Verilog
+    subset, semantics-preserving mutations really preserve, the planted
+    [Opt_ec] bug seam is caught and shrunk below the reproducer size
+    bound, shrinking is deterministic, a campaign comes back clean,
+    renders canonically and counts its failures, and every checked-in
+    corpus reproducer replays clean. *)
 
 open Testutil
 module Gen = Gen_rtl.Gen
@@ -146,6 +147,36 @@ let shrinking_deterministic () =
         check_int "same line count" fl1.Diff.fl_lines fl2.Diff.fl_lines
       | _ -> Alcotest.fail "second run did not fail")
 
+(* The determinism contract of [factor_cli fuzz]: a campaign over every
+   check comes back clean, and the same campaign run twice renders
+   byte-identically (the report carries no timing). *)
+let campaign_clean_and_canonical () =
+  let run () = Diff.campaign Diff.default_config ~base:0 ~count:3 in
+  let r1 = run () in
+  check_bool "clean campaign has no failures" true (r1.Diff.rp_failures = []);
+  check_bool "clean campaign has no crashes" true (r1.Diff.rp_crashes = []);
+  check_string "two identical campaigns render byte-identically"
+    (Diff.render r1) (Diff.render (run ()))
+
+(* A whole campaign with the seam armed: [Opt_ec] fails at least one of
+   seeds 0..5, every reproducer is shrunk under 25 lines, and the
+   campaign counts each failure in [factor.fuzz.failures]. *)
+let campaign_catches_seam () =
+  let failures = Obs.Metrics.counter "factor.fuzz.failures" in
+  let before = Obs.Metrics.value failures in
+  let rp = with_seam (fun () -> Diff.campaign seam_cfg ~base:0 ~count:6) in
+  check_bool "seam caught on some seed" true (rp.Diff.rp_failures <> []);
+  List.iter
+    (fun (fl : Diff.failure) ->
+      check_bool
+        (Printf.sprintf "seed %d reproducer under 25 lines (got %d)"
+           fl.Diff.fl_seed fl.Diff.fl_lines)
+        true (fl.Diff.fl_lines < 25))
+    rp.Diff.rp_failures;
+  check_int "factor.fuzz.failures counts every failure"
+    (List.length rp.Diff.rp_failures)
+    (Obs.Metrics.value failures - before)
+
 (* Every checked-in reproducer was shrunk from a live seam failure; the
    seam is disarmed here, so each must replay clean — a regression
    corpus for the checks that once caught it. *)
@@ -202,6 +233,12 @@ let () =
           test "planted bug caught, shrunk < 25 lines"
             planted_bug_caught_and_shrunk;
           test "shrinking is deterministic" shrinking_deterministic;
+        ] );
+      ( "diff",
+        [
+          test "clean, renders byte-identically" campaign_clean_and_canonical;
+          test "armed seam fails a seed, every failure counted"
+            campaign_catches_seam;
         ] );
       ( "corpus", [ test "reproducers replay clean" corpus_replays_clean ] );
     ]

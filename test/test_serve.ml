@@ -804,7 +804,9 @@ let e2e_roundtrip () =
         (match J.member "transform_cached" x1 with
          | Some (J.Bool b) -> b
          | _ -> true);
+      check_bool "extract answers its stats" true (jstr "extraction" x1 <> "");
       let x2 = Serve.Client.rpc cl ~op:"extract" ~params:xp in
+      check_string "repeat extract is warm-mem" "warm-mem" (jstr "cache" x2);
       check_bool "repeat extract hits the transform memo" true
         (J.member "transform_cached" x2 = Some (J.Bool true));
       check_bool "extract lines identical across hits" true
@@ -969,6 +971,43 @@ let frames_below_one () =
     [ 0; -1 ];
   check_int "no design loaded" 0 (Serve.Cache.resident (Serve.Ops.cache ctx))
 
+(* An [ec] conflict limit is an int of at least 1, refused otherwise
+   before either design is loaded (never truncated, never read as a
+   limit that decides nothing); a limit too large to add to the
+   solver's conflict count is no limit. *)
+let conflict_limit_checked () =
+  let ctx = Serve.Ops.make_ctx () in
+  let side expr =
+    J.Obj
+      [ ("source",
+         J.String
+           (Printf.sprintf
+              "module top (input [5:0] a, b, output [11:0] y);\n\
+              \  assign y = %s;\nendmodule\n" expr)) ]
+  in
+  (* each limit as it arrives off the wire *)
+  let ec limit =
+    Serve.Ops.handle ctx
+      { Serve.Proto.rq_id = 1; rq_op = "ec";
+        rq_params =
+          J.Obj
+            [ ("a", side "a * b"); ("b", side "b * a");
+              ("conflict_limit", J.of_string limit) ] }
+  in
+  List.iter
+    (fun (limit, msg) ->
+      match ec limit with
+      | _ -> Alcotest.failf "ec with conflict_limit %s answered" limit
+      | exception Serve.Proto.Proto_error m -> check_string limit msg m)
+    [ ("0.5", "bad conflict_limit: expected int");
+      ("1e300", "bad conflict_limit: expected int");
+      ("\"5\"", "bad conflict_limit: expected int");
+      ("0", "bad conflict_limit 0 (expected at least 1)");
+      ("-5", "bad conflict_limit -5 (expected at least 1)") ];
+  check_int "no design loaded" 0 (Serve.Cache.resident (Serve.Ops.cache ctx));
+  check_string "a limit past max_int - conflicts is no limit" "equal"
+    (jstr "verdict" (ec "4611686018427387902"))
+
 (* A cold request's time is attributed: decoding and encoding the
    frame, the cache lookup (the design fingerprint and the structural
    analysis inside it), fault collapsing and rendering are spans of
@@ -1036,7 +1075,7 @@ let wrong_typed_params () =
          [ ("budget_s", num); ("a", side); ("b", side) ]);
         ("ec", "a", "object", [ ("a", J.String "@gcd"); ("b", side) ]);
         ("ec", "b", "object", [ ("a", side); ("b", J.String "@gcd") ]);
-        ("ec", "conflict_limit", "number",
+        ("ec", "conflict_limit", "int",
          [ ("a", side); ("b", side); ("conflict_limit", num) ]);
         ("ec", "design", "string",
          [ ("a", J.Obj [ ("design", str) ]); ("b", side) ]) ]
@@ -1220,12 +1259,20 @@ let progress_of_events events =
 
 (* Streaming is strictly additive: the same request with [stream: true]
    delivers ordered monotonic progress frames, every one stamped with
-   the client's request id, and then a final response byte-identical to
-   the non-streaming run. *)
+   the client's request id and at least one with an ETA, and then a
+   final response byte-identical to the non-streaming run.  Traced, the
+   request id lands on both halves: the client's [client.rpc] span and
+   the daemon's [serve.request] span. *)
 let e2e_streaming () =
   Engine.Pool.set_jobs 2;
   Obs.Progress.set_interval 0.0;
-  Fun.protect ~finally:(fun () -> Obs.Progress.set_interval 0.05)
+  Obs.Span.clear ();
+  Obs.Span.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Progress.set_interval 0.05;
+      Obs.Span.set_enabled false;
+      Obs.Span.clear ())
   @@ fun () ->
   with_server (fun cl ->
       let params = [ ("design", J.String "@arbiter") ] in
@@ -1245,6 +1292,24 @@ let e2e_streaming () =
       check_bool "at least three progress frames" true
         (List.length progress >= 3);
       check_monotonic progress;
+      check_bool "a progress frame carries an ETA" true
+        (List.exists
+           (fun j ->
+             match Serve.Proto.event_of_json j with
+             | Some (Serve.Proto.Ev_progress p) -> p.ep_eta_s >= 0.0
+             | _ -> false)
+           events);
+      let spans = Obs.Span.events () in
+      List.iter
+        (fun name ->
+          check_bool (name ^ " span carries the request id") true
+            (List.exists
+               (fun (ev : Obs.Span.event) ->
+                 ev.ev_name = name
+                 && List.assoc_opt "req" ev.ev_attrs
+                    = Some (J.String "watch-1"))
+               spans))
+        [ "client.rpc"; "serve.request" ];
       (* every progress/log frame carries the caller's request id *)
       List.iter
         (fun j ->
@@ -1410,7 +1475,9 @@ let () =
             test "a traced cold grade shows fingerprint and analysis spans"
               traced_cold_grade;
             test "a wrong-typed parameter is a proto error naming it"
-              wrong_typed_params ] );
+              wrong_typed_params;
+            test "ec: conflict_limit is an int of at least 1"
+              conflict_limit_checked ] );
       ( "daemon",
         [
           test "end-to-end roundtrip, byte-identical to direct runs"
