@@ -1092,8 +1092,8 @@ let bench_par () =
   Printf.printf "  fsim (%d faults, 8 tests): %.3f s serial, %.3f s sharded (%.2fx)\n"
     (List.length faults) fsim_serial fsim_par (ratio fsim_serial fsim_par);
   Printf.printf
-    "  pool: %d tasks, %d steals, %.3f s queued, %.3f s running, %.0f%% utilization\n"
-    st.Engine.Pool.ps_tasks st.Engine.Pool.ps_steals
+    "  pool: %d tasks, %.3f s queued, %.3f s running, %.0f%% utilization\n"
+    st.Engine.Pool.ps_tasks
     st.Engine.Pool.ps_queue_wait st.Engine.Pool.ps_run_time
     (100.0 *. utilization)
 

@@ -58,7 +58,10 @@ let install c =
   Atomic.set armed (c <> None);
   Mutex.unlock lock
 
+(* The FACTOR_CHAOS configuration, parsed on first use; {!clear}
+   restores it. *)
 let env_loaded = ref false
+let env_config : cfg option ref = ref None
 
 let load_env () =
   if not !env_loaded then begin
@@ -70,6 +73,7 @@ let load_env () =
       | Some s ->
         (match parse_env s with
          | Some c ->
+           env_config := Some c;
            config := Some c;
            Atomic.set armed true
          | None ->
@@ -87,7 +91,7 @@ let set ~seed ~rate ?(mode = All) ?prefix () =
 
 let clear () =
   load_env ();
-  install None
+  install !env_config
 
 let active () =
   if Atomic.get armed then true
@@ -156,6 +160,12 @@ let point site =
     | Some (Fail_only, _) -> inject site
     | Some (Delay_only, v) -> delay site v
     | Some (All, v) -> if v < 0.5 then inject site else delay site v
+
+let delay_point site =
+  if active () then
+    match decide site with
+    | None | Some (Fail_only, _) -> ()
+    | Some ((All | Delay_only), v) -> delay site v
 
 let abort_point site =
   if not (active ()) then false

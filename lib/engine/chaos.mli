@@ -1,9 +1,11 @@
 (** Deterministic chaos injection at pipeline seams.
 
     When armed (via [FACTOR_CHAOS] or {!set}), named injection sites
-    sprinkled at recovery seams — pool tasks, per-fault ATPG attempts,
-    per-MUT flow rows, solver entry — deterministically fail or stall so
-    the degradation paths are themselves exercised by tests and CI.
+    sprinkled at recovery seams — per-fault ATPG attempts, per-MUT flow
+    rows, served requests, fuzz seeds, solver entry — deterministically
+    fail or stall so the degradation paths are themselves exercised by
+    tests and CI.  Pool task entry, which has no recovery path above
+    it, only stalls.
 
     Decisions are a pure function of [(seed, site, n)] where [n] counts
     prior hits on that exact [site] string.  Sites embed their identity
@@ -31,7 +33,8 @@ type mode = All | Fail_only | Delay_only
 val set : seed:int -> rate:float -> ?mode:mode -> ?prefix:string ->
   unit -> unit
 
-(** Disarm. *)
+(** Undo {!set}: restore the [FACTOR_CHAOS] configuration, or disarm
+    when there is none. *)
 val clear : unit -> unit
 
 (** One atomic load: is any chaos configuration armed?  (It may still
@@ -43,6 +46,11 @@ val active : unit -> bool
     milliseconds (counted in [factor.chaos.delayed]).  Place only where
     a recovery path above will catch the failure. *)
 val point : string -> unit
+
+(** [delay_point site] — stall-only site: may sleep like {!point} (at
+    every firing, and never in [fail] mode) but never raises.  For seams
+    with no recovery path above them, such as pool task entry. *)
+val delay_point : string -> unit
 
 (** Graceful-abort site: returns [true] when the site should give up
     without raising (a solver returning [Unknown]).  Counted as an

@@ -1,11 +1,12 @@
-(** Fixed-size work-stealing domain pool.  One mutex guards the deques,
-    the futures and the telemetry: tasks in this codebase are coarse
-    (a fault's PODEM search, a fault shard's simulation, a whole MUT
-    flow), so queue operations are far off the critical path and a
-    single lock keeps helping, stealing and shutdown easy to reason
-    about.  The stealing structure still matters: per-slot deques keep
-    nested submissions depth-first on their own slot while idle workers
-    drain the oldest work of the busiest slots. *)
+(** Fixed-size domain pool over one task deque.  One mutex guards the
+    deque, the futures and the telemetry: tasks in this codebase are
+    coarse (a fault's PODEM search, a fault shard's simulation, a whole
+    MUT flow), so queue operations are far off the critical path and a
+    single lock keeps helping and shutdown easy to reason about.  The
+    deque encodes the two orders the callers need: an idle worker takes
+    the oldest task (served requests run first-come-first-served), a
+    domain helping inside [await] takes the newest (a nested fan-out
+    runs its own sub-tasks first). *)
 
 type task = {
   t_run : unit -> unit -> unit;
@@ -16,54 +17,19 @@ type task = {
   t_submitted : float;    (* Clock.now at submission, for queue-wait *)
 }
 
-(* A deque as two stacks: [front] head is the front, [back] head is the
-   back.  Owners push/pop the front (LIFO), thieves pop the back. *)
-type deque = {
-  mutable dq_front : task list;
-  mutable dq_back : task list;
-}
-
-let push_front d t = d.dq_front <- t :: d.dq_front
-
-let pop_front d =
-  match d.dq_front with
-  | t :: rest ->
-    d.dq_front <- rest;
-    Some t
-  | [] ->
-    (match List.rev d.dq_back with
-     | [] -> None
-     | t :: rest ->
-       d.dq_back <- [];
-       d.dq_front <- rest;
-       Some t)
-
-let pop_back d =
-  match d.dq_back with
-  | t :: rest ->
-    d.dq_back <- rest;
-    Some t
-  | [] ->
-    (match List.rev d.dq_front with
-     | [] -> None
-     | t :: rest ->
-       d.dq_front <- [];
-       d.dq_back <- rest;
-       Some t)
-
 type t = {
-  uid : int;
   jobs : int;
   mutex : Mutex.t;
   cond : Condition.t;
-  deques : deque array;          (* length [jobs]; slot 0 is also the
-                                    inbox for external submitters *)
+  (* the deque as two stacks: [newest]'s head is the last task
+     submitted, [oldest]'s head the first *)
+  mutable newest : task list;
+  mutable oldest : task list;
   mutable stopping : bool;
   mutable domains : unit Domain.t list;
   created : float;
   (* telemetry, all under [mutex] *)
   mutable tasks : int;
-  mutable steals : int;
   mutable queue_wait : float;
   mutable run_time : float;
   busy : float array;
@@ -72,7 +38,6 @@ type t = {
 type stats = {
   ps_jobs : int;
   ps_tasks : int;
-  ps_steals : int;
   ps_queue_wait : float;
   ps_run_time : float;
   ps_busy : float array;
@@ -89,36 +54,32 @@ type 'a future = {
   mutable f_state : 'a state;
 }
 
-let uid_counter = Atomic.make 0
+(* Both takes hold [pool.mutex]. *)
+let take_newest pool =
+  match pool.newest with
+  | t :: rest ->
+    pool.newest <- rest;
+    Some t
+  | [] ->
+    (match List.rev pool.oldest with
+     | [] -> None
+     | t :: rest ->
+       pool.oldest <- [];
+       pool.newest <- rest;
+       Some t)
 
-(* Which pool slot the current domain owns: [(pool uid, slot)].  A
-   domain helping in a pool it does not belong to uses slot 0. *)
-let slot_key : (int * int) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let my_slot pool =
-  match Domain.DLS.get slot_key with
-  | Some (uid, slot) when uid = pool.uid -> slot
-  | _ -> 0
-
-(* Take a task while holding [pool.mutex]: own front first, then steal
-   from the back of the other slots. *)
-let take pool slot =
-  match pop_front pool.deques.(slot) with
-  | Some _ as t -> t
-  | None ->
-    let n = pool.jobs in
-    let rec steal k =
-      if k = n then None
-      else
-        let j = (slot + k) mod n in
-        match pop_back pool.deques.(j) with
-        | Some t ->
-          pool.steals <- pool.steals + 1;
-          Some t
-        | None -> steal (k + 1)
-    in
-    steal 1
+let take_oldest pool =
+  match pool.oldest with
+  | t :: rest ->
+    pool.oldest <- rest;
+    Some t
+  | [] ->
+    (match List.rev pool.newest with
+     | [] -> None
+     | t :: rest ->
+       pool.newest <- [];
+       pool.oldest <- rest;
+       Some t)
 
 (* Run [t] outside the lock; account for it on [slot] and resolve its
    future in one critical section. *)
@@ -138,11 +99,10 @@ let run_task pool slot t =
   Mutex.unlock pool.mutex
 
 let worker pool slot () =
-  Domain.DLS.set slot_key (Some (pool.uid, slot));
   let rec loop () =
     Mutex.lock pool.mutex;
     let rec get () =
-      match take pool slot with
+      match take_oldest pool with
       | Some t ->
         Mutex.unlock pool.mutex;
         Some t
@@ -167,17 +127,15 @@ let worker pool slot () =
 let create jobs =
   if jobs < 1 then invalid_arg "Engine.Pool.create: jobs < 1";
   let pool =
-    { uid = Atomic.fetch_and_add uid_counter 1;
-      jobs;
+    { jobs;
       mutex = Mutex.create ();
       cond = Condition.create ();
-      deques =
-        Array.init jobs (fun _ -> { dq_front = []; dq_back = [] });
+      newest = [];
+      oldest = [];
       stopping = false;
       domains = [];
       created = Clock.now ();
       tasks = 0;
-      steals = 0;
       queue_wait = 0.0;
       run_time = 0.0;
       busy = Array.make jobs 0.0 }
@@ -189,31 +147,35 @@ let create jobs =
 let size pool = pool.jobs
 
 let submit pool f =
-  let rec t = { t_run = run; t_submitted = Clock.now () }
-  and fut = { f_pool = pool; f_state = Pending }
-  and run () =
-    match
-      Chaos.point "pool.task";
-      f ()
-    with
+  let fut = { f_pool = pool; f_state = Pending } in
+  let run () =
+    Chaos.delay_point "pool.task";
+    match f () with
     | v -> fun () -> fut.f_state <- Done v
     | exception e ->
       let bt = Printexc.get_raw_backtrace () in
       fun () -> fut.f_state <- Failed (e, bt)
   in
+  let t = { t_run = run; t_submitted = Clock.now () } in
   Mutex.lock pool.mutex;
   if pool.stopping then begin
     Mutex.unlock pool.mutex;
     invalid_arg "Engine.Pool.submit: pool has been shut down"
   end;
-  push_front pool.deques.(my_slot pool) t;
-  Condition.signal pool.cond;
-  Mutex.unlock pool.mutex;
+  if pool.jobs = 1 then begin
+    (* no worker could ever take it *)
+    Mutex.unlock pool.mutex;
+    run_task pool 0 t
+  end
+  else begin
+    pool.newest <- t :: pool.newest;
+    Condition.signal pool.cond;
+    Mutex.unlock pool.mutex
+  end;
   fut
 
 let await fut =
   let pool = fut.f_pool in
-  let slot = my_slot pool in
   Mutex.lock pool.mutex;
   let rec loop () =
     (* invariant: [pool.mutex] is held *)
@@ -225,11 +187,11 @@ let await fut =
       Mutex.unlock pool.mutex;
       Printexc.raise_with_backtrace e bt
     | Pending ->
-      (match take pool slot with
+      (match take_newest pool with
        | Some t ->
          (* help: run someone's task instead of blocking a slot *)
          Mutex.unlock pool.mutex;
-         run_task pool slot t;
+         run_task pool 0 t;
          Mutex.lock pool.mutex;
          loop ()
        | None ->
@@ -255,7 +217,6 @@ let stats pool =
   let s =
     { ps_jobs = pool.jobs;
       ps_tasks = pool.tasks;
-      ps_steals = pool.steals;
       ps_queue_wait = pool.queue_wait;
       ps_run_time = pool.run_time;
       ps_busy = Array.copy pool.busy;
@@ -273,9 +234,9 @@ let stats_to_string s =
   in
   Buffer.add_string buf
     (Printf.sprintf
-       "pool: %d slots, %d tasks (%d stolen), run %.3fs, queue-wait \
-        %.3fs, wall %.3fs, utilization %.0f%%\n"
-       s.ps_jobs s.ps_tasks s.ps_steals s.ps_run_time
+       "pool: %d slots, %d tasks, run %.3fs, queue-wait %.3fs, wall \
+        %.3fs, utilization %.0f%%\n"
+       s.ps_jobs s.ps_tasks s.ps_run_time
        s.ps_queue_wait s.ps_wall (100.0 *. util));
   Array.iteri
     (fun i busy ->
@@ -292,7 +253,6 @@ let publish_metrics pool =
   let s = stats pool in
   let catch_up c v = Obs.Metrics.add c (v - Obs.Metrics.value c) in
   catch_up (Obs.Metrics.counter "factor.pool.tasks") s.ps_tasks;
-  catch_up (Obs.Metrics.counter "factor.pool.steals") s.ps_steals;
   Obs.Metrics.set (Obs.Metrics.gauge "factor.pool.jobs")
     (float_of_int s.ps_jobs);
   Obs.Metrics.set (Obs.Metrics.gauge "factor.pool.queue_wait_s")
@@ -311,12 +271,17 @@ let publish_metrics pool =
 (* ------------------------------------------------------------------ *)
 
 let default_jobs () =
-  match Sys.getenv_opt "FACTOR_JOBS" with
+  let fallback = Domain.recommended_domain_count () in
+  match Option.map String.trim (Sys.getenv_opt "FACTOR_JOBS") with
+  | None | Some "" -> fallback
   | Some s ->
-    (match int_of_string_opt (String.trim s) with
+    (match int_of_string_opt s with
      | Some n when n >= 1 -> n
-     | _ -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
+     | _ ->
+       Obs.Log.warnf
+         "ignoring FACTOR_JOBS=%S (expected a positive integer); using %d"
+         s fallback;
+       fallback)
 
 let global_lock = Mutex.create ()
 let global_pool : t option ref = ref None

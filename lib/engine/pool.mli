@@ -1,4 +1,4 @@
-(** A fixed-size work-stealing domain pool with futures.
+(** A fixed-size domain pool with futures.
 
     [create n] builds a pool of [n] execution slots backed by [n - 1]
     worker domains (OCaml 5 [Domain]s): the caller's own domain is the
@@ -8,11 +8,12 @@
     sub-tasks to the same pool and await them without deadlocking the
     pool, even when every worker is busy.
 
-    Each slot owns a deque: a task submitted from a worker is pushed on
-    the front of that worker's own deque (depth-first, cache-warm), a
-    task submitted from outside the pool goes to slot 0, and an idle
-    worker that finds its own deque empty steals from the {i back} of
-    another slot's deque (breadth-first, oldest first).
+    Tasks wait in one deque.  An idle worker takes the {i oldest} task,
+    so tasks submitted by a domain that never awaits (the serve loop)
+    start in submission order; a domain helping inside {!await} takes
+    the {i newest}, so a nested fan-out runs its own sub-tasks first.
+    Every caller merges results in its own order, so where a task runs
+    never changes a result.
 
     Exceptions raised by a task are captured together with their
     backtrace and re-raised by {!await} in the awaiting domain; the
@@ -24,14 +25,16 @@ type t
 type 'a future
 
 (** [create n] builds a pool of [n >= 1] slots ([n - 1] worker domains).
-    [create 1] spawns no domains: every task runs in the caller when it
-    awaits — the serial semantics, useful as the [-j 1] baseline. *)
+    [create 1] spawns no domains: a 1-slot pool runs each task at
+    {!submit}, in the submitting domain — the serial semantics, useful
+    as the [-j 1] baseline. *)
 val create : int -> t
 
 (** Number of slots (the [n] given to {!create}). *)
 val size : t -> int
 
-(** [submit pool f] queues [f] and returns its future.
+(** [submit pool f] queues [f] (runs it, on a 1-slot pool) and returns
+    its future.
     @raise Invalid_argument if the pool has been shut down. *)
 val submit : t -> (unit -> 'a) -> 'a future
 
@@ -54,11 +57,11 @@ val shutdown : t -> unit
 type stats = {
   ps_jobs : int;         (** slots in the pool *)
   ps_tasks : int;        (** tasks completed since creation *)
-  ps_steals : int;       (** tasks taken from another slot's deque *)
   ps_queue_wait : float; (** total seconds tasks spent queued *)
   ps_run_time : float;   (** total seconds spent running tasks *)
-  ps_busy : float array; (** per-slot busy seconds (slot 0 = external
-                             helpers, 1.. = worker domains) *)
+  ps_busy : float array; (** per-slot busy seconds (slot 0 = work run
+                             inside {!submit} and {!await}, 1.. = worker
+                             domains) *)
   ps_wall : float;       (** wall seconds since the pool was created *)
 }
 
@@ -69,7 +72,7 @@ val stats : t -> stats
 val stats_to_string : stats -> string
 
 (** Push a stats snapshot into {!Obs.Metrics} under [factor.pool.*]
-    ([jobs], [tasks], [steals], [queue_wait_s], [run_time_s], [wall_s],
+    ([jobs], [tasks], [queue_wait_s], [run_time_s], [wall_s],
     [utilization]) so a metrics dump includes pool telemetry. *)
 val publish_metrics : t -> unit
 
@@ -80,7 +83,9 @@ val publish_metrics : t -> unit
     machine. *)
 
 (** [FACTOR_JOBS] if set and positive, else
-    [Domain.recommended_domain_count ()]. *)
+    [Domain.recommended_domain_count ()].  A value that is not a
+    positive integer is ignored with a warning (through
+    {!Obs.Log.warnf}); an empty one counts as unset. *)
 val default_jobs : unit -> int
 
 (** The shared pool, created on first use with {!default_jobs} slots. *)

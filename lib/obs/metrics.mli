@@ -2,12 +2,12 @@
 
     One registry serves every subsystem so a single {!dump} yields the
     whole picture of a run: net evaluations, SAT conflicts, PODEM
-    backtracks, cache hits, pool steals.  Metrics are interned by name —
+    backtracks, cache hits, pool tasks.  Metrics are interned by name —
     calling a constructor twice with the same name returns the same
     metric — and every update is domain-safe.
 
     Naming scheme: [factor.<subsystem>.<name>], e.g.
-    [factor.fsim.packed_evals], [factor.sat.conflicts], [factor.pool.steals].
+    [factor.fsim.packed_evals], [factor.sat.conflicts], [factor.pool.tasks].
 
     Hot-path cost: {!incr}/{!add} are single atomic fetch-and-adds with
     no allocation, so engines may account from inner loops (though

@@ -45,6 +45,7 @@ type state = {
   st_wake_w : Unix.file_descr;
   st_conns : (int, conn) Hashtbl.t;
   mutable st_next_conn : int;
+  st_rbuf : Bytes.t;  (* read buffer, loop domain only; Proto.feed copies *)
 }
 
 type t = {
@@ -156,8 +157,7 @@ let has_output conn = Buffer.length conn.cn_out > conn.cn_out_pos
    answered on id 0 and a wrong-typed [stream] on the request's id, both
    as proto errors, and the connection stays open.  The shutdown op is
    loop-level (it must flip the stop flag); everything else goes through
-   Ops — on the pool when workers exist, inline otherwise (a 1-slot pool
-   only runs tasks inside [await], which the loop never calls). *)
+   Ops as a pool task. *)
 let dispatch st conn payload =
   let decoded =
     Obs.Span.with_ "proto.decode" @@ fun () ->
@@ -191,16 +191,11 @@ let dispatch st conn payload =
       else None
     in
     let work () = push_done st conn_id rq_id (answer ?emit st.st_ctx rq) in
-    let pool = Engine.Pool.global () in
-    if Engine.Pool.size pool <= 1 then
-      (* inline on the loop domain: event frames queue up during the
-         run and flush with the final response — streaming needs pool
-         workers ([-j 2] or more) to interleave mid-request *)
-      work ()
-    else ignore (Engine.Pool.submit pool work : unit Engine.Pool.future)
+    ignore (Engine.Pool.submit (Engine.Pool.global ()) work
+            : unit Engine.Pool.future)
 
 let handle_readable st conn =
-  let buf = Bytes.create 65536 in
+  let buf = st.st_rbuf in
   match Unix.read conn.cn_fd buf 0 (Bytes.length buf) with
   | 0 -> close_conn st conn
   | n ->
@@ -369,7 +364,8 @@ let make_state cfg =
     st_wake_r = wake_r;
     st_wake_w = wake_w;
     st_conns = Hashtbl.create 16;
-    st_next_conn = 1 }
+    st_next_conn = 1;
+    st_rbuf = Bytes.create 65536 }
 
 let start cfg =
   let st = make_state cfg in

@@ -6,9 +6,9 @@
     Concurrency model: one event-loop domain owns every socket.  A
     decoded request becomes a pool task; the task's response is pushed
     onto a mutex-guarded completion queue and a self-pipe byte wakes the
-    loop, which writes it out.  When the pool has a single slot (serial
-    [-j 1] runs), tasks would only execute inside [await] — which the
-    loop never calls — so requests are then handled inline instead.
+    loop, which writes it out.  A single-slot pool (serial [-j 1] runs)
+    runs each task as it is submitted, so requests are then handled on
+    the loop domain itself.
 
     Isolation: each request runs under its own {!Engine.Budget} token
     and chaos seam; an exception (crash, budget expiry, injected fault)

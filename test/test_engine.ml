@@ -57,11 +57,15 @@ let pool_exception_propagation () =
   Pool.shutdown pool
 
 let pool_serial_degenerate () =
-  (* a 1-slot pool spawns no domains; awaits run everything inline *)
+  (* a 1-slot pool spawns no domains; it runs each task at submit *)
   let pool = Pool.create 1 in
   let results = Pool.run_all pool (List.init 50 (fun i () -> 2 * i)) in
   check_bool "1-slot pool is the serial semantics" true
     (results = List.init 50 (fun i -> 2 * i));
+  let ran = ref false in
+  let fut = Pool.submit pool (fun () -> ran := true) in
+  check_bool "the task ran before submit returned" true !ran;
+  Pool.await fut;
   Pool.shutdown pool
 
 (* ------------------------------------------------------------------ *)
@@ -334,13 +338,17 @@ let chaos_site_decisions () =
       | () -> false
       | exception Chaos.Injected _ -> true)
 
+(* [Chaos.clear] restores the FACTOR_CHAOS configuration *)
+let env_chaos = Sys.getenv_opt "FACTOR_CHAOS" <> None
+
 let chaos_deterministic () =
   let a = chaos_site_decisions () in
   let b = chaos_site_decisions () in
   check_bool "rate 0.5 injects sometimes" true (List.mem true a);
   check_bool "rate 0.5 passes sometimes" true (List.mem false a);
   check_bool "same seed, same sites, same decisions" true (a = b);
-  check_bool "chaos disarmed after clear" false (Chaos.active ())
+  check_bool "armed after clear iff FACTOR_CHAOS is set" env_chaos
+    (Chaos.active ())
 
 let chaos_rate_and_prefix () =
   Chaos.set ~seed:1 ~rate:1.0 ~mode:Chaos.Fail_only ();
@@ -361,7 +369,9 @@ let chaos_rate_and_prefix () =
   Fun.protect ~finally:Chaos.clear (fun () ->
       check_bool "abort_point gives up" true (Chaos.abort_point "sat.solve"));
   check_bool "abort_point inert when disarmed" false
-    (Chaos.abort_point "sat.solve")
+    (Chaos.abort_point "sat.solve");
+  check_bool "FACTOR_CHAOS stays armed after set/clear pairs" env_chaos
+    (Chaos.active ())
 
 (* ------------------------------------------------------------------ *)
 (* Pool failure paths.                                                  *)
@@ -384,6 +394,81 @@ let pool_raise_on_worker () =
   check_int "worker survived the raise" 5
     (Pool.await (Pool.submit pool (fun () -> 5)));
   Pool.shutdown pool
+
+(* The serve loop's shape: a domain outside the pool submits and never
+   awaits, so only the worker runs tasks, and it takes the oldest. *)
+let pool_external_submission_order () =
+  let pool = Pool.create 2 in
+  let lock = Mutex.create () in
+  let started = ref [] in
+  let futs =
+    List.init 50 (fun i ->
+        Pool.submit pool (fun () ->
+            Mutex.protect lock (fun () -> started := i :: !started)))
+  in
+  while Mutex.protect lock (fun () -> List.length !started) < 50 do
+    Domain.cpu_relax ()
+  done;
+  check_bool "tasks start in submission order" true
+    (List.rev !started = List.init 50 Fun.id);
+  List.iter Pool.await futs;
+  Pool.shutdown pool
+
+(* Two domains outside the pool fan out into it at once; each one's
+   awaits help with whatever is queued, its own sub-tasks or not. *)
+let pool_two_external_fan_outs () =
+  let pool = Pool.create 3 in
+  let rec tree depth =
+    if depth = 0 then 1
+    else
+      let futs =
+        List.init 2 (fun _ -> Pool.submit pool (fun () -> tree (depth - 1)))
+      in
+      List.fold_left (fun acc f -> acc + Pool.await f) 0 futs
+  in
+  let fan_out base () =
+    Pool.run_all pool (List.init 8 (fun i () -> base + i + tree 4))
+  in
+  let d1 = Domain.spawn (fan_out 0) and d2 = Domain.spawn (fan_out 100) in
+  check_bool "first domain's results" true
+    (Domain.join d1 = List.init 8 (fun i -> i + 16));
+  check_bool "second domain's results" true
+    (Domain.join d2 = List.init 8 (fun i -> 100 + i + 16));
+  Pool.shutdown pool
+
+let pool_default_jobs_warns () =
+  let saved = Sys.getenv_opt "FACTOR_JOBS" in
+  let warnings = ref [] in
+  let fwd =
+    Obs.Log.add_forwarder (fun level msg _ ->
+        if level = Obs.Log.Warn then warnings := msg :: !warnings)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Log.remove_forwarder fwd;
+      (* an empty FACTOR_JOBS counts as unset *)
+      Unix.putenv "FACTOR_JOBS" (Option.value saved ~default:""))
+    (fun () ->
+      let jobs_for v =
+        warnings := [];
+        Unix.putenv "FACTOR_JOBS" v;
+        let j = Pool.default_jobs () in
+        let warned =
+          List.exists
+            (String.starts_with ~prefix:"ignoring FACTOR_JOBS")
+            !warnings
+        in
+        (j, warned)
+      in
+      let fallback = Domain.recommended_domain_count () in
+      check_bool "FACTOR_JOBS=3 is read silently" true
+        (jobs_for "3" = (3, false));
+      check_bool "FACTOR_JOBS=0 warns and falls back" true
+        (jobs_for "0" = (fallback, true));
+      check_bool "FACTOR_JOBS=four warns and falls back" true
+        (jobs_for "four" = (fallback, true));
+      check_bool "an empty FACTOR_JOBS is unset" true
+        (jobs_for "" = (fallback, false)))
 
 (* ------------------------------------------------------------------ *)
 (* Flow isolation: one MUT dying must not take out its siblings.        *)
@@ -498,6 +583,11 @@ let () =
           test "exception propagation and shutdown" pool_exception_propagation;
           test "serial degenerate pool" pool_serial_degenerate;
           test "raise on a worker domain" pool_raise_on_worker;
+          test "external submissions start in order"
+            pool_external_submission_order;
+          test "two external domains fan out at once"
+            pool_two_external_fan_outs;
+          test "a bad FACTOR_JOBS warns" pool_default_jobs_warns;
         ] );
       ( "budget",
         [

@@ -1227,6 +1227,27 @@ let e2e_chaos_isolation () =
         ((jstr "counts" before, jstr "quality" before, jstr "vectors" before)
          = (jstr "counts" after, jstr "quality" after, jstr "vectors" after)))
 
+(* An injected failure at any chaos seam still answers the request: the
+   pool's task entry only stalls, and every seam that fails sits under a
+   recovery path that turns the failure into an error frame. *)
+let e2e_chaos_every_seam_answers () =
+  Engine.Pool.set_jobs 2;
+  with_server (fun cl ->
+      let ping () =
+        match Serve.Client.rpc ~timeout:3.0 cl ~op:"ping" ~params:[] with
+        | r -> if J.member "pong" r = Some (J.Bool true) then `Pong else `Other
+        | exception Serve.Client.Server_error _ -> `Error
+        | exception Serve.Client.Timeout _ -> `Timeout
+      in
+      Engine.Chaos.set ~seed:1 ~rate:1.0 ~mode:Engine.Chaos.Fail_only
+        ~prefix:"pool.task" ();
+      Fun.protect ~finally:Engine.Chaos.clear (fun () ->
+          check_bool "pool.task armed: ping answered" true (ping () = `Pong));
+      Engine.Chaos.set ~seed:1 ~rate:1.0 ~mode:Engine.Chaos.Fail_only ();
+      Fun.protect ~finally:Engine.Chaos.clear (fun () ->
+          check_bool "every seam armed: ping answered with its error" true
+            (ping () = `Error)))
+
 (* ------------------------------------------------------------------ *)
 (* Streaming: progress frames, failure mid-stream, idle timeout.       *)
 (* ------------------------------------------------------------------ *)
@@ -1491,6 +1512,8 @@ let () =
           test "a frame that is not JSON is a proto error"
             e2e_unparseable_frame;
           test "chaos kills one op, siblings untouched" e2e_chaos_isolation;
+          test "a failure at any chaos seam is answered"
+            e2e_chaos_every_seam_answers;
         ] );
       ( "streaming",
         [
