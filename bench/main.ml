@@ -1,28 +1,19 @@
-(** Paper reproduction and correctness gates: regenerates every table of
-    the paper's evaluation (Tables 1-6), the Section 4.2 testability
-    report and the ablation studies called out in DESIGN.md, and runs the
-    two gates CI relies on that pin figures of their own, [fsim_smoke]
-    and [sat_smoke] (each exits 1 when its property fails).  Every other
-    correctness gate is an alcotest case under test/.
-    Every target prints to stdout; [--metrics FILE] dumps the process's
-    counters and [--trace FILE] a Chrome trace.  Performance is measured
-    by the repo benchmark in perfbench/, not here.
+(** Paper reproduction: regenerates every table of the paper's
+    evaluation (Tables 1-6), the Section 4.2 testability report, the
+    ablation studies called out in DESIGN.md, the extensions and the
+    PODEM-vs-hybrid engine study ([sat]).  Every correctness gate is an
+    alcotest case under test/, and performance is measured by the repo
+    benchmark in perfbench/; this binary only reproduces.  Every target
+    prints to stdout; [--metrics FILE] dumps the process's counters and
+    [--trace FILE] a Chrome trace.
 
     Usage: [bench/main.exe [table1|table2|table3|table4|table5|table6|
                             testability|translate|generality|variance|
-                            scan|bridging|ablations|fsim|fsim_smoke|
-                            sat|sat_smoke|par|all]
-                           [-j N] [--seed S] [--trace FILE]
-                           [--metrics FILE]]. *)
+                            scan|bridging|ablations|sat|all]
+                           [--trace FILE] [--metrics FILE]]. *)
 
 module Flow = Factor.Flow
 module T = Report.Table
-
-(* [-j N] sizes the domain pool for the [par] targets; [--seed S] seeds
-   every randomized workload so a failure can be replayed exactly. *)
-let jobs_ref = ref (Engine.Pool.default_jobs ())
-let default_seed = 42
-let seed_ref = ref default_seed
 
 (* ------------------------------------------------------------------ *)
 (* Shared context.                                                     *)
@@ -39,11 +30,11 @@ let metrics_json () =
    | None -> ());
   Obs.Metrics.dump_string ()
 
-(* [f ()] and its wall time in seconds. *)
+(* The wall time of [f ()] in seconds. *)
 let timed f =
   let t0 = Engine.Clock.now () in
-  let r = f () in
-  (r, Engine.Clock.now () -. t0)
+  ignore (f ());
+  Engine.Clock.now () -. t0
 
 (* ATPG configuration used on stand-alone and transformed modules. *)
 let module_cfg =
@@ -352,7 +343,6 @@ let ablation_granularity () =
 let ablation_cache () =
   (* constraint cache: shared session vs cold session per module *)
   let e = Lazy.force env in
-  let timed f = snd (timed f) in
   let shared_session = Factor.Compose.create_session () in
   let rows =
     List.map
@@ -694,162 +684,7 @@ let variance () =
        rows)
 
 (* ------------------------------------------------------------------ *)
-(* Fault-simulation engine benchmark.                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* The packed engine and the reference oracle on the same fault list and
-   test set: identical detection flags required; per-engine wall clock
-   and net-evaluation counts (each engine owns its registry counter, so
-   the deltas are attributable) printed to stdout.  The test count
-   defaults to two full packed words of patterns — grading workloads
-   batch dozens of patterns, which is exactly where pattern-packing
-   pays.  Returns the packed evals, packed words and reference evals, so
-   the CI smoke gate can pin them. *)
-let bench_fsim_on ~name c ~num_tests =
-  let faults = Atpg.Fault.collapse c (Atpg.Fault.all c) in
-  let rng = Random.State.make [| !seed_ref |] in
-  (* grade under the paper's PIER methodology (loadable/observable
-     registers), exactly like [factor grade --piers]: random functional
-     sequences with register loads, observation at POs every cycle and
-     at the PIERs' final state.  24-cycle sequences model the
-     multi-cycle MUT tests the methodology schedules; sequence depth is
-     where packing pays, since the reference re-simulates every net per
-     test per cycle while the packed engine pays one good sweep per
-     word. *)
-  let piers = Factor.Pier.identify c in
-  let tests =
-    List.init num_tests (fun _ ->
-        Atpg.Pattern.random ~rng ~num_pis:(Netlist.num_pis c) ~frames:24
-          ~piers)
-  in
-  let observe = { Atpg.Fsim.ob_pos = true; ob_pier_ffs = piers } in
-  let timed kind evals =
-    let e0 = evals () in
-    let t0 = Engine.Clock.now () in
-    let r = Atpg.Fsim.run ~engine:kind c ~observe ~faults tests in
-    (r, Engine.Clock.now () -. t0, evals () - e0)
-  in
-  let words0 = Atpg.Fsim.packed_words () in
-  let (packed_flags, packed_wall, packed_evals) =
-    timed Atpg.Fsim.Packed Atpg.Fsim.packed_evals
-  in
-  let packed_words = Atpg.Fsim.packed_words () - words0 in
-  let (ref_flags, ref_wall, ref_evals) =
-    timed Atpg.Fsim.Reference Atpg.Fsim.ref_evals
-  in
-  if packed_flags <> ref_flags then begin
-    Printf.eprintf
-      "bench fsim: engines disagree on detection flags (replay with --seed %d)\n"
-      !seed_ref;
-    exit 1
-  end;
-  let ratio a b = if b = 0.0 then 0.0 else a /. b in
-  let fratio a b = ratio (float_of_int a) (float_of_int b) in
-  let detected =
-    Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 packed_flags
-  in
-  Printf.printf
-    "fsim bench: %d faults, %d tests on %s (%d nets, %d detected, seed %d)\n"
-    (List.length faults) num_tests name (Netlist.num_nets c) detected
-    !seed_ref;
-  Printf.printf "  packed:       %.3f s, %d net evals (%d words)\n"
-    packed_wall packed_evals packed_words;
-  Printf.printf "  reference:    %.3f s, %d net evals\n" ref_wall ref_evals;
-  Printf.printf "  packed vs reference: %.1fx wall, %.1fx evals\n"
-    (ratio ref_wall packed_wall) (fratio ref_evals packed_evals);
-  (packed_evals, packed_words, ref_evals)
-
-let bench_fsim () =
-  ignore (bench_fsim_on ~name:"arm" (Lazy.force full) ~num_tests:126)
-
-(* Packed and reference flags for the transition universe and a random
-   bridge population of [c], graded on random PIER sequences; exits 1 on
-   the first model where they differ.  Returns each model's packed
-   evals. *)
-let check_fault_models ~name c =
-  let rng = Random.State.make [| !seed_ref |] in
-  let piers = Factor.Pier.identify c in
-  let observe = { Atpg.Fsim.ob_pos = true; ob_pier_ffs = piers } in
-  let tests =
-    List.init 63 (fun _ ->
-        Atpg.Pattern.random ~rng ~num_pis:(Netlist.num_pis c) ~frames:8
-          ~piers)
-  in
-  let models =
-    [ ("transition",
-       List.map Atpg.Transition.descriptor (Atpg.Transition.all c));
-      ("bridge",
-       List.map Atpg.Bridge.descriptor
-         (Atpg.Bridge.candidates ~rng ~count:252 c)) ]
-  in
-  List.map
-    (fun (model, faults) ->
-      let flags engine =
-        Atpg.Fsim.run_descriptors ~engine c ~observe ~faults tests
-      in
-      let e0 = Atpg.Fsim.packed_evals () in
-      let packed = flags Atpg.Fsim.Packed in
-      let evals = Atpg.Fsim.packed_evals () - e0 in
-      if packed <> flags Atpg.Fsim.Reference then begin
-        Printf.eprintf
-          "fsim smoke: packed and reference disagree on %s faults of %s \
-           (replay with --seed %d)\n"
-          model name !seed_ref;
-        exit 1
-      end;
-      Printf.printf "fsim smoke: %s, %d %s faults, %d detected, engines agree\n"
-        name (List.length faults) model
-        (Array.fold_left (fun n d -> if d then n + 1 else n) 0 packed);
-      (model, evals))
-    models
-
-(* The ALU's eval counts at the default seed.  Every engine's work is
-   deterministic, so a change to how the engines evaluate gates must
-   reproduce this line exactly; a change that moves it changes the work
-   done, and must say so and re-pin it. *)
-let fsim_smoke_alu_evals =
-  "packed 24322 (2 words) | reference 1155888 | transition 10629 | \
-   bridge 7393"
-
-(* CI gate: on the stand-alone ALU, the packed engine must agree bit for
-   bit with the reference oracle on stuck-at, transition and bridge
-   faults, every engine's eval count must equal its pin (at the default
-   seed), and the packed engine's eval reduction over the reference
-   must not fall below a conservative floor (a regression here means
-   the packing or dropping logic degraded). *)
-let bench_fsim_smoke () =
-  let ed = Design.Elaborate.elaborate (Arm.Rtl.design ()) ~top:"arm_alu" in
-  let c = (Synth.Lower.synthesize ed "arm_alu").Synth.Lower.circuit in
-  let (packed, words, reference) =
-    bench_fsim_on ~name:"arm_alu" c ~num_tests:126
-  in
-  let models = check_fault_models ~name:"arm_alu" c in
-  let got =
-    Printf.sprintf "packed %d (%d words) | reference %d | %s"
-      packed words reference
-      (String.concat " | "
-         (List.map (fun (m, e) -> Printf.sprintf "%s %d" m e) models))
-  in
-  Printf.printf "  %s\n" got;
-  if !seed_ref = default_seed && got <> fsim_smoke_alu_evals then begin
-    Printf.eprintf "fsim smoke: the arm_alu eval counts moved: expected %s\n"
-      fsim_smoke_alu_evals;
-    exit 1
-  end;
-  let speedup_evals = float_of_int reference /. float_of_int (max 1 packed) in
-  let floor = 6.0 in
-  if speedup_evals < floor then begin
-    Printf.eprintf
-      "fsim smoke: packed eval reduction %.2fx below the %.1fx floor \
-       (replay with --seed %d)\n"
-      speedup_evals floor !seed_ref;
-    exit 1
-  end;
-  Printf.printf "fsim smoke: arm_alu ok, %.1fx eval reduction vs reference\n"
-    speedup_evals
-
-(* ------------------------------------------------------------------ *)
-(* SAT engine benchmark.                                               *)
+(* SAT engine study.                                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* PODEM alone vs the hybrid engine (PODEM with SAT rescue of aborted
@@ -878,225 +713,6 @@ let bench_sat () =
         hybrid.Atpg.Gen.r_sat_stats.Sat.Solver.s_conflicts)
     (Lazy.force compositional)
 
-(* The sequential half of the SAT smoke: gcd unrolled to 3 frames,
-   once with its PIERs (every fault then closes at depth 1) and once
-   with none (X initial state: cubes need 2-3 frames and most faults
-   are untestable within 3).  PODEM deepens 1..3 frames on the same
-   PIERs; where it decides a fault (a test at some depth, or exhausted
-   at every depth) SAT must agree, and every SAT cube must detect under
-   the fault simulator.  One split is allowed: PODEM's 5-valued
-   calculus is pessimistic with frame-0 state at X, so a cube for a
-   fault PODEM exhausted stands once the simulator confirms it.
-   Returns the summary and the faults failing the check. *)
-let sat_smoke_gcd c ~piers =
-  let frames = 3 in
-  let observe = { Atpg.Fsim.ob_pos = true; ob_pier_ffs = piers } in
-  let faults = Atpg.Fault.collapse c (Atpg.Fault.all c) in
-  let cubes = ref 0 and untestable = ref 0 and gave_up = ref 0 in
-  let decided = ref 0 in
-  (* PODEM's verdict, deepening as Atpg.Gen does *)
-  let podem f =
-    let rec deepen d =
-      if d > frames then `Exhausted
-      else
-        let cfg =
-          { Atpg.Podem.frames = d; backtrack_limit = 1_000; piers; seed = 1 }
-        in
-        match Atpg.Podem.run c cfg f with
-        | Atpg.Podem.Detected _ -> `Detected
-        | Atpg.Podem.Exhausted -> deepen (d + 1)
-        | Atpg.Podem.Aborted -> `Undecided
-    in
-    let p = deepen 1 in
-    if p <> `Undecided then incr decided;
-    p
-  in
-  let bad =
-    List.filter
-      (fun f ->
-        let (verdict, _) =
-          Sat.Satgen.run c ~max_frames:frames ~piers ~net:f.Atpg.Fault.f_net
-            ~stuck:f.Atpg.Fault.f_stuck
-        in
-        match verdict with
-        | Sat.Satgen.Cube cube ->
-          incr cubes;
-          let t =
-            { Atpg.Pattern.p_vectors = cube.Sat.Satgen.tc_vectors;
-              p_loads = cube.Sat.Satgen.tc_loads }
-          in
-          not (Atpg.Fsim.run c ~observe ~faults:[ f ] [ t ]).(0)
-        | Sat.Satgen.Untestable _ ->
-          incr untestable;
-          podem f = `Detected
-        | Sat.Satgen.Gave_up ->
-          incr gave_up;
-          podem f <> `Undecided)
-      faults
-  in
-  ( Printf.sprintf
-      "%d PIERs: %d cubes, %d untestable (PODEM decides %d), %d gave up"
-      (List.length piers) !cubes !untestable !decided !gave_up,
-    List.map (Atpg.Fault.to_string c) bad )
-
-(* The ALU miters' summed search statistics.  The solver's search is
-   deterministic, so a change to how it stores clauses must reproduce
-   this line exactly; a change that moves it changes the search, and
-   must say so and re-pin it. *)
-let sat_smoke_alu_stats =
-  "conflicts 9920 | decisions 77038 | propagations 1350660 | restarts 7 | \
-   learned (total) 9787"
-
-(* Fast CI smoke: miter every collapsed fault of the stand-alone ALU and
-   require a cube for each (the ALU has no untestable faults) and the
-   pinned search statistics, plus one equivalence proof of an optimizer
-   rebuild and the sequential gcd agreement check above. *)
-let bench_sat_smoke () =
-  let ed = Design.Elaborate.elaborate (Arm.Rtl.design ()) ~top:"arm_alu" in
-  let c = (Synth.Lower.synthesize ed "arm_alu").Synth.Lower.circuit in
-  let faults = Atpg.Fault.collapse c (Atpg.Fault.all c) in
-  let stats = ref Sat.Solver.zero_stats in
-  let cubes = ref 0 in
-  List.iter
-    (fun f ->
-      let (verdict, st) =
-        Sat.Satgen.run c ~net:f.Atpg.Fault.f_net ~stuck:f.Atpg.Fault.f_stuck
-      in
-      stats := Sat.Solver.add_stats !stats st;
-      match verdict with Sat.Satgen.Cube _ -> incr cubes | _ -> ())
-    faults;
-  Printf.printf "sat smoke: %d/%d arm_alu faults closed with a cube\n" !cubes
-    (List.length faults);
-  let got = Sat.Solver.stats_to_string !stats in
-  Printf.printf "  %s\n" got;
-  if !cubes <> List.length faults then begin
-    prerr_endline "sat smoke: some faults missed a cube";
-    exit 1
-  end;
-  if got <> sat_smoke_alu_stats then begin
-    Printf.eprintf "sat smoke: the arm_alu search moved: expected %s\n"
-      sat_smoke_alu_stats;
-    exit 1
-  end;
-  (match Synth.Opt.equivalent_exact c (Synth.Opt.rebuild c) with
-   | Synth.Opt.Equal -> print_endline "  rebuild proven equivalent"
-   | Synth.Opt.Differ n ->
-     Printf.eprintf "sat smoke: rebuild differs on %s\n" n;
-     exit 1);
-  let e = Circuits.Collection.gcd in
-  let gcd =
-    Gen_rtl.Gen.circuit_of
-      (Verilog.Parser.parse_design e.Circuits.Collection.e_source)
-      ~top:e.Circuits.Collection.e_top
-  in
-  let (with_piers, bad) =
-    sat_smoke_gcd gcd ~piers:(Factor.Pier.identify gcd)
-  in
-  let (without, bad') = sat_smoke_gcd gcd ~piers:[] in
-  let bad = bad @ bad' in
-  Printf.printf "sat smoke: gcd at 3 frames, %s; %s; %d failed\n" with_piers
-    without (List.length bad);
-  if bad <> [] then begin
-    Printf.eprintf "sat smoke: gcd faults failing the check: %s\n"
-      (String.concat ", " bad);
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Parallel engine benchmark.                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Everything in an ATPG row except timings: the fields a parallel run
-   must reproduce bit for bit. *)
-let atpg_row_key (a : Flow.atpg_row) =
-  let r = a.Flow.ar_result in
-  (a.Flow.ar_name, a.Flow.ar_faults, r.Atpg.Gen.r_vectors,
-   a.Flow.ar_coverage, a.Flow.ar_effectiveness,
-   r.Atpg.Gen.r_detected, r.Atpg.Gen.r_untestable, r.Atpg.Gen.r_aborted,
-   (r.Atpg.Gen.r_sat_detected, r.Atpg.Gen.r_sat_untestable,
-    r.Atpg.Gen.r_tests, r.Atpg.Gen.r_outcomes))
-
-(* Serial vs parallel on the two workloads the engine accelerates — the
-   MUT-parallel Table 6 flow and the fault-sharded simulator on the full
-   ARM.  The parallel results must be identical to the serial ones
-   (timings aside); walls, speedups and pool telemetry are printed.
-   Budgets are effectively infinite so scheduling can
-   never make a per-fault budget bind differently across job counts. *)
-let bench_par () =
-  let jobs = max 1 !jobs_ref in
-  let cfg =
-    { hybrid_cfg with Atpg.Gen.g_fault_budget = 1e9; g_total_budget = 1e9 }
-  in
-  (* regfile_struct needs ~5 CPU-minutes per pass even serially; with the
-     uncapped budgets this target requires, running it twice would dominate
-     the benchmark, so it is excluded here (the determinism suites in
-     test/test_engine.ml still cover ATPG parallelism, stand-alone
-     arm_alu included; this target measures the flow on the remaining
-     MUTs). *)
-  let rows =
-    List.filter
-      (fun tr -> tr.Flow.tr_name <> "regfile_struct")
-      (List.map snd (Lazy.force compositional))
-  in
-  print_endline
-    "par bench: regfile_struct excluded from the flow comparison (uncapped \
-     budgets make its double run dominate; see bench/main.ml)";
-  let (serial_rows, flow_serial) =
-    timed (fun () -> List.map (fun tr -> Flow.transformed_atpg tr cfg) rows)
-  in
-  Engine.Pool.set_jobs jobs;
-  let (par_rows, flow_par) =
-    timed (fun () ->
-        Flow.completed_rows (Flow.transformed_atpg_all ~jobs rows cfg))
-  in
-  if List.exists2 (fun a b -> atpg_row_key a <> atpg_row_key b)
-       serial_rows par_rows
-  then begin
-    prerr_endline "bench par: MUT-parallel flow differs from the serial flow";
-    exit 1
-  end;
-  (* fault-sharded simulation of random tests on the full ARM *)
-  let c = Lazy.force full in
-  let faults = Atpg.Fault.collapse c (Atpg.Fault.all c) in
-  let rng = Random.State.make [| !seed_ref |] in
-  let tests =
-    List.init 8 (fun _ ->
-        Atpg.Pattern.random ~rng ~num_pis:(Netlist.num_pis c) ~frames:4
-          ~piers:[])
-  in
-  let observe = Atpg.Fsim.default_observe in
-  let (serial_flags, fsim_serial) =
-    timed (fun () -> Atpg.Fsim.run c ~observe ~faults tests)
-  in
-  let (par_flags, fsim_par) =
-    timed (fun () -> Atpg.Fsim.run ~jobs c ~observe ~faults tests)
-  in
-  if serial_flags <> par_flags then begin
-    Printf.eprintf
-      "bench par: sharded fsim differs from serial (replay with --seed %d)\n"
-      !seed_ref;
-    exit 1
-  end;
-  let st = Engine.Pool.stats (Engine.Pool.global ()) in
-  let ratio a b = if b = 0.0 then 0.0 else a /. b in
-  let utilization =
-    if st.Engine.Pool.ps_wall = 0.0 then 0.0
-    else
-      st.Engine.Pool.ps_run_time
-      /. (float_of_int st.Engine.Pool.ps_jobs *. st.Engine.Pool.ps_wall)
-  in
-  Printf.printf "par bench: %d jobs (seed %d), results identical to serial\n"
-    jobs !seed_ref;
-  Printf.printf "  table-6 flow: %.3f s serial, %.3f s parallel (%.2fx)\n"
-    flow_serial flow_par (ratio flow_serial flow_par);
-  Printf.printf "  fsim (%d faults, 8 tests): %.3f s serial, %.3f s sharded (%.2fx)\n"
-    (List.length faults) fsim_serial fsim_par (ratio fsim_serial fsim_par);
-  Printf.printf
-    "  pool: %d tasks, %.3f s queued, %.3f s running, %.0f%% utilization\n"
-    st.Engine.Pool.ps_tasks
-    st.Engine.Pool.ps_queue_wait st.Engine.Pool.ps_run_time
-    (100.0 *. utilization)
-
 (* ------------------------------------------------------------------ *)
 (* Driver.                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -1106,26 +722,16 @@ let () =
   let trace_ref = ref None and metrics_ref = ref None in
   let rec parse = function
     | [] -> ()
-    | ("-j" | "--jobs") :: v :: rest ->
-      (match int_of_string_opt v with
-       | Some n when n >= 1 -> jobs_ref := n
-       | _ ->
-         Printf.eprintf "bad job count %S\n" v;
-         exit 1);
-      parse rest
-    | "--seed" :: v :: rest ->
-      (match int_of_string_opt v with
-       | Some s -> seed_ref := s
-       | None ->
-         Printf.eprintf "bad seed %S\n" v;
-         exit 1);
-      parse rest
     | "--trace" :: v :: rest ->
       trace_ref := Some v;
       parse rest
     | "--metrics" :: v :: rest ->
       metrics_ref := Some v;
       parse rest
+    | opt :: _ when String.starts_with ~prefix:"-" opt ->
+      Printf.eprintf "unknown option %S (expected --trace FILE, --metrics FILE)\n"
+        opt;
+      exit 1
     | t :: rest ->
       target := t;
       parse rest
@@ -1169,11 +775,7 @@ let () =
     | "scan" -> scan_vs_functional ()
     | "bridging" -> bridging ()
     | "ablations" -> ablations ()
-    | "fsim" -> bench_fsim ()
-    | "fsim_smoke" -> bench_fsim_smoke ()
     | "sat" -> bench_sat ()
-    | "sat_smoke" -> bench_sat_smoke ()
-    | "par" -> bench_par ()
     | "all" ->
       table1 ();
       table2 ();
@@ -1186,7 +788,7 @@ let () =
       generality ()
     | other ->
       Printf.eprintf
-        "unknown target %S (expected table1..table6, testability, translate, generality, variance, scan, bridging, ablations, fsim, fsim_smoke, sat, sat_smoke, par, all)\n"
+        "unknown target %S (expected table1..table6, testability, translate, generality, variance, scan, bridging, ablations, sat, all)\n"
         other;
       exit 1
   in

@@ -8,7 +8,6 @@
     - [synth]    synthesize a design to gates and print statistics
     - [extract]  FACTOR-ise a design around one module under test
     - [atpg]     generate tests for a design (or a module inside it)
-    - [sat]      miter every fault with the SAT engine, print solver stats
     - [analyze]  testability report (empty chains, hard-coded inputs)
     - [grade]    fault-simulate a vector file against a design
     - [demo]     run the whole flow on the bundled ARM benchmark
@@ -267,7 +266,7 @@ let design_params path top =
    else [ ("source", str (read_file path)) ])
   @ opt_param "top" str top
 
-(* parse, synth, analyze and sat resolve the design as a request would,
+(* parse, synth and analyze resolve the design as a request would,
    then run their own pipelines on it *)
 let load_design path top =
   let (source, top) = Serve.Ops.design_source (J.Obj (design_params path top)) in
@@ -432,54 +431,6 @@ let atpg_cmd =
     Term.(const run $ obs_term $ design_arg $ top_arg $ mut_opt
           $ gen_budget_arg $ fault_budget $ frames_arg $ piers_arg
           $ engine_arg $ jobs_arg $ output_arg $ progress_arg)
-
-(* ------------------------------ sat ------------------------------- *)
-
-let sat_cmd =
-  let conflicts =
-    let doc = "Conflict limit per fault and unrolling depth." in
-    Arg.(value & opt int 20_000 & info [ "conflicts" ] ~doc)
-  in
-  let run () path top mut frames conflicts =
-    handle_errors (fun () ->
-        Obs.Span.with_ "cli.sat" @@ fun () ->
-        let (design, top) = load_design path top in
-        let ed = Design.Elaborate.elaborate design ~top in
-        (* an unknown --mut is an extract error, not an empty fault list *)
-        Option.iter
-          (fun m ->
-            ignore (Design.Hierarchy.find_path (Design.Hierarchy.build ed) m))
-          mut;
-        let c = (Synth.Lower.synthesize ed top).Synth.Lower.circuit in
-        let faults = Atpg.Fault.collapse c (Atpg.Fault.all ?within:mut c) in
-        let t0 = Engine.Clock.now () in
-        let stats = ref Sat.Solver.zero_stats in
-        let cubes = ref 0 and untestable = ref 0 and gave_up = ref 0 in
-        List.iter
-          (fun f ->
-            let (verdict, st) =
-              Sat.Satgen.run c ~max_frames:frames ~conflict_limit:conflicts
-                ~net:f.Atpg.Fault.f_net ~stuck:f.Atpg.Fault.f_stuck
-            in
-            stats := Sat.Solver.add_stats !stats st;
-            match verdict with
-            | Sat.Satgen.Cube _ -> incr cubes
-            | Sat.Satgen.Untestable _ -> incr untestable
-            | Sat.Satgen.Gave_up -> incr gave_up)
-          faults;
-        Printf.printf
-          "faults %d | cubes %d | proven untestable %d | gave up %d | %.2f s\n"
-          (List.length faults) !cubes !untestable !gave_up
-          (Engine.Clock.now () -. t0);
-        Printf.printf "%s\n" (Sat.Solver.stats_to_string !stats))
-  in
-  let doc =
-    "SAT-engine smoke test: miter every collapsed fault and print solver \
-     statistics."
-  in
-  Cmd.v (Cmd.info "sat" ~doc)
-    Term.(const run $ obs_term $ design_arg $ top_arg $ mut_opt $ frames_arg
-          $ conflicts)
 
 (* ----------------------------- analyze ---------------------------- *)
 
@@ -1148,5 +1099,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ parse_cmd; synth_cmd; extract_cmd; atpg_cmd; sat_cmd; grade_cmd;
+          [ parse_cmd; synth_cmd; extract_cmd; atpg_cmd; grade_cmd;
             analyze_cmd; demo_cmd; fuzz_cmd; serve_cmd; client_cmd ]))

@@ -146,6 +146,9 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
   let n = List.length faults in
   let fault_arr = Array.of_list faults in
   let outcome = Array.make n None in
+  (* faults the last rung of the ladder gave up on under a live run
+     token: the only aborts that stand *)
+  let hard = Array.make n false in
   let tests = ref [] in
   let count pred =
     Array.fold_left (fun k o -> if pred o then k + 1 else k) 0 outcome
@@ -350,7 +353,9 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
   let sat_stats = ref Sat.Solver.zero_stats in
   (* The first stage targets every fault the random phase left open; a
      later one (a rescue) the faults its predecessors gave up on. *)
-  let run_stage ~rescue st =
+  let last_stage = List.length ladder - 1 in
+  let run_stage k st =
+    let rescue = k > 0 in
     let target o = if rescue then o = Some Aborted_fault else o = None in
     let targets = count target in
     Obs.Log.event Obs.Log.Info "atpg.phase"
@@ -387,7 +392,10 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
          ignore (grade (fun o -> o = None || target o) [ test ] : int);
          outcome.(i) <- Some Detected
        | Proven -> outcome.(i) <- Some Untestable
-       | Gave_up -> outcome.(i) <- Some Aborted_fault);
+       | Gave_up ->
+         (* an earlier rung's give-up passes the fault on to the next *)
+         outcome.(i) <- Some Aborted_fault;
+         hard.(i) <- k = last_stage && not (dead ()));
       Option.iter
         (fun stats ->
           sat_time := !sat_time +. dt;
@@ -411,15 +419,17 @@ let run ?(budget = Engine.Budget.none) c cfg faults =
         sweep ~eligible:(fun i -> target outcome.(i)) ~generate ~apply);
     Obs.Progress.finish prog
   in
-  List.iteri (fun k st -> run_stage ~rescue:(k > 0) st) ladder;
-  (* a fault left unresolved by an expired total budget is neither hard
-     (aborted) nor easy — it simply never got its turn; count it apart
-     so coverage reports can tell "hard fault" from "ran out of time" *)
-  let skipped_mark =
-    if Engine.Budget.poll run_tok then Budget_skipped else Aborted_fault
-  in
+  List.iteri run_stage ladder;
+  (* a fault the run deadline left undecided — never attempted, cut
+     short mid-search, or given up by a rung whose rescue never came —
+     is neither hard (aborted) nor easy; count it apart so coverage
+     reports can tell "hard fault" from "ran out of time" *)
   Array.iteri
-    (fun i o -> if o = None then outcome.(i) <- Some skipped_mark)
+    (fun i o ->
+      match o with
+      | (None | Some Aborted_fault) when not hard.(i) ->
+        outcome.(i) <- Some Budget_skipped
+      | _ -> ())
     outcome;
   let detected = count (( = ) (Some Detected)) in
   let untestable = count (( = ) (Some Untestable)) in

@@ -58,15 +58,20 @@ val default_config : config
 type outcome =
   | Detected
   | Untestable
-  | Aborted_fault    (** the engines gave up on a hard fault *)
-  | Budget_skipped   (** never attempted: the total budget expired *)
+  | Aborted_fault
+  (** the last stage of the ladder gave up on a hard fault while the
+      run budget was alive *)
+  | Budget_skipped
+  (** left undecided by the run deadline: never attempted, cut short
+      mid-search, or given up by an earlier stage whose rescue the
+      deadline never reached *)
 
 type result = {
   r_total : int;
   r_detected : int;
   r_untestable : int;
   r_aborted : int;          (** hard faults the engines gave up on *)
-  r_budget_skipped : int;   (** faults skipped by total-budget expiry *)
+  r_budget_skipped : int;   (** faults the run deadline left undecided *)
   r_coverage : float;       (** percent detected *)
   r_effectiveness : float;  (** percent detected or proven untestable *)
   r_tests : Pattern.test list;
@@ -87,8 +92,8 @@ type result = {
     deadline.  Every phase loop, pool task, fault simulation and SAT
     solve watches that token or a per-fault child of it, so expiry of
     either deadline stops in-flight work cooperatively and returns
-    partial results; faults never attempted are reported as
-    [Budget_skipped].
+    partial results; every fault the run deadline left undecided is
+    reported as [Budget_skipped], never as [Aborted_fault].
     @raise Invalid_argument when [g_max_frames < 1]: no frame would be
     searched, and nothing can be proven. *)
 val run :

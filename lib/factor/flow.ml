@@ -229,7 +229,7 @@ let outcome name status row =
 (** Run one MUT under a child budget, converting every failure mode into
     a row-local status: an exception (including an injected chaos fault)
     becomes [Mut_failed], a budget that expired before every fault was
-    attempted becomes [Mut_degraded] with whatever partial coverage was
+    decided becomes [Mut_degraded] with whatever partial coverage was
     reached, and a parent budget already dead before the row starts
     becomes [Mut_skipped].  Never raises — sibling rows are
     unaffected. *)

@@ -104,10 +104,11 @@ val transformed_atpg :
 type mut_status =
   | Mut_ok                    (** full generation, no truncation *)
   | Mut_degraded of string
-  (** the budget expired before every fault was attempted: partial
+  (** the budget expired before every fault was decided: partial
       coverage, and the text reads [budget expired: <n> fault(s)
       skipped] with [<n>] the row's [r_budget_skipped].  Faults a
-      budget cut short mid-search stay [aborted] in a [Mut_ok] row. *)
+      budget cut short mid-search count as skipped, so a row the
+      deadline stopped in its SAT rescue is degraded too. *)
   | Mut_failed of string      (** the row crashed; message captured *)
   | Mut_skipped of string     (** run budget died before the row started *)
 

@@ -77,12 +77,13 @@ let synthesize design ~top ~mut_path =
     tf_warnings = warnings;
     tf_validation = None }
 
-(** [validate tf] proves the synthesis of the transformed module sound:
-    an optimizer rebuild of [tf_circuit] must be exactly equivalent by
-    SAT (matched-register check — the rebuild preserves register
-    names).  The verdict lands in [tf_validation]; a difference is
-    also appended to [tf_warnings] so flows that only surface warnings
-    cannot miss it. *)
+(** [validate tf] proves [Opt.rebuild tf_circuit] exactly equivalent
+    to [tf_circuit] by SAT (matched-register check — the rebuild
+    preserves register names), then discards the rebuild.  It checks
+    the netlist builder's simplification rules, re-applied to the
+    finished module; it does not check extraction or synthesis.  The
+    verdict lands in [tf_validation]; a difference is also appended to
+    [tf_warnings] so flows that only surface warnings cannot miss it. *)
 let validate tf =
   Obs.Span.with_ "transform.validate" @@ fun () ->
   let rebuilt = Synth.Opt.rebuild tf.tf_circuit in

@@ -207,6 +207,75 @@ let pinned_packed_work () =
          "d6a3ea9ce799253fbdd4af4a62d548ce evals=50083";
          "3e3d3b5f1e2453ea2ea3509bedce1bb4 evals=17319" ]) ]
 
+(* The stand-alone ALU graded by both engines: 126 random 24-cycle PIER
+   tests at seed 42 against the collapsed stuck-at list, then 63 8-cycle
+   tests and 252 random bridges, drawn from a fresh generator at seed
+   42, against the transition universe and the bridges.  Packed flags must equal the reference oracle's
+   for every model, and every engine's eval count must reproduce the
+   pin line exactly: every engine's work is deterministic, so a change
+   that moves the line changes the work done, and must say so and
+   re-pin it.  This is the one pin of the reference engine's work; the
+   line fixes the packed engine's eval reduction at 47.5x. *)
+let alu_engine_evals =
+  "packed 24322 (2 words) | reference 1155888 | transition 10629 | \
+   bridge 7393"
+
+let alu_engines_agree_pinned () =
+  let c = flat_circuit (Arm.Rtl.design ()) "arm_alu" in
+  let piers = Factor.Pier.identify c in
+  let observe = { Atpg.Fsim.ob_pos = true; ob_pier_ffs = piers } in
+  let random_tests rng ~count ~frames =
+    List.init count (fun _ ->
+        Atpg.Pattern.random ~rng ~num_pis:(N.num_pis c) ~frames ~piers)
+  in
+  (* [f ()] and the growth of [counter] while it ran *)
+  let counting counter f =
+    let e0 = counter () in
+    let r = f () in
+    (r, counter () - e0)
+  in
+  let faults = F.collapse c (F.all c) in
+  let tests = random_tests (Random.State.make [| 42 |]) ~count:126 ~frames:24 in
+  let stuck kind = Atpg.Fsim.run ~engine:kind c ~observe ~faults tests in
+  let words0 = Atpg.Fsim.packed_words () in
+  let (packed, packed_evals) =
+    counting Atpg.Fsim.packed_evals (fun () -> stuck Atpg.Fsim.Packed)
+  in
+  let words = Atpg.Fsim.packed_words () - words0 in
+  let (reference, ref_evals) =
+    counting Atpg.Fsim.ref_evals (fun () -> stuck Atpg.Fsim.Reference)
+  in
+  check_bool "stuck-at: packed flags = reference flags" true
+    (packed = reference);
+  let rng = Random.State.make [| 42 |] in
+  let tests = random_tests rng ~count:63 ~frames:8 in
+  let models =
+    [ ("transition",
+       List.map Atpg.Transition.descriptor (Atpg.Transition.all c));
+      ("bridge",
+       List.map Atpg.Bridge.descriptor
+         (Atpg.Bridge.candidates ~rng ~count:252 c)) ]
+  in
+  let model_evals =
+    List.map
+      (fun (model, faults) ->
+        let run kind =
+          Atpg.Fsim.run_descriptors ~engine:kind c ~observe ~faults tests
+        in
+        let (packed, evals) =
+          counting Atpg.Fsim.packed_evals (fun () -> run Atpg.Fsim.Packed)
+        in
+        check_bool (model ^ ": packed flags = reference flags") true
+          (packed = run Atpg.Fsim.Reference);
+        Printf.sprintf "%s %d" model evals)
+      models
+  in
+  check_string "eval counts" alu_engine_evals
+    (String.concat " | "
+       (Printf.sprintf "packed %d (%d words)" packed_evals words
+        :: Printf.sprintf "reference %d" ref_evals
+        :: model_evals))
+
 (* Sweeps that stop at the first detecting primary output, on random
    RTL whose outputs sit at several levels (so a stop leaves deeper nets
    queued): over 64-130 ragged tests (two or three words) with PIER
@@ -407,7 +476,9 @@ let fsim_tests =
     qtest "random rtl: early-stopping sweeps match the oracle and the matrix"
       ~count:25 Fuzzgen.gen_arbitrary early_stop_matches;
     test "good planes are reused across words" planes_reused;
-    test "packed work pinned" pinned_packed_work ]
+    test "packed work pinned" pinned_packed_work;
+    test "alu: packed agrees with reference, eval counts pinned"
+      alu_engines_agree_pinned ]
 
 (* ------------------------------------------------------------------ *)
 (* PODEM.                                                              *)
@@ -737,6 +808,57 @@ let pinned_gen_runs =
             [ 1; 4 ]))
     pins
 
+(* A fault the run deadline leaves undecided is budget-skipped, whichever
+   stage the deadline stops.  gcd without PIERs, hybrid, no per-fault
+   budget: unbudgeted it ends with nothing aborted (377 detected, 191
+   untestable, in about 4 s), so under a binding run budget nothing may
+   read aborted either.  The Flow half makes the deadline land in the
+   SAT rescue: a multiplier MUT whose PODEM sweep aborts quickly on
+   almost every fault, and whose rescue takes far longer than the
+   budget.  That row must read degraded, not ok. *)
+let run_deadline_skips () =
+  let c = gcd_circuit () in
+  let faults = F.collapse c (F.all c) in
+  let r =
+    Atpg.Gen.run c
+      { Atpg.Gen.default_config with
+        g_fault_budget = infinity; g_total_budget = 0.5 }
+      faults
+  in
+  check_int "gcd: nothing aborted" 0 r.Atpg.Gen.r_aborted;
+  check_bool "gcd: some faults budget-skipped" true
+    (r.Atpg.Gen.r_budget_skipped > 0);
+  let env =
+    Factor.Compose.make_env
+      (parse
+         {|module mul (input [9:0] a, b, output y);
+             assign y = (a * b == 20'd1031);
+           endmodule
+           module top (input [9:0] a, b, output y);
+             mul u_mut (.a(a), .b(b), .y(y));
+           endmodule|})
+      ~top:"top"
+  in
+  let row =
+    Factor.Flow.transform env (Factor.Compose.create_session ())
+      Factor.Flow.Compositional
+      { Factor.Flow.ms_name = "mul"; ms_path = "u_mut" }
+      ~surrounding_before:0
+  in
+  let cfg =
+    { Atpg.Gen.default_config with
+      g_max_frames = 1; g_backtrack_limit = 1; g_restarts = 1;
+      g_fault_budget = infinity; g_total_budget = 1.0 }
+  in
+  match Factor.Flow.transformed_atpg_all ~jobs:1 [ row ] cfg with
+  | [ { Factor.Flow.mo_status = Factor.Flow.Mut_degraded why;
+        mo_row = Some a; _ } ] ->
+    check_string "the row names its skipped faults"
+      (Printf.sprintf "budget expired: %d fault(s) skipped"
+         a.Factor.Flow.ar_result.Atpg.Gen.r_budget_skipped)
+      why
+  | _ -> Alcotest.fail "a row the deadline cut short must read degraded"
+
 let gen_tests =
   [ test "full coverage on c17" (fun () ->
         let c = circuit c17 in
@@ -816,6 +938,8 @@ let gen_tests =
           | _ -> Alcotest.fail "a run with no frame answered"
           | exception Invalid_argument _ -> ()) ]
   @ pinned_gen_runs
+  @ [ test "a run deadline skips faults, never aborts them"
+        run_deadline_skips ]
 
 (* ------------------------------------------------------------------ *)
 (* Compaction.                                                          *)

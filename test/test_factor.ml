@@ -513,7 +513,8 @@ let errors_tests =
 (* The timing-free columns of Tables 2/3 for the four ARM MUTs in both
    modes, as [Flow.transform] builds them (one constraint-cache session
    per mode, MUTs in table order): surrounding gates, PI/PO bits, cache
-   hits, stand-alone faults and the SAT self-check verdict. *)
+   hits, stand-alone faults and the [Transform.validate] verdict: the
+   SAT proof that an optimizer rebuild of the module equals it. *)
 let row_text (tr : Factor.Flow.transform_row) =
   let tf = tr.Factor.Flow.tr_transformed in
   Printf.sprintf "%s: surrounding %d, pi %d, po %d, hits %d, faults %d, %s"

@@ -327,37 +327,55 @@ let cube_detects c fault cube =
    under the fault simulator.  A PODEM abort carries no verdict: the
    SAT answer then stands on its own — a cube is accepted only when the
    fault simulator confirms it.  With [strict], SAT may never give up
-   (so every fault ends with a verified classification). *)
+   (so every fault ends with a verified classification).  Returns the
+   agreement, the number of SAT cubes and the summed SAT statistics. *)
 let engines_agree ?(strict = false) ~backtrack_limit c =
   let faults = Atpg.Fault.collapse c (Atpg.Fault.all c) in
-  List.for_all
-    (fun f ->
+  List.fold_left
+    (fun (ok, cubes, stats) f ->
       let pcfg =
         { Atpg.Podem.frames = 1; backtrack_limit; piers = []; seed = 1 }
       in
       let p = Atpg.Podem.run c pcfg f in
-      let (s, _) =
+      let (s, st) =
         Sat.Satgen.run c ~net:f.Atpg.Fault.f_net ~stuck:f.Atpg.Fault.f_stuck
       in
-      match (p, s) with
-      | (Atpg.Podem.Detected _, Sat.Satgen.Cube cube) -> cube_detects c f cube
-      | (Atpg.Podem.Exhausted, Sat.Satgen.Untestable _) -> true
-      | (Atpg.Podem.Aborted, Sat.Satgen.Cube cube) -> cube_detects c f cube
-      | (Atpg.Podem.Aborted, Sat.Satgen.Untestable _) -> true
-      | (_, Sat.Satgen.Gave_up) -> not strict
-      | _ -> false)
-    faults
+      let agree =
+        match (p, s) with
+        | (Atpg.Podem.Detected _, Sat.Satgen.Cube cube) ->
+          cube_detects c f cube
+        | (Atpg.Podem.Exhausted, Sat.Satgen.Untestable _) -> true
+        | (Atpg.Podem.Aborted, Sat.Satgen.Cube cube) -> cube_detects c f cube
+        | (Atpg.Podem.Aborted, Sat.Satgen.Untestable _) -> true
+        | (_, Sat.Satgen.Gave_up) -> not strict
+        | _ -> false
+      in
+      ( ok && agree,
+        (match s with Sat.Satgen.Cube _ -> cubes + 1 | _ -> cubes),
+        Sat.Solver.add_stats stats st ))
+    (true, 0, Sat.Solver.zero_stats) faults
 
 let podem_vs_satgen gm =
   let (_, c) = Fuzzgen.build gm in
-  Netlist.num_ffs c = 0 && engines_agree ~backtrack_limit:20_000 c
+  Netlist.num_ffs c = 0
+  &&
+  let (ok, _, _) = engines_agree ~backtrack_limit:20_000 c in
+  ok
 
 (* The acceptance-criterion circuit: the ARM ALU standalone is purely
    combinational; whenever PODEM reaches a verdict SAT must match it,
    every SAT cube must detect under Fsim, and SAT may never give up
    (one ALU fault is in fact PODEM-intractable — seen aborted at a
    2M backtrack limit — and only SAT closes it, with a cube the fault
-   simulator confirms). *)
+   simulator confirms).  The ALU has no untestable fault, so every
+   fault closes with a cube.  The miters' summed search statistics are
+   pinned: the solver's search is deterministic, so a change to how it
+   stores clauses must reproduce this line exactly; a change that moves
+   it changes the search, and must say so and re-pin it. *)
+let arm_alu_search_stats =
+  "conflicts 9920 | decisions 77038 | propagations 1350660 | restarts 7 | \
+   learned (total) 9787"
+
 let arm_alu_agreement () =
   let ed = Design.Elaborate.elaborate (Arm.Rtl.design ()) ~top:"arm_alu" in
   let c =
@@ -365,9 +383,72 @@ let arm_alu_agreement () =
       .Synth.Lower.circuit
   in
   Alcotest.(check int) "combinational" 0 (Netlist.num_ffs c);
+  let (ok, cubes, stats) =
+    engines_agree ~strict:true ~backtrack_limit:20_000 c
+  in
   Alcotest.(check bool) "podem and satgen agree on every collapsed fault"
-    true
-    (engines_agree ~strict:true ~backtrack_limit:20_000 c)
+    true ok;
+  Alcotest.(check int) "every fault closes with a cube"
+    (List.length (Atpg.Fault.collapse c (Atpg.Fault.all c)))
+    cubes;
+  Alcotest.(check string) "summed search statistics" arm_alu_search_stats
+    (Sat.Solver.stats_to_string stats)
+
+(* gcd unrolled to 3 frames, once with its PIERs (every fault then
+   closes at depth 1) and once with none (X initial state: cubes need
+   2-3 frames and most faults are untestable within 3).  PODEM deepens
+   1..3 frames on the same PIERs; where it decides a fault (a test at
+   some depth, or exhausted at every depth) SAT must agree, and every
+   SAT cube must detect under the fault simulator.  One split is
+   allowed: PODEM's 5-valued calculus is pessimistic with frame-0 state
+   at X, so a cube for a fault PODEM exhausted stands once the
+   simulator confirms it. *)
+let gcd_agreement () =
+  let e = Circuits.Collection.gcd in
+  let c =
+    Gen_rtl.Gen.circuit_of
+      (Verilog.Parser.parse_design e.Circuits.Collection.e_source)
+      ~top:e.Circuits.Collection.e_top
+  in
+  let frames = 3 in
+  let faults = Atpg.Fault.collapse c (Atpg.Fault.all c) in
+  let failing piers =
+    let observe = { Atpg.Fsim.ob_pos = true; ob_pier_ffs = piers } in
+    (* PODEM's verdict, deepening as Atpg.Gen does *)
+    let rec podem f d =
+      if d > frames then `Exhausted
+      else
+        let cfg =
+          { Atpg.Podem.frames = d; backtrack_limit = 1_000; piers; seed = 1 }
+        in
+        match Atpg.Podem.run c cfg f with
+        | Atpg.Podem.Detected _ -> `Detected
+        | Atpg.Podem.Exhausted -> podem f (d + 1)
+        | Atpg.Podem.Aborted -> `Undecided
+    in
+    List.filter_map
+      (fun f ->
+        let fails =
+          match
+            fst
+              (Sat.Satgen.run c ~max_frames:frames ~piers
+                 ~net:f.Atpg.Fault.f_net ~stuck:f.Atpg.Fault.f_stuck)
+          with
+          | Sat.Satgen.Cube cube ->
+            not
+              (Atpg.Fsim.run c ~observe ~faults:[ f ] [ cube_to_test cube ])
+                .(0)
+          | Sat.Satgen.Untestable _ -> podem f 1 = `Detected
+          | Sat.Satgen.Gave_up -> podem f 1 <> `Undecided
+        in
+        if fails then Some (Atpg.Fault.to_string c f) else None)
+      faults
+  in
+  List.iter
+    (fun (what, piers) ->
+      Alcotest.(check (list string)) (what ^ ": faults failing the check") []
+        (failing piers))
+    [ ("with its PIERs", Factor.Pier.identify c); ("without PIERs", []) ]
 
 (* ------------------------------------------------------------------ *)
 (* Multi-frame Satgen vs an exhaustive oracle                          *)
@@ -615,6 +696,8 @@ let () =
           test "one sat.depth debug event per depth" satgen_depth_events;
           test "incremental unrolling: search pinned"
             satgen_incremental_pinned;
+          test "gcd at 3 frames: engines agree, every cube detects"
+            gcd_agreement;
         ] );
       ( "ec",
         [
