@@ -7,10 +7,11 @@
     prints to stdout; [--metrics FILE] dumps the process's counters and
     [--trace FILE] a Chrome trace.
 
-    Usage: [bench/main.exe [table1|table2|table3|table4|table5|table6|
-                            testability|translate|generality|variance|
-                            scan|bridging|ablations|sat|all]
-                           [--trace FILE] [--metrics FILE]]. *)
+    Usage: [bench/main.exe [TARGET...] [--trace FILE] [--metrics FILE]],
+    each TARGET one of [table1|table2|table3|table4|table5|table6|
+    testability|translate|generality|variance|scan|bridging|ablations|
+    sat|all] (default [all]).  The named targets run in the order given;
+    an unknown one exits 1 before any target runs. *)
 
 module Flow = Factor.Flow
 module T = Report.Table
@@ -718,7 +719,7 @@ let bench_sat () =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  let target = ref "all" in
+  let targets = ref [] in
   let trace_ref = ref None and metrics_ref = ref None in
   let rec parse = function
     | [] -> ()
@@ -733,7 +734,7 @@ let () =
         opt;
       exit 1
     | t :: rest ->
-      target := t;
+      targets := t :: !targets;
       parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
@@ -760,36 +761,37 @@ let () =
             close_out oc;
             Printf.eprintf "metrics written to %s\n" f)
       | None -> ());
-  let target = !target in
-  let run = function
-    | "table1" -> table1 ()
-    | "table2" -> table2 ()
-    | "table3" -> table3 ()
-    | "table4" -> table4 ()
-    | "table5" -> table5 ()
-    | "table6" -> table6 ()
-    | "testability" -> testability ()
-    | "translate" -> translate ()
-    | "generality" -> generality ()
-    | "variance" -> variance ()
-    | "scan" -> scan_vs_functional ()
-    | "bridging" -> bridging ()
-    | "ablations" -> ablations ()
-    | "sat" -> bench_sat ()
+  let target = function
+    | "table1" -> table1
+    | "table2" -> table2
+    | "table3" -> table3
+    | "table4" -> table4
+    | "table5" -> table5
+    | "table6" -> table6
+    | "testability" -> testability
+    | "translate" -> translate
+    | "generality" -> generality
+    | "variance" -> variance
+    | "scan" -> scan_vs_functional
+    | "bridging" -> bridging
+    | "ablations" -> ablations
+    | "sat" -> bench_sat
     | "all" ->
-      table1 ();
-      table2 ();
-      table3 ();
-      table4 ();
-      table5 ();
-      table6 ();
-      testability ();
-      translate ();
-      generality ()
+      fun () ->
+        table1 ();
+        table2 ();
+        table3 ();
+        table4 ();
+        table5 ();
+        table6 ();
+        testability ();
+        translate ();
+        generality ()
     | other ->
       Printf.eprintf
-        "unknown target %S (expected table1..table6, testability, translate, generality, variance, scan, bridging, ablations, sat, all)\n"
+        "unknown target %S (expected one or more of table1..table6, testability, translate, generality, variance, scan, bridging, ablations, sat, all)\n"
         other;
       exit 1
   in
-  run target
+  let targets = match List.rev !targets with [] -> [ "all" ] | ts -> ts in
+  List.iter (fun run -> run ()) (List.map target targets)

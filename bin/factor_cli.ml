@@ -630,8 +630,7 @@ let fuzz_cmd =
         if progress then install_console_progress ();
         let jobs = apply_jobs jobs in
         let cfg =
-          { Gen_rtl.Diff.default_config with
-            dc_checks = parse_checks checks;
+          { Gen_rtl.Diff.dc_checks = parse_checks checks;
             dc_max_faults = max_faults;
             dc_fsim_tests = fsim_tests;
             dc_seed_budget = seed_budget;

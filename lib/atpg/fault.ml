@@ -30,12 +30,7 @@ let sites ?within c =
     && (match c.N.drv.(net) with N.C0 | N.C1 -> false | _ -> true)
     && (match within with
         | None -> true
-        | Some prefix ->
-          let o = c.N.origin.(net) in
-          String.equal o prefix
-          || (String.length o > String.length prefix
-              && String.sub o 0 (String.length prefix) = prefix
-              && (prefix = "" || o.[String.length prefix] = '.')))
+        | Some prefix -> N.under_prefix prefix c.N.origin.(net))
   in
   List.filter keep (List.init (N.num_nets c) Fun.id)
 

@@ -132,40 +132,6 @@ let compute_costs c cfg order pier_set =
   done;
   (c0, c1)
 
-(* Distance to the nearest observation point, allowing propagation
-   through flip-flops (one frame per hop). *)
-let compute_dist c order pier_set =
-  let nets = N.num_nets c in
-  let inf = max_int / 2 in
-  let dist = Array.make nets inf in
-  Array.iter (fun po -> dist.(po) <- 0) c.N.pos;
-  Array.iteri (fun i d -> if pier_set.(i) then dist.(d) <- 0) c.N.ff_d;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for k = Array.length order - 1 downto 0 do
-      let net = order.(k) in
-      let dn = dist.(net) in
-      if dn < inf then
-        List.iter
-          (fun fanin ->
-            if dist.(fanin) > dn + 1 then begin
-              dist.(fanin) <- dn + 1;
-              changed := true
-            end)
-          (N.fanins c.N.drv.(net))
-    done;
-    Array.iteri
-      (fun i q ->
-        let d = c.N.ff_d.(i) in
-        if dist.(q) < inf && dist.(d) > dist.(q) + 1 then begin
-          dist.(d) <- dist.(q) + 1;
-          changed := true
-        end)
-      c.N.ff_q
-  done;
-  dist
-
 (* ------------------------------------------------------------------ *)
 (* Five-valued implication (good/faulty pair).                         *)
 (* ------------------------------------------------------------------ *)
@@ -537,7 +503,11 @@ let make_model c cfg fault =
     faulty = Array.make planes VX;
     controllable = compute_controllable c cfg order pier_set;
     cost0; cost1;
-    dist = compute_dist c order pier_set;
+    (* one step per gate and one frame per flip-flop crossed, from any
+       net to the nearest observation point *)
+    dist =
+      N.walk c N.Backward ~gate:1 ~reg:1
+        (Array.map (fun p -> p mod nets) observe);
     observe;
     fault;
     stuck = of_bool fault.Fault.f_stuck;

@@ -18,12 +18,6 @@ type t = {
   tf_validation : string option;   (** SAT equivalence verdict, once run *)
 }
 
-let under_prefix prefix origin =
-  String.equal origin prefix
-  || (String.length origin > String.length prefix
-      && String.sub origin 0 (String.length prefix) = prefix
-      && (prefix = "" || origin.[String.length prefix] = '.'))
-
 (** Gate-equivalent counts split into (inside MUT, outside MUT), counting
     only logic alive in the cone of the observable outputs. *)
 let split_gates c ~mut_path =
@@ -31,7 +25,7 @@ let split_gates c ~mut_path =
   let inside = ref 0 and outside = ref 0 in
   let bump net amount =
     if live.(net) then begin
-      let cell = if under_prefix mut_path c.N.origin.(net) then inside else outside in
+      let cell = if N.under_prefix mut_path c.N.origin.(net) then inside else outside in
       cell := !cell + amount
     end
   in

@@ -15,9 +15,6 @@ type t = {
   tf_validation : string option;   (** SAT equivalence verdict, once run *)
 }
 
-(** [under_prefix prefix origin] is instance-path prefix containment. *)
-val under_prefix : string -> string -> bool
-
 (** Gate equivalents split into (inside MUT, outside MUT), counting only
     logic alive in the cone of the observable outputs. *)
 val split_gates : Netlist.t -> mut_path:string -> int * int

@@ -36,7 +36,6 @@ let check_name = function
 let bug_seam = "gen_rtl.seam:opt"
 
 type config = {
-  dc_gen : Gen.config;
   dc_checks : check list;
   dc_max_faults : int;
   dc_fsim_tests : int;
@@ -45,8 +44,7 @@ type config = {
 }
 
 let default_config =
-  { dc_gen = Gen.default_config;
-    dc_checks = all_checks;
+  { dc_checks = all_checks;
     dc_max_faults = 24;
     dc_fsim_tests = 16;
     dc_jobs = 4;
@@ -289,13 +287,8 @@ let check_fsim_engines cfg budget rng ast ~top =
 
 (* Instance paths of [d] below [top], dot-separated, leaves included. *)
 let instance_paths (d : Verilog.Ast.design) ~top =
-  let find name =
-    List.find_opt
-      (fun m -> String.equal m.Verilog.Ast.mod_name name)
-      d.Verilog.Ast.modules
-  in
   let rec walk prefix mname acc =
-    match find mname with
+    match Verilog.Ast.find_module_opt d mname with
     | None -> acc
     | Some m ->
       List.fold_left
@@ -484,7 +477,7 @@ let run_seed ?(budget = Engine.Budget.none) cfg seed =
     let b = Engine.Budget.sub ~deadline_in:cfg.dc_seed_budget budget in
     if Engine.Chaos.active () then
       Engine.Chaos.point ("gen_rtl.seed:" ^ string_of_int seed);
-    let d = Gen.generate ~config:cfg.dc_gen ~seed () in
+    let d = Gen.generate ~seed () in
     match check_design cfg ~budget:b ~seed d.Gen.d_ast ~top:d.Gen.d_top with
     | [] -> Seed_ok
     | fails ->

@@ -61,7 +61,6 @@ val check_name : check -> string
 val bug_seam : string
 
 type config = {
-  dc_gen : Gen.config;
   dc_checks : check list;
   dc_max_faults : int;   (** per-seed collapsed-fault cap for [Podem_sat] *)
   dc_fsim_tests : int;   (** random tests per seed for [Fsim_engines] *)

@@ -328,22 +328,14 @@ let composite rng ~name ~children =
 (* Whole designs.                                                      *)
 (* ------------------------------------------------------------------ *)
 
-type config = {
-  g_levels : int;
-  g_leaves : int;
-  g_widest : int;
-  g_children_lo : int;
-  g_children_hi : int;
-  g_sequential : bool;
-}
-
-let default_config =
-  { g_levels = 2;
-    g_leaves = 3;
-    g_widest = 2;
-    g_children_lo = 2;
-    g_children_hi = 3;
-    g_sequential = true }
+(* Hierarchy shape: [n_leaves] leaf modules (the first sequential, each
+   other one sequential by a coin flip), one level of [n_mids] composite
+   modules over them, then [top]; every composite instantiates
+   [children_lo] to [children_hi] modules of the level below. *)
+let n_leaves = 3
+let n_mids = 2
+let children_lo = 2
+let children_hi = 3
 
 type design = {
   d_seed : int;
@@ -353,37 +345,28 @@ type design = {
   d_muts : string list;
 }
 
-let generate ?(config = default_config) ~seed () =
+let generate ~seed () =
   let rng = Random.State.make [| 0x9e2d; 0x6e52; seed |] in
   let leaves =
-    List.init (max 1 config.g_leaves) (fun i ->
-        let sequential =
-          config.g_sequential && (i = 0 || Random.State.bool rng)
-        in
+    List.init n_leaves (fun i ->
+        let sequential = i = 0 || Random.State.bool rng in
         leaf rng ~name:(Printf.sprintf "leaf%d" i) ~sequential)
   in
   let instances = Hashtbl.create 16 in
   let compose ~name prev =
-    let n = int_range rng config.g_children_lo config.g_children_hi in
+    let n = int_range rng children_lo children_hi in
     let children = List.init n (fun _ -> oneofl rng prev) in
     let (m, insts) = composite rng ~name ~children in
     Hashtbl.replace instances m.m_name insts;
     m
   in
-  let mids = ref [] in
-  let prev = ref leaves in
-  for l = 1 to max 1 config.g_levels - 1 do
-    let level =
-      List.init (max 1 config.g_widest) (fun i ->
-          compose ~name:(Printf.sprintf "mid%d_%d" l i) !prev)
-    in
-    mids := !mids @ level;
-    prev := level
-  done;
-  let top = compose ~name:"top" !prev in
+  let mids =
+    List.init n_mids (fun i ->
+        compose ~name:(Printf.sprintf "mid1_%d" i) leaves)
+  in
+  let top = compose ~name:"top" mids in
   let source =
-    String.concat "\n"
-      (List.map (fun m -> m.m_src) (leaves @ !mids @ [ top ]))
+    String.concat "\n" (List.map (fun m -> m.m_src) (leaves @ mids @ [ top ]))
   in
   let ast = Verilog.Parser.parse_design source in
   let rec paths prefix name acc =

@@ -3,10 +3,10 @@
     hierarchies with embedded MUT candidates, emitted in exactly the
     Verilog subset {!Verilog.Parser} accepts.
 
-    Everything is a pure function of the seed (and config): the same
-    seed always yields byte-identical source, so any failing design is
-    replayable from its seed alone — the [FACTOR_SEED] contract of the
-    test suites extended to whole hierarchies. *)
+    Everything is a pure function of the seed: the same seed always
+    yields byte-identical source, so any failing design is replayable
+    from its seed alone — the [FACTOR_SEED] contract of the test suites
+    extended to whole hierarchies. *)
 
 (** One generated module: its source text and interface.  [m_inputs]
     excludes the [clk] port, which every module carries (and ignores
@@ -25,21 +25,6 @@ type modu = {
     with case/casez, outputs observing a sample of everything. *)
 val leaf : Random.State.t -> name:string -> sequential:bool -> modu
 
-(** Hierarchy shape.  A design has [g_leaves] leaf modules, then
-    [g_levels - 1] intermediate levels of [g_widest] composite modules,
-    then one [top]; every composite instantiates [g_children_lo] to
-    [g_children_hi] modules of the level below. *)
-type config = {
-  g_levels : int;       (** composite levels above the leaves, >= 1 *)
-  g_leaves : int;       (** leaf modules, >= 1 *)
-  g_widest : int;       (** modules per intermediate level, >= 1 *)
-  g_children_lo : int;
-  g_children_hi : int;
-  g_sequential : bool;  (** allow sequential leaves *)
-}
-
-val default_config : config
-
 (** A generated hierarchical design.  [d_ast] is the parse of
     [d_source] (generation emits text and re-parses it, so the result
     is in the accepted subset by construction).  [d_muts] lists every
@@ -53,9 +38,11 @@ type design = {
   d_muts : string list;
 }
 
-(** [generate ?config ~seed ()] builds one hierarchical design.
-    Deterministic in [(config, seed)]. *)
-val generate : ?config:config -> seed:int -> unit -> design
+(** [generate ~seed ()] builds one hierarchical design: three leaf
+    modules (the first sequential), one level of two composites, then
+    [top]; each composite instantiates two or three modules of the level
+    below.  Deterministic in [seed]. *)
+val generate : seed:int -> unit -> design
 
 (** Elaborate + flatten + lower [ast] at [top]. *)
 val circuit_of : Verilog.Ast.design -> top:string -> Netlist.t

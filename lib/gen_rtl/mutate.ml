@@ -4,7 +4,8 @@
     stable, scheduler-independent notion. *)
 
 open Verilog.Ast
-module Sset = Verilog.Ast_util.Sset
+module U = Verilog.Ast_util
+module Sset = U.Sset
 
 type kind =
   | Operand_swap
@@ -32,9 +33,6 @@ type info = {
 (* ------------------------------------------------------------------ *)
 (* Reachability.                                                       *)
 (* ------------------------------------------------------------------ *)
-
-let find_module_opt d name =
-  List.find_opt (fun m -> String.equal m.mod_name name) d.modules
 
 let instance_refs m =
   List.filter_map
@@ -336,44 +334,6 @@ let deepen ~rng ~only d =
 (* Flattening: inline a leaf instance.                                 *)
 (* ------------------------------------------------------------------ *)
 
-let rec ren_expr ren = function
-  | (E_const _ | E_masked _) as e -> e
-  | E_ident n -> E_ident (ren n)
-  | E_bit (s, i) -> E_bit (ren s, ren_expr ren i)
-  | E_part (s, a, b) -> E_part (ren s, ren_expr ren a, ren_expr ren b)
-  | E_unop (o, a) -> E_unop (o, ren_expr ren a)
-  | E_binop (o, a, b) -> E_binop (o, ren_expr ren a, ren_expr ren b)
-  | E_cond (c, a, b) -> E_cond (ren_expr ren c, ren_expr ren a, ren_expr ren b)
-  | E_concat es -> E_concat (List.map (ren_expr ren) es)
-  | E_repl (n, es) -> E_repl (ren_expr ren n, List.map (ren_expr ren) es)
-
-let rec ren_lvalue ren = function
-  | L_ident n -> L_ident (ren n)
-  | L_bit (n, i) -> L_bit (ren n, ren_expr ren i)
-  | L_part (n, a, b) -> L_part (ren n, ren_expr ren a, ren_expr ren b)
-  | L_concat ls -> L_concat (List.map (ren_lvalue ren) ls)
-
-let rec ren_stmt ren = function
-  | S_blocking (lv, e) -> S_blocking (ren_lvalue ren lv, ren_expr ren e)
-  | S_nonblocking (lv, e) -> S_nonblocking (ren_lvalue ren lv, ren_expr ren e)
-  | S_if (c, a, b) ->
-    S_if (ren_expr ren c, List.map (ren_stmt ren) a, List.map (ren_stmt ren) b)
-  | S_case (k, e, arms) ->
-    S_case
-      (k, ren_expr ren e,
-       List.map
-         (fun a ->
-           { arm_patterns = List.map (ren_expr ren) a.arm_patterns;
-             arm_body = List.map (ren_stmt ren) a.arm_body })
-         arms)
-  | S_for fl ->
-    S_for
-      { for_var = fl.for_var;
-        for_init = ren_expr ren fl.for_init;
-        for_cond = ren_expr ren fl.for_cond;
-        for_step = ren_expr ren fl.for_step;
-        for_body = List.map (ren_stmt ren) fl.for_body }
-
 let ren_event ren = function
   | Ev_posedge s -> Ev_posedge (ren s)
   | Ev_negedge s -> Ev_negedge (ren s)
@@ -460,11 +420,12 @@ let flatten ~rng ~only d =
           | I_memory (rw, ra, names) ->
             Some (I_memory (rw, ra, List.map ren names))
           | I_assign (lv, e) ->
-            Some (I_assign (ren_lvalue ren lv, ren_expr ren e))
+            Some (I_assign (U.rename_lvalue ren lv, U.rename_expr ren e))
           | I_always (evs, stmts) ->
             Some
               (I_always
-                 (List.map (ren_event ren) evs, List.map (ren_stmt ren) stmts))
+                 (List.map (ren_event ren) evs,
+                  List.map (U.rename_stmt ren) stmts))
           | I_param _ | I_localparam _ | I_instance _ | I_gate _ ->
             (* excluded by [inlinable] *)
             assert false)

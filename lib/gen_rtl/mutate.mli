@@ -41,6 +41,12 @@ type info = {
 val reachable :
   Verilog.Ast.design -> top:string -> Verilog.Ast_util.Sset.t
 
+(** [replace_item d ~in_module ~at items] replaces item [at] of module
+    [in_module] with [items] (shared with the shrinker's item edits). *)
+val replace_item :
+  Verilog.Ast.design -> in_module:string -> at:int ->
+  Verilog.Ast.item list -> Verilog.Ast.design
+
 (** The counted pre-order expression traversal the operators are built
     on (also shared with the shrinker's expression-hoisting pass).
     [f i ~root e] sees every expression node of every module selected

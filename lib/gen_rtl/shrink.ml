@@ -17,9 +17,6 @@ let const0 = E_const { width = None; value = 0 }
 (* Candidate edits.                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let find_module_opt d name =
-  List.find_opt (fun m -> String.equal m.mod_name name) d.modules
-
 (* Output port names of a module — what an instance of it drives. *)
 let output_ports m =
   List.concat_map
@@ -43,21 +40,6 @@ let drop_instance d inst =
           Some (I_assign (L_ident w, const0))
         | _ -> None)
       conns
-
-(* Replace item [at] of module [name] with [items']. *)
-let splice_item d ~in_module ~at items' =
-  { modules =
-      List.map
-        (fun m ->
-          if not (String.equal m.mod_name in_module) then m
-          else
-            { m with
-              mod_items =
-                List.concat
-                  (List.mapi
-                     (fun i item -> if i = at then items' else [ item ])
-                     m.mod_items) })
-        d.modules }
 
 (* --- statement edits ---------------------------------------------- *)
 
@@ -255,22 +237,20 @@ let candidates d ~top =
   (* whole-item edits *)
   List.iter
     (fun m ->
+      let replace at items' =
+        Mutate.replace_item d ~in_module:m.mod_name ~at items'
+      in
       List.iteri
         (fun at item ->
           match item with
-          | I_instance inst ->
-            add (splice_item d ~in_module:m.mod_name ~at (drop_instance d inst))
-          | I_always _ -> add (splice_item d ~in_module:m.mod_name ~at [])
+          | I_instance inst -> add (replace at (drop_instance d inst))
+          | I_always _ -> add (replace at [])
           | I_assign (lv, e) ->
             (* coarse first: drop the assign outright (the decl sweep
                then collects its now-unused left-hand side), else just
                zero the right-hand side *)
-            add
-              (drop_unused_decls (splice_item d ~in_module:m.mod_name ~at []));
-            if e <> const0 then
-              add
-                (splice_item d ~in_module:m.mod_name ~at
-                   [ I_assign (lv, const0) ])
+            add (drop_unused_decls (replace at []));
+            if e <> const0 then add (replace at [ I_assign (lv, const0) ])
           | _ -> ())
         m.mod_items)
     d.modules;
@@ -303,7 +283,12 @@ let candidates d ~top =
 (* The greedy loop.                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let debug = Sys.getenv_opt "FACTOR_SHRINK_DEBUG" <> None
+(* [FACTOR_LOG=debug] traces the loop: each candidate that raised, each
+   accepted step, and the final size.  [attrs] runs only when the event
+   is emitted: a step's size renders the design. *)
+let debug msg attrs =
+  if Obs.Log.enabled Obs.Log.Debug then
+    Obs.Log.event Obs.Log.Debug msg (attrs ())
 
 let run ~fails d ~top =
   let tried = ref 0 and errs = ref 0 in
@@ -311,8 +296,8 @@ let run ~fails d ~top =
     incr tried;
     try fails d with e ->
       incr errs;
-      if debug then
-        Printf.eprintf "shrink: candidate raised %s\n%!" (Printexc.to_string e);
+      debug "shrink.raised" (fun () ->
+          [ ("exn", Obs.Json.String (Printexc.to_string e)) ]);
       false
   in
   let bytes d = String.length (render d) in
@@ -324,14 +309,16 @@ let run ~fails d ~top =
         List.find_opt (fun c -> bytes c < sz && still c) (candidates d ~top)
       with
       | Some d' ->
-        if debug then
-          Printf.eprintf "shrink: step %d, %d -> %d bytes\n%!" steps sz
-            (bytes d');
+        debug "shrink.step" (fun () ->
+            Obs.Json.
+              [ ("step", Int steps); ("from_bytes", Int sz);
+                ("to_bytes", Int (bytes d')) ]);
         loop d' (steps + 1)
       | None ->
-        if debug then
-          Printf.eprintf "shrink: done at %d bytes (%d tried, %d raised)\n%!"
-            sz !tried !errs;
+        debug "shrink.done" (fun () ->
+            Obs.Json.
+              [ ("bytes", Int sz); ("tried", Int !tried);
+                ("raised", Int !errs) ]);
         d
   in
   if still d then loop d 0 else d

@@ -32,6 +32,12 @@ let num_pis c = Array.length c.pis
 let num_pos c = Array.length c.pos
 let num_ffs c = Array.length c.ff_d
 
+let under_prefix prefix origin =
+  String.equal origin prefix
+  || (String.length origin > String.length prefix
+      && String.sub origin 0 (String.length prefix) = prefix
+      && (prefix = "" || origin.[String.length prefix] = '.'))
+
 (* ------------------------------------------------------------------ *)
 (* Builder.                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -318,19 +324,6 @@ let fanins = function
   | G2 (_, a, b) -> [ a; b ]
   | Mux (s, a, b) -> [ s; a; b ]
 
-(** Nets reachable backwards from [roots] through combinational gates
-    (stops at PIs, FFs and constants, which are included). *)
-let comb_cone c roots =
-  let seen = Array.make (num_nets c) false in
-  let rec visit n =
-    if not seen.(n) then begin
-      seen.(n) <- true;
-      List.iter visit (fanins c.drv.(n))
-    end
-  in
-  List.iter visit roots;
-  seen
-
 (** Topological order of all nets: fanins before fanouts.  FF q nets are
     sources.  @raise Error on a combinational cycle. *)
 let topological_order c =
@@ -528,6 +521,75 @@ let analysis c =
         info)
 
 (* ------------------------------------------------------------------ *)
+(* Reachability and sequential distance.                               *)
+(* ------------------------------------------------------------------ *)
+
+type direction = Forward | Backward
+
+let unreachable = max_int
+
+(* A 0-1 breadth-first walk, one distance level at a time: [cur] holds
+   the nets settled at [level] (a weight-0 step pushes onto it), [next]
+   those at [level + 1].  A net's distance only falls, and at most from
+   [level + 1] to [level], so it enters each stack at most once and both
+   fit in [n] slots; an entry whose net has since fallen below [level]
+   was already expanded and is skipped. *)
+let walk c dir ~gate ~reg sources =
+  let weight w = w = 0 || w = 1 in
+  if not (weight gate && weight reg) then
+    invalid_arg "Netlist.walk: weights are 0 or 1";
+  let info = analysis c in
+  let n = num_nets c in
+  let dist = Array.make n unreachable in
+  let cur = Array.make n 0 and ncur = ref 0 in
+  let next = Array.make n 0 and nnext = ref 0 in
+  let level = ref 0 in
+  let relax v d =
+    if d < dist.(v) then begin
+      dist.(v) <- d;
+      if d = !level then begin
+        cur.(!ncur) <- v;
+        incr ncur
+      end
+      else begin
+        next.(!nnext) <- v;
+        incr nnext
+      end
+    end
+  in
+  let expand u =
+    let dg = !level + gate and dr = !level + reg in
+    match dir with
+    | Forward ->
+      for k = info.fanout_off.(u) to info.fanout_off.(u + 1) - 1 do
+        relax info.fanout.(k) dg
+      done;
+      for k = info.ff_of_d_off.(u) to info.ff_of_d_off.(u + 1) - 1 do
+        relax c.ff_q.(info.ff_of_d.(k)) dr
+      done
+    | Backward ->
+      let op = Bytes.get_uint8 info.op u in
+      if op = Analysis.op_ff then relax c.ff_d.(info.fanin.(3 * u)) dr
+      else if op >= Analysis.op_buf then
+        for k = 3 * u to (3 * u) + 2 do
+          relax info.fanin.(k) dg
+        done
+  in
+  Array.iter (fun s -> relax s 0) sources;
+  while !ncur > 0 do
+    while !ncur > 0 do
+      decr ncur;
+      let u = cur.(!ncur) in
+      if dist.(u) = !level then expand u
+    done;
+    Array.blit next 0 cur 0 !nnext;
+    ncur := !nnext;
+    nnext := 0;
+    incr level
+  done;
+  dist
+
+(* ------------------------------------------------------------------ *)
 (* Stats (gate counts for the paper's tables).                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -542,24 +604,8 @@ type stats = {
 
 (* Only nets in the cone of the observable outputs count: dangling logic
    produced during lowering is what synthesis would sweep. *)
-(* FF d cones matter only if the FF q is itself live; iterate to a
-   fixpoint. *)
 let live_mask c =
-  let seen = ref (comb_cone c (Array.to_list c.pos)) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let extra = ref [] in
-    Array.iteri
-      (fun i q -> if !seen.(q) then extra := c.ff_d.(i) :: !extra)
-      c.ff_q;
-    let next = comb_cone c (Array.to_list c.pos @ !extra) in
-    if next <> !seen then begin
-      seen := next;
-      changed := true
-    end
-  done;
-  !seen
+  Array.map (fun d -> d <> unreachable) (walk c Backward ~gate:0 ~reg:0 c.pos)
 
 let stats c =
   let mask = live_mask c in

@@ -1,7 +1,10 @@
 (** Gate-level netlist.  Nets are integers; every net has exactly one
     driver.  The builder hash-conses combinational gates within one
     origin context and applies local simplification rules — the
-    "synthesis removes the redundant constraints" step of the paper. *)
+    "synthesis removes the redundant constraints" step of the paper.
+    Engines read structure through one memoized {!analysis}; which nets
+    a net reaches, and at what sequential distance, through one {!walk}
+    over it. *)
 
 type g1 = Inv | Buff
 type g2 = And | Or | Xor | Nand | Nor | Xnor
@@ -31,6 +34,11 @@ val num_nets : t -> int
 val num_pis : t -> int
 val num_pos : t -> int
 val num_ffs : t -> int
+
+(** [under_prefix prefix origin]: does the instance path [origin] lie at
+    or under [prefix]?  ["a.b"] holds ["a.b"] and ["a.b.c"] but not
+    ["a.bc"]; [""] holds every path. *)
+val under_prefix : string -> string -> bool
 
 (** {1 Builder} *)
 
@@ -169,8 +177,30 @@ val analysis : t -> Analysis.info
     lets tests assert an order is computed once per circuit. *)
 val analysis_builds : unit -> int
 
-(** Nets alive in the cone of the observable outputs (POs plus the state
-    feeding them, to a fixpoint). *)
+(** {1 Reachability and sequential distance}
+
+    The structural questions of the flow — which nets a net reaches, and
+    how many steps it lies from the pins — are all answered by one walk
+    over {!analysis}: live logic, PIER depths, PODEM's distance to an
+    observation point and the SAT miter's fault cone. *)
+
+type direction =
+  | Forward   (** along gate fanouts, and d to q across each flip-flop *)
+  | Backward  (** along gate fanins, and q to d across each flip-flop *)
+
+(** The distance {!walk} gives a net that no source reaches. *)
+val unreachable : int
+
+(** [walk c dir ~gate ~reg sources] is, per net, the least weight of a
+    path in direction [dir] from any net of [sources] (distance 0),
+    where a step through a gate weighs [gate] and a step across a
+    flip-flop weighs [reg]; {!unreachable} where no path leads.  A 0-1
+    breadth-first walk, linear in the netlist.
+    @raise Invalid_argument if a weight is not 0 or 1. *)
+val walk : t -> direction -> gate:int -> reg:int -> int array -> int array
+
+(** Nets alive in the cone of the observable outputs: those a backward
+    walk from the POs reaches, through gates and across flip-flops. *)
 val live_mask : t -> bool array
 
 (** {1 Statistics} *)

@@ -1,9 +1,10 @@
 (* Miter construction for single stuck-at faults over bounded time
    frames.  The faulted copy is encoded only where it can differ from
-   the good circuit: the forward closure of the fault site through
-   combinational fanout, widened across frames by flip-flops whose d
-   input lies in the closure (to a fixpoint).  Everything outside the
-   cone shares the good copy's literals. *)
+   the good circuit: the nets a forward {!Netlist.walk} from the fault
+   site reaches, through gate fanout and from each flip-flop's d input
+   to its q (the flip-flops that carry the difference into later
+   frames).  Everything outside the cone shares the good copy's
+   literals. *)
 
 type cube = {
   tc_vectors : bool array array;
@@ -15,45 +16,6 @@ type outcome =
   | Untestable of int
   | Gave_up
 
-(* Forward closure of [fnet]: combinational fanout, plus q fanout of
-   every flip-flop whose d input gets swept in, iterated to fixpoint
-   (those FFs carry the difference into later frames). *)
-let fault_cone (c : Netlist.t) fnet =
-  let info = Netlist.analysis c in
-  let n = Netlist.num_nets c in
-  let mask = Array.make n false in
-  let stack = ref [] in
-  let push net = if not mask.(net) then begin
-      mask.(net) <- true;
-      stack := net :: !stack
-    end
-  in
-  let drain () =
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | net :: rest ->
-        stack := rest;
-        for k = info.fanout_off.(net) to info.fanout_off.(net + 1) - 1 do
-          push info.fanout.(k)
-        done
-    done
-  in
-  push fnet;
-  drain ();
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = 0 to Netlist.num_ffs c - 1 do
-      if mask.(c.ff_d.(i)) && not mask.(c.ff_q.(i)) then begin
-        push c.ff_q.(i);
-        drain ();
-        changed := true
-      end
-    done
-  done;
-  mask
-
 (* The miter grows one frame at a time in a single solver, so clauses
    learned while refuting depth d still prune depth d+1.  Depth d adds
    good and faulted frame d-1 and one clause [-a_d \/ terms] over that
@@ -64,7 +26,11 @@ let fault_cone (c : Netlist.t) fnet =
    fresh variables, so those negations stay entailed and are asserted
    as units, and [-a_d] retires the clause. *)
 let run_body ~max_frames ~conflict_limit ~piers ~budget c ~net ~stuck =
-  let cone = fault_cone c net in
+  let cone =
+    Array.map
+      (fun d -> d <> Netlist.unreachable)
+      (Netlist.walk c Netlist.Forward ~gate:0 ~reg:0 [| net |])
+  in
   let depths = if Netlist.num_ffs c = 0 then 1 else max 1 max_frames in
   let e = Cnf.create () in
   let sv = Cnf.solver e in

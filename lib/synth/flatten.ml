@@ -5,7 +5,8 @@
 
 open Verilog.Ast
 open Design.Elaborate
-module Smap = Verilog.Ast_util.Smap
+module U = Verilog.Ast_util
+module Smap = U.Smap
 
 exception Error of string
 
@@ -17,45 +18,6 @@ type flat = {
   fl_signals : signal Smap.t;            (** flattened names *)
   fl_items : (string * eitem) array;     (** origin instance path, item *)
 }
-
-(* ------------------------------------------------------------------ *)
-(* Renaming.                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let rec rename_expr f e =
-  match e with
-  | E_const _ | E_masked _ -> e
-  | E_ident s -> E_ident (f s)
-  | E_bit (s, i) -> E_bit (f s, rename_expr f i)
-  | E_part (s, m, l) -> E_part (f s, rename_expr f m, rename_expr f l)
-  | E_unop (op, a) -> E_unop (op, rename_expr f a)
-  | E_binop (op, a, b) -> E_binop (op, rename_expr f a, rename_expr f b)
-  | E_cond (c, t, e') -> E_cond (rename_expr f c, rename_expr f t, rename_expr f e')
-  | E_concat es -> E_concat (List.map (rename_expr f) es)
-  | E_repl (n, es) -> E_repl (rename_expr f n, List.map (rename_expr f) es)
-
-let rec rename_lvalue f lv =
-  match lv with
-  | L_ident s -> L_ident (f s)
-  | L_bit (s, i) -> L_bit (f s, rename_expr f i)
-  | L_part (s, m, l) -> L_part (f s, rename_expr f m, rename_expr f l)
-  | L_concat lvs -> L_concat (List.map (rename_lvalue f) lvs)
-
-let rec rename_stmt f stmt =
-  match stmt with
-  | S_blocking (lv, e) -> S_blocking (rename_lvalue f lv, rename_expr f e)
-  | S_nonblocking (lv, e) ->
-    S_nonblocking (rename_lvalue f lv, rename_expr f e)
-  | S_if (c, t, e) ->
-    S_if (rename_expr f c, List.map (rename_stmt f) t,
-          List.map (rename_stmt f) e)
-  | S_case (k, subject, arms) ->
-    let arm a =
-      { arm_patterns = List.map (rename_expr f) a.arm_patterns;
-        arm_body = List.map (rename_stmt f) a.arm_body }
-    in
-    S_case (k, rename_expr f subject, List.map arm arms)
-  | S_for _ -> errorf "for loop survived elaboration"
 
 (** Convert an instance-output connection expression into an lvalue. *)
 let rec expr_to_lvalue e =
@@ -94,13 +56,14 @@ let flatten ed root =
         match item with
         | EI_assign (lv, e) ->
           items :=
-            (prefix, EI_assign (rename_lvalue qualify lv, rename_expr qualify e))
+            (prefix,
+             EI_assign (U.rename_lvalue qualify lv, U.rename_expr qualify e))
             :: !items
         | EI_gate (g, n, out, ins) ->
           items :=
             (prefix,
-             EI_gate (g, qualify n, rename_lvalue qualify out,
-                      List.map (rename_expr qualify) ins))
+             EI_gate (g, qualify n, U.rename_lvalue qualify out,
+                      List.map (U.rename_expr qualify) ins))
             :: !items
         | EI_always (ck, body) ->
           let ck =
@@ -109,7 +72,7 @@ let flatten ed root =
             | Clocked clk -> Clocked (qualify clk)
           in
           items :=
-            (prefix, EI_always (ck, List.map (rename_stmt qualify) body))
+            (prefix, EI_always (ck, List.map (U.rename_stmt qualify) body))
             :: !items
         | EI_instance inst ->
           let child = find_emodule ed inst.ei_module in
@@ -124,7 +87,7 @@ let flatten ed root =
                    faults belong to the child module's boundary *)
                 items :=
                   (child_prefix,
-                   EI_assign (L_ident child_port, rename_expr qualify e))
+                   EI_assign (L_ident child_port, U.rename_expr qualify e))
                   :: !items
               | (Input, None) ->
                 items :=
@@ -135,7 +98,7 @@ let flatten ed root =
               | (Output, Some e) ->
                 items :=
                   (prefix,
-                   EI_assign (rename_lvalue qualify (expr_to_lvalue e),
+                   EI_assign (U.rename_lvalue qualify (expr_to_lvalue e),
                               E_ident child_port))
                   :: !items
               | (Output, None) -> ()

@@ -131,11 +131,14 @@ type module_def = {
 
 type design = { modules : module_def list }
 
+(** [find_module_opt d name] is the definition of [name], if any. *)
+let find_module_opt design name =
+  List.find_opt (fun m -> String.equal m.mod_name name) design.modules
+
 (** [find_module d name] returns the definition of [name].
     @raise Not_found if absent. *)
 let find_module design name =
-  let has m = String.equal m.mod_name name in
-  match List.find_opt has design.modules with
+  match find_module_opt design name with
   | Some m -> m
   | None -> raise Not_found
 

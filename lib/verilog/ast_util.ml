@@ -102,6 +102,49 @@ let rec subst_expr env e =
   | E_concat es -> E_concat (List.map (subst_expr env) es)
   | E_repl (n, es) -> E_repl (subst_expr env n, List.map (subst_expr env) es)
 
+(** Rename every signal reference (instance flattening, inlining). *)
+let rec rename_expr f e =
+  match e with
+  | E_const _ | E_masked _ -> e
+  | E_ident s -> E_ident (f s)
+  | E_bit (s, i) -> E_bit (f s, rename_expr f i)
+  | E_part (s, m, l) -> E_part (f s, rename_expr f m, rename_expr f l)
+  | E_unop (op, a) -> E_unop (op, rename_expr f a)
+  | E_binop (op, a, b) -> E_binop (op, rename_expr f a, rename_expr f b)
+  | E_cond (c, t, e') ->
+    E_cond (rename_expr f c, rename_expr f t, rename_expr f e')
+  | E_concat es -> E_concat (List.map (rename_expr f) es)
+  | E_repl (n, es) -> E_repl (rename_expr f n, List.map (rename_expr f) es)
+
+let rec rename_lvalue f lv =
+  match lv with
+  | L_ident s -> L_ident (f s)
+  | L_bit (s, i) -> L_bit (f s, rename_expr f i)
+  | L_part (s, m, l) -> L_part (f s, rename_expr f m, rename_expr f l)
+  | L_concat lvs -> L_concat (List.map (rename_lvalue f) lvs)
+
+let rec rename_stmt f stmt =
+  match stmt with
+  | S_blocking (lv, e) -> S_blocking (rename_lvalue f lv, rename_expr f e)
+  | S_nonblocking (lv, e) ->
+    S_nonblocking (rename_lvalue f lv, rename_expr f e)
+  | S_if (c, t, e) ->
+    S_if (rename_expr f c, List.map (rename_stmt f) t,
+          List.map (rename_stmt f) e)
+  | S_case (k, subject, arms) ->
+    let arm a =
+      { arm_patterns = List.map (rename_expr f) a.arm_patterns;
+        arm_body = List.map (rename_stmt f) a.arm_body }
+    in
+    S_case (k, rename_expr f subject, List.map arm arms)
+  | S_for fl ->
+    S_for
+      { for_var = fl.for_var;
+        for_init = rename_expr f fl.for_init;
+        for_cond = rename_expr f fl.for_cond;
+        for_step = rename_expr f fl.for_step;
+        for_body = List.map (rename_stmt f) fl.for_body }
+
 exception Not_constant of expr
 
 (** Evaluate a constant expression given bindings for parameter names.

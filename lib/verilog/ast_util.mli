@@ -32,6 +32,14 @@ val stmts_writes : Ast.stmt list -> Sset.t
     resolution, loop unrolling). *)
 val subst_expr : Ast.expr Smap.t -> Ast.expr -> Ast.expr
 
+(** [rename_expr f e] replaces every signal name [n] referenced in [e]
+    by [f n] (instance flattening, inlining); likewise for lvalues and
+    statements.  A for loop keeps its loop variable; references to it
+    in the loop's expressions and body are renamed. *)
+val rename_expr : (string -> string) -> Ast.expr -> Ast.expr
+val rename_lvalue : (string -> string) -> Ast.lvalue -> Ast.lvalue
+val rename_stmt : (string -> string) -> Ast.stmt -> Ast.stmt
+
 exception Not_constant of Ast.expr
 
 (** [eval_const env e] evaluates a constant expression given integer

@@ -235,14 +235,14 @@ let transform_tests =
 
 let prefix_tests =
   [ test "under_prefix semantics" (fun () ->
-        check_bool "exact" true (Factor.Transform.under_prefix "a.b" "a.b");
-        check_bool "child" true (Factor.Transform.under_prefix "a.b" "a.b.c");
+        check_bool "exact" true (Netlist.under_prefix "a.b" "a.b");
+        check_bool "child" true (Netlist.under_prefix "a.b" "a.b.c");
         check_bool "sibling name prefix" false
-          (Factor.Transform.under_prefix "a.b" "a.bc");
+          (Netlist.under_prefix "a.b" "a.bc");
         check_bool "root contains all" true
-          (Factor.Transform.under_prefix "" "a.b");
+          (Netlist.under_prefix "" "a.b");
         check_bool "unrelated" false
-          (Factor.Transform.under_prefix "a.b" "a")) ]
+          (Netlist.under_prefix "a.b" "a")) ]
 
 (* ------------------------------------------------------------------ *)
 (* Slice algebra.                                                       *)
@@ -381,7 +381,27 @@ let pier_tests =
         in
         check_int "four bits" 4 (List.length names);
         check_bool "all of them p" true
-          (List.for_all (fun n -> n.[0] = 'p') names)) ]
+          (List.for_all (fun n -> n.[0] = 'p') names));
+    test "arm: pier counts pinned" (fun () ->
+        let env = Factor.Compose.make_env (Arm.Rtl.design ()) ~top:Arm.Rtl.top in
+        let chip = Factor.Flow.full_circuit env in
+        check_int "chip flip-flops" 455 (Netlist.num_ffs chip);
+        check_int "chip piers" 447 (List.length (Factor.Pier.identify chip));
+        (* every compositional transformed module keeps 253 flip-flops,
+           each of them a PIER *)
+        let session = Factor.Compose.create_session () in
+        List.iter
+          (fun spec ->
+            let path = spec.Factor.Flow.ms_path in
+            let st = Factor.Compose.compositional session env ~mut_path:path in
+            let c =
+              (Factor.Transform.build env st.Factor.Compose.cs_slice
+                 ~mut_path:path).Factor.Transform.tf_circuit
+            in
+            check_int (path ^ " flip-flops") 253 (Netlist.num_ffs c);
+            check_int (path ^ " piers") 253
+              (List.length (Factor.Pier.identify c)))
+          Arm.Rtl.muts) ]
 
 (* ------------------------------------------------------------------ *)
 (* Testability analysis.                                                *)

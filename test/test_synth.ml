@@ -735,6 +735,77 @@ let identity_tests =
         in
         Alcotest.(check (list (pair string string))) "digests" pinned_digests got) ]
 
+(* ------------------------------------------------------------------ *)
+(* Netlist.walk against a brute-force fixpoint.                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference: relax every edge, read off the drivers and the
+   flip-flop tables rather than [Netlist.analysis], until nothing
+   changes. *)
+let bellman_ford c dir ~gate ~reg sources =
+  let dist = Array.make (N.num_nets c) N.unreachable in
+  Array.iter (fun s -> dist.(s) <- 0) sources;
+  let orient (a, b) = if dir = N.Forward then (a, b) else (b, a) in
+  let edges =
+    List.concat
+      (Array.to_list
+         (Array.mapi
+            (fun net d ->
+              List.map (fun a -> (orient (a, net), gate)) (N.fanins d))
+            c.N.drv))
+    @ Array.to_list
+        (Array.mapi (fun i d -> (orient (d, c.N.ff_q.(i)), reg)) c.N.ff_d)
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun ((u, v), w) ->
+        if dist.(u) <> N.unreachable && dist.(u) + w < dist.(v) then begin
+          dist.(v) <- dist.(u) + w;
+          changed := true
+        end)
+      edges
+  done;
+  dist
+
+(* Both directions under all four weight pairs: forward from the PIs,
+   backward from the POs, and both ways from one interior net. *)
+let walk_matches_fixpoint c =
+  let mid = [| N.num_nets c / 2 |] in
+  List.for_all
+    (fun (dir, sources) ->
+      List.for_all
+        (fun (gate, reg) ->
+          N.walk c dir ~gate ~reg sources
+          = bellman_ford c dir ~gate ~reg sources)
+        [ (0, 0); (0, 1); (1, 0); (1, 1) ])
+    [ (N.Forward, c.N.pis); (N.Backward, c.N.pos); (N.Forward, mid);
+      (N.Backward, mid) ]
+
+let walk_tests =
+  [ qtest ~count:100 "walk matches a Bellman-Ford fixpoint"
+      Fuzzgen.gen_arbitrary (fun gm ->
+        walk_matches_fixpoint (snd (Fuzzgen.build gm)));
+    test "arm: walk matches the fixpoint, live nets pinned" (fun () ->
+        let arm =
+          Factor.Flow.full_circuit
+            (Factor.Compose.make_env (Arm.Rtl.design ()) ~top:Arm.Rtl.top)
+        in
+        check_bool "every direction and weight pair" true
+          (walk_matches_fixpoint arm);
+        let live = N.live_mask arm in
+        check_int "nets" 7083 (N.num_nets arm);
+        check_int "live nets" 7030
+          (Array.fold_left (fun k l -> if l then k + 1 else k) 0 live));
+    test "weights other than 0 or 1 are refused" (fun () ->
+        let c =
+          circuit {|module top (input a, output y); assign y = ~a; endmodule|}
+        in
+        Alcotest.check_raises "gate weight 2"
+          (Invalid_argument "Netlist.walk: weights are 0 or 1") (fun () ->
+            ignore (N.walk c N.Forward ~gate:2 ~reg:0 c.N.pis))) ]
+
 let () =
   Alcotest.run "synth"
     [ ("builder", builder_tests);
@@ -742,4 +813,5 @@ let () =
       ("flatten", flatten_tests);
       ("semantics", lower_semantics_tests);
       ("structure", lower_structure_tests);
-      ("opt", opt_tests) ]
+      ("opt", opt_tests);
+      ("walk", walk_tests) ]
