@@ -1,8 +1,9 @@
 (** Elaboration: resolves parameters to constants, unrolls for loops,
-    folds constant expressions, normalizes instance connections to named
-    form, and specializes modules per parameter binding.  The result is
-    the representation every downstream pass (chains, extraction,
-    synthesis) operates on. *)
+    prunes statically-known branches, normalizes instance connections to
+    named form, and specializes modules per parameter binding.  The
+    result is the representation every downstream pass (chains,
+    extraction, synthesis) operates on.  Expression widths and constant
+    values are decided here, once, for the whole front end. *)
 
 open Verilog.Ast
 module Sset = Verilog.Ast_util.Sset
@@ -67,154 +68,260 @@ let port_dir em name =
   | None -> errorf "%s is not a port of %s" name em.em_name
 
 (* ------------------------------------------------------------------ *)
-(* Constant folding.                                                   *)
+(* Widths and constant values.                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Constant folding is width-aware so that folded results agree exactly
-   with what the bit-level evaluation of the unfolded expression would
-   produce: sized operands wrap at their common width, unsized ones at
-   32 bits. *)
-let rec fold_expr e =
-  let wrap width v =
-    match width with
-    | Some w when w < 62 -> v land ((1 lsl w) - 1)
-    | Some _ -> v
-    | None -> v land 0xFFFFFFFF
-  in
+(* Self-determined width of an expression; [signal] looks up the
+   declarations of the names it reads. *)
+let rec self_width signal e =
+  let sum es = List.fold_left (fun acc e -> acc + self_width signal e) 0 es in
   match e with
-  | E_const _ | E_masked _ | E_ident _ -> e
-  | E_bit (s, i) -> E_bit (s, fold_expr i)
-  | E_part (s, msb, lsb) -> E_part (s, fold_expr msb, fold_expr lsb)
-  | E_unop (op, a) ->
-    let a = fold_expr a in
-    (match a with
-     | E_const { value; width } ->
-       (match op with
-        | U_neg -> E_const { value = wrap width (-value); width }
-        | U_plus -> a
-        | U_lnot ->
-          E_const { value = (if wrap width value = 0 then 1 else 0);
-                    width = Some 1 }
-        | U_not | U_rand | U_ror | U_rxor | U_rnand | U_rnor | U_rxnor ->
-          E_unop (op, a))
-     | _ -> E_unop (op, a))
-  | E_binop (op, a, b) ->
-    let a = fold_expr a and b = fold_expr b in
-    (match (a, b) with
-     | (E_const ca, E_const cb) ->
-       (* the folding width: the widest sized operand, or unsized *)
-       let width =
-         match (ca.width, cb.width) with
-         | (Some x, Some y) -> Some (max x y)
-         | _ -> None
-       in
-       let va = wrap width ca.value and vb = wrap width cb.value in
-       let arith v = E_const { value = wrap width v; width } in
-       let bit v = E_const { value = v; width = Some 1 } in
-       (match op with
-        | B_add -> arith (va + vb)
-        | B_sub -> arith (va - vb)
-        | B_mul -> arith (va * vb)
-        | B_and -> arith (va land vb)
-        | B_or -> arith (va lor vb)
-        | B_xor -> arith (va lxor vb)
-        | B_shl ->
-          (* the amount is self-determined on its own width *)
-          let k = wrap cb.width cb.value in
-          arith (if k >= 62 then 0 else wrap ca.width ca.value lsl k)
-        | B_shr ->
-          let k = wrap cb.width cb.value in
-          arith (if k >= 62 then 0 else wrap ca.width ca.value lsr k)
-        | B_eq -> bit (if va = vb then 1 else 0)
-        | B_neq -> bit (if va <> vb then 1 else 0)
-        | B_lt -> bit (if va < vb then 1 else 0)
-        | B_le -> bit (if va <= vb then 1 else 0)
-        | B_gt -> bit (if va > vb then 1 else 0)
-        | B_ge -> bit (if va >= vb then 1 else 0)
-        | B_land -> bit (if va <> 0 && vb <> 0 then 1 else 0)
-        | B_lor -> bit (if va <> 0 || vb <> 0 then 1 else 0)
-        | B_xnor -> E_binop (op, a, b))
-     | _ -> E_binop (op, a, b))
+  | E_const { width = Some w; _ } -> w
+  | E_const { width = None; _ } -> 32
+  | E_masked m -> m.m_width
+  | E_ident s -> signal_width (signal s)
+  | E_bit (s, _) ->
+    let info = signal s in
+    if is_memory info then signal_width info else 1
+  | E_part (_, E_const m, E_const l) -> m.value - l.value + 1
+  | E_part _ -> errorf "part select bounds must be constant"
+  | E_unop ((U_lnot | U_rand | U_ror | U_rxor | U_rnand | U_rnor | U_rxnor), _)
+  | E_binop ((B_eq | B_neq | B_lt | B_le | B_gt | B_ge | B_land | B_lor), _, _)
+    -> 1
+  | E_unop (_, a) | E_binop ((B_shl | B_shr), a, _) -> self_width signal a
+  | E_binop (_, a, b) | E_cond (_, a, b) ->
+    max (self_width signal a) (self_width signal b)
+  | E_concat es -> sum es
+  | E_repl (E_const n, es) -> n.value * sum es
+  | E_repl _ -> errorf "replication count must be constant"
+
+let rec lvalue_width signal = function
+  | L_ident s -> signal_width (signal s)
+  | L_bit (s, _) ->
+    let info = signal s in
+    if is_memory info then signal_width info else 1
+  | L_part (_, E_const m, E_const l) -> m.value - l.value + 1
+  | L_part _ -> errorf "part select bounds must be constant"
+  | L_concat lvs ->
+    List.fold_left (fun acc lv -> acc + lvalue_width signal lv) 0 lvs
+
+exception Open
+
+let mask w v = if w >= 62 then v else v land ((1 lsl w) - 1)
+
+(* Whether an expression's width comes from unsized literals alone. *)
+let rec unsized = function
+  | E_const { width; _ } -> width = None
+  | E_unop (_, a) | E_binop ((B_shl | B_shr), a, _) -> unsized a
+  | E_binop (_, a, b) | E_cond (_, a, b) -> unsized a && unsized b
+  | E_masked _ | E_ident _ | E_bit _ | E_part _ | E_concat _ | E_repl _ ->
+    false
+
+let closed_width = self_width (fun _ -> raise Open)
+
+(* [eval e w] is the value of closed [e] in a context [w] bits wide,
+   evaluated the way [Synth.Lower] lowers: every context-sized operand at
+   the context width, comparison, logical, reduction and shift-amount
+   operands at their own.
+   @raise Open if [e] reads a signal. *)
+let eval e w =
+  let width = closed_width in
+  let bit b = if b then 1 else 0 in
+  let rec parity v = if v = 0 then 0 else (v land 1) lxor parity (v lsr 1) in
+  let rec eval e w =
+    mask w
+      (match e with
+       | E_const { value; _ } -> value
+       | E_masked _ | E_ident _ | E_bit _ | E_part _ -> raise Open
+       | E_unop (U_not, a) -> lnot (eval a w)
+       | E_unop (U_neg, a) -> -eval a w
+       | E_unop (U_plus, a) -> eval a w
+       | E_unop (op, a) ->
+         let wa = width a in
+         let v = eval a wa and ones = mask wa (-1) in
+         (match op with
+          | U_lnot | U_rnor -> bit (v = 0)
+          | U_ror -> bit (v <> 0)
+          | U_rand -> bit (v = ones)
+          | U_rnand -> bit (v <> ones)
+          | U_rxor -> parity v
+          | _ -> 1 - parity v)
+       | E_binop ((B_shl | B_shr) as op, a, b) ->
+         let wa = max w (width a) in
+         let x = eval a wa and k = eval b (width b) in
+         if k < 0 || k >= wa then 0
+         else if op = B_shl then x lsl k
+         else x lsr k
+       | E_binop ((B_eq | B_neq | B_lt | B_le | B_gt | B_ge) as op, a, b) ->
+         let wc = max (width a) (width b) in
+         let x = eval a wc and y = eval b wc in
+         bit
+           (match op with
+            | B_eq -> x = y
+            | B_neq -> x <> y
+            | B_lt -> x < y
+            | B_le -> x <= y
+            | B_gt -> x > y
+            | _ -> x >= y)
+       | E_binop (B_land, a, b) ->
+         let x = truth a and y = truth b in
+         bit (x && y)
+       | E_binop (B_lor, a, b) ->
+         let x = truth a and y = truth b in
+         bit (x || y)
+       | E_binop (op, a, b) ->
+         let x = eval a w and y = eval b w in
+         (match op with
+          | B_add -> x + y
+          | B_sub -> x - y
+          | B_mul -> x * y
+          | B_and -> x land y
+          | B_or -> x lor y
+          | B_xor -> x lxor y
+          | _ -> lnot (x lxor y))
+       | E_cond (c, t, f) ->
+         let x = eval t w and y = eval f w in
+         if truth c then x else y
+       | E_concat es ->
+         List.fold_left
+           (fun acc e ->
+             let we = width e in
+             (acc lsl we) lor eval e we)
+           0 es
+       | E_repl (n, es) ->
+         let one = E_concat es in
+         let wo = width one in
+         let v = eval one wo in
+         let rec rep i acc =
+           if i = 0 then acc else rep (i - 1) ((acc lsl wo) lor v)
+         in
+         rep (eval n (width n)) 0)
+  and truth e = eval e (width e) <> 0 in
+  eval e w
+
+let const_value ?width e =
+  match closed_width e with
+  | exception Open -> None
+  | w ->
+    (match (width, eval e (Option.value width ~default:w)) with
+     | exception Open -> None
+     | (Some w, value) -> Some { value; width = Some w }
+     | (None, value) ->
+       Some { value; width = (if w = 32 && unsized e then None else Some w) })
+
+(* Literal arithmetic: built from literals by the arithmetic, bitwise,
+   shift, comparison and logical operators and unary [-], [+] and [!].
+   The others (with [~], [~^], a reduction, a concatenation or a
+   replication) are lowered gate by gate and left to the builder's
+   constant rules.  The split fixes the order in which the builder
+   creates constant nets, which the pinned netlists of test_synth record:
+   folding more, or less, renumbers correct netlists. *)
+let rec foldable = function
+  | E_const _ -> true
+  | E_unop ((U_neg | U_plus | U_lnot), a) -> foldable a
+  | E_binop (op, a, b) -> op <> B_xnor && foldable a && foldable b
+  | _ -> false
+
+(* The value of a condition elaboration prunes on. *)
+let static_value c = if foldable c then const_value c else None
+
+(* ------------------------------------------------------------------ *)
+(* Parameter substitution and the places that need a number.           *)
+(* ------------------------------------------------------------------ *)
+
+(* A context-sized expression is left for synthesis to size and fold.
+   Elaboration turns into a literal what the language requires to be a
+   number (part-select bounds, replication counts) and a foldable select
+   index, and prunes the ?: arm a foldable condition rules out, so the
+   def-use chains never see a dead branch. *)
+let rec prune e =
+  match e with
+  | E_const _ | E_masked _ | E_ident _ | E_bit (_, E_const _) -> e
+  | E_bit (s, i) -> E_bit (s, index i)
+  | E_part (s, m, l) ->
+    E_part (s, literal "part select bound" m, literal "part select bound" l)
+  | E_unop (op, a) -> E_unop (op, prune a)
+  | E_binop (op, a, b) -> E_binop (op, prune a, prune b)
   | E_cond (c, t, f) ->
-    let c = fold_expr c in
-    (match c with
-     | E_const { value; width } ->
-       if wrap width value <> 0 then fold_expr t else fold_expr f
-     | _ -> E_cond (c, fold_expr t, fold_expr f))
-  | E_concat es -> E_concat (List.map fold_expr es)
-  | E_repl (n, es) -> E_repl (fold_expr n, List.map fold_expr es)
+    let c = prune c in
+    (match static_value c with
+     | Some v -> prune (if v.value <> 0 then t else f)
+     | None -> E_cond (c, prune t, prune f))
+  | E_concat es -> E_concat (List.map prune es)
+  | E_repl (n, es) ->
+    E_repl (literal "replication count" n, List.map prune es)
 
-let subst_fold env e =
-  fold_expr (Verilog.Ast_util.subst_expr env e)
+and index i =
+  let i = prune i in
+  match static_value i with Some c -> E_const c | None -> i
 
-let const_env_of env =
-  (* environment of int values for eval_const *)
-  Smap.filter_map
-    (fun _ e -> match e with E_const { value; _ } -> Some value | _ -> None)
-    env
+and literal ctx e = E_const (constant ctx e)
 
-let eval_to_int env ctx e =
-  let e = subst_fold env e in
-  match e with
-  | E_const { value; _ } -> value
-  | _ ->
-    (try Verilog.Ast_util.eval_const (const_env_of env) e
-     with Verilog.Ast_util.Not_constant _ ->
-       errorf "%s: expression is not constant after elaboration" ctx)
+and constant ctx e =
+  let e = prune e in
+  match const_value e with
+  | Some c -> c
+  | None ->
+    let reads = Verilog.Ast_util.expr_signals e in
+    errorf "%s: expression is not constant after elaboration%s" ctx
+      (if Sset.is_empty reads then ""
+       else " (reads " ^ String.concat ", " (Sset.elements reads) ^ ")")
+
+let subst env e = prune (Verilog.Ast_util.subst_expr env e)
+let value env ctx e = constant ctx (Verilog.Ast_util.subst_expr env e)
 
 (* ------------------------------------------------------------------ *)
-(* Statement elaboration: substitute, fold, unroll for loops.          *)
+(* Statement elaboration: substitute, prune, unroll for loops.         *)
 (* ------------------------------------------------------------------ *)
 
 let max_loop_iterations = 4096
 
 let rec elab_stmt env stmt : stmt list =
   match stmt with
-  | S_blocking (lv, e) -> [ S_blocking (elab_lvalue env lv, subst_fold env e) ]
+  | S_blocking (lv, e) -> [ S_blocking (elab_lvalue env lv, subst env e) ]
   | S_nonblocking (lv, e) ->
-    [ S_nonblocking (elab_lvalue env lv, subst_fold env e) ]
+    [ S_nonblocking (elab_lvalue env lv, subst env e) ]
   | S_if (c, t, f) ->
-    let c = subst_fold env c in
-    (match c with
-     | E_const { value; _ } ->
+    let c = subst env c in
+    (match static_value c with
+     | Some { value; _ } ->
        (* statically-known branch: splice the live side *)
        elab_stmts env (if value <> 0 then t else f)
-     | _ -> [ S_if (c, elab_stmts env t, elab_stmts env f) ])
+     | None -> [ S_if (c, elab_stmts env t, elab_stmts env f) ])
   | S_case (kind, subject, arms) ->
-    let subject = subst_fold env subject in
     let arms =
       List.map
         (fun arm ->
-          { arm_patterns = List.map (subst_fold env) arm.arm_patterns;
+          { arm_patterns = List.map (subst env) arm.arm_patterns;
             arm_body = elab_stmts env arm.arm_body })
         arms
     in
-    [ S_case (kind, subject, arms) ]
+    [ S_case (kind, subst env subject, arms) ]
   | S_for f ->
-    let init = eval_to_int env "for initializer" f.for_init in
+    let int env ctx e = (value env ctx e).value in
     let rec unroll value count acc =
       if count > max_loop_iterations then
         errorf "for loop on %s exceeds %d iterations" f.for_var
           max_loop_iterations;
       let env = Smap.add f.for_var (E_const { width = None; value }) env in
-      let live = eval_to_int env "for condition" f.for_cond in
-      if live = 0 then List.rev acc
+      if int env "for condition" f.for_cond = 0 then List.rev acc
       else begin
         let body = elab_stmts env f.for_body in
-        let next = eval_to_int env "for step" f.for_step in
+        let next = int env "for step" f.for_step in
         unroll next (count + 1) (List.rev_append body acc)
       end
     in
-    unroll init 0 []
+    unroll (int env "for initializer" f.for_init) 0 []
 
 and elab_stmts env stmts = List.concat_map (elab_stmt env) stmts
 
 and elab_lvalue env lv =
   match lv with
   | L_ident _ -> lv
-  | L_bit (s, i) -> L_bit (s, subst_fold env i)
+  | L_bit (s, i) -> L_bit (s, index (Verilog.Ast_util.subst_expr env i))
   | L_part (s, msb, lsb) ->
-    L_part (s, subst_fold env msb, subst_fold env lsb)
+    L_part (s, E_const (value env "part select bound" msb),
+            E_const (value env "part select bound" lsb))
   | L_concat lvs -> L_concat (List.map (elab_lvalue env) lvs)
 
 let elab_clocking em_name events body =
@@ -237,11 +344,16 @@ let elab_clocking em_name events body =
 (* Module elaboration.                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Specialized module name for a parameter binding. *)
+(* Specialized module name for a parameter binding; a sized value adds
+   its width, since the parameter takes it. *)
 let specialized_name base overrides =
   if overrides = [] then base
   else
-    let part (n, v) = Printf.sprintf "%s%d" n v in
+    let part (n, c) =
+      match c.width with
+      | None -> Printf.sprintf "%s%d" n c.value
+      | Some w -> Printf.sprintf "%s%dw%d" n c.value w
+    in
     base ^ "_p_" ^ String.concat "_" (List.map part overrides)
 
 type elab_ctx = {
@@ -250,7 +362,7 @@ type elab_ctx = {
   guard : unit -> unit;  (* per-module cancellation hook *)
 }
 
-let rec elab_module ctx base_name (overrides : (string * int) list) =
+let rec elab_module ctx base_name (overrides : (string * const) list) =
   let name = specialized_name base_name overrides in
   match Smap.find_opt name ctx.done_ with
   | Some em -> em
@@ -260,21 +372,19 @@ let rec elab_module ctx base_name (overrides : (string * int) list) =
       try Verilog.Ast.find_module ctx.source base_name
       with Not_found -> errorf "module %s is not defined" base_name
     in
-    (* 1. parameter environment *)
+    (* 1. parameter environment: a parameter takes the width of its
+       value (IEEE 1364-2005 12.2), 32 bits when that is unsized *)
     let env = ref Smap.empty in
-    let add_param n v = env := Smap.add n (E_const { width = None; value = v }) !env in
+    let add_param n c = env := Smap.add n (E_const c) !env in
     List.iter
       (fun item ->
         match item with
         | I_param (n, default) ->
-          let v =
-            match List.assoc_opt n overrides with
-            | Some v -> v
-            | None -> eval_to_int !env ("parameter " ^ n) default
-          in
-          add_param n v
-        | I_localparam (n, e) ->
-          add_param n (eval_to_int !env ("localparam " ^ n) e)
+          add_param n
+            (match List.assoc_opt n overrides with
+             | Some c -> c
+             | None -> value !env ("parameter " ^ n) default)
+        | I_localparam (n, e) -> add_param n (value !env ("localparam " ^ n) e)
         | _ -> ())
       m.mod_items;
     let env = !env in
@@ -307,8 +417,8 @@ let rec elab_module ctx base_name (overrides : (string * int) list) =
     let resolve_range = function
       | None -> (0, 0)
       | Some { msb; lsb } ->
-        let m = eval_to_int env "range msb" msb in
-        let l = eval_to_int env "range lsb" lsb in
+        let m = (value env "range msb" msb).value in
+        let l = (value env "range lsb" lsb).value in
         if l > m then errorf "%s: descending ranges only ([msb:lsb])" name;
         (m, l)
     in
@@ -327,8 +437,8 @@ let rec elab_module ctx base_name (overrides : (string * int) list) =
             names
         | I_memory (range, arr, names) ->
           let (msb, lsb) = resolve_range range in
-          let a = eval_to_int env "array bound" arr.msb in
-          let b = eval_to_int env "array bound" arr.lsb in
+          let a = (value env "array bound" arr.msb).value in
+          let b = (value env "array bound" arr.lsb).value in
           List.iter (fun n -> declare_memory n msb lsb a b) names
         | _ -> ())
       m.mod_items;
@@ -340,7 +450,7 @@ let rec elab_module ctx base_name (overrides : (string * int) list) =
         match item with
         | I_port _ | I_net _ | I_memory _ | I_param _ | I_localparam _ -> ()
         | I_assign (lv, e) ->
-          emit (EI_assign (elab_lvalue env lv, subst_fold env e))
+          emit (EI_assign (elab_lvalue env lv, subst env e))
         | I_always (events, body) ->
           let body = elab_stmts env body in
           let (clocking, body) = elab_clocking m.mod_name events body in
@@ -348,7 +458,7 @@ let rec elab_module ctx base_name (overrides : (string * int) list) =
         | I_gate (g, gname, out, inputs) ->
           emit
             (EI_gate (g, gname, elab_lvalue env out,
-                      List.map (subst_fold env) inputs))
+                      List.map (subst env) inputs))
         | I_instance inst -> emit (EI_instance (elab_instance ctx env inst)))
       m.mod_items;
     let em =
@@ -363,14 +473,14 @@ let rec elab_module ctx base_name (overrides : (string * int) list) =
 and elab_instance ctx env inst =
   let child_overrides =
     List.map
-      (fun (n, e) -> (n, eval_to_int env ("override " ^ n) e))
+      (fun (n, e) -> (n, value env ("override " ^ n) e))
       inst.inst_params
   in
   let child = elab_module ctx inst.inst_module child_overrides in
   let conns =
     match inst.inst_conns with
     | Positional es ->
-      let es = List.map (fun e -> Some (subst_fold env e)) es in
+      let es = List.map (fun e -> Some (subst env e)) es in
       let n_ports = List.length child.em_ports in
       if List.length es <> n_ports then
         errorf "instance %s of %s: %d connections for %d ports"
@@ -380,7 +490,7 @@ and elab_instance ctx env inst =
       List.map
         (fun port ->
           match List.assoc_opt port given with
-          | Some (Some e) -> (port, Some (subst_fold env e))
+          | Some (Some e) -> (port, Some (subst env e))
           | Some None | None -> (port, None))
         child.em_ports
   in

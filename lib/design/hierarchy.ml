@@ -32,28 +32,25 @@ let path_to_string path = String.concat "." path
 (** All nodes in preorder. *)
 let rec flatten node = node :: List.concat_map flatten node.nd_children
 
+(** [child node inst] is the child of [node] created by instance
+    [inst].
+    @raise Not_found when [node] has no such instance. *)
+let child node inst =
+  List.find
+    (fun c ->
+      match List.rev c.nd_path with
+      | last :: _ -> String.equal last inst
+      | [] -> false)
+    node.nd_children
+
 exception Unknown_path of string
 
 (** [find_path tree path] resolves an instance path ["a.b.c"].
     @raise Unknown_path when no such instance exists. *)
 let find_path tree path =
   let segs = if String.equal path "" then [] else String.split_on_char '.' path in
-  let rec go node = function
-    | [] -> node
-    | seg :: rest ->
-      let child =
-        List.find_opt
-          (fun c ->
-            match List.rev c.nd_path with
-            | last :: _ -> String.equal last seg
-            | [] -> false)
-          node.nd_children
-      in
-      (match child with
-       | Some child -> go child rest
-       | None -> raise (Unknown_path path))
-  in
-  go tree segs
+  try List.fold_left child tree segs
+  with Not_found -> raise (Unknown_path path)
 
 (** [parent_of tree node] is the node whose child [node] is, if any. *)
 let parent_of tree target =

@@ -16,6 +16,11 @@ val path_to_string : string list -> string
 (** All nodes in preorder. *)
 val flatten : node -> node list
 
+(** [child node inst] is the child of [node] created by instance
+    [inst] of its module.
+    @raise Not_found when [node] has no such instance. *)
+val child : node -> string -> node
+
 (** Raised by {!find_path} with the path that names no instance. *)
 exception Unknown_path of string
 

@@ -19,42 +19,6 @@ let to_string f =
   Printf.sprintf "%s: %s is %d bits wide but is driven by %d bits (truncated)"
     f.ln_module f.ln_context f.ln_lhs_width f.ln_rhs_width
 
-(* Self-determined width of an expression within a module. *)
-let rec width_of em e =
-  let sig_width name = signal_width (signal_of em name) in
-  match e with
-  | E_const { width = Some w; _ } -> w
-  | E_const { width = None; _ } -> 32
-  | E_masked m -> m.m_width
-  | E_ident s -> sig_width s
-  | E_bit (s, _) ->
-    let info = signal_of em s in
-    if is_memory info then signal_width info else 1
-  | E_part (_, E_const m, E_const l) -> m.value - l.value + 1
-  | E_part _ -> 1
-  | E_unop ((U_lnot | U_rand | U_ror | U_rxor | U_rnand | U_rnor | U_rxnor), _)
-    -> 1
-  | E_unop (_, a) -> width_of em a
-  | E_binop ((B_eq | B_neq | B_lt | B_le | B_gt | B_ge | B_land | B_lor), _, _)
-    -> 1
-  | E_binop ((B_shl | B_shr), a, _) -> width_of em a
-  | E_binop (_, a, b) -> max (width_of em a) (width_of em b)
-  | E_cond (_, a, b) -> max (width_of em a) (width_of em b)
-  | E_concat es -> List.fold_left (fun acc e -> acc + width_of em e) 0 es
-  | E_repl (E_const n, es) ->
-    n.value * List.fold_left (fun acc e -> acc + width_of em e) 0 es
-  | E_repl _ -> 1
-
-let rec lvalue_width em = function
-  | L_ident s -> signal_width (signal_of em s)
-  | L_bit (s, _) ->
-    let info = signal_of em s in
-    if is_memory info then signal_width info else 1
-  | L_part (_, E_const m, E_const l) -> m.value - l.value + 1
-  | L_part _ -> 1
-  | L_concat lvs ->
-    List.fold_left (fun acc lv -> acc + lvalue_width em lv) 0 lvs
-
 let rec lvalue_name = function
   | L_ident s | L_bit (s, _) | L_part (s, _, _) -> s
   | L_concat (lv :: _) -> lvalue_name lv
@@ -63,14 +27,15 @@ let rec lvalue_name = function
 (* Unsized constants are always "wide": only flag them when truncated to
    fewer bits than their value needs. *)
 let effective_rhs_width em e =
-  match e with
-  | E_const { width = None; value } ->
+  match const_value e with
+  | Some { width = None; value } ->
     let rec bits v acc = if v = 0 then max acc 1 else bits (v lsr 1) (acc + 1) in
     bits value 0
-  | _ -> width_of em e
+  | _ -> self_width (signal_of em) e
 
-let check_assign em findings context lv e =
-  let lw = lvalue_width em lv in
+(* Record a finding when driving [context] ([lw] bits) with [e]
+   truncates it. *)
+let check_drive em findings context lw e =
   let rw = effective_rhs_width em e in
   if rw > lw then
     findings :=
@@ -78,10 +43,12 @@ let check_assign em findings context lv e =
         ln_lhs_width = lw; ln_rhs_width = rw }
       :: !findings
 
+let check_assign em findings lv e =
+  check_drive em findings (lvalue_name lv) (lvalue_width (signal_of em) lv) e
+
 let rec check_stmt em findings stmt =
   match stmt with
-  | S_blocking (lv, e) | S_nonblocking (lv, e) ->
-    check_assign em findings (lvalue_name lv) lv e
+  | S_blocking (lv, e) | S_nonblocking (lv, e) -> check_assign em findings lv e
   | S_if (_, t, f) ->
     List.iter (check_stmt em findings) t;
     List.iter (check_stmt em findings) f
@@ -98,27 +65,17 @@ let check_module ed em =
   Array.iter
     (fun item ->
       match item with
-      | EI_assign (lv, e) ->
-        check_assign em findings (lvalue_name lv) lv e
+      | EI_assign (lv, e) -> check_assign em findings lv e
       | EI_always (_, body) -> List.iter (check_stmt em findings) body
       | EI_gate _ -> ()
       | EI_instance inst ->
         let child = find_emodule ed inst.ei_module in
         List.iter
           (fun (port, conn) ->
-            match conn with
-            | None -> ()
-            | Some e ->
-              let pw = signal_width (signal_of child port) in
-              let ew = effective_rhs_width em e in
-              if ew > pw then
-                findings :=
-                  { ln_module = em.em_name;
-                    ln_context =
-                      Printf.sprintf "%s.%s" inst.ei_name port;
-                    ln_lhs_width = pw;
-                    ln_rhs_width = ew }
-                  :: !findings)
+            Option.iter
+              (check_drive em findings (inst.ei_name ^ "." ^ port)
+                 (signal_width (signal_of child port)))
+              conn)
           inst.ei_conns)
     em.em_items;
   List.rev !findings

@@ -48,7 +48,7 @@ let make_env ?(budget = Engine.Budget.none) design ~top =
 (* Bump when anything that feeds a fingerprint changes meaning (the
    pretty-printer, elaboration semantics, the traversal below), so stale
    on-disk cache entries keyed by an old scheme can never alias. *)
-let fingerprint_version = "factor-fp-1"
+let fingerprint_version = "factor-fp-2"
 
 (** [source_fingerprint ~source ~top] is the raw-text content hash: MD5
     over the version tag, the top module name, and the source bytes.  Two

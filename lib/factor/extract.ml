@@ -80,14 +80,6 @@ let chains_of ctx module_name =
   | Some ch -> ch
   | None -> raise (Design.Elaborate.Error ("no chains for " ^ module_name))
 
-let child_of node inst_name =
-  List.find
-    (fun c ->
-      match List.rev c.H.nd_path with
-      | last :: _ -> String.equal last inst_name
-      | [] -> false)
-    node.H.nd_children
-
 let coarsen ctx site =
   match ctx.granularity with
   | Fine -> site
@@ -166,7 +158,7 @@ and source_from_site ctx node em signal site trace =
   | EI_instance inst ->
     (* the signal is driven by a child instance's output port: recurse
        into the child on every output whose connection mentions it *)
-    let child = child_of node inst.ei_name in
+    let child = H.child node inst.ei_name in
     let child_em = find_emodule ctx.ed inst.ei_module in
     List.iter
       (fun (port, conn) ->
@@ -246,7 +238,7 @@ and prop_from_site ctx node em signal site trace =
   | EI_instance inst ->
     (* the signal feeds a child's input ports: propagate inside the
        child *)
-    let child = child_of node inst.ei_name in
+    let child = H.child node inst.ei_name in
     let child_em = find_emodule ctx.ed inst.ei_module in
     List.iter
       (fun (port, conn) ->

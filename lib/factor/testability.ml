@@ -26,30 +26,6 @@ let hard_coded_to_string h =
      | [] -> ""
      | cs -> " depending on " ^ String.concat ", " cs)
 
-(* Constant right-hand side of a definition leaf. *)
-let leaf_constant em site =
-  match em.em_items.(site.Ch.st_item) with
-  | EI_assign (_, Verilog.Ast.E_const c) -> Some c.Verilog.Ast.value
-  | EI_assign _ | EI_gate _ | EI_instance _ -> None
-  | EI_always _ ->
-    (match site.Ch.st_path with
-     | [] -> None
-     | _ ->
-       (match Ch.site_leaf em site with
-        | Some (Verilog.Ast.S_blocking (_, Verilog.Ast.E_const c), _)
-        | Some (Verilog.Ast.S_nonblocking (_, Verilog.Ast.E_const c), _) ->
-          Some c.Verilog.Ast.value
-        | _ -> None))
-
-(* Control signals dominating a leaf site. *)
-let leaf_controls em site =
-  match Ch.site_leaf em site with
-  | Some (_, conds) ->
-    List.fold_left
-      (fun acc c -> Verilog.Ast_util.expr_reads c acc)
-      Sset.empty conds
-  | None -> Sset.empty
-
 (* Recursively decide whether [signal] in [node]'s module is driven
    exclusively by hard-coded constants, following identifier aliases,
    port connections up and down the hierarchy, and collecting the control
@@ -68,6 +44,7 @@ let rec trace_constants env node signal visited =
     let em = find_emodule ed node.H.nd_module in
     let chains = Smap.find node.H.nd_module env.Compose.chains in
     let defs = Ch.defs_of chains signal in
+    let driven_by node = driven_by env node visited in
     if Ch.Site_set.is_empty defs then begin
       match (signal_of em signal).sg_dir with
       | Some Verilog.Ast.Input ->
@@ -75,12 +52,7 @@ let rec trace_constants env node signal visited =
          | None -> None
          | Some parent ->
            let inst = H.instance_item ed parent node in
-           (match List.assoc signal inst.ei_conns with
-            | Some (Verilog.Ast.E_const c) ->
-              Some { tr_values = [ c.Verilog.Ast.value ]; tr_controls = Sset.empty }
-            | Some (Verilog.Ast.E_ident s) ->
-              trace_constants env parent s visited
-            | _ -> None))
+           Option.bind (List.assoc signal inst.ei_conns) (driven_by parent))
       | _ -> None
     end
     else
@@ -100,14 +72,7 @@ let rec trace_constants env node signal visited =
               match em.em_items.(site.Ch.st_item) with
               | EI_instance inst ->
                 (* defined by a child's output: find the driving port *)
-                let child_node =
-                  List.find
-                    (fun c ->
-                      match List.rev c.H.nd_path with
-                      | last :: _ -> String.equal last inst.ei_name
-                      | [] -> false)
-                    node.H.nd_children
-                in
+                let child_node = H.child node inst.ei_name in
                 let child_em = find_emodule ed inst.ei_module in
                 List.find_map
                   (fun (port, conn) ->
@@ -118,36 +83,39 @@ let rec trace_constants env node signal visited =
                       trace_constants env child_node port visited
                     | _ -> None)
                   inst.ei_conns
-              | EI_assign (_, Verilog.Ast.E_const c) ->
-                Some { tr_values = [ c.Verilog.Ast.value ]; tr_controls = Sset.empty }
-              | EI_assign (_, Verilog.Ast.E_ident s) ->
-                trace_constants env node s visited
-              | EI_assign _ | EI_gate _ -> None
+              | EI_assign (_, e) -> driven_by node e
+              | EI_gate _ -> None
               | EI_always _ ->
-                (match leaf_constant em site with
-                 | Some v ->
-                   Some
-                     { tr_values = [ v ];
-                       tr_controls = leaf_controls em site }
-                 | None ->
-                   (match Ch.site_leaf em site with
-                    | Some (Verilog.Ast.S_blocking (_, Verilog.Ast.E_ident s), conds)
-                    | Some (Verilog.Ast.S_nonblocking (_, Verilog.Ast.E_ident s), conds) ->
-                      (match trace_constants env node s visited with
-                       | Some t ->
-                         let extra =
+                (match Ch.site_leaf em site with
+                 | Some
+                     ( ( Verilog.Ast.S_blocking (_, e)
+                       | Verilog.Ast.S_nonblocking (_, e) ),
+                       conds ) ->
+                   Option.map
+                     (fun t ->
+                       { t with
+                         tr_controls =
                            List.fold_left
                              (fun acc c -> Verilog.Ast_util.expr_reads c acc)
-                             Sset.empty conds
-                         in
-                         Some { t with tr_controls = Sset.union t.tr_controls extra }
-                       | None -> None)
-                    | _ -> None))
+                             t.tr_controls conds })
+                     (driven_by node e)
+                 | _ -> None)
             in
             merge acc this)
         defs
         (Some { tr_values = []; tr_controls = Sset.empty })
   end
+
+(* What [e], in [node]'s module, traces to: a closed expression to its one
+   value, a signal to what drives it. *)
+and driven_by env node visited e =
+  match e with
+  | Verilog.Ast.E_ident s -> trace_constants env node s visited
+  | _ ->
+    Option.map
+      (fun c ->
+        { tr_values = [ c.Verilog.Ast.value ]; tr_controls = Sset.empty })
+      (const_value e)
 
 (** [hard_coded_inputs env ~mut_path] analyzes every input of the module
     under test and reports the ones driven exclusively by hard-coded
@@ -168,11 +136,7 @@ let hard_coded_inputs (env : Compose.env) ~mut_path =
           let traced =
             match conn with
             | None -> Some { tr_values = [ 0 ]; tr_controls = Sset.empty }
-            | Some (Verilog.Ast.E_const c) ->
-              Some { tr_values = [ c.Verilog.Ast.value ]; tr_controls = Sset.empty }
-            | Some (Verilog.Ast.E_ident s) ->
-              trace_constants env parent s []
-            | Some _ -> None
+            | Some e -> driven_by env parent [] e
           in
           match traced with
           | Some t ->

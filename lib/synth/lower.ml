@@ -58,40 +58,6 @@ let total_bits ctx name =
   signal_width info * info.sg_words
 
 (* ------------------------------------------------------------------ *)
-(* Expression widths (self-determined).                                *)
-(* ------------------------------------------------------------------ *)
-
-let rec self_width ctx e =
-  match e with
-  | E_const { width = Some w; _ } -> w
-  | E_const { width = None; _ } -> 32
-  | E_masked m -> m.m_width
-  | E_ident s -> width_of ctx s
-  | E_bit (s, _) ->
-    let info = signal_info ctx s in
-    if is_memory info then signal_width info else 1
-  | E_part (_, msb, lsb) ->
-    (match (msb, lsb) with
-     | (E_const m, E_const l) -> m.value - l.value + 1
-     | _ -> errorf "part select bounds must be constant")
-  | E_unop ((U_lnot | U_rand | U_ror | U_rxor | U_rnand | U_rnor | U_rxnor), _)
-    -> 1
-  | E_unop (_, a) -> self_width ctx a
-  | E_binop ((B_eq | B_neq | B_lt | B_le | B_gt | B_ge | B_land | B_lor), _, _)
-    -> 1
-  | E_binop ((B_shl | B_shr), a, _) -> self_width ctx a
-  | E_binop (_, a, b) -> max (self_width ctx a) (self_width ctx b)
-  | E_cond (_, t, f) -> max (self_width ctx t) (self_width ctx f)
-  | E_concat es -> List.fold_left (fun acc e -> acc + self_width ctx e) 0 es
-  | E_repl (n, es) ->
-    let n =
-      match n with
-      | E_const { value; _ } -> value
-      | _ -> errorf "replication count must be constant"
-    in
-    n * List.fold_left (fun acc e -> acc + self_width ctx e) 0 es
-
-(* ------------------------------------------------------------------ *)
 (* Word-level gate constructors.                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -99,9 +65,11 @@ let zext b vec w =
   let n = Array.length vec in
   Array.init w (fun i -> if i < n then vec.(i) else N.const0 b)
 
+(* Bits past 62 repeat the sign: [asr] by more than that is
+   unspecified. *)
 let const_vec b value w =
   Array.init w (fun i ->
-      if (value asr i) land 1 = 1 then N.const1 b else N.const0 b)
+      if (value asr min i 62) land 1 = 1 then N.const1 b else N.const0 b)
 
 let map2_bits f b x y = Array.init (Array.length x) (fun i -> f b x.(i) y.(i))
 
@@ -171,7 +139,8 @@ let barrel b shift_stage vec amount =
   let result = ref vec in
   Array.iteri
     (fun j aj ->
-      let k = 1 lsl j in
+      (* past bit 61, 2^j overflows; any such stage shifts every bit out *)
+      let k = if j > 61 then Array.length vec else 1 lsl j in
       let shifted = shift_stage b !result k in
       result :=
         Array.init (Array.length vec) (fun i ->
@@ -211,6 +180,9 @@ let rec lower_expr ctx read e ~width : int array =
   let b = ctx.b in
   match e with
   | E_const { value; _ } -> const_vec b value width
+  | (E_unop _ | E_binop _) when foldable e ->
+    (* literal arithmetic, at the width this context gives it *)
+    const_vec b (Option.get (const_value ~width e)).value width
   | E_masked _ ->
     errorf "a masked literal is only valid as a casez/casex pattern"
   | E_ident s ->
@@ -231,7 +203,7 @@ let rec lower_expr ctx read e ~width : int array =
         if w < 0 || w >= info.sg_words then const_vec b 0 width
         else zext b (Array.sub vec (w * ww) ww) width
       | _ ->
-        let iw = self_width ctx idx in
+        let iw = self_width (signal_info ctx) idx in
         let ivec = lower_expr ctx read idx ~width:iw in
         let ivec =
           if info.sg_addr_base = 0 then ivec
@@ -249,7 +221,7 @@ let rec lower_expr ctx read e ~width : int array =
          if pos < 0 || pos >= Array.length vec then const_vec b 0 width
          else zext b [| vec.(pos) |] width
        | _ ->
-         let iw = self_width ctx idx in
+         let iw = self_width (signal_info ctx) idx in
          let ivec = lower_expr ctx read idx ~width:iw in
          (* normalize a non-zero lsb by selecting idx - lsb *)
          let ivec =
@@ -276,7 +248,9 @@ let rec lower_expr ctx read e ~width : int array =
   | E_concat es ->
     (* first element is the most significant *)
     let parts =
-      List.rev_map (fun e -> lower_expr ctx read e ~width:(self_width ctx e)) es
+      List.rev_map
+        (fun e -> lower_expr ctx read e ~width:(self_width (signal_info ctx) e))
+        es
     in
     zext b (Array.concat parts) width
   | E_repl (n, es) ->
@@ -286,13 +260,16 @@ let rec lower_expr ctx read e ~width : int array =
       | _ -> errorf "replication count must be constant"
     in
     let parts =
-      List.rev_map (fun e -> lower_expr ctx read e ~width:(self_width ctx e)) es
+      List.rev_map
+        (fun e -> lower_expr ctx read e ~width:(self_width (signal_info ctx) e))
+        es
     in
     let one = Array.concat parts in
     zext b (Array.concat (List.init n (fun _ -> one))) width
 
 and lower_to_bit ctx read e =
-  let v = lower_expr ctx read e ~width:(max 1 (self_width ctx e)) in
+  let w = max 1 (self_width (signal_info ctx) e) in
+  let v = lower_expr ctx read e ~width:w in
   reduce_or ctx.b v
 
 and lower_unop ctx read op a ~width =
@@ -304,7 +281,8 @@ and lower_unop ctx read op a ~width =
   | U_plus -> lower_expr ctx read a ~width
   | U_lnot -> zext b [| N.mk_not b (lower_to_bit ctx read a) |] width
   | U_rand | U_ror | U_rxor | U_rnand | U_rnor | U_rxnor ->
-    let v = lower_expr ctx read a ~width:(max 1 (self_width ctx a)) in
+    let w = max 1 (self_width (signal_info ctx) a) in
+    let v = lower_expr ctx read a ~width:w in
     let bit =
       match op with
       | U_rand -> reduce_and b v
@@ -329,7 +307,9 @@ and lower_binop ctx read op x y ~width =
   | B_sub -> sub_vec b (at width x) (at width y)
   | B_mul -> mul_vec b (at width x) (at width y)
   | B_eq | B_neq | B_lt | B_le | B_gt | B_ge ->
-    let w = max (self_width ctx x) (self_width ctx y) in
+    let w =
+      max (self_width (signal_info ctx) x) (self_width (signal_info ctx) y)
+    in
     let xv = at w x and yv = at w y in
     let bit =
       match op with
@@ -351,7 +331,7 @@ and lower_binop ctx read op x y ~width =
       [| N.mk_or b (lower_to_bit ctx read x) (lower_to_bit ctx read y) |]
       width
   | B_shl | B_shr ->
-    let w = max width (self_width ctx x) in
+    let w = max width (self_width (signal_info ctx) x) in
     let xv = at w x in
     let shifted =
       match y with
@@ -363,7 +343,7 @@ and lower_binop ctx read op x y ~width =
          | B_shl -> shl_const b xv k
          | _ -> shr_const b xv k)
       | _ ->
-        let yw = self_width ctx y in
+        let yw = self_width (signal_info ctx) y in
         let yv = at yw y in
         (match op with
          | B_shl -> barrel b shl_const xv yv
@@ -427,7 +407,7 @@ let rec env_write ctx read env lv (vec : int array) : exec_env =
          let rec bits n acc = if n = 0 then acc else bits (n lsr 1) (acc + 1) in
          max 1 (bits (info.sg_words - 1) 0)
        in
-       let self_w = self_width ctx idx in
+       let self_w = self_width (signal_info ctx) idx in
        let idx_w = max self_w needed in
        (* the index is self-determined: evaluate at its own width, then
           zero-extend for the comparisons *)
@@ -458,9 +438,12 @@ let rec env_write ctx read env lv (vec : int array) : exec_env =
     let rec go env pos = function
       | [] -> env
       | lv :: rest ->
-        let w = lvalue_width ctx lv in
+        let w = lvalue_width (signal_info ctx) lv in
         let env = go env pos rest in
-        let consumed = List.fold_left (fun a l -> a + lvalue_width ctx l) 0 rest in
+        let consumed =
+          List.fold_left
+            (fun a l -> a + lvalue_width (signal_info ctx) l) 0 rest
+        in
         let slice =
           Array.init w (fun i ->
               let src = pos + consumed + i in
@@ -481,14 +464,6 @@ and write_bits ctx env s lo w vec =
   done;
   Smap.add s bits env
 
-and lvalue_width ctx = function
-  | L_ident s -> width_of ctx s
-  | L_bit (s, _) when is_memory (signal_info ctx s) -> width_of ctx s
-  | L_bit _ -> 1
-  | L_part (_, E_const m, E_const l) -> m.value - l.value + 1
-  | L_part _ -> errorf "part select bounds must be constant"
-  | L_concat lvs ->
-    List.fold_left (fun acc lv -> acc + lvalue_width ctx lv) 0 lvs
 
 (* Merge two branch environments under a select bit (1 chooses [env_t]). *)
 let merge_envs ctx sel (env_t : exec_env) (env_f : exec_env) : exec_env =
@@ -511,10 +486,12 @@ let rec exec_stmt ctx outer_read (cur, nxt) stmt =
   let read s = env_read outer_read cur s in
   match stmt with
   | S_blocking (lv, e) ->
-    let vec = lower_expr ctx read e ~width:(lvalue_width ctx lv) in
+    let width = lvalue_width (signal_info ctx) lv in
+    let vec = lower_expr ctx read e ~width in
     (env_write ctx read cur lv vec, env_write ctx read nxt lv vec)
   | S_nonblocking (lv, e) ->
-    let vec = lower_expr ctx read e ~width:(lvalue_width ctx lv) in
+    let width = lvalue_width (signal_info ctx) lv in
+    let vec = lower_expr ctx read e ~width in
     (cur, env_write ctx read nxt lv vec)
   | S_if (c, t, f) ->
     let sel = lower_to_bit ctx read c in
@@ -527,9 +504,9 @@ let rec exec_stmt ctx outer_read (cur, nxt) stmt =
       List.fold_left
         (fun acc arm ->
           List.fold_left
-            (fun acc p -> max acc (self_width ctx p))
+            (fun acc p -> max acc (self_width (signal_info ctx) p))
             acc arm.arm_patterns)
-        (self_width ctx subject) arms
+        (self_width (signal_info ctx) subject) arms
     in
     let sv = lower_expr ctx read subject ~width:w in
     (* first matching arm wins; build as a right-to-left mux cascade *)
@@ -647,7 +624,8 @@ and process_item ctx idx =
        let vec = Array.map (N.mk_hard_buf ctx.b) (get_vec ctx r) in
        fill_lvalue ctx (L_ident s) vec
      | EI_assign (lv, e) ->
-       let vec = lower_expr ctx (outer_read ctx) e ~width:(lvalue_width ctx lv) in
+       let width = lvalue_width (signal_info ctx) lv in
+       let vec = lower_expr ctx (outer_read ctx) e ~width in
        fill_lvalue ctx lv vec
      | EI_gate (g, _, out, inputs) ->
        let bits =
@@ -739,8 +717,11 @@ and fill_lvalue ctx lv vec =
       | [] -> ()
       | lv :: rest ->
         (* first is most significant: recurse right-to-left *)
-        let consumed = List.fold_left (fun a l -> a + lvalue_width ctx l) 0 rest in
-        let w = lvalue_width ctx lv in
+        let consumed =
+          List.fold_left
+            (fun a l -> a + lvalue_width (signal_info ctx) l) 0 rest
+        in
+        let w = lvalue_width (signal_info ctx) lv in
         let slice =
           Array.init w (fun i ->
               let src = pos + consumed + i in

@@ -1,6 +1,5 @@
 (** Traversal helpers over the Verilog AST: signal read/write sets,
-    identifier substitution, constant evaluation of parameter
-    expressions. *)
+    identifier substitution and renaming. *)
 
 open Ast
 
@@ -144,51 +143,6 @@ let rec rename_stmt f stmt =
         for_cond = rename_expr f fl.for_cond;
         for_step = rename_expr f fl.for_step;
         for_body = List.map (rename_stmt f) fl.for_body }
-
-exception Not_constant of expr
-
-(** Evaluate a constant expression given bindings for parameter names.
-    @raise Not_constant when a free identifier remains. *)
-let rec eval_const env e =
-  match e with
-  | E_const { value; _ } -> value
-  | E_ident s ->
-    (match Smap.find_opt s env with
-     | Some v -> v
-     | None -> raise (Not_constant e))
-  | E_unop (op, a) ->
-    let v = eval_const env a in
-    (match op with
-     | U_neg -> -v
-     | U_plus -> v
-     | U_not -> lnot v
-     | U_lnot -> if v = 0 then 1 else 0
-     | U_rand | U_ror | U_rxor | U_rnand | U_rnor | U_rxnor ->
-       raise (Not_constant e))
-  | E_binop (op, a, b) ->
-    let va = eval_const env a and vb = eval_const env b in
-    (match op with
-     | B_add -> va + vb
-     | B_sub -> va - vb
-     | B_mul -> va * vb
-     | B_and -> va land vb
-     | B_or -> va lor vb
-     | B_xor -> va lxor vb
-     | B_xnor -> lnot (va lxor vb)
-     | B_eq -> if va = vb then 1 else 0
-     | B_neq -> if va <> vb then 1 else 0
-     | B_lt -> if va < vb then 1 else 0
-     | B_le -> if va <= vb then 1 else 0
-     | B_gt -> if va > vb then 1 else 0
-     | B_ge -> if va >= vb then 1 else 0
-     | B_shl -> va lsl vb
-     | B_shr -> va lsr vb
-     | B_land -> if va <> 0 && vb <> 0 then 1 else 0
-     | B_lor -> if va <> 0 || vb <> 0 then 1 else 0)
-  | E_cond (c, t, f) ->
-    if eval_const env c <> 0 then eval_const env t else eval_const env f
-  | E_bit _ | E_part _ | E_concat _ | E_repl _ | E_masked _ ->
-    raise (Not_constant e)
 
 (** Signals a module item reads (conditions, RHS, connections). *)
 let item_reads = function

@@ -1,5 +1,6 @@
 (** Traversal helpers over the Verilog AST: signal read/write sets,
-    identifier substitution, and constant evaluation. *)
+    identifier substitution and renaming.  Widths and constant values
+    are decided by [Design.Elaborate]. *)
 
 module Sset : Set.S with type elt = string
 module Smap : Map.S with type key = string
@@ -39,14 +40,6 @@ val subst_expr : Ast.expr Smap.t -> Ast.expr -> Ast.expr
 val rename_expr : (string -> string) -> Ast.expr -> Ast.expr
 val rename_lvalue : (string -> string) -> Ast.lvalue -> Ast.lvalue
 val rename_stmt : (string -> string) -> Ast.stmt -> Ast.stmt
-
-exception Not_constant of Ast.expr
-
-(** [eval_const env e] evaluates a constant expression given integer
-    bindings for parameter names.
-    @raise Not_constant when a free identifier or non-constant construct
-    remains. *)
-val eval_const : int Smap.t -> Ast.expr -> int
 
 (** Signals a module item reads (conditions, right-hand sides, instance
     connections). *)

@@ -171,7 +171,34 @@ let elab_tests =
         in
         let em = E.find_emodule ed "top" in
         check_int "pi bits" 9 (E.port_bits em (E.inputs_of em));
-        check_int "po bits" 4 (E.port_bits em (E.outputs_of em))) ]
+        check_int "po bits" 4 (E.port_bits em (E.outputs_of em)));
+    test "a localparam reading a signal is an error naming it" (fun () ->
+        match
+          elaborate ~top:"top"
+            {|module top (input [3:0] a, output [3:0] y);
+              localparam P = a + 1; assign y = P; endmodule|}
+        with
+        | exception E.Error msg ->
+          check_string "message"
+            "localparam P: expression is not constant after elaboration \
+             (reads a)"
+            msg
+        | _ -> Alcotest.fail "expected elaboration error");
+    test "a sized override specializes by width" (fun () ->
+        let ed =
+          elaborate ~top:"top"
+            {|module twice (output [7:0] q); parameter P = 0;
+                assign q = {P, P}; endmodule
+              module top (output [7:0] y0, y1, y2);
+                twice #(.P(2'd1)) u0 (.q(y0));
+                twice #(.P(4'd1)) u1 (.q(y1));
+                twice #(.P(1)) u2 (.q(y2));
+              endmodule|}
+        in
+        check_bool "one module per width" true
+          (List.for_all
+             (fun m -> Smap.mem m ed.E.ed_modules)
+             [ "twice_p_P1w2"; "twice_p_P1w4"; "twice_p_P1" ])) ]
 
 (* ------------------------------------------------------------------ *)
 (* Hierarchy.                                                          *)

@@ -261,7 +261,147 @@ let lower_semantics_tests =
             {|module top (input [7:0] a, output [7:0] y);
               assign y = -a; endmodule|}
         in
-        eval_out c [ ("a", a) ] "y" = Some (-a land 255)) ]
+        eval_out c [ ("a", a) ] "y" = Some (-a land 255));
+    test "constants take their context width" (fun () ->
+        (* module body, y (8 bits) at a = 3 *)
+        let rows =
+          [ ("assign y = 4'd15 + 4'd1;", 16);
+            ("assign y = -(8'd82 <= 8'd242);", 255);
+            ("child u (.p(4'd15 + 4'd1), .q(y));", 16);
+            ("assign y = ((4'd15 + 4'd1) == 5'd16) ? 8'd1 : 8'd2;", 1);
+            ({|reg [7:0] r; integer i;
+               always @(*) begin
+                 r = 8'd0;
+                 for (i = 0; i < (4'd15 + 4'd1); i = i + 1) begin
+                   r = r + 8'd1;
+                 end
+               end
+               assign y = r;|}, 16);
+            ("localparam P = ~4'd0; assign y = P;", 15);
+            ("localparam Q = 4'd5 ~^ 4'd3; assign y = Q;", 9);
+            ("localparam R = &4'hF; assign y = R;", 1);
+            ("localparam C = {2'b10, 2'b01}; assign y = C;", 9);
+            ("localparam P = 4'd5; assign y = {a, P};", 53);
+            ({|wire [7:0] y0, y1;
+               twice #(.P(2'd1)) u0 (.q(y0));
+               twice #(.P(4'd1)) u1 (.q(y1));
+               assign y = y0 + y1;|}, 22);
+            (* contexts wider than an OCaml int *)
+            ("assign y = 8'd1 << {2{32'd0}};", 1);
+            ("assign y = ({8'd0, 64'd0} + 7'd82) >> 64;", 0) ]
+        in
+        List.iter
+          (fun (body, expected) ->
+            let src =
+              Printf.sprintf
+                {|module child (input [7:0] p, output [7:0] q);
+                    assign q = p; endmodule
+                  module twice (output [7:0] q);
+                    parameter P = 0; assign q = {P, P}; endmodule
+                  module top (input [3:0] a, output [7:0] y); %s endmodule|}
+                body
+            in
+            let flat = Synth.Flatten.flatten (elaborate src) "top" in
+            let c = (Synth.Lower.lower flat).Synth.Lower.circuit in
+            let interp = Synth.Interp.create flat in
+            Synth.Interp.step interp [ ("a", 3) ];
+            check_out (body ^ " (netlist)") expected
+              (eval_out c [ ("a", 3) ] "y");
+            check_int (body ^ " (interpreter)") expected
+              (Synth.Interp.output interp "y"))
+          rows) ]
+
+(* A closed expression over literals of random widths; [kept] marks the
+   literals elaboration must see as literals (replication counts, and
+   ?: conditions, which it prunes on). *)
+let gen_closed_expr =
+  let open QCheck.Gen in
+  let open Verilog.Ast in
+  let literal =
+    frequency
+      [ (5, int_range 1 8 >>= fun w ->
+            map (fun v -> E_const { width = Some w; value = v })
+              (int_bound ((1 lsl w) - 1)));
+        (1, map (fun v -> E_const { width = None; value = v }) (int_bound 20)) ]
+  in
+  let unops =
+    [ U_not; U_lnot; U_neg; U_plus; U_rand; U_ror; U_rxor; U_rnand; U_rnor;
+      U_rxnor ]
+  and binops =
+    [ B_add; B_sub; B_mul; B_and; B_or; B_xor; B_xnor; B_eq; B_neq; B_lt;
+      B_le; B_gt; B_ge; B_shl; B_shr; B_land; B_lor ]
+  in
+  fix
+    (fun self depth ->
+      if depth = 0 then literal
+      else
+        let sub = self (depth - 1) in
+        frequency
+          [ (2, literal);
+            (2, map2 (fun op a -> E_unop (op, a)) (oneofl unops) sub);
+            (4, map3 (fun op a b -> E_binop (op, a, b)) (oneofl binops) sub
+                  sub);
+            (1, map3 (fun c t f -> E_cond (c, t, f)) sub sub sub);
+            (1, map2 (fun a b -> E_concat [ a; b ]) sub sub);
+            (1, map2
+                  (fun n a ->
+                    E_repl (E_const { width = None; value = n }, [ a ]))
+                  (int_range 1 3) sub) ])
+    3
+
+(* [e] with each literal outside a ?: condition or replication count
+   replaced by a fresh input port of the literal's width, and the value
+   to drive it with. *)
+let open_literals e =
+  let open Verilog.Ast in
+  let ports = ref [] in
+  let rec go e =
+    match e with
+    | E_const { width; value } ->
+      let name = Printf.sprintf "k%d" (List.length !ports) in
+      ports := (name, Option.value width ~default:32, value) :: !ports;
+      E_ident name
+    | E_masked _ | E_ident _ | E_bit _ | E_part _ -> e
+    | E_unop (op, a) -> E_unop (op, go a)
+    | E_binop (op, a, b) ->
+      let a = go a in
+      E_binop (op, a, go b)
+    | E_cond (c, t, f) ->
+      let t = go t in
+      E_cond (c, t, go f)
+    | E_concat es -> E_concat (List.map go es)
+    | E_repl (n, es) -> E_repl (n, List.map go es)
+  in
+  let e' = go e in
+  (e', List.rev !ports)
+
+(* [assign y = e] as a module with the given extra input ports. *)
+let assign_module ports e =
+  let open Verilog.Ast in
+  let lit v = E_const { width = None; value = v } in
+  let range w = Some { msb = lit (w - 1); lsb = lit 0 } in
+  { modules =
+      [ { mod_name = "top";
+          mod_ports = List.map (fun (n, _, _) -> n) ports @ [ "y" ];
+          mod_items =
+            List.map
+              (fun (n, w, _) -> I_port (Input, Wire, range w, [ n ]))
+              ports
+            @ [ I_port (Output, Wire, range 8, [ "y" ]);
+                I_assign (L_ident "y", e) ] } ] }
+
+let assign_value ports e =
+  let ed = Design.Elaborate.elaborate (assign_module ports e) ~top:"top" in
+  let c = (Synth.Lower.synthesize ed "top").Synth.Lower.circuit in
+  eval_out c (List.map (fun (n, _, v) -> (n, v)) ports) "y"
+
+let metamorphic_tests =
+  [ qtest "a literal computes what an input driven with it computes"
+      (QCheck.make gen_closed_expr ~print:(fun e ->
+           Verilog.Pp.design_to_string (assign_module [] e)))
+      (fun e ->
+        let (e', ports) = open_literals e in
+        assign_value [] e = assign_value ports e') ]
 
 (* ------------------------------------------------------------------ *)
 (* Lowering: structure and error cases.                                *)
@@ -811,7 +951,7 @@ let () =
     [ ("builder", builder_tests);
       ("identity", identity_tests);
       ("flatten", flatten_tests);
-      ("semantics", lower_semantics_tests);
+      ("semantics", lower_semantics_tests @ metamorphic_tests);
       ("structure", lower_structure_tests);
       ("opt", opt_tests);
       ("walk", walk_tests) ]
